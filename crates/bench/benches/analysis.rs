@@ -5,14 +5,13 @@
 //! (O(N³)) and Monte Carlo sampling, plus the full Table 1 / Table 2 regeneration cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use fault_model::correlation::CorrelationModel;
 use prob_consensus::analyzer::{analyze, analyze_auto, analyze_exact};
 use prob_consensus::counting::FaultCountDistribution;
 use prob_consensus::deployment::Deployment;
 use prob_consensus::engine::{AnalysisEngine, Budget, Scenario};
-use prob_consensus::montecarlo::{
-    monte_carlo_independent, monte_carlo_independent_par, monte_carlo_reliability_par_kernel,
-    monte_carlo_reliability_par_kernel_lanes, McKernel,
-};
+use prob_consensus::montecarlo::{monte_carlo_reliability_par_kernel, McKernel};
+use prob_consensus::packed::PackedKernel;
 use prob_consensus::pbft_model::PbftModel;
 use prob_consensus::raft_model::RaftModel;
 use rand::rngs::StdRng;
@@ -43,43 +42,34 @@ fn bench_engines(c: &mut Criterion) {
 fn bench_monte_carlo(c: &mut Criterion) {
     let mut group = c.benchmark_group("monte-carlo");
     let (model, deployment) = bench::mc_speedup_workload();
+    let failure_model = CorrelationModel::independent(deployment.profiles().to_vec());
+    let sample = |samples: usize, kernel: McKernel| {
+        monte_carlo_reliability_par_kernel(
+            &model,
+            &failure_model,
+            samples,
+            bench::MC_SPEEDUP_SEED,
+            kernel,
+        )
+    };
     for samples in [1_000usize, 10_000] {
         group.bench_with_input(
             BenchmarkId::new("raft-9", samples),
             &samples,
-            |b, &samples| {
-                b.iter(|| {
-                    let mut rng = StdRng::seed_from_u64(bench::MC_SPEEDUP_SEED);
-                    monte_carlo_independent(&model, &deployment, samples, &mut rng)
-                })
-            },
+            |b, &samples| b.iter(|| sample(samples, McKernel::Scalar)),
         );
     }
-    // The headline hot path: single-threaded sampling vs. the rayon-parallel engine on
-    // the same workload `repro --bench` records in BENCH_analysis.json. On a machine
-    // with >= 4 cores the parallel row should run >= 2x faster than the sequential one.
-    group.bench_function(
-        bench::MC_SEQUENTIAL_ID.trim_start_matches("monte-carlo/"),
-        |b| {
-            b.iter(|| {
-                let mut rng = StdRng::seed_from_u64(bench::MC_SPEEDUP_SEED);
-                monte_carlo_independent(&model, &deployment, bench::MC_SPEEDUP_SAMPLES, &mut rng)
-            })
-        },
-    );
-    group.bench_function(
-        bench::MC_PARALLEL_ID.trim_start_matches("monte-carlo/"),
-        |b| {
-            b.iter(|| {
-                monte_carlo_independent_par(
-                    &model,
-                    &deployment,
-                    bench::MC_SPEEDUP_SAMPLES,
-                    bench::MC_SPEEDUP_SEED,
-                )
-            })
-        },
-    );
+    // The headline hot path — the production engine (packed kernel across the
+    // pool) on the workload `repro --bench` records in BENCH_analysis.json — next
+    // to the scalar kernel on the same pool.
+    for (id, kernel) in [
+        (bench::MC_SCALAR_PARALLEL_ID, McKernel::Scalar),
+        (bench::MC_PARALLEL_ID, McKernel::Auto),
+    ] {
+        group.bench_function(id.trim_start_matches("monte-carlo/"), |b| {
+            b.iter(|| sample(bench::MC_SPEEDUP_SAMPLES, kernel))
+        });
+    }
     group.finish();
 }
 
@@ -92,13 +82,10 @@ fn bench_packed_vs_scalar(c: &mut Criterion) {
     // `packed_kernel_speedup` in BENCH_analysis.json.
     let mut group = c.benchmark_group("packed-vs-scalar");
     let (raft, crash_deployment) = bench::mc_speedup_workload();
-    let crash = fault_model::correlation::CorrelationModel::independent(
-        crash_deployment.profiles().to_vec(),
-    );
+    let crash = CorrelationModel::independent(crash_deployment.profiles().to_vec());
     let pbft = PbftModel::standard(7);
-    let mixed = fault_model::correlation::CorrelationModel::independent(
-        Deployment::uniform_mixed(7, 0.05, 0.01).profiles().to_vec(),
-    );
+    let mixed =
+        CorrelationModel::independent(Deployment::uniform_mixed(7, 0.05, 0.01).profiles().to_vec());
     const SAMPLES: usize = 50_000;
     for (id, kernel) in [
         ("raft-9-scalar", McKernel::Scalar),
@@ -137,25 +124,22 @@ fn bench_packed_vs_scalar(c: &mut Criterion) {
 
 fn bench_packed_width(c: &mut Criterion) {
     // The packed kernel at pinned pass widths: 1, 4 and 8 u64 words (64, 256 and
-    // 512 lanes per pass) on the raft-9 workload. Wider passes amortize per-pass
-    // RNG and plan-walk overhead across more lanes and unlock the SIMD popcount
-    // reduction; the W=8 row is the production configuration behind the absolute
-    // `packed_samples_per_sec` baseline in BENCH_analysis.json.
+    // 512 lanes per pass) on the raft-9 workload, through `sample_chunk` — the
+    // only place a width can be set — on the calling thread. Wider passes amortize
+    // per-pass RNG and plan-walk overhead across more lanes and unlock the SIMD
+    // popcount reduction; the W=8 row is the production configuration behind the
+    // absolute `packed_samples_per_sec` baseline in BENCH_analysis.json.
     let mut group = c.benchmark_group("packed-width");
     let (model, deployment) = bench::mc_speedup_workload();
-    let scenario =
-        fault_model::correlation::CorrelationModel::independent(deployment.profiles().to_vec());
+    let kernel = PackedKernel::new(
+        &model,
+        &CorrelationModel::independent(deployment.profiles().to_vec()),
+    );
     for (id, lane_words) in bench::PACKED_WIDTH_IDS {
         group.bench_function(id.trim_start_matches("packed-width/"), |b| {
             b.iter(|| {
-                monte_carlo_reliability_par_kernel_lanes(
-                    &model,
-                    &scenario,
-                    bench::MC_SPEEDUP_SAMPLES,
-                    bench::MC_SPEEDUP_SEED,
-                    McKernel::Packed,
-                    lane_words,
-                )
+                let mut rng = StdRng::seed_from_u64(bench::MC_SPEEDUP_SEED);
+                kernel.sample_chunk(&mut rng, bench::MC_SPEEDUP_SAMPLES, lane_words)
             })
         });
     }
@@ -172,6 +156,7 @@ fn bench_rare_event(c: &mut Criterion) {
     // BENCH_analysis.json and asserted ≥100x by the crate tests) quantifies it.
     let mut group = c.benchmark_group("rare-event");
     let (model, deployment) = bench::rare_event_workload();
+    let failure_model = CorrelationModel::independent(deployment.profiles().to_vec());
     let budget = Budget::default()
         .with_samples(bench::RARE_EVENT_SAMPLES)
         .with_seed(bench::RARE_EVENT_SEED);
@@ -191,11 +176,12 @@ fn bench_rare_event(c: &mut Criterion) {
         bench::RARE_EVENT_MC_ID.trim_start_matches("rare-event/"),
         |b| {
             b.iter(|| {
-                monte_carlo_independent_par(
+                monte_carlo_reliability_par_kernel(
                     &model,
-                    &deployment,
+                    &failure_model,
                     bench::RARE_EVENT_SAMPLES,
                     bench::RARE_EVENT_SEED,
+                    McKernel::Auto,
                 )
             })
         },

@@ -24,11 +24,12 @@ use prob_consensus::engine::{
 };
 use prob_consensus::heterogeneity::{heterogeneity_analysis, HeterogeneityAnalysis};
 use prob_consensus::leader::{leader_failure_probability, LeaderPolicy};
-use prob_consensus::montecarlo::{monte_carlo_independent_par, McKernel};
+use prob_consensus::montecarlo::{monte_carlo_reliability_par_kernel, McKernel};
 use prob_consensus::optimize::{
     optimize, DeploymentSpace, FailureDomains, NodeType, OptimizeReport, OptimizerConfig,
     Placement, TargetSpec,
 };
+use prob_consensus::packed::PackedKernel;
 use prob_consensus::pbft_model::PbftModel;
 use prob_consensus::query::{
     AnalysisReport, AnalysisSession, CellRecord, CorrelationSpec, FaultAxis, ProtocolSpec, Query,
@@ -673,7 +674,9 @@ pub fn monte_carlo_crosscheck(n: usize, p: f64, samples: usize, seed: u64) -> (f
         .report
         .safe_and_live
         .probability();
-    let mc = monte_carlo_independent_par(&model, &deployment, samples, seed);
+    let failure_model = CorrelationModel::independent(deployment.profiles().to_vec());
+    let mc =
+        monte_carlo_reliability_par_kernel(&model, &failure_model, samples, seed, McKernel::Auto);
     (analytic, mc.safe_and_live.value)
 }
 
@@ -719,16 +722,12 @@ fn time_one<T>(id: &str, budget_ms: u64, mut f: impl FnMut() -> T) -> BenchMeasu
     }
 }
 
-/// Benchmark ids of the sequential / parallel Monte Carlo pair whose ratio is the
-/// parallel speedup reported in `BENCH_analysis.json`. The sequential row is the
-/// scalar reference kernel on one thread; the parallel row is the production
-/// engine — the bit-sliced packed kernel across the persistent pool — so the ratio
-/// measures the full engine-level win (kernel × pool).
-pub const MC_SEQUENTIAL_ID: &str = "monte-carlo/raft-9-sequential";
-/// See [`MC_SEQUENTIAL_ID`].
+/// Benchmark id of the production Monte Carlo engine — the bit-sliced packed kernel
+/// across the persistent pool — on the raft-9 workload: the row behind
+/// `monte_carlo_samples_per_sec` in `BENCH_analysis.json`.
 pub const MC_PARALLEL_ID: &str = "monte-carlo/raft-9-parallel";
-/// Benchmark id of the scalar kernel run across the same parallel pool, so the
-/// packed kernel's contribution can be separated from the pool's.
+/// Benchmark id of the scalar kernel run across the same pool; its ratio to
+/// [`MC_PARALLEL_ID`] is `packed_kernel_speedup`.
 pub const MC_SCALAR_PARALLEL_ID: &str = "monte-carlo/raft-9-scalar-parallel";
 /// Sample budget of the speedup workload — shared with the criterion bench in
 /// `benches/analysis.rs` so the recorded baseline and the bench measure the same thing.
@@ -736,8 +735,8 @@ pub const MC_SPEEDUP_SAMPLES: usize = 200_000;
 /// Seed of the speedup workload.
 pub const MC_SPEEDUP_SEED: u64 = 7;
 
-/// The model/deployment pair of the sequential-vs-parallel speedup workload
-/// (9-node Raft at p_u = 8%).
+/// The model/deployment pair of the Monte Carlo kernel workload (9-node Raft at
+/// p_u = 8%).
 pub fn mc_speedup_workload() -> (RaftModel, Deployment) {
     (RaftModel::standard(9), Deployment::uniform_crash(9, 0.08))
 }
@@ -1219,9 +1218,11 @@ pub fn optimize_durability() -> (Table, OptimizeReport) {
 }
 
 /// Benchmark ids of the packed kernel at pinned pass widths — 1, 4 and 8 `u64`
-/// words (64, 256 and 512 lanes per pass) — on the [`mc_speedup_workload`]. The
-/// width-8 row is the production configuration ([`PACKED_WIDTH_PRODUCTION_ID`])
-/// behind the absolute `packed_samples_per_sec` baseline in `BENCH_analysis.json`.
+/// words (64, 256 and 512 lanes per pass) — on the [`mc_speedup_workload`], driven
+/// through `PackedKernel::sample_chunk` on the calling thread (the only place a
+/// width can be set). The width-8 row is the production configuration
+/// ([`PACKED_WIDTH_PRODUCTION_ID`]) behind the absolute `packed_samples_per_sec`
+/// baseline in `BENCH_analysis.json`.
 pub const PACKED_WIDTH_IDS: [(&str, usize); 3] = [
     ("packed-width/w1", 1),
     ("packed-width/w4", 4),
@@ -1230,28 +1231,9 @@ pub const PACKED_WIDTH_IDS: [(&str, usize); 3] = [
 /// See [`PACKED_WIDTH_IDS`].
 pub const PACKED_WIDTH_PRODUCTION_ID: &str = "packed-width/w8";
 
-/// Measures the sequential-scalar vs. parallel-engine speedup on the raft-9
-/// workload at a reduced sample count — the quick version of the
-/// [`MC_SEQUENTIAL_ID`] / [`MC_PARALLEL_ID`] ratio, cheap enough for a CI test.
-///
-/// The parallel engine runs the packed kernel, so the ratio is well above 1 even on
-/// a single-core runner; CI asserts a loose floor (> 0.9) to stay robust to noisy
-/// shared runners, with the real measured number committed in `BENCH_analysis.json`.
-pub fn mc_speedup_ratio(samples: usize, budget_ms: u64) -> f64 {
-    let (model, deployment) = mc_speedup_workload();
-    let seq = time_one("speedup-probe-sequential", budget_ms, || {
-        let mut rng = StdRng::seed_from_u64(MC_SPEEDUP_SEED);
-        prob_consensus::montecarlo::monte_carlo_independent(&model, &deployment, samples, &mut rng)
-    });
-    let par = time_one("speedup-probe-parallel", budget_ms, || {
-        monte_carlo_independent_par(&model, &deployment, samples, MC_SPEEDUP_SEED)
-    });
-    seq.mean_ns / par.mean_ns
-}
-
 /// The analysis-engine baseline suite behind `repro --bench`: the three engines at
-/// representative sizes, auto-selection overhead, and sequential vs. parallel Monte
-/// Carlo (whose ratio is the parallel speedup on this machine).
+/// representative sizes, auto-selection overhead, and the Monte Carlo engine on
+/// both kernels (whose ratio is the packed kernel's speedup on this machine).
 pub fn analysis_benchmarks(budget_ms: u64) -> Vec<BenchMeasurement> {
     let budget = Budget::default();
     let mut out = Vec::new();
@@ -1275,42 +1257,30 @@ pub fn analysis_benchmarks(budget_ms: u64) -> Vec<BenchMeasurement> {
 
     let (m_mc, d_mc) = mc_speedup_workload();
     let fm_mc = CorrelationModel::independent(d_mc.profiles().to_vec());
-    out.push(time_one(MC_SEQUENTIAL_ID, budget_ms, || {
-        let mut rng = StdRng::seed_from_u64(MC_SPEEDUP_SEED);
-        prob_consensus::montecarlo::monte_carlo_independent(
-            &m_mc,
-            &d_mc,
-            MC_SPEEDUP_SAMPLES,
-            &mut rng,
-        )
-    }));
-    out.push(time_one(MC_SCALAR_PARALLEL_ID, budget_ms, || {
-        prob_consensus::montecarlo::monte_carlo_reliability_par_kernel(
-            &m_mc,
-            &fm_mc,
-            MC_SPEEDUP_SAMPLES,
-            MC_SPEEDUP_SEED,
-            McKernel::Scalar,
-        )
-    }));
-    out.push(time_one(MC_PARALLEL_ID, budget_ms, || {
-        monte_carlo_independent_par(&m_mc, &d_mc, MC_SPEEDUP_SAMPLES, MC_SPEEDUP_SEED)
-    }));
-
-    // The packed kernel at pinned pass widths (same workload and seed as the
-    // parallel row; reports are bit-identical at every width). The width-8 row is
-    // the production configuration behind the absolute `packed_samples_per_sec`
-    // baseline.
-    for (id, lane_words) in PACKED_WIDTH_IDS {
+    for (id, kernel) in [
+        (MC_SCALAR_PARALLEL_ID, McKernel::Scalar),
+        (MC_PARALLEL_ID, McKernel::Auto),
+    ] {
         out.push(time_one(id, budget_ms, || {
-            prob_consensus::montecarlo::monte_carlo_reliability_par_kernel_lanes(
+            monte_carlo_reliability_par_kernel(
                 &m_mc,
                 &fm_mc,
                 MC_SPEEDUP_SAMPLES,
                 MC_SPEEDUP_SEED,
-                McKernel::Packed,
-                lane_words,
+                kernel,
             )
+        }));
+    }
+
+    // The packed kernel at pinned pass widths (same workload and seed as the
+    // parallel row; hit counts are bit-identical at every width). The width-8 row
+    // is the production configuration behind the absolute
+    // `packed_samples_per_sec` baseline.
+    let packed_mc = PackedKernel::new(&m_mc, &fm_mc);
+    for (id, lane_words) in PACKED_WIDTH_IDS {
+        out.push(time_one(id, budget_ms, || {
+            let mut rng = StdRng::seed_from_u64(MC_SPEEDUP_SEED);
+            packed_mc.sample_chunk(&mut rng, MC_SPEEDUP_SAMPLES, lane_words)
         }));
     }
 
@@ -1328,8 +1298,15 @@ pub fn analysis_benchmarks(budget_ms: u64) -> Vec<BenchMeasurement> {
             &re_budget,
         )
     }));
+    let fm_re = CorrelationModel::independent(d_re.profiles().to_vec());
     out.push(time_one(RARE_EVENT_MC_ID, budget_ms, || {
-        monte_carlo_independent_par(&m_re, &d_re, RARE_EVENT_SAMPLES, RARE_EVENT_SEED)
+        monte_carlo_reliability_par_kernel(
+            &m_re,
+            &fm_re,
+            RARE_EVENT_SAMPLES,
+            RARE_EVENT_SEED,
+            McKernel::Auto,
+        )
     }));
 
     // The sweep-amortization pair: the same grid of cells, planned-batch vs.
@@ -1401,16 +1378,10 @@ pub fn benchmarks_to_json(
     let threads = rayon::current_num_threads();
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"threads\": {threads},\n"));
-    let seq = measurements.iter().find(|m| m.id == MC_SEQUENTIAL_ID);
-    let par = measurements.iter().find(|m| m.id == MC_PARALLEL_ID);
-    let (seq, par) = (
-        seq.expect("baseline suite always measures the sequential MC path"),
-        par.expect("baseline suite always measures the parallel MC path"),
-    );
-    json.push_str(&format!(
-        "  \"monte_carlo_parallel_speedup\": {:.3},\n",
-        seq.mean_ns / par.mean_ns
-    ));
+    let par = measurements
+        .iter()
+        .find(|m| m.id == MC_PARALLEL_ID)
+        .expect("baseline suite always measures the parallel MC path");
     json.push_str(&format!(
         "  \"monte_carlo_samples_per_sec\": {:.3e},\n",
         MC_SPEEDUP_SAMPLES as f64 * 1e9 / par.mean_ns
@@ -1753,7 +1724,8 @@ mod tests {
 
     /// Retries a timing probe a few times before failing: wall-clock ratios on a
     /// loaded shared CI runner can dip on one attempt, while a real regression
-    /// fails every attempt.
+    /// fails every attempt. Release builds only, like the ratio tests that use it.
+    #[cfg(not(debug_assertions))]
     fn assert_timing_ratio(floor: f64, what: &str, mut probe: impl FnMut() -> f64) {
         let mut last = 0.0;
         for _attempt in 0..3 {
@@ -1763,18 +1735,6 @@ mod tests {
             }
         }
         panic!("{what}: ratio {last:.2}x below the {floor}x floor on every attempt");
-    }
-
-    /// CI floor on the headline speedup: the parallel engine (packed kernel + pool)
-    /// must at least match the sequential scalar path. Asserted loosely (> 0.9,
-    /// best of three probes) so a noisy single-core CI runner cannot flake; the
-    /// real measured multi-x number is committed in `BENCH_analysis.json` and
-    /// asserted ≥ 1.0 below.
-    #[test]
-    fn parallel_engine_is_not_slower_than_sequential_scalar() {
-        assert_timing_ratio(0.9, "parallel engine vs sequential scalar", || {
-            mc_speedup_ratio(20_000, 40)
-        });
     }
 
     /// The packed kernel's throughput edge over the scalar kernel on the same
@@ -1791,13 +1751,7 @@ mod tests {
         let samples = 20_000;
         let time_kernel = |kernel: McKernel| {
             super::time_one("kernel-probe", 40, || {
-                prob_consensus::montecarlo::monte_carlo_reliability_par_kernel(
-                    &model,
-                    &fm,
-                    samples,
-                    MC_SPEEDUP_SEED,
-                    kernel,
-                )
+                monte_carlo_reliability_par_kernel(&model, &fm, samples, MC_SPEEDUP_SEED, kernel)
             })
             .mean_ns
         };
@@ -1821,25 +1775,22 @@ mod tests {
         let (model, deployment) = mc_speedup_workload();
         let fm = CorrelationModel::independent(deployment.profiles().to_vec());
         let samples = 40_000;
+        let scalar = || {
+            monte_carlo_reliability_par_kernel(
+                &model,
+                &fm,
+                samples,
+                MC_SPEEDUP_SEED,
+                McKernel::Scalar,
+            )
+        };
+        let one_thread = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .expect("pool");
         assert_timing_ratio(floor, "scalar kernel: parallel vs sequential", || {
-            let seq = super::time_one("scalar-seq-probe", 40, || {
-                let mut rng = StdRng::seed_from_u64(MC_SPEEDUP_SEED);
-                prob_consensus::montecarlo::monte_carlo_independent(
-                    &model,
-                    &deployment,
-                    samples,
-                    &mut rng,
-                )
-            });
-            let par = super::time_one("scalar-par-probe", 40, || {
-                prob_consensus::montecarlo::monte_carlo_reliability_par_kernel(
-                    &model,
-                    &fm,
-                    samples,
-                    MC_SPEEDUP_SEED,
-                    McKernel::Scalar,
-                )
-            });
+            let seq = one_thread.install(|| super::time_one("scalar-seq-probe", 40, scalar));
+            let par = super::time_one("scalar-par-probe", 40, scalar);
             seq.mean_ns / par.mean_ns
         });
     }
@@ -2061,22 +2012,13 @@ mod tests {
         });
     }
 
-    /// The committed `BENCH_analysis.json` must report a parallel speedup that is
-    /// actually a speedup. This reads the checked-in baseline (deterministic — no
-    /// timing in CI), so a regression can only land by committing a bad baseline.
+    /// The committed `BENCH_analysis.json` must report speedups that are actually
+    /// speedups. This reads the checked-in baseline (deterministic — no timing in
+    /// CI), so a regression can only land by committing a bad baseline.
     #[test]
     fn committed_baseline_reports_a_real_parallel_speedup() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_analysis.json");
         let baseline = std::fs::read_to_string(path).expect("BENCH_analysis.json is committed");
-        let speedup = baseline
-            .lines()
-            .find_map(|l| l.trim().strip_prefix("\"monte_carlo_parallel_speedup\": "))
-            .and_then(|v| v.trim_end_matches(',').parse::<f64>().ok())
-            .expect("baseline records monte_carlo_parallel_speedup");
-        assert!(
-            speedup >= 1.0,
-            "committed baseline reports a parallel slowdown: {speedup}"
-        );
         // The kernel ratio is measured within one run on one machine, so unlike an
         // absolute samples-per-second floor it stays meaningful no matter what
         // hardware regenerates the baseline.

@@ -11,9 +11,10 @@ use fault_model::metrics::Nines;
 
 use crate::counting::counting_reliability;
 use crate::deployment::Deployment;
-use crate::engine::{select_engine, AnalysisOutcome, Budget, EngineChoice, Scenario};
+use crate::engine::{select_engine, AnalysisOutcome, Budget, Scenario};
 use crate::enumeration::{enumerate_reliability, RawReliability};
 use crate::protocol::{CountingModel, ProtocolModel};
+use crate::scratch::GroupScratch;
 
 /// Probabilistic safety and liveness guarantees of one protocol on one deployment — the
 /// shape of guarantee the paper argues consensus should report (e.g. "Raft with N = 3 is
@@ -84,15 +85,18 @@ impl std::fmt::Display for ReliabilityReport {
 /// assert_eq!(outcome.engine, EngineChoice::Counting);
 /// assert_eq!(outcome.report.safe_and_live.as_percent(), "99.97%");
 /// ```
+///
+/// # Panics
+///
+/// Panics if the model and the deployment disagree on the cluster size;
+/// [`analyze_scenario`] is the fallible form.
 pub fn analyze_auto(
     model: &dyn ProtocolModel,
     deployment: &Deployment,
     budget: &Budget,
 ) -> AnalysisOutcome {
-    // A one-line wrapper over a single-cell query: the sweep-native front door
-    // ([`crate::query`]) runs this exact code path per cell, which is what makes a
-    // planned sweep bit-identical to a hand-rolled per-cell loop.
-    crate::query::analyze_single(model, Scenario::Independent(deployment), budget)
+    analyze_scenario(model, Scenario::Independent(deployment), budget)
+        .unwrap_or_else(|error| panic!("{error}"))
 }
 
 /// Why an analysis request cannot be answered.
@@ -176,16 +180,12 @@ pub fn analyze_scenario(
             scenario_nodes: scenario.len(),
         });
     }
-    Ok(crate::query::analyze_single(model, scenario, budget))
-}
-
-/// The engine [`analyze_auto`] would run for this triple, without running it.
-pub fn chosen_engine(
-    model: &dyn ProtocolModel,
-    scenario: Scenario<'_>,
-    budget: &Budget,
-) -> EngineChoice {
-    select_engine(model, scenario, budget)
+    // The one path every planned cell also takes — select, then run, on the same
+    // scratch — which is what makes a planned sweep bit-identical to a per-cell
+    // loop. Here the scratch is a throwaway.
+    let scratch = GroupScratch::default();
+    Ok(select_engine(model, scenario, budget, &scratch)
+        .run_prepared(model, scenario, budget, &scratch))
 }
 
 /// Analyzes a counting model with the exact O(N³) fault-count engine.

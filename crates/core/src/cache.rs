@@ -3,7 +3,7 @@
 //! An [`AnalysisSession`](crate::query::AnalysisSession) amortizes per-cell setup —
 //! scenario conversion, packed-kernel compilation, selector pilots, learned
 //! importance-sampling proposals — by keying reusable
-//! [`GroupScratch`](crate::query) off the *cell signature*: a content fingerprint
+//! [`GroupScratch`] off the *cell signature*: a content fingerprint
 //! of the (model, scenario) pair. Before the service layer existed, one plan at a
 //! time touched that map and a plain `Mutex<HashMap>` with clear-on-cap was
 //! enough. A long-running `repro serve` process executes many plans concurrently,
@@ -41,7 +41,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::query::GroupScratch;
+use crate::scratch::GroupScratch;
 
 /// A point-in-time snapshot of the cache counters, the service layer's first
 /// observability surface (rendered by the server protocol's `stats` request).
@@ -167,7 +167,7 @@ impl SessionCache {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let scratch = Arc::new(GroupScratch::new());
+        let scratch = Arc::new(GroupScratch::default());
         shard.entries.insert(
             key,
             Entry {

@@ -8,11 +8,15 @@
 //!   correlated [`CorrelationModel`].
 //! * [`AnalysisEngine`] — the common trait of the five engines, wrapping
 //!   [`crate::enumeration`], [`crate::counting`], [`crate::rare_event`],
-//!   [`crate::montecarlo`] and [`crate::simulation`].
+//!   [`crate::montecarlo`] and [`crate::simulation`]. An engine has one body, and
+//!   it runs on prepared scratch ([`crate::scratch`]): the query planner passes
+//!   the scratch its cells share, the three-argument `supports`/`run` pass a
+//!   throwaway one.
 //! * [`Budget`] — how much work (exact configurations, Monte Carlo samples,
 //!   simulation trials) the caller is willing to spend, the sampling seed, and the
 //!   rare-event knobs (proposal tilt, ESS floor, selection threshold).
-//! * [`select_engine`] — the auto-selector: exact counting for independent counting
+//! * [`select_engine`] — the one auto-selector, behind both the per-cell front doors
+//!   and the query planner: exact counting for independent counting
 //!   models, exhaustive enumeration for small non-counting models, importance
 //!   sampling when the failure event is too rare for plain sampling, parallel Monte
 //!   Carlo for everything else. The simulation engine is deliberately outside the
@@ -26,15 +30,18 @@
 //! module; the engine structs are public for tests, benches and tools that need to pin
 //! an engine deliberately (e.g. cross-engine agreement checks).
 
+use std::borrow::Cow;
+
 use fault_model::correlation::CorrelationModel;
 
 use crate::analyzer::ReliabilityReport;
 use crate::counting::counting_reliability;
 use crate::deployment::Deployment;
 use crate::enumeration::enumerate_reliability;
-use crate::montecarlo::{monte_carlo_reliability_par_kernel_lanes, McKernel, MonteCarloReport};
+use crate::montecarlo::{McKernel, McSampler, MonteCarloReport};
 use crate::protocol::ProtocolModel;
 use crate::rare_event::RareEventReport;
+use crate::scratch::GroupScratch;
 use crate::simulation::SimulationReport;
 // Re-exported so all five engine structs are importable from the engine layer.
 pub use crate::rare_event::ImportanceSamplingEngine;
@@ -68,18 +75,10 @@ impl Scenario<'_> {
     /// this layer. The analyzer front door
     /// ([`crate::analyzer::analyze_scenario`]) rejects empty scenarios with
     /// [`AnalysisError::EmptyScenario`](crate::analyzer::AnalysisError); the
-    /// lower-level [`select_engine`] / [`run_selected`] panic with a clear message
-    /// rather than returning a vacuous report.
+    /// lower-level [`select_engine`] panics with a clear message rather than
+    /// letting an engine return a vacuous report.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Whether failures are correlated (with at least one active correlation group).
-    pub fn is_correlated(&self) -> bool {
-        match self {
-            Scenario::Independent(_) => false,
-            Scenario::Correlated(c) => c.is_correlated(),
-        }
     }
 
     /// The per-node fault profiles, whichever form the scenario takes. Borrowed — this
@@ -93,24 +92,9 @@ impl Scenario<'_> {
 
     /// Whether the scenario is effectively independent (an independent deployment, or
     /// a correlation model with no active groups) and the exact engines therefore
-    /// apply. Allocation-free, unlike [`Scenario::as_independent`].
+    /// apply.
     pub fn is_independent(&self) -> bool {
         !matches!(self, Scenario::Correlated(c) if c.is_correlated())
-    }
-
-    /// The independent deployment, if this scenario is one (also accepts a correlation
-    /// model with no active groups, which is independent in all but name).
-    ///
-    /// Allocates for the correlated-but-groupless case; engines on the hot path borrow
-    /// via [`Scenario::Independent`] directly and only fall back to this for that case.
-    pub fn as_independent(&self) -> Option<Deployment> {
-        match self {
-            Scenario::Independent(d) => Some((*d).clone()),
-            Scenario::Correlated(c) if !c.is_correlated() => {
-                Some(Deployment::from_profiles(c.profiles().to_vec()))
-            }
-            Scenario::Correlated(_) => None,
-        }
     }
 
     /// The scenario as a correlation model (trivially independent when no groups
@@ -199,13 +183,6 @@ pub struct Budget {
     /// and `Packed` force a kernel (for benchmarks and cross-kernel agreement
     /// tests).
     pub mc_kernel: McKernel,
-    /// Pass width of the packed kernel, in 64-lane `u64` words (`1..=`
-    /// [`MAX_LANE_WORDS`](crate::packed::MAX_LANE_WORDS)): how many bit-sliced
-    /// blocks one pass runs in lockstep. Results are bit-identical at every width —
-    /// each block draws its own lane stream (see [`crate::packed`]) — so this is
-    /// purely a throughput knob, defaulted to the fastest width and exposed for the
-    /// `packed-width` benchmarks and cross-width agreement tests.
-    pub mc_lane_words: usize,
     /// How much work the discrete-event simulation engine
     /// ([`crate::simulation::SimulationEngine`]) spends when it runs: trial count,
     /// virtual-time horizon, and client workload per trial.
@@ -403,7 +380,6 @@ impl Default for Budget {
             min_effective_samples: 64.0,
             rare_event_threshold: 1e-6,
             mc_kernel: McKernel::Auto,
-            mc_lane_words: crate::packed::DEFAULT_LANE_WORDS,
             sim: SimBudget::default(),
             epistemic: None,
         }
@@ -464,19 +440,6 @@ impl Budget {
     /// restores the default packed-when-counting selection).
     pub fn with_mc_kernel(mut self, kernel: McKernel) -> Self {
         self.mc_kernel = kernel;
-        self
-    }
-
-    /// A budget pinning the packed kernel's pass width to `lane_words` 64-lane
-    /// blocks (`1..=`[`MAX_LANE_WORDS`](crate::packed::MAX_LANE_WORDS)). Results
-    /// are bit-identical at every width; only throughput changes.
-    pub fn with_mc_lane_words(mut self, lane_words: usize) -> Self {
-        assert!(
-            (1..=crate::packed::MAX_LANE_WORDS).contains(&lane_words),
-            "lane_words must be in 1..={}, got {lane_words}",
-            crate::packed::MAX_LANE_WORDS
-        );
-        self.mc_lane_words = lane_words;
         self
     }
 
@@ -573,9 +536,7 @@ impl Budget {
     /// * `rare_event_tilt` must be finite and either `0` (adaptive) or `≥ 1`;
     /// * `min_effective_samples` must be a positive finite number (zero would turn
     ///   the ESS floor into a no-op);
-    /// * `rare_event_threshold` must lie strictly inside `(0, 1)`;
-    /// * `mc_lane_words` must be in `1..=`[`MAX_LANE_WORDS`](crate::packed::MAX_LANE_WORDS)
-    ///   (zero would be a pass that samples nothing).
+    /// * `rare_event_threshold` must lie strictly inside `(0, 1)`.
     pub fn validate(&self) -> Result<(), InvalidBudget> {
         let tilt = self.rare_event_tilt;
         if !tilt.is_finite() || !(tilt == 0.0 || tilt >= 1.0) {
@@ -597,9 +558,6 @@ impl Budget {
                 window_millis: self.sim.fault_window_millis,
                 horizon_millis: self.sim.horizon_millis,
             });
-        }
-        if !(1..=crate::packed::MAX_LANE_WORDS).contains(&self.mc_lane_words) {
-            return Err(InvalidBudget::McLaneWords(self.mc_lane_words));
         }
         if let Some(ep) = self.epistemic {
             if ep.draws == 0 {
@@ -632,10 +590,6 @@ pub enum InvalidBudget {
     /// The simulation budget's virtual-time horizon is zero — a zero-length trial
     /// delivers no messages and fires no timers, so its verdicts are vacuous.
     SimHorizon,
-    /// `mc_lane_words` is outside `1..=`[`MAX_LANE_WORDS`](crate::packed::MAX_LANE_WORDS):
-    /// zero-width passes sample nothing, and the packed kernel's stack scratch is
-    /// sized by the maximum.
-    McLaneWords(usize),
     /// The simulation budget's fault window extends past its horizon: faults
     /// scheduled beyond the end of a trial are silently never applied, which
     /// would bias every empirical rate (and cross-validation z-score) upward.
@@ -679,11 +633,6 @@ impl std::fmt::Display for InvalidBudget {
             InvalidBudget::SimHorizon => {
                 write!(f, "sim.horizon_millis must be positive")
             }
-            InvalidBudget::McLaneWords(v) => write!(
-                f,
-                "mc_lane_words must be in 1..={}, got {v}",
-                crate::packed::MAX_LANE_WORDS
-            ),
             InvalidBudget::SimFaultWindow {
                 window_millis,
                 horizon_millis,
@@ -730,6 +679,27 @@ pub struct AnalysisOutcome {
 }
 
 impl AnalysisOutcome {
+    /// The outcome of `engine`, reporting the three estimated (or exact)
+    /// probabilities; the caller attaches the engine-specific detail report.
+    pub(crate) fn new(
+        engine: EngineChoice,
+        p_safe: f64,
+        p_live: f64,
+        p_safe_and_live: f64,
+    ) -> Self {
+        Self {
+            report: ReliabilityReport::from_raw(crate::enumeration::RawReliability {
+                p_safe,
+                p_live,
+                p_safe_and_live,
+            }),
+            engine,
+            monte_carlo: None,
+            rare_event: None,
+            simulation: None,
+        }
+    }
+
     /// Whether the report is exact (enumeration or counting) rather than an estimate.
     pub fn is_exact(&self) -> bool {
         matches!(
@@ -754,32 +724,74 @@ impl std::fmt::Display for AnalysisOutcome {
 /// One reliability-analysis strategy.
 ///
 /// Implementations must answer, for any model/scenario/budget triple, whether they
-/// apply ([`supports`](AnalysisEngine::supports)) and produce an [`AnalysisOutcome`]
-/// when they do ([`run`](AnalysisEngine::run)). The trait is object-safe; the
-/// auto-selector walks [`ENGINES`] in preference order.
+/// apply ([`supports_prepared`](AnalysisEngine::supports_prepared)) and produce an
+/// [`AnalysisOutcome`] when they do ([`run_prepared`](AnalysisEngine::run_prepared)).
+/// Both take the group's prepared scratch ([`GroupScratch`]) and are the engine's
+/// only body: [`supports`](AnalysisEngine::supports) and
+/// [`run`](AnalysisEngine::run) are the same calls on a throwaway scratch, so a
+/// planned cell and a direct call are bit-identical by construction. The trait is
+/// object-safe; [`select_engine`] walks [`ENGINES`] in preference order.
 pub trait AnalysisEngine: Sync {
     /// Which engine this is.
     fn choice(&self) -> EngineChoice;
 
-    /// Short name for reports and logs.
-    fn name(&self) -> &'static str;
-
     /// Whether this engine can analyze `model` on `scenario` within `budget`.
-    fn supports(&self, model: &dyn ProtocolModel, scenario: Scenario<'_>, budget: &Budget) -> bool;
+    /// Whatever the answer costs to compute (the importance-sampling selector
+    /// pilot) is kept in `scratch`.
+    fn supports_prepared(
+        &self,
+        model: &dyn ProtocolModel,
+        scenario: Scenario<'_>,
+        budget: &Budget,
+        scratch: &GroupScratch,
+    ) -> bool;
 
-    /// Runs the analysis.
+    /// Runs the analysis, reusing (and filling) the per-(model, scenario) setup in
+    /// `scratch`. `scratch` must belong to this (model, scenario) pair — or be
+    /// fresh.
     ///
     /// # Panics
     ///
     /// May panic if called for an unsupported triple; callers should check
-    /// [`supports`](AnalysisEngine::supports) (or use
+    /// [`supports_prepared`](AnalysisEngine::supports_prepared) (or use
     /// [`crate::analyzer::analyze_auto`], which does).
+    fn run_prepared(
+        &self,
+        model: &dyn ProtocolModel,
+        scenario: Scenario<'_>,
+        budget: &Budget,
+        scratch: &GroupScratch,
+    ) -> AnalysisOutcome;
+
+    /// [`supports_prepared`](AnalysisEngine::supports_prepared) on a throwaway
+    /// scratch.
+    fn supports(&self, model: &dyn ProtocolModel, scenario: Scenario<'_>, budget: &Budget) -> bool {
+        self.supports_prepared(model, scenario, budget, &GroupScratch::default())
+    }
+
+    /// [`run_prepared`](AnalysisEngine::run_prepared) on a throwaway scratch.
     fn run(
         &self,
         model: &dyn ProtocolModel,
         scenario: Scenario<'_>,
         budget: &Budget,
-    ) -> AnalysisOutcome;
+    ) -> AnalysisOutcome {
+        self.run_prepared(model, scenario, budget, &GroupScratch::default())
+    }
+}
+
+/// The scenario as the independent deployment the exact engines consume: borrowed
+/// when it already is one, converted for a correlation model with no active groups
+/// (independent in all but name).
+fn independent_deployment<'a>(scenario: Scenario<'a>) -> Cow<'a, Deployment> {
+    assert!(
+        scenario.is_independent(),
+        "exact engines require an independent scenario"
+    );
+    match scenario {
+        Scenario::Independent(deployment) => Cow::Borrowed(deployment),
+        Scenario::Correlated(c) => Cow::Owned(Deployment::from_profiles(c.profiles().to_vec())),
+    }
 }
 
 /// Exhaustive enumeration: exact for *any* protocol model, exponential in N.
@@ -791,15 +803,12 @@ impl AnalysisEngine for EnumerationEngine {
         EngineChoice::Enumeration
     }
 
-    fn name(&self) -> &'static str {
-        "enumeration"
-    }
-
-    fn supports(
+    fn supports_prepared(
         &self,
         _model: &dyn ProtocolModel,
         scenario: Scenario<'_>,
         budget: &Budget,
+        _scratch: &GroupScratch,
     ) -> bool {
         // Admissibility is the enumeration module's own rule, so the selector can
         // never route a deployment there that the module would reject.
@@ -809,27 +818,20 @@ impl AnalysisEngine for EnumerationEngine {
                 <= budget.max_enumeration_configs
     }
 
-    fn run(
+    fn run_prepared(
         &self,
         model: &dyn ProtocolModel,
         scenario: Scenario<'_>,
         _budget: &Budget,
+        _scratch: &GroupScratch,
     ) -> AnalysisOutcome {
-        let report = if let Scenario::Independent(deployment) = scenario {
-            enumerate_reliability(model, deployment)
-        } else {
-            let deployment = scenario
-                .as_independent()
-                .expect("enumeration requires an independent scenario");
-            enumerate_reliability(model, &deployment)
-        };
-        AnalysisOutcome {
-            report: ReliabilityReport::from_raw(report),
-            engine: EngineChoice::Enumeration,
-            monte_carlo: None,
-            rare_event: None,
-            simulation: None,
-        }
+        let raw = enumerate_reliability(model, &independent_deployment(scenario));
+        AnalysisOutcome::new(
+            EngineChoice::Enumeration,
+            raw.p_safe,
+            raw.p_live,
+            raw.p_safe_and_live,
+        )
     }
 }
 
@@ -843,40 +845,35 @@ impl AnalysisEngine for CountingEngine {
         EngineChoice::Counting
     }
 
-    fn name(&self) -> &'static str {
-        "counting"
-    }
-
-    fn supports(&self, model: &dyn ProtocolModel, scenario: Scenario<'_>, budget: &Budget) -> bool {
+    fn supports_prepared(
+        &self,
+        model: &dyn ProtocolModel,
+        scenario: Scenario<'_>,
+        budget: &Budget,
+        _scratch: &GroupScratch,
+    ) -> bool {
         model.as_counting().is_some()
             && scenario.is_independent()
             && scenario.len() <= budget.max_counting_nodes
     }
 
-    fn run(
+    fn run_prepared(
         &self,
         model: &dyn ProtocolModel,
         scenario: Scenario<'_>,
         _budget: &Budget,
+        _scratch: &GroupScratch,
     ) -> AnalysisOutcome {
         let counting = model
             .as_counting()
             .expect("counting engine requires a counting model");
-        let report = if let Scenario::Independent(deployment) = scenario {
-            counting_reliability(counting, deployment)
-        } else {
-            let deployment = scenario
-                .as_independent()
-                .expect("counting requires an independent scenario");
-            counting_reliability(counting, &deployment)
-        };
-        AnalysisOutcome {
-            report: ReliabilityReport::from_raw(report),
-            engine: EngineChoice::Counting,
-            monte_carlo: None,
-            rare_event: None,
-            simulation: None,
-        }
+        let raw = counting_reliability(counting, &independent_deployment(scenario));
+        AnalysisOutcome::new(
+            EngineChoice::Counting,
+            raw.p_safe,
+            raw.p_live,
+            raw.p_safe_and_live,
+        )
     }
 }
 
@@ -885,57 +882,45 @@ impl AnalysisEngine for CountingEngine {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MonteCarloEngine;
 
+impl MonteCarloEngine {
+    /// Wraps a sampling report — a whole-cell run's, or the scheduler's merged
+    /// chunks' — as the engine's outcome.
+    pub(crate) fn outcome(mc: MonteCarloReport) -> AnalysisOutcome {
+        AnalysisOutcome {
+            monte_carlo: Some(mc),
+            ..AnalysisOutcome::new(
+                EngineChoice::MonteCarlo,
+                mc.safe.value,
+                mc.live.value,
+                mc.safe_and_live.value,
+            )
+        }
+    }
+}
+
 impl AnalysisEngine for MonteCarloEngine {
     fn choice(&self) -> EngineChoice {
         EngineChoice::MonteCarlo
     }
 
-    fn name(&self) -> &'static str {
-        "monte-carlo"
-    }
-
-    fn supports(
+    fn supports_prepared(
         &self,
         _model: &dyn ProtocolModel,
         _scenario: Scenario<'_>,
         _budget: &Budget,
+        _scratch: &GroupScratch,
     ) -> bool {
         true
     }
 
-    fn run(
+    fn run_prepared(
         &self,
         model: &dyn ProtocolModel,
         scenario: Scenario<'_>,
         budget: &Budget,
+        scratch: &GroupScratch,
     ) -> AnalysisOutcome {
-        let owned;
-        let failure_model = match scenario {
-            Scenario::Correlated(c) => c,
-            Scenario::Independent(_) => {
-                owned = scenario.to_correlation_model();
-                &owned
-            }
-        };
-        let mc = monte_carlo_reliability_par_kernel_lanes(
-            model,
-            failure_model,
-            budget.monte_carlo_samples,
-            budget.seed,
-            budget.mc_kernel,
-            budget.mc_lane_words,
-        );
-        AnalysisOutcome {
-            report: ReliabilityReport::from_raw(crate::enumeration::RawReliability {
-                p_safe: mc.safe.value,
-                p_live: mc.live.value,
-                p_safe_and_live: mc.safe_and_live.value,
-            }),
-            engine: EngineChoice::MonteCarlo,
-            monte_carlo: Some(mc),
-            rare_event: None,
-            simulation: None,
-        }
+        Self::outcome(McSampler::prepare(model, scenario, budget, scratch).run())
     }
 }
 
@@ -954,7 +939,10 @@ pub static ENGINES: [&dyn AnalysisEngine; 4] = [
     &MonteCarloEngine,
 ];
 
-/// Picks the engine [`crate::analyzer::analyze_auto`] will run for this triple.
+/// Picks the engine for this triple: the first of [`ENGINES`] that supports it. The
+/// one selection rule — [`crate::analyzer::analyze_auto`] calls it with a throwaway
+/// scratch, the query planner with the cell group's shared one (so a sweep pays
+/// for the importance-sampling selector pilot once per group and seed).
 ///
 /// # Panics
 ///
@@ -964,38 +952,16 @@ pub fn select_engine(
     model: &dyn ProtocolModel,
     scenario: Scenario<'_>,
     budget: &Budget,
-) -> EngineChoice {
+    scratch: &GroupScratch,
+) -> &'static dyn AnalysisEngine {
     assert!(
         !scenario.is_empty(),
         "cannot analyze an empty scenario (zero nodes); see analyzer::AnalysisError"
     );
-    ENGINES
-        .iter()
-        .find(|engine| engine.supports(model, scenario, budget))
+    let mut engines = ENGINES.iter().copied();
+    engines
+        .find(|engine| engine.supports_prepared(model, scenario, budget, scratch))
         .expect("Monte Carlo supports every scenario")
-        .choice()
-}
-
-/// Runs the selected engine for this triple.
-///
-/// # Panics
-///
-/// Panics on an empty scenario; the fallible front door is
-/// [`crate::analyzer::analyze_scenario`].
-pub fn run_selected(
-    model: &dyn ProtocolModel,
-    scenario: Scenario<'_>,
-    budget: &Budget,
-) -> AnalysisOutcome {
-    assert!(
-        !scenario.is_empty(),
-        "cannot analyze an empty scenario (zero nodes); see analyzer::AnalysisError"
-    );
-    ENGINES
-        .iter()
-        .find(|engine| engine.supports(model, scenario, budget))
-        .expect("Monte Carlo supports every scenario")
-        .run(model, scenario, budget)
 }
 
 #[cfg(test)]
@@ -1005,6 +971,15 @@ mod tests {
     use crate::raft_model::RaftModel;
     use fault_model::correlation::CorrelationGroup;
     use fault_model::mode::FaultProfile;
+
+    /// The auto-selector's choice for a triple, on a throwaway scratch.
+    fn selected(
+        model: &dyn ProtocolModel,
+        scenario: Scenario<'_>,
+        budget: &Budget,
+    ) -> EngineChoice {
+        select_engine(model, scenario, budget, &GroupScratch::default()).choice()
+    }
 
     /// A deliberately non-counting model: live only if node 0 is correct. Placement
     /// requirements like this are exactly what forces enumeration.
@@ -1034,7 +1009,7 @@ mod tests {
     fn counting_model_on_independent_deployment_selects_counting() {
         let model = RaftModel::standard(5);
         let deployment = Deployment::uniform_crash(5, 0.05);
-        let choice = select_engine(&model, Scenario::from(&deployment), &Budget::default());
+        let choice = selected(&model, Scenario::from(&deployment), &Budget::default());
         assert_eq!(choice, EngineChoice::Counting);
     }
 
@@ -1042,7 +1017,7 @@ mod tests {
     fn non_counting_model_small_n_selects_enumeration() {
         let model = RequiresNodeZero { n: 5 };
         let deployment = Deployment::uniform_crash(5, 0.05);
-        let choice = select_engine(&model, Scenario::from(&deployment), &Budget::default());
+        let choice = selected(&model, Scenario::from(&deployment), &Budget::default());
         assert_eq!(choice, EngineChoice::Enumeration);
     }
 
@@ -1050,7 +1025,7 @@ mod tests {
     fn non_counting_model_large_n_selects_monte_carlo() {
         let model = RequiresNodeZero { n: 64 };
         let deployment = Deployment::uniform_crash(64, 0.05);
-        let choice = select_engine(&model, Scenario::from(&deployment), &Budget::default());
+        let choice = selected(&model, Scenario::from(&deployment), &Budget::default());
         assert_eq!(choice, EngineChoice::MonteCarlo);
     }
 
@@ -1059,7 +1034,7 @@ mod tests {
         let model = RaftModel::standard(5);
         let correlated = CorrelationModel::independent(vec![FaultProfile::crash_only(0.02); 5])
             .with_group(CorrelationGroup::crash_shock((0..5).collect(), 0.01));
-        let choice = select_engine(&model, Scenario::from(&correlated), &Budget::default());
+        let choice = selected(&model, Scenario::from(&correlated), &Budget::default());
         assert_eq!(choice, EngineChoice::MonteCarlo);
     }
 
@@ -1068,9 +1043,9 @@ mod tests {
         let model = RaftModel::standard(5);
         let independent = CorrelationModel::independent(vec![FaultProfile::crash_only(0.02); 5]);
         let scenario = Scenario::from(&independent);
-        assert!(!scenario.is_correlated());
+        assert!(scenario.is_independent());
         assert_eq!(
-            select_engine(&model, scenario, &Budget::default()),
+            selected(&model, scenario, &Budget::default()),
             EngineChoice::Counting
         );
     }
@@ -1084,7 +1059,7 @@ mod tests {
         let deployment = Deployment::uniform_crash(25, 0.05);
         let roomy = Budget::default().with_max_enumeration_configs(1 << 26);
         assert_eq!(
-            select_engine(&model, Scenario::from(&deployment), &roomy),
+            selected(&model, Scenario::from(&deployment), &roomy),
             EngineChoice::MonteCarlo
         );
         // The ternary cap is tighter (15 nodes): 16 mixed-mode nodes must fall back
@@ -1093,7 +1068,7 @@ mod tests {
         let model16 = RequiresNodeZero { n: 16 };
         let huge = Budget::default().with_max_enumeration_configs(u64::MAX);
         assert_eq!(
-            select_engine(&model16, Scenario::from(&mixed), &huge),
+            selected(&model16, Scenario::from(&mixed), &huge),
             EngineChoice::MonteCarlo
         );
     }
@@ -1108,11 +1083,11 @@ mod tests {
         let deployment = Deployment::uniform_crash(3_000, 0.01);
         let scenario = Scenario::from(&deployment);
         assert_eq!(
-            select_engine(&model, scenario, &Budget::default()),
+            selected(&model, scenario, &Budget::default()),
             EngineChoice::ImportanceSampling
         );
         assert_eq!(
-            select_engine(
+            selected(
                 &model,
                 scenario,
                 &Budget::default().with_max_counting_nodes(5_000)
@@ -1127,12 +1102,12 @@ mod tests {
         let deployment = Deployment::uniform_crash(10, 0.05);
         let tight = Budget::default().with_max_enumeration_configs(512);
         assert_eq!(
-            select_engine(&model, Scenario::from(&deployment), &tight),
+            selected(&model, Scenario::from(&deployment), &tight),
             EngineChoice::MonteCarlo
         );
         let roomy = Budget::default().with_max_enumeration_configs(1 << 10);
         assert_eq!(
-            select_engine(&model, Scenario::from(&deployment), &roomy),
+            selected(&model, Scenario::from(&deployment), &roomy),
             EngineChoice::Enumeration
         );
     }
@@ -1190,18 +1165,18 @@ mod tests {
         // a 40-node placement-sensitive model, so the rare-event engine must.
         let model = crate::durability::PersistenceQuorumModel::new(40, (0..6).collect());
         let deployment = Deployment::uniform_crash(40, 0.05);
-        let choice = select_engine(&model, Scenario::from(&deployment), &Budget::default());
+        let choice = selected(&model, Scenario::from(&deployment), &Budget::default());
         assert_eq!(choice, EngineChoice::ImportanceSampling);
         // A threshold of 1 accepts any proxy value, so the preference still holds;
         // a zero threshold can never be undercut, so Monte Carlo takes over.
         let permissive = Budget::default().with_rare_event_threshold(1.0);
         let disabled = Budget::default().with_rare_event_threshold(0.0);
         assert_eq!(
-            select_engine(&model, Scenario::from(&deployment), &permissive),
+            selected(&model, Scenario::from(&deployment), &permissive),
             EngineChoice::ImportanceSampling
         );
         assert_eq!(
-            select_engine(&model, Scenario::from(&deployment), &disabled),
+            selected(&model, Scenario::from(&deployment), &disabled),
             EngineChoice::MonteCarlo
         );
     }
@@ -1213,7 +1188,7 @@ mod tests {
         let model = crate::durability::PersistenceQuorumModel::new(24, (0..4).collect());
         let deployment = Deployment::uniform_crash(24, 0.05);
         let budget = Budget::default().with_samples(30_000).with_seed(13);
-        let outcome = run_selected(&model, Scenario::from(&deployment), &budget);
+        let outcome = crate::analyzer::analyze_auto(&model, &deployment, &budget);
         assert_eq!(outcome.engine, EngineChoice::ImportanceSampling);
         assert!(!outcome.is_exact());
         assert!(outcome.monte_carlo.is_none());
@@ -1236,7 +1211,7 @@ mod tests {
         let model = RequiresNodeZero { n: 64 };
         let deployment = Deployment::uniform_crash(64, 0.05);
         let budget = Budget::default().with_samples(0);
-        let outcome = run_selected(&model, Scenario::from(&deployment), &budget);
+        let outcome = crate::analyzer::analyze_auto(&model, &deployment, &budget);
         assert_eq!(outcome.engine, EngineChoice::MonteCarlo);
         let mc = outcome
             .monte_carlo
@@ -1253,7 +1228,7 @@ mod tests {
     fn empty_scenario_panics_with_a_clear_message_at_the_engine_layer() {
         let model = RequiresNodeZero { n: 0 };
         let empty = CorrelationModel::independent(Vec::new());
-        select_engine(&model, Scenario::from(&empty), &Budget::default());
+        selected(&model, Scenario::from(&empty), &Budget::default());
     }
 
     #[test]

@@ -32,6 +32,9 @@
 //! * [`engine`] — the unified engine layer: the [`engine::AnalysisEngine`] trait over
 //!   the five engines, [`engine::Scenario`], [`engine::Budget`] and the auto-selector
 //!   (which picks among the four analytic engines; simulation runs only on request).
+//! * [`scratch`] — the per-(model, scenario) prepared scratch every engine runs on
+//!   ([`scratch::GroupScratch`]): shared by a sweep's cells, throwaway for a single
+//!   call.
 //! * [`analyzer`] — the front-end: [`analyzer::analyze_auto`] picks an engine within a
 //!   budget and returns an [`engine::AnalysisOutcome`] (a
 //!   [`analyzer::ReliabilityReport`] tagged with the engine that produced it).
@@ -114,6 +117,7 @@ pub mod query;
 pub mod raft_model;
 pub mod rare_event;
 pub mod report;
+pub mod scratch;
 pub mod simulation;
 pub mod timevarying;
 pub mod tradeoff;

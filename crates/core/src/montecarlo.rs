@@ -16,20 +16,31 @@
 //!   [`CorrelationModel::sample_into`]. The only kernel that can evaluate arbitrary
 //!   (placement-sensitive) protocol models.
 //! * **Packed** ([`crate::packed`]) — 64 scenarios per pass in bit-sliced `u64`
-//!   lanes, for [`CountingModel`](crate::protocol::CountingModel)s. Roughly an order
+//!   lanes, for [`CountingModel`]s. Roughly an order
 //!   of magnitude more throughput per core; its RNG stream necessarily differs from
 //!   the scalar kernel's, so the two agree statistically, not bit-for-bit.
 //!
-//! [`monte_carlo_reliability_par`] auto-selects (packed when the model supports
-//! counting, scalar otherwise); [`monte_carlo_reliability_par_kernel`] pins a kernel
-//! explicitly (see [`McKernel`], exposed to callers through
-//! [`Budget::mc_kernel`](crate::engine::Budget)).
+//! [`McKernel`] names the request (`Auto`: packed when the model supports counting,
+//! scalar otherwise; or a pinned kernel), exposed to callers through
+//! [`Budget::mc_kernel`](crate::engine::Budget).
+//!
+//! # One sampler, one entry
+//!
+//! Every run is a prepared sampler (`McSampler`): the kernel is decided once (in
+//! `packed_view`, the only place `McKernel` meets `as_counting()`) and compiled
+//! once, and from then on the sampler only answers `chunk(i)`, the hit counters of
+//! sample chunk `i`. A whole-cell run is the in-chunk-order fold of `chunk(i)`
+//! across the pool; the sweep scheduler ([`crate::query`]) runs the same `chunk(i)`
+//! as stealable work items and folds them itself, so the two drivers agree bit for
+//! bit by construction. [`monte_carlo_reliability_par_kernel`] is the one public
+//! entry; the Monte Carlo engine prepares its sampler from the cell group's
+//! scratch ([`crate::scratch`]).
 //!
 //! # Parallelism and determinism
 //!
 //! Sampling is embarrassingly parallel, and it is the hot path for every correlated or
-//! large-N scenario, so [`monte_carlo_reliability_par`] fans the work out with rayon's
-//! persistent worker pool. Determinism is preserved by construction: the sample budget
+//! large-N scenario, so a run fans its chunks out over rayon's persistent worker
+//! pool. Determinism is preserved by construction: the sample budget
 //! is split into fixed-size chunks (independent of the thread count), every chunk gets
 //! its own RNG seeded from the run seed and the chunk index, and the per-chunk hit
 //! counters are integers whose sum is associative and commutative. The result is
@@ -41,9 +52,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
-use crate::deployment::Deployment;
+use crate::engine::{Budget, Scenario};
 use crate::failure::FailureConfig;
-use crate::protocol::ProtocolModel;
+use crate::packed::{PackedKernel, MAX_LANE_WORDS};
+use crate::protocol::{CountingModel, ProtocolModel};
+use crate::scratch::GroupScratch;
 
 /// The 97.5% standard-normal quantile: the `z` of every 95% confidence interval in
 /// the analysis layer (Wilson intervals here, delta-method intervals in
@@ -147,10 +160,13 @@ pub struct MonteCarloReport {
 /// makes the parallel reduction deterministic regardless of scheduling. Shared with
 /// the bit-sliced kernel in [`crate::packed`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct HitCounts {
-    pub(crate) safe: usize,
-    pub(crate) live: usize,
-    pub(crate) both: usize,
+pub struct HitCounts {
+    /// Scenarios in which the protocol stayed safe.
+    pub safe: usize,
+    /// Scenarios in which the protocol stayed live.
+    pub live: usize,
+    /// Scenarios in which it stayed both safe and live.
+    pub both: usize,
 }
 
 impl std::ops::Add for HitCounts {
@@ -165,117 +181,57 @@ impl std::ops::Add for HitCounts {
     }
 }
 
-/// Draws `count` configurations from `failure_model` with `rng` and tallies hits.
+/// Draws `count` configurations from `failure_model` with `rng` and tallies hits —
+/// the scalar kernel's one sampling loop.
 ///
-/// Allocation-free inner loop: one scratch [`FailureConfig`] is allocated per chunk
-/// and refilled in place by [`CorrelationModel::sample_into`] for every draw. For
-/// [`CountingModel`](crate::protocol::CountingModel)s the per-draw predicate calls
-/// collapse to one fault-count scan and three table lookups (see
-/// [`counting_sample_chunk`]).
-pub(crate) fn sample_chunk<M: ProtocolModel + ?Sized>(
+/// Allocation-free: one scratch [`FailureConfig`] is allocated per chunk and
+/// refilled in place by [`CorrelationModel::sample_into`] for every draw. For
+/// [`CountingModel`]s the verdict is one scan of the sampled states for the
+/// `(crashed, byzantine)` pair and two count predicates, instead of the two full
+/// state-vector scans (`is_safe`, `is_live`) the generic verdict pays per draw —
+/// bit-identical by the [`CountingModel`] contract (same RNG stream, same
+/// predicate values).
+fn sample_chunk<M: ProtocolModel + ?Sized>(
     model: &M,
-    failure_model: &CorrelationModel,
-    count: usize,
-    rng: &mut impl Rng,
-) -> HitCounts {
-    if let Some(counting) = model.as_counting() {
-        return counting_sample_chunk(counting, failure_model, count, rng);
-    }
-    let mut hits = HitCounts::default();
-    let mut scratch = FailureConfig::all_correct(failure_model.len());
-    for _ in 0..count {
-        failure_model.sample_into(scratch.states_mut(), rng);
-        let safe = model.is_safe(&scratch);
-        let live = model.is_live(&scratch);
-        if safe {
-            hits.safe += 1;
-        }
-        if live {
-            hits.live += 1;
-        }
-        if safe && live {
-            hits.both += 1;
-        }
-    }
-    hits
-}
-
-/// [`sample_chunk`] for counting models: one scan of the sampled states collapses
-/// to a `(crashed, byzantine)` pair and three count predicates, instead of the two
-/// full state-vector scans (`is_safe`, `is_live`) the generic path pays per draw.
-/// Bit-identical to the generic path by the [`CountingModel`](crate::protocol::CountingModel)
-/// contract — the RNG stream and the predicate values are unchanged.
-fn counting_sample_chunk(
-    model: &dyn crate::protocol::CountingModel,
     failure_model: &CorrelationModel,
     count: usize,
     rng: &mut impl Rng,
 ) -> HitCounts {
     use fault_model::mode::NodeState;
-    let mut hits = HitCounts::default();
-    let mut scratch = FailureConfig::all_correct(failure_model.len());
-    for _ in 0..count {
-        failure_model.sample_into(scratch.states_mut(), rng);
-        let mut crashed = 0usize;
-        let mut byzantine = 0usize;
-        for &state in scratch.states() {
-            crashed += usize::from(state == NodeState::Crashed);
-            byzantine += usize::from(state == NodeState::Byzantine);
+    fn tally(
+        failure_model: &CorrelationModel,
+        count: usize,
+        rng: &mut impl Rng,
+        verdict: impl Fn(&FailureConfig) -> (bool, bool),
+    ) -> HitCounts {
+        let mut hits = HitCounts::default();
+        let mut scratch = FailureConfig::all_correct(failure_model.len());
+        for _ in 0..count {
+            failure_model.sample_into(scratch.states_mut(), rng);
+            let (safe, live) = verdict(&scratch);
+            hits.safe += usize::from(safe);
+            hits.live += usize::from(live);
+            hits.both += usize::from(safe && live);
         }
-        let safe = model.is_safe_counts(crashed, byzantine);
-        let live = model.is_live_counts(crashed, byzantine);
-        if safe {
-            hits.safe += 1;
-        }
-        if live {
-            hits.live += 1;
-        }
-        if safe && live {
-            hits.both += 1;
-        }
+        hits
     }
-    hits
-}
-
-pub(crate) fn report_from_counts(
-    hits: HitCounts,
-    samples: usize,
-    kernel: McKernel,
-) -> MonteCarloReport {
-    debug_assert_ne!(kernel, McKernel::Auto, "reports name a concrete kernel");
-    MonteCarloReport {
-        safe: Estimate::from_counts(hits.safe, samples),
-        live: Estimate::from_counts(hits.live, samples),
-        safe_and_live: Estimate::from_counts(hits.both, samples),
-        samples,
-        kernel,
+    match model.as_counting() {
+        Some(counting) => tally(failure_model, count, rng, |config| {
+            let mut crashed = 0usize;
+            let mut byzantine = 0usize;
+            for &state in config.states() {
+                crashed += usize::from(state == NodeState::Crashed);
+                byzantine += usize::from(state == NodeState::Byzantine);
+            }
+            (
+                counting.is_safe_counts(crashed, byzantine),
+                counting.is_live_counts(crashed, byzantine),
+            )
+        }),
+        None => tally(failure_model, count, rng, |config| {
+            (model.is_safe(config), model.is_live(config))
+        }),
     }
-}
-
-/// Estimates the reliability of `model` under a (possibly correlated) failure model by
-/// drawing `samples` failure configurations from a caller-provided generator, on the
-/// calling thread.
-///
-/// This is the single-threaded reference path; [`monte_carlo_reliability_par`] is the
-/// parallel engine used by the analyzer.
-///
-/// A zero sample budget saturates to one sample, so the result is always a
-/// well-defined (if maximally uncertain) estimate — never a division by zero.
-pub fn monte_carlo_reliability<M: ProtocolModel + ?Sized, R: Rng + ?Sized>(
-    model: &M,
-    failure_model: &CorrelationModel,
-    samples: usize,
-    rng: &mut R,
-) -> MonteCarloReport {
-    let samples = samples.max(1);
-    assert_eq!(
-        model.num_nodes(),
-        failure_model.len(),
-        "model and failure model disagree on the cluster size"
-    );
-    let mut rng = rng;
-    let hits = sample_chunk(model, failure_model, samples, &mut rng);
-    report_from_counts(hits, samples, McKernel::Scalar)
 }
 
 /// Number of samples per parallel work unit.
@@ -304,25 +260,17 @@ pub(crate) fn chunk_seed(seed: u64, index: u64) -> u64 {
 
 /// Number of [`MC_CHUNK_SIZE`]-sized work units a sample budget splits into (a zero
 /// budget saturates to one sample first). The single source of the chunk layout,
-/// shared by [`map_sample_chunks`] and the sweep scheduler
-/// ([`crate::query`]), which decomposes Monte Carlo cells into exactly these chunks —
-/// identical layout is what keeps the scheduled merge bit-identical to a whole-cell
-/// run.
+/// shared by [`map_sample_chunks`], [`McSampler`] and the sweep scheduler
+/// ([`crate::query`]), which decomposes Monte Carlo cells into exactly these chunks.
 pub(crate) fn chunk_count(samples: usize) -> usize {
     samples.max(1).div_ceil(MC_CHUNK_SIZE)
 }
 
-/// Sample count of chunk `index` within a budget of `samples`: every chunk is
-/// [`MC_CHUNK_SIZE`] except a ragged last one.
+/// Sample count of chunk `index` within a budget of `samples`: what is left after
+/// `index` full chunks, capped at [`MC_CHUNK_SIZE`] (so only the last one is ragged).
 pub(crate) fn chunk_len(samples: usize, index: usize) -> usize {
-    let samples = samples.max(1);
-    let chunks = samples.div_ceil(MC_CHUNK_SIZE);
-    debug_assert!(index < chunks);
-    if index == chunks - 1 {
-        samples - index * MC_CHUNK_SIZE
-    } else {
-        MC_CHUNK_SIZE
-    }
+    debug_assert!(index < chunk_count(samples));
+    (samples.max(1) - index * MC_CHUNK_SIZE).min(MC_CHUNK_SIZE)
 }
 
 /// The shared chunked-sampling scaffolding behind the plain and tilted
@@ -339,20 +287,24 @@ where
     T: Send,
     F: Fn(&mut StdRng, usize) -> T + Sync,
 {
-    let chunks = chunk_count(samples);
-    (0..chunks)
+    (0..chunk_count(samples))
         .into_par_iter()
         .map(|index| {
-            let mut rng = StdRng::seed_from_u64(chunk_seed(seed, index as u64));
+            let mut rng = chunk_rng(seed, index);
             per_chunk(&mut rng, chunk_len(samples, index))
         })
         .collect()
 }
 
+/// The RNG of chunk `index` within a run seeded with `seed`.
+fn chunk_rng(seed: u64, index: usize) -> StdRng {
+    StdRng::seed_from_u64(chunk_seed(seed, index as u64))
+}
+
 /// Which sampling kernel the parallel Monte Carlo engine runs.
 ///
 /// The default (`Auto`) uses the bit-sliced packed kernel whenever the model is a
-/// [`CountingModel`](crate::protocol::CountingModel) and the scalar kernel otherwise.
+/// [`CountingModel`] and the scalar kernel otherwise.
 /// Pinning a kernel is for benchmarks and cross-kernel agreement tests; results of
 /// the two kernels agree statistically but come from different RNG streams.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -367,25 +319,141 @@ pub enum McKernel {
     Packed,
 }
 
+/// The packed-vs-scalar decision, made here and nowhere else: the model's counting
+/// view when the packed kernel will draw the samples (`Auto` or a pinned `Packed`,
+/// on a model that has one), `None` when the scalar kernel will — a pinned `Scalar`,
+/// or a model without a counting view (so a pinned `Packed` falls back visibly).
+pub(crate) fn packed_view<M: ProtocolModel + ?Sized>(
+    model: &M,
+    kernel: McKernel,
+) -> Option<&dyn CountingModel> {
+    if kernel == McKernel::Scalar {
+        None
+    } else {
+        model.as_counting()
+    }
+}
+
+/// The kernel a prepared sampler draws with, and what it draws from.
+enum Kernel<'a, M: ?Sized> {
+    Packed(&'a PackedKernel),
+    Scalar(&'a M, &'a CorrelationModel),
+}
+
+/// One prepared Monte Carlo cell: kernel decided and compiled, sample budget
+/// saturated, ready to answer [`chunk`](McSampler::chunk) for any chunk index, in
+/// any order, on any thread. See the module docs.
+pub(crate) struct McSampler<'a, M: ?Sized> {
+    kernel: Kernel<'a, M>,
+    samples: usize,
+    seed: u64,
+}
+
+impl<'a> McSampler<'a, dyn ProtocolModel + 'a> {
+    /// The sampler of a cell, over the cell group's scratch: the converted
+    /// scenario and the compiled packed kernel are taken from (or left in)
+    /// `scratch`.
+    pub(crate) fn prepare(
+        model: &'a dyn ProtocolModel,
+        scenario: Scenario<'_>,
+        budget: &Budget,
+        scratch: &'a GroupScratch,
+    ) -> Self {
+        let target = scratch.target(scenario);
+        let packed = packed_view(model, budget.mc_kernel)
+            .map(|counting| scratch.packed_kernel(|| PackedKernel::new(counting, target)));
+        Self::new(
+            model,
+            target,
+            packed,
+            budget.monte_carlo_samples,
+            budget.seed,
+        )
+    }
+}
+
+impl<'a, M: ProtocolModel + ?Sized> McSampler<'a, M> {
+    /// A sampler drawing with `packed` when the decision ([`packed_view`]) was the
+    /// packed kernel, with the scalar kernel otherwise.
+    fn new(
+        model: &'a M,
+        failure_model: &'a CorrelationModel,
+        packed: Option<&'a PackedKernel>,
+        samples: usize,
+        seed: u64,
+    ) -> Self {
+        assert_eq!(
+            model.num_nodes(),
+            failure_model.len(),
+            "model and failure model disagree on the cluster size"
+        );
+        Self {
+            kernel: match packed {
+                Some(kernel) => Kernel::Packed(kernel),
+                None => Kernel::Scalar(model, failure_model),
+            },
+            // A zero budget saturates to one sample, so estimates are always
+            // well-defined — never a division by zero.
+            samples: samples.max(1),
+            seed,
+        }
+    }
+
+    /// Draws and tallies chunk `index`: [`chunk_len`] scenarios from the chunk's own
+    /// RNG. A pure function of (sampler, index).
+    pub(crate) fn chunk(&self, index: usize) -> HitCounts {
+        let mut rng = chunk_rng(self.seed, index);
+        let count = chunk_len(self.samples, index);
+        match self.kernel {
+            // The widest pass is the fastest one, and the width never shows in the hits.
+            Kernel::Packed(kernel) => kernel.sample_chunk(&mut rng, count, MAX_LANE_WORDS),
+            Kernel::Scalar(model, failure_model) => {
+                sample_chunk(model, failure_model, count, &mut rng)
+            }
+        }
+    }
+
+    /// The report of a run whose chunks summed to `hits`, naming the kernel that
+    /// drew them.
+    pub(crate) fn report(&self, hits: HitCounts) -> MonteCarloReport {
+        MonteCarloReport {
+            safe: Estimate::from_counts(hits.safe, self.samples),
+            live: Estimate::from_counts(hits.live, self.samples),
+            safe_and_live: Estimate::from_counts(hits.both, self.samples),
+            samples: self.samples,
+            kernel: match self.kernel {
+                Kernel::Packed(_) => McKernel::Packed,
+                Kernel::Scalar(..) => McKernel::Scalar,
+            },
+        }
+    }
+
+    /// The whole cell: every chunk across the pool, folded in chunk order.
+    pub(crate) fn run(&self) -> MonteCarloReport {
+        let hits = (0..chunk_count(self.samples))
+            .into_par_iter()
+            .map(|index| self.chunk(index))
+            .collect::<Vec<_>>()
+            .into_iter()
+            .fold(HitCounts::default(), std::ops::Add::add);
+        self.report(hits)
+    }
+}
+
 /// Estimates the reliability of `model` under a (possibly correlated) failure model by
-/// drawing `samples` failure configurations across the persistent thread pool,
-/// auto-selecting the sampling kernel ([`McKernel::Auto`]).
+/// drawing `samples` failure configurations across the persistent thread pool — the
+/// one public sampling entry. `kernel` requests the sampling kernel ([`McKernel`]);
+/// the report names the one that ran.
 ///
 /// Deterministic for a fixed `seed` regardless of thread count: samples are split into
 /// [`MC_CHUNK_SIZE`]-sized chunks, chunk `i` uses a `StdRng` seeded with
-/// `chunk_seed(seed, i)`, and the integer hit counters are summed.
+/// `chunk_seed(seed, i)`, and the integer hit counters are summed. A zero sample
+/// budget saturates to one sample, so the result is always a well-defined (if
+/// maximally uncertain) estimate.
 ///
-/// A zero sample budget saturates to one sample (see [`monte_carlo_reliability`]).
-pub fn monte_carlo_reliability_par<M: ProtocolModel + ?Sized>(
-    model: &M,
-    failure_model: &CorrelationModel,
-    samples: usize,
-    seed: u64,
-) -> MonteCarloReport {
-    monte_carlo_reliability_par_kernel(model, failure_model, samples, seed, McKernel::Auto)
-}
-
-/// [`monte_carlo_reliability_par`] with an explicitly pinned sampling kernel.
+/// # Panics
+///
+/// Panics if the model and the failure model disagree on the cluster size.
 pub fn monte_carlo_reliability_par_kernel<M: ProtocolModel + ?Sized>(
     model: &M,
     failure_model: &CorrelationModel,
@@ -393,103 +461,31 @@ pub fn monte_carlo_reliability_par_kernel<M: ProtocolModel + ?Sized>(
     seed: u64,
     kernel: McKernel,
 ) -> MonteCarloReport {
-    monte_carlo_reliability_par_kernel_lanes(
-        model,
-        failure_model,
-        samples,
-        seed,
-        kernel,
-        crate::packed::DEFAULT_LANE_WORDS,
-    )
-}
-
-/// [`monte_carlo_reliability_par_kernel`] with an explicit packed pass width
-/// ([`Budget::mc_lane_words`](crate::engine::Budget)); the width is ignored by the
-/// scalar kernel and never changes a packed result, only its throughput.
-pub fn monte_carlo_reliability_par_kernel_lanes<M: ProtocolModel + ?Sized>(
-    model: &M,
-    failure_model: &CorrelationModel,
-    samples: usize,
-    seed: u64,
-    kernel: McKernel,
-    lane_words: usize,
-) -> MonteCarloReport {
-    assert_eq!(
-        model.num_nodes(),
-        failure_model.len(),
-        "model and failure model disagree on the cluster size"
-    );
-    if kernel != McKernel::Scalar {
-        if let Some(counting) = model.as_counting() {
-            return crate::packed::monte_carlo_reliability_packed_par_lanes(
-                counting,
-                failure_model,
-                samples,
-                seed,
-                lane_words,
-            );
-        }
-    }
-    monte_carlo_scalar_par(model, failure_model, samples, seed)
-}
-
-/// The scalar kernel across the pool on an already-prepared failure model — the tail
-/// of [`monte_carlo_reliability_par_kernel`], shared with the query API
-/// ([`crate::query`]), whose planned cells convert a scenario to its correlation
-/// model once per cell group instead of once per call.
-pub(crate) fn monte_carlo_scalar_par<M: ProtocolModel + ?Sized>(
-    model: &M,
-    failure_model: &CorrelationModel,
-    samples: usize,
-    seed: u64,
-) -> MonteCarloReport {
-    assert_eq!(
-        model.num_nodes(),
-        failure_model.len(),
-        "model and failure model disagree on the cluster size"
-    );
-    let samples = samples.max(1);
-    let hits = map_sample_chunks(samples, seed, |rng, count| {
-        sample_chunk(model, failure_model, count, rng)
-    })
-    .into_iter()
-    .fold(HitCounts::default(), std::ops::Add::add);
-    report_from_counts(hits, samples, McKernel::Scalar)
-}
-
-/// Convenience wrapper: Monte Carlo over an *independent* deployment (no correlation
-/// groups), e.g. to cross-check the exact engines or to handle non-counting models at
-/// large N.
-pub fn monte_carlo_independent<M: ProtocolModel + ?Sized, R: Rng + ?Sized>(
-    model: &M,
-    deployment: &Deployment,
-    samples: usize,
-    rng: &mut R,
-) -> MonteCarloReport {
-    let failure_model = CorrelationModel::independent(deployment.profiles().to_vec());
-    monte_carlo_reliability(model, &failure_model, samples, rng)
-}
-
-/// Parallel counterpart of [`monte_carlo_independent`].
-pub fn monte_carlo_independent_par<M: ProtocolModel + ?Sized>(
-    model: &M,
-    deployment: &Deployment,
-    samples: usize,
-    seed: u64,
-) -> MonteCarloReport {
-    let failure_model = CorrelationModel::independent(deployment.profiles().to_vec());
-    monte_carlo_reliability_par(model, &failure_model, samples, seed)
+    let compiled =
+        packed_view(model, kernel).map(|counting| PackedKernel::new(counting, failure_model));
+    McSampler::new(model, failure_model, compiled.as_ref(), samples, seed).run()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::counting::counting_reliability;
+    use crate::deployment::Deployment;
     use crate::raft_model::RaftModel;
     use fault_model::correlation::CorrelationGroup;
     use fault_model::mode::FaultProfile;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+
+    /// The one sampling entry on an independent deployment.
+    fn sample_independent(
+        model: &RaftModel,
+        deployment: &Deployment,
+        samples: usize,
+        seed: u64,
+        kernel: McKernel,
+    ) -> MonteCarloReport {
+        let failure_model = CorrelationModel::independent(deployment.profiles().to_vec());
+        monte_carlo_reliability_par_kernel(model, &failure_model, samples, seed, kernel)
+    }
 
     #[test]
     fn estimate_interval_contains_truth_for_fair_coin() {
@@ -556,14 +552,13 @@ mod tests {
     fn zero_sample_budget_saturates_to_one_sample() {
         let model = RaftModel::standard(3);
         let failure_model = CorrelationModel::independent(vec![FaultProfile::crash_only(0.1); 3]);
-        let mut rng = StdRng::seed_from_u64(9);
-        let seq = monte_carlo_reliability(&model, &failure_model, 0, &mut rng);
-        assert_eq!(seq.samples, 1);
-        let par = monte_carlo_reliability_par(&model, &failure_model, 0, 9);
-        assert_eq!(par.samples, 1);
-        for e in [seq.safe, seq.live, seq.safe_and_live, par.safe, par.live] {
-            assert!(e.value.is_finite() && e.lower.is_finite() && e.upper.is_finite());
-            assert!(0.0 <= e.lower && e.lower <= e.value && e.value <= e.upper && e.upper <= 1.0);
+        for kernel in [McKernel::Scalar, McKernel::Packed] {
+            let report = monte_carlo_reliability_par_kernel(&model, &failure_model, 0, 9, kernel);
+            assert_eq!(report.samples, 1);
+            assert_eq!(report.kernel, kernel);
+            for e in [report.safe, report.live, report.safe_and_live] {
+                assert_estimate_invariants(e, &format!("{kernel:?}"));
+            }
         }
     }
 
@@ -572,8 +567,7 @@ mod tests {
         let model = RaftModel::standard(5);
         let deployment = Deployment::uniform_crash(5, 0.05);
         let exact = counting_reliability(&model, &deployment);
-        let mut rng = StdRng::seed_from_u64(11);
-        let mc = monte_carlo_independent(&model, &deployment, 200_000, &mut rng);
+        let mc = sample_independent(&model, &deployment, 200_000, 11, McKernel::Scalar);
         assert!(
             mc.live.contains(exact.p_live),
             "exact {} not in [{}, {}]",
@@ -592,9 +586,10 @@ mod tests {
         let independent = CorrelationModel::independent(profiles.clone());
         let correlated = CorrelationModel::independent(profiles)
             .with_group(CorrelationGroup::crash_shock((0..5).collect(), 0.01));
-        let mut rng = StdRng::seed_from_u64(5);
-        let ind = monte_carlo_reliability(&model, &independent, 100_000, &mut rng);
-        let cor = monte_carlo_reliability(&model, &correlated, 100_000, &mut rng);
+        let sample = |failure_model| {
+            monte_carlo_reliability_par_kernel(&model, failure_model, 100_000, 5, McKernel::Scalar)
+        };
+        let (ind, cor) = (sample(&independent), sample(&correlated));
         assert!(cor.live.value < ind.live.value - 0.005);
     }
 
@@ -603,8 +598,7 @@ mod tests {
     fn size_mismatch_panics() {
         let model = RaftModel::standard(3);
         let failure_model = CorrelationModel::independent(vec![FaultProfile::crash_only(0.1); 4]);
-        let mut rng = StdRng::seed_from_u64(1);
-        monte_carlo_reliability(&model, &failure_model, 10, &mut rng);
+        monte_carlo_reliability_par_kernel(&model, &failure_model, 10, 1, McKernel::Scalar);
     }
 
     #[test]
@@ -612,7 +606,7 @@ mod tests {
         let model = RaftModel::standard(5);
         let deployment = Deployment::uniform_crash(5, 0.05);
         let exact = counting_reliability(&model, &deployment);
-        let mc = monte_carlo_independent_par(&model, &deployment, 200_000, 11);
+        let mc = sample_independent(&model, &deployment, 200_000, 11, McKernel::Auto);
         assert!(
             mc.live.contains(exact.p_live),
             "exact {} not in [{}, {}]",
@@ -632,15 +626,20 @@ mod tests {
             .with_group(CorrelationGroup::crash_shock((0..7).collect(), 0.01));
         // An awkward sample count: exercises the short tail chunk.
         let samples = 3 * MC_CHUNK_SIZE + 17;
-        let reference = monte_carlo_reliability_par(&model, &failure_model, samples, 42);
+        let sample = || {
+            monte_carlo_reliability_par_kernel(&model, &failure_model, samples, 42, McKernel::Auto)
+        };
+        let reference = sample();
         for threads in [1usize, 2, 3, 8] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .expect("pool");
-            let report =
-                pool.install(|| monte_carlo_reliability_par(&model, &failure_model, samples, 42));
-            assert_eq!(report, reference, "divergence at {threads} threads");
+            assert_eq!(
+                pool.install(sample),
+                reference,
+                "divergence at {threads} threads"
+            );
         }
     }
 
@@ -648,16 +647,13 @@ mod tests {
     fn parallel_is_deterministic_per_seed_and_sensitive_to_it() {
         let model = RaftModel::standard(5);
         let deployment = Deployment::uniform_crash(5, 0.08);
-        let a = monte_carlo_independent_par(&model, &deployment, 20_000, 1);
-        let b = monte_carlo_independent_par(&model, &deployment, 20_000, 1);
-        assert_eq!(a, b);
+        let sample = |seed| sample_independent(&model, &deployment, 20_000, seed, McKernel::Auto);
+        let a = sample(1);
+        assert_eq!(a, sample(1));
         // Two seeds can collide on the same hit count by chance; across five seeds at
         // ~12 hits of standard deviation, identical counts everywhere would mean the
         // seed is being ignored.
-        let distinct = (2u64..=6)
-            .map(|seed| monte_carlo_independent_par(&model, &deployment, 20_000, seed))
-            .filter(|r| *r != a)
-            .count();
+        let distinct = (2u64..=6).map(sample).filter(|r| *r != a).count();
         assert!(
             distinct > 0,
             "different seeds should draw different samples"

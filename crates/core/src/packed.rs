@@ -38,7 +38,8 @@
 //! # Multi-word passes
 //!
 //! A pass processes up to [`MAX_LANE_WORDS`] 64-lane *blocks* at once (512 scenarios
-//! at the default width, [`Budget::mc_lane_words`](crate::engine::Budget)). The
+//! at that width, which every engine run uses; the width is a parameter of
+//! [`PackedKernel::sample_chunk`] only). The
 //! lexicographic compare runs over all blocks of a pass in lockstep — the
 //! threshold-bit selectors are hoisted out of the per-word loop and the per-block
 //! update is branchless (`sel = 0 − bit` turns the two threshold cases into mask
@@ -95,9 +96,7 @@ use fault_model::correlation::CorrelationModel;
 use fault_model::mode::NodeState;
 use rand::RngCore;
 
-use crate::montecarlo::{
-    chunk_seed, map_sample_chunks, mix64, report_from_counts, HitCounts, McKernel, MonteCarloReport,
-};
+use crate::montecarlo::{chunk_seed, mix64, HitCounts};
 use crate::protocol::CountingModel;
 
 #[cfg(target_arch = "x86_64")]
@@ -109,14 +108,11 @@ mod simd;
 const MAX_PLANES: usize = 16;
 
 /// Maximum number of 64-lane `u64` blocks a pass processes at once (512 scenarios).
-/// The pass scratch is stack-sized by this constant; the effective width is the
-/// [`Budget::mc_lane_words`](crate::engine::Budget) knob, clamped to `1..=8`.
+/// The pass scratch is stack-sized by this constant; [`PackedKernel::sample_chunk`]
+/// clamps its width argument to `1..=8`. Results are bit-identical at every width
+/// (see the module docs), so engine runs simply use the fastest one — this one,
+/// which is also where the AVX-512 fast path engages (one pass is one 512-bit vector).
 pub const MAX_LANE_WORDS: usize = 8;
-
-/// Default pass width: results are bit-identical at every width (see the module
-/// docs), so the default is simply the fastest one — eight blocks, which is also the
-/// width the AVX-512 fast path engages at (one pass is one 512-bit vector).
-pub const DEFAULT_LANE_WORDS: usize = 8;
 
 /// A probability as an inclusive-exclusive bound on the 64-bit uniform lattice:
 /// `u < t` fires with probability `t / 2⁶⁴`.
@@ -381,8 +377,13 @@ struct PackedGroup {
 
 /// A counting model + failure model pair compiled into bit-sliced form. Built once
 /// per run (outside the parallel loop) and shared read-only by every chunk.
+///
+/// Engine runs reach it through [`crate::montecarlo`], always at
+/// [`MAX_LANE_WORDS`]; it is public so the `packed-width` benchmarks and the
+/// cross-width bit-identity tests can drive [`sample_chunk`](Self::sample_chunk)
+/// at a pinned pass width.
 #[derive(Debug, Clone)]
-pub(crate) struct PackedKernel {
+pub struct PackedKernel {
     n: usize,
     /// Per-node `(byzantine, fault)` thresholds.
     thresholds: Vec<(Bound, Bound)>,
@@ -397,10 +398,12 @@ pub(crate) struct PackedKernel {
 }
 
 impl PackedKernel {
-    pub(crate) fn new<M: CountingModel + ?Sized>(
-        model: &M,
-        failure_model: &CorrelationModel,
-    ) -> Self {
+    /// Compiles `model` on `failure_model`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two disagree on the cluster size.
+    pub fn new<M: CountingModel + ?Sized>(model: &M, failure_model: &CorrelationModel) -> Self {
         let n = failure_model.len();
         assert_eq!(
             model.num_nodes(),
@@ -485,7 +488,7 @@ impl PackedKernel {
     /// words are derived by in-chunk block index — see the module docs for why this
     /// makes the result independent of `lane_words`, the thread count, and the
     /// portable-vs-SIMD choice.
-    pub(crate) fn sample_chunk<R: RngCore + ?Sized>(
+    pub fn sample_chunk<R: RngCore + ?Sized>(
         &self,
         rng: &mut R,
         count: usize,
@@ -688,75 +691,33 @@ impl PackedKernel {
     }
 }
 
-/// Estimates the reliability of a counting model with the bit-sliced batch kernel,
-/// up to `64 ·` [`DEFAULT_LANE_WORDS`] scenarios per pass, across the persistent
-/// thread pool.
-///
-/// Deterministic for a fixed `seed` regardless of thread count, pass width, or the
-/// portable-vs-SIMD compare (the chunked `(seed, chunk)` scheme of
-/// [`crate::montecarlo`] plus position-addressed per-block draws — see the module
-/// docs); agrees with the scalar engine statistically, not bit-for-bit (different
-/// RNG stream). A zero sample budget saturates to one sample. Use
-/// [`monte_carlo_reliability_packed_par_lanes`] to pin a pass width.
-pub fn monte_carlo_reliability_packed_par<M: CountingModel + ?Sized>(
-    model: &M,
-    failure_model: &CorrelationModel,
-    samples: usize,
-    seed: u64,
-) -> MonteCarloReport {
-    monte_carlo_reliability_packed_par_lanes(
-        model,
-        failure_model,
-        samples,
-        seed,
-        DEFAULT_LANE_WORDS,
-    )
-}
-
-/// [`monte_carlo_reliability_packed_par`] with an explicit pass width of
-/// `lane_words` `u64` blocks (clamped to `1..=`[`MAX_LANE_WORDS`]). The report is
-/// bit-identical at every width; the knob exists for benchmarks (the `packed-width`
-/// criterion group) and the cross-width agreement tests.
-pub fn monte_carlo_reliability_packed_par_lanes<M: CountingModel + ?Sized>(
-    model: &M,
-    failure_model: &CorrelationModel,
-    samples: usize,
-    seed: u64,
-    lane_words: usize,
-) -> MonteCarloReport {
-    let kernel = PackedKernel::new(model, failure_model);
-    packed_par_with_kernel(&kernel, samples, seed, lane_words)
-}
-
-/// Runs the packed kernel across the pool from an already-compiled [`PackedKernel`] —
-/// the tail of [`monte_carlo_reliability_packed_par`], shared with the query API
-/// ([`crate::query`]), whose planned cells compile the thresholds/LUT once per
-/// (model, failure-model) group and reuse them across every cell of a sweep.
-pub(crate) fn packed_par_with_kernel(
-    kernel: &PackedKernel,
-    samples: usize,
-    seed: u64,
-    lane_words: usize,
-) -> MonteCarloReport {
-    let samples = samples.max(1);
-    let hits = map_sample_chunks(samples, seed, |rng, count| {
-        kernel.sample_chunk(rng, count, lane_words)
-    })
-    .into_iter()
-    .fold(HitCounts::default(), std::ops::Add::add);
-    report_from_counts(hits, samples, McKernel::Packed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::counting::counting_reliability;
     use crate::deployment::Deployment;
-    use crate::montecarlo::MC_CHUNK_SIZE;
+    use crate::montecarlo::{
+        monte_carlo_reliability_par_kernel, McKernel, MonteCarloReport, MC_CHUNK_SIZE,
+    };
     use crate::pbft_model::PbftModel;
     use crate::raft_model::RaftModel;
     use fault_model::correlation::CorrelationGroup;
     use fault_model::mode::FaultProfile;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The one sampling entry, pinned to this kernel.
+    fn packed_par<M: CountingModel + ?Sized>(
+        model: &M,
+        target: &CorrelationModel,
+        samples: usize,
+        seed: u64,
+    ) -> MonteCarloReport {
+        let report =
+            monte_carlo_reliability_par_kernel(model, target, samples, seed, McKernel::Packed);
+        assert_eq!(report.kernel, McKernel::Packed);
+        report
+    }
 
     fn crash_model(n: usize, p: f64) -> CorrelationModel {
         CorrelationModel::independent(vec![FaultProfile::crash_only(p); n])
@@ -865,7 +826,7 @@ mod tests {
         assert!(kernel.crash_only);
         assert!(matches!(kernel.plan, HitPlan::Thresholds { .. }));
         let exact = counting_reliability(&model, &deployment);
-        let report = monte_carlo_reliability_packed_par(&model, &crash_model(5, 0.05), 200_000, 11);
+        let report = packed_par(&model, &crash_model(5, 0.05), 200_000, 11);
         assert!(
             report.live.contains(exact.p_live),
             "exact {} outside [{}, {}]",
@@ -886,7 +847,7 @@ mod tests {
         assert!(!kernel.crash_only);
         assert!(matches!(kernel.plan, HitPlan::Lut { .. }));
         let exact = counting_reliability(&model, &deployment);
-        let report = monte_carlo_reliability_packed_par(&model, &target, 200_000, 3);
+        let report = packed_par(&model, &target, 200_000, 3);
         for (estimate, truth, what) in [
             (report.safe, exact.p_safe, "safe"),
             (report.live, exact.p_live, "live"),
@@ -909,7 +870,7 @@ mod tests {
         let target =
             crash_model(5, 0.0).with_group(CorrelationGroup::crash_shock((0..5).collect(), shock));
         let model = RaftModel::standard(5);
-        let report = monte_carlo_reliability_packed_par(&model, &target, 100_000, 5);
+        let report = packed_par(&model, &target, 100_000, 5);
         assert!(
             report.live.contains(1.0 - shock),
             "1 - shock = {} outside [{}, {}]",
@@ -927,7 +888,7 @@ mod tests {
         let target = CorrelationModel::independent(vec![FaultProfile::crash_only(1.0); 4])
             .with_group(CorrelationGroup::byzantine_shock((0..4).collect(), 1.0));
         let model = PbftModel::standard(4);
-        let report = monte_carlo_reliability_packed_par(&model, &target, 1_000, 2);
+        let report = packed_par(&model, &target, 1_000, 2);
         // 4 Byzantine nodes out of 4: never safe, never live.
         assert_eq!(report.safe.value, 0.0);
         assert_eq!(report.live.value, 0.0);
@@ -937,7 +898,7 @@ mod tests {
     fn certain_crash_probability_needs_no_randomness() {
         let model = RaftModel::standard(3);
         let target = crash_model(3, 1.0);
-        let report = monte_carlo_reliability_packed_par(&model, &target, 10_000, 9);
+        let report = packed_par(&model, &target, 10_000, 9);
         assert_eq!(report.live.value, 0.0, "all nodes always crash");
         assert_eq!(report.safe.value, 1.0, "crashes never violate safety");
     }
@@ -948,7 +909,7 @@ mod tests {
         let target = crash_model(9, 0.08);
         // Neither a multiple of 64 nor of the chunk size.
         let samples = 2 * MC_CHUNK_SIZE + 77;
-        let report = monte_carlo_reliability_packed_par(&model, &target, samples, 21);
+        let report = packed_par(&model, &target, samples, 21);
         assert_eq!(report.samples, samples);
         let exact = counting_reliability(&model, &Deployment::uniform_crash(9, 0.08));
         assert!(report.live.contains(exact.p_live));
@@ -973,9 +934,10 @@ mod tests {
     #[test]
     fn packed_kernel_is_bit_identical_across_lane_widths() {
         for (model, target) in identity_workloads() {
+            let kernel = PackedKernel::new(model.as_ref(), &target);
             // Sample counts hitting the ragged-tail edges of every width W: one
-            // lane, one block less a lane, a full widest pass ± one lane, and a
-            // multi-chunk count that is ragged at both the chunk and pass level.
+            // lane, one block less a lane, a full widest pass ± one lane, and
+            // counts past a whole engine chunk that are ragged at the pass level.
             for samples in [
                 1,
                 63,
@@ -984,22 +946,14 @@ mod tests {
                 MC_CHUNK_SIZE + 513,
                 3 * MC_CHUNK_SIZE + 17,
             ] {
-                let reference = monte_carlo_reliability_packed_par_lanes(
-                    model.as_ref(),
-                    &target,
-                    samples,
-                    42,
-                    1,
-                );
+                let at_width = |w| kernel.sample_chunk(&mut StdRng::seed_from_u64(42), samples, w);
+                let reference = at_width(1);
                 for w in 2..=MAX_LANE_WORDS {
-                    let report = monte_carlo_reliability_packed_par_lanes(
-                        model.as_ref(),
-                        &target,
-                        samples,
-                        42,
-                        w,
+                    assert_eq!(
+                        at_width(w),
+                        reference,
+                        "divergence at W={w}, samples={samples}"
                     );
-                    assert_eq!(report, reference, "divergence at W={w}, samples={samples}");
                 }
             }
         }
@@ -1037,31 +991,21 @@ mod tests {
         .with_group(CorrelationGroup::byzantine_shock(vec![0, 1, 2], 0.005))
         .with_group(CorrelationGroup::crash_shock(vec![3, 4, 5, 6], 0.01));
         let samples = 3 * MC_CHUNK_SIZE + 17;
-        for lane_words in [1usize, 4, 8] {
-            let reference =
-                monte_carlo_reliability_packed_par_lanes(&model, &target, samples, 42, lane_words);
-            for threads in [1usize, 2, 3, 8] {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .expect("pool");
-                let report = pool.install(|| {
-                    monte_carlo_reliability_packed_par_lanes(
-                        &model, &target, samples, 42, lane_words,
-                    )
-                });
-                assert_eq!(
-                    report, reference,
-                    "divergence at {threads} threads, W={lane_words}"
-                );
-            }
+        let reference = packed_par(&model, &target, samples, 42);
+        for threads in [1usize, 2, 3, 8] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool");
+            let report = pool.install(|| packed_par(&model, &target, samples, 42));
+            assert_eq!(report, reference, "divergence at {threads} threads");
         }
     }
 
     #[test]
     fn zero_sample_budget_saturates_to_one_sample() {
         let model = RaftModel::standard(3);
-        let report = monte_carlo_reliability_packed_par(&model, &crash_model(3, 0.1), 0, 1);
+        let report = packed_par(&model, &crash_model(3, 0.1), 0, 1);
         assert_eq!(report.samples, 1);
         for e in [report.safe, report.live, report.safe_and_live] {
             assert!(e.value.is_finite() && 0.0 <= e.lower && e.upper <= 1.0);
@@ -1072,6 +1016,6 @@ mod tests {
     #[should_panic(expected = "disagree on the cluster size")]
     fn size_mismatch_panics() {
         let model = RaftModel::standard(3);
-        monte_carlo_reliability_packed_par(&model, &crash_model(4, 0.1), 10, 1);
+        packed_par(&model, &crash_model(4, 0.1), 10, 1);
     }
 }

@@ -13,11 +13,11 @@
 //!   [`Query::correlations`], [`Query::samples_sweep`]), a [`Budget`], the requested
 //!   [`Metrics`], and fully explicit cells ([`Query::cell`]) for scenarios the grid
 //!   axes cannot express.
-//! * [`AnalysisSession`] — owns the engine registry walk, the (optional, pinned)
-//!   rayon pool, and per-(model, scenario) reusable scratch: the converted
-//!   correlation model, compiled packed-kernel thresholds/LUTs, selector-pilot
-//!   estimates and importance-sampling proposals, all keyed by cell signature and
-//!   reused across cells, plans and queries.
+//! * [`AnalysisSession`] — owns the (optional, pinned) rayon pool and the cache of
+//!   per-(model, scenario) scratch ([`crate::scratch`]: the converted correlation
+//!   model, compiled packed-kernel thresholds/LUTs, selector-pilot estimates and
+//!   importance-sampling proposals), keyed by cell signature and reused across
+//!   cells, plans and queries.
 //! * [`AnalysisSession::plan`] → [`QueryPlan`] — engine selection for *all* cells up
 //!   front (validating the budget — see [`Budget::validate`] — and the cell shapes),
 //!   grouping cells that share a (model, scenario) signature so the expensive
@@ -42,9 +42,13 @@
 //! # Determinism contract
 //!
 //! Executing a planned cell is **bit-identical** to calling `analyze_auto` /
-//! [`crate::analyzer::analyze_scenario`] on the same triple: both run the same
-//! engine-selection rule and the same chunked `(seed, cell, chunk)` sampling code —
-//! the per-cell front doors are thin wrappers over a single-cell plan. Caching never
+//! [`crate::analyzer::analyze_scenario`] on the same triple, because it is the same
+//! code: the planner calls [`crate::engine::select_engine`] and the scheduler calls
+//! the selected engine's `run_prepared`, exactly as the front doors do — the only
+//! difference is whose scratch they pass. Monte Carlo cells are the one
+//! decomposition: the scheduler runs the prepared sampler's `chunk(i)` items itself
+//! and folds them in chunk order, which is literally what the sampler's own
+//! whole-cell run does ([`crate::montecarlo`]). Caching never
 //! changes results, because everything cached is a pure function of the cell
 //! signature: the correlation-model conversion and kernel compilation are
 //! value-deterministic, and the selector pilot / adaptive proposal are cached *per
@@ -79,36 +83,31 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use fault_model::correlation::{CorrelationGroup, CorrelationModel};
 use fault_model::markov::RepairableGroup;
 use fault_model::metrics::{Nines, HOURS_PER_YEAR};
 use fault_model::node::Fleet;
 
-use crate::analyzer::{AnalysisError, ReliabilityReport};
+use crate::analyzer::AnalysisError;
 use crate::cache::{CacheKey, CacheStats, SessionCache};
 use crate::deployment::Deployment;
 use crate::engine::{
-    AnalysisEngine, AnalysisOutcome, Budget, CountingEngine, EngineChoice, EnumerationEngine,
-    FaultEnvironment, Scenario,
+    select_engine, AnalysisEngine, AnalysisOutcome, Budget, EngineChoice, FaultEnvironment,
+    MonteCarloEngine, Scenario,
 };
-use crate::enumeration::RawReliability;
 use crate::epistemic::{EpistemicDraw, EpistemicReport};
 use crate::json::JsonValue;
 use crate::montecarlo::{
-    chunk_count, chunk_len, chunk_seed, report_from_counts, sample_chunk, HitCounts, McKernel, Z_95,
+    chunk_count, chunk_len, packed_view, HitCounts, McKernel, McSampler, Z_95,
 };
-use crate::packed::PackedKernel;
 use crate::pbft_model::PbftModel;
 use crate::protocol::ProtocolModel;
 use crate::raft_model::RaftModel;
-use crate::rare_event::Proposal;
 use crate::report::Table;
+use crate::scratch::GroupScratch;
 use crate::simulation::{SimulationEngine, SimulationReport};
 use crate::timevarying;
 
@@ -1033,182 +1032,6 @@ impl Query {
     }
 }
 
-/// Per-(model, scenario) reusable scratch: everything expensive that is a pure
-/// function of the cell signature, computed lazily and shared by every cell of the
-/// group (and, for grid cells, across plans of the same session).
-#[derive(Default)]
-pub(crate) struct GroupScratch {
-    /// The scenario converted to the sampler's form (one profile clone per group
-    /// instead of one per cell).
-    target: OnceLock<Arc<CorrelationModel>>,
-    /// The compiled bit-sliced kernel (fixed-point thresholds + LUT), for counting
-    /// models routed to the packed Monte Carlo kernel.
-    packed: OnceLock<Arc<PackedKernel>>,
-    /// Selector-pilot failure estimates keyed by budget seed (the estimate is a
-    /// deterministic function of (model, scenario, seed)).
-    pilots: Mutex<HashMap<u64, f64>>,
-    /// Importance-sampling proposals keyed by (seed, tilt bits).
-    proposals: Mutex<HashMap<(u64, u64), Arc<Proposal>>>,
-}
-
-impl GroupScratch {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    fn target(&self, scenario: Scenario<'_>) -> Arc<CorrelationModel> {
-        self.target
-            .get_or_init(|| Arc::new(scenario.to_correlation_model()))
-            .clone()
-    }
-
-    fn packed_kernel(
-        &self,
-        model: &dyn crate::protocol::CountingModel,
-        scenario: Scenario<'_>,
-    ) -> Arc<PackedKernel> {
-        self.packed
-            .get_or_init(|| Arc::new(PackedKernel::new(model, &self.target(scenario))))
-            .clone()
-    }
-
-    fn pilot_estimate(&self, model: &dyn ProtocolModel, scenario: Scenario<'_>, seed: u64) -> f64 {
-        if let Some(&estimate) = self.pilots.lock().unwrap().get(&seed) {
-            return estimate;
-        }
-        let estimate =
-            crate::rare_event::naive_failure_estimate_with(model, &self.target(scenario), seed);
-        self.pilots.lock().unwrap().insert(seed, estimate);
-        estimate
-    }
-
-    fn proposal(
-        &self,
-        model: &dyn ProtocolModel,
-        target: &CorrelationModel,
-        budget: &Budget,
-    ) -> Arc<Proposal> {
-        let key = (budget.seed, budget.rare_event_tilt.to_bits());
-        if let Some(proposal) = self.proposals.lock().unwrap().get(&key) {
-            return proposal.clone();
-        }
-        let proposal = Arc::new(crate::rare_event::select_proposal(model, target, budget));
-        self.proposals
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert(proposal)
-            .clone()
-    }
-}
-
-/// Engine selection over prepared scratch: walks the [`crate::engine::ENGINES`]
-/// registry in preference order exactly like [`crate::engine::select_engine`], so
-/// adding or reordering engines changes both front doors together. The one
-/// deviation is deliberate: the importance-sampling engine's `supports` gate runs
-/// a selector pilot, which is served from the group cache here instead of being
-/// re-run per cell (the cached value is what the pilot would have computed — same
-/// model, scenario and seed — so the decision is identical).
-pub(crate) fn choose_engine_prepared(
-    model: &dyn ProtocolModel,
-    scenario: Scenario<'_>,
-    budget: &Budget,
-    scratch: &GroupScratch,
-) -> EngineChoice {
-    assert!(
-        !scenario.is_empty(),
-        "cannot analyze an empty scenario (zero nodes); see analyzer::AnalysisError"
-    );
-    crate::engine::ENGINES
-        .iter()
-        .find(|engine| match engine.choice() {
-            // Mirrors ImportanceSamplingEngine::supports with the pilot cached
-            // (the !is_empty() half is asserted above).
-            EngineChoice::ImportanceSampling => {
-                budget.rare_event_threshold > 0.0
-                    && scratch.pilot_estimate(model, scenario, budget.seed)
-                        < budget.rare_event_threshold
-            }
-            _ => engine.supports(model, scenario, budget),
-        })
-        .expect("Monte Carlo supports every scenario")
-        .choice()
-}
-
-fn outcome_from_monte_carlo(mc: crate::montecarlo::MonteCarloReport) -> AnalysisOutcome {
-    AnalysisOutcome {
-        report: ReliabilityReport::from_raw(RawReliability {
-            p_safe: mc.safe.value,
-            p_live: mc.live.value,
-            p_safe_and_live: mc.safe_and_live.value,
-        }),
-        engine: EngineChoice::MonteCarlo,
-        monte_carlo: Some(mc),
-        rare_event: None,
-        simulation: None,
-    }
-}
-
-/// Runs `choice` on the triple using the group scratch — the execution half of a
-/// planned cell. The exact engines run as themselves (they have no per-call setup
-/// to amortize); the sampling arms are the bodies of the corresponding
-/// [`AnalysisEngine`] implementations with the per-call setup replaced by the
-/// cached equivalent, so the outcome is bit-identical to the engine's own `run`.
-pub(crate) fn run_prepared(
-    model: &dyn ProtocolModel,
-    scenario: Scenario<'_>,
-    budget: &Budget,
-    choice: EngineChoice,
-    scratch: &GroupScratch,
-) -> AnalysisOutcome {
-    match choice {
-        EngineChoice::Counting => CountingEngine.run(model, scenario, budget),
-        EngineChoice::Enumeration => EnumerationEngine.run(model, scenario, budget),
-        EngineChoice::MonteCarlo => {
-            if budget.mc_kernel != McKernel::Scalar {
-                if let Some(counting) = model.as_counting() {
-                    let kernel = scratch.packed_kernel(counting, scenario);
-                    return outcome_from_monte_carlo(crate::packed::packed_par_with_kernel(
-                        &kernel,
-                        budget.monte_carlo_samples,
-                        budget.seed,
-                        budget.mc_lane_words,
-                    ));
-                }
-            }
-            let target = scratch.target(scenario);
-            outcome_from_monte_carlo(crate::montecarlo::monte_carlo_scalar_par(
-                model,
-                &target,
-                budget.monte_carlo_samples,
-                budget.seed,
-            ))
-        }
-        EngineChoice::ImportanceSampling => {
-            let target = scratch.target(scenario);
-            let proposal = scratch.proposal(model, &target, budget);
-            crate::rare_event::run_importance_sampling(model, &target, &proposal, budget)
-        }
-        // Never planned (the simulation engine is outside the auto-selection
-        // registry), but kept total so a pinned choice runs correctly.
-        EngineChoice::Simulation => SimulationEngine.run(model, scenario, budget),
-    }
-}
-
-/// The single-cell path behind [`crate::analyzer::analyze_auto`] and
-/// [`crate::analyzer::analyze_scenario`]: a one-cell plan with throwaway scratch.
-/// Keeping the per-cell front doors on this exact code path is what makes
-/// [`QueryPlan::execute`] bit-identical to a per-cell loop by construction.
-pub(crate) fn analyze_single(
-    model: &dyn ProtocolModel,
-    scenario: Scenario<'_>,
-    budget: &Budget,
-) -> AnalysisOutcome {
-    let scratch = GroupScratch::new();
-    let choice = choose_engine_prepared(model, scenario, budget, &scratch);
-    run_prepared(model, scenario, budget, choice, &scratch)
-}
-
 /// Namespace tag of grid-cell cache keys (coordinate encoding).
 const GRID_KEY_TAG: u64 = 0;
 /// Namespace tag of explicit-cell cache keys (content encoding).
@@ -1458,7 +1281,7 @@ impl AnalysisSession {
                             key.extend_from_slice(words);
                             self.cache.get_or_insert(CacheKey::from_words(key))
                         }
-                        None => Arc::new(GroupScratch::new()),
+                        None => Arc::new(GroupScratch::default()),
                     };
                     PlannedDraw {
                         p: draw.p,
@@ -1497,13 +1320,10 @@ impl AnalysisSession {
         } else {
             query.environments.clone()
         };
-        // A validated cell runs its paired simulation only if the model has an
-        // executable counterpart of the scenario's size.
+        // A validated cell runs its paired simulation only if the simulation engine
+        // supports it: the model has an executable counterpart of the scenario's size.
         let validation_for = |model: &dyn ProtocolModel, scenario: Scenario<'_>| {
-            query.validation
-                && model
-                    .executable()
-                    .is_some_and(|spec| spec.num_nodes() == scenario.len())
+            query.validation && SimulationEngine.supports(model, scenario, &query.budget)
         };
         let plan_cells = || -> Result<Vec<PlannedCell>, AnalysisError> {
             let mut cells = Vec::with_capacity(query.cell_count());
@@ -1538,7 +1358,7 @@ impl AnalysisSession {
                                         .budget
                                         .with_samples(samples)
                                         .with_fault_environment(environment);
-                                    let engine = choose_engine_prepared(
+                                    let engine = select_engine(
                                         model.as_ref(),
                                         scenario.as_scenario(),
                                         &budget,
@@ -1602,11 +1422,10 @@ impl AnalysisSession {
                     });
                 let scratch = match key_words.clone() {
                     Some(words) => self.cache.get_or_insert(CacheKey::from_words(words)),
-                    None => Arc::new(GroupScratch::new()),
+                    None => Arc::new(GroupScratch::default()),
                 };
                 let draws = self.plan_draws(budget, &explicit.scenario, key_words.as_deref());
-                let engine =
-                    choose_engine_prepared(explicit.model.as_ref(), scenario, budget, &scratch);
+                let engine = select_engine(explicit.model.as_ref(), scenario, budget, &scratch);
                 let correlation = match &explicit.scenario {
                     ScenarioSpec::Independent(_) => "independent".to_string(),
                     ScenarioSpec::Correlated(c) if c.is_correlated() => "correlated".to_string(),
@@ -1684,7 +1503,7 @@ struct PlannedCell {
     model: Arc<dyn ProtocolModel + Send + Sync>,
     scenario: ScenarioSpec,
     budget: Budget,
-    engine: EngineChoice,
+    engine: &'static dyn AnalysisEngine,
     scratch: Arc<GroupScratch>,
     /// The second-order posterior draws of this cell (empty for first-order
     /// budgets), shared across the samples/environment replicates of one grid
@@ -1853,14 +1672,13 @@ fn trajectory_record(spec: &TrajectorySpec, axis: &TimeAxis) -> TrajectoryRecord
 /// content never depends on which worker ran what, or in what order.
 #[derive(Clone, Copy)]
 enum WorkItem {
-    /// A whole cell through [`run_prepared`] — the exact engines, importance
-    /// sampling and pinned simulation, whose bodies have no chunk structure to
-    /// expose.
+    /// A whole cell through its engine's
+    /// [`run_prepared`](AnalysisEngine::run_prepared) — the exact engines and
+    /// importance sampling, whose bodies have no chunk structure to expose.
     Cell(usize),
-    /// One sample chunk of a Monte Carlo cell, in the exact
-    /// [`chunk_count`]/[`chunk_len`]/[`chunk_seed`] layout of the whole-cell
-    /// samplers — identical layout is what keeps the scheduled merge bit-identical
-    /// to a per-cell run.
+    /// One sample chunk of a Monte Carlo cell: the cell's prepared sampler's
+    /// `chunk(i)` ([`McSampler::chunk`]), the same call its whole-cell run folds — so the
+    /// scheduled merge is bit-identical to a per-cell run by construction.
     McChunk {
         /// Index of the owning cell.
         cell: usize,
@@ -1868,8 +1686,8 @@ enum WorkItem {
         chunk: usize,
     },
     /// One posterior draw of a second-order cell: the whole cell re-run through
-    /// [`run_prepared`] on the draw's scaled scenario (draws are engine-agnostic,
-    /// so they stay whole even when the base cell chunks).
+    /// its engine on the draw's scaled scenario (draws are engine-agnostic, so
+    /// they stay whole even when the base cell chunks).
     Draw {
         /// Index of the owning cell.
         cell: usize,
@@ -1936,13 +1754,27 @@ fn outcome_bounds(outcome: &AnalysisOutcome) -> (f64, f64) {
     }
 }
 
-/// The kernel [`run_prepared`]'s Monte Carlo arm would select for this cell; the
-/// chunk items replicate the choice so the scheduled report names the same kernel.
-fn mc_kernel_kind(cell: &PlannedCell) -> McKernel {
-    if cell.budget.mc_kernel != McKernel::Scalar && cell.model.as_counting().is_some() {
-        McKernel::Packed
-    } else {
-        McKernel::Scalar
+impl PlannedCell {
+    /// This cell's engine, whole, on `scenario` — its own, or a posterior draw's
+    /// scaled one — over that scenario's scratch.
+    fn run_whole(&self, scenario: &ScenarioSpec, scratch: &GroupScratch) -> ItemOutput {
+        ItemOutput::Outcome(Box::new(self.engine.run_prepared(
+            self.model.as_ref(),
+            scenario.as_scenario(),
+            &self.budget,
+            scratch,
+        )))
+    }
+
+    /// The Monte Carlo sampler of this cell over its group scratch — what a chunk
+    /// item draws from and what the merge reports through.
+    fn sampler(&self) -> McSampler<'_, dyn ProtocolModel + '_> {
+        McSampler::prepare(
+            self.model.as_ref(),
+            self.scenario.as_scenario(),
+            &self.budget,
+            &self.scratch,
+        )
     }
 }
 
@@ -1959,12 +1791,12 @@ impl QueryPlan {
 
     /// The engine selected for cell `index` (cells are in query order).
     pub fn engine(&self, index: usize) -> EngineChoice {
-        self.cells[index].engine
+        self.cells[index].engine.choice()
     }
 
     /// The engines selected for all cells, in query order.
     pub fn engines(&self) -> Vec<EngineChoice> {
-        self.cells.iter().map(|c| c.engine).collect()
+        self.cells.iter().map(|c| c.engine.choice()).collect()
     }
 
     /// The label of cell `index`.
@@ -2083,10 +1915,9 @@ impl QueryPlan {
     /// Merges a completed cell's item outputs into its final [`CellRecord`],
     /// running the paired validation inline when the query requested one.
     ///
-    /// Chunk items sit in the slot span in chunk order, so the fold below replays
-    /// exactly the whole-cell samplers' collect-then-fold — the record is
-    /// bit-identical to a sequential per-cell run no matter which worker gets
-    /// here, or when.
+    /// Chunk items sit in the slot span in chunk order, so the fold below is the
+    /// sampler's own whole-cell fold — the record is bit-identical to a
+    /// sequential per-cell run no matter which worker gets here, or when.
     fn complete_cell(
         &self,
         index: usize,
@@ -2109,7 +1940,7 @@ impl QueryPlan {
         // everything before it is the base cell.
         let draws_len = cell.draws.len();
         let base_len = len - draws_len;
-        let outcome = if cell.engine == EngineChoice::MonteCarlo {
+        let outcome = if cell.engine.choice() == EngineChoice::MonteCarlo {
             let mut hits = HitCounts::default();
             for item in start..start + base_len {
                 match take(item) {
@@ -2117,8 +1948,7 @@ impl QueryPlan {
                     _ => unreachable!("Monte Carlo cells decompose into chunk items"),
                 }
             }
-            let samples = cell.budget.monte_carlo_samples.max(1);
-            outcome_from_monte_carlo(report_from_counts(hits, samples, mc_kernel_kind(cell)))
+            MonteCarloEngine::outcome(cell.sampler().report(hits))
         } else {
             match take(start) {
                 ItemOutput::Outcome(outcome) => *outcome,
@@ -2178,7 +2008,7 @@ impl QueryPlan {
             correlation: cell.correlation.clone(),
             environment: cell.environment,
             samples_budget: cell.budget.monte_carlo_samples,
-            engine: cell.engine,
+            engine: cell.engine.choice(),
             outcome,
             validation,
             epistemic,
@@ -2193,7 +2023,7 @@ impl QueryPlan {
         let mut spans = Vec::with_capacity(self.cells.len());
         for (index, cell) in self.cells.iter().enumerate() {
             let start = items.len();
-            if cell.engine == EngineChoice::MonteCarlo {
+            if cell.engine.choice() == EngineChoice::MonteCarlo {
                 for chunk in 0..chunk_count(cell.budget.monte_carlo_samples) {
                     items.push(WorkItem::McChunk { cell: index, chunk });
                 }
@@ -2225,9 +2055,9 @@ impl QueryPlan {
                 let nodes = cell.nodes as u64;
                 // The packed kernel retires ~64 scenarios per word pass; the
                 // scalar kernel walks every node per scenario.
-                match mc_kernel_kind(cell) {
-                    McKernel::Packed => (count * nodes / 64).max(1),
-                    _ => count * nodes,
+                match packed_view(cell.model.as_ref(), cell.budget.mc_kernel) {
+                    Some(_) => (count * nodes / 64).max(1),
+                    None => count * nodes,
                 }
             }
             // A draw re-runs the whole cell on a scaled scenario, so it costs
@@ -2235,18 +2065,16 @@ impl QueryPlan {
             WorkItem::Cell(index) | WorkItem::Draw { cell: index, .. } => {
                 let cell = &self.cells[index];
                 let nodes = cell.nodes as u64;
-                match cell.engine {
+                match cell.engine.choice() {
                     // O(N²) closed form — the cheapest engine by far.
                     EngineChoice::Counting => nodes * nodes,
                     // Exponential in the cluster size (capped so the shift is sane).
                     EngineChoice::Enumeration => 1u64 << nodes.min(40),
                     // Pilot plus tilted sampling: scalar-sampler cost shape.
-                    EngineChoice::ImportanceSampling | EngineChoice::MonteCarlo => {
-                        cell.budget.monte_carlo_samples.max(1) as u64 * nodes
-                    }
-                    // Discrete-event trials; trial counts are budget-bounded and
-                    // comparable to a sampling cell.
-                    EngineChoice::Simulation => {
+                    // (Simulation is never planned; sized like a sampling cell.)
+                    EngineChoice::ImportanceSampling
+                    | EngineChoice::MonteCarlo
+                    | EngineChoice::Simulation => {
                         cell.budget.monte_carlo_samples.max(1) as u64 * nodes
                     }
                 }
@@ -2262,57 +2090,21 @@ impl QueryPlan {
         match item {
             WorkItem::Cell(index) => {
                 let cell = &self.cells[index];
-                ItemOutput::Outcome(Box::new(run_prepared(
-                    cell.model.as_ref(),
-                    cell.scenario.as_scenario(),
-                    &cell.budget,
-                    cell.engine,
-                    &cell.scratch,
-                )))
+                cell.run_whole(&cell.scenario, &cell.scratch)
             }
             WorkItem::McChunk { cell, chunk } => {
-                let cell = &self.cells[cell];
-                let count = chunk_len(cell.budget.monte_carlo_samples, chunk);
-                let mut rng = StdRng::seed_from_u64(chunk_seed(cell.budget.seed, chunk as u64));
-                let hits = match self.packed_kernel_for(cell) {
-                    Some(kernel) => kernel.sample_chunk(&mut rng, count, cell.budget.mc_lane_words),
-                    None => {
-                        let target = cell.scratch.target(cell.scenario.as_scenario());
-                        sample_chunk(cell.model.as_ref(), &target, count, &mut rng)
-                    }
-                };
-                ItemOutput::Hits(hits)
+                ItemOutput::Hits(self.cells[cell].sampler().chunk(chunk))
             }
             WorkItem::Draw { cell, draw } => {
                 let cell = &self.cells[cell];
                 let draw = &cell.draws[draw];
-                ItemOutput::Outcome(Box::new(run_prepared(
-                    cell.model.as_ref(),
-                    draw.scenario.as_scenario(),
-                    &cell.budget,
-                    cell.engine,
-                    &draw.scratch,
-                )))
+                cell.run_whole(&draw.scenario, &draw.scratch)
             }
             WorkItem::Trajectory(index) => ItemOutput::Trajectory(trajectory_record(
                 &self.trajectories[index],
                 &self.time_axis,
             )),
         }
-    }
-
-    /// The packed kernel for a Monte Carlo cell when [`run_prepared`]'s kernel
-    /// choice would use it — compiled at most once in the shared group scratch —
-    /// or `None` when the cell samples through the scalar kernel.
-    fn packed_kernel_for(&self, cell: &PlannedCell) -> Option<Arc<PackedKernel>> {
-        if cell.budget.mc_kernel == McKernel::Scalar {
-            return None;
-        }
-        let counting = cell.model.as_counting()?;
-        Some(
-            cell.scratch
-                .packed_kernel(counting, cell.scenario.as_scenario()),
-        )
     }
 }
 
@@ -2781,7 +2573,18 @@ mod tests {
     use super::*;
     use crate::analyzer::{analyze_auto, analyze_scenario};
     use crate::durability::PersistenceQuorumModel;
+    use crate::montecarlo::MC_CHUNK_SIZE;
     use fault_model::mode::FaultProfile;
+
+    /// A placement-sensitive (non-counting) model whose failure is common and whose
+    /// 2^30 configurations are past the enumeration budget, so it lands on Monte
+    /// Carlo and only the scalar kernel can evaluate it.
+    fn scalar_only_cell() -> (Arc<dyn ProtocolModel + Send + Sync>, Deployment) {
+        (
+            Arc::new(PersistenceQuorumModel::new(30, vec![0])),
+            Deployment::uniform_crash(30, 0.3),
+        )
+    }
 
     #[test]
     fn grid_expands_in_axis_nesting_order() {
@@ -2841,17 +2644,73 @@ mod tests {
             }
         }
         assert_eq!(index, report.cells().len());
+
+        // The Monte Carlo corners: a pinned packed kernel on a model only the
+        // scalar kernel can evaluate (falls back, and says so) next to one it can
+        // compile; a ragged last chunk and a zero budget (saturates to one
+        // sample); one and two pool threads. The engine's own `run` (throwaway
+        // scratch), the planned cell run whole on its shared scratch, and the
+        // scheduler's merged chunk items must agree bit for bit.
+        let (placement, placement_deployment) = scalar_only_cell();
+        let shocked = CorrelationModel::independent(vec![FaultProfile::crash_only(0.05); 5])
+            .with_group(CorrelationGroup::crash_shock((0..5).collect(), 0.01));
+        for threads in [1usize, 2] {
+            for samples in [0usize, MC_CHUNK_SIZE + 1] {
+                let budget = Budget::default()
+                    .with_samples(samples)
+                    .with_seed(7)
+                    .with_mc_kernel(McKernel::Packed);
+                let query = Query::new()
+                    .cell("placement", placement.clone(), placement_deployment.clone())
+                    .cell_correlated("shocked", Arc::new(RaftModel::standard(5)), shocked.clone())
+                    .budget(budget);
+                let plan = AnalysisSession::with_threads(threads)
+                    .plan(&query)
+                    .expect("valid query");
+                let report = plan.execute();
+                for (index, kernel) in [(0, McKernel::Scalar), (1, McKernel::Packed)] {
+                    let cell = &plan.cells[index];
+                    let scenario = cell.scenario.as_scenario();
+                    let direct = MonteCarloEngine.run(cell.model.as_ref(), scenario, &budget);
+                    let whole = cell.engine.run_prepared(
+                        cell.model.as_ref(),
+                        scenario,
+                        &budget,
+                        &cell.scratch,
+                    );
+                    let context = format!("{} at {samples} samples, {threads} threads", cell.label);
+                    assert_eq!(cell.engine.choice(), EngineChoice::MonteCarlo, "{context}");
+                    assert_eq!(whole, direct, "{context}: shared vs throwaway scratch");
+                    assert_eq!(
+                        report.cell(index).outcome,
+                        direct,
+                        "{context}: merged chunks"
+                    );
+                    let mc = direct.monte_carlo.expect("Monte Carlo outcome");
+                    assert_eq!(mc.kernel, kernel, "{context}");
+                    assert_eq!(mc.samples, samples.max(1), "{context}");
+                }
+            }
+        }
     }
 
     /// Tentpole pin: the work-stealing decomposition (chunked Monte Carlo cells,
     /// whole exact and importance-sampling cells, trajectory items, the validation
     /// wave) produces a report byte-identical — JSON with wall times zeroed — to a
-    /// sequential per-cell loop over the same plan, for both the packed and the
-    /// pinned-scalar sampling kernels.
+    /// sequential per-cell loop over the same plan, for the auto, pinned-scalar and
+    /// pinned-packed sampling kernels (the last on a sweep that includes a cell
+    /// only the scalar kernel can evaluate), on sample budgets that include a
+    /// ragged last chunk and zero, at one and two pool threads.
     #[test]
     fn scheduled_execution_matches_a_sequential_per_cell_loop_byte_for_byte() {
-        for kernel in [McKernel::Auto, McKernel::Scalar] {
-            let session = AnalysisSession::new();
+        let (placement, placement_deployment) = scalar_only_cell();
+        for (kernel, threads) in [
+            (McKernel::Auto, 2usize),
+            (McKernel::Scalar, 1),
+            (McKernel::Packed, 1),
+            (McKernel::Packed, 2),
+        ] {
+            let session = AnalysisSession::with_threads(threads);
             let query = Query::new()
                 .protocols([ProtocolSpec::Raft])
                 .nodes([5usize])
@@ -2860,14 +2719,22 @@ mod tests {
                     CorrelationSpec::Independent,
                     CorrelationSpec::ClusterShock { probability: 0.01 },
                 ])
-                .samples_sweep([9_000usize, 20_000])
-                .budget(Budget::default().with_seed(11).with_mc_kernel(kernel))
+                .samples_sweep([0usize, MC_CHUNK_SIZE + 1, 9_000, 20_000])
+                // The sweep overrides the grid cells' samples; the explicit cells
+                // (importance sampling, scalar-only Monte Carlo) draw this many.
+                .budget(
+                    Budget::default()
+                        .with_samples(MC_CHUNK_SIZE + 1)
+                        .with_seed(11)
+                        .with_mc_kernel(kernel),
+                )
                 .validate_with_simulation()
                 .cell(
                     "durability",
                     Arc::new(PersistenceQuorumModel::new(24, (0..4).collect())),
                     Deployment::uniform_crash(24, 0.05),
                 )
+                .cell("placement", placement.clone(), placement_deployment.clone())
                 .repairable_cell("repairable-3", RepairableGroup::new(3, 1e-3, 1e-2, 1));
             let plan = session.plan(&query).expect("valid query");
             let engines = plan.engines();
@@ -2882,11 +2749,10 @@ mod tests {
                 .cells
                 .iter()
                 .map(|cell| {
-                    let outcome = run_prepared(
+                    let outcome = cell.engine.run_prepared(
                         cell.model.as_ref(),
                         cell.scenario.as_scenario(),
                         &cell.budget,
-                        cell.engine,
                         &cell.scratch,
                     );
                     let validation = cell.validate.then(|| {
@@ -2905,7 +2771,7 @@ mod tests {
                         correlation: cell.correlation.clone(),
                         environment: cell.environment,
                         samples_budget: cell.budget.monte_carlo_samples,
-                        engine: cell.engine,
+                        engine: cell.engine.choice(),
                         outcome,
                         validation,
                         epistemic: None,
@@ -2928,8 +2794,16 @@ mod tests {
             assert_eq!(
                 scheduled.to_json(),
                 reference.to_json(),
-                "kernel {kernel:?}: scheduled sweep diverged from the per-cell loop"
+                "kernel {kernel:?}, {threads} threads: scheduled sweep diverged from the \
+                 per-cell loop"
             );
+            let placement_cell = scheduled
+                .cells()
+                .iter()
+                .find(|cell| cell.label == "placement")
+                .expect("the placement cell is in the sweep");
+            assert_eq!(placement_cell.engine, EngineChoice::MonteCarlo);
+            assert_eq!(placement_cell.kernel(), Some(McKernel::Scalar));
         }
     }
 

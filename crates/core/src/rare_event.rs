@@ -82,12 +82,11 @@ use fault_model::mode::{FaultProfile, NodeState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::analyzer::ReliabilityReport;
 use crate::engine::{AnalysisEngine, AnalysisOutcome, Budget, EngineChoice, Scenario};
-use crate::enumeration::RawReliability;
 use crate::failure::FailureConfig;
 use crate::montecarlo::{chunk_seed, map_sample_chunks, Estimate};
 use crate::protocol::ProtocolModel;
+use crate::scratch::GroupScratch;
 
 /// Cap on any proposal fault probability. Strictly below 1 so a node's correct
 /// outcome always remains reachable under the proposal whenever it is reachable
@@ -611,10 +610,10 @@ pub fn importance_sampling_reliability_par<M: ProtocolModel + ?Sized>(
 }
 
 /// The auto-selector's cheap, deterministic estimate of the failure probability
-/// `P[¬(safe ∧ live)]` of this model/scenario pair.
+/// `P[¬(safe ∧ live)]` of `model` on the scenario's correlation model `target`.
 ///
 /// A small pilot (`SELECTOR_PILOT_SAMPLES` (1024) plain draws, seeded from the budget
-/// seed) catches failure events common enough for plain Monte Carlo. When the pilot
+/// `seed`) catches failure events common enough for plain Monte Carlo. When the pilot
 /// observes *zero* failures the pilot resolution (~1e-3) is not informative, so the
 /// estimate falls back to an analytic proxy: the probability that a strict majority
 /// of nodes is simultaneously faulty under the *independent marginals* (a
@@ -622,21 +621,11 @@ pub fn importance_sampling_reliability_par<M: ProtocolModel + ?Sized>(
 /// only decides engine preference; a correlated common-mode event that is not
 /// actually rare still yields a consistent importance-sampling estimate, just with
 /// less of an efficiency edge over plain sampling.
+///
+/// The estimate depends only on the model, the target and the seed, which is what
+/// lets the group scratch ([`crate::scratch`]) keep it per seed: a sweep pays for
+/// the pilot once per group instead of once per cell.
 pub fn naive_failure_estimate(
-    model: &dyn ProtocolModel,
-    scenario: Scenario<'_>,
-    budget: &Budget,
-) -> f64 {
-    let target = scenario.to_correlation_model();
-    naive_failure_estimate_with(model, &target, budget.seed)
-}
-
-/// [`naive_failure_estimate`] on an already-converted correlation model — shared
-/// with the query API ([`crate::query`]), which caches the pilot per
-/// (model, scenario, seed) group so a sweep pays for it once instead of per cell.
-/// The estimate depends only on the model, the target and the seed, so the cached
-/// value is exactly what the per-cell call would have computed.
-pub(crate) fn naive_failure_estimate_with(
     model: &dyn ProtocolModel,
     target: &CorrelationModel,
     seed: u64,
@@ -689,83 +678,67 @@ impl AnalysisEngine for ImportanceSamplingEngine {
         EngineChoice::ImportanceSampling
     }
 
-    fn name(&self) -> &'static str {
-        "importance-sampling"
-    }
-
-    fn supports(&self, model: &dyn ProtocolModel, scenario: Scenario<'_>, budget: &Budget) -> bool {
-        // A zero threshold can never be undercut; bail before paying for the pilot,
-        // so disabling the engine is free.
-        budget.rare_event_threshold > 0.0
-            && !scenario.is_empty()
-            && naive_failure_estimate(model, scenario, budget) < budget.rare_event_threshold
-    }
-
-    fn run(
+    fn supports_prepared(
         &self,
         model: &dyn ProtocolModel,
         scenario: Scenario<'_>,
         budget: &Budget,
+        scratch: &GroupScratch,
+    ) -> bool {
+        // A zero threshold can never be undercut; bail before paying for the pilot,
+        // so disabling the engine is free.
+        budget.rare_event_threshold > 0.0
+            && !scenario.is_empty()
+            && scratch.pilot_estimate(budget.seed, || {
+                naive_failure_estimate(model, scratch.target(scenario), budget.seed)
+            }) < budget.rare_event_threshold
+    }
+
+    /// The weighted main run from the group's proposal — the pinned uniform tilt
+    /// when one is set, the adaptive pilot otherwise; learned at most once per
+    /// (seed, tilt) — with the one-shot ESS escalation.
+    fn run_prepared(
+        &self,
+        model: &dyn ProtocolModel,
+        scenario: Scenario<'_>,
+        budget: &Budget,
+        scratch: &GroupScratch,
     ) -> AnalysisOutcome {
-        let target = scenario.to_correlation_model();
-        let proposal = select_proposal(model, &target, budget);
-        run_importance_sampling(model, &target, &proposal, budget)
-    }
-}
-
-/// The proposal the importance-sampling engine samples from for this budget: the
-/// pinned uniform tilt when one is set, the adaptive pilot otherwise. Split out of
-/// [`ImportanceSamplingEngine::run`] so the query API ([`crate::query`]) can cache
-/// the (deterministic, seed-keyed) pilot result per cell group.
-pub(crate) fn select_proposal(
-    model: &dyn ProtocolModel,
-    target: &CorrelationModel,
-    budget: &Budget,
-) -> Proposal {
-    if budget.rare_event_tilt > 0.0 {
-        Proposal::uniform_tilt(target, budget.rare_event_tilt.max(1.0))
-    } else {
-        Proposal::adaptive(model, target, budget.seed)
-    }
-}
-
-/// The estimator half of [`ImportanceSamplingEngine::run`]: the weighted main run,
-/// the one-shot ESS escalation, and the outcome wrapping. Shared verbatim with the
-/// query API so a planned cell is bit-identical to the engine's own run.
-pub(crate) fn run_importance_sampling(
-    model: &dyn ProtocolModel,
-    target: &CorrelationModel,
-    proposal: &Proposal,
-    budget: &Budget,
-) -> AnalysisOutcome {
-    let mut report = importance_sampling_reliability_par(
-        model,
-        target,
-        proposal,
-        budget.monte_carlo_samples,
-        budget.seed,
-    );
-    // One escalation: if the weights collapsed below the ESS floor, spend a
-    // doubled sample budget (fresh stream) before reporting.
-    if !report.meets_min_ess(budget.min_effective_samples) {
-        report = importance_sampling_reliability_par(
+        let target = scratch.target(scenario);
+        let proposal = scratch.proposal(budget.seed, budget.rare_event_tilt, || {
+            if budget.rare_event_tilt > 0.0 {
+                Proposal::uniform_tilt(target, budget.rare_event_tilt.max(1.0))
+            } else {
+                Proposal::adaptive(model, target, budget.seed)
+            }
+        });
+        let mut report = importance_sampling_reliability_par(
             model,
             target,
-            proposal,
-            budget.monte_carlo_samples.max(1) * 2,
-            budget.seed ^ 0x9E37_79B9_7F4A_7C15,
+            &proposal,
+            budget.monte_carlo_samples,
+            budget.seed,
         );
-    }
-    AnalysisOutcome {
-        report: ReliabilityReport::from_raw(RawReliability {
-            p_safe: report.safe.value,
-            p_live: report.live.value,
-            p_safe_and_live: report.safe_and_live.value,
-        }),
-        engine: EngineChoice::ImportanceSampling,
-        monte_carlo: None,
-        rare_event: Some(report),
-        simulation: None,
+        // One escalation: if the weights collapsed below the ESS floor, spend a
+        // doubled sample budget (fresh stream) before reporting.
+        if !report.meets_min_ess(budget.min_effective_samples) {
+            report = importance_sampling_reliability_par(
+                model,
+                target,
+                &proposal,
+                budget.monte_carlo_samples.max(1) * 2,
+                budget.seed ^ 0x9E37_79B9_7F4A_7C15,
+            );
+        }
+        AnalysisOutcome {
+            rare_event: Some(report),
+            ..AnalysisOutcome::new(
+                EngineChoice::ImportanceSampling,
+                report.safe.value,
+                report.live.value,
+                report.safe_and_live.value,
+            )
+        }
     }
 }
 
@@ -958,12 +931,8 @@ mod tests {
     #[test]
     fn selector_estimate_uses_pilot_for_common_failures() {
         let model = RaftModel::standard(3);
-        let deployment = Deployment::uniform_crash(3, 0.25);
-        let estimate = naive_failure_estimate(
-            &model,
-            Scenario::Independent(&deployment),
-            &Budget::default(),
-        );
+        let estimate =
+            naive_failure_estimate(&model, &crash_model(3, 0.25), Budget::default().seed);
         // Unlive ≈ 0.16: the pilot sees plenty of hits.
         assert!(estimate > 0.05, "got {estimate}");
     }
@@ -971,12 +940,8 @@ mod tests {
     #[test]
     fn selector_estimate_falls_back_to_analytic_proxy_in_the_tail() {
         let model = PersistenceQuorumModel::new(40, (0..8).collect());
-        let deployment = Deployment::uniform_crash(40, 0.05);
-        let estimate = naive_failure_estimate(
-            &model,
-            Scenario::Independent(&deployment),
-            &Budget::default(),
-        );
+        let estimate =
+            naive_failure_estimate(&model, &crash_model(40, 0.05), Budget::default().seed);
         // P[loss] ≈ 4e-11; the pilot sees nothing and the majority proxy takes over.
         assert!(estimate < 1e-6, "got {estimate}");
     }

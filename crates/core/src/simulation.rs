@@ -62,13 +62,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
-use crate::analyzer::ReliabilityReport;
 use crate::engine::{
     AnalysisEngine, AnalysisOutcome, Budget, EngineChoice, FaultEnvironment, Scenario, SimBudget,
 };
-use crate::enumeration::RawReliability;
 use crate::montecarlo::Estimate;
 use crate::protocol::{ExecutableSpec, ProtocolModel};
+use crate::scratch::GroupScratch;
 
 /// Salt XOR-ed into the budget seed before deriving per-trial RNGs, so the
 /// simulation engine and the Monte Carlo samplers draw decorrelated streams from
@@ -318,38 +317,34 @@ impl AnalysisEngine for SimulationEngine {
         EngineChoice::Simulation
     }
 
-    fn name(&self) -> &'static str {
-        "simulation"
-    }
-
-    fn supports(
+    fn supports_prepared(
         &self,
         model: &dyn ProtocolModel,
         scenario: Scenario<'_>,
         _budget: &Budget,
+        _scratch: &GroupScratch,
     ) -> bool {
         model
             .executable()
             .is_some_and(|spec| spec.num_nodes() == scenario.len())
     }
 
-    fn run(
+    fn run_prepared(
         &self,
         model: &dyn ProtocolModel,
         scenario: Scenario<'_>,
         budget: &Budget,
+        _scratch: &GroupScratch,
     ) -> AnalysisOutcome {
         let report = simulate_reliability(model, scenario, budget);
         AnalysisOutcome {
-            report: ReliabilityReport::from_raw(RawReliability {
-                p_safe: report.safe.value,
-                p_live: report.live.value,
-                p_safe_and_live: report.safe_and_live.value,
-            }),
-            engine: EngineChoice::Simulation,
-            monte_carlo: None,
-            rare_event: None,
             simulation: Some(report),
+            ..AnalysisOutcome::new(
+                EngineChoice::Simulation,
+                report.safe.value,
+                report.live.value,
+                report.safe_and_live.value,
+            )
         }
     }
 }

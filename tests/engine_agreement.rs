@@ -13,10 +13,13 @@ use prob_consensus::engine::{
     AnalysisEngine, Budget, CountingEngine, EngineChoice, EnumerationEngine,
     ImportanceSamplingEngine, MonteCarloEngine, Scenario,
 };
-use prob_consensus::montecarlo::{monte_carlo_reliability_par, McKernel, MC_CHUNK_SIZE};
+use prob_consensus::montecarlo::{monte_carlo_reliability_par_kernel, McKernel, MC_CHUNK_SIZE};
+use prob_consensus::packed::PackedKernel;
 use prob_consensus::pbft_model::PbftModel;
-use prob_consensus::protocol::ProtocolModel;
+use prob_consensus::protocol::{CountingModel, ProtocolModel};
 use prob_consensus::raft_model::RaftModel;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Seed of the fixed-seed sampling assertions below. Like any fixed-seed 95%
 /// confidence interval, an unlucky seed can put the exact answer just outside one
@@ -248,11 +251,12 @@ fn packed_kernel_handles_ragged_sample_counts() {
     }
 }
 
-/// Pass-width bit-identity for the packed path, through the engine layer: the
-/// positional counter-based RNG keys every lane's draw on its absolute sample
-/// index, so the kernel's answer is independent of how many 64-lane words each
-/// pass packs (W = 1, 4, 8 — 64, 256, 512 lanes). Covers both the crash-only
-/// threshold plan and the mixed-mode LUT plan, with a ragged tail.
+/// Pass-width bit-identity for the packed path, on the compiled kernel (the pass
+/// width is a parameter of `PackedKernel::sample_chunk` only; engine runs always
+/// use the widest): the positional counter-based RNG keys every lane's draw on
+/// its absolute sample index, so the kernel's answer is independent of how many
+/// 64-lane words each pass packs (W = 1, 4, 8 — 64, 256, 512 lanes). Covers both
+/// the crash-only threshold plan and the mixed-mode LUT plan, with a ragged tail.
 #[test]
 fn packed_kernel_is_bit_identical_across_pass_widths() {
     let raft = RaftModel::standard(9);
@@ -261,24 +265,23 @@ fn packed_kernel_is_bit_identical_across_pass_widths() {
     let mixed = Deployment::uniform_mixed(7, 0.05, 0.01);
     let samples = 2 * MC_CHUNK_SIZE + 99;
     for (model, deployment) in [
-        (&raft as &dyn ProtocolModel, &crash),
-        (&pbft as &dyn ProtocolModel, &mixed),
+        (&raft as &dyn CountingModel, &crash),
+        (&pbft as &dyn CountingModel, &mixed),
     ] {
-        let scenario = Scenario::Independent(deployment);
-        let base = Budget::default()
-            .with_samples(samples)
-            .with_seed(GRID_SEED)
-            .with_mc_kernel(McKernel::Packed);
-        let reference = MonteCarloEngine.run(model, scenario, &base.with_mc_lane_words(1));
+        let kernel = PackedKernel::new(
+            model,
+            &CorrelationModel::independent(deployment.profiles().to_vec()),
+        );
+        let at_width =
+            |w: usize| kernel.sample_chunk(&mut StdRng::seed_from_u64(GRID_SEED), samples, w);
+        let reference = at_width(1);
         for lane_words in [4usize, 8] {
-            let wide = MonteCarloEngine.run(model, scenario, &base.with_mc_lane_words(lane_words));
             assert_eq!(
-                wide.monte_carlo,
-                reference.monte_carlo,
+                at_width(lane_words),
+                reference,
                 "{}: W={lane_words} diverged from W=1",
                 model.name()
             );
-            assert_eq!(wide.report, reference.report);
         }
     }
 }
@@ -327,16 +330,17 @@ fn parallel_monte_carlo_is_bit_identical_across_thread_counts() {
     .with_group(CorrelationGroup::crash_shock(vec![3, 4, 5, 6], 0.01));
     // Straddle several chunk boundaries, including a ragged tail.
     let samples = 50_000;
-    let reference = monte_carlo_reliability_par(&model, &failure_model, samples, 77);
+    let sample =
+        || monte_carlo_reliability_par_kernel(&model, &failure_model, samples, 77, McKernel::Auto);
+    let reference = sample();
     for threads in [1usize, 2, 4, 7, 16] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("pool builds");
-        let report =
-            pool.install(|| monte_carlo_reliability_par(&model, &failure_model, samples, 77));
         assert_eq!(
-            report, reference,
+            pool.install(sample),
+            reference,
             "parallel MC diverged at {threads} threads"
         );
     }
@@ -398,12 +402,9 @@ fn importance_sampling_reaches_tail_probabilities_plain_sampling_cannot() {
     let model = PersistenceQuorumModel::new(60, (0..5).collect());
     let budget = Budget::default().with_samples(60_000).with_seed(9);
     let scenario = Scenario::Independent(&deployment);
-    assert_eq!(
-        prob_consensus::analyzer::chosen_engine(&model, scenario, &budget),
-        EngineChoice::ImportanceSampling
-    );
     let outcome = prob_consensus::analyzer::analyze_scenario(&model, scenario, &budget)
         .expect("well-formed scenario");
+    assert_eq!(outcome.engine, EngineChoice::ImportanceSampling);
     let report = outcome.rare_event.expect("weighted estimate attached");
     let truth = 1.0 - 0.05f64.powi(5); // P[loss] ≈ 3.1e-7
     assert!(
