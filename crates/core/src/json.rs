@@ -11,13 +11,20 @@
 //!   identical bits — probabilities in a report survive a JSON round trip exactly.
 //! * **Non-finite policy.** JSON has no `NaN`/`Infinity` literal; [`JsonValue::number`]
 //!   maps them to `null`, and the writer refuses to invent non-standard tokens.
-//! * **Parser for tests.** [`JsonValue::parse`] is a strict recursive-descent parser
+//! * **Parser.** [`JsonValue::parse`] is a strict recursive-descent parser
 //!   (objects, arrays, strings with escapes, numbers, literals) used by the
-//!   round-trip tests; it is not a streaming parser and is not meant for untrusted
-//!   multi-megabyte inputs.
+//!   round-trip tests and by the service's request lines. It is not a streaming
+//!   parser; nesting is bounded by [`MAX_NESTING_DEPTH`], so its recursion
+//!   cannot be driven off the stack by the input.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
+/// recurses once per level and a stack overflow aborts the process (it cannot
+/// be caught), so the bound has to hold before the stack does. Requests and
+/// reports nest fewer than ten levels.
+pub const MAX_NESTING_DEPTH: usize = 128;
 
 /// A JSON value. Object keys keep insertion order (reports render columns in a
 /// stable order); [`JsonValue::get`] is a linear scan, fine at report sizes.
@@ -102,6 +109,7 @@ impl JsonValue {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_whitespace();
         let value = parser.value()?;
@@ -127,10 +135,7 @@ impl JsonValue {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Number(v) => {
-                debug_assert!(v.is_finite(), "JsonValue::Number holds finite values");
-                out.push_str(&format!("{v}"));
-            }
+            JsonValue::Number(v) => write_number(out, *v),
             JsonValue::String(s) => write_escaped(out, s),
             JsonValue::Array(items) => {
                 out.push('[');
@@ -161,12 +166,7 @@ impl JsonValue {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Number(v) => {
-                debug_assert!(v.is_finite(), "JsonValue::Number holds finite values");
-                // Rust's Display for f64 is the shortest representation that parses
-                // back to the same bits — exactly the round-trip contract.
-                out.push_str(&format!("{v}"));
-            }
+            JsonValue::Number(v) => write_number(out, *v),
             JsonValue::String(s) => write_escaped(out, s),
             JsonValue::Array(items) => {
                 if items.is_empty() {
@@ -226,6 +226,13 @@ fn push_indent(out: &mut String, indent: usize) {
     }
 }
 
+fn write_number(out: &mut String, v: f64) {
+    debug_assert!(v.is_finite(), "JsonValue::Number holds finite values");
+    // Rust's Display for f64 is the shortest representation that parses back
+    // to the same bits — exactly the round-trip contract.
+    write!(out, "{v}").expect("writing to a String cannot fail");
+}
+
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -235,7 +242,9 @@ fn write_escaped(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
+            }
             c => out.push(c),
         }
     }
@@ -262,6 +271,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -306,11 +317,24 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_NESTING_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_NESTING_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<JsonValue, JsonError> {
@@ -625,6 +649,20 @@ mod tests {
             "\"\\q\"",
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded_before_the_stack_is() {
+        for (open, innermost, close) in [("[", "", "]"), ("{\"k\":", "1", "}")] {
+            let doc =
+                |depth: usize| format!("{}{innermost}{}", open.repeat(depth), close.repeat(depth));
+            assert!(JsonValue::parse(&doc(MAX_NESTING_DEPTH)).is_ok());
+            let err = JsonValue::parse(&doc(MAX_NESTING_DEPTH + 1))
+                .expect_err("one level past the limit");
+            assert!(err.message.contains("nesting"), "{err}");
+            // Unclosed and far past any stack: an error, not an abort.
+            assert!(JsonValue::parse(&open.repeat(500_000)).is_err());
         }
     }
 

@@ -64,17 +64,36 @@
 //! before the final event is written. Malformed lines and failed plans produce
 //! an `error` event and never take the server down.
 //!
+//! # Output path
+//!
+//! Producers never touch a socket. Each connection has one [`Outbox`]: an event
+//! is rendered as one compact line and appended to its buffer under its lock,
+//! and one writer thread per TCP / stdio connection swaps the buffer out and
+//! writes whatever accumulated in a single call. The batching window is the
+//! writer's wake-up plus its previous write — no timer, no size threshold — so
+//! the first event of a long sweep leaves as soon as it exists, and the events
+//! of a fast response leave together. TCP streams run with `TCP_NODELAY`: a
+//! response is small writes followed by a read, the pattern on which Nagle's
+//! algorithm waits for the peer's delayed ACK (measured: 44 ms per request).
+//! A peer that stops reading is cut off, not waited for: past
+//! [`TCP_WRITE_TIMEOUT`] without progress, or [`MAX_OUTBOX_BYTES`] queued, the
+//! connection is declared dead, its socket shut down and its further events
+//! dropped. The `stats` event's `wire` object counts events, writes and bytes
+//! handed to peers.
+//!
 //! The streamed cell records are produced by the same execution path as the
 //! one-shot CLI (`QueryPlan::execute_streaming`), so a streamed report
 //! re-assembled by index is byte-identical to a one-shot run of the same query
 //! (modulo the measured `wall_ns` fields).
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use fault_model::markov::RepairableGroup;
 use fault_model::mode::FaultProfile;
@@ -92,18 +111,153 @@ use prob_consensus::query::{
     StreamSink, TimeAxis, TrajectoryRecord,
 };
 
-/// The output side of a connection: every event line is rendered compact,
-/// newline-terminated, and written + flushed under the lock, so concurrent
-/// plans never interleave *within* a line.
-pub type SharedWriter = Arc<Mutex<dyn Write + Send>>;
+/// Upper bound on the bytes a connection may have queued for a peer that is
+/// not taking them. A peer this far behind has stopped reading; holding more
+/// for it would let one connection exhaust server memory. The check runs
+/// before an event is appended, so one event of any size passes an empty
+/// outbox.
+pub const MAX_OUTBOX_BYTES: usize = 16 << 20;
 
-fn emit(writer: &SharedWriter, value: &JsonValue) {
+/// Per-connection write timeout for TCP connections: how long one socket
+/// write may make no progress (the peer's window closed, its application not
+/// reading) before the connection is given up. Without it the writer thread of
+/// a wedged peer, and the connection thread joining it, would never end.
+pub const TCP_WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The output side of one connection. `emit` renders each event as one
+/// compact, newline-terminated line and appends it to the buffer under the
+/// lock, so concurrent plans never interleave *within* a line and no producer
+/// ever touches the socket. A front end with a peer runs [`Outbox::drain`] on
+/// a writer thread, which swaps the buffer out and hands the peer everything
+/// that accumulated in one write; an in-memory exchange just takes the buffer.
+pub struct Outbox {
+    state: Mutex<OutboxState>,
+    /// Signalled when the buffer stops being empty, and on close.
+    ready: Condvar,
+    limit: usize,
+    /// The peer's socket, kept only to shut it down when the connection dies,
+    /// which ends both the writer's blocked write and the reader loop.
+    peer: Option<TcpStream>,
+}
+
+#[derive(Default)]
+struct OutboxState {
+    buf: String,
+    /// Events rendered into `buf`.
+    events: u64,
+    /// No further events will come; the writer drains `buf` and returns.
+    closed: bool,
+    /// The peer is gone or stopped reading. A dead peer is not a server
+    /// error: its events are dropped and the server keeps serving.
+    dead: bool,
+}
+
+impl Outbox {
+    /// An outbox that declares its peer dead once more than `limit` bytes wait
+    /// in it, shutting `peer` down when it does.
+    pub fn new(limit: usize, peer: Option<TcpStream>) -> Self {
+        Self {
+            state: Mutex::new(OutboxState::default()),
+            ready: Condvar::new(),
+            limit,
+            peer,
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, OutboxState> {
+        self.state.lock().expect("outbox lock")
+    }
+
+    fn kill(&self, state: &mut OutboxState) {
+        state.dead = true;
+        state.buf = String::new();
+        if let Some(peer) = &self.peer {
+            let _ = peer.shutdown(Shutdown::Both);
+        }
+    }
+
+    /// Whether the peer was declared dead (write failure, write timeout, or
+    /// more than the limit queued).
+    pub fn is_dead(&self) -> bool {
+        self.lock().dead
+    }
+
+    /// No further events will be emitted: lets [`Outbox::drain`] return once
+    /// the buffer is written out.
+    pub fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_one();
+    }
+
+    /// Takes everything emitted and not yet drained.
+    pub fn take(&self) -> String {
+        std::mem::take(&mut self.lock().buf)
+    }
+
+    /// The writer loop: waits for events, swaps the buffer out and writes it
+    /// to `sink` in one call, counting it in the server's `wire` totals first
+    /// (so a peer that has read an event finds it counted). Whatever was
+    /// emitted while the previous write was in the kernel leaves with the next
+    /// one; there is no timer and no size threshold. Returns after
+    /// [`Outbox::close`] with the buffer written out, or with the error that
+    /// killed the connection.
+    pub fn drain(&self, server: &Server, mut sink: impl Write) -> std::io::Result<()> {
+        let mut batch = String::new();
+        loop {
+            let events = {
+                let mut state = self.lock();
+                while state.buf.is_empty() && !state.closed && !state.dead {
+                    state = self.ready.wait(state).expect("outbox lock");
+                }
+                if state.dead {
+                    return Err(std::io::Error::other(format!(
+                        "peer left more than {} bytes unread",
+                        self.limit
+                    )));
+                }
+                if state.buf.is_empty() {
+                    return Ok(());
+                }
+                std::mem::swap(&mut state.buf, &mut batch);
+                std::mem::take(&mut state.events)
+            };
+            {
+                let mut stats = server.stats.lock().expect("stats lock");
+                stats.wire.events += events;
+                stats.wire.writes += 1;
+                stats.wire.bytes_out += batch.len() as u64;
+            }
+            if let Err(err) = sink.write_all(batch.as_bytes()).and_then(|()| sink.flush()) {
+                self.kill(&mut self.lock());
+                return Err(err);
+            }
+            batch.clear();
+        }
+    }
+}
+
+fn emit(outbox: &Outbox, value: &JsonValue) {
+    // Rendered before the lock is taken: plans of one connection emit from
+    // several workers at once, and the lock is held for one append.
     let mut line = value.to_compact_string();
     line.push('\n');
-    let mut w = writer.lock().expect("writer lock");
-    // A dead peer is not a server error: drop the event and keep serving.
-    let _ = w.write_all(line.as_bytes());
-    let _ = w.flush();
+    let mut state = outbox.lock();
+    if state.dead {
+        return;
+    }
+    if state.buf.len() > outbox.limit {
+        outbox.kill(&mut state);
+        return;
+    }
+    // The writer waits only on an empty buffer, so only the event that ends
+    // the emptiness has anyone to wake.
+    let wake = state.buf.is_empty();
+    state.buf.push_str(&line);
+    state.events += 1;
+    drop(state);
+    if wake {
+        outbox.ready.notify_one();
+    }
 }
 
 fn event(id: &JsonValue, kind: &str, rest: Vec<(String, JsonValue)>) -> JsonValue {
@@ -770,6 +924,20 @@ pub struct ServerStats {
     pub posterior_draws: u64,
     /// Deployment-optimizer searches that ran to completion.
     pub optimizations_completed: u64,
+    /// What the writer threads handed to peers, summed over connections.
+    pub wire: WireStats,
+}
+
+/// Output-path totals: `events / writes` is how many event lines left per
+/// socket write (in-memory exchanges have no peer and count nothing here).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WireStats {
+    /// Event lines handed to peers.
+    pub events: u64,
+    /// Writes that carried them.
+    pub writes: u64,
+    /// Bytes handed to peers.
+    pub bytes_out: u64,
 }
 
 /// The service: one shared [`AnalysisSession`] (scratch cache + worker pool)
@@ -796,11 +964,11 @@ enum Action {
 }
 
 /// The streaming sink of one in-flight query: every completed record becomes
-/// one NDJSON event on the shared writer the moment it is final.
+/// one NDJSON event in the connection's outbox the moment it is final.
 struct NdjsonSink {
     id: JsonValue,
     metrics: Metrics,
-    writer: SharedWriter,
+    writer: Arc<Outbox>,
 }
 
 impl StreamSink for NdjsonSink {
@@ -909,6 +1077,23 @@ impl Server {
                         ),
                     ]),
                 ),
+                (
+                    "wire".to_string(),
+                    JsonValue::Object(vec![
+                        (
+                            "events".to_string(),
+                            JsonValue::number(stats.wire.events as f64),
+                        ),
+                        (
+                            "writes".to_string(),
+                            JsonValue::number(stats.wire.writes as f64),
+                        ),
+                        (
+                            "bytes_out".to_string(),
+                            JsonValue::number(stats.wire.bytes_out as f64),
+                        ),
+                    ]),
+                ),
             ],
         )
     }
@@ -917,7 +1102,7 @@ impl Server {
 /// Handles one request line: plans and submits queries (returning the
 /// [`rayon::TaskSet`] handle so the connection can drain it), answers
 /// `stats` inline, and turns every failure into an `error` event.
-fn handle_line(server: &Arc<Server>, line: &str, writer: &SharedWriter) -> Action {
+fn handle_line(server: &Arc<Server>, line: &str, writer: &Arc<Outbox>) -> Action {
     let request = match JsonValue::parse(line) {
         Ok(v) => v,
         Err(err) => {
@@ -1179,21 +1364,25 @@ fn read_request_line(
 /// bounded by [`MAX_REQUEST_LINE_BYTES`], and a read timeout on the underlying
 /// stream (see [`TCP_READ_TIMEOUT`]) is treated as a protocol event, not an IO
 /// failure — both emit an `error` event, drain in-flight queries, and close the
-/// connection cleanly.
+/// connection cleanly. A connection whose outbox was declared dead stops
+/// taking requests: nobody is left to read their answers.
+///
+/// Events land in `writer`; the caller either runs [`Outbox::drain`] beside
+/// this function and calls [`Outbox::close`] after it, or takes the buffer.
 pub fn serve_connection(
     server: &Arc<Server>,
     mut reader: impl BufRead,
-    writer: SharedWriter,
+    writer: &Arc<Outbox>,
 ) -> std::io::Result<bool> {
     let mut in_flight: Vec<rayon::TaskSet> = Vec::new();
     let mut shutdown_id = None;
     let mut buf = Vec::new();
-    loop {
+    while !writer.is_dead() {
         match read_request_line(&mut reader, &mut buf) {
             Ok(None) => break,
             Ok(Some(Err(()))) => {
                 emit(
-                    &writer,
+                    writer,
                     &error_event(
                         &JsonValue::Null,
                         format!(
@@ -1212,7 +1401,7 @@ pub fn serve_connection(
                 ) =>
             {
                 emit(
-                    &writer,
+                    writer,
                     &error_event(&JsonValue::Null, "read timed out; closing connection"),
                 );
                 break;
@@ -1221,7 +1410,7 @@ pub fn serve_connection(
         }
         let Ok(line) = std::str::from_utf8(&buf) else {
             emit(
-                &writer,
+                writer,
                 &error_event(
                     &JsonValue::Null,
                     "request line is not UTF-8; closing connection",
@@ -1232,7 +1421,7 @@ pub fn serve_connection(
         if line.trim().is_empty() {
             continue;
         }
-        match handle_line(server, line, &writer) {
+        match handle_line(server, line, writer) {
             Action::Handled => {}
             Action::Spawned(set) => {
                 // Opportunistically shed finished handles so a long-lived
@@ -1253,19 +1442,44 @@ pub fn serve_connection(
     }
     match shutdown_id {
         Some(id) => {
-            emit(&writer, &event(&id, "shutdown", Vec::new()));
+            emit(writer, &event(&id, "shutdown", Vec::new()));
             Ok(true)
         }
         None => Ok(false),
     }
 }
 
+/// Serves one connection that has a peer: `reader` feeds
+/// [`serve_connection`] on this thread while a writer thread drains `outbox`
+/// into `sink`. Returns what the connection asked for and how its output side
+/// ended.
+fn serve_with_writer(
+    server: &Arc<Server>,
+    reader: impl BufRead,
+    sink: impl Write + Send,
+    outbox: Outbox,
+) -> (std::io::Result<bool>, std::io::Result<()>) {
+    let outbox = Arc::new(outbox);
+    std::thread::scope(|scope| {
+        let writer = scope.spawn(|| outbox.drain(server, sink));
+        let served = serve_connection(server, reader, &outbox);
+        outbox.close();
+        (served, writer.join().expect("the writer thread panicked"))
+    })
+}
+
 /// `repro serve`: the stdio front end — NDJSON requests on stdin, events on
-/// stdout. Returns after EOF or a `shutdown` request, with all work drained.
+/// stdout. Returns after EOF or a `shutdown` request, with all work drained
+/// and written; a stdout that failed or stopped being read is an error.
 pub fn serve_stdio(server: &Arc<Server>) -> std::io::Result<()> {
-    let stdin = std::io::stdin();
-    let writer: SharedWriter = Arc::new(Mutex::new(std::io::stdout()));
-    serve_connection(server, stdin.lock(), writer).map(|_| ())
+    let (served, written) = serve_with_writer(
+        server,
+        std::io::stdin().lock(),
+        std::io::stdout(),
+        Outbox::new(MAX_OUTBOX_BYTES, None),
+    );
+    served?;
+    written
 }
 
 /// `repro serve --tcp ADDR`: the TCP front end. Every connection speaks the
@@ -1274,29 +1488,41 @@ pub fn serve_stdio(server: &Arc<Server>) -> std::io::Result<()> {
 /// the remaining connections to finish.
 pub fn serve_tcp(server: &Arc<Server>, addr: impl ToSocketAddrs) -> std::io::Result<()> {
     let listener = TcpListener::bind(addr)?;
-    // Polling accept: a blocking accept could not observe a shutdown requested
-    // on an already-open connection.
-    listener.set_nonblocking(true)?;
     eprintln!("repro serve: listening on {}", listener.local_addr()?);
+    serve_listener(server, listener)
+}
+
+fn serve_listener(server: &Arc<Server>, listener: TcpListener) -> std::io::Result<()> {
+    // Where a connection thread reaches this listener to wake it: accept
+    // blocks, and cannot otherwise observe a shutdown requested on an
+    // already-open connection.
+    let local = listener.local_addr()?;
+    let wake = SocketAddr::new(
+        match local.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(ip) if ip.is_unspecified() => Ipv6Addr::LOCALHOST.into(),
+            ip => ip,
+        },
+        local.port(),
+    );
     let stop = Arc::new(AtomicBool::new(false));
-    let mut connections = Vec::new();
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let server = Arc::clone(server);
-                let stop = Arc::clone(&stop);
-                connections.push(std::thread::spawn(move || {
-                    if let Ok(true) = handle_tcp_connection(&server, stream) {
-                        stop.store(true, Ordering::Release);
-                    }
-                }));
-            }
-            Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
-                connections.retain(|c| !c.is_finished());
-                std::thread::sleep(std::time::Duration::from_millis(25));
-            }
-            Err(err) => return Err(err),
+    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    loop {
+        let (stream, _peer) = listener.accept()?;
+        if stop.load(Ordering::Acquire) {
+            break;
         }
+        connections.retain(|c| !c.is_finished());
+        let server = Arc::clone(server);
+        let stop = Arc::clone(&stop);
+        connections.push(std::thread::spawn(move || {
+            if let Ok(true) = handle_tcp_connection(&server, stream) {
+                stop.store(true, Ordering::Release);
+                if let Err(err) = TcpStream::connect(wake) {
+                    eprintln!("repro serve: cannot wake the listener to stop it: {err}");
+                }
+            }
+        }));
     }
     for connection in connections {
         let _ = connection.join();
@@ -1305,12 +1531,17 @@ pub fn serve_tcp(server: &Arc<Server>, addr: impl ToSocketAddrs) -> std::io::Res
 }
 
 fn handle_tcp_connection(server: &Arc<Server>, stream: TcpStream) -> std::io::Result<bool> {
+    // Events are small writes answered by a read: with Nagle on, every write
+    // after a connection's first waits for the client's delayed ACK (~40 ms).
+    stream.set_nodelay(true)?;
     // A silent peer must not pin this connection thread forever; the timeout
     // surfaces in `serve_connection` as an `error` event plus a clean close.
     stream.set_read_timeout(Some(TCP_READ_TIMEOUT))?;
+    stream.set_write_timeout(Some(TCP_WRITE_TIMEOUT))?;
     let reader = BufReader::new(stream.try_clone()?);
-    let writer: SharedWriter = Arc::new(Mutex::new(stream));
-    serve_connection(server, reader, writer)
+    let outbox = Outbox::new(MAX_OUTBOX_BYTES, Some(stream.try_clone()?));
+    // How the output side ended is the peer's business, not a server error.
+    serve_with_writer(server, reader, stream, outbox).0
 }
 
 /// Runs one complete in-memory exchange against `server`: feeds `input` (one
@@ -1318,12 +1549,10 @@ fn handle_tcp_connection(server: &Arc<Server>, stream: TcpStream) -> std::io::Re
 /// NDJSON output. The backbone of the smoke tests and the `server-throughput`
 /// bench.
 pub fn run_exchange(server: &Arc<Server>, input: &str) -> String {
-    let out = Arc::new(Mutex::new(Vec::<u8>::new()));
-    let writer: SharedWriter = Arc::clone(&out) as SharedWriter;
-    serve_connection(server, std::io::Cursor::new(input.to_string()), writer)
+    let outbox = Arc::new(Outbox::new(usize::MAX, None));
+    serve_connection(server, input.as_bytes(), &outbox)
         .expect("in-memory exchange cannot fail on IO");
-    let bytes = out.lock().expect("output lock").clone();
-    String::from_utf8(bytes).expect("server output is UTF-8")
+    outbox.take()
 }
 
 #[cfg(test)]
@@ -1600,13 +1829,11 @@ mod tests {
             ),
             timed_out: false,
         });
-        let out = Arc::new(Mutex::new(Vec::<u8>::new()));
-        let writer: SharedWriter = Arc::clone(&out) as SharedWriter;
-        let shutdown =
-            serve_connection(&server, reader, writer).expect("a read timeout is not an IO failure");
+        let outbox = Arc::new(Outbox::new(usize::MAX, None));
+        let shutdown = serve_connection(&server, reader, &outbox)
+            .expect("a read timeout is not an IO failure");
         assert!(!shutdown);
-        let bytes = out.lock().expect("output lock").clone();
-        let output = String::from_utf8(bytes).expect("UTF-8 output");
+        let output = outbox.take();
         let events = events(&output);
         assert_eq!(events_for(&events, "q", "done").len(), 1, "{output}");
         let timeouts: Vec<_> = events
@@ -1710,8 +1937,126 @@ mod tests {
     }
 
     #[test]
+    fn over_deep_nesting_is_an_error_event_not_a_stack_overflow() {
+        // ROADMAP item 3's live crash: 500 000 brackets fit the 1 MiB line cap
+        // and used to recurse the parser off the stack, aborting the process.
+        let server = Arc::new(Server::new());
+        let input = format!(
+            "{{\"id\":1,\"op\":\"query\",\"query\":{}}}\n\
+             {{\"id\":2,\"op\":\"query\",\"query\":{}}}\n\
+             {{\"id\":\"ok\",\"op\":\"query\",\"query\":{{\"protocols\":[\"raft\"],\"nodes\":[3],\"fault_probs\":[0.01]}}}}\n",
+            "[".repeat(500_000),
+            "{\"a\":".repeat(150_000),
+        );
+        let output = run_exchange(&server, &input);
+        let events = events(&output);
+        let errors: Vec<_> = events
+            .iter()
+            .filter(|e| e.get("event").and_then(|v| v.as_str()) == Some("error"))
+            .collect();
+        assert_eq!(errors.len(), 2, "one error event per deep line: {output}");
+        for error in errors {
+            let message = error.get("message").unwrap().as_str().unwrap();
+            assert!(message.contains("nesting"), "{message}");
+        }
+        assert_eq!(events_for(&events, "ok", "done").len(), 1, "{output}");
+        assert_eq!(events.len(), 4, "{output}");
+    }
+
+    #[test]
+    fn outbox_over_its_limit_declares_the_peer_dead_and_drops_events() {
+        // No writer drains this outbox, as with a peer that stopped reading.
+        let outbox = Outbox::new(64, None);
+        let line = JsonValue::string("x".repeat(30));
+        for _ in 0..2 {
+            emit(&outbox, &line);
+            assert!(!outbox.is_dead());
+        }
+        // 66 bytes wait, over the limit: the next event finds the peer dead.
+        emit(&outbox, &line);
+        assert!(outbox.is_dead());
+        emit(&outbox, &line);
+        assert_eq!(outbox.take(), "");
+        // An empty outbox takes one event of any size.
+        let outbox = Outbox::new(64, None);
+        emit(&outbox, &JsonValue::string("x".repeat(1000)));
+        assert!(!outbox.is_dead());
+        assert_eq!(outbox.take().len(), 1003);
+    }
+
+    /// 2 protocols x 3 node counts x 5 fault probabilities: 30 exact cells,
+    /// 31 events and about 14 KB per response.
+    const GRID_QUERY: &str = r#"{"protocols":["raft","pbft"],"nodes":[4,7,10],"fault_probs":[0.001,0.01,0.02,0.05,0.1]}"#;
+
+    /// Tests in one process share the worker pool; the test that floods it and
+    /// the test that times exchanges on it take turns.
+    static POOL_TIMING: Mutex<()> = Mutex::new(());
+
+    /// [`serve_listener`] on an ephemeral loopback port, on its own thread.
+    /// The receiver yields its result once it returns.
+    fn spawn_tcp_server(
+        server: &Arc<Server>,
+    ) -> (SocketAddr, std::sync::mpsc::Receiver<std::io::Result<()>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+        let addr = listener.local_addr().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let server = Arc::clone(server);
+        std::thread::spawn(move || {
+            let _ = tx.send(serve_listener(&server, listener));
+        });
+        (addr, rx)
+    }
+
+    /// A plain client: a read timeout so a hung server fails the test, and no
+    /// `TCP_NODELAY` (the server's output path must not depend on the peer's).
+    fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(120)))
+            .unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        (stream, reader)
+    }
+
+    /// Sends one `query` request in one write (several would wait on this
+    /// side's own Nagle timer).
+    fn send_query(client: &mut TcpStream, id: &str, query: &str) {
+        let line = format!("{{\"id\":\"{id}\",\"op\":\"query\",\"query\":{query}}}\n");
+        client.write_all(line.as_bytes()).unwrap();
+    }
+
+    /// Reads event lines up to and including the first of kind `last`.
+    fn read_until(reader: &mut impl BufRead, last: &str) -> Vec<String> {
+        let mut lines = Vec::new();
+        loop {
+            let mut line = String::new();
+            let n = reader.read_line(&mut line).expect("the server answers");
+            assert!(n > 0, "connection closed before a '{last}' event");
+            let done = line.contains(&format!("\"event\":\"{last}\""));
+            lines.push(line);
+            if done {
+                return lines;
+            }
+        }
+    }
+
+    fn shut_down(
+        mut client: TcpStream,
+        mut reader: BufReader<TcpStream>,
+        served: std::sync::mpsc::Receiver<std::io::Result<()>>,
+    ) {
+        client
+            .write_all(b"{\"id\":\"bye\",\"op\":\"shutdown\"}\n")
+            .unwrap();
+        read_until(&mut reader, "shutdown");
+        served
+            .recv_timeout(Duration::from_secs(60))
+            .expect("serve_tcp returns after a shutdown request")
+            .expect("serve_tcp returns cleanly");
+    }
+
+    #[test]
     fn tcp_front_end_speaks_the_same_protocol() {
-        use std::io::{BufRead, BufReader, Write};
         let server = Arc::new(Server::new());
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
         let addr = listener.local_addr().unwrap();
@@ -1740,6 +2085,155 @@ mod tests {
             events.last().unwrap().get("event").unwrap().as_str(),
             Some("shutdown")
         );
+    }
+
+    #[test]
+    fn socket_exchanges_do_not_wait_for_a_delayed_ack() {
+        let _turn = POOL_TIMING.lock().unwrap_or_else(|e| e.into_inner());
+        let server = Arc::new(Server::new());
+        let (addr, served) = spawn_tcp_server(&server);
+        let (mut client, mut reader) = connect(addr);
+        // A response is several small writes followed by a read. With Nagle on
+        // and one segment per event, each exchange took a delayed ACK: 44 ms.
+        let mut times = Vec::new();
+        let (mut lines, mut bytes) = (0, 0);
+        for i in 0..40 {
+            let start = Instant::now();
+            send_query(&mut client, &format!("q{i}"), GRID_QUERY);
+            let response = read_until(&mut reader, "done");
+            times.push(start.elapsed());
+            assert_eq!(response.len(), 31);
+            lines += response.len();
+            bytes += response.iter().map(String::len).sum::<usize>();
+        }
+        times.sort();
+        assert!(
+            times[times.len() / 2] < Duration::from_millis(10),
+            "median exchange took {:?}",
+            times[times.len() / 2]
+        );
+        // The `wire` totals count what this client has read, and show the
+        // coalescing: fewer writes than events.
+        client
+            .write_all(b"{\"id\":\"s\",\"op\":\"stats\"}\n")
+            .unwrap();
+        let stats = JsonValue::parse(&read_until(&mut reader, "stats")[0]).unwrap();
+        let wire = |key: &str| {
+            stats
+                .get("wire")
+                .unwrap()
+                .get(key)
+                .unwrap()
+                .as_f64()
+                .unwrap()
+        };
+        assert_eq!(wire("events"), lines as f64);
+        assert_eq!(wire("bytes_out"), bytes as f64);
+        assert!(wire("writes") >= 40.0 && wire("writes") < wire("events"));
+        assert_eq!(server.stats().wire.events, lines as u64 + 1);
+        shut_down(client, reader, served);
+    }
+
+    #[test]
+    fn pipelined_queries_stream_whole_lines_and_finish_with_done() {
+        let server = Arc::new(Server::new());
+        let (addr, served) = spawn_tcp_server(&server);
+        let (mut client, mut reader) = connect(addr);
+        // Eight queries in one write: their plans run concurrently and their
+        // events interleave in the one outbox.
+        let mut input = String::new();
+        for i in 0..8 {
+            let query = if i % 2 == 0 { GRID_QUERY } else { MIXED_QUERY };
+            input.push_str(&format!(
+                "{{\"id\":\"p{i}\",\"op\":\"query\",\"query\":{query}}}\n"
+            ));
+        }
+        client.write_all(input.as_bytes()).unwrap();
+        let mut finished = std::collections::BTreeMap::new();
+        let mut records = std::collections::BTreeMap::new();
+        while finished.len() < 8 {
+            let mut line = String::new();
+            assert!(reader.read_line(&mut line).unwrap() > 0, "early close");
+            let event = JsonValue::parse(&line).expect("every line parses on its own");
+            let id = event.get("id").unwrap().as_str().unwrap().to_string();
+            match event.get("event").unwrap().as_str().unwrap() {
+                kind @ ("cell" | "trajectory") => {
+                    assert!(!finished.contains_key(&id), "{kind} of {id} after its done");
+                    *records.entry((id, kind == "cell")).or_insert(0usize) += 1;
+                }
+                "done" => {
+                    let count = |key: &str| event.get(key).unwrap().as_f64().unwrap() as usize;
+                    let previous = finished.insert(id, (count("cells"), count("trajectories")));
+                    assert!(previous.is_none(), "two done events for one id");
+                }
+                other => panic!("unexpected event '{other}': {line}"),
+            }
+        }
+        for (id, (cells, trajectories)) in finished {
+            assert_eq!(
+                records.get(&(id.clone(), true)).copied().unwrap_or(0),
+                cells
+            );
+            assert_eq!(
+                records.get(&(id, false)).copied().unwrap_or(0),
+                trajectories
+            );
+        }
+        shut_down(client, reader, served);
+    }
+
+    #[test]
+    fn shutdown_wakes_the_blocked_accept() {
+        let server = Arc::new(Server::new());
+        let (addr, served) = spawn_tcp_server(&server);
+        let (idle, _idle_reader) = connect(addr);
+        let (mut client, mut reader) = connect(addr);
+        client
+            .write_all(b"{\"id\":\"bye\",\"op\":\"shutdown\"}\n")
+            .unwrap();
+        read_until(&mut reader, "shutdown");
+        // Nobody connects again: only the connection's own wake-up can get the
+        // listener out of `accept`. It then waits for the idle connection.
+        drop(idle);
+        drop(_idle_reader);
+        served
+            .recv_timeout(Duration::from_secs(60))
+            .expect("serve_tcp returns with no further incoming connection")
+            .expect("serve_tcp returns cleanly");
+    }
+
+    #[test]
+    fn a_client_that_never_reads_is_cut_off_and_wedges_nobody() {
+        let _turn = POOL_TIMING.lock().unwrap_or_else(|e| e.into_inner());
+        let server = Arc::new(Server::new());
+        let (addr, served) = spawn_tcp_server(&server);
+        // One client pipelines grid queries and reads nothing. Once the socket
+        // buffers are full its writer thread blocks, its outbox fills to the
+        // bound, and the server shuts the connection: the writes start failing.
+        let flood = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            let line =
+                format!("{{\"id\":\"f\",\"op\":\"query\",\"query\":{GRID_QUERY}}}\n").repeat(50);
+            for sent in 0..2_000 {
+                if stream.write_all(line.as_bytes()).is_err() {
+                    return sent * 50;
+                }
+            }
+            panic!("100 000 unread responses and the server still takes requests");
+        });
+        // Meanwhile another connection is served: `stats` inline, a query on
+        // the pool the flood is queued on.
+        let (mut client, mut reader) = connect(addr);
+        client
+            .write_all(b"{\"id\":\"s\",\"op\":\"stats\"}\n")
+            .unwrap();
+        assert_eq!(read_until(&mut reader, "stats").len(), 1);
+        send_query(&mut client, "q", GRID_QUERY);
+        assert_eq!(read_until(&mut reader, "done").len(), 31);
+        let sent = flood.join().expect("the flooding client was cut off");
+        assert!(sent > 0);
+        // The flooded connection is gone: shutdown has nothing to wait for.
+        shut_down(client, reader, served);
     }
 
     #[test]
