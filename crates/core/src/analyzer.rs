@@ -123,8 +123,9 @@ pub enum AnalysisError {
     /// O(N³) counting engine. Placement-sensitive models stay steady-state-only.
     TrajectoryNotCounting,
     /// The query's [`TimeAxis`](crate::query::TimeAxis) is malformed (non-finite
-    /// or negative horizon, non-positive step or window, NaN target). The
-    /// constructor asserts these, but the axis fields are public — a
+    /// or negative horizon, non-positive step or window, NaN target) or longer
+    /// than [`MAX_TIME_POINTS`](crate::query::MAX_TIME_POINTS) sample times. The
+    /// constructor asserts the first kind, but the axis fields are public — a
     /// struct-literal axis with a zero step would otherwise make the trajectory
     /// sampler unbounded — so planning re-checks them.
     InvalidTimeAxis,
@@ -150,8 +151,9 @@ impl std::fmt::Display for AnalysisError {
             ),
             AnalysisError::InvalidTimeAxis => write!(
                 f,
-                "time axis must have a finite non-negative horizon and finite \
-                 positive step/window"
+                "time axis must have a finite non-negative horizon, finite \
+                 positive step/window, and at most {} sample times",
+                crate::query::MAX_TIME_POINTS
             ),
         }
     }

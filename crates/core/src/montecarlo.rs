@@ -30,9 +30,11 @@
 //! `packed_view`, the only place `McKernel` meets `as_counting()`) and compiled
 //! once, and from then on the sampler only answers `chunk(i)`, the hit counters of
 //! sample chunk `i`. A whole-cell run is the in-chunk-order fold of `chunk(i)`
-//! across the pool; the sweep scheduler ([`crate::query`]) runs the same `chunk(i)`
-//! as stealable work items and folds them itself, so the two drivers agree bit for
-//! bit by construction. [`monte_carlo_reliability_par_kernel`] is the one public
+//! across the pool; the sweep scheduler ([`crate::query`]) runs chunk `i` as a
+//! stealable work item for every sampler that draws it — samplers with equal
+//! `DrawKey`s draw it once, tallied per sampler by `chunk_shared`, whose one-sampler
+//! case *is* `chunk(i)` — and folds the tallies itself, so the two drivers agree
+//! bit for bit by construction. [`monte_carlo_reliability_par_kernel`] is the one public
 //! entry; the Monte Carlo engine prepares its sampler from the cell group's
 //! scratch ([`crate::scratch`]).
 //!
@@ -54,7 +56,7 @@ use rayon::prelude::*;
 
 use crate::engine::{Budget, Scenario};
 use crate::failure::FailureConfig;
-use crate::packed::{PackedKernel, MAX_LANE_WORDS};
+use crate::packed::{PackedDraw, PackedKernel, MAX_LANE_WORDS};
 use crate::protocol::{CountingModel, ProtocolModel};
 use crate::scratch::GroupScratch;
 
@@ -340,6 +342,26 @@ enum Kernel<'a, M: ?Sized> {
     Scalar(&'a M, &'a CorrelationModel),
 }
 
+/// What a sampler's chunks are drawn from. Samplers with equal keys draw the same
+/// scenarios in every chunk index whose length they share, so such a chunk can be
+/// drawn once for all of them ([`McSampler::chunk_shared`]).
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct DrawKey<'a> {
+    seed: u64,
+    source: DrawSource<'a>,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum DrawSource<'a> {
+    /// The packed kernel's draw half, compared by content: it reads only the
+    /// scenario, so the kernels of different models over one scenario draw alike.
+    Packed(&'a PackedDraw),
+    /// The scalar kernel's model and converted scenario, compared by identity: its
+    /// verdict runs inside the draw loop, so only one model over one scenario (one
+    /// cell group's scratch) draws — and tallies — one chunk.
+    Scalar(*const (), *const CorrelationModel),
+}
+
 /// One prepared Monte Carlo cell: kernel decided and compiled, sample budget
 /// saturated, ready to answer [`chunk`](McSampler::chunk) for any chunk index, in
 /// any order, on any thread. See the module docs.
@@ -399,16 +421,55 @@ impl<'a, M: ProtocolModel + ?Sized> McSampler<'a, M> {
         }
     }
 
+    /// What this sampler's chunks are drawn from; see [`DrawKey`].
+    pub(crate) fn draw_key(&self) -> DrawKey<'a> {
+        DrawKey {
+            seed: self.seed,
+            source: match self.kernel {
+                Kernel::Packed(kernel) => DrawSource::Packed(kernel.draw()),
+                Kernel::Scalar(model, failure_model) => {
+                    DrawSource::Scalar((model as *const M).cast(), failure_model)
+                }
+            },
+        }
+    }
+
     /// Draws and tallies chunk `index`: [`chunk_len`] scenarios from the chunk's own
     /// RNG. A pure function of (sampler, index).
     pub(crate) fn chunk(&self, index: usize) -> HitCounts {
-        let mut rng = chunk_rng(self.seed, index);
-        let count = chunk_len(self.samples, index);
-        match self.kernel {
-            // The widest pass is the fastest one, and the width never shows in the hits.
-            Kernel::Packed(kernel) => kernel.sample_chunk(&mut rng, count, MAX_LANE_WORDS),
+        Self::chunk_shared(std::slice::from_ref(self), index)[0]
+    }
+
+    /// Draws chunk `index` once and tallies it for every sampler in `samplers`:
+    /// element `k` is `samplers[k].chunk(index)`, bit for bit. The samplers must
+    /// share one [`DrawKey`] and give chunk `index` one length, so their draws
+    /// coincide and only their tallies can differ.
+    pub(crate) fn chunk_shared(samplers: &[Self], index: usize) -> Vec<HitCounts> {
+        let first = &samplers[0];
+        let count = chunk_len(first.samples, index);
+        debug_assert!(
+            samplers
+                .iter()
+                .all(|s| s.draw_key() == first.draw_key() && chunk_len(s.samples, index) == count),
+            "a shared chunk needs one draw key and one length"
+        );
+        let mut rng = chunk_rng(first.seed, index);
+        match first.kernel {
+            Kernel::Packed(_) => {
+                let kernels: Vec<&PackedKernel> = samplers
+                    .iter()
+                    .map(|sampler| match sampler.kernel {
+                        Kernel::Packed(kernel) => kernel,
+                        Kernel::Scalar(..) => unreachable!("one draw key, one kernel kind"),
+                    })
+                    .collect();
+                // The widest pass is the fastest one, and the width never shows in
+                // the hits.
+                PackedKernel::sample_chunk_shared(&kernels, &mut rng, count, MAX_LANE_WORDS)
+            }
+            // One scalar key is one model over one scenario: one tally serves all.
             Kernel::Scalar(model, failure_model) => {
-                sample_chunk(model, failure_model, count, &mut rng)
+                vec![sample_chunk(model, failure_model, count, &mut rng); samplers.len()]
             }
         }
     }

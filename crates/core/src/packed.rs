@@ -74,6 +74,17 @@
 //! both}` lookup table — still far cheaper than the scalar path, which re-scans the
 //! whole state vector per scenario.
 //!
+//! # Shared draws
+//!
+//! A kernel is two halves: the *draw* (`PackedDraw`: thresholds, correlation
+//! groups, position keys), which reads only the failure model, and the *hit plan*
+//! (`HitPlan`: the `count ≤ T` predicates or the lookup table), which reads only
+//! the protocol model. Two kernels with equal draw halves — Raft and PBFT over one
+//! scenario, say — draw the same lane masks from the same chunk RNG word, so
+//! `PackedKernel::sample_chunk_shared` computes a pass's masks and each block's
+//! vertical counters once and evaluates them under every distinct plan;
+//! [`PackedKernel::sample_chunk`] is the one-plan case.
+//!
 //! # Determinism
 //!
 //! The kernel runs under the same chunked `(seed, chunk index)` scheme as the scalar
@@ -116,7 +127,7 @@ pub const MAX_LANE_WORDS: usize = 8;
 
 /// A probability as an inclusive-exclusive bound on the 64-bit uniform lattice:
 /// `u < t` fires with probability `t / 2⁶⁴`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Bound {
     /// Probability 0: never fires.
     Never,
@@ -154,7 +165,7 @@ fn bound_state(bound: Bound) -> (u64, u64, u64) {
 
 /// The position key feeding bit position `j` (counting from the most significant
 /// comparison step) of draw row `row` — row-major SplitMix64 points, precomputed
-/// into [`PackedKernel::pos`] so the hot loop pays one load instead of a mix.
+/// into [`PackedDraw::pos`] so the hot loop pays one load instead of a mix.
 /// The `+ 1` keeps position `(0, 0)` off the finalizer's 0 → 0 fixed point.
 fn pos_key(row: usize, j: usize) -> u64 {
     mix64(((row * 64 + j) as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
@@ -352,8 +363,8 @@ const FLAG_SAFE: u8 = 1;
 const FLAG_LIVE: u8 = 2;
 const FLAG_BOTH: u8 = 4;
 
-/// How a block's per-lane hits are evaluated.
-#[derive(Debug, Clone)]
+/// How a block's per-lane hits are evaluated: the model half of a kernel.
+#[derive(Debug, Clone, PartialEq)]
 enum HitPlan {
     /// Crash-only deployment with monotone counting predicates: bit-sliced
     /// `count ≤ T` comparisons and popcounts, no per-lane work at all.
@@ -367,98 +378,26 @@ enum HitPlan {
     Lut { flags: Vec<u8> },
 }
 
-/// One correlation group, compiled for the packed kernel.
-#[derive(Debug, Clone)]
-struct PackedGroup {
-    shock: Bound,
-    mode: NodeState,
-    members: Vec<usize>,
-}
-
-/// A counting model + failure model pair compiled into bit-sliced form. Built once
-/// per run (outside the parallel loop) and shared read-only by every chunk.
-///
-/// Engine runs reach it through [`crate::montecarlo`], always at
-/// [`MAX_LANE_WORDS`]; it is public so the `packed-width` benchmarks and the
-/// cross-width bit-identity tests can drive [`sample_chunk`](Self::sample_chunk)
-/// at a pinned pass width.
-#[derive(Debug, Clone)]
-pub struct PackedKernel {
-    n: usize,
-    /// Per-node `(byzantine, fault)` thresholds.
-    thresholds: Vec<(Bound, Bound)>,
-    groups: Vec<PackedGroup>,
-    /// Position-key rows of the counter-based generator: one row per node, then one
-    /// per correlation group (seed-independent — see [`pos_key`]).
-    pos: Vec<[u64; 64]>,
-    /// No Byzantine mass anywhere: the Byzantine lane masks are identically zero and
-    /// their counter is skipped.
-    crash_only: bool,
-    plan: HitPlan,
-}
-
-impl PackedKernel {
-    /// Compiles `model` on `failure_model`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two disagree on the cluster size.
-    pub fn new<M: CountingModel + ?Sized>(model: &M, failure_model: &CorrelationModel) -> Self {
-        let n = failure_model.len();
-        assert_eq!(
-            model.num_nodes(),
-            n,
-            "model and failure model disagree on the cluster size"
-        );
-        let thresholds: Vec<(Bound, Bound)> = failure_model
-            .profiles()
-            .iter()
-            .map(|p| {
-                (
-                    fixed_point(p.byzantine_probability()),
-                    fixed_point(p.fault_probability()),
-                )
-            })
-            .collect();
-        let groups: Vec<PackedGroup> = failure_model
-            .groups()
-            .iter()
-            .map(|g| PackedGroup {
-                shock: fixed_point(g.shock_probability),
-                mode: g.shock_mode,
-                members: g.members.clone(),
-            })
-            .collect();
-        let pos = (0..n + groups.len())
-            .map(|row| std::array::from_fn(|j| pos_key(row, j)))
-            .collect();
-        let crash_only = thresholds.iter().all(|&(b, _)| b == Bound::Never)
-            && groups.iter().all(|g| g.mode != NodeState::Byzantine);
-        let plan = if crash_only {
+impl HitPlan {
+    /// The plan of `model` over a draw of `n` nodes: thresholds when the draw is
+    /// crash-only and every predicate is a monotone prefix of the fault count, the
+    /// lookup table otherwise.
+    fn new<M: CountingModel + ?Sized>(model: &M, n: usize, crash_only: bool) -> Self {
+        if crash_only {
             let probe = |f: &dyn Fn(usize) -> bool| (0..=n).map(f).collect::<Vec<bool>>();
             let safe = prefix_predicate(&probe(&|c| model.is_safe_counts(c, 0)));
             let live = prefix_predicate(&probe(&|c| model.is_live_counts(c, 0)));
             let both = prefix_predicate(&probe(&|c| model.is_safe_and_live_counts(c, 0)));
-            match (safe, live, both) {
-                (Some(safe), Some(live), Some(both)) => HitPlan::Thresholds { safe, live, both },
-                _ => Self::lut_plan(model, n),
+            if let (Some(safe), Some(live), Some(both)) = (safe, live, both) {
+                return HitPlan::Thresholds { safe, live, both };
             }
-        } else {
-            Self::lut_plan(model, n)
-        };
-        Self {
-            n,
-            thresholds,
-            groups,
-            pos,
-            crash_only,
-            plan,
         }
+        Self::lut(model, n)
     }
 
     /// Precomputes `(crashed, byzantine) → {safe, live, both}` for every reachable
     /// count pair.
-    fn lut_plan<M: CountingModel + ?Sized>(model: &M, n: usize) -> HitPlan {
+    fn lut<M: CountingModel + ?Sized>(model: &M, n: usize) -> Self {
         let stride = n + 1;
         let mut flags = vec![0u8; stride * stride];
         for c in 0..=n {
@@ -479,43 +418,202 @@ impl PackedKernel {
         HitPlan::Lut { flags }
     }
 
-    /// Draws and tallies `count` scenarios, up to `64 · lane_words` per pass: each
-    /// pass runs `lane_words` 64-lane blocks in lockstep (the final pass ragged —
-    /// fewer blocks, and surplus lanes of the last block masked out of the tallies).
-    ///
-    /// `rng` is the chunk RNG of the `(seed, chunk)` determinism scheme; it
-    /// contributes exactly one word, from which every block's position-addressed
-    /// words are derived by in-chunk block index — see the module docs for why this
-    /// makes the result independent of `lane_words`, the thread count, and the
-    /// portable-vs-SIMD choice.
-    pub fn sample_chunk<R: RngCore + ?Sized>(
+    /// One 64-lane block's `{safe, live, both}` lane masks, from the block's
+    /// vertical counters as [`PackedDraw::count_block`] left them (`byz_count` is
+    /// read only when the draw is not crash-only). Lanes past `lanes` are left
+    /// clear by the table walk and unspecified by the threshold compare.
+    #[inline]
+    fn eval(
         &self,
-        rng: &mut R,
+        faults: &VerticalCounter,
+        byz_count: &VerticalCounter,
+        lanes: usize,
+        n: usize,
+        crash_only: bool,
+    ) -> (u64, u64, u64) {
+        match self {
+            HitPlan::Thresholds { safe, live, both } => {
+                debug_assert!(
+                    crash_only,
+                    "threshold plans exist only for crash-only draws"
+                );
+                // Coinciding predicates share one comparison (Raft's liveness and
+                // joint guarantee, for instance, are the same `count ≤ f` check).
+                let safe_mask = safe.mask(faults);
+                let live_mask = if live == safe {
+                    safe_mask
+                } else {
+                    live.mask(faults)
+                };
+                let both_mask = if both == safe {
+                    safe_mask
+                } else if both == live {
+                    live_mask
+                } else {
+                    both.mask(faults)
+                };
+                (safe_mask, live_mask, both_mask)
+            }
+            HitPlan::Lut { flags } => {
+                let stride = n + 1;
+                let mut cp = faults.planes;
+                let mut bp = byz_count.planes;
+                let (cd, bd) = (faults.depth, byz_count.depth);
+                let mut safe_mask = 0u64;
+                let mut live_mask = 0u64;
+                let mut both_mask = 0u64;
+                for lane in 0..lanes {
+                    let mut c = 0usize;
+                    for (k, plane) in cp.iter_mut().enumerate().take(cd) {
+                        c |= ((*plane & 1) as usize) << k;
+                        *plane >>= 1;
+                    }
+                    let mut b = 0usize;
+                    if !crash_only {
+                        for (k, plane) in bp.iter_mut().enumerate().take(bd) {
+                            b |= ((*plane & 1) as usize) << k;
+                            *plane >>= 1;
+                        }
+                    }
+                    let f = flags[c * stride + b];
+                    safe_mask |= ((f & FLAG_SAFE) as u64) << lane;
+                    live_mask |= (((f & FLAG_LIVE) >> 1) as u64) << lane;
+                    both_mask |= (((f & FLAG_BOTH) >> 2) as u64) << lane;
+                }
+                (safe_mask, live_mask, both_mask)
+            }
+        }
+    }
+}
+
+/// Adds one block's `{safe, live, both}` lane masks to `hits`, counting only its
+/// first `lanes` lanes (the last block of a ragged pass masks its surplus out).
+#[inline]
+fn tally_block(hits: &mut HitCounts, (safe, live, both): (u64, u64, u64), lanes: usize) {
+    let valid: u64 = if lanes == 64 { !0 } else { (1u64 << lanes) - 1 };
+    hits.safe += (safe & valid).count_ones() as usize;
+    hits.live += (live & valid).count_ones() as usize;
+    hits.both += (both & valid).count_ones() as usize;
+}
+
+/// One correlation group, compiled for the packed kernel.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct PackedGroup {
+    shock: Bound,
+    mode: NodeState,
+    members: Vec<usize>,
+}
+
+/// The draw half of a compiled kernel: everything a pass's lane masks depend on,
+/// and nothing about the protocol.
+///
+/// Equality and hashing are by content — the per-node thresholds and the
+/// correlation groups; `n`, the position keys and `crash_only` are functions of
+/// those. Kernels of different models over equal draw halves draw identical masks
+/// from every chunk RNG word, which is what lets one draw be tallied under all of
+/// their [`HitPlan`]s ([`PackedKernel::sample_chunk_shared`]).
+#[derive(Debug, Clone)]
+pub(crate) struct PackedDraw {
+    n: usize,
+    /// Per-node `(byzantine, fault)` thresholds.
+    thresholds: Vec<(Bound, Bound)>,
+    groups: Vec<PackedGroup>,
+    /// Position-key rows of the counter-based generator: one row per node, then one
+    /// per correlation group (seed-independent — see [`pos_key`]).
+    pos: Vec<[u64; 64]>,
+    /// No Byzantine mass anywhere: the Byzantine lane masks are identically zero and
+    /// their counter is skipped.
+    crash_only: bool,
+}
+
+impl PartialEq for PackedDraw {
+    fn eq(&self, other: &Self) -> bool {
+        self.thresholds == other.thresholds && self.groups == other.groups
+    }
+}
+
+impl Eq for PackedDraw {}
+
+impl std::hash::Hash for PackedDraw {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.thresholds.hash(state);
+        self.groups.hash(state);
+    }
+}
+
+impl PackedDraw {
+    /// Compiles the thresholds, groups and position keys of `failure_model`.
+    fn new(failure_model: &CorrelationModel) -> Self {
+        let thresholds: Vec<(Bound, Bound)> = failure_model
+            .profiles()
+            .iter()
+            .map(|p| {
+                (
+                    fixed_point(p.byzantine_probability()),
+                    fixed_point(p.fault_probability()),
+                )
+            })
+            .collect();
+        let groups: Vec<PackedGroup> = failure_model
+            .groups()
+            .iter()
+            .map(|g| PackedGroup {
+                shock: fixed_point(g.shock_probability),
+                mode: g.shock_mode,
+                members: g.members.clone(),
+            })
+            .collect();
+        let n = thresholds.len();
+        let pos = (0..n + groups.len())
+            .map(|row| std::array::from_fn(|j| pos_key(row, j)))
+            .collect();
+        let crash_only = thresholds.iter().all(|&(b, _)| b == Bound::Never)
+            && groups.iter().all(|g| g.mode != NodeState::Byzantine);
+        Self {
+            n,
+            thresholds,
+            groups,
+            pos,
+            crash_only,
+        }
+    }
+
+    /// Draws `count` scenarios from the chunk base word `base` and tallies them
+    /// under each of `plans`, in order, up to `64 · lane_words` scenarios per pass.
+    fn sample(
+        &self,
+        base: u64,
         count: usize,
         lane_words: usize,
-    ) -> HitCounts {
-        let base = rng.next_u64();
+        plans: &[&HitPlan],
+    ) -> Vec<HitCounts> {
         match lane_words.clamp(1, MAX_LANE_WORDS) {
-            1 => self.sample_chunk_w::<1>(base, count),
-            2 => self.sample_chunk_w::<2>(base, count),
-            3 => self.sample_chunk_w::<3>(base, count),
-            4 => self.sample_chunk_w::<4>(base, count),
-            5 => self.sample_chunk_w::<5>(base, count),
-            6 => self.sample_chunk_w::<6>(base, count),
-            7 => self.sample_chunk_w::<7>(base, count),
+            1 => self.sample_w::<1>(base, count, plans),
+            2 => self.sample_w::<2>(base, count, plans),
+            3 => self.sample_w::<3>(base, count, plans),
+            4 => self.sample_w::<4>(base, count, plans),
+            5 => self.sample_w::<5>(base, count, plans),
+            6 => self.sample_w::<6>(base, count, plans),
+            7 => self.sample_w::<7>(base, count, plans),
             _ => {
                 #[cfg(target_arch = "x86_64")]
                 if simd::available() {
-                    return simd::sample_chunk8(self, base, count);
+                    return simd::sample8(self, base, count, plans);
                 }
-                self.sample_chunk_w::<8>(base, count)
+                self.sample_w::<8>(base, count, plans)
             }
         }
     }
 
     /// The portable sampler at compile-time width `W` — the reference the SIMD path
-    /// must agree with bit-for-bit.
-    fn sample_chunk_w<const W: usize>(&self, base: u64, count: usize) -> HitCounts {
+    /// must agree with bit-for-bit. Each pass's masks and each block's counters
+    /// are computed once, then evaluated under every plan.
+    fn sample_w<const W: usize>(
+        &self,
+        base: u64,
+        count: usize,
+        plans: &[&HitPlan],
+    ) -> Vec<HitCounts> {
         let n = self.n;
         // Node-major lane masks: node i's mask for pass block b is `crash[i][b]`,
         // so one node's blocks are contiguous for the lockstep compare.
@@ -523,7 +621,7 @@ impl PackedKernel {
         let mut byz = vec![[0u64; W]; n];
         let mut faults = VerticalCounter::new(n);
         let mut byz_count = VerticalCounter::new(n);
-        let mut hits = HitCounts::default();
+        let mut hits = vec![HitCounts::default(); plans.len()];
         let mut remaining = count;
         let mut next_block = 0u64;
         while remaining > 0 {
@@ -552,22 +650,15 @@ impl PackedKernel {
                     &mut zero,
                     &mut fired,
                 );
-                self.apply_shock(group, &fired, blocks, &mut crash, &mut byz);
+                apply_shock(group, &fired, blocks, &mut crash, &mut byz);
             }
-            let mut lanes_left = lanes;
             for b in 0..blocks {
-                let block_lanes = lanes_left.min(64);
-                let valid: u64 = if block_lanes == 64 {
-                    !0
-                } else {
-                    (1u64 << block_lanes) - 1
-                };
-                let (safe_mask, live_mask, both_mask) =
-                    self.eval_block::<W>(&crash, &byz, b, block_lanes, &mut faults, &mut byz_count);
-                hits.safe += (safe_mask & valid).count_ones() as usize;
-                hits.live += (live_mask & valid).count_ones() as usize;
-                hits.both += (both_mask & valid).count_ones() as usize;
-                lanes_left -= block_lanes;
+                let block_lanes = (lanes - 64 * b).min(64);
+                self.count_block::<W>(&crash, &byz, b, &mut faults, &mut byz_count);
+                for (plan, tally) in plans.iter().zip(&mut hits) {
+                    let masks = plan.eval(&faults, &byz_count, block_lanes, n, self.crash_only);
+                    tally_block(tally, masks, block_lanes);
+                }
             }
             next_block += blocks as u64;
             remaining -= lanes;
@@ -575,119 +666,154 @@ impl PackedKernel {
         hits
     }
 
-    /// Applies one correlation group's fired-lane masks to the node masks of a pass,
-    /// mirroring the scalar override rules of [`CorrelationModel::sample_into`].
+    /// Loads block column `block` of a pass into the vertical counters: crashed
+    /// lanes into `faults` and, unless the draw is crash-only, Byzantine lanes into
+    /// `byz_count`. A crash-only draw has no Byzantine lanes, so its `faults` is
+    /// the whole fault count a threshold plan compares against.
     #[inline]
-    fn apply_shock<const W: usize>(
-        &self,
-        group: &PackedGroup,
-        fired: &[u64; W],
-        blocks: usize,
-        crash: &mut [[u64; W]],
-        byz: &mut [[u64; W]],
-    ) {
-        for (b, &f) in fired.iter().enumerate().take(blocks) {
-            if f == 0 {
-                continue;
-            }
-            match group.mode {
-                NodeState::Byzantine => {
-                    for &m in &group.members {
-                        byz[m][b] |= f;
-                        crash[m][b] &= !f;
-                    }
-                }
-                NodeState::Crashed => {
-                    for &m in &group.members {
-                        crash[m][b] |= f & !byz[m][b];
-                    }
-                }
-                // Nothing constructs "repair" shocks today, but mirror the
-                // scalar override rule (Byzantine is never downgraded) exactly.
-                NodeState::Correct => {
-                    for &m in &group.members {
-                        crash[m][b] &= !f;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Tallies one 64-lane block of a pass into `{safe, live, both}` lane masks,
-    /// reading the node-major masks at block column `block`.
-    #[inline]
-    fn eval_block<const W: usize>(
+    fn count_block<const W: usize>(
         &self,
         crash: &[[u64; W]],
         byz: &[[u64; W]],
         block: usize,
-        lanes: usize,
         faults: &mut VerticalCounter,
         byz_count: &mut VerticalCounter,
-    ) -> (u64, u64, u64) {
-        let n = self.n;
-        match &self.plan {
-            HitPlan::Thresholds { safe, live, both } => {
-                faults.reset();
-                for i in 0..n {
-                    faults.add(crash[i][block] | byz[i][block]);
-                }
-                // Coinciding predicates share one comparison (Raft's liveness and
-                // joint guarantee, for instance, are the same `count ≤ f` check).
-                let safe_mask = safe.mask(faults);
-                let live_mask = if live == safe {
-                    safe_mask
-                } else {
-                    live.mask(faults)
-                };
-                let both_mask = if both == safe {
-                    safe_mask
-                } else if both == live {
-                    live_mask
-                } else {
-                    both.mask(faults)
-                };
-                (safe_mask, live_mask, both_mask)
-            }
-            HitPlan::Lut { flags } => {
-                faults.reset();
-                for row in crash.iter().take(n) {
-                    faults.add(row[block]);
-                }
-                if !self.crash_only {
-                    byz_count.reset();
-                    for row in byz.iter().take(n) {
-                        byz_count.add(row[block]);
-                    }
-                }
-                let stride = n + 1;
-                let mut cp = faults.planes;
-                let mut bp = byz_count.planes;
-                let (cd, bd) = (faults.depth, byz_count.depth);
-                let mut safe_mask = 0u64;
-                let mut live_mask = 0u64;
-                let mut both_mask = 0u64;
-                for lane in 0..lanes {
-                    let mut c = 0usize;
-                    for (k, plane) in cp.iter_mut().enumerate().take(cd) {
-                        c |= ((*plane & 1) as usize) << k;
-                        *plane >>= 1;
-                    }
-                    let mut b = 0usize;
-                    if !self.crash_only {
-                        for (k, plane) in bp.iter_mut().enumerate().take(bd) {
-                            b |= ((*plane & 1) as usize) << k;
-                            *plane >>= 1;
-                        }
-                    }
-                    let f = flags[c * stride + b];
-                    safe_mask |= ((f & FLAG_SAFE) as u64) << lane;
-                    live_mask |= (((f & FLAG_LIVE) >> 1) as u64) << lane;
-                    both_mask |= (((f & FLAG_BOTH) >> 2) as u64) << lane;
-                }
-                (safe_mask, live_mask, both_mask)
+    ) {
+        faults.reset();
+        for row in crash {
+            faults.add(row[block]);
+        }
+        if !self.crash_only {
+            byz_count.reset();
+            for row in byz {
+                byz_count.add(row[block]);
             }
         }
+    }
+}
+
+/// Applies one correlation group's fired-lane masks to the node masks of a pass,
+/// mirroring the scalar override rules of [`CorrelationModel::sample_into`].
+#[inline]
+fn apply_shock<const W: usize>(
+    group: &PackedGroup,
+    fired: &[u64; W],
+    blocks: usize,
+    crash: &mut [[u64; W]],
+    byz: &mut [[u64; W]],
+) {
+    for (b, &f) in fired.iter().enumerate().take(blocks) {
+        if f == 0 {
+            continue;
+        }
+        match group.mode {
+            NodeState::Byzantine => {
+                for &m in &group.members {
+                    byz[m][b] |= f;
+                    crash[m][b] &= !f;
+                }
+            }
+            NodeState::Crashed => {
+                for &m in &group.members {
+                    crash[m][b] |= f & !byz[m][b];
+                }
+            }
+            // Nothing constructs "repair" shocks today, but mirror the
+            // scalar override rule (Byzantine is never downgraded) exactly.
+            NodeState::Correct => {
+                for &m in &group.members {
+                    crash[m][b] &= !f;
+                }
+            }
+        }
+    }
+}
+
+/// A counting model + failure model pair compiled into bit-sliced form: the
+/// scenario's draw half and the model's hit plan. Built once per cell group
+/// (outside the parallel loop) and shared read-only by every chunk.
+///
+/// Engine runs reach it through [`crate::montecarlo`], always at
+/// [`MAX_LANE_WORDS`]; it is public so the `packed-width` benchmarks and the
+/// cross-width bit-identity tests can drive [`sample_chunk`](Self::sample_chunk)
+/// at a pinned pass width.
+#[derive(Debug, Clone)]
+pub struct PackedKernel {
+    draw: PackedDraw,
+    plan: HitPlan,
+}
+
+impl PackedKernel {
+    /// Compiles `model` on `failure_model`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two disagree on the cluster size.
+    pub fn new<M: CountingModel + ?Sized>(model: &M, failure_model: &CorrelationModel) -> Self {
+        assert_eq!(
+            model.num_nodes(),
+            failure_model.len(),
+            "model and failure model disagree on the cluster size"
+        );
+        let draw = PackedDraw::new(failure_model);
+        let plan = HitPlan::new(model, draw.n, draw.crash_only);
+        Self { draw, plan }
+    }
+
+    /// The draw half: what this kernel's chunks draw, whatever model tallies them.
+    pub(crate) fn draw(&self) -> &PackedDraw {
+        &self.draw
+    }
+
+    /// Draws and tallies `count` scenarios, up to `64 · lane_words` per pass: each
+    /// pass runs `lane_words` 64-lane blocks in lockstep (the final pass ragged —
+    /// fewer blocks, and surplus lanes of the last block masked out of the tallies).
+    ///
+    /// `rng` is the chunk RNG of the `(seed, chunk)` determinism scheme; it
+    /// contributes exactly one word, from which every block's position-addressed
+    /// words are derived by in-chunk block index — see the module docs for why this
+    /// makes the result independent of `lane_words`, the thread count, and the
+    /// portable-vs-SIMD choice. The one-kernel case of `sample_chunk_shared`.
+    pub fn sample_chunk<R: RngCore + ?Sized>(
+        &self,
+        rng: &mut R,
+        count: usize,
+        lane_words: usize,
+    ) -> HitCounts {
+        Self::sample_chunk_shared(&[self], rng, count, lane_words)[0]
+    }
+
+    /// Draws `count` scenarios once and tallies them under every kernel's hit
+    /// plan: element `k` is what `kernels[k].sample_chunk(rng, count, lane_words)`
+    /// returns from the same RNG state, bit for bit. The kernels must share one
+    /// draw half (equal [`PackedDraw`]s); plans that coincide — the same kernel
+    /// twice, or two models with the same predicates — are tallied once.
+    pub(crate) fn sample_chunk_shared<R: RngCore + ?Sized>(
+        kernels: &[&PackedKernel],
+        rng: &mut R,
+        count: usize,
+        lane_words: usize,
+    ) -> Vec<HitCounts> {
+        let draw = &kernels[0].draw;
+        debug_assert!(
+            kernels.iter().all(|k| k.draw == *draw),
+            "a shared chunk needs one draw half"
+        );
+        let mut plans: Vec<&HitPlan> = Vec::with_capacity(kernels.len());
+        let which: Vec<usize> = kernels
+            .iter()
+            .map(|k| {
+                plans
+                    .iter()
+                    .position(|&p| std::ptr::eq(p, &k.plan) || *p == k.plan)
+                    .unwrap_or_else(|| {
+                        plans.push(&k.plan);
+                        plans.len() - 1
+                    })
+            })
+            .collect();
+        let tallies = draw.sample(rng.next_u64(), count, lane_words, &plans);
+        which.into_iter().map(|plan| tallies[plan]).collect()
     }
 }
 
@@ -696,10 +822,12 @@ mod tests {
     use super::*;
     use crate::counting::counting_reliability;
     use crate::deployment::Deployment;
+    use crate::failure::FailureConfig;
     use crate::montecarlo::{
         monte_carlo_reliability_par_kernel, McKernel, MonteCarloReport, MC_CHUNK_SIZE,
     };
     use crate::pbft_model::PbftModel;
+    use crate::protocol::ProtocolModel;
     use crate::raft_model::RaftModel;
     use fault_model::correlation::CorrelationGroup;
     use fault_model::mode::FaultProfile;
@@ -818,13 +946,48 @@ mod tests {
         assert_eq!(prefix_predicate(&[true, false, true]), None);
     }
 
+    /// A counting model whose liveness is not monotone in the fault count (live on
+    /// an even count), so it compiles to the lookup table even on a crash-only
+    /// draw — next to a threshold plan, it exercises both tallies of one pass.
+    struct EvenFaults(usize);
+
+    impl ProtocolModel for EvenFaults {
+        fn name(&self) -> String {
+            "even-faults".into()
+        }
+        fn num_nodes(&self) -> usize {
+            self.0
+        }
+        fn is_safe(&self, config: &FailureConfig) -> bool {
+            self.is_safe_counts(config.num_crashed(), config.num_byzantine())
+        }
+        fn is_live(&self, config: &FailureConfig) -> bool {
+            self.is_live_counts(config.num_crashed(), config.num_byzantine())
+        }
+        fn as_counting(&self) -> Option<&dyn CountingModel> {
+            Some(self)
+        }
+    }
+
+    impl CountingModel for EvenFaults {
+        fn is_safe_counts(&self, _crashed: usize, byzantine: usize) -> bool {
+            byzantine == 0
+        }
+        fn is_live_counts(&self, crashed: usize, byzantine: usize) -> bool {
+            (crashed + byzantine).is_multiple_of(2)
+        }
+    }
+
     #[test]
     fn crash_only_raft_uses_the_threshold_plan_and_matches_exact_counting() {
         let model = RaftModel::standard(5);
         let deployment = Deployment::uniform_crash(5, 0.05);
         let kernel = PackedKernel::new(&model, &crash_model(5, 0.05));
-        assert!(kernel.crash_only);
+        assert!(kernel.draw.crash_only);
         assert!(matches!(kernel.plan, HitPlan::Thresholds { .. }));
+        let lut = PackedKernel::new(&EvenFaults(5), &crash_model(5, 0.05));
+        assert!(matches!(lut.plan, HitPlan::Lut { .. }));
+        assert_eq!(lut.draw, kernel.draw);
         let exact = counting_reliability(&model, &deployment);
         let report = packed_par(&model, &crash_model(5, 0.05), 200_000, 11);
         assert!(
@@ -844,7 +1007,7 @@ mod tests {
         let deployment = Deployment::uniform_mixed(7, 0.05, 0.02);
         let target = CorrelationModel::independent(deployment.profiles().to_vec());
         let kernel = PackedKernel::new(&model, &target);
-        assert!(!kernel.crash_only);
+        assert!(!kernel.draw.crash_only);
         assert!(matches!(kernel.plan, HitPlan::Lut { .. }));
         let exact = counting_reliability(&model, &deployment);
         let report = packed_par(&model, &target, 200_000, 3);
@@ -915,9 +1078,12 @@ mod tests {
         assert!(report.live.contains(exact.p_live));
     }
 
-    /// Workloads that, between them, exercise every kernel path: the thresholds
-    /// plan, the LUT plan with Byzantine mass, and correlation shocks of both modes.
-    fn identity_workloads() -> Vec<(Box<dyn CountingModel>, CorrelationModel)> {
+    /// Scenarios that, between them, exercise every kernel path — the thresholds
+    /// plan, the LUT plan with Byzantine mass, correlation shocks of both modes —
+    /// each with the models whose kernels share its draw: distinct plans, a plan
+    /// repeated by content (`flexible(9, 5, 5)` is standard Raft's predicates in a
+    /// second kernel), and thresholds beside a table on one crash-only draw.
+    fn identity_workloads() -> Vec<(Vec<Box<dyn CountingModel>>, CorrelationModel)> {
         let mixed = CorrelationModel::independent(
             (0..7)
                 .map(|i| FaultProfile::new(0.02 * (i % 3) as f64, 0.01))
@@ -926,15 +1092,43 @@ mod tests {
         .with_group(CorrelationGroup::byzantine_shock(vec![0, 1, 2], 0.005))
         .with_group(CorrelationGroup::crash_shock(vec![3, 4, 5, 6], 0.01));
         vec![
-            (Box::new(RaftModel::standard(9)), crash_model(9, 0.08)),
-            (Box::new(PbftModel::standard(7)), mixed),
+            (
+                vec![
+                    Box::new(RaftModel::standard(9)),
+                    Box::new(PbftModel::standard(9)),
+                    Box::new(RaftModel::flexible(9, 5, 5)),
+                    Box::new(EvenFaults(9)),
+                ],
+                crash_model(9, 0.08),
+            ),
+            (
+                vec![
+                    Box::new(PbftModel::standard(7)),
+                    Box::new(RaftModel::standard(7)),
+                ],
+                mixed,
+            ),
         ]
+    }
+
+    /// The kernels of one identity workload, all compiled on its scenario.
+    fn kernels_of(
+        models: &[Box<dyn CountingModel>],
+        target: &CorrelationModel,
+    ) -> Vec<PackedKernel> {
+        let kernels: Vec<PackedKernel> = models
+            .iter()
+            .map(|model| PackedKernel::new(model.as_ref(), target))
+            .collect();
+        assert!(kernels.iter().all(|k| k.draw == kernels[0].draw));
+        kernels
     }
 
     #[test]
     fn packed_kernel_is_bit_identical_across_lane_widths() {
-        for (model, target) in identity_workloads() {
-            let kernel = PackedKernel::new(model.as_ref(), &target);
+        for (models, target) in identity_workloads() {
+            let kernels = kernels_of(&models, &target);
+            let shared: Vec<&PackedKernel> = kernels.iter().collect();
             // Sample counts hitting the ragged-tail edges of every width W: one
             // lane, one block less a lane, a full widest pass ± one lane, and
             // counts past a whole engine chunk that are ragged at the pass level.
@@ -946,13 +1140,28 @@ mod tests {
                 MC_CHUNK_SIZE + 513,
                 3 * MC_CHUNK_SIZE + 17,
             ] {
-                let at_width = |w| kernel.sample_chunk(&mut StdRng::seed_from_u64(42), samples, w);
-                let reference = at_width(1);
-                for w in 2..=MAX_LANE_WORDS {
+                let rng = || StdRng::seed_from_u64(42);
+                let alone = |w| -> Vec<HitCounts> {
+                    kernels
+                        .iter()
+                        .map(|kernel| kernel.sample_chunk(&mut rng(), samples, w))
+                        .collect()
+                };
+                let reference = alone(1);
+                for w in 1..=MAX_LANE_WORDS {
+                    if w > 1 {
+                        assert_eq!(
+                            alone(w),
+                            reference,
+                            "divergence at W={w}, samples={samples}"
+                        );
+                    }
+                    // One draw tallied under every kernel's plan is each
+                    // kernel's own chunk.
                     assert_eq!(
-                        at_width(w),
+                        PackedKernel::sample_chunk_shared(&shared, &mut rng(), samples, w),
                         reference,
-                        "divergence at W={w}, samples={samples}"
+                        "shared draw diverged at W={w}, samples={samples}"
                     );
                 }
             }
@@ -966,15 +1175,22 @@ mod tests {
             eprintln!("skipping: no AVX-512 on this host");
             return;
         }
-        for (model, target) in identity_workloads() {
-            let kernel = PackedKernel::new(model.as_ref(), &target);
-            for count in [1, 63, 64, 511, 512, 513, 640, MC_CHUNK_SIZE] {
-                for base in [0u64, 7, 0xDEAD_BEEF] {
-                    assert_eq!(
-                        simd::sample_chunk8(&kernel, base, count),
-                        kernel.sample_chunk_w::<8>(base, count),
-                        "divergence at count={count}, base={base}"
-                    );
+        for (models, target) in identity_workloads() {
+            let kernels = kernels_of(&models, &target);
+            let draw = &kernels[0].draw;
+            // Every plan alone, then all of them over one draw.
+            let mut plan_sets: Vec<Vec<&HitPlan>> = kernels.iter().map(|k| vec![&k.plan]).collect();
+            plan_sets.push(kernels.iter().map(|k| &k.plan).collect());
+            for plans in &plan_sets {
+                for count in [1, 63, 64, 511, 512, 513, 640, MC_CHUNK_SIZE] {
+                    for base in [0u64, 7, 0xDEAD_BEEF] {
+                        assert_eq!(
+                            simd::sample8(draw, base, count, plans),
+                            draw.sample_w::<8>(base, count, plans),
+                            "divergence at count={count}, base={base}, {} plans",
+                            plans.len()
+                        );
+                    }
                 }
             }
         }

@@ -17,10 +17,13 @@
 //!   independent chains that pipeline — and the undecided test runs every *two* bit
 //!   positions. Extra positions processed past a node's decision point are no-ops on
 //!   its masks (see the module docs of [`super`]), so neither change affects output.
-//! * **Vector tallies.** For the thresholds plan, the Harley–Seal vertical counter
+//! * **Vector tallies.** For threshold plans, the Harley–Seal vertical counter
 //!   ripples all 8 blocks per instruction and the `count ≤ T` compare runs once per
-//!   pass instead of once per block. The LUT plan keeps the portable per-block
+//!   pass instead of once per block. LUT plans keep the portable per-block
 //!   extraction (its per-lane table walk does not vectorize).
+//!
+//! As in the portable path, a pass's masks and counters are computed once and
+//! evaluated under every plan of a shared chunk.
 //!
 //! Everything here is gated at runtime by [`available`]; hosts without AVX-512 (or
 //! non-x86 targets, via `cfg`) use the portable sampler and produce identical
@@ -28,7 +31,10 @@
 
 use core::arch::x86_64::*;
 
-use super::{bound_state, split_wide, CountPredicate, HitPlan, PackedKernel, MAX_PLANES};
+use super::{
+    apply_shock, bound_state, split_wide, tally_block, CountPredicate, HitPlan, PackedDraw,
+    VerticalCounter, MAX_PLANES,
+};
 use crate::montecarlo::{chunk_seed, HitCounts};
 
 /// Pass width of this module: eight 64-lane blocks, one `__m512i`.
@@ -42,16 +48,21 @@ pub(super) fn available() -> bool {
         && std::arch::is_x86_feature_detected!("avx512dq")
 }
 
-/// Width-8 chunk sampler on the AVX-512 path — bit-identical to
-/// `PackedKernel::sample_chunk_w::<8>` by the positional-draw argument above.
+/// Width-8 chunk sampler on the AVX-512 path, one tally per plan — bit-identical
+/// to `PackedDraw::sample_w::<8>` by the positional-draw argument above.
 ///
 /// # Panics
 ///
 /// If the host lacks AVX-512 (callers gate on [`available`]).
-pub(super) fn sample_chunk8(kernel: &PackedKernel, base: u64, count: usize) -> HitCounts {
-    assert!(available(), "sample_chunk8 requires avx512f+avx512dq");
+pub(super) fn sample8(
+    draw: &PackedDraw,
+    base: u64,
+    count: usize,
+    plans: &[&HitPlan],
+) -> Vec<HitCounts> {
+    assert!(available(), "sample8 requires avx512f+avx512dq");
     // SAFETY: the required target features were verified present just above.
-    unsafe { sample_chunk8_impl(kernel, base, count) }
+    unsafe { sample8_impl(draw, base, count, plans) }
 }
 
 /// Loads a block-mask row. (`loadu` has no alignment requirement; the reference
@@ -195,17 +206,50 @@ fn predicate_mask8(p: CountPredicate, planes: &[__m512i; MAX_PLANES], depth: usi
     }
 }
 
-/// The fast-path chunk sampler: structurally the portable `sample_chunk_w::<8>`,
-/// with the compare and (for the thresholds plan) the tallies vectorized.
+/// The three threshold predicates' 8-block lane masks over vector planes, sharing
+/// the compare between coinciding predicates as the portable plan does.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn threshold_masks8(
+    (safe, live, both): (CountPredicate, CountPredicate, CountPredicate),
+    planes: &[__m512i; MAX_PLANES],
+    depth: usize,
+) -> [[u64; W]; 3] {
+    let safe_v = predicate_mask8(safe, planes, depth);
+    let live_v = if live == safe {
+        safe_v
+    } else {
+        predicate_mask8(live, planes, depth)
+    };
+    let both_v = if both == safe {
+        safe_v
+    } else if both == live {
+        live_v
+    } else {
+        predicate_mask8(both, planes, depth)
+    };
+    let mut masks = [[0u64; W]; 3];
+    store8(&mut masks[0], safe_v);
+    store8(&mut masks[1], live_v);
+    store8(&mut masks[2], both_v);
+    masks
+}
+
+/// The fast-path chunk sampler: structurally the portable `sample_w::<8>`, with
+/// the compare and (for threshold plans) the tallies vectorized.
 #[target_feature(enable = "avx512f,avx512dq")]
-fn sample_chunk8_impl(kernel: &PackedKernel, base: u64, count: usize) -> HitCounts {
-    let n = kernel.n;
+fn sample8_impl(draw: &PackedDraw, base: u64, count: usize, plans: &[&HitPlan]) -> Vec<HitCounts> {
+    let n = draw.n;
     let mut crash = vec![[0u64; W]; n];
     let mut byz = vec![[0u64; W]; n];
-    let mut faults = super::VerticalCounter::new(n);
-    let mut byz_count = super::VerticalCounter::new(n);
+    let mut faults = VerticalCounter::new(n);
+    let mut byz_count = VerticalCounter::new(n);
     let depth = faults.depth;
-    let mut hits = HitCounts::default();
+    let any_thresholds = plans
+        .iter()
+        .any(|plan| matches!(plan, HitPlan::Thresholds { .. }));
+    let any_lut = plans.iter().any(|plan| matches!(plan, HitPlan::Lut { .. }));
+    let mut hits = vec![HitCounts::default(); plans.len()];
     let mut remaining = count;
     let mut next_block = 0u64;
     while remaining > 0 {
@@ -222,7 +266,7 @@ fn sample_chunk8_impl(kernel: &PackedKernel, base: u64, count: usize) -> HitCoun
         // take the portable compare (only mixed-mode deployments have them, and
         // their LUT evaluation dominates anyway).
         let mut pending: Option<(usize, u64)> = None;
-        for (i, &(bz, ft)) in kernel.thresholds.iter().enumerate() {
+        for (i, &(bz, ft)) in draw.thresholds.iter().enumerate() {
             let (lt_b0, eq_b0, _) = bound_state(bz);
             let (lt_f0, eq_f0, tf) = bound_state(ft);
             if eq_b0 | eq_f0 == 0 {
@@ -234,8 +278,8 @@ fn sample_chunk8_impl(kernel: &PackedKernel, base: u64, count: usize) -> HitCoun
                     let (head, tail) = crash.split_at_mut(i);
                     split_two8(
                         seeds_v,
-                        &kernel.pos[i0],
-                        &kernel.pos[i],
+                        &draw.pos[i0],
+                        &draw.pos[i],
                         t0,
                         tf,
                         &mut head[i0],
@@ -245,11 +289,11 @@ fn sample_chunk8_impl(kernel: &PackedKernel, base: u64, count: usize) -> HitCoun
                     pending = Some((i, tf));
                 }
             } else {
-                split_wide::<W>(&seeds, &kernel.pos[i], bz, ft, &mut byz[i], &mut crash[i]);
+                split_wide::<W>(&seeds, &draw.pos[i], bz, ft, &mut byz[i], &mut crash[i]);
             }
         }
         if let Some((i0, t0)) = pending.take() {
-            split_one8(seeds_v, &kernel.pos[i0], t0, &mut crash[i0]);
+            split_one8(seeds_v, &draw.pos[i0], t0, &mut crash[i0]);
         }
         for (c, bz) in crash.iter_mut().zip(byz.iter()) {
             for b in 0..W {
@@ -257,79 +301,48 @@ fn sample_chunk8_impl(kernel: &PackedKernel, base: u64, count: usize) -> HitCoun
             }
         }
 
-        for (g, group) in kernel.groups.iter().enumerate() {
+        for (g, group) in draw.groups.iter().enumerate() {
             let (lt0, eq0, t) = bound_state(group.shock);
             let mut fired = [lt0; W];
             if eq0 != 0 {
-                split_one8(seeds_v, &kernel.pos[n + g], t, &mut fired);
+                split_one8(seeds_v, &draw.pos[n + g], t, &mut fired);
             }
-            kernel.apply_shock::<W>(group, &fired, blocks, &mut crash, &mut byz);
+            apply_shock::<W>(group, &fired, blocks, &mut crash, &mut byz);
         }
 
-        match &kernel.plan {
-            HitPlan::Thresholds { safe, live, both } => {
-                // Vector vertical counter: one ripple updates all 8 blocks.
-                let mut planes = [_mm512_setzero_si512(); MAX_PLANES];
-                for (c, bz) in crash.iter().zip(byz.iter()) {
-                    let mut m = _mm512_or_si512(load8(c), load8(bz));
-                    for plane in planes.iter_mut().take(depth) {
-                        let carry = _mm512_and_si512(*plane, m);
-                        *plane = _mm512_xor_si512(*plane, m);
-                        m = carry;
-                    }
-                }
-                let safe_v = predicate_mask8(*safe, &planes, depth);
-                let live_v = if live == safe {
-                    safe_v
-                } else {
-                    predicate_mask8(*live, &planes, depth)
-                };
-                let both_v = if both == safe {
-                    safe_v
-                } else if both == live {
-                    live_v
-                } else {
-                    predicate_mask8(*both, &planes, depth)
-                };
-                let (mut safe_m, mut live_m, mut both_m) = ([0u64; W], [0u64; W], [0u64; W]);
-                store8(&mut safe_m, safe_v);
-                store8(&mut live_m, live_v);
-                store8(&mut both_m, both_v);
-                let mut lanes_left = lanes;
-                for b in 0..blocks {
-                    let block_lanes = lanes_left.min(64);
-                    let valid: u64 = if block_lanes == 64 {
-                        !0
-                    } else {
-                        (1u64 << block_lanes) - 1
-                    };
-                    hits.safe += (safe_m[b] & valid).count_ones() as usize;
-                    hits.live += (live_m[b] & valid).count_ones() as usize;
-                    hits.both += (both_m[b] & valid).count_ones() as usize;
-                    lanes_left -= block_lanes;
+        if any_thresholds {
+            // Vector vertical counter: one ripple updates all 8 blocks. Threshold
+            // plans exist only for crash-only draws, whose fault count is the
+            // crashed-lane count.
+            let mut planes = [_mm512_setzero_si512(); MAX_PLANES];
+            for c in &crash {
+                let mut m = load8(c);
+                for plane in planes.iter_mut().take(depth) {
+                    let carry = _mm512_and_si512(*plane, m);
+                    *plane = _mm512_xor_si512(*plane, m);
+                    m = carry;
                 }
             }
-            HitPlan::Lut { .. } => {
-                let mut lanes_left = lanes;
-                for b in 0..blocks {
-                    let block_lanes = lanes_left.min(64);
-                    let valid: u64 = if block_lanes == 64 {
-                        !0
-                    } else {
-                        (1u64 << block_lanes) - 1
-                    };
-                    let (safe_mask, live_mask, both_mask) = kernel.eval_block::<W>(
-                        &crash,
-                        &byz,
-                        b,
-                        block_lanes,
-                        &mut faults,
-                        &mut byz_count,
-                    );
-                    hits.safe += (safe_mask & valid).count_ones() as usize;
-                    hits.live += (live_mask & valid).count_ones() as usize;
-                    hits.both += (both_mask & valid).count_ones() as usize;
-                    lanes_left -= block_lanes;
+            for (plan, tally) in plans.iter().zip(&mut hits) {
+                if let HitPlan::Thresholds { safe, live, both } = plan {
+                    let [safe_m, live_m, both_m] =
+                        threshold_masks8((*safe, *live, *both), &planes, depth);
+                    for b in 0..blocks {
+                        let masks = (safe_m[b], live_m[b], both_m[b]);
+                        tally_block(tally, masks, (lanes - 64 * b).min(64));
+                    }
+                }
+            }
+        }
+        if any_lut {
+            for b in 0..blocks {
+                let block_lanes = (lanes - 64 * b).min(64);
+                draw.count_block::<W>(&crash, &byz, b, &mut faults, &mut byz_count);
+                for (plan, tally) in plans.iter().zip(&mut hits) {
+                    if let HitPlan::Lut { .. } = plan {
+                        let masks = plan.eval(&faults, &byz_count, block_lanes, n, draw.crash_only);
+                        tally_block(tally, masks, block_lanes);
+                    }
                 }
             }
         }

@@ -46,9 +46,10 @@
 //! code: the planner calls [`crate::engine::select_engine`] and the scheduler calls
 //! the selected engine's `run_prepared`, exactly as the front doors do — the only
 //! difference is whose scratch they pass. Monte Carlo cells are the one
-//! decomposition: the scheduler runs the prepared sampler's `chunk(i)` items itself
-//! and folds them in chunk order, which is literally what the sampler's own
-//! whole-cell run does ([`crate::montecarlo`]). Caching never
+//! decomposition: the scheduler draws their chunks itself — once per chunk that
+//! several cells draw alike, tallied per cell to exactly that cell's sampler's
+//! `chunk(i)` — and folds each cell's tallies in chunk order, which is literally
+//! what the sampler's own whole-cell run does ([`crate::montecarlo`]). Caching never
 //! changes results, because everything cached is a pure function of the cell
 //! signature: the correlation-model conversion and kernel compilation are
 //! value-deterministic, and the selector pilot / adaptive proposal are cached *per
@@ -82,6 +83,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -101,7 +103,7 @@ use crate::engine::{
 use crate::epistemic::{EpistemicDraw, EpistemicReport};
 use crate::json::JsonValue;
 use crate::montecarlo::{
-    chunk_count, chunk_len, packed_view, HitCounts, McKernel, McSampler, Z_95,
+    chunk_count, chunk_len, packed_view, DrawKey, HitCounts, McKernel, McSampler, Z_95,
 };
 use crate::pbft_model::PbftModel;
 use crate::protocol::ProtocolModel;
@@ -329,12 +331,18 @@ impl Metrics {
     }
 }
 
+/// The most sample times a [`TimeAxis`] may have (2²⁰, twelve times the in-tree
+/// extreme of a year at 0.1-hour steps); planning rejects a longer axis with
+/// [`AnalysisError::InvalidTimeAxis`] before anything allocates for it.
+pub const MAX_TIME_POINTS: usize = 1 << 20;
+
 /// The time axis of a trajectory query: how far ahead to look, how often to
 /// sample, and (for fleet cells) how wide each sampled mission window is.
 ///
 /// Attached to a query with [`Query::time_horizon`]; consumed by
 /// [`Query::trajectory_cell`] (guarantee of an aging fleet per window) and
 /// [`Query::repairable_cell`] (first-passage reliability of a repairable group).
+/// Plans accept at most [`MAX_TIME_POINTS`] sample times.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeAxis {
     /// How far ahead (hours from now) the trajectory extends.
@@ -406,13 +414,21 @@ impl TimeAxis {
     /// that is a whole number of steps — within a relative ulp, e.g.
     /// `horizon = 0.3, step = 0.1` — always yields its final sample.
     pub fn sample_times(&self) -> Vec<f64> {
-        let steps = (self.horizon_hours / self.step_hours * (1.0 + 1e-12)).floor() as usize;
-        (0..=steps).map(|i| i as f64 * self.step_hours).collect()
+        (0..=self.steps() as usize)
+            .map(|i| i as f64 * self.step_hours)
+            .collect()
     }
 
-    /// Checks the axis invariants — the plan-time guard for axes built with
-    /// struct-literal syntax, whose `pub` fields bypass the constructor asserts
-    /// (a non-positive step would make [`TimeAxis::sample_times`] unbounded).
+    /// Whole steps from `t = 0` to the horizon (one fewer than the sample times).
+    fn steps(&self) -> f64 {
+        (self.horizon_hours / self.step_hours * (1.0 + 1e-12)).floor()
+    }
+
+    /// Checks the axis invariants at plan time: axes built with struct-literal
+    /// syntax bypass the constructor asserts (a non-positive step would make
+    /// [`TimeAxis::sample_times`] unbounded), and no constructor bounds the
+    /// length — a wire request's `1e12 / 0.001` would ask one worker for 8e15
+    /// bytes. At most [`MAX_TIME_POINTS`] sample times pass.
     fn validate(&self) -> Result<(), AnalysisError> {
         let valid = self.horizon_hours >= 0.0
             && self.horizon_hours.is_finite()
@@ -420,7 +436,8 @@ impl TimeAxis {
             && self.step_hours.is_finite()
             && self.window_hours > 0.0
             && self.window_hours.is_finite()
-            && self.target_nines.is_none_or(|n| n >= 0.0 && n.is_finite());
+            && self.target_nines.is_none_or(|n| n >= 0.0 && n.is_finite())
+            && self.steps() < MAX_TIME_POINTS as f64;
         if valid {
             Ok(())
         } else {
@@ -804,6 +821,15 @@ impl Query {
     }
 
     /// The protocol axis of the grid.
+    ///
+    /// The protocols' Monte Carlo cells over one scenario are estimated on common
+    /// draws: they share the seed, and a kernel's draws depend on the scenario
+    /// alone, so every protocol counts hits on the same sampled failure
+    /// configurations (common random numbers). Their errors are correlated, which
+    /// sharpens protocol-vs-protocol comparisons. On the packed kernel the
+    /// scheduler draws each shared chunk once for all of them
+    /// ([`QueryPlan::execute`]); the scalar kernel tallies inside its draw loop,
+    /// so its chunks are shared only within one protocol.
     pub fn protocols(mut self, protocols: impl IntoIterator<Item = ProtocolSpec>) -> Self {
         self.protocols = protocols.into_iter().collect();
         self
@@ -837,6 +863,13 @@ impl Query {
     /// cell is replicated once per entry with
     /// [`Budget::with_samples`] applied; when empty (the default) the base budget's
     /// sample count is used as the single entry.
+    ///
+    /// The replicates of one scenario are estimated on common, nested draws:
+    /// they share the seed, so chunk `i` draws the same scenarios in every
+    /// replicate and a smaller budget's samples are a prefix of a larger one's.
+    /// Their estimates are correlated — the axis shows one estimate converging,
+    /// not independent repetitions (sweep the seed for those) — and the scheduler
+    /// draws each shared chunk once for all of them ([`QueryPlan::execute`]).
     pub fn samples_sweep(mut self, samples: impl IntoIterator<Item = usize>) -> Self {
         self.sample_budgets = samples.into_iter().collect();
         self
@@ -1668,22 +1701,25 @@ fn trajectory_record(spec: &TrajectorySpec, axis: &TimeAxis) -> TrajectoryRecord
 /// One schedulable unit of a plan execution. [`QueryPlan::execute`] decomposes the
 /// plan into these, orders them by estimated cost (largest first) and hands them to
 /// the work-stealing pool as individually stealable tasks
-/// ([`rayon::for_each_task`]); every item writes its own result slot, so report
-/// content never depends on which worker ran what, or in what order.
-#[derive(Clone, Copy)]
+/// ([`rayon::for_each_task`]); every item writes the result slots of the cells it
+/// feeds, so report content never depends on which worker ran what, or in what
+/// order.
 enum WorkItem {
     /// A whole cell through its engine's
     /// [`run_prepared`](AnalysisEngine::run_prepared) — the exact engines and
     /// importance sampling, whose bodies have no chunk structure to expose.
     Cell(usize),
-    /// One sample chunk of a Monte Carlo cell: the cell's prepared sampler's
-    /// `chunk(i)` ([`McSampler::chunk`]), the same call its whole-cell run folds — so the
-    /// scheduled merge is bit-identical to a per-cell run by construction.
+    /// One sample chunk, drawn once for every Monte Carlo cell that draws it: the
+    /// cells whose samplers share a [`DrawKey`] and give chunk `chunk` the same
+    /// length. [`McSampler::chunk_shared`] tallies the draw per cell — for each
+    /// cell exactly its own sampler's `chunk(chunk)`, the call its whole-cell run
+    /// folds — so the scheduled merge is bit-identical to a per-cell run by
+    /// construction. A lone cell is a one-member item.
     McChunk {
-        /// Index of the owning cell.
-        cell: usize,
-        /// Chunk index within the cell's sample budget.
+        /// Chunk index within every member's sample budget.
         chunk: usize,
+        /// The members: a range of [`Schedule::members`].
+        members: Range<usize>,
     },
     /// One posterior draw of a second-order cell: the whole cell re-run through
     /// its engine on the draw's scaled scenario (draws are engine-agnostic, so
@@ -1698,14 +1734,23 @@ enum WorkItem {
     Trajectory(usize),
 }
 
-/// What one executed work item produced (placed into the slot of its item index).
+/// A plan decomposed into work items ([`QueryPlan::schedule`]).
+struct Schedule {
+    items: Vec<WorkItem>,
+    /// The cells chunk items feed: each item's members are one contiguous range.
+    members: Vec<usize>,
+    /// Per cell, its `(first, len)` span of result slots: the base outputs —
+    /// chunk tallies in chunk order, or the one whole-cell outcome — then the
+    /// posterior draws in draw order.
+    spans: Vec<(usize, usize)>,
+}
+
+/// What one work item produced for one cell (placed into that cell's slot).
 enum ItemOutput {
     /// Hit counters of one Monte Carlo sample chunk.
     Hits(HitCounts),
     /// A whole cell's outcome (boxed: an outcome is by far the widest variant).
     Outcome(Box<AnalysisOutcome>),
-    /// A time-domain record.
-    Trajectory(TrajectoryRecord),
 }
 
 /// Observer of a plan execution's per-cell completions, the streaming half of
@@ -1816,11 +1861,15 @@ impl QueryPlan {
     /// long cell of a mixed sweep), the plan is decomposed into work items:
     /// Monte Carlo cells split into their
     /// [`MC_CHUNK_SIZE`](crate::montecarlo::MC_CHUNK_SIZE) sample chunks, exact /
-    /// importance-sampling cells and trajectories stay whole. Items execute
-    /// largest-estimated-first so the long poles start early and the cheap items
-    /// backfill the stragglers' idle workers; each item writes a slot keyed by its
-    /// item index, and the per-cell merge folds chunk counters in chunk order —
-    /// so the report is **bit-identical** to a sequential per-cell
+    /// importance-sampling cells and trajectories stay whole. A chunk that several
+    /// cells draw alike — the replicates of [`Query::samples_sweep`] and the
+    /// protocols of [`Query::protocols`] over one scenario and seed — is one item,
+    /// drawn once and tallied per cell, so sampling work follows the distinct
+    /// draws of a plan, not its cell count. Items execute largest-estimated-first
+    /// so the long poles start early and the cheap items backfill the stragglers'
+    /// idle workers; each item writes the slots of the cells it feeds, and the
+    /// per-cell merge folds chunk counters in chunk order — so the report is
+    /// **bit-identical** to a sequential per-cell
     /// [`analyze_auto`](crate::analyzer::analyze_auto) /
     /// [`analyze_scenario`](crate::analyzer::analyze_scenario) loop at any thread
     /// count, including the paired validation runs (executed inline on each
@@ -1845,13 +1894,18 @@ impl QueryPlan {
 
     /// The scheduler behind [`execute_streaming`](Self::execute_streaming):
     /// decompose, run the item wave, and complete each cell (merge + inline
-    /// validation + emission) on the worker that retires its last item.
+    /// validation + emission) on the worker that retires its last slot.
     fn execute_scheduled(&self, sink: &dyn StreamSink) -> AnalysisReport {
-        let (items, spans) = self.work_items();
-        let mut order: Vec<usize> = (0..items.len()).collect();
-        order.sort_by_key(|&index| (std::cmp::Reverse(self.item_cost(items[index])), index));
+        let schedule = self.schedule();
+        let spans = &schedule.spans;
+        let mut order: Vec<usize> = (0..schedule.items.len()).collect();
+        order.sort_by_key(|&index| {
+            let cost = self.item_cost(&schedule, &schedule.items[index]);
+            (std::cmp::Reverse(cost), index)
+        });
+        let slot_count = spans.last().map_or(0, |&(first, len)| first + len);
         let slots: Vec<Mutex<Option<(ItemOutput, u64)>>> =
-            items.iter().map(|_| Mutex::new(None)).collect();
+            (0..slot_count).map(|_| Mutex::new(None)).collect();
         // One countdown per cell: the task that makes it hit zero owns the merge,
         // the paired validation and the emission of that cell's record — so cells
         // stream out as they complete instead of waiting for the full item wave.
@@ -1863,32 +1917,60 @@ impl QueryPlan {
             self.cells.iter().map(|_| Mutex::new(None)).collect();
         let trajectory_slots: Vec<Mutex<Option<TrajectoryRecord>>> =
             self.trajectories.iter().map(|_| Mutex::new(None)).collect();
-        rayon::for_each_task(order.len(), |position| {
-            let index = order[position];
-            let start = Instant::now();
-            let output = self.run_item(items[index]);
-            let elapsed = start.elapsed().as_nanos() as u64;
-            let cell_index = match items[index] {
-                WorkItem::Cell(cell)
-                | WorkItem::McChunk { cell, .. }
-                | WorkItem::Draw { cell, .. } => cell,
-                WorkItem::Trajectory(t) => {
-                    let record = match output {
-                        ItemOutput::Trajectory(record) => record,
-                        _ => unreachable!("trajectory items produce trajectory records"),
-                    };
-                    sink.on_trajectory(t, &record);
-                    *trajectory_slots[t].lock().unwrap() = Some(record);
-                    return;
-                }
-            };
-            *slots[index].lock().unwrap() = Some((output, elapsed));
+        let retire = |cell: usize, slot: usize, output: ItemOutput, elapsed: u64| {
+            *slots[slot].lock().unwrap() = Some((output, elapsed));
             // AcqRel: the last decrementer must observe every sibling's slot
             // write (the Mutex release alone orders only same-slot accesses).
-            if countdown[cell_index].fetch_sub(1, Ordering::AcqRel) == 1 {
-                let record = self.complete_cell(cell_index, spans[cell_index], &slots);
-                sink.on_cell(cell_index, &record);
-                *cell_slots[cell_index].lock().unwrap() = Some(record);
+            if countdown[cell].fetch_sub(1, Ordering::AcqRel) == 1 {
+                let record = self.complete_cell(cell, spans[cell], &slots);
+                sink.on_cell(cell, &record);
+                *cell_slots[cell].lock().unwrap() = Some(record);
+            }
+        };
+        rayon::for_each_task(order.len(), |position| {
+            let start = Instant::now();
+            let elapsed = || start.elapsed().as_nanos() as u64;
+            match &schedule.items[order[position]] {
+                WorkItem::Cell(index) => {
+                    let cell = &self.cells[*index];
+                    let output = cell.run_whole(&cell.scenario, &cell.scratch);
+                    retire(*index, spans[*index].0, output, elapsed());
+                }
+                WorkItem::McChunk { chunk, members } => {
+                    let members = &schedule.members[members.clone()];
+                    let samplers: Vec<_> = members
+                        .iter()
+                        .map(|&index| self.cells[index].sampler())
+                        .collect();
+                    let hits = McSampler::chunk_shared(&samplers, *chunk);
+                    // A shared draw's time is charged to every cell it fed.
+                    let elapsed = elapsed();
+                    for (&index, hits) in members.iter().zip(hits) {
+                        retire(
+                            index,
+                            spans[index].0 + chunk,
+                            ItemOutput::Hits(hits),
+                            elapsed,
+                        );
+                    }
+                }
+                WorkItem::Draw { cell: index, draw } => {
+                    let cell = &self.cells[*index];
+                    let planned = &cell.draws[*draw];
+                    let output = cell.run_whole(&planned.scenario, &planned.scratch);
+                    let (first, len) = spans[*index];
+                    retire(
+                        *index,
+                        first + len - cell.draws.len() + draw,
+                        output,
+                        elapsed(),
+                    );
+                }
+                WorkItem::Trajectory(index) => {
+                    let record = trajectory_record(&self.trajectories[*index], &self.time_axis);
+                    sink.on_trajectory(*index, &record);
+                    *trajectory_slots[*index].lock().unwrap() = Some(record);
+                }
             }
         });
         AnalysisReport {
@@ -1912,12 +1994,13 @@ impl QueryPlan {
         }
     }
 
-    /// Merges a completed cell's item outputs into its final [`CellRecord`],
+    /// Merges a completed cell's slot outputs into its final [`CellRecord`],
     /// running the paired validation inline when the query requested one.
     ///
-    /// Chunk items sit in the slot span in chunk order, so the fold below is the
+    /// Chunk tallies sit in the slot span in chunk order, so the fold below is the
     /// sampler's own whole-cell fold — the record is bit-identical to a
-    /// sequential per-cell run no matter which worker gets here, or when.
+    /// sequential per-cell run no matter which item fed a slot, which worker gets
+    /// here, or when.
     fn complete_cell(
         &self,
         index: usize,
@@ -2016,41 +2099,92 @@ impl QueryPlan {
         }
     }
 
-    /// Decomposes the plan into work items plus, per cell, its `(start, len)` span
-    /// in the item list (trajectory items follow the last cell span).
-    fn work_items(&self) -> (Vec<WorkItem>, Vec<(usize, usize)>) {
+    /// Decomposes the plan into work items and gives every cell its span of
+    /// result slots.
+    ///
+    /// Whole cells, posterior draws and trajectories are one item each. Monte
+    /// Carlo cells are grouped by [`DrawKey`], and each group yields one chunk
+    /// item per distinct `(chunk index, chunk length)` its members draw, naming
+    /// every member that draws it. A draw's slot is addressed by its cell and
+    /// chunk index, so a chunk item can feed any number of cells while each
+    /// cell's countdown and in-order fold stay its own.
+    fn schedule(&self) -> Schedule {
+        let samples = |cell: usize| self.cells[cell].budget.monte_carlo_samples;
         let mut items = Vec::new();
         let mut spans = Vec::with_capacity(self.cells.len());
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut group_of: HashMap<DrawKey<'_>, usize> = HashMap::new();
+        let mut next_slot = 0;
         for (index, cell) in self.cells.iter().enumerate() {
-            let start = items.len();
-            if cell.engine.choice() == EngineChoice::MonteCarlo {
-                for chunk in 0..chunk_count(cell.budget.monte_carlo_samples) {
-                    items.push(WorkItem::McChunk { cell: index, chunk });
-                }
+            let base = if cell.engine.choice() == EngineChoice::MonteCarlo {
+                let group = *group_of
+                    .entry(cell.sampler().draw_key())
+                    .or_insert_with(|| {
+                        groups.push(Vec::new());
+                        groups.len() - 1
+                    });
+                groups[group].push(index);
+                chunk_count(samples(index))
             } else {
                 items.push(WorkItem::Cell(index));
-            }
-            // Draw items live inside the cell's span, after the base items, so
-            // the cell's countdown covers them and the merge can address them
-            // positionally (span tail = draws in draw order).
+                1
+            };
+            // Draw slots follow the base slots, so the cell's countdown covers
+            // them and the merge can address them positionally (span tail =
+            // draws in draw order).
             for draw in 0..cell.draws.len() {
                 items.push(WorkItem::Draw { cell: index, draw });
             }
-            spans.push((start, items.len() - start));
+            let len = base + cell.draws.len();
+            spans.push((next_slot, len));
+            next_slot += len;
+        }
+        let mut members = Vec::new();
+        for mut group in groups {
+            // Largest budget first: the members drawing chunk `i` at full length
+            // are then a prefix, and those drawing it ragged follow in runs of
+            // one length — every item's members are one contiguous range.
+            group.sort_by_key(|&cell| (std::cmp::Reverse(samples(cell)), cell));
+            let offset = members.len();
+            for chunk in 0..chunk_count(samples(group[0])) {
+                let mut start = 0;
+                while start < group.len() && chunk < chunk_count(samples(group[start])) {
+                    let len = chunk_len(samples(group[start]), chunk);
+                    let run = group[start..]
+                        .iter()
+                        .take_while(|&&cell| {
+                            let s = samples(cell);
+                            chunk < chunk_count(s) && chunk_len(s, chunk) == len
+                        })
+                        .count();
+                    items.push(WorkItem::McChunk {
+                        chunk,
+                        members: offset + start..offset + start + run,
+                    });
+                    start += run;
+                }
+            }
+            members.extend(group);
         }
         for index in 0..self.trajectories.len() {
             items.push(WorkItem::Trajectory(index));
         }
-        (items, spans)
+        Schedule {
+            items,
+            members,
+            spans,
+        }
     }
 
     /// Estimated cost of a work item, in arbitrary comparable units. Only the
     /// *ordering* matters — largest first keeps a sweep's long poles from landing
     /// after the pool has drained — and the estimate never influences results.
-    fn item_cost(&self, item: WorkItem) -> u64 {
-        match item {
-            WorkItem::McChunk { cell, chunk } => {
-                let cell = &self.cells[cell];
+    fn item_cost(&self, schedule: &Schedule, item: &WorkItem) -> u64 {
+        match *item {
+            // One draw, however many cells it feeds: their tallies are a small
+            // fraction of it.
+            WorkItem::McChunk { chunk, ref members } => {
+                let cell = &self.cells[schedule.members[members.start]];
                 let count = chunk_len(cell.budget.monte_carlo_samples, chunk) as u64;
                 let nodes = cell.nodes as u64;
                 // The packed kernel retires ~64 scenarios per word pass; the
@@ -2082,28 +2216,6 @@ impl QueryPlan {
             // Horizon-by-window sweeps of an exact engine: sized like a mid-range
             // sampling chunk so trajectories start early but never starve chunks.
             WorkItem::Trajectory(_) => 1 << 20,
-        }
-    }
-
-    /// Executes one work item.
-    fn run_item(&self, item: WorkItem) -> ItemOutput {
-        match item {
-            WorkItem::Cell(index) => {
-                let cell = &self.cells[index];
-                cell.run_whole(&cell.scenario, &cell.scratch)
-            }
-            WorkItem::McChunk { cell, chunk } => {
-                ItemOutput::Hits(self.cells[cell].sampler().chunk(chunk))
-            }
-            WorkItem::Draw { cell, draw } => {
-                let cell = &self.cells[cell];
-                let draw = &cell.draws[draw];
-                cell.run_whole(&draw.scenario, &draw.scratch)
-            }
-            WorkItem::Trajectory(index) => ItemOutput::Trajectory(trajectory_record(
-                &self.trajectories[index],
-                &self.time_axis,
-            )),
         }
     }
 }
@@ -2141,10 +2253,13 @@ pub struct CellRecord {
     /// credible interval over the posterior draws next to the base cell's
     /// aleatoric (sampling) interval.
     pub epistemic: Option<EpistemicReport>,
-    /// Wall-clock nanoseconds spent executing this cell's scheduled work items,
-    /// summed across items (sample chunks may run on different workers
+    /// Wall-clock nanoseconds spent executing the scheduled work items that fed
+    /// this cell, summed across items (sample chunks may run on different workers
     /// concurrently, so this is aggregate compute time, not elapsed sweep time;
-    /// the paired validation run is included when one ran).
+    /// the paired validation run is included when one ran). A sample chunk drawn
+    /// once for several cells — see [`QueryPlan::execute`] — is charged in full
+    /// to every cell it fed, so the cells of one plan can sum to more than the
+    /// compute it took.
     pub wall_ns: u64,
 }
 
@@ -2694,13 +2809,15 @@ mod tests {
         }
     }
 
-    /// Tentpole pin: the work-stealing decomposition (chunked Monte Carlo cells,
-    /// whole exact and importance-sampling cells, trajectory items, the validation
-    /// wave) produces a report byte-identical — JSON with wall times zeroed — to a
-    /// sequential per-cell loop over the same plan, for the auto, pinned-scalar and
-    /// pinned-packed sampling kernels (the last on a sweep that includes a cell
-    /// only the scalar kernel can evaluate), on sample budgets that include a
-    /// ragged last chunk and zero, at one and two pool threads.
+    /// Tentpole pin: the work-stealing decomposition (Monte Carlo chunks drawn
+    /// once for every cell that draws them alike, whole exact and
+    /// importance-sampling cells, trajectory items, the validation wave) produces
+    /// a report byte-identical — JSON with wall times zeroed — to a sequential
+    /// per-cell loop over the same plan, for the auto, pinned-scalar (shares only
+    /// within a protocol's group) and pinned-packed sampling kernels (the last on
+    /// a sweep that includes a cell only the scalar kernel can evaluate), over
+    /// three protocols on one scenario and sample budgets that include a ragged
+    /// last chunk and zero, at one, two and eight pool threads.
     #[test]
     fn scheduled_execution_matches_a_sequential_per_cell_loop_byte_for_byte() {
         let (placement, placement_deployment) = scalar_only_cell();
@@ -2709,10 +2826,15 @@ mod tests {
             (McKernel::Scalar, 1),
             (McKernel::Packed, 1),
             (McKernel::Packed, 2),
+            (McKernel::Auto, 8),
         ] {
             let session = AnalysisSession::with_threads(threads);
             let query = Query::new()
-                .protocols([ProtocolSpec::Raft])
+                .protocols([
+                    ProtocolSpec::Raft,
+                    ProtocolSpec::Pbft,
+                    ProtocolSpec::RaftFlexible { q_per: 4, q_vc: 3 },
+                ])
                 .nodes([5usize])
                 .fault_probs([0.05])
                 .correlations([
@@ -2722,11 +2844,14 @@ mod tests {
                 .samples_sweep([0usize, MC_CHUNK_SIZE + 1, 9_000, 20_000])
                 // The sweep overrides the grid cells' samples; the explicit cells
                 // (importance sampling, scalar-only Monte Carlo) draw this many.
+                // Few simulation trials: the validation wave only has to run
+                // (24 validated cells per case), not to resolve anything.
                 .budget(
                     Budget::default()
                         .with_samples(MC_CHUNK_SIZE + 1)
                         .with_seed(11)
-                        .with_mc_kernel(kernel),
+                        .with_mc_kernel(kernel)
+                        .with_sim_trials(16),
                 )
                 .validate_with_simulation()
                 .cell(
@@ -2805,6 +2930,38 @@ mod tests {
             assert_eq!(placement_cell.engine, EngineChoice::MonteCarlo);
             assert_eq!(placement_cell.kernel(), Some(McKernel::Scalar));
         }
+    }
+
+    /// The benchmark's `heavy-sweep` request: Raft and PBFT at three cluster sizes
+    /// over one shocked scenario each, sampled at 5e5, 1e6 and 2e6. Per scenario
+    /// the six cells draw chunks 0..488 at full length plus the three replicates'
+    /// ragged last chunks — 491 draws instead of 2 × (123 + 245 + 489) per-cell
+    /// chunks — while every cell still gets one tally per chunk of its budget.
+    #[test]
+    fn a_sweep_draws_each_shared_chunk_once() {
+        let query = Query::new()
+            .protocols([ProtocolSpec::Raft, ProtocolSpec::Pbft])
+            .nodes([25usize, 49, 101])
+            .fault_probs([0.05])
+            .correlations([CorrelationSpec::ClusterShock { probability: 0.02 }])
+            .samples_sweep([500_000usize, 1_000_000, 2_000_000])
+            .budget(Budget::default().with_seed(1));
+        let plan = AnalysisSession::new().plan(&query).expect("valid query");
+        assert!(plan
+            .engines()
+            .iter()
+            .all(|&e| e == EngineChoice::MonteCarlo));
+        let schedule = plan.schedule();
+        let fed: Vec<usize> = schedule
+            .items
+            .iter()
+            .filter_map(|item| match item {
+                WorkItem::McChunk { members, .. } => Some(members.len()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fed.len(), 3 * (488 + 3));
+        assert_eq!(fed.iter().sum::<usize>(), 2 * 3 * (123 + 245 + 489));
     }
 
     #[test]
@@ -3303,6 +3460,16 @@ mod tests {
         assert!(session
             .plan(&Query::new().time_horizon(nan_window))
             .is_err());
+        // Well-formed but too long: the axis ends one sample past the cap (and
+        // one at it plans). The constructor cannot know what a plan affords.
+        let step = 0.5;
+        let points = |n: usize| TimeAxis::new((n - 1) as f64 * step, step);
+        let plan_axis = |axis| session.plan(&Query::new().time_horizon(axis));
+        assert_eq!(
+            plan_axis(points(MAX_TIME_POINTS + 1)).unwrap_err(),
+            AnalysisError::InvalidTimeAxis
+        );
+        assert!(plan_axis(points(MAX_TIME_POINTS)).is_ok());
     }
 
     #[test]

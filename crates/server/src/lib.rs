@@ -1882,6 +1882,28 @@ mod tests {
     }
 
     #[test]
+    fn an_overlong_time_axis_is_an_error_event_not_an_abort() {
+        // 1e12 hours at 0.001-hour steps is 1e15 sample times: 8e15 bytes on the
+        // worker running the repairable cell, an allocation failure that aborts
+        // the process. Planning must refuse the axis as one error event, and the
+        // connection must go on to serve the next line.
+        let server = Arc::new(Server::new());
+        let input = "{\"id\":\"long\",\"op\":\"query\",\"query\":{\"time_axis\":{\"horizon_hours\":1e12,\"step_hours\":0.001},\"repairable_cells\":[{\"label\":\"r\",\"n\":5,\"lambda\":1e-4,\"mu\":0.1,\"tolerated_failures\":2}]}}\n\
+                     {\"id\":\"ok\",\"op\":\"query\",\"query\":{\"protocols\":[\"raft\"],\"nodes\":[3],\"fault_probs\":[0.01]}}\n";
+        let output = run_exchange(&server, input);
+        let events = events(&output);
+        let long: Vec<_> = events
+            .iter()
+            .filter(|e| e.get("id").and_then(|v| v.as_str()) == Some("long"))
+            .collect();
+        assert_eq!(long.len(), 1, "{output}");
+        assert_eq!(long[0].get("event").and_then(|v| v.as_str()), Some("error"));
+        let message = long[0].get("message").and_then(|v| v.as_str()).unwrap();
+        assert!(message.contains("sample times"), "{message}");
+        assert_eq!(events_for(&events, "ok", "done").len(), 1, "{output}");
+    }
+
+    #[test]
     fn posterior_queries_stream_epistemic_cells() {
         let server = Arc::new(Server::new());
         let query = r#"{"protocols":["raft"],"nodes":[5],"fault_probs":[0.05],"seed":5,"posterior":{"draws":16,"alpha":3.5,"beta":60.0,"level":0.9}}"#;
