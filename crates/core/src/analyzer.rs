@@ -129,6 +129,19 @@ pub enum AnalysisError {
     /// struct-literal axis with a zero step would otherwise make the trajectory
     /// sampler unbounded — so planning re-checks them.
     InvalidTimeAxis,
+    /// The query is larger than a plan may be: more nodes than
+    /// [`MAX_NODES`](crate::query::MAX_NODES), an axis longer than
+    /// [`MAX_AXIS_LEN`](crate::query::MAX_AXIS_LEN), or more cells than
+    /// [`MAX_CELLS`](crate::query::MAX_CELLS). An allocation that fails aborts
+    /// the process, so planning refuses the size before it allocates.
+    OverLimit {
+        /// What was counted (`"nodes"`, `"cells"`, an axis name).
+        what: &'static str,
+        /// The count the query asked for (saturated at `usize::MAX`).
+        value: usize,
+        /// The largest count a plan accepts.
+        limit: usize,
+    },
 }
 
 impl std::fmt::Display for AnalysisError {
@@ -155,6 +168,9 @@ impl std::fmt::Display for AnalysisError {
                  positive step/window, and at most {} sample times",
                 crate::query::MAX_TIME_POINTS
             ),
+            AnalysisError::OverLimit { what, value, limit } => {
+                write!(f, "{what} must be at most {limit}, got {value}")
+            }
         }
     }
 }

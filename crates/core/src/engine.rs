@@ -536,8 +536,23 @@ impl Budget {
     /// * `rare_event_tilt` must be finite and either `0` (adaptive) or `≥ 1`;
     /// * `min_effective_samples` must be a positive finite number (zero would turn
     ///   the ESS floor into a no-op);
-    /// * `rare_event_threshold` must lie strictly inside `(0, 1)`.
+    /// * `rare_event_threshold` must lie strictly inside `(0, 1)`;
+    /// * `monte_carlo_samples` and the posterior draw count must stay within
+    ///   [`MAX_SAMPLES`](crate::query::MAX_SAMPLES) and
+    ///   [`MAX_POSTERIOR_DRAWS`](crate::query::MAX_POSTERIOR_DRAWS).
     pub fn validate(&self) -> Result<(), InvalidBudget> {
+        let over = |what, value, limit| {
+            if value > limit {
+                Err(InvalidBudget::OverLimit { what, value, limit })
+            } else {
+                Ok(())
+            }
+        };
+        over(
+            "monte_carlo_samples",
+            self.monte_carlo_samples,
+            crate::query::MAX_SAMPLES,
+        )?;
         let tilt = self.rare_event_tilt;
         if !tilt.is_finite() || !(tilt == 0.0 || tilt >= 1.0) {
             return Err(InvalidBudget::RareEventTilt(tilt));
@@ -563,6 +578,11 @@ impl Budget {
             if ep.draws == 0 {
                 return Err(InvalidBudget::EpistemicDraws);
             }
+            over(
+                "epistemic.draws",
+                ep.draws,
+                crate::query::MAX_POSTERIOR_DRAWS,
+            )?;
             if !(ep.alpha.is_finite() && ep.alpha > 0.0 && ep.beta.is_finite() && ep.beta > 0.0) {
                 return Err(InvalidBudget::EpistemicHyperparameters {
                     alpha: ep.alpha,
@@ -613,6 +633,17 @@ pub enum InvalidBudget {
     /// The epistemic credible level is outside the open interval `(0, 1)`
     /// (NaN included) — no central interval exists at such a level.
     EpistemicLevel(f64),
+    /// A work count exceeds its plan limit: Monte Carlo samples past
+    /// [`MAX_SAMPLES`](crate::query::MAX_SAMPLES) or posterior draws past
+    /// [`MAX_POSTERIOR_DRAWS`](crate::query::MAX_POSTERIOR_DRAWS).
+    OverLimit {
+        /// The knob (`"monte_carlo_samples"` or `"epistemic.draws"`).
+        what: &'static str,
+        /// The configured count.
+        value: usize,
+        /// The largest count a plan accepts.
+        limit: usize,
+    },
 }
 
 impl std::fmt::Display for InvalidBudget {
@@ -654,6 +685,9 @@ impl std::fmt::Display for InvalidBudget {
                 f,
                 "epistemic.level must lie strictly inside (0, 1), got {v}"
             ),
+            InvalidBudget::OverLimit { what, value, limit } => {
+                write!(f, "{what} must be at most {limit}, got {value}")
+            }
         }
     }
 }

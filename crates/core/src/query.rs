@@ -336,6 +336,37 @@ impl Metrics {
 /// [`AnalysisError::InvalidTimeAxis`] before anything allocates for it.
 pub const MAX_TIME_POINTS: usize = 1 << 20;
 
+/// The most nodes a planned cluster may have (4 096: above the 3 000-node
+/// deployment of the counting-cap test, forty times the 101-node clusters of
+/// the heavy-sweep benchmark). Planning checks every `nodes` entry and every
+/// repairable group's size before building a deployment or a chain for it, and
+/// rejects a larger one with [`AnalysisError::OverLimit`].
+pub const MAX_NODES: usize = 1 << 12;
+
+/// The most entries one grid axis may have (4 096: 160 times the 25-point
+/// [`logspace`] fault-probability axis of the paper-style sweeps). Planning
+/// checks every axis; the service also bounds a `logspace` count with it,
+/// because that axis is materialized while the request is read.
+pub const MAX_AXIS_LEN: usize = 1 << 12;
+
+/// The most posterior draws per cell (4 096: twenty times the 200-draw
+/// posterior of the service's protocol example, sixty-four times the
+/// 64-draw benchmark posteriors); [`Budget::validate`] rejects more.
+pub const MAX_POSTERIOR_DRAWS: usize = 1 << 12;
+
+/// The most Monte Carlo samples per cell (2²⁸, about 134 times the 2 000 000
+/// samples of the heavy-sweep benchmark's largest cells);
+/// [`Budget::validate`] rejects more, and planning checks every entry of the
+/// samples axis against it too.
+pub const MAX_SAMPLES: usize = 1 << 28;
+
+/// The most cells a plan may expand to, posterior draws counted as cells
+/// (16 384: fifty-seven times the 288-cell grid that exercises every wire
+/// axis). Planning multiplies the axis lengths with saturating arithmetic,
+/// so no product overflows, and rejects a larger one with
+/// [`AnalysisError::OverLimit`] before it allocates a cell.
+pub const MAX_CELLS: usize = 1 << 14;
+
 /// The time axis of a trajectory query: how far ahead to look, how often to
 /// sample, and (for fleet cells) how wide each sampled mission window is.
 ///
@@ -1047,16 +1078,27 @@ impl Query {
     }
 
     /// Number of cells the query expands to (grid product plus explicit cells).
+    /// Saturates at `usize::MAX` rather than overflowing.
     pub fn cell_count(&self) -> usize {
-        let samples_axis = self.sample_budgets.len().max(1);
-        let environment_axis = self.environments.len().max(1);
-        self.protocols.len()
-            * self.nodes.len()
-            * self.fault_probs.len()
-            * self.correlations.len()
-            * samples_axis
-            * environment_axis
-            + self.explicit.len()
+        self.axis_lengths()
+            .iter()
+            .map(|&(_, len)| len)
+            .fold(1, usize::saturating_mul)
+            .saturating_add(self.explicit.len())
+    }
+
+    /// The grid axes by name, each with the number of entries it contributes to
+    /// the grid product (an empty samples or environment axis is one entry: the
+    /// base budget's).
+    fn axis_lengths(&self) -> [(&'static str, usize); 6] {
+        [
+            ("protocols", self.protocols.len()),
+            ("nodes", self.nodes.len()),
+            ("fault_probs", self.fault_probs.len()),
+            ("correlations", self.correlations.len()),
+            ("samples_sweep", self.sample_budgets.len().max(1)),
+            ("environments", self.environments.len().max(1)),
+        ]
     }
 
     /// The base budget (before the samples sweep is applied).
@@ -1342,6 +1384,39 @@ impl AnalysisSession {
             if let Some(budget) = &explicit.budget {
                 budget.validate().map_err(AnalysisError::InvalidBudget)?;
             }
+        }
+        // Sizes before anything is built: a failed allocation aborts the
+        // process, which no caller can catch.
+        let over = |what, value, limit| {
+            if value > limit {
+                Err(AnalysisError::OverLimit { what, value, limit })
+            } else {
+                Ok(())
+            }
+        };
+        for (axis, len) in query.axis_lengths() {
+            over(axis, len, MAX_AXIS_LEN)?;
+        }
+        for &n in &query.nodes {
+            over("nodes", n, MAX_NODES)?;
+        }
+        for spec in &query.trajectories {
+            if let TrajectorySpec::Repairable { group, .. } = spec {
+                over("repairable n", group.group_size(), MAX_NODES)?;
+            }
+        }
+        let draws = query.budget.epistemic.map_or(1, |ep| ep.draws);
+        over(
+            "cells (posterior draws included)",
+            query.cell_count().saturating_mul(draws),
+            MAX_CELLS,
+        )?;
+        for &samples in &query.sample_budgets {
+            query
+                .budget
+                .with_samples(samples)
+                .validate()
+                .map_err(AnalysisError::InvalidBudget)?;
         }
         let sample_axis: Vec<usize> = if query.sample_budgets.is_empty() {
             vec![query.budget.monte_carlo_samples]
@@ -3470,6 +3545,62 @@ mod tests {
             AnalysisError::InvalidTimeAxis
         );
         assert!(plan_axis(points(MAX_TIME_POINTS)).is_ok());
+    }
+
+    #[test]
+    fn oversized_queries_are_rejected_before_anything_is_built() {
+        let session = AnalysisSession::new();
+        let grid = || {
+            Query::new()
+                .protocols([ProtocolSpec::Raft])
+                .nodes([3usize])
+                .fault_probs([0.01])
+        };
+        let over = |query: Query| match session.plan(&query).unwrap_err() {
+            AnalysisError::OverLimit { what, .. } => what,
+            AnalysisError::InvalidBudget(crate::engine::InvalidBudget::OverLimit {
+                what, ..
+            }) => what,
+            other => panic!("expected a size limit, got {other}"),
+        };
+        // Each of these would ask for gigabytes: 3e9 nodes, 4e9 posterior
+        // draws, a 200 000-node repairable chain.
+        assert_eq!(over(grid().nodes([3_000_000_000usize])), "nodes");
+        assert_eq!(
+            over(grid().posterior(4_000_000_000, 2.0, 50.0)),
+            "epistemic.draws"
+        );
+        let chain = RepairableGroup::new(200_000, 1e-4, 0.1, 2);
+        assert_eq!(over(grid().repairable_cell("r", chain)), "repairable n");
+        // Sample counts, on the base budget and on the samples axis.
+        let samples = MAX_SAMPLES + 1;
+        let budget = Budget::default().with_samples(samples);
+        assert_eq!(over(grid().budget(budget)), "monte_carlo_samples");
+        assert_eq!(over(grid().samples_sweep([samples])), "monte_carlo_samples");
+        // Axis lengths, and their product, which saturates: six axes of 4 096
+        // entries overflow a u64.
+        let long = vec![0.01; MAX_AXIS_LEN + 1];
+        assert_eq!(over(grid().fault_probs(long)), "fault_probs");
+        let full = || vec![0.01; MAX_AXIS_LEN];
+        let wide = grid()
+            .fault_probs(full())
+            .samples_sweep(vec![10; MAX_AXIS_LEN]);
+        assert_eq!(wide.cell_count(), MAX_AXIS_LEN * MAX_AXIS_LEN);
+        assert_eq!(over(wide), "cells (posterior draws included)");
+        let huge = Query::new()
+            .protocols(vec![ProtocolSpec::Raft; MAX_AXIS_LEN])
+            .nodes(vec![3usize; MAX_AXIS_LEN])
+            .fault_probs(full())
+            .correlations(vec![CorrelationSpec::Independent; MAX_AXIS_LEN])
+            .samples_sweep(vec![10; MAX_AXIS_LEN])
+            .fault_environments(vec![FaultEnvironment::Clean; MAX_AXIS_LEN]);
+        assert_eq!(huge.cell_count(), usize::MAX);
+        assert_eq!(over(huge), "cells (posterior draws included)");
+        // Posterior draws count as cells.
+        let drawn = grid()
+            .fault_probs(vec![0.01; 8])
+            .posterior(MAX_CELLS / 4, 2.0, 50.0);
+        assert_eq!(over(drawn), "cells (posterior draws included)");
     }
 
     #[test]

@@ -12,7 +12,18 @@ use rand::{Rng, SeedableRng};
 
 use crate::metrics::ln_binomial;
 use crate::set::NodeSet;
-use crate::system::sample_subset;
+
+/// Samples a uniformly random subset of exactly `k` distinct indices from `0..n`, by a
+/// partial Fisher–Yates shuffle (O(n) time and allocation).
+fn sample_subset<R: Rng + ?Sized>(n: usize, k: usize, rng: &mut R) -> NodeSet {
+    assert!(k <= n, "cannot sample {k} nodes from a universe of {n}");
+    let mut indices: Vec<usize> = (0..n).collect();
+    for i in 0..k {
+        let j = rng.gen_range(i..n);
+        indices.swap(i, j);
+    }
+    NodeSet::from_indices(n, &indices[..k])
+}
 
 /// Static description of a committee-sampling scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,6 +165,39 @@ impl CommitteeSampler {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn sample_subset_has_requested_size_and_is_in_range() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for k in 0..=10 {
+            let s = sample_subset(10, k, &mut rng);
+            assert_eq!(s.len(), k);
+            assert!(s.iter().all(|i| i < 10));
+        }
+    }
+
+    #[test]
+    fn sample_subset_is_roughly_uniform() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut counts = [0usize; 6];
+        for _ in 0..30_000 {
+            for i in sample_subset(6, 2, &mut rng).iter() {
+                counts[i] += 1;
+            }
+        }
+        // Each node should appear in about 1/3 of the samples.
+        for &c in &counts {
+            let frac = c as f64 / 30_000.0;
+            assert!((frac - 1.0 / 3.0).abs() < 0.02, "frac {frac}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot sample")]
+    fn sample_subset_rejects_oversized_request() {
+        let mut rng = StdRng::seed_from_u64(5);
+        sample_subset(3, 4, &mut rng);
+    }
 
     #[test]
     fn hypergeometric_masses_sum_to_one() {

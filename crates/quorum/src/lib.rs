@@ -1,59 +1,39 @@
-//! Quorum-system substrate for probabilistic consensus analysis.
+//! Quorum substrate for probabilistic consensus analysis.
 //!
 //! Consensus protocols progress by gathering *quorums* of replies (§3.1 of the paper):
 //! non-equivocation, persistence, view-change and view-change-trigger quorums whose
-//! intersection invariants drive both safety and liveness. This crate provides the quorum
-//! abstractions the analysis layer and the executable protocols share:
+//! intersection invariants drive both safety and liveness. This crate provides the pieces
+//! the analysis layer uses:
 //!
 //! * [`set`] — compact node sets (bit sets) used to describe quorums and failure
 //!   configurations.
-//! * [`system`] — the [`system::QuorumSystem`] trait: membership test, minimum quorum
-//!   size, formability from a set of live nodes, and pairwise-intersection checking.
-//! * [`majority`], [`threshold`], [`flexible`], [`weighted`], [`grid`] — classic
-//!   deterministic quorum systems (simple majority, k-of-n, Flexible-Paxos style
-//!   two-tier thresholds, stake-weighted, and Naor–Wool grids).
-//! * [`probabilistic`] — probabilistic quorums: O(√N)-sized random quorums that
-//!   intersect with high probability rather than with certainty.
 //! * [`committee`] — committee sampling in the style of Algorand / King–Saia: seeded
 //!   random committees together with the probability that a sampled committee is
 //!   "good enough".
-//! * [`metrics`] — Naor–Wool style quality measures: load, capacity and availability of
-//!   a quorum system under per-node failure probabilities.
+//! * [`metrics`] — binomial helpers: the probability that enough independent nodes are
+//!   up to assemble a threshold quorum.
 //!
 //! # Examples
 //!
 //! ```
-//! use quorum::majority::MajorityQuorum;
 //! use quorum::set::NodeSet;
-//! use quorum::system::QuorumSystem;
 //!
-//! let q = MajorityQuorum::new(5);
-//! assert_eq!(q.min_quorum_size(), 3);
-//! assert!(q.is_quorum(&NodeSet::from_indices(5, &[0, 2, 4])));
-//! assert!(q.always_intersects());
+//! // Two majorities of five nodes always share a member.
+//! let a = NodeSet::from_indices(5, &[0, 1, 2]);
+//! let b = NodeSet::from_indices(5, &[2, 3, 4]);
+//! assert!(a.intersects(&b));
+//! assert_eq!(a.intersection(&b).to_vec(), vec![2]);
+//! // A quorum that loses its crashed member may fall below the threshold.
+//! let crashed = NodeSet::from_indices(5, &[1]);
+//! assert_eq!(a.difference(&crashed).len(), 2);
 //! ```
 
 // Documentation is part of this crate's contract: every public item is
 // documented, and CI builds rustdoc with `-D warnings` (see the `docs` job).
 #![warn(missing_docs)]
 pub mod committee;
-pub mod flexible;
-pub mod grid;
-pub mod majority;
 pub mod metrics;
-pub mod probabilistic;
 pub mod set;
-pub mod system;
-pub mod threshold;
-pub mod weighted;
 
 pub use committee::{CommitteeSampler, CommitteeSpec};
-pub use flexible::FlexibleQuorum;
-pub use grid::GridQuorum;
-pub use majority::MajorityQuorum;
-pub use metrics::{availability_under_iid, quorum_load};
-pub use probabilistic::ProbabilisticQuorum;
 pub use set::NodeSet;
-pub use system::QuorumSystem;
-pub use threshold::ThresholdQuorum;
-pub use weighted::WeightedQuorum;

@@ -1,12 +1,5 @@
-//! Quorum-system quality measures.
-//!
-//! Naor and Wool introduced *load*, *capacity* and *availability* as the quality measures
-//! of a quorum system (§5 of the paper cites this line of work, noting it assumes all
-//! nodes fail with equal probability). This module provides those measures plus the
-//! binomial helpers shared by the threshold-style systems.
-
-use crate::set::NodeSet;
-use crate::system::QuorumSystem;
+//! Binomial helpers for threshold quorums: how likely `k` of `n` independent nodes,
+//! each up with probability `p`, are enough to assemble a quorum.
 
 /// log of the binomial coefficient `C(n, k)`, computed via `ln Γ` for numerical range.
 pub fn ln_binomial(n: usize, k: usize) -> f64 {
@@ -48,74 +41,9 @@ pub fn binomial_cdf(n: usize, k: usize, p: f64) -> f64 {
         .min(1.0)
 }
 
-/// The *load* of a threshold-style quorum system: the minimum, over strategies for
-/// picking quorums, of the busiest node's access probability. For a balanced k-of-n
-/// system this is simply `k / n`.
-pub fn quorum_load<Q: QuorumSystem + ?Sized>(system: &Q) -> f64 {
-    system.min_quorum_size() as f64 / system.universe_size() as f64
-}
-
-/// Availability of a quorum system when every node is independently *live* with
-/// probability `p_live`: the probability that the live nodes contain a quorum, estimated
-/// exactly by enumerating failure counts for threshold systems and by Monte Carlo
-/// otherwise.
-///
-/// For the threshold systems used throughout the paper the exact binomial expression is
-/// used; for arbitrary systems the caller should prefer the analysis crate's Monte Carlo
-/// machinery. Here we enumerate all subsets only for tiny universes (n ≤ 16).
-pub fn availability_under_iid<Q: QuorumSystem + ?Sized>(system: &Q, p_live: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&p_live));
-    let n = system.universe_size();
-    // Fast path: detect threshold behaviour by probing cardinalities.
-    if let Some(k) = threshold_of(system) {
-        return binomial_tail_at_least(n, k, p_live);
-    }
-    assert!(
-        n <= 16,
-        "exact availability for non-threshold systems is only supported for n <= 16"
-    );
-    let mut total = 0.0;
-    for mask in 0u32..(1u32 << n) {
-        let members: Vec<usize> = (0..n).filter(|&i| mask & (1 << i) != 0).collect();
-        let set = NodeSet::from_indices(n, &members);
-        if system.can_form_quorum(&set) {
-            let k = members.len();
-            total += p_live.powi(k as i32) * (1.0 - p_live).powi((n - k) as i32);
-        }
-    }
-    total
-}
-
-/// If the system behaves like a pure threshold system on prefix sets, returns that
-/// threshold. Used as a fast path for availability computations.
-fn threshold_of<Q: QuorumSystem + ?Sized>(system: &Q) -> Option<usize> {
-    let n = system.universe_size();
-    let k = system.min_quorum_size();
-    if k == 0 || k > n {
-        return None;
-    }
-    // A prefix of size k must be a quorum and one of size k-1 must not; additionally a
-    // "spread" set of size k (every other node) must be a quorum for us to conclude the
-    // system only counts cardinality. This is a heuristic fast path; systems that are
-    // not genuinely threshold-shaped should not rely on it.
-    let prefix_k = NodeSet::from_indices(n, &(0..k).collect::<Vec<_>>());
-    let prefix_k1 = NodeSet::from_indices(n, &(0..k.saturating_sub(1)).collect::<Vec<_>>());
-    let spread: Vec<usize> = (0..n).rev().take(k).collect();
-    let spread_k = NodeSet::from_indices(n, &spread);
-    if system.is_quorum(&prefix_k)
-        && system.is_quorum(&spread_k)
-        && (k == 0 || !system.is_quorum(&prefix_k1))
-    {
-        Some(k)
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::threshold::ThresholdQuorum;
     use proptest::prelude::*;
 
     #[test]
@@ -142,16 +70,9 @@ mod tests {
     }
 
     #[test]
-    fn load_of_majority_is_about_half() {
-        let q = ThresholdQuorum::new(9, 5);
-        assert!((quorum_load(&q) - 5.0 / 9.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn availability_matches_paper_raft_n3() {
         // 2-of-3 with p_live = 0.99 is the Raft N=3 liveness number from Table 2.
-        let q = ThresholdQuorum::new(3, 2);
-        let a = availability_under_iid(&q, 0.99);
+        let a = binomial_tail_at_least(3, 2, 0.99);
         assert!((a - 0.999702).abs() < 1e-6, "got {a}");
     }
 
@@ -159,9 +80,8 @@ mod tests {
         #[test]
         fn availability_is_monotone_in_liveness(n in 2usize..12, seed in 0usize..100) {
             let k = (seed % n).max(1);
-            let q = ThresholdQuorum::new(n, k);
-            let lo = availability_under_iid(&q, 0.7);
-            let hi = availability_under_iid(&q, 0.9);
+            let lo = binomial_tail_at_least(n, k, 0.7);
+            let hi = binomial_tail_at_least(n, k, 0.9);
             prop_assert!(hi >= lo - 1e-12);
         }
 

@@ -23,13 +23,24 @@
 //! {"id":"bye","op":"shutdown"}
 //! ```
 //!
+//! **One grammar.** Every object on the wire, the request envelope included,
+//! is read by one strict reader, which also words every rejection:
+//!
+//! - an unknown or repeated key is rejected at every level;
+//! - a one-variant object (`{"raft_flexible":{..}}`, `{"cluster_shock":{..}}`,
+//!   `{"logspace":{..}}`, `{"uniform_crash":{..}}`, the optimize `target`, …)
+//!   has exactly one member;
+//! - sizes stay within the plan limits of [`prob_consensus::query`]
+//!   (`MAX_NODES`, `MAX_AXIS_LEN`, `MAX_CELLS`, `MAX_SAMPLES`,
+//!   `MAX_POSTERIOR_DRAWS`, `MAX_TIME_POINTS`), checked when the query is
+//!   planned — or while it is read, for what reading allocates (a deployment,
+//!   a `logspace` axis).
+//!
 //! A `posterior` member turns the query second-order: every cell re-runs under
 //! `draws` deterministic Beta(`alpha`, `beta`) posterior draws and its record
 //! gains an `epistemic` object separating the parameter-uncertainty credible
 //! interval from the sampling interval (optional `level`, default 0.9; see
-//! `prob_consensus::epistemic`). Malformed posterior payloads — zero draws,
-//! non-positive hyperparameters, a level outside (0, 1) — draw an `error` event
-//! at plan time and never take the connection down.
+//! `prob_consensus::epistemic`).
 //!
 //! Responses are events tagged with the request `id`. A query streams one
 //! `cell` / `trajectory` event per record *as it completes* (unspecified order;
@@ -61,8 +72,9 @@
 //! Queries submitted before a previous one finishes run **concurrently** on the
 //! shared worker pool (each plan is submitted as an owned task; its work items
 //! interleave with every other plan's). `shutdown` drains in-flight queries
-//! before the final event is written. Malformed lines and failed plans produce
-//! an `error` event and never take the server down.
+//! before the final event is written. Every malformed line, rejected request
+//! and failed plan produces one `error` event and never takes the connection
+//! down.
 //!
 //! # Output path
 //!
@@ -86,10 +98,11 @@
 //! re-assembled by index is byte-identical to a one-shot run of the same query
 //! (modulo the measured `wall_ns` fields).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{
     IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
 };
+use std::ops::RangeInclusive;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -102,13 +115,13 @@ use prob_consensus::durability::PersistenceQuorumModel;
 use prob_consensus::engine::{Budget, EpistemicBudget, FaultEnvironment};
 use prob_consensus::json::JsonValue;
 use prob_consensus::optimize::{
-    optimize, DeploymentSpace, FailureDomains, NodeType, OptimizerConfig, Placement, RepairPolicy,
-    TargetSpec,
+    optimize, DeploymentSpace, FailureDomains, NodeType, OptimizeReport, OptimizerConfig,
+    Placement, RepairPolicy, TargetSpec,
 };
 use prob_consensus::protocol::ProtocolModel;
 use prob_consensus::query::{
-    AnalysisSession, CellRecord, CorrelationSpec, FaultAxis, Metrics, ProtocolSpec, Query,
-    StreamSink, TimeAxis, TrajectoryRecord,
+    logspace, AnalysisReport, AnalysisSession, CellRecord, CorrelationSpec, FaultAxis, Metrics,
+    ProtocolSpec, Query, StreamSink, TimeAxis, TrajectoryRecord, MAX_AXIS_LEN, MAX_NODES,
 };
 
 /// Upper bound on the bytes a connection may have queued for a peer that is
@@ -260,21 +273,22 @@ fn emit(outbox: &Outbox, value: &JsonValue) {
     }
 }
 
-fn event(id: &JsonValue, kind: &str, rest: Vec<(String, JsonValue)>) -> JsonValue {
-    let mut members = vec![
-        ("id".to_string(), id.clone()),
-        ("event".to_string(), JsonValue::string(kind)),
-    ];
-    members.extend(rest);
-    JsonValue::Object(members)
+fn event(id: &JsonValue, kind: &str, rest: Vec<(&str, JsonValue)>) -> JsonValue {
+    let head = [("id", id.clone()), ("event", JsonValue::string(kind))];
+    let members = head.into_iter().chain(rest);
+    JsonValue::Object(members.map(|(k, v)| (k.to_string(), v)).collect())
 }
 
 fn error_event(id: &JsonValue, message: impl Into<String>) -> JsonValue {
-    event(
-        id,
-        "error",
-        vec![("message".to_string(), JsonValue::string(message.into()))],
-    )
+    event(id, "error", vec![("message", JsonValue::string(message))])
+}
+
+/// An object of numbers, in the order given.
+fn numbers(members: &[(&str, f64)]) -> JsonValue {
+    let members = members
+        .iter()
+        .map(|&(k, v)| (k.to_string(), JsonValue::number(v)));
+    JsonValue::Object(members.collect())
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -289,226 +303,376 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Query JSON → `Query`
+// The wire grammar: one strict reader for every request object
 // ---------------------------------------------------------------------------
 
-fn as_bool(v: &JsonValue) -> Option<bool> {
-    match v {
+/// A JSON value type a field can hold, named singular and plural in errors.
+trait Wire<'a>: Sized {
+    const NAME: [&'static str; 2];
+    fn from_json(value: &'a JsonValue) -> Option<Self>;
+}
+
+macro_rules! wire {
+    ($($t:ty: $one:literal, $many:literal, |$v:ident| $read:expr;)*) => {$(
+        impl<'a> Wire<'a> for $t {
+            const NAME: [&'static str; 2] = [$one, $many];
+            fn from_json($v: &'a JsonValue) -> Option<Self> {
+                $read
+            }
+        }
+    )*};
+}
+
+/// A whole number from 0 to `limit`.
+fn whole(value: &JsonValue, limit: f64) -> Option<f64> {
+    let f = value.as_f64()?;
+    (f >= 0.0 && f.fract() == 0.0 && f <= limit).then_some(f)
+}
+
+// Counts and sizes stop at `u32::MAX`, seeds at 2⁵³ (the largest integer a
+// JSON number holds exactly); `&JsonValue` is for fields read further on.
+wire! {
+    f64: "a number", "numbers", |v| v.as_f64();
+    usize: "a non-negative integer", "non-negative integers",
+        |v| whole(v, u32::MAX as f64).map(|f| f as usize);
+    u64: "an integer", "integers", |v| whole(v, 2f64.powi(53)).map(|f| f as u64);
+    bool: "a boolean", "booleans", |v| match v {
         JsonValue::Bool(b) => Some(*b),
         _ => None,
+    };
+    &'a str: "a string", "strings", |v| v.as_str();
+    &'a JsonValue: "a value", "values", |v| Some(v);
+}
+
+/// The smallest positive `f64`: as an inclusive lower bound, "above zero".
+const ABOVE_ZERO: f64 = f64::from_bits(1);
+/// The largest `f64` below one: as an inclusive upper bound, "below one".
+const BELOW_ONE: f64 = 1.0 - f64::EPSILON / 2.0;
+const PROBABILITY: RangeInclusive<f64> = 0.0..=1.0;
+const NON_NEGATIVE: RangeInclusive<f64> = 0.0..=f64::MAX;
+const POSITIVE: RangeInclusive<f64> = ABOVE_ZERO..=f64::MAX;
+
+/// What a request can get wrong in its shape; [`wrong`] words every one.
+enum Problem<'k> {
+    NotObject,
+    Missing(&'k str),
+    UnknownKey(&'k str),
+    Duplicate(&'k str),
+    /// A key and the type its value must have; `Entries` for each array entry.
+    Type(&'k str, &'static str),
+    Entries(&'k str, &'static str),
+    /// A key, its value, the range it missed and its type's name.
+    Range(&'k str, f64, RangeInclusive<f64>, &'static str),
+    /// An object that must have exactly one member, with its keys.
+    Members(Vec<&'k str>),
+    /// A tagged value with an unknown tag (and whether it was an object's
+    /// key), and what was expected instead.
+    UnknownTag(&'k str, bool, &'k str),
+    /// A value of the wrong shape, and what was expected instead.
+    Shape(&'k str),
+}
+
+/// The error text of `problem` in an object of kind `what`.
+fn wrong(what: &str, problem: Problem<'_>) -> String {
+    match problem {
+        Problem::NotObject => format!("{what} must be an object"),
+        Problem::Missing(key) => format!("{what}: missing '{key}'"),
+        Problem::UnknownKey(key) => format!("unknown {what} key '{key}'"),
+        Problem::Duplicate(key) => format!("{what}: duplicate key '{key}'"),
+        Problem::Type(key, name) => format!("{what}: '{key}' must be {name}"),
+        Problem::Entries(key, names) => format!("{what}: '{key}' entries must be {names}"),
+        Problem::Range(key, value, range, name) => {
+            // Real-valued ranges read as words; `ABOVE_ZERO`, `BELOW_ONE` and
+            // `f64::MAX` stand for open and missing ends.
+            let (lo, hi) = range.into_inner();
+            let real = name == <f64 as Wire>::NAME[0];
+            let range = match (real, lo == ABOVE_ZERO, hi) {
+                (true, false, 1.0) if lo == 0.0 => "a probability in [0, 1]".to_string(),
+                (true, true, f64::MAX) => "a positive finite number".to_string(),
+                (true, false, f64::MAX) => format!("a finite number >= {lo}"),
+                (true, true, BELOW_ONE) => "a number in (0, 1)".to_string(),
+                _ => format!("{name} in [{lo}, {hi}]"),
+            };
+            format!("{what}: '{key}' must be {range}, got {value}")
+        }
+        Problem::Members(keys) => format!("{what} must have exactly one member, got {keys:?}"),
+        Problem::UnknownTag(tag, false, expected) => {
+            format!("unknown {what} '{tag}'; expected {expected}")
+        }
+        Problem::UnknownTag(key, true, expected) => {
+            format!(
+                "{}; expected {expected}",
+                wrong(what, Problem::UnknownKey(key))
+            )
+        }
+        Problem::Shape(expected) => format!("{what} must be {expected}"),
     }
 }
 
-fn as_usize(v: &JsonValue) -> Option<usize> {
-    let f = v.as_f64()?;
-    (f >= 0.0 && f.fract() == 0.0 && f <= u32::MAX as f64).then_some(f as usize)
+/// Reads `value`, member `key` of a `what`, as type `T`.
+fn typed<'a, T: Wire<'a>>(what: &str, key: &str, value: &'a JsonValue) -> Result<T, String> {
+    T::from_json(value).ok_or_else(|| wrong(what, Problem::Type(key, T::NAME[0])))
 }
 
-fn as_u64(v: &JsonValue) -> Option<u64> {
-    let f = v.as_f64()?;
-    (f >= 0.0 && f.fract() == 0.0 && f <= 2f64.powi(53)).then_some(f as u64)
+/// Reads the array `value`, member `key` of a `what`: each entry as type `T`,
+/// then through `each`.
+fn entries<'a, T: Wire<'a>, U>(
+    what: &str,
+    key: &str,
+    value: &'a JsonValue,
+    mut each: impl FnMut(T) -> Result<U, String>,
+) -> Result<Vec<U>, String> {
+    let items = value.as_array();
+    let items = items.ok_or_else(|| wrong(what, Problem::Type(key, "an array")))?;
+    let entry =
+        |item| T::from_json(item).ok_or_else(|| wrong(what, Problem::Entries(key, T::NAME[1])));
+    items.iter().map(|item| each(entry(item)?)).collect()
 }
 
-fn field<'a>(obj: &'a JsonValue, key: &str, what: &str) -> Result<&'a JsonValue, String> {
-    obj.get(key)
-        .ok_or_else(|| format!("{what}: missing '{key}'"))
+/// Reads `value` as an object of kind `what` through `read`, then rejects
+/// every member `read` did not take: the keys an object accepts are exactly
+/// the keys its reader reads.
+fn read_object<'a, T>(
+    value: &'a JsonValue,
+    what: &'static str,
+    read: impl FnOnce(&mut Fields<'a>) -> Result<T, String>,
+) -> Result<T, String> {
+    let JsonValue::Object(members) = value else {
+        return Err(wrong(what, Problem::NotObject));
+    };
+    let mut fields = Fields {
+        what,
+        members,
+        taken: vec![false; members.len()],
+    };
+    let out = read(&mut fields)?;
+    let Some(i) = fields.taken.iter().position(|taken| !taken) else {
+        return Ok(out);
+    };
+    let key = &members[i].0;
+    Err(wrong(
+        what,
+        match members[..i].iter().any(|(k, _)| k == key) {
+            true => Problem::Duplicate(key),
+            false => Problem::UnknownKey(key),
+        },
+    ))
 }
 
-fn num_field(obj: &JsonValue, key: &str, what: &str) -> Result<f64, String> {
-    field(obj, key, what)?
-        .as_f64()
-        .ok_or_else(|| format!("{what}: '{key}' must be a number"))
-}
-
-fn usize_field(obj: &JsonValue, key: &str, what: &str) -> Result<usize, String> {
-    field(obj, key, what)?
-        .as_usize()
-        .ok_or_else(|| format!("{what}: '{key}' must be a non-negative integer"))
-}
-
-trait JsonExt {
-    fn as_usize(&self) -> Option<usize>;
-}
-
-impl JsonExt for JsonValue {
-    fn as_usize(&self) -> Option<usize> {
-        as_usize(self)
+/// Reads a tagged value: a bare name, or a one-variant object (exactly one
+/// member, whose key is the tag and whose value is the body). The caller
+/// matches the tag and hands one it does not know back to [`unknown_tag`];
+/// `expected` is what the error text asks for instead.
+fn tag<'a>(
+    value: &'a JsonValue,
+    what: &'static str,
+    expected: &str,
+) -> Result<(&'a str, Option<&'a JsonValue>), String> {
+    match value {
+        JsonValue::String(name) => Ok((name, None)),
+        JsonValue::Object(members) => match members.as_slice() {
+            [(key, body)] => Ok((key, Some(body))),
+            _ => Err(wrong(
+                what,
+                Problem::Members(members.iter().map(|(k, _)| k.as_str()).collect()),
+            )),
+        },
+        _ => Err(wrong(what, Problem::Shape(expected))),
     }
 }
 
-fn parse_protocol(v: &JsonValue) -> Result<ProtocolSpec, String> {
-    match v.as_str() {
-        Some("raft") => return Ok(ProtocolSpec::Raft),
-        Some("pbft") => return Ok(ProtocolSpec::Pbft),
-        Some(other) => return Err(format!("unknown protocol '{other}'")),
-        None => {}
-    }
-    if let Some(flex) = v.get("raft_flexible") {
-        return Ok(ProtocolSpec::RaftFlexible {
-            q_per: usize_field(flex, "q_per", "raft_flexible")?,
-            q_vc: usize_field(flex, "q_vc", "raft_flexible")?,
-        });
-    }
-    Err("protocol must be \"raft\", \"pbft\" or {\"raft_flexible\":{...}}".to_string())
+fn unknown_tag(what: &str, (tag, body): (&str, Option<&JsonValue>), expected: &str) -> String {
+    wrong(what, Problem::UnknownTag(tag, body.is_some(), expected))
 }
 
-fn parse_faults(v: &JsonValue) -> Result<FaultAxis, String> {
-    match v.as_str() {
-        Some("crash") => return Ok(FaultAxis::Crash),
-        Some("byzantine") => return Ok(FaultAxis::Byzantine),
-        Some(other) => return Err(format!("unknown fault axis '{other}'")),
-        None => {}
-    }
-    if let Some(mixed) = v.get("mixed") {
-        return Ok(FaultAxis::Mixed {
-            byzantine: num_field(mixed, "byzantine", "mixed faults")?,
-        });
-    }
-    Err("faults must be \"crash\", \"byzantine\" or {\"mixed\":{\"byzantine\":p}}".to_string())
+/// The members of one object being read; see [`read_object`].
+struct Fields<'a> {
+    what: &'static str,
+    members: &'a [(String, JsonValue)],
+    taken: Vec<bool>,
 }
 
-fn parse_correlation(v: &JsonValue) -> Result<CorrelationSpec, String> {
-    match v.as_str() {
-        Some("independent") => return Ok(CorrelationSpec::Independent),
-        Some(other) => return Err(format!("unknown correlation '{other}'")),
-        None => {}
+impl<'a> Fields<'a> {
+    /// An optional field of type `T`.
+    fn opt<T: Wire<'a>>(&mut self, key: &str) -> Result<Option<T>, String> {
+        let Some(i) = self.members.iter().position(|(k, _)| k == key) else {
+            return Ok(None);
+        };
+        self.taken[i] = true;
+        typed(self.what, key, &self.members[i].1).map(Some)
     }
-    if let Some(shock) = v.get("cluster_shock") {
-        return Ok(CorrelationSpec::ClusterShock {
-            probability: num_field(shock, "probability", "cluster_shock")?,
-        });
+
+    /// A required field of type `T`.
+    fn get<T: Wire<'a>>(&mut self, key: &str) -> Result<T, String> {
+        self.opt(key)?
+            .ok_or_else(|| wrong(self.what, Problem::Missing(key)))
     }
-    if let Some(shock) = v.get("rack_shock") {
-        return Ok(CorrelationSpec::RackShock {
-            racks: usize_field(shock, "racks", "rack_shock")?,
-            probability: num_field(shock, "probability", "rack_shock")?,
-        });
+
+    /// An optional number in `range` (integers too: `T` decides the type).
+    fn opt_within<T: Wire<'a>>(
+        &mut self,
+        key: &str,
+        range: RangeInclusive<f64>,
+    ) -> Result<Option<T>, String> {
+        let value: Option<&JsonValue> = self.opt(key)?;
+        if let Some(v) = value
+            .and_then(JsonValue::as_f64)
+            .filter(|v| !range.contains(v))
+        {
+            return Err(wrong(self.what, Problem::Range(key, v, range, T::NAME[0])));
+        }
+        value.map(|v| typed(self.what, key, v)).transpose()
     }
-    Err(
-        "correlation must be \"independent\", {\"cluster_shock\":{...}} or {\"rack_shock\":{...}}"
-            .to_string(),
-    )
+
+    /// A required number in `range`.
+    fn within<T: Wire<'a>>(&mut self, key: &str, range: RangeInclusive<f64>) -> Result<T, String> {
+        self.opt_within(key, range)?
+            .ok_or_else(|| wrong(self.what, Problem::Missing(key)))
+    }
+
+    /// An optional array, each entry read as `T` and then through `each`.
+    fn list<T: Wire<'a>, U>(
+        &mut self,
+        key: &str,
+        each: impl FnMut(T) -> Result<U, String>,
+    ) -> Result<Option<Vec<U>>, String> {
+        let what = self.what;
+        let value = self.opt(key)?;
+        value.map(|v| entries(what, key, v, each)).transpose()
+    }
+
+    /// An optional nested object, read through `read` with its key as its kind.
+    fn object<T>(
+        &mut self,
+        key: &'static str,
+        read: impl FnOnce(&mut Fields<'a>) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        let value = self.opt(key)?;
+        value.map(|v| read_object(v, key, read)).transpose()
+    }
 }
 
-fn parse_fault_probs(v: &JsonValue) -> Result<Vec<f64>, String> {
-    if let Some(items) = v.as_array() {
-        return items
-            .iter()
-            .map(|p| {
-                p.as_f64()
-                    .ok_or_else(|| "fault_probs: not a number".to_string())
-            })
-            .collect();
+fn protocol(value: &JsonValue) -> Result<ProtocolSpec, String> {
+    const EXPECTED: &str = r#""raft", "pbft" or {"raft_flexible":{"q_per":..,"q_vc":..}}"#;
+    match tag(value, "protocol", EXPECTED)? {
+        ("raft", None) => Ok(ProtocolSpec::Raft),
+        ("pbft", None) => Ok(ProtocolSpec::Pbft),
+        ("raft_flexible", Some(body)) => read_object(body, "raft_flexible", |f| {
+            let (q_per, q_vc) = (f.get("q_per")?, f.get("q_vc")?);
+            Ok(ProtocolSpec::RaftFlexible { q_per, q_vc })
+        }),
+        other => Err(unknown_tag("protocol", other, EXPECTED)),
     }
-    if let Some(spec) = v.get("logspace") {
-        let lo = num_field(spec, "lo", "logspace")?;
-        let hi = num_field(spec, "hi", "logspace")?;
-        let count = usize_field(spec, "count", "logspace")?;
-        if !(lo > 0.0 && hi >= lo && lo.is_finite() && hi.is_finite() && count >= 1) {
+}
+
+fn fault_axis(value: &JsonValue) -> Result<FaultAxis, String> {
+    const EXPECTED: &str = r#""crash", "byzantine" or {"mixed":{"byzantine":p}}"#;
+    match tag(value, "fault axis", EXPECTED)? {
+        ("crash", None) => Ok(FaultAxis::Crash),
+        ("byzantine", None) => Ok(FaultAxis::Byzantine),
+        ("mixed", Some(body)) => read_object(body, "mixed faults", |f| {
+            let byzantine = f.get("byzantine")?;
+            Ok(FaultAxis::Mixed { byzantine })
+        }),
+        other => Err(unknown_tag("fault axis", other, EXPECTED)),
+    }
+}
+
+fn correlation(value: &JsonValue) -> Result<CorrelationSpec, String> {
+    const EXPECTED: &str = r#""independent", {"cluster_shock":{..}} or {"rack_shock":{..}}"#;
+    match tag(value, "correlation", EXPECTED)? {
+        ("independent", None) => Ok(CorrelationSpec::Independent),
+        ("cluster_shock", Some(body)) => read_object(body, "cluster_shock", |f| {
+            let probability = f.get("probability")?;
+            Ok(CorrelationSpec::ClusterShock { probability })
+        }),
+        ("rack_shock", Some(body)) => read_object(body, "rack_shock", |f| {
+            let (racks, probability) = (f.get("racks")?, f.get("probability")?);
+            Ok(CorrelationSpec::RackShock { racks, probability })
+        }),
+        other => Err(unknown_tag("correlation", other, EXPECTED)),
+    }
+}
+
+fn fault_probs(value: &JsonValue) -> Result<Vec<f64>, String> {
+    const EXPECTED: &str = r#"an array of numbers or {"logspace":{"lo":..,"hi":..,"count":..}}"#;
+    if value.as_array().is_some() {
+        return entries("query", "fault_probs", value, Ok);
+    }
+    match tag(value, "fault_probs", EXPECTED)? {
+        // Built while the request is read, so its length is bounded here.
+        ("logspace", Some(body)) => read_object(body, "logspace", |f| {
+            let lo = f.within("lo", POSITIVE)?;
+            let hi = f.within("hi", lo..=f64::MAX)?;
+            Ok(logspace(
+                lo,
+                hi,
+                f.within("count", 1.0..=MAX_AXIS_LEN as f64)?,
+            ))
+        }),
+        other => Err(unknown_tag("fault_probs", other, EXPECTED)),
+    }
+}
+
+fn environment(label: &str) -> Result<FaultEnvironment, String> {
+    const EXPECTED: &str = "one of: clean, gray-primary, partition-heal, wan-lossy";
+    FaultEnvironment::from_label(label)
+        .ok_or_else(|| unknown_tag("environment", (label, None), EXPECTED))
+}
+
+fn deployment(value: &JsonValue) -> Result<Deployment, String> {
+    const EXPECTED: &str = r#"{"uniform_crash"|"uniform_byzantine"|"uniform_mixed":{..}}"#;
+    // Built while the request is read, so its size is bounded here.
+    const NODES: RangeInclusive<f64> = 1.0..=MAX_NODES as f64;
+    match tag(value, "deployment", EXPECTED)? {
+        ("uniform_crash", Some(body)) => read_object(body, "uniform_crash", |f| {
+            let n = f.within("n", NODES)?;
+            Ok(Deployment::uniform_crash(n, f.within("p", PROBABILITY)?))
+        }),
+        ("uniform_byzantine", Some(body)) => read_object(body, "uniform_byzantine", |f| {
+            let n = f.within("n", NODES)?;
+            Ok(Deployment::uniform_byzantine(
+                n,
+                f.within("p", PROBABILITY)?,
+            ))
+        }),
+        ("uniform_mixed", Some(body)) => read_object(body, "uniform_mixed", |f| {
+            let (n, crash) = (f.within("n", NODES)?, f.within("crash", PROBABILITY)?);
+            Ok(Deployment::uniform_mixed(
+                n,
+                crash,
+                f.within("byzantine", PROBABILITY)?,
+            ))
+        }),
+        other => Err(unknown_tag("deployment", other, EXPECTED)),
+    }
+}
+
+/// A cell's model: a persistence quorum over the cell's `n` nodes, or any
+/// protocol instantiated at that size.
+fn cell_model(value: &JsonValue, n: usize) -> Result<Arc<dyn ProtocolModel + Send + Sync>, String> {
+    const EXPECTED: &str = r#"a protocol or {"persistence_quorum":{"quorum":[..]}}"#;
+    let quorum: Vec<usize> = match tag(value, "model", EXPECTED)? {
+        ("persistence_quorum", Some(body)) => read_object(body, "persistence_quorum", |f| {
+            entries("persistence_quorum", "quorum", f.get("quorum")?, Ok)
+        })?,
+        _ => return Ok(protocol(value)?.build(n)),
+    };
+    if quorum.is_empty() {
+        return Err("persistence_quorum: quorum cannot be empty".to_string());
+    }
+    let mut seen = vec![false; n];
+    for &m in &quorum {
+        if m >= n {
             return Err(format!(
-                "logspace needs 0 < lo <= hi and count >= 1, got [{lo}, {hi}] x{count}"
+                "persistence_quorum: member {m} out of range for {n} nodes"
             ));
         }
-        return Ok(prob_consensus::query::logspace(lo, hi, count));
-    }
-    Err(
-        "fault_probs must be an array of numbers or {\"logspace\":{\"lo\",\"hi\",\"count\"}}"
-            .to_string(),
-    )
-}
-
-fn parse_deployment(v: &JsonValue) -> Result<Deployment, String> {
-    if let Some(spec) = v.get("uniform_crash") {
-        let n = usize_field(spec, "n", "uniform_crash")?;
-        let p = num_field(spec, "p", "uniform_crash")?;
-        check_probability(p, "uniform_crash p")?;
-        return Ok(Deployment::uniform_crash(n, p));
-    }
-    if let Some(spec) = v.get("uniform_byzantine") {
-        let n = usize_field(spec, "n", "uniform_byzantine")?;
-        let p = num_field(spec, "p", "uniform_byzantine")?;
-        check_probability(p, "uniform_byzantine p")?;
-        return Ok(Deployment::uniform_byzantine(n, p));
-    }
-    if let Some(spec) = v.get("uniform_mixed") {
-        let n = usize_field(spec, "n", "uniform_mixed")?;
-        let crash = num_field(spec, "crash", "uniform_mixed")?;
-        let byzantine = num_field(spec, "byzantine", "uniform_mixed")?;
-        check_probability(crash, "uniform_mixed crash")?;
-        check_probability(byzantine, "uniform_mixed byzantine")?;
-        return Ok(Deployment::uniform_mixed(n, crash, byzantine));
-    }
-    Err(
-        "deployment must be {\"uniform_crash\"|\"uniform_byzantine\"|\"uniform_mixed\":{...}}"
-            .to_string(),
-    )
-}
-
-fn check_probability(p: f64, what: &str) -> Result<(), String> {
-    if (0.0..=1.0).contains(&p) {
-        Ok(())
-    } else {
-        Err(format!("{what} must be a probability in [0, 1], got {p}"))
-    }
-}
-
-fn parse_cell_model(
-    v: &JsonValue,
-    n: usize,
-) -> Result<Arc<dyn ProtocolModel + Send + Sync>, String> {
-    if let Some(spec) = v.get("persistence_quorum") {
-        let quorum: Vec<usize> = spec
-            .get("quorum")
-            .and_then(|q| q.as_array())
-            .ok_or("persistence_quorum: 'quorum' must be an array of node indices")?
-            .iter()
-            .map(|m| as_usize(m).ok_or("persistence_quorum: bad member index".to_string()))
-            .collect::<Result<_, _>>()?;
-        if quorum.is_empty() {
-            return Err("persistence_quorum: quorum cannot be empty".to_string());
+        if std::mem::replace(&mut seen[m], true) {
+            return Err(format!("persistence_quorum: member {m} repeated"));
         }
-        let mut seen = vec![false; n];
-        for &m in &quorum {
-            if m >= n {
-                return Err(format!(
-                    "persistence_quorum: member {m} out of range for {n} nodes"
-                ));
-            }
-            if std::mem::replace(&mut seen[m], true) {
-                return Err(format!("persistence_quorum: member {m} repeated"));
-            }
-        }
-        return Ok(Arc::new(PersistenceQuorumModel::new(n, quorum)));
     }
-    // Everything else is a grid protocol spec instantiated at the cell's size.
-    Ok(parse_protocol(v)?.build(n))
-}
-
-fn parse_time_axis(v: &JsonValue) -> Result<TimeAxis, String> {
-    let horizon = num_field(v, "horizon_hours", "time_axis")?;
-    let step = num_field(v, "step_hours", "time_axis")?;
-    if !(horizon >= 0.0 && horizon.is_finite() && step > 0.0 && step.is_finite()) {
-        return Err(format!(
-            "time_axis needs horizon >= 0 and step > 0, got {horizon}/{step}"
-        ));
-    }
-    let mut axis = TimeAxis::new(horizon, step);
-    if let Some(window) = v.get("window_hours") {
-        let w = window
-            .as_f64()
-            .ok_or("time_axis: 'window_hours' must be a number")?;
-        if !(w > 0.0 && w.is_finite()) {
-            return Err(format!("time_axis window must be positive, got {w}"));
-        }
-        axis = axis.with_window(w);
-    }
-    if let Some(target) = v.get("target_nines") {
-        let t = target
-            .as_f64()
-            .ok_or("time_axis: 'target_nines' must be a number")?;
-        axis = axis.with_target_nines(t);
-    }
-    Ok(axis)
+    Ok(Arc::new(PersistenceQuorumModel::new(n, quorum)))
 }
 
 /// A parsed `query` request body: the [`Query`] plus the metrics selection the
@@ -523,174 +687,103 @@ pub struct ParsedQuery {
 /// Parses the `query` object of a `{"op":"query"}` request into a [`Query`].
 ///
 /// Unknown keys are rejected — a misspelled axis silently defaulting would be
-/// the worst possible failure mode for an operator tool.
+/// the worst possible failure mode for an operator tool. Range checks the
+/// plan repeats are left to it ([`AnalysisSession::plan`]): the time axis,
+/// the posterior, and the `MAX_*` limits of [`prob_consensus::query`].
 pub fn parse_query(spec: &JsonValue) -> Result<ParsedQuery, String> {
-    let JsonValue::Object(members) = spec else {
-        return Err("query must be an object".to_string());
-    };
-    let mut query = Query::new();
-    let mut budget = Budget::default();
-    let mut metrics = Metrics::default();
-    for (key, value) in members {
-        match key.as_str() {
-            "protocols" => {
-                let specs: Vec<ProtocolSpec> = value
-                    .as_array()
-                    .ok_or("protocols must be an array")?
-                    .iter()
-                    .map(parse_protocol)
-                    .collect::<Result<_, _>>()?;
-                query = query.protocols(specs);
-            }
-            "nodes" => {
-                let nodes: Vec<usize> = value
-                    .as_array()
-                    .ok_or("nodes must be an array")?
-                    .iter()
-                    .map(|n| as_usize(n).ok_or("nodes: not a non-negative integer".to_string()))
-                    .collect::<Result<_, _>>()?;
-                query = query.nodes(nodes);
-            }
-            "fault_probs" => query = query.fault_probs(parse_fault_probs(value)?),
-            "faults" => query = query.faults(parse_faults(value)?),
-            "correlations" => {
-                let specs: Vec<CorrelationSpec> = value
-                    .as_array()
-                    .ok_or("correlations must be an array")?
-                    .iter()
-                    .map(parse_correlation)
-                    .collect::<Result<_, _>>()?;
-                query = query.correlations(specs);
-            }
-            "samples" => {
-                budget = budget.with_samples(as_usize(value).ok_or("samples must be an integer")?);
-            }
-            "seed" => budget = budget.with_seed(as_u64(value).ok_or("seed must be an integer")?),
-            "posterior" => {
-                let JsonValue::Object(posterior_members) = value else {
-                    return Err("posterior must be an object".to_string());
-                };
-                for (sub, _) in posterior_members {
-                    if !matches!(sub.as_str(), "draws" | "alpha" | "beta" | "level") {
-                        return Err(format!("unknown posterior key '{sub}'"));
-                    }
-                }
-                let draws = usize_field(value, "draws", "posterior")?;
-                let alpha = num_field(value, "alpha", "posterior")?;
-                let beta = num_field(value, "beta", "posterior")?;
-                // The builder is assert-free: hyperparameter/level sanity is
-                // plan-time validation, so a hostile payload draws an `error`
-                // event instead of panicking a worker.
-                let mut epistemic = EpistemicBudget::new(draws, alpha, beta);
-                if let Some(level) = value.get("level") {
-                    epistemic = epistemic.with_level(
-                        level
-                            .as_f64()
-                            .ok_or("posterior: 'level' must be a number")?,
-                    );
-                }
-                budget = budget.with_epistemic(epistemic);
-            }
-            "samples_sweep" => {
-                let sweep: Vec<usize> = value
-                    .as_array()
-                    .ok_or("samples_sweep must be an array")?
-                    .iter()
-                    .map(|s| as_usize(s).ok_or("samples_sweep: not an integer".to_string()))
-                    .collect::<Result<_, _>>()?;
-                query = query.samples_sweep(sweep);
-            }
-            "validate" => {
-                if as_bool(value).ok_or("validate must be a boolean")? {
-                    query = query.validate_with_simulation();
-                }
-            }
-            "environments" => {
-                let environments: Vec<FaultEnvironment> = value
-                    .as_array()
-                    .ok_or("environments must be an array")?
-                    .iter()
-                    .map(|e| {
-                        let label = e
-                            .as_str()
-                            .ok_or_else(|| "environments: entries must be strings".to_string())?;
-                        FaultEnvironment::from_label(label).ok_or_else(|| {
-                            format!(
-                                "environments: unknown environment '{label}' (one of: clean, \
-                                 gray-primary, partition-heal, wan-lossy)"
-                            )
-                        })
-                    })
-                    .collect::<Result<_, _>>()?;
-                query = query.fault_environments(environments);
-            }
-            "metrics" => {
-                let m = Metrics {
-                    safe: value.get("safe").map_or(Ok(true), |v| {
-                        as_bool(v).ok_or("metrics.safe must be a boolean")
-                    })?,
-                    live: value.get("live").map_or(Ok(true), |v| {
-                        as_bool(v).ok_or("metrics.live must be a boolean")
-                    })?,
-                    safe_and_live: value.get("safe_and_live").map_or(Ok(true), |v| {
-                        as_bool(v).ok_or("metrics.safe_and_live must be a boolean")
-                    })?,
-                };
-                metrics = m;
-                query = query.metrics(m);
-            }
-            "time_axis" => query = query.time_horizon(parse_time_axis(value)?),
-            "cells" => {
-                for cell in value.as_array().ok_or("cells must be an array")? {
-                    let label = field(cell, "label", "cell")?
-                        .as_str()
-                        .ok_or("cell: 'label' must be a string")?
-                        .to_string();
-                    let deployment = parse_deployment(field(cell, "deployment", "cell")?)?;
-                    let model = parse_cell_model(field(cell, "model", "cell")?, deployment.len())?;
-                    query = query.cell(label, model, deployment);
-                }
-            }
-            "repairable_cells" => {
-                for cell in value
-                    .as_array()
-                    .ok_or("repairable_cells must be an array")?
-                {
-                    let label = field(cell, "label", "repairable cell")?
-                        .as_str()
-                        .ok_or("repairable cell: 'label' must be a string")?
-                        .to_string();
-                    let n = usize_field(cell, "n", "repairable cell")?;
-                    let lambda = num_field(cell, "lambda", "repairable cell")?;
-                    let mu = num_field(cell, "mu", "repairable cell")?;
-                    let tolerated = usize_field(cell, "tolerated_failures", "repairable cell")?;
-                    if n == 0 || tolerated >= n {
-                        return Err(format!(
-                            "repairable cell needs 0 <= tolerated_failures < n, got {tolerated}/{n}"
-                        ));
-                    }
-                    if !(lambda > 0.0 && lambda.is_finite() && mu >= 0.0 && mu.is_finite()) {
-                        return Err(format!(
-                            "repairable cell needs lambda > 0 and mu >= 0, got {lambda}/{mu}"
-                        ));
-                    }
-                    query = query
-                        .repairable_cell(label, RepairableGroup::new(n, lambda, mu, tolerated));
-                }
-            }
-            other => return Err(format!("unknown query key '{other}'")),
+    let parsed = read_object(spec, "query", |q| {
+        let defaults = Budget::default();
+        let epistemic = q.object("posterior", |p| {
+            let draws = p.get("draws")?;
+            let budget = EpistemicBudget::new(draws, p.get("alpha")?, p.get("beta")?);
+            Ok(match p.opt("level")? {
+                Some(level) => budget.with_level(level),
+                None => budget,
+            })
+        })?;
+        let budget = Budget {
+            monte_carlo_samples: q.opt("samples")?.unwrap_or(defaults.monte_carlo_samples),
+            seed: q.opt("seed")?.unwrap_or(defaults.seed),
+            epistemic,
+            ..defaults
+        };
+        let metrics = q.object("metrics", |m| {
+            Ok(Metrics {
+                safe: m.opt("safe")?.unwrap_or(true),
+                live: m.opt("live")?.unwrap_or(true),
+                safe_and_live: m.opt("safe_and_live")?.unwrap_or(true),
+            })
+        })?;
+        let fault_probs = q.opt("fault_probs")?.map(fault_probs).transpose()?;
+        let mut query = Query::new()
+            .protocols(q.list("protocols", protocol)?.unwrap_or_default())
+            .nodes(q.list("nodes", Ok)?.unwrap_or_default())
+            .fault_probs(fault_probs.unwrap_or_default())
+            .samples_sweep(q.list("samples_sweep", Ok)?.unwrap_or_default())
+            .fault_environments(q.list("environments", environment)?.unwrap_or_default())
+            .budget(budget)
+            .metrics(metrics.unwrap_or_default());
+        if let Some(axis) = q.opt("faults")?.map(fault_axis).transpose()? {
+            query = query.faults(axis);
         }
-    }
-    query = query.budget(budget);
-    if query.cell_count() == 0 && query.trajectory_count() == 0 {
+        if let Some(specs) = q.list("correlations", correlation)? {
+            query = query.correlations(specs);
+        }
+        if q.opt("validate")?.unwrap_or(false) {
+            query = query.validate_with_simulation();
+        }
+        let time_axis = q.object("time_axis", |t| {
+            let (horizon_hours, step_hours) = (t.get("horizon_hours")?, t.get("step_hours")?);
+            let window_hours = t.opt("window_hours")?.unwrap_or(step_hours);
+            let target_nines = t.opt("target_nines")?;
+            Ok(TimeAxis {
+                horizon_hours,
+                step_hours,
+                window_hours,
+                target_nines,
+            })
+        })?;
+        if let Some(axis) = time_axis {
+            query = query.time_horizon(axis);
+        }
+        let cells = q.list("cells", |cell| {
+            read_object(cell, "cell", |c| {
+                let label: &str = c.get("label")?;
+                let deployment = deployment(c.get("deployment")?)?;
+                let model = cell_model(c.get("model")?, deployment.len())?;
+                Ok((label.to_string(), model, deployment))
+            })
+        })?;
+        for (label, model, deployment) in cells.unwrap_or_default() {
+            query = query.cell(label, model, deployment);
+        }
+        let groups = q.list("repairable_cells", |cell| {
+            // The group's constructor asserts these; its size is the plan's.
+            read_object(cell, "repairable cell", |c| {
+                let label: &str = c.get("label")?;
+                let n: usize = c.within("n", 1.0..=u32::MAX as f64)?;
+                let lambda = c.within("lambda", POSITIVE)?;
+                let mu = c.within("mu", NON_NEGATIVE)?;
+                let tolerated = c.within("tolerated_failures", 0.0..=(n - 1) as f64)?;
+                Ok((
+                    label.to_string(),
+                    RepairableGroup::new(n, lambda, mu, tolerated),
+                ))
+            })
+        })?;
+        for (label, group) in groups.unwrap_or_default() {
+            query = query.repairable_cell(label, group);
+        }
+        Ok(ParsedQuery {
+            query,
+            metrics: metrics.unwrap_or_default(),
+        })
+    })?;
+    if parsed.query.cell_count() == 0 && parsed.query.trajectory_count() == 0 {
         return Err("query expands to zero cells".to_string());
     }
-    Ok(ParsedQuery { query, metrics })
+    Ok(parsed)
 }
-
-// ---------------------------------------------------------------------------
-// Optimize JSON → `DeploymentSpace` + `OptimizerConfig`
-// ---------------------------------------------------------------------------
 
 /// A parsed `optimize` request body, ready for
 /// [`prob_consensus::optimize::optimize`].
@@ -701,206 +794,120 @@ pub struct ParsedOptimize {
     pub config: OptimizerConfig,
 }
 
-fn parse_space(v: &JsonValue) -> Result<DeploymentSpace, String> {
-    let JsonValue::Object(members) = v else {
-        return Err("space must be an object".to_string());
+fn space(f: &mut Fields<'_>) -> Result<DeploymentSpace, String> {
+    const TARGETS: &str = "'protocol' or 'quorum_size'";
+    let instances = f.list("instances", |instance| {
+        read_object(instance, "instance", |i| {
+            let name: &str = i.get("name")?;
+            let crash = i.within("fault_probability", PROBABILITY)?;
+            let byzantine = i.opt_within("byzantine_probability", PROBABILITY)?;
+            let byzantine = byzantine.unwrap_or(0.0);
+            if crash + byzantine > 1.0 {
+                return Err(format!(
+                    "instance '{name}': fault probabilities must sum to at most 1"
+                ));
+            }
+            let profile = FaultProfile::new(crash, byzantine);
+            let cost = i.within("hourly_cost", NON_NEGATIVE)?;
+            Ok(NodeType::from_profile(name, profile, cost))
+        })
+    })?;
+    let nodes = f.list("nodes", Ok)?;
+    let domains = f.object("domains", |d| {
+        let racks = d.get("racks")?;
+        let shock_probability = d.within("shock_probability", PROBABILITY)?;
+        Ok(FailureDomains {
+            racks,
+            shock_probability,
+        })
+    })?;
+    let placements = f.list("placements", |label: &str| {
+        let placement = [Placement::SameRack, Placement::CrossRack];
+        let placement = placement.into_iter().find(|p| p.label() == label);
+        placement.ok_or_else(|| {
+            unknown_tag("placement", (label, None), r#""same-rack" or "cross-rack""#)
+        })
+    })?;
+    let target = match tag(f.get("target")?, "target", TARGETS)? {
+        ("protocol", Some(body)) => TargetSpec::Protocol(protocol(body)?),
+        ("quorum_size", Some(body)) => TargetSpec::PersistenceQuorum {
+            quorum_size: typed("target", "quorum_size", body)?,
+        },
+        other => return Err(unknown_tag("target", other, TARGETS)),
     };
-    let mut instances = Vec::new();
-    let mut nodes = Vec::new();
-    let mut domains = None;
-    let mut placements = Vec::new();
-    let mut target = None;
-    for (key, value) in members {
-        match key.as_str() {
-            "instances" => {
-                for instance in value.as_array().ok_or("instances must be an array")? {
-                    if let JsonValue::Object(fields) = instance {
-                        for (sub, _) in fields {
-                            if !matches!(
-                                sub.as_str(),
-                                "name"
-                                    | "fault_probability"
-                                    | "byzantine_probability"
-                                    | "hourly_cost"
-                            ) {
-                                return Err(format!("unknown instance key '{sub}'"));
-                            }
-                        }
-                    }
-                    let name = field(instance, "name", "instance")?
-                        .as_str()
-                        .ok_or("instance: 'name' must be a string")?
-                        .to_string();
-                    let crash = num_field(instance, "fault_probability", "instance")?;
-                    let byzantine = match instance.get("byzantine_probability") {
-                        Some(b) => b
-                            .as_f64()
-                            .ok_or("instance: 'byzantine_probability' must be a number")?,
-                        None => 0.0,
-                    };
-                    let cost = num_field(instance, "hourly_cost", "instance")?;
-                    if !((0.0..=1.0).contains(&crash)
-                        && (0.0..=1.0).contains(&byzantine)
-                        && crash + byzantine <= 1.0)
-                    {
-                        return Err(format!(
-                            "instance '{name}': fault probabilities must lie in [0, 1] and sum \
-                             to at most 1"
-                        ));
-                    }
-                    if !(cost.is_finite() && cost >= 0.0) {
-                        return Err(format!(
-                            "instance '{name}': hourly_cost must be finite and non-negative"
-                        ));
-                    }
-                    instances.push(NodeType::from_profile(
-                        name,
-                        FaultProfile::new(crash, byzantine),
-                        cost,
-                    ));
-                }
-            }
-            "nodes" => {
-                nodes = value
-                    .as_array()
-                    .ok_or("nodes must be an array")?
-                    .iter()
-                    .map(|n| as_usize(n).ok_or("nodes: not a non-negative integer".to_string()))
-                    .collect::<Result<_, _>>()?;
-            }
-            "domains" => {
-                if let JsonValue::Object(fields) = value {
-                    for (sub, _) in fields {
-                        if !matches!(sub.as_str(), "racks" | "shock_probability") {
-                            return Err(format!("unknown domains key '{sub}'"));
-                        }
-                    }
-                }
-                let shock = num_field(value, "shock_probability", "domains")?;
-                if !(0.0..=1.0).contains(&shock) {
-                    return Err("domains: shock_probability must lie in [0, 1]".to_string());
-                }
-                domains = Some(FailureDomains {
-                    racks: usize_field(value, "racks", "domains")?,
-                    shock_probability: shock,
-                });
-            }
-            "placements" => {
-                placements = value
-                    .as_array()
-                    .ok_or("placements must be an array")?
-                    .iter()
-                    .map(|p| match p.as_str() {
-                        Some("same-rack") => Ok(Placement::SameRack),
-                        Some("cross-rack") => Ok(Placement::CrossRack),
-                        _ => Err(
-                            "placements: entries must be \"same-rack\" or \"cross-rack\""
-                                .to_string(),
-                        ),
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "target" => {
-                target = Some(if value.get("quorum_size").is_some() {
-                    TargetSpec::PersistenceQuorum {
-                        quorum_size: usize_field(value, "quorum_size", "target")?,
-                    }
-                } else if let Some(protocol) = value.get("protocol") {
-                    TargetSpec::Protocol(parse_protocol(protocol)?)
-                } else {
-                    return Err("target must carry 'protocol' or 'quorum_size'".to_string());
-                });
-            }
-            other => return Err(format!("unknown space key '{other}'")),
-        }
-    }
     Ok(DeploymentSpace {
-        instances,
-        nodes,
+        instances: instances.unwrap_or_default(),
+        nodes: nodes.unwrap_or_default(),
         domains,
-        placements,
-        target: target.ok_or("space: missing 'target'")?,
+        placements: placements.unwrap_or_default(),
+        target,
     })
 }
 
-fn parse_optimizer_config(v: &JsonValue) -> Result<OptimizerConfig, String> {
-    let JsonValue::Object(members) = v else {
-        return Err("config must be an object".to_string());
-    };
-    let target = num_field(v, "target_nines", "config")?;
-    // The builder asserts on junk targets; a hostile payload must draw an
-    // `error` event instead of panicking a worker.
-    if !(target.is_finite() && target >= 0.0) {
-        return Err("config: target_nines must be finite and non-negative".to_string());
-    }
-    let mut config = OptimizerConfig::new(target);
-    for (key, value) in members {
-        match key.as_str() {
-            "target_nines" => {}
-            "screen_samples" => {
-                config = config.with_screen_samples(
-                    as_usize(value)
-                        .ok_or("config: 'screen_samples' must be a non-negative integer")?,
-                );
-            }
-            "refine_samples" => {
-                config = config.with_refine_samples(
-                    as_usize(value)
-                        .ok_or("config: 'refine_samples' must be a non-negative integer")?,
-                );
-            }
-            "seed" => {
-                config =
-                    config.with_seed(as_u64(value).ok_or("config: 'seed' must be an integer")?);
-            }
-            "rare_event_threshold" => {
-                let threshold = value
-                    .as_f64()
-                    .ok_or("config: 'rare_event_threshold' must be a number")?;
-                if !(threshold > 0.0 && threshold < 1.0) {
-                    return Err(
-                        "config: rare_event_threshold must lie strictly in (0, 1)".to_string()
-                    );
-                }
-                config = config.with_rare_event_threshold(threshold);
-            }
-            "repair" => {
-                if let JsonValue::Object(fields) = value {
-                    for (sub, _) in fields {
-                        if !matches!(sub.as_str(), "mttr_hours" | "mission_hours") {
-                            return Err(format!("unknown repair key '{sub}'"));
-                        }
-                    }
-                }
-                let mttr_hours = num_field(value, "mttr_hours", "repair")?;
-                let mission_hours = num_field(value, "mission_hours", "repair")?;
-                if !(mttr_hours > 0.0
-                    && mttr_hours.is_finite()
-                    && mission_hours > 0.0
-                    && mission_hours.is_finite())
-                {
-                    return Err("repair: hours must be positive and finite".to_string());
-                }
-                config = config.with_repair(RepairPolicy {
-                    mttr_hours,
-                    mission_hours,
-                });
-            }
-            other => return Err(format!("unknown config key '{other}'")),
-        }
-    }
-    Ok(config)
+fn config(f: &mut Fields<'_>) -> Result<OptimizerConfig, String> {
+    // The constructor asserts on the target, so it is checked here.
+    let base = OptimizerConfig::new(f.within("target_nines", NON_NEGATIVE)?);
+    let threshold = f.opt_within("rare_event_threshold", ABOVE_ZERO..=BELOW_ONE)?;
+    Ok(OptimizerConfig {
+        screen_samples: f.opt("screen_samples")?.unwrap_or(base.screen_samples),
+        refine_samples: f.opt("refine_samples")?.unwrap_or(base.refine_samples),
+        seed: f.opt("seed")?.unwrap_or(base.seed),
+        rare_event_threshold: threshold.unwrap_or(base.rare_event_threshold),
+        repair: f.object("repair", |r| {
+            let mttr_hours = r.within("mttr_hours", POSITIVE)?;
+            let mission_hours = r.within("mission_hours", POSITIVE)?;
+            Ok(RepairPolicy {
+                mttr_hours,
+                mission_hours,
+            })
+        })?,
+        ..base
+    })
 }
 
-/// Parses the `space` and `config` members of an `{"op":"optimize"}` request.
+/// The `space` and `config` members of an optimize request.
+fn optimize_members(f: &mut Fields<'_>) -> Result<ParsedOptimize, String> {
+    Ok(ParsedOptimize {
+        space: read_object(f.get("space")?, "space", space)?,
+        config: read_object(f.get("config")?, "config", config)?,
+    })
+}
+
+/// Parses the `space` and `config` members of an `{"op":"optimize"}` request
+/// (with or without its `id` and `op`).
 ///
 /// Like [`parse_query`], unknown keys anywhere in the payload are rejected: a
 /// misspelled knob silently falling back to its default would hand an operator
 /// a confidently wrong frontier.
 pub fn parse_optimize(request: &JsonValue) -> Result<ParsedOptimize, String> {
-    Ok(ParsedOptimize {
-        space: parse_space(field(request, "space", "optimize request")?)?,
-        config: parse_optimizer_config(field(request, "config", "optimize request")?)?,
+    read_object(request, "optimize request", |f| {
+        f.opt::<&JsonValue>("id")?;
+        f.opt::<&str>("op")?;
+        optimize_members(f)
+    })
+}
+
+/// One request line, read.
+enum Request {
+    Query(Box<ParsedQuery>),
+    Optimize(ParsedOptimize),
+    Stats,
+    Shutdown,
+}
+
+/// Reads a request: its envelope (`op`, and `id`, which is echoed back
+/// whatever it holds) and the members its op takes.
+fn read_request(request: &JsonValue) -> Result<Request, String> {
+    const OPS: &str = "one of: query, optimize, stats, shutdown";
+    read_object(request, "request", |f| {
+        f.opt::<&JsonValue>("id")?;
+        match f.get("op")? {
+            "query" => Ok(Request::Query(Box::new(parse_query(f.get("query")?)?))),
+            "optimize" => optimize_members(f).map(Request::Optimize),
+            "stats" => Ok(Request::Stats),
+            "shutdown" => Ok(Request::Shutdown),
+            other => Err(unknown_tag("op", (other, None), OPS)),
+        }
     })
 }
 
@@ -973,30 +980,17 @@ struct NdjsonSink {
 
 impl StreamSink for NdjsonSink {
     fn on_cell(&self, index: usize, record: &CellRecord) {
-        emit(
-            &self.writer,
-            &event(
-                &self.id,
-                "cell",
-                vec![
-                    ("index".to_string(), JsonValue::number(index as f64)),
-                    ("cell".to_string(), record.to_json_value(self.metrics)),
-                ],
-            ),
-        );
+        let index = ("index", JsonValue::number(index as f64));
+        let cell = ("cell", record.to_json_value(self.metrics));
+        emit(&self.writer, &event(&self.id, "cell", vec![index, cell]));
     }
 
     fn on_trajectory(&self, index: usize, record: &TrajectoryRecord) {
+        let index = ("index", JsonValue::number(index as f64));
+        let trajectory = ("trajectory", record.to_json_value());
         emit(
             &self.writer,
-            &event(
-                &self.id,
-                "trajectory",
-                vec![
-                    ("index".to_string(), JsonValue::number(index as f64)),
-                    ("trajectory".to_string(), record.to_json_value()),
-                ],
-            ),
+            &event(&self.id, "trajectory", vec![index, trajectory]),
         );
     }
 }
@@ -1026,277 +1020,182 @@ impl Server {
     }
 
     fn stats_event(&self, id: &JsonValue) -> JsonValue {
-        let cache = self.session.cache_stats();
-        let stats = self.stats();
-        event(
-            id,
-            "stats",
-            vec![
-                (
-                    "cache".to_string(),
-                    JsonValue::Object(vec![
-                        ("hits".to_string(), JsonValue::number(cache.hits as f64)),
-                        ("misses".to_string(), JsonValue::number(cache.misses as f64)),
-                        (
-                            "evictions".to_string(),
-                            JsonValue::number(cache.evictions as f64),
-                        ),
-                        (
-                            "entries".to_string(),
-                            JsonValue::number(cache.entries as f64),
-                        ),
-                        ("hit_rate".to_string(), JsonValue::number(cache.hit_rate())),
-                    ]),
-                ),
-                (
-                    "queries_completed".to_string(),
-                    JsonValue::number(stats.queries_completed as f64),
-                ),
-                (
-                    "epistemic_cells".to_string(),
-                    JsonValue::number(stats.epistemic_cells as f64),
-                ),
-                (
-                    "posterior_draws".to_string(),
-                    JsonValue::number(stats.posterior_draws as f64),
-                ),
-                (
-                    "optimizations_completed".to_string(),
-                    JsonValue::number(stats.optimizations_completed as f64),
-                ),
-                (
-                    "plan_wall_ms".to_string(),
-                    JsonValue::Object(vec![
-                        (
-                            "last".to_string(),
-                            JsonValue::number(stats.last_plan_wall_ms),
-                        ),
-                        (
-                            "total".to_string(),
-                            JsonValue::number(stats.total_plan_wall_ms),
-                        ),
-                    ]),
-                ),
-                (
-                    "wire".to_string(),
-                    JsonValue::Object(vec![
-                        (
-                            "events".to_string(),
-                            JsonValue::number(stats.wire.events as f64),
-                        ),
-                        (
-                            "writes".to_string(),
-                            JsonValue::number(stats.wire.writes as f64),
-                        ),
-                        (
-                            "bytes_out".to_string(),
-                            JsonValue::number(stats.wire.bytes_out as f64),
-                        ),
-                    ]),
-                ),
-            ],
+        let (cache, stats) = (self.session.cache_stats(), self.stats());
+        let count = |n: u64| JsonValue::number(n as f64);
+        let members = vec![
+            (
+                "cache",
+                numbers(&[
+                    ("hits", cache.hits as f64),
+                    ("misses", cache.misses as f64),
+                    ("evictions", cache.evictions as f64),
+                    ("entries", cache.entries as f64),
+                    ("hit_rate", cache.hit_rate()),
+                ]),
+            ),
+            ("queries_completed", count(stats.queries_completed)),
+            ("epistemic_cells", count(stats.epistemic_cells)),
+            ("posterior_draws", count(stats.posterior_draws)),
+            (
+                "optimizations_completed",
+                count(stats.optimizations_completed),
+            ),
+            (
+                "plan_wall_ms",
+                numbers(&[
+                    ("last", stats.last_plan_wall_ms),
+                    ("total", stats.total_plan_wall_ms),
+                ]),
+            ),
+            (
+                "wire",
+                numbers(&[
+                    ("events", stats.wire.events as f64),
+                    ("writes", stats.wire.writes as f64),
+                    ("bytes_out", stats.wire.bytes_out as f64),
+                ]),
+            ),
+        ];
+        event(id, "stats", members)
+    }
+}
+
+/// Runs `work`, turning a panic into an error like any other.
+fn caught<T>(work: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|payload| Err(panic_message(payload)))
+}
+
+/// A long request's result: what it adds to the stats and what it answers.
+trait Finished {
+    /// Adds this result to `stats`; its wall time is already counted.
+    fn count(&self, stats: &mut ServerStats);
+    /// The events before `done`, then the `done` event's members before
+    /// `wall_ms`.
+    fn answer(&self, id: &JsonValue) -> (Vec<JsonValue>, Vec<(&'static str, JsonValue)>);
+}
+
+impl Finished for AnalysisReport {
+    fn count(&self, stats: &mut ServerStats) {
+        stats.queries_completed += 1;
+        for e in self.cells().iter().filter_map(|c| c.epistemic.as_ref()) {
+            stats.epistemic_cells += 1;
+            stats.posterior_draws += e.draws.len() as u64;
+        }
+    }
+
+    fn answer(&self, _: &JsonValue) -> (Vec<JsonValue>, Vec<(&'static str, JsonValue)>) {
+        let cells = JsonValue::number(self.cells().len() as f64);
+        let trajectories = JsonValue::number(self.trajectories().len() as f64);
+        (
+            Vec::new(),
+            vec![("cells", cells), ("trajectories", trajectories)],
         )
     }
 }
 
-/// Handles one request line: plans and submits queries (returning the
-/// [`rayon::TaskSet`] handle so the connection can drain it), answers
-/// `stats` inline, and turns every failure into an `error` event.
+impl Finished for OptimizeReport {
+    fn count(&self, stats: &mut ServerStats) {
+        stats.optimizations_completed += 1;
+    }
+
+    fn answer(&self, id: &JsonValue) -> (Vec<JsonValue>, Vec<(&'static str, JsonValue)>) {
+        let report = event(id, "optimize", vec![("report", self.to_json_value())]);
+        let frontier = JsonValue::number(self.frontier.len() as f64);
+        let evaluated = JsonValue::number(self.evaluated.len() as f64);
+        (
+            vec![report],
+            vec![("frontier", frontier), ("evaluated", evaluated)],
+        )
+    }
+}
+
+/// Submits `work` as one owned task on the shared pool, so many requests'
+/// work items interleave on it (nested `for_each_task` inside is deadlock-free
+/// by the pool's caller-helps design). The task times `work` and catches its
+/// panics; a result is counted into the stats and answered with its events
+/// and `done`, a failure with one `{failure} failed: …` error.
+fn submit<T: Finished>(
+    server: &Arc<Server>,
+    writer: &Arc<Outbox>,
+    id: JsonValue,
+    failure: &'static str,
+    work: impl Fn(&Server) -> Result<T, String> + Send + Sync + 'static,
+) -> Action {
+    let server = Arc::clone(server);
+    let writer = Arc::clone(writer);
+    let task: Arc<dyn Fn(usize) + Send + Sync> = Arc::new(move |_| {
+        let start = Instant::now();
+        match caught(|| work(&server)) {
+            Ok(result) => {
+                let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+                {
+                    let mut stats = server.stats.lock().expect("stats lock");
+                    stats.last_plan_wall_ms = wall_ms;
+                    stats.total_plan_wall_ms += wall_ms;
+                    result.count(&mut stats);
+                }
+                let (events, mut done) = result.answer(&id);
+                for e in &events {
+                    emit(&writer, e);
+                }
+                done.push(("wall_ms", JsonValue::number(wall_ms)));
+                emit(&writer, &event(&id, "done", done));
+            }
+            Err(err) => emit(
+                &writer,
+                &error_event(&id, format!("{failure} failed: {err}")),
+            ),
+        }
+    });
+    Action::Spawned(rayon::submit_tasks(1, task))
+}
+
+/// Handles one request line: plans and submits queries and searches
+/// (returning the [`rayon::TaskSet`] handle so the connection can drain it),
+/// answers `stats` inline, and turns every failure into an `error` event.
 fn handle_line(server: &Arc<Server>, line: &str, writer: &Arc<Outbox>) -> Action {
+    let fail = |id: &JsonValue, message: String| {
+        emit(writer, &error_event(id, message));
+        Action::Handled
+    };
     let request = match JsonValue::parse(line) {
         Ok(v) => v,
-        Err(err) => {
-            emit(
-                writer,
-                &error_event(&JsonValue::Null, format!("bad JSON: {err}")),
-            );
-            return Action::Handled;
-        }
+        Err(err) => return fail(&JsonValue::Null, format!("bad JSON: {err}")),
     };
     let id = request.get("id").cloned().unwrap_or(JsonValue::Null);
-    match request.get("op").and_then(|op| op.as_str()) {
-        Some("query") => {
-            let Some(spec) = request.get("query") else {
-                emit(writer, &error_event(&id, "query request missing 'query'"));
-                return Action::Handled;
-            };
-            let parsed = match parse_query(spec) {
-                Ok(parsed) => parsed,
-                Err(err) => {
-                    emit(writer, &error_event(&id, err));
-                    return Action::Handled;
-                }
-            };
-            // Planning validates budgets and may panic deep in model
-            // constructors on adversarial input; neither may kill the
-            // connection.
-            let plan = match catch_unwind(AssertUnwindSafe(|| server.session.plan(&parsed.query))) {
-                Ok(Ok(plan)) => plan,
-                Ok(Err(err)) => {
-                    emit(writer, &error_event(&id, format!("plan failed: {err}")));
-                    return Action::Handled;
-                }
-                Err(payload) => {
-                    emit(
-                        writer,
-                        &error_event(&id, format!("plan failed: {}", panic_message(payload))),
-                    );
-                    return Action::Handled;
-                }
-            };
-            let server = Arc::clone(server);
-            let writer = Arc::clone(writer);
-            let metrics = parsed.metrics;
-            // One owned task per plan: many plans' work-item DAGs interleave
-            // on the one persistent pool (nested `for_each_task` inside the
-            // plan is deadlock-free by the pool's caller-helps design).
-            let task: Arc<dyn Fn(usize) + Send + Sync> = Arc::new(move |_| {
-                let sink = NdjsonSink {
-                    id: id.clone(),
-                    metrics,
-                    writer: Arc::clone(&writer),
-                };
-                let start = Instant::now();
-                match catch_unwind(AssertUnwindSafe(|| plan.execute_streaming(&sink))) {
-                    Ok(report) => {
-                        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                        let epistemic_cells = report
-                            .cells()
-                            .iter()
-                            .filter(|c| c.epistemic.is_some())
-                            .count() as u64;
-                        let posterior_draws: u64 = report
-                            .cells()
-                            .iter()
-                            .filter_map(|c| c.epistemic.as_ref())
-                            .map(|e| e.draws.len() as u64)
-                            .sum();
-                        {
-                            let mut stats = server.stats.lock().expect("stats lock");
-                            stats.queries_completed += 1;
-                            stats.last_plan_wall_ms = wall_ms;
-                            stats.total_plan_wall_ms += wall_ms;
-                            stats.epistemic_cells += epistemic_cells;
-                            stats.posterior_draws += posterior_draws;
-                        }
-                        emit(
-                            &writer,
-                            &event(
-                                &id,
-                                "done",
-                                vec![
-                                    (
-                                        "cells".to_string(),
-                                        JsonValue::number(report.cells().len() as f64),
-                                    ),
-                                    (
-                                        "trajectories".to_string(),
-                                        JsonValue::number(report.trajectories().len() as f64),
-                                    ),
-                                    ("wall_ms".to_string(), JsonValue::number(wall_ms)),
-                                ],
-                            ),
-                        );
-                    }
-                    Err(payload) => {
-                        emit(
-                            &writer,
-                            &error_event(
-                                &id,
-                                format!("execution failed: {}", panic_message(payload)),
-                            ),
-                        );
-                    }
-                }
+    // Reading builds deployments and cell models, and planning builds grid
+    // models: their constructors assert, and no request may kill the
+    // connection.
+    match caught(|| read_request(&request)) {
+        Err(err) => fail(&id, err),
+        Ok(Request::Query(parsed)) => {
+            let plan = caught(|| {
+                server
+                    .session
+                    .plan(&parsed.query)
+                    .map_err(|e| e.to_string())
             });
-            Action::Spawned(rayon::submit_tasks(1, task))
-        }
-        Some("optimize") => {
-            let parsed = match parse_optimize(&request) {
-                Ok(parsed) => parsed,
-                Err(err) => {
-                    emit(writer, &error_event(&id, err));
-                    return Action::Handled;
-                }
+            let plan = match plan {
+                Ok(plan) => plan,
+                Err(err) => return fail(&id, format!("plan failed: {err}")),
             };
-            let server = Arc::clone(server);
-            let writer = Arc::clone(writer);
-            // Like queries, the search runs as one owned task on the shared
-            // pool: its per-candidate cells are work-stealing items that
-            // interleave with concurrent plans, and its scratch lands in the
-            // shared cache (optimizer namespace).
-            let task: Arc<dyn Fn(usize) + Send + Sync> = Arc::new(move |_| {
-                let start = Instant::now();
-                match catch_unwind(AssertUnwindSafe(|| {
-                    optimize(server.session(), &parsed.space, &parsed.config)
-                })) {
-                    Ok(Ok(report)) => {
-                        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                        {
-                            let mut stats = server.stats.lock().expect("stats lock");
-                            stats.optimizations_completed += 1;
-                            stats.last_plan_wall_ms = wall_ms;
-                            stats.total_plan_wall_ms += wall_ms;
-                        }
-                        emit(
-                            &writer,
-                            &event(
-                                &id,
-                                "optimize",
-                                vec![("report".to_string(), report.to_json_value())],
-                            ),
-                        );
-                        emit(
-                            &writer,
-                            &event(
-                                &id,
-                                "done",
-                                vec![
-                                    (
-                                        "frontier".to_string(),
-                                        JsonValue::number(report.frontier.len() as f64),
-                                    ),
-                                    (
-                                        "evaluated".to_string(),
-                                        JsonValue::number(report.evaluated.len() as f64),
-                                    ),
-                                    ("wall_ms".to_string(), JsonValue::number(wall_ms)),
-                                ],
-                            ),
-                        );
-                    }
-                    Ok(Err(err)) => {
-                        emit(
-                            &writer,
-                            &error_event(&id, format!("optimize failed: {err}")),
-                        );
-                    }
-                    Err(payload) => {
-                        emit(
-                            &writer,
-                            &error_event(
-                                &id,
-                                format!("optimize failed: {}", panic_message(payload)),
-                            ),
-                        );
-                    }
-                }
-            });
-            Action::Spawned(rayon::submit_tasks(1, task))
+            let sink = NdjsonSink {
+                id: id.clone(),
+                metrics: parsed.metrics,
+                writer: Arc::clone(writer),
+            };
+            submit(server, writer, id, "execution", move |_| {
+                Ok(plan.execute_streaming(&sink))
+            })
         }
-        Some("stats") => {
+        Ok(Request::Optimize(parsed)) => submit(server, writer, id, "optimize", move |server| {
+            optimize(server.session(), &parsed.space, &parsed.config).map_err(|e| e.to_string())
+        }),
+        Ok(Request::Stats) => {
             emit(writer, &server.stats_event(&id));
             Action::Handled
         }
-        Some("shutdown") => Action::Shutdown(id),
-        Some(other) => {
-            emit(writer, &error_event(&id, format!("unknown op '{other}'")));
-            Action::Handled
-        }
-        None => {
-            emit(writer, &error_event(&id, "request missing 'op'"));
-            Action::Handled
-        }
+        Ok(Request::Shutdown) => Action::Shutdown(id),
     }
 }
 
@@ -1325,7 +1224,7 @@ fn read_request_line(
     loop {
         let available = match reader.fill_buf() {
             Ok(available) => available,
-            Err(err) if err.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(err) if err.kind() == ErrorKind::Interrupted => continue,
             Err(err) => return Err(err),
         };
         if available.is_empty() {
@@ -1378,45 +1277,26 @@ pub fn serve_connection(
     let mut shutdown_id = None;
     let mut buf = Vec::new();
     while !writer.is_dead() {
-        match read_request_line(&mut reader, &mut buf) {
+        let line = match read_request_line(&mut reader, &mut buf) {
             Ok(None) => break,
-            Ok(Some(Err(()))) => {
-                emit(
-                    writer,
-                    &error_event(
-                        &JsonValue::Null,
-                        format!(
-                            "request line exceeds {MAX_REQUEST_LINE_BYTES} bytes; closing \
-                             connection"
-                        ),
-                    ),
-                );
-                break;
+            Ok(Some(Ok(()))) => {
+                std::str::from_utf8(&buf).map_err(|_| "request line is not UTF-8".to_string())
             }
-            Ok(Some(Ok(()))) => {}
-            Err(err)
-                if matches!(
-                    err.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                emit(
-                    writer,
-                    &error_event(&JsonValue::Null, "read timed out; closing connection"),
-                );
-                break;
+            Ok(Some(Err(()))) => Err(format!(
+                "request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"
+            )),
+            Err(err) if matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                Err("read timed out".to_string())
             }
             Err(err) => return Err(err),
-        }
-        let Ok(line) = std::str::from_utf8(&buf) else {
-            emit(
-                writer,
-                &error_event(
-                    &JsonValue::Null,
-                    "request line is not UTF-8; closing connection",
-                ),
-            );
-            break;
+        };
+        let line = match line {
+            Ok(line) => line,
+            Err(why) => {
+                let message = format!("{why}; closing connection");
+                emit(writer, &error_event(&JsonValue::Null, message));
+                break;
+            }
         };
         if line.trim().is_empty() {
             continue;
@@ -1903,6 +1783,101 @@ mod tests {
         assert_eq!(events_for(&events, "ok", "done").len(), 1, "{output}");
     }
 
+    /// Sends `request` (with id `bad`) and then a well-formed query on one
+    /// connection: `bad` draws exactly one event, an error containing
+    /// `needle`, and the next line is still served.
+    fn rejected_then_served(request: &str, needle: &str) {
+        let server = Arc::new(Server::new());
+        let ok = r#"{"id":"ok","op":"query","query":{"protocols":["raft"],"nodes":[3],"fault_probs":[0.01]}}"#;
+        let output = run_exchange(&server, &format!("{request}\n{ok}\n"));
+        let events = events(&output);
+        let bad: Vec<_> = events
+            .iter()
+            .filter(|e| e.get("id").and_then(|v| v.as_str()) == Some("bad"))
+            .collect();
+        assert_eq!(bad.len(), 1, "{output}");
+        assert_eq!(bad[0].get("event").and_then(|v| v.as_str()), Some("error"));
+        let message = bad[0].get("message").and_then(|v| v.as_str()).unwrap();
+        assert!(message.contains(needle), "{message}");
+        assert_eq!(events_for(&events, "ok", "done").len(), 1, "{output}");
+    }
+
+    fn bad_query(body: &str) -> String {
+        format!(r#"{{"id":"bad","op":"query","query":{body}}}"#)
+    }
+
+    // The four requests below each aborted the process on an allocation it
+    // could not make (4e9 draws, 3e9 nodes, 4e9 logspace points, a 200 000-node
+    // Markov chain): an abort is not a panic, so no `catch_unwind` sees it.
+
+    #[test]
+    fn oversized_posteriors_are_an_error_event_not_an_abort() {
+        rejected_then_served(
+            &bad_query(
+                r#"{"protocols":["raft"],"nodes":[3],"fault_probs":[0.01],"posterior":{"draws":4000000000,"alpha":2,"beta":50}}"#,
+            ),
+            "epistemic.draws must be at most 4096",
+        );
+    }
+
+    #[test]
+    fn oversized_clusters_are_an_error_event_not_an_abort() {
+        rejected_then_served(
+            &bad_query(r#"{"protocols":["raft"],"nodes":[3000000000],"fault_probs":[0.01]}"#),
+            "nodes must be at most 4096",
+        );
+    }
+
+    #[test]
+    fn oversized_logspace_axes_are_an_error_event_not_an_abort() {
+        rejected_then_served(
+            &bad_query(
+                r#"{"protocols":["raft"],"nodes":[3],"fault_probs":{"logspace":{"lo":1e-4,"hi":1e-1,"count":4000000000}}}"#,
+            ),
+            "'count' must be a non-negative integer in [1, 4096]",
+        );
+    }
+
+    #[test]
+    fn oversized_repairable_groups_are_an_error_event_not_an_abort() {
+        rejected_then_served(
+            &bad_query(
+                r#"{"repairable_cells":[{"label":"r","n":200000,"lambda":1e-4,"mu":0.1,"tolerated_failures":2}]}"#,
+            ),
+            "repairable n must be at most 4096",
+        );
+    }
+
+    #[test]
+    fn misread_requests_are_each_one_error_event() {
+        for (body, needle) in MISREAD_QUERIES {
+            rejected_then_served(&bad_query(body), needle);
+        }
+        let (request, needle) = MISREAD_TARGET;
+        let request = format!(r#"{{"id":"bad","op":"optimize",{}"#, &request[1..]);
+        rejected_then_served(&request, needle);
+        rejected_then_served(r#"{"id":"bad","op":"stats","extra":1}"#, "'extra'");
+    }
+
+    #[test]
+    fn constructor_asserts_while_reading_are_error_events_not_crashes() {
+        // Cell models and deployments are built as the request is read; a
+        // quorum larger than the cell, or fault probabilities summing past one,
+        // trip their constructors' asserts.
+        rejected_then_served(
+            &bad_query(
+                r#"{"cells":[{"label":"c","model":{"raft_flexible":{"q_per":9,"q_vc":9}},"deployment":{"uniform_crash":{"n":3,"p":0.01}}}]}"#,
+            ),
+            "Q_per",
+        );
+        rejected_then_served(
+            &bad_query(
+                r#"{"cells":[{"label":"c","model":"pbft","deployment":{"uniform_mixed":{"n":4,"crash":0.6,"byzantine":0.6}}}]}"#,
+            ),
+            "must not exceed 1",
+        );
+    }
+
     #[test]
     fn posterior_queries_stream_epistemic_cells() {
         let server = Arc::new(Server::new());
@@ -2258,28 +2233,153 @@ mod tests {
         shut_down(client, reader, served);
     }
 
+    /// Query bodies a reader that skips what it does not know would answer as
+    /// if they were valid, each with a needle of its rejection.
+    const MISREAD_QUERIES: [(&str, &str); 9] = [
+        (
+            r#"{"protocols":["raft"],"nodes":[3],"fault_probs":[0.01],"metrics":{"safe_and_liv":false}}"#,
+            "unknown metrics key 'safe_and_liv'",
+        ),
+        (
+            r#"{"time_axis":{"horizon_hours":100,"step_hours":10,"window_hour":50},"repairable_cells":[{"label":"r","n":3,"lambda":1e-3,"mu":0.1,"tolerated_failures":1}]}"#,
+            "unknown time_axis key 'window_hour'",
+        ),
+        (
+            r#"{"cells":[{"label":"c","model":"raft","deployment":{"uniform_crash":{"n":3,"p":0.01,"byzantine":0.01}}}]}"#,
+            "unknown uniform_crash key 'byzantine'",
+        ),
+        (
+            r#"{"cells":[{"label":"c","model":"raft","deployment":{"uniform_crash":{"n":3,"p":0.01}},"colour":"red"}]}"#,
+            "unknown cell key 'colour'",
+        ),
+        (
+            r#"{"protocols":[{"raft_flexible":{"q_per":2,"q_vc":2,"q_typo":3}}],"nodes":[3],"fault_probs":[0.01]}"#,
+            "unknown raft_flexible key 'q_typo'",
+        ),
+        (
+            r#"{"protocols":["raft"],"nodes":[3],"fault_probs":{"logspace":{"lo":1e-3,"hi":1e-1,"count":3,"base":10}}}"#,
+            "unknown logspace key 'base'",
+        ),
+        (
+            r#"{"protocols":["raft"],"nodes":[3],"fault_probs":[0.01],"faults":{"mixed":{"byzantine":0.01,"crash":0.02}}}"#,
+            "unknown mixed faults key 'crash'",
+        ),
+        (
+            r#"{"repairable_cells":[{"label":"r","n":3,"lambda":1e-3,"mu":0.1,"tolerated_failures":1,"extra":1}]}"#,
+            "unknown repairable cell key 'extra'",
+        ),
+        (
+            r#"{"protocols":["raft"],"nodes":[3],"fault_probs":[0.01],"correlations":[{"rack_shock":{"racks":2,"probability":0.01},"cluster_shock":{"probability":0.01}}]}"#,
+            "correlation must have exactly one member",
+        ),
+    ];
+
+    /// The optimize misreading: a target naming both kinds of target.
+    const MISREAD_TARGET: (&str, &str) = (
+        r#"{"space":{"instances":[],"nodes":[3],"target":{"protocol":"raft","quorum_size":2}},"config":{"target_nines":3.0}}"#,
+        "target must have exactly one member",
+    );
+
+    /// A query using every member the grammar accepts.
+    const FULL_QUERY: &str = r#"{"protocols":["raft",{"raft_flexible":{"q_per":4,"q_vc":3}},"pbft"],
+        "nodes":[4,7],
+        "fault_probs":{"logspace":{"lo":1e-4,"hi":1e-1,"count":4}},
+        "faults":{"mixed":{"byzantine":0.001}},
+        "correlations":["independent",{"cluster_shock":{"probability":0.01}},{"rack_shock":{"racks":3,"probability":0.02}}],
+        "samples":5000,"seed":9,"samples_sweep":[1000,5000],
+        "posterior":{"draws":4,"alpha":2.5,"beta":60,"level":0.8},
+        "validate":false,
+        "environments":["clean","gray-primary"],
+        "metrics":{"safe":true,"live":false,"safe_and_live":true},
+        "time_axis":{"horizon_hours":20000,"step_hours":5000,"window_hours":2500,"target_nines":3.0},
+        "cells":[{"label":"pq","model":{"persistence_quorum":{"quorum":[0,1]}},"deployment":{"uniform_mixed":{"n":4,"crash":0.01,"byzantine":0.001}}},
+                 {"label":"flex","model":{"raft_flexible":{"q_per":2,"q_vc":2}},"deployment":{"uniform_byzantine":{"n":3,"p":0.01}}},
+                 {"label":"pbft","model":"pbft","deployment":{"uniform_crash":{"n":4,"p":0.01}}}],
+        "repairable_cells":[{"label":"r","n":5,"lambda":1e-4,"mu":0.1,"tolerated_failures":2}]}"#;
+
+    /// An optimize request using every member the grammar accepts; the
+    /// protocol target is [`OPTIMIZE_PROTOCOL_TARGET`]'s.
+    const FULL_OPTIMIZE: &str = r#"{"space":{"instances":[{"name":"spot","fault_probability":0.08,"byzantine_probability":0.001,"hourly_cost":0.10}],
+                     "nodes":[3,5],
+                     "domains":{"racks":4,"shock_probability":0.02},
+                     "placements":["same-rack","cross-rack"],
+                     "target":{"quorum_size":2}},
+            "config":{"target_nines":3.5,"screen_samples":5000,"refine_samples":20000,"seed":9,
+                      "rare_event_threshold":1e-7,
+                      "repair":{"mttr_hours":12.0,"mission_hours":8766.0}}}"#;
+
+    const OPTIMIZE_PROTOCOL_TARGET: &str = r#"{"space":{"instances":[{"name":"a","fault_probability":0.01,"hourly_cost":1.0}],
+                     "nodes":[5],"target":{"protocol":{"raft_flexible":{"q_per":2,"q_vc":4}}}},
+            "config":{"target_nines":2.0}}"#;
+
     #[test]
     fn parse_query_covers_every_axis() {
-        let spec = JsonValue::parse(
-            r#"{"protocols":["raft",{"raft_flexible":{"q_per":4,"q_vc":3}},"pbft"],
-                "nodes":[4,7],
-                "fault_probs":{"logspace":{"lo":1e-4,"hi":1e-1,"count":4}},
-                "faults":{"mixed":{"byzantine":0.001}},
-                "correlations":["independent",{"cluster_shock":{"probability":0.01}},{"rack_shock":{"racks":3,"probability":0.02}}],
-                "samples":5000,"seed":9,"samples_sweep":[1000,5000],
-                "validate":false,
-                "environments":["clean","gray-primary"],
-                "metrics":{"safe":true,"live":false,"safe_and_live":true},
-                "time_axis":{"horizon_hours":20000,"step_hours":5000,"target_nines":3.0},
-                "repairable_cells":[{"label":"r","n":5,"lambda":1e-4,"mu":0.1,"tolerated_failures":2}]}"#,
-        )
-        .unwrap();
-        let parsed = parse_query(&spec).expect("full-axis query parses");
+        let parsed =
+            parse_query(&JsonValue::parse(FULL_QUERY).unwrap()).expect("full-axis query parses");
         // 3 protocols x 2 nodes x 4 probs x 3 correlations x 2 sample budgets
-        // x 2 fault environments.
-        assert_eq!(parsed.query.cell_count(), 288);
+        // x 2 fault environments, plus the explicit cells.
+        assert_eq!(parsed.query.cell_count(), 288 + 3);
         assert_eq!(parsed.query.trajectory_count(), 1);
         assert!(!parsed.metrics.live && parsed.metrics.safe);
+        let epistemic = parsed
+            .query
+            .base_budget()
+            .epistemic
+            .expect("posterior read");
+        assert_eq!((epistemic.draws, epistemic.level), (4, 0.8));
+    }
+
+    /// Every path from the root of `value` to an object inside it, each step a
+    /// member or entry index.
+    fn object_paths(value: &JsonValue, path: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        let children: Vec<&JsonValue> = match value {
+            JsonValue::Object(members) => {
+                out.push(path.clone());
+                members.iter().map(|(_, v)| v).collect()
+            }
+            JsonValue::Array(items) => items.iter().collect(),
+            _ => Vec::new(),
+        };
+        for (i, child) in children.into_iter().enumerate() {
+            path.push(i);
+            object_paths(child, path, out);
+            path.pop();
+        }
+    }
+
+    #[test]
+    fn every_object_on_the_wire_rejects_an_unknown_key() {
+        let requests = [
+            format!(r#"{{"id":"q","op":"query","query":{FULL_QUERY}}}"#),
+            format!(r#"{{"id":"o","op":"optimize",{}"#, &FULL_OPTIMIZE[1..]),
+            format!(
+                r#"{{"id":"o","op":"optimize",{}"#,
+                &OPTIMIZE_PROTOCOL_TARGET[1..]
+            ),
+        ];
+        for request in requests {
+            let request = JsonValue::parse(&request).unwrap();
+            assert!(read_request(&request).is_ok(), "fixture reads");
+            let mut paths = Vec::new();
+            object_paths(&request, &mut Vec::new(), &mut paths);
+            assert!(paths.len() >= 7, "the walk finds the nested objects");
+            for path in paths {
+                let mut bad = request.clone();
+                let node = path.iter().fold(&mut bad, |node, &i| match node {
+                    JsonValue::Object(members) => &mut members[i].1,
+                    JsonValue::Array(items) => &mut items[i],
+                    _ => unreachable!("paths run through containers"),
+                });
+                let JsonValue::Object(members) = node else {
+                    unreachable!("paths end at objects")
+                };
+                members.push(("zz".to_string(), JsonValue::number(0.0)));
+                let err = read_request(&bad)
+                    .err()
+                    .unwrap_or_else(|| panic!("'zz' accepted at {path:?}"));
+                assert!(err.contains("zz"), "error at {path:?} was '{err}'");
+            }
+        }
     }
 
     #[test]
@@ -2342,27 +2442,26 @@ mod tests {
                 r#"{"protocols":["raft"],"nodes":[3],"fault_probs":[0.01],"posterior":{"draws":8,"alpha":3.5,"beta":60,"level":"high"}}"#,
                 "must be a number",
             ),
-        ] {
+        ]
+        .into_iter()
+        .chain(MISREAD_QUERIES)
+        {
             let err = parse_query(&JsonValue::parse(bad).unwrap())
                 .err()
                 .unwrap_or_else(|| panic!("{bad} should be rejected"));
             assert!(err.contains(needle), "error for {bad} was '{err}'");
         }
+        // The request envelope is read by the same grammar.
+        let envelope = JsonValue::parse(r#"{"op":"stats","extra":1}"#).unwrap();
+        let err = read_request(&envelope)
+            .err()
+            .expect("an envelope key is checked");
+        assert!(err.contains("unknown request key 'extra'"), "{err}");
     }
 
     #[test]
     fn parse_optimize_covers_every_knob() {
-        let request = JsonValue::parse(
-            r#"{"space":{"instances":[{"name":"spot","fault_probability":0.08,"byzantine_probability":0.001,"hourly_cost":0.10}],
-                         "nodes":[3,5],
-                         "domains":{"racks":4,"shock_probability":0.02},
-                         "placements":["same-rack","cross-rack"],
-                         "target":{"quorum_size":2}},
-                "config":{"target_nines":3.5,"screen_samples":5000,"refine_samples":20000,"seed":9,
-                          "rare_event_threshold":1e-7,
-                          "repair":{"mttr_hours":12.0,"mission_hours":8766.0}}}"#,
-        )
-        .expect("fixture parses");
+        let request = JsonValue::parse(FULL_OPTIMIZE).expect("fixture parses");
         let parsed = parse_optimize(&request).expect("fixture is a valid request");
         assert_eq!(parsed.space.instances.len(), 1);
         assert_eq!(parsed.space.nodes, vec![3, 5]);
@@ -2376,12 +2475,7 @@ mod tests {
         assert_eq!(parsed.config.refine_samples, 20_000);
         assert!(parsed.config.repair.is_some());
         // A protocol target parses through the query-side protocol grammar.
-        let request = JsonValue::parse(
-            r#"{"space":{"instances":[{"name":"a","fault_probability":0.01,"hourly_cost":1.0}],
-                         "nodes":[5],"target":{"protocol":{"raft_flexible":{"q_per":2,"q_vc":4}}}},
-                "config":{"target_nines":2.0}}"#,
-        )
-        .unwrap();
+        let request = JsonValue::parse(OPTIMIZE_PROTOCOL_TARGET).unwrap();
         let parsed = parse_optimize(&request).expect("flexible-quorum target parses");
         assert!(matches!(
             parsed.space.target,
@@ -2437,6 +2531,7 @@ mod tests {
                 r#"{"space":{"instances":[],"nodes":[3]},"config":{"target_nines":3.0}}"#.to_string(),
                 "missing 'target'".to_string(),
             ),
+            (MISREAD_TARGET.0.to_string(), MISREAD_TARGET.1.to_string()),
         ] {
             let err = parse_optimize(&JsonValue::parse(&bad).unwrap())
                 .err()

@@ -4,7 +4,8 @@
 # before its first `#[cfg(test)]` (the whole file when it has none), summed.
 set -eu
 cd "$(dirname "$0")/.."
-for pair in loc_core:crates/core/src loc_server:crates/server/src loc_bench:crates/bench/src; do
+for pair in loc_core:crates/core/src loc_server:crates/server/src loc_bench:crates/bench/src \
+    loc_quorum:crates/quorum/src; do
     name=${pair%%:*}
     dir=${pair#*:}
     find "$dir" -name '*.rs' -exec awk '/^[[:space:]]*#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n + 0 }' {} + |
