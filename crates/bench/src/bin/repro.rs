@@ -82,12 +82,9 @@ fn run_experiment(id: &str) -> Result<(), String> {
                 eq.cost_reduction_factor()
             );
         }
-        "claim-quorum-overkill" => println!("{}", bench::claim_quorum_overkill()),
-        "claim-heterogeneous" => {
-            let (table, _) = bench::claim_heterogeneous();
-            println!("{table}");
-        }
-        "claim-tradeoff" => println!("{}", bench::claim_tradeoff()),
+        "claim-quorum-overkill" => println!("{}", bench::claim_quorum_overkill().0),
+        "claim-heterogeneous" => println!("{}", bench::claim_heterogeneous().0),
+        "claim-tradeoff" => println!("{}", bench::claim_tradeoff().0),
         "claim-durability" => {
             let (table, _) = bench::claim_durability();
             println!("{table}");

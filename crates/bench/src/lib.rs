@@ -10,20 +10,18 @@
 #![warn(missing_docs)]
 use fault_model::correlation::{CorrelationGroup, CorrelationModel};
 use fault_model::curve::WeibullCurve;
-use fault_model::metrics::HOURS_PER_YEAR;
+use fault_model::metrics::{Nines, HOURS_PER_YEAR};
 use fault_model::mode::FaultProfile;
 use fault_model::node::{Fleet, NodeSpec};
 use prob_consensus::analyzer::{analyze_auto, analyze_scenario};
-use prob_consensus::committee::committee_vs_full_cluster;
 use prob_consensus::cost::{cost_equivalence, default_catalogue, CostEquivalence};
 use prob_consensus::deployment::Deployment;
-use prob_consensus::durability::{durability_claim, DurabilityClaim, PersistenceQuorumModel};
-use prob_consensus::dynamic_quorum::{smallest_raft_quorums, trigger_quorum_comparison};
+use prob_consensus::durability::{
+    durability_claim, quorum_durability, DurabilityClaim, PersistenceQuorumModel,
+};
 use prob_consensus::engine::{
     AnalysisEngine, AnalysisOutcome, Budget, EngineChoice, FaultEnvironment, Scenario, SimBudget,
 };
-use prob_consensus::heterogeneity::{heterogeneity_analysis, HeterogeneityAnalysis};
-use prob_consensus::leader::{leader_failure_probability, LeaderPolicy};
 use prob_consensus::montecarlo::{monte_carlo_reliability_par_kernel, McKernel};
 use prob_consensus::optimize::{
     optimize, DeploymentSpace, FailureDomains, NodeType, OptimizeReport, OptimizerConfig,
@@ -37,7 +35,6 @@ use prob_consensus::query::{
 use prob_consensus::raft_model::RaftModel;
 use prob_consensus::report::{percent, Table};
 use prob_consensus::timevarying::{reliability_trajectory, summarize};
-use prob_consensus::tradeoff::{compare, pbft_sweep};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -175,81 +172,148 @@ pub fn claim_cheap_nodes() -> (Table, CostEquivalence) {
 }
 
 /// Experiment `claim-quorum-overkill`: linear-size trigger quorums vs probabilistic
-/// sampling at N = 100, p_u = 1%.
-pub fn claim_quorum_overkill() -> Table {
-    let comparison = trigger_quorum_comparison(100, 0.01, 1.0 - 1e-10);
+/// sampling at N = 100, p_u = 1%. Returns the table and the two trigger-quorum sizes,
+/// `(f-threshold, probabilistic)`.
+pub fn claim_quorum_overkill() -> (Table, (usize, usize)) {
+    const N: usize = 100;
+    const P: f64 = 0.01;
+    const TARGET: f64 = 1.0 - 1e-10;
+    // The f-threshold model asks for f + 1 nodes; a sample of k independent nodes
+    // holds a correct one with probability 1 − p^k, so the smallest k meeting the
+    // target is enough.
+    let f_threshold = (N - 1) / 3 + 1;
+    let probabilistic = (1..=N)
+        .find(|&k| 1.0 - P.powi(k as i32) >= TARGET)
+        .unwrap_or(N);
     let mut table = Table::new(
         "Claim: linear size quorums can be overkill (N=100, p_u=1%)",
         &["Rule", "|Q_vc_t|", "P(contains a correct node)"],
     );
     table.push_row(vec![
         "f-threshold (f+1)".into(),
-        comparison.f_threshold_size.to_string(),
+        f_threshold.to_string(),
         "1 (worst-case guarantee)".into(),
     ]);
     table.push_row(vec![
         "probabilistic sample".into(),
-        comparison.probabilistic_size.to_string(),
-        percent(comparison.achieved),
+        probabilistic.to_string(),
+        percent(1.0 - P.powi(probabilistic as i32)),
     ]);
-    table
+    (table, (f_threshold, probabilistic))
+}
+
+/// The four numbers of the `claim-heterogeneous` experiment.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HeterogeneityClaim {
+    /// Safe-and-live probability of seven 8% nodes.
+    pub baseline_safe_and_live: Nines,
+    /// Safe-and-live probability after the three least reliable nodes become 1% nodes.
+    pub upgraded_safe_and_live: Nines,
+    /// Durability of a persistence quorum of the four least reliable upgraded nodes —
+    /// the worst case for a protocol oblivious to fault curves.
+    pub oblivious_durability: Nines,
+    /// Durability of a persistence quorum that must include the most reliable node,
+    /// the other three still the least reliable.
+    pub aware_durability: Nines,
+}
+
+/// Safe-and-live probability of majority-quorum Raft on each labelled deployment,
+/// evaluated as the explicit cells of one query.
+fn raft_safe_and_live<const K: usize>(cells: [(&str, Deployment); K]) -> [Nines; K] {
+    let query = cells
+        .into_iter()
+        .fold(Query::new(), |query, (label, deployment)| {
+            query.cell(
+                label,
+                Arc::new(RaftModel::standard(deployment.len())),
+                deployment,
+            )
+        });
+    let report = AnalysisSession::new()
+        .run(&query)
+        .expect("well-formed Raft cells");
+    std::array::from_fn(|i| report.cell(i).outcome.report.safe_and_live)
 }
 
 /// Experiment `claim-heterogeneous`: the 7-node heterogeneous Raft example of §3.2.
-pub fn claim_heterogeneous() -> (Table, HeterogeneityAnalysis) {
+/// The two safe-and-live numbers are explicit query cells; the two durabilities are
+/// closed forms over quorums picked from the reliability ranking.
+pub fn claim_heterogeneous() -> (Table, HeterogeneityClaim) {
     let baseline = Deployment::uniform_crash(7, 0.08);
-    let analysis = heterogeneity_analysis(&baseline, 3, FaultProfile::crash_only(0.01), 4, |d| {
-        analyze_auto(&RaftModel::standard(7), d, &Budget::default())
-            .report
-            .safe_and_live
-    });
+    // Replace the three least reliable nodes with 1% machines.
+    let upgraded = baseline.nodes_by_reliability()[4..]
+        .iter()
+        .fold(baseline.clone(), |d, &node| {
+            d.with_profile(node, FaultProfile::crash_only(0.01))
+        });
+    // A 4-node persistence quorum: the least reliable nodes, or the most reliable
+    // node and the three least reliable.
+    let ranked = upgraded.nodes_by_reliability();
+    let oblivious_durability = quorum_durability(&upgraded, &ranked[3..]);
+    let aware_durability = quorum_durability(&upgraded, &[&ranked[..1], &ranked[4..]].concat());
+    let [baseline_safe_and_live, upgraded_safe_and_live] =
+        raft_safe_and_live([("baseline", baseline), ("upgraded", upgraded)]);
+    let analysis = HeterogeneityClaim {
+        baseline_safe_and_live,
+        upgraded_safe_and_live,
+        oblivious_durability,
+        aware_durability,
+    };
     let mut table = Table::new(
         "Claim: Raft and PBFT underutilize reliable nodes (7-node Raft)",
         &["Configuration", "Value"],
     );
-    table.push_row(vec![
-        "S&L, 7 x 8% nodes".into(),
-        analysis.baseline_safe_and_live.as_percent(),
-    ]);
-    table.push_row(vec![
-        "S&L, 3 nodes upgraded to 1%".into(),
-        analysis.upgraded_safe_and_live.as_percent(),
-    ]);
-    table.push_row(vec![
-        "Durability, fault-curve-oblivious quorum".into(),
-        analysis.oblivious_durability.as_percent(),
-    ]);
-    table.push_row(vec![
-        "Durability, quorum must include a reliable node".into(),
-        analysis.aware_durability.as_percent(),
-    ]);
+    for (label, value) in [
+        ("S&L, 7 x 8% nodes", baseline_safe_and_live),
+        ("S&L, 3 nodes upgraded to 1%", upgraded_safe_and_live),
+        (
+            "Durability, fault-curve-oblivious quorum",
+            oblivious_durability,
+        ),
+        (
+            "Durability, quorum must include a reliable node",
+            aware_durability,
+        ),
+    ] {
+        table.push_row(vec![label.into(), value.as_percent()]);
+    }
     (table, analysis)
 }
 
 /// Experiment `claim-tradeoff`: the hidden safety/liveness trade-off between 4-, 5- and
-/// 7-node PBFT at p_u = 1%.
-pub fn claim_tradeoff() -> Table {
-    let points = pbft_sweep(&[4, 5, 7], 0.01);
+/// 7-node PBFT at p_u = 1%, as one planned sweep. Returns the table and the sweep
+/// (cells in N order); deployment cost is proportional to N.
+pub fn claim_tradeoff() -> (Table, AnalysisReport) {
+    let report = AnalysisSession::new()
+        .run(
+            &Query::new()
+                .protocols([ProtocolSpec::Pbft])
+                .nodes([4usize, 5, 7])
+                .fault_probs([0.01])
+                .faults(FaultAxis::Byzantine),
+        )
+        .expect("well-formed trade-off sweep");
     let mut table = Table::new(
         "Claim: hidden safety/liveness trade-off (PBFT, p_u = 1%)",
         &["N", "Safe %", "Live %", "Relative cost"],
     );
-    for p in &points {
+    let (four, five) = (report.cell(0), report.cell(1));
+    for cell in report.cells() {
         table.push_row(vec![
-            p.n.to_string(),
-            p.report.safe.as_percent(),
-            p.report.live.as_percent(),
-            format!("{:.2}x", p.relative_cost / points[0].relative_cost),
+            cell.nodes.to_string(),
+            cell.outcome.report.safe.as_percent(),
+            cell.outcome.report.live.as_percent(),
+            format!("{:.2}x", cell.nodes as f64 / four.nodes as f64),
         ]);
     }
-    let c = compare(&points[0], &points[1]);
+    let (a, b) = (&four.outcome.report, &five.outcome.report);
     table.push_row(vec![
         "5 vs 4".into(),
-        format!("{:.0}x safer", c.safety_improvement),
-        format!("{:.2}x less live", c.liveness_degradation),
-        format!("{:.2}x", c.cost_ratio),
+        format!("{:.0}x safer", a.unsafety() / b.unsafety()),
+        format!("{:.2}x less live", b.unliveness() / a.unliveness()),
+        format!("{:.2}x", five.nodes as f64 / four.nodes as f64),
     ]);
-    table
+    (table, report)
 }
 
 /// Experiment `claim-durability`: the §4 durability argument at N = 100, |Q_per| = 10,
@@ -549,77 +613,93 @@ pub fn sim_validation(
 }
 
 /// Experiment `native-quorum`: dynamic quorum sizing on fleets of different reliability.
+/// One planned sweep over every intersecting flexible Raft quorum pair at N = 9; per
+/// fleet, the smallest pair in (|Q_per|, |Q_vc|) order that meets three nines.
 pub fn native_quorum() -> Table {
+    const N: usize = 9;
+    const FLEETS: [(&str, f64); 3] = [("p=0.1%", 0.001), ("p=1%", 0.01), ("p=4%", 0.04)];
+    let pairs: Vec<(usize, usize)> = (1..=N)
+        .flat_map(|q_per| (1..=N).map(move |q_vc| (q_per, q_vc)))
+        .filter(|&(q_per, q_vc)| RaftModel::flexible(N, q_per, q_vc).quorums_intersect())
+        .collect();
+    let report = AnalysisSession::new()
+        .run(
+            &Query::new()
+                .protocols(
+                    pairs
+                        .iter()
+                        .map(|&(q_per, q_vc)| ProtocolSpec::RaftFlexible { q_per, q_vc }),
+                )
+                .nodes([N])
+                .fault_probs(FLEETS.map(|(_, p)| p)),
+        )
+        .expect("well-formed quorum sweep");
     let mut table = Table::new(
         "Probability-native: smallest Raft quorums meeting 3 nines (N = 9)",
         &["Fleet", "|Q_per|", "|Q_vc|", "Achieved S&L"],
     );
-    for (label, p) in [("p=0.1%", 0.001), ("p=1%", 0.01), ("p=4%", 0.04)] {
-        let d = Deployment::uniform_crash(9, p);
-        match smallest_raft_quorums(&d, 3.0) {
-            Some(sizing) => table.push_row(vec![
-                label.to_string(),
-                sizing.model.q_per().to_string(),
-                sizing.model.q_vc().to_string(),
-                percent(sizing.achieved),
-            ]),
-            None => table.push_row(vec![
-                label.to_string(),
-                "-".into(),
-                "-".into(),
-                "target unreachable".into(),
-            ]),
-        }
-    }
-    table
-}
-
-/// Experiment `native-leader`: reliability-aware vs oblivious leader selection.
-pub fn native_leader() -> Table {
-    let deployment = Deployment::from_profiles(vec![
-        FaultProfile::crash_only(0.08),
-        FaultProfile::crash_only(0.08),
-        FaultProfile::crash_only(0.04),
-        FaultProfile::crash_only(0.01),
-        FaultProfile::crash_only(0.01),
-    ]);
-    let mut table = Table::new(
-        "Probability-native: leader selection policies (5-node heterogeneous fleet)",
-        &["Policy", "P(leader fails within the window)"],
-    );
-    for (label, policy) in [
-        ("oblivious (fleet average)", LeaderPolicy::Oblivious),
-        ("most reliable node", LeaderPolicy::MostReliable),
-        ("worst case", LeaderPolicy::WorstCase),
-    ] {
+    for (j, (label, _)) in FLEETS.into_iter().enumerate() {
+        // Grid cells are in axis-nesting order: one chunk of fleets per quorum pair.
+        let ((q_per, q_vc), cells) = pairs
+            .iter()
+            .zip(report.cells().chunks(FLEETS.len()))
+            .find(|(_, cells)| cells[j].outcome.report.safe_and_live.meets(3.0))
+            .expect("N = 9 reaches three nines on every fleet");
         table.push_row(vec![
             label.to_string(),
-            format!("{:.3}", leader_failure_probability(&deployment, policy)),
+            q_per.to_string(),
+            q_vc.to_string(),
+            percent(cells[j].outcome.report.safe_and_live.probability()),
         ]);
     }
     table
 }
 
-/// Experiment `native-committee`: running consensus on a reliable committee instead of
-/// the whole fleet.
+/// Experiment `native-leader`: reliability-aware vs oblivious leader selection — the
+/// fleet-average, best and worst fault probability a leader can have.
+pub fn native_leader() -> Table {
+    let faults = [0.08, 0.08, 0.04, 0.01, 0.01];
+    let mean = faults.iter().sum::<f64>() / faults.len() as f64;
+    let best = faults.into_iter().fold(f64::INFINITY, f64::min);
+    let worst = faults.into_iter().fold(0.0, f64::max);
+    let mut table = Table::new(
+        "Probability-native: leader selection policies (5-node heterogeneous fleet)",
+        &["Policy", "P(leader fails within the window)"],
+    );
+    for (label, probability) in [
+        ("oblivious (fleet average)", mean),
+        ("most reliable node", best),
+        ("worst case", worst),
+    ] {
+        table.push_row(vec![label.to_string(), format!("{probability:.3}")]);
+    }
+    table
+}
+
+/// Experiment `native-committee`: running consensus on a committee of the five most
+/// reliable nodes instead of the whole 15-node fleet, as two explicit query cells.
 pub fn native_committee() -> Table {
+    const COMMITTEE: usize = 5;
     let mut profiles = vec![FaultProfile::crash_only(0.005); 5];
     profiles.extend(vec![FaultProfile::crash_only(0.08); 10]);
-    let deployment = Deployment::from_profiles(profiles);
-    let cmp = committee_vs_full_cluster(&deployment, 5, RaftModel::standard);
+    let fleet = Deployment::from_profiles(profiles);
+    let members = &fleet.nodes_by_reliability()[..COMMITTEE];
+    let committee = Deployment::from_profiles(members.iter().map(|&i| fleet.profile(i)).collect());
+    let participation = COMMITTEE as f64 / fleet.len() as f64;
+    let [full, committee] = raft_safe_and_live([("full fleet", fleet), ("committee", committee)]);
     let mut table = Table::new(
         "Probability-native: committee of reliable nodes vs full 15-node fleet",
         &["Configuration", "S&L", "Participation"],
     );
     table.push_row(vec![
         "full fleet (15 nodes)".into(),
-        cmp.full_cluster.safe_and_live.as_percent(),
+        full.as_percent(),
         "100%".into(),
     ]);
     table.push_row(vec![
         "committee (5 most reliable)".into(),
-        cmp.committee.safe_and_live.as_percent(),
-        format!("{:.0}%", cmp.participation_fraction * 100.0),
+        committee.as_percent(),
+        format!("{:.0}%", participation * 100.0),
     ]);
     table
 }
@@ -1633,7 +1713,7 @@ mod tests {
 
     #[test]
     fn quorum_overkill_table_contains_both_rules() {
-        let t = claim_quorum_overkill();
+        let (t, _) = claim_quorum_overkill();
         assert_eq!(t.num_rows(), 2);
         assert_eq!(t.rows()[0][1], "34");
         assert_eq!(t.rows()[1][1], "5");

@@ -4,8 +4,10 @@
 //! request must expose non-zero cache counters and plan wall time.
 
 use std::io::{BufRead, BufReader, Lines, Write};
+use std::net::TcpStream;
 use std::process::{ChildStdout, Command, Stdio};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use prob_consensus::json::JsonValue;
 use prob_consensus::query::AnalysisSession;
@@ -290,4 +292,104 @@ fn repeated_requests_hit_the_shared_cache() {
         warm.misses, cold.misses,
         "second request recomputed scratch"
     );
+}
+
+/// Sends a `stats` request on a fresh connection and returns the event line,
+/// retrying while the server is still shedding descriptors (a connection it
+/// could not set up is closed without an answer).
+fn stats_on_fresh_connection(addr: &str) -> JsonValue {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let answer = TcpStream::connect(addr).and_then(|mut stream| {
+            stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+            stream.write_all(b"{\"id\":\"s\",\"op\":\"stats\"}\n")?;
+            let mut line = String::new();
+            BufReader::new(stream).read_line(&mut line)?;
+            Ok(line)
+        });
+        match answer {
+            Ok(line) if !line.is_empty() => {
+                return JsonValue::parse(&line).expect("the answer is one JSON object")
+            }
+            _ if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(100)),
+            other => panic!("no stats answer within 30 s: {other:?}"),
+        }
+    }
+}
+
+/// `repro serve --tcp` out of file descriptors keeps serving: a failed
+/// `accept` and a connection that cannot be set up each cost one stderr line,
+/// never the process, and once the clients go away a new connection is
+/// answered.
+///
+/// The server spends three descriptors per connection (the socket and two
+/// clones), so whether the descriptor that runs out is `accept`'s own or a
+/// clone's depends on the limit modulo three, offset by the descriptors the
+/// process inherits. Three consecutive limits cover every case.
+#[test]
+fn serve_survives_running_out_of_file_descriptors() {
+    for limit in 21..24 {
+        let mut child = Command::new("sh")
+            .arg("-c")
+            .arg(format!(
+                "ulimit -n {limit} && exec \"$0\" serve --tcp 127.0.0.1:0"
+            ))
+            .arg(env!("CARGO_BIN_EXE_repro"))
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("sh starts repro serve");
+        let (line_tx, stderr_lines) = std::sync::mpsc::channel();
+        let stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
+        let reader = std::thread::spawn(move || {
+            for line in stderr.lines() {
+                if line_tx.send(line.expect("read stderr")).is_err() {
+                    break;
+                }
+            }
+        });
+        let first = stderr_lines
+            .recv_timeout(Duration::from_secs(30))
+            .expect("repro serve prints its address");
+        let addr = first
+            .strip_prefix("repro serve: listening on ")
+            .unwrap_or_else(|| panic!("unexpected first stderr line: {first:?}"))
+            .to_string();
+
+        // More connections than the server has descriptors; the kernel still
+        // completes every handshake into the listen backlog. The first logged
+        // failure says the server has run out; a server that exits instead
+        // closes stderr without one.
+        let clients: Vec<TcpStream> = (0..limit)
+            .map(|_| TcpStream::connect(&addr).expect("connect"))
+            .collect();
+        let mut log = Vec::new();
+        let ran_out = loop {
+            let Ok(line) = stderr_lines.recv_timeout(Duration::from_secs(30)) else {
+                break false;
+            };
+            let failure = line.starts_with("repro serve: ") && line.contains(" failed: ");
+            log.push(line);
+            if failure {
+                break true;
+            }
+        };
+        let exited = child.try_wait().expect("poll repro serve");
+        drop(clients);
+        let stats = (ran_out && exited.is_none()).then(|| stats_on_fresh_connection(&addr));
+        child.kill().ok();
+        child.wait().expect("reap repro serve");
+        reader.join().expect("stderr reader");
+        log.extend(stderr_lines.try_iter());
+
+        assert!(
+            ran_out && exited.is_none(),
+            "fd limit {limit}: no logged failure, or repro serve exited ({exited:?}); stderr: {log:?}"
+        );
+        assert!(
+            is_event(&stats.expect("asked"), "s", "stats"),
+            "fd limit {limit}: no stats event"
+        );
+    }
 }

@@ -7,8 +7,6 @@
 //! (or lowest-carbon) cluster meeting a reliability target, and the cost-equivalence
 //! comparison behind the claim.
 
-use fault_model::metrics::Nines;
-
 use crate::analyzer::{analyze, ReliabilityReport};
 use crate::deployment::Deployment;
 use crate::protocol::CountingModel;
@@ -197,13 +195,6 @@ where
     }
 }
 
-/// Convenience: the reliability of a homogeneous deployment as plain nines, used by the
-/// search examples.
-pub fn homogeneous_nines<M: CountingModel>(model: &M, p: f64) -> Nines {
-    let deployment = Deployment::uniform_crash(model.num_nodes(), p);
-    analyze(model, &deployment).safe_and_live
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,11 +265,5 @@ mod tests {
         assert!(!options.is_empty());
         assert!(options.iter().all(|o| o.report.safe_and_live.meets(4.0)));
         assert!(options.iter().all(|o| o.n % 2 == 1));
-    }
-
-    #[test]
-    fn homogeneous_nines_matches_table() {
-        let n = homogeneous_nines(&RaftModel::standard(3), 0.01);
-        assert!((n.probability() - 0.999702).abs() < 1e-6);
     }
 }

@@ -54,22 +54,13 @@
 //!   ([`epistemic::calibrate`]) against known ground truth.
 //! * [`durability`] — data-loss analysis: probability that failures cover a persistence
 //!   quorum, and MTTDL-style Markov results.
-//! * [`heterogeneity`] — heterogeneous fleets: quorum placement policies ("require a
-//!   reliable node"), node-replacement what-ifs.
 //! * [`cost`] — price/carbon-aware deployment search over an instance catalogue.
 //! * [`mod@optimize`] — the probability-native deployment optimizer: a three-tier
 //!   search (counting/packed screening → importance-sampling refinement →
 //!   optional time-domain scoring) over node count, fault curves, placement
 //!   across failure domains and flexible quorums, emitting a ranked Pareto
 //!   frontier of cost vs nines ([`optimize::FrontierRecord`]).
-//! * [`tradeoff`] — safety vs. liveness trade-off sweeps across cluster and quorum sizes.
-//! * [`dynamic_quorum`] — smallest quorum sizes meeting a target guarantee.
-//! * [`leader`] — reliability-aware leader ranking and preemptive reconfiguration
-//!   planning.
-//! * [`committee`] — committee selection under heterogeneous reliability.
 //! * [`timevarying`] — guarantees as a function of mission time under fault curves.
-//! * [`end_to_end`] — translating protocol-level safety/liveness into application-level
-//!   availability and durability.
 //! * [`report`] — plain-text table formatting used by the benchmark harness.
 //!
 //! # Quickstart
@@ -94,20 +85,15 @@
 #![warn(missing_docs)]
 pub mod analyzer;
 pub mod cache;
-pub mod committee;
 pub mod cost;
 pub mod counting;
 pub mod deployment;
 pub mod durability;
-pub mod dynamic_quorum;
-pub mod end_to_end;
 pub mod engine;
 pub mod enumeration;
 pub mod epistemic;
 pub mod failure;
-pub mod heterogeneity;
 pub mod json;
-pub mod leader;
 pub mod montecarlo;
 pub mod optimize;
 pub mod packed;
@@ -120,7 +106,6 @@ pub mod report;
 pub mod scratch;
 pub mod simulation;
 pub mod timevarying;
-pub mod tradeoff;
 
 pub use analyzer::{
     analyze, analyze_auto, analyze_exact, analyze_scenario, AnalysisError, ReliabilityReport,

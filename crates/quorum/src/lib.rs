@@ -7,9 +7,6 @@
 //!
 //! * [`set`] — compact node sets (bit sets) used to describe quorums and failure
 //!   configurations.
-//! * [`committee`] — committee sampling in the style of Algorand / King–Saia: seeded
-//!   random committees together with the probability that a sampled committee is
-//!   "good enough".
 //! * [`metrics`] — binomial helpers: the probability that enough independent nodes are
 //!   up to assemble a threshold quorum.
 //!
@@ -31,9 +28,7 @@
 // Documentation is part of this crate's contract: every public item is
 // documented, and CI builds rustdoc with `-D warnings` (see the `docs` job).
 #![warn(missing_docs)]
-pub mod committee;
 pub mod metrics;
 pub mod set;
 
-pub use committee::{CommitteeSampler, CommitteeSpec};
 pub use set::NodeSet;

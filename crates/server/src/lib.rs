@@ -1211,6 +1211,11 @@ pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
 /// gets an `error` event and a clean close.
 pub const TCP_READ_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(300);
 
+/// Pause after a failed `accept` before the next one. Accept fails when the
+/// process is out of file descriptors (`EMFILE`), and the pending connection
+/// stays queued, so retrying at once would spin until a connection closes.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
+
 /// Reads one newline-terminated request line of at most
 /// [`MAX_REQUEST_LINE_BYTES`], without buffering more than that.
 ///
@@ -1388,19 +1393,33 @@ fn serve_listener(server: &Arc<Server>, listener: TcpListener) -> std::io::Resul
     let stop = Arc::new(AtomicBool::new(false));
     let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
     loop {
-        let (stream, _peer) = listener.accept()?;
+        // A failed accept (typically out of file descriptors) must not end
+        // the service: log it, back off, and retry.
+        let accepted = listener.accept();
         if stop.load(Ordering::Acquire) {
             break;
         }
+        let stream = match accepted {
+            Ok((stream, _peer)) => stream,
+            Err(err) => {
+                eprintln!("repro serve: accept failed: {err}");
+                std::thread::sleep(ACCEPT_BACKOFF);
+                continue;
+            }
+        };
         connections.retain(|c| !c.is_finished());
         let server = Arc::clone(server);
         let stop = Arc::clone(&stop);
         connections.push(std::thread::spawn(move || {
-            if let Ok(true) = handle_tcp_connection(&server, stream) {
-                stop.store(true, Ordering::Release);
-                if let Err(err) = TcpStream::connect(wake) {
-                    eprintln!("repro serve: cannot wake the listener to stop it: {err}");
+            match handle_tcp_connection(&server, stream) {
+                Ok(true) => {
+                    stop.store(true, Ordering::Release);
+                    if let Err(err) = TcpStream::connect(wake) {
+                        eprintln!("repro serve: cannot wake the listener to stop it: {err}");
+                    }
                 }
+                Ok(false) => {}
+                Err(err) => eprintln!("repro serve: connection setup failed: {err}"),
             }
         }));
     }
@@ -1410,6 +1429,8 @@ fn serve_listener(server: &Arc<Server>, listener: TcpListener) -> std::io::Resul
     Ok(())
 }
 
+/// Sets up and serves one TCP connection. Returns `true` when it asked the
+/// server to shut down; an error means the connection could not be set up.
 fn handle_tcp_connection(server: &Arc<Server>, stream: TcpStream) -> std::io::Result<bool> {
     // Events are small writes answered by a read: with Nagle on, every write
     // after a connection's first waits for the client's delayed ACK (~40 ms).
@@ -1420,8 +1441,12 @@ fn handle_tcp_connection(server: &Arc<Server>, stream: TcpStream) -> std::io::Re
     stream.set_write_timeout(Some(TCP_WRITE_TIMEOUT))?;
     let reader = BufReader::new(stream.try_clone()?);
     let outbox = Outbox::new(MAX_OUTBOX_BYTES, Some(stream.try_clone()?));
-    // How the output side ended is the peer's business, not a server error.
-    serve_with_writer(server, reader, stream, outbox).0
+    // How the connection ended — a read error or a dead output side — is the
+    // peer's business, not a server error.
+    Ok(matches!(
+        serve_with_writer(server, reader, stream, outbox).0,
+        Ok(true)
+    ))
 }
 
 /// Runs one complete in-memory exchange against `server`: feeds `input` (one

@@ -8,16 +8,14 @@
 //! telemetry (here: a synthetic stand-in for Backblaze-style drive stats), (2) build a
 //! deployment from the estimated fault curves, (3) quantify the probabilistic guarantee,
 //! and (4) apply the probability-native mechanisms of §4 — reliability-aware quorum
-//! placement, leader ranking, and preemptive replacement planning.
+//! placement and leader ranking.
 
 use std::sync::Arc;
 
-use fault_model::metrics::HOURS_PER_YEAR;
 use fault_model::mode::FaultProfile;
 use fault_model::telemetry::{ClassSpec, TelemetryEstimator, TelemetryGenerator};
 use prob_consensus::deployment::Deployment;
-use prob_consensus::heterogeneity::{durability_under_policy, QuorumPolicy};
-use prob_consensus::leader::{leader_failure_probability, rank_leaders, LeaderPolicy};
+use prob_consensus::durability::quorum_durability;
 use prob_consensus::protocol::ProtocolModel;
 use prob_consensus::query::{AnalysisSession, Query};
 use prob_consensus::raft_model::RaftModel;
@@ -82,37 +80,39 @@ fn main() {
         analysis.cell(0).engine
     );
 
-    // 4a. Reliability-aware quorum placement (the §3.2 durability example).
+    // 4a. Reliability-aware quorum placement (the §3.2 durability example): which
+    //     four nodes hold the data, picked from the reliability ranking.
+    let ranked = deployment.nodes_by_reliability();
     let mut durability = Table::new(
         "Durability of a 4-node persistence quorum under different placement policies",
         &["Policy", "Durability"],
     );
-    for (label, policy) in [
-        ("oblivious (worst case)", QuorumPolicy::ObliviousWorstCase),
+    for (label, quorum) in [
+        ("oblivious (worst case)", ranked[3..].to_vec()),
         (
             "require one reliable node",
-            QuorumPolicy::RequireReliable(1),
+            [&ranked[..1], &ranked[4..]].concat(),
         ),
-        ("most reliable nodes", QuorumPolicy::MostReliable),
+        ("most reliable nodes", ranked[..4].to_vec()),
     ] {
         durability.push_row(vec![
             label.to_string(),
-            durability_under_policy(&deployment, 4, policy).as_percent(),
+            quorum_durability(&deployment, &quorum).as_percent(),
         ]);
     }
     println!("{durability}");
 
-    // 4b. Reliability-aware leader ranking.
-    let ranking = rank_leaders(&deployment);
-    println!("Leader ranking (most reliable first): {:?}", ranking);
+    // 4b. Reliability-aware leader ranking: the most reliable node leads, where a
+    //     leader chosen without regard to reliability fails at the fleet average.
+    println!("Leader ranking (most reliable first): {ranked:?}");
+    let faults: Vec<f64> = deployment
+        .profiles()
+        .iter()
+        .map(|p| p.fault_probability())
+        .collect();
     println!(
         "P(leader fails): oblivious {:.3} vs most-reliable {:.3}\n",
-        leader_failure_probability(&deployment, LeaderPolicy::Oblivious),
-        leader_failure_probability(&deployment, LeaderPolicy::MostReliable),
+        faults.iter().sum::<f64>() / faults.len() as f64,
+        faults[ranked[0]],
     );
-
-    // 4c. What the same analysis window looks like a year from now if nothing is replaced
-    //     (constant curves here, so unchanged — aging fleets are covered in the
-    //     fault-curves experiment of the repro harness).
-    let _ = HOURS_PER_YEAR;
 }

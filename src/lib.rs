@@ -5,7 +5,7 @@
 //! crates, re-exported here for convenience:
 //!
 //! * [`fault_model`] — fault curves, failure modes, Markov reliability models, telemetry.
-//! * [`quorum`] — quorum systems and committee sampling.
+//! * [`quorum`] — node sets and binomial helpers.
 //! * [`consensus_sim`] — the deterministic discrete-event simulator.
 //! * [`consensus_protocols`] — executable Raft and PBFT plus harnesses.
 //! * [`prob_consensus`] — the probabilistic reliability analysis and the

@@ -1,19 +1,13 @@
 //! Cross-crate pipeline tests: telemetry → fault curves → deployment → analysis →
-//! probability-native configuration → end-to-end guarantees.
+//! cost search and repair-aware durability.
 
 use fault_model::metrics::HOURS_PER_YEAR;
-use fault_model::mode::FaultProfile;
 use fault_model::node::{Fleet, NodeSpec};
 use fault_model::telemetry::{ClassSpec, TelemetryEstimator, TelemetryGenerator};
 use prob_consensus::analyzer::analyze_auto;
 use prob_consensus::cost::{cheapest_deployment, default_catalogue, Objective};
 use prob_consensus::deployment::Deployment;
-use prob_consensus::durability::quorum_durability;
-use prob_consensus::dynamic_quorum::smallest_raft_quorums;
-use prob_consensus::end_to_end::{end_to_end, RecoveryModel};
 use prob_consensus::engine::Budget;
-use prob_consensus::heterogeneity::{durability_under_policy, QuorumPolicy};
-use prob_consensus::leader::preemptive_replacement_plan;
 use prob_consensus::raft_model::RaftModel;
 use prob_consensus::timevarying::{first_time_below_target, reliability_trajectory};
 use rand::rngs::StdRng;
@@ -63,7 +57,7 @@ fn telemetry_to_guarantee_pipeline() {
 }
 
 #[test]
-fn fleet_curves_drive_time_varying_guarantees_and_replacement_plans() {
+fn fleet_curves_drive_time_varying_guarantees() {
     use fault_model::curve::WeibullCurve;
     let fleet: Fleet = (0..5)
         .map(|i| {
@@ -84,24 +78,10 @@ fn fleet_curves_drive_time_varying_guarantees_and_replacement_plans() {
         dip.is_some(),
         "an aging fleet eventually drops below four nines"
     );
-    // The replacement planner flags the oldest node no later than the dip.
-    let plans = preemptive_replacement_plan(
-        &fleet,
-        HOURS_PER_YEAR / 4.0,
-        6.0 * HOURS_PER_YEAR,
-        0.05,
-        HOURS_PER_YEAR / 4.0,
-    );
-    assert!(!plans.is_empty());
-    assert_eq!(
-        plans[0].node,
-        fault_model::node::NodeId(4),
-        "oldest node first"
-    );
 }
 
 #[test]
-fn cost_search_and_dynamic_quorums_meet_their_targets() {
+fn cost_search_meets_its_target() {
     let best = cheapest_deployment(
         &default_catalogue(),
         11,
@@ -111,39 +91,6 @@ fn cost_search_and_dynamic_quorums_meet_their_targets() {
     )
     .expect("a feasible deployment exists for four nines");
     assert!(best.report.safe_and_live.meets(4.0));
-
-    let deployment = Deployment::uniform_crash(best.n, best.instance.fault_probability);
-    let sizing = smallest_raft_quorums(&deployment, 4.0).expect("dynamic sizing succeeds");
-    assert!(sizing.model.quorums_intersect());
-    assert!(sizing.achieved >= 0.9999);
-    // The data-path quorum never needs to exceed a majority.
-    assert!(sizing.model.q_per() <= best.n / 2 + 1);
-}
-
-#[test]
-fn heterogeneous_policies_feed_end_to_end_guarantees() {
-    let mut profiles = vec![FaultProfile::crash_only(0.08); 4];
-    profiles.extend(vec![FaultProfile::crash_only(0.01); 3]);
-    let deployment = Deployment::from_profiles(profiles);
-    let protocol = analyze_auto(&RaftModel::standard(7), &deployment, &Budget::default()).report;
-
-    // Durability of the actual quorum the policy selects.
-    let aware = durability_under_policy(&deployment, 4, QuorumPolicy::RequireReliable(1));
-    let oblivious = durability_under_policy(&deployment, 4, QuorumPolicy::ObliviousWorstCase);
-    assert!(aware.probability() > oblivious.probability());
-
-    // End-to-end: availability beats raw liveness thanks to fast recovery; durability
-    // follows the quorum placement.
-    let recovery = RecoveryModel::default_annual();
-    let e2e_aware = end_to_end(&protocol, &recovery, aware);
-    let e2e_oblivious = end_to_end(&protocol, &recovery, oblivious);
-    assert!(e2e_aware.durability.probability() > e2e_oblivious.durability.probability());
-    assert!(e2e_aware.availability.nines() > protocol.live.nines());
-
-    // Sanity: the quorum_durability helper agrees with the policy module for an explicit
-    // member list (three flaky + one reliable node).
-    let explicit = quorum_durability(&deployment, &[0, 1, 2, 4]);
-    assert!((explicit.probability() - aware.probability()).abs() < 1e-12);
 }
 
 #[test]

@@ -7,7 +7,6 @@ use prob_consensus::deployment::Deployment;
 use prob_consensus::engine::{Budget, EngineChoice};
 use prob_consensus::query::{AnalysisSession, FaultAxis, ProtocolSpec, Query};
 use prob_consensus::raft_model::RaftModel;
-use prob_consensus::tradeoff::{compare, pbft_sweep};
 
 /// Asserts a probability against a percentage exactly as printed in the paper, to within
 /// one unit in the last printed digit.
@@ -132,16 +131,22 @@ fn claim_nine_cheap_nodes_match_three_reliable_nodes() {
 
 #[test]
 fn claim_pbft_five_nodes_beat_four_and_seven_on_safety() {
-    let points = pbft_sweep(&[4, 5, 7], 0.01);
-    let c = compare(&points[0], &points[1]);
+    let (_, sweep) = bench_experiments::claim_tradeoff();
+    let [four, five, seven] = [0, 1, 2].map(|i| sweep.cell(i));
+    let (r4, r5, r7) = (
+        &four.outcome.report,
+        &five.outcome.report,
+        &seven.outcome.report,
+    );
     // "improves PBFT safety by 42-60x" (the exact factor at p=1% is ~60x) ...
-    assert!(c.safety_improvement > 40.0 && c.safety_improvement < 75.0);
+    let safety_improvement = r4.unsafety() / r5.unsafety();
+    assert!(safety_improvement > 40.0 && safety_improvement < 75.0);
     // "... with a small 1.67x decrease in liveness".
-    assert!((c.liveness_degradation - 1.67).abs() < 0.1);
+    assert!((r5.unliveness() / r4.unliveness() - 1.67).abs() < 0.1);
     // "the 5-node system is more safe than a 7-node system".
-    assert!(points[1].report.safe.probability() > points[2].report.safe.probability());
-    // "... which is 40% more expensive to deploy and operate".
-    assert!((points[2].relative_cost / points[1].relative_cost - 1.4).abs() < 1e-9);
+    assert!(r5.safe.probability() > r7.safe.probability());
+    // "... which is 40% more expensive to deploy and operate" (cost ∝ N).
+    assert!((seven.nodes as f64 / five.nodes as f64 - 1.4).abs() < 1e-9);
 }
 
 #[test]
@@ -177,13 +182,13 @@ fn claim_durability_orders_of_magnitude() {
 
 #[test]
 fn claim_quorum_overkill_sizes() {
-    let c = prob_consensus::dynamic_quorum::trigger_quorum_comparison(100, 0.01, 1.0 - 1e-10);
-    assert_eq!(c.f_threshold_size, 34, "f-threshold prescribes f+1 = 34");
-    assert_eq!(c.probabilistic_size, 5, "five sampled nodes give ten nines");
+    let (_, (f_threshold, probabilistic)) = bench_experiments::claim_quorum_overkill();
+    assert_eq!(f_threshold, 34, "f-threshold prescribes f+1 = 34");
+    assert_eq!(probabilistic, 5, "five sampled nodes give ten nines");
 }
 
 /// Thin re-exports of the bench crate's experiment functions so the integration tests can
 /// reuse them without duplicating the setup. (The bench crate is a normal library.)
 mod bench_experiments {
-    pub use bench::{claim_durability, claim_heterogeneous};
+    pub use bench::{claim_durability, claim_heterogeneous, claim_quorum_overkill, claim_tradeoff};
 }
