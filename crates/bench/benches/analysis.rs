@@ -6,10 +6,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fault_model::correlation::CorrelationModel;
-use prob_consensus::analyzer::{analyze, analyze_auto, analyze_exact};
+use prob_consensus::analyzer::analyze_auto;
 use prob_consensus::counting::FaultCountDistribution;
 use prob_consensus::deployment::Deployment;
-use prob_consensus::engine::{AnalysisEngine, Budget, Scenario};
+use prob_consensus::engine::{AnalysisEngine, Budget, CountingEngine, EnumerationEngine, Scenario};
 use prob_consensus::montecarlo::{monte_carlo_reliability_par_kernel, McKernel};
 use prob_consensus::packed::PackedKernel;
 use prob_consensus::pbft_model::PbftModel;
@@ -19,21 +19,22 @@ use rand::SeedableRng;
 
 fn bench_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("engines");
+    let budget = Budget::default();
     for n in [5usize, 9, 13, 17] {
         let deployment = Deployment::uniform_crash(n, 0.02);
         let model = RaftModel::standard(n);
         group.bench_with_input(BenchmarkId::new("enumeration", n), &n, |b, _| {
-            b.iter(|| analyze_exact(&model, &deployment))
+            b.iter(|| EnumerationEngine.run(&model, (&deployment).into(), &budget))
         });
         group.bench_with_input(BenchmarkId::new("counting", n), &n, |b, _| {
-            b.iter(|| analyze(&model, &deployment))
+            b.iter(|| CountingEngine.run(&model, (&deployment).into(), &budget))
         });
     }
     for n in [25usize, 50, 100, 200] {
         let deployment = Deployment::uniform_crash(n, 0.02);
         let model = RaftModel::standard(n);
         group.bench_with_input(BenchmarkId::new("counting-large", n), &n, |b, _| {
-            b.iter(|| analyze(&model, &deployment))
+            b.iter(|| CountingEngine.run(&model, (&deployment).into(), &budget))
         });
     }
     group.finish();
@@ -254,7 +255,7 @@ fn bench_auto_selection(c: &mut Criterion) {
     let model = RaftModel::standard(9);
     let budget = Budget::default();
     group.bench_function("analyze-direct", |b| {
-        b.iter(|| analyze(&model, &deployment))
+        b.iter(|| CountingEngine.run(&model, (&deployment).into(), &budget))
     });
     group.bench_function("analyze-auto", |b| {
         b.iter(|| analyze_auto(&model, &deployment, &budget))
@@ -274,12 +275,14 @@ fn bench_fault_count_distribution(c: &mut Criterion) {
 }
 
 fn bench_paper_tables(c: &mut Criterion) {
+    let budget = Budget::default();
     c.bench_function("table1-pbft", |b| {
         b.iter(|| {
             for n in [4usize, 5, 7, 8] {
-                analyze(
+                CountingEngine.run(
                     &PbftModel::standard(n),
-                    &Deployment::uniform_byzantine(n, 0.01),
+                    (&Deployment::uniform_byzantine(n, 0.01)).into(),
+                    &budget,
                 );
             }
         })
@@ -288,7 +291,11 @@ fn bench_paper_tables(c: &mut Criterion) {
         b.iter(|| {
             for n in [3usize, 5, 7, 9] {
                 for p in [0.01, 0.02, 0.04, 0.08] {
-                    analyze(&RaftModel::standard(n), &Deployment::uniform_crash(n, p));
+                    CountingEngine.run(
+                        &RaftModel::standard(n),
+                        (&Deployment::uniform_crash(n, p)).into(),
+                        &budget,
+                    );
                 }
             }
         })

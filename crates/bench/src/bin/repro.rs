@@ -75,12 +75,9 @@ fn run_experiment(id: &str) -> Result<(), String> {
         "table2" => println!("{}", bench::table2()),
         "claim-three-nines" => println!("{}", bench::claim_three_nines()),
         "claim-cheap-nodes" => {
-            let (table, eq) = bench::claim_cheap_nodes();
+            let (table, factor) = bench::claim_cheap_nodes();
             println!("{table}");
-            println!(
-                "Cost reduction: {:.2}x (paper: ~3x with 10x cheaper nodes)\n",
-                eq.cost_reduction_factor()
-            );
+            println!("Cost reduction: {factor:.2}x (paper: ~3x with 10x cheaper nodes)\n");
         }
         "claim-quorum-overkill" => println!("{}", bench::claim_quorum_overkill().0),
         "claim-heterogeneous" => println!("{}", bench::claim_heterogeneous().0),

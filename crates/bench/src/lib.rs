@@ -14,27 +14,27 @@ use fault_model::metrics::{Nines, HOURS_PER_YEAR};
 use fault_model::mode::FaultProfile;
 use fault_model::node::{Fleet, NodeSpec};
 use prob_consensus::analyzer::{analyze_auto, analyze_scenario};
-use prob_consensus::cost::{cost_equivalence, default_catalogue, CostEquivalence};
 use prob_consensus::deployment::Deployment;
 use prob_consensus::durability::{
     durability_claim, quorum_durability, DurabilityClaim, PersistenceQuorumModel,
 };
 use prob_consensus::engine::{
-    AnalysisEngine, AnalysisOutcome, Budget, EngineChoice, FaultEnvironment, Scenario, SimBudget,
+    AnalysisEngine, AnalysisOutcome, Budget, EngineChoice, EnumerationEngine, FaultEnvironment,
+    Scenario, SimBudget,
 };
 use prob_consensus::montecarlo::{monte_carlo_reliability_par_kernel, McKernel};
 use prob_consensus::optimize::{
-    optimize, DeploymentSpace, FailureDomains, NodeType, OptimizeReport, OptimizerConfig,
-    Placement, TargetSpec,
+    default_catalogue, optimize, DeploymentSpace, FailureDomains, NodeType, OptimizeReport,
+    OptimizerConfig, Placement, TargetSpec,
 };
 use prob_consensus::packed::PackedKernel;
 use prob_consensus::pbft_model::PbftModel;
 use prob_consensus::query::{
     AnalysisReport, AnalysisSession, CellRecord, CorrelationSpec, FaultAxis, ProtocolSpec, Query,
+    TimeAxis,
 };
 use prob_consensus::raft_model::RaftModel;
 use prob_consensus::report::{percent, Table};
-use prob_consensus::timevarying::{reliability_trajectory, summarize};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -145,30 +145,37 @@ pub fn claim_three_nines() -> Table {
 }
 
 /// Experiment `claim-cheap-nodes`: nine 8% spot nodes match three 1% on-demand nodes at
-/// roughly a third of the cost.
-pub fn claim_cheap_nodes() -> (Table, CostEquivalence) {
+/// roughly a third of the cost. The two guarantees are explicit query cells. Returns
+/// the table and the cost reduction factor (baseline $/h over alternative $/h).
+pub fn claim_cheap_nodes() -> (Table, f64) {
     let catalogue = default_catalogue();
-    let eq = cost_equivalence(&catalogue[0], &catalogue[1], 3, 9, RaftModel::standard);
+    let (on_demand, spot) = (&catalogue[0], &catalogue[1]);
+    let cluster =
+        |node: &NodeType, n: usize| Deployment::uniform_crash(n, node.profile.fault_probability());
+    let [baseline, alternative] = raft_safe_and_live([
+        (on_demand.name.as_str(), cluster(on_demand, 3)),
+        (spot.name.as_str(), cluster(spot, 9)),
+    ]);
+    let baseline_cost = on_demand.hourly_cost * 3.0;
+    let alternative_cost = spot.hourly_cost * 9.0;
+    let factor = baseline_cost / alternative_cost;
     let mut table = Table::new(
         "Claim: larger networks of less reliable nodes can help",
         &["Deployment", "S&L", "$ / hour", "Cost vs baseline"],
     );
     table.push_row(vec![
-        format!("{} x {} (p=1%)", eq.baseline.n, eq.baseline.instance.name),
-        eq.baseline.report.safe_and_live.as_percent(),
-        format!("{:.2}", eq.baseline.hourly_cost),
+        format!("3 x {} (p=1%)", on_demand.name),
+        baseline.as_percent(),
+        format!("{baseline_cost:.2}"),
         "1.00x".into(),
     ]);
     table.push_row(vec![
-        format!(
-            "{} x {} (p=8%)",
-            eq.alternative.n, eq.alternative.instance.name
-        ),
-        eq.alternative.report.safe_and_live.as_percent(),
-        format!("{:.2}", eq.alternative.hourly_cost),
-        format!("{:.2}x cheaper", eq.cost_reduction_factor()),
+        format!("9 x {} (p=8%)", spot.name),
+        alternative.as_percent(),
+        format!("{alternative_cost:.2}"),
+        format!("{factor:.2}x cheaper"),
     ]);
-    (table, eq)
+    (table, factor)
 }
 
 /// Experiment `claim-quorum-overkill`: linear-size trigger quorums vs probabilistic
@@ -705,7 +712,7 @@ pub fn native_committee() -> Table {
 }
 
 /// Experiment `fault-curves`: time-varying guarantees on an aging fleet and the impact of
-/// correlated failures.
+/// correlated failures. The trajectory is one fleet trajectory cell.
 pub fn fault_curves() -> Table {
     // An aging 5-node fleet on a wear-out Weibull curve.
     let fleet: Fleet = (0..5)
@@ -715,30 +722,33 @@ pub fn fault_curves() -> Table {
                 .with_age(10_000.0)
         })
         .collect();
-    let trajectory = reliability_trajectory(
-        &RaftModel::standard(5),
-        &fleet,
-        HOURS_PER_YEAR / 4.0,
-        5.0 * HOURS_PER_YEAR,
-        HOURS_PER_YEAR,
-    );
+    let axis = TimeAxis::new(5.0 * HOURS_PER_YEAR, HOURS_PER_YEAR)
+        .with_window(HOURS_PER_YEAR / 4.0)
+        .with_target_nines(3.0);
+    let report = AnalysisSession::new()
+        .run(&Query::new().time_horizon(axis).trajectory_cell(
+            "aging-fleet",
+            Arc::new(RaftModel::standard(5)),
+            fleet,
+        ))
+        .expect("well-formed fleet trajectory");
+    let trajectory = report.trajectory(0);
     let mut table = Table::new(
         "Fault curves: quarterly S&L of an aging 5-node Raft fleet (wear-out Weibull)",
         &["Years from now", "S&L over the next quarter"],
     );
-    for point in &trajectory {
+    for point in &trajectory.points {
         table.push_row(vec![
             format!("{:.0}", point.at_hours / HOURS_PER_YEAR),
-            point.report.safe_and_live.as_percent(),
+            Nines::from_probability(point.probability).as_percent(),
         ]);
     }
-    let summary = summarize(&trajectory, 3.0).expect("non-empty trajectory");
     table.push_row(vec![
         "worst point".into(),
         format!(
             "{} (target held: {})",
-            percent(summary.worst_probability),
-            summary.target_held
+            percent(trajectory.worst_probability),
+            trajectory.first_below_target_hours.is_none()
         ),
     ]);
     table
@@ -1232,10 +1242,7 @@ pub const OPTIMIZER_SEED: u64 = 2026;
 /// expansion, one planned sweep, ranking, frontier extraction), not sampling.
 pub fn optimizer_space() -> DeploymentSpace {
     DeploymentSpace {
-        instances: default_catalogue()
-            .iter()
-            .map(NodeType::from_instance)
-            .collect(),
+        instances: default_catalogue(),
         nodes: OPTIMIZER_NODES.to_vec(),
         domains: None,
         placements: Vec::new(),
@@ -1332,7 +1339,7 @@ pub fn analysis_benchmarks(budget_ms: u64) -> Vec<BenchMeasurement> {
     let d13 = Deployment::uniform_crash(13, 0.02);
     let m13 = RaftModel::standard(13);
     out.push(time_one("enumeration/raft-13", budget_ms, || {
-        prob_consensus::analyzer::analyze_exact(&m13, &d13)
+        EnumerationEngine.run(&m13, (&d13).into(), &budget)
     }));
 
     let (m_mc, d_mc) = mc_speedup_workload();
@@ -1648,9 +1655,9 @@ mod tests {
 
     #[test]
     fn cheap_nodes_claim_holds() {
-        let (_, eq) = claim_cheap_nodes();
-        assert!(eq.cost_reduction_factor() > 3.0);
-        assert!(eq.reliability_matches(0.05));
+        let (table, factor) = claim_cheap_nodes();
+        assert!(factor > 3.0, "cost reduction {factor}");
+        assert!(table.rows().iter().all(|row| row[1] == "99.97%"));
     }
 
     #[test]

@@ -3,17 +3,18 @@
 //! [`analyze_auto`] is the single front door: it routes the model/scenario/budget
 //! triple through the [`crate::engine`] auto-selector (exact counting when possible,
 //! enumeration for small non-counting models, parallel Monte Carlo otherwise) and tags
-//! the result with the engine that produced it. The explicit entry points [`analyze`]
-//! (counting) and [`analyze_exact`] (enumeration) remain for callers that need to pin
-//! an engine deliberately — e.g. cross-engine agreement tests.
+//! the result with the engine that produced it; [`analyze_scenario`] is its fallible
+//! form over any [`Scenario`]. A caller that must pin an engine — a cross-engine
+//! agreement test, a bench — runs that engine directly through
+//! [`AnalysisEngine::run`](crate::engine::AnalysisEngine::run), e.g.
+//! `CountingEngine.run(model, scenario, budget)`.
 
 use fault_model::metrics::Nines;
 
-use crate::counting::counting_reliability;
 use crate::deployment::Deployment;
 use crate::engine::{select_engine, AnalysisOutcome, Budget, Scenario};
-use crate::enumeration::{enumerate_reliability, RawReliability};
-use crate::protocol::{CountingModel, ProtocolModel};
+use crate::enumeration::RawReliability;
+use crate::protocol::ProtocolModel;
 use crate::scratch::GroupScratch;
 
 /// Probabilistic safety and liveness guarantees of one protocol on one deployment — the
@@ -206,31 +207,19 @@ pub fn analyze_scenario(
         .run_prepared(model, scenario, budget, &scratch))
 }
 
-/// Analyzes a counting model with the exact O(N³) fault-count engine.
-///
-/// Explicit-engine entry point; prefer [`analyze_auto`], which selects this engine on
-/// its own whenever it applies.
-pub fn analyze<M: CountingModel + ?Sized>(model: &M, deployment: &Deployment) -> ReliabilityReport {
-    ReliabilityReport::from_raw(counting_reliability(model, deployment))
-}
-
-/// Analyzes an arbitrary (possibly non-counting) model by exhaustive enumeration of
-/// failure configurations. Exponential in the cluster size; intended for N ≲ 20.
-///
-/// Explicit-engine entry point; prefer [`analyze_auto`], which falls back to
-/// enumeration only when it is the right tool.
-pub fn analyze_exact<M: ProtocolModel + ?Sized>(
-    model: &M,
-    deployment: &Deployment,
-) -> ReliabilityReport {
-    ReliabilityReport::from_raw(enumerate_reliability(model, deployment))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{AnalysisEngine, CountingEngine, EnumerationEngine};
     use crate::pbft_model::PbftModel;
     use crate::raft_model::RaftModel;
+
+    /// The exact counting engine's report, pinned (not auto-selected).
+    fn counting(model: &dyn ProtocolModel, deployment: &Deployment) -> ReliabilityReport {
+        CountingEngine
+            .run(model, deployment.into(), &Budget::default())
+            .report
+    }
 
     /// Asserts that a computed probability matches a percentage exactly as printed in the
     /// paper, to within one unit in the paper's last printed digit (the paper's tables
@@ -267,7 +256,7 @@ mod tests {
             (9, 0.08, "99.97"),
         ];
         for &(n, p, paper) in expected {
-            let report = analyze(&RaftModel::standard(n), &Deployment::uniform_crash(n, p));
+            let report = counting(&RaftModel::standard(n), &Deployment::uniform_crash(n, p));
             assert_matches_paper_percent(
                 report.safe_and_live.probability(),
                 paper,
@@ -288,7 +277,7 @@ mod tests {
             (8, "99.99993", "99.995"),
         ];
         for &(n, safe, live) in expected {
-            let report = analyze(
+            let report = counting(
                 &PbftModel::standard(n),
                 &Deployment::uniform_byzantine(n, 0.01),
             );
@@ -314,8 +303,8 @@ mod tests {
     /// as a nine node cluster with p_u = 8%".
     #[test]
     fn nine_cheap_nodes_match_three_reliable_nodes() {
-        let three = analyze(&RaftModel::standard(3), &Deployment::uniform_crash(3, 0.01));
-        let nine = analyze(&RaftModel::standard(9), &Deployment::uniform_crash(9, 0.08));
+        let three = counting(&RaftModel::standard(3), &Deployment::uniform_crash(3, 0.01));
+        let nine = counting(&RaftModel::standard(9), &Deployment::uniform_crash(9, 0.08));
         assert_eq!(three.safe_and_live.as_percent(), "99.97%");
         assert_eq!(nine.safe_and_live.as_percent(), "99.97%");
     }
@@ -324,8 +313,10 @@ mod tests {
     fn exact_and_counting_engines_agree() {
         let model = PbftModel::standard(5);
         let deployment = Deployment::uniform_byzantine(5, 0.03);
-        let a = analyze(&model, &deployment);
-        let b = analyze_exact(&model, &deployment);
+        let a = counting(&model, &deployment);
+        let b = EnumerationEngine
+            .run(&model, (&deployment).into(), &Budget::default())
+            .report;
         assert!((a.safe.probability() - b.safe.probability()).abs() < 1e-12);
         assert!((a.live.probability() - b.live.probability()).abs() < 1e-12);
     }
@@ -397,7 +388,7 @@ mod tests {
 
     #[test]
     fn report_accessors() {
-        let report = analyze(&RaftModel::standard(3), &Deployment::uniform_crash(3, 0.01));
+        let report = counting(&RaftModel::standard(3), &Deployment::uniform_crash(3, 0.01));
         assert!(report.unsafety() < 1e-12);
         assert!((report.unliveness() - 2.98e-4).abs() < 5e-6);
         assert!(report.meets(3.0));

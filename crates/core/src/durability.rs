@@ -181,6 +181,7 @@ pub fn steady_state_quorum_availability(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{AnalysisEngine, Budget, EnumerationEngine};
     use fault_model::mode::FaultProfile;
 
     #[test]
@@ -288,7 +289,9 @@ mod tests {
         // closed-form quorum loss probability.
         let deployment = Deployment::uniform_crash(6, 0.2);
         let model = PersistenceQuorumModel::new(6, vec![0, 2, 4]);
-        let report = crate::analyzer::analyze_exact(&model, &deployment);
+        let report = EnumerationEngine
+            .run(&model, (&deployment).into(), &Budget::default())
+            .report;
         let analytic = quorum_loss_probability(&deployment, &[0, 2, 4]);
         assert!((report.unsafety() - analytic).abs() < 1e-12);
     }

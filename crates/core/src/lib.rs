@@ -54,13 +54,13 @@
 //!   ([`epistemic::calibrate`]) against known ground truth.
 //! * [`durability`] — data-loss analysis: probability that failures cover a persistence
 //!   quorum, and MTTDL-style Markov results.
-//! * [`cost`] — price/carbon-aware deployment search over an instance catalogue.
 //! * [`mod@optimize`] — the probability-native deployment optimizer: a three-tier
 //!   search (counting/packed screening → importance-sampling refinement →
 //!   optional time-domain scoring) over node count, fault curves, placement
 //!   across failure domains and flexible quorums, emitting a ranked Pareto
-//!   frontier of cost vs nines ([`optimize::FrontierRecord`]).
-//! * [`timevarying`] — guarantees as a function of mission time under fault curves.
+//!   frontier of cost vs nines ([`optimize::FrontierRecord`]). It is the one
+//!   deployment search; [`optimize::default_catalogue`] is its instance
+//!   catalogue.
 //! * [`report`] — plain-text table formatting used by the benchmark harness.
 //!
 //! # Quickstart
@@ -85,7 +85,6 @@
 #![warn(missing_docs)]
 pub mod analyzer;
 pub mod cache;
-pub mod cost;
 pub mod counting;
 pub mod deployment;
 pub mod durability;
@@ -105,11 +104,8 @@ pub mod rare_event;
 pub mod report;
 pub mod scratch;
 pub mod simulation;
-pub mod timevarying;
 
-pub use analyzer::{
-    analyze, analyze_auto, analyze_exact, analyze_scenario, AnalysisError, ReliabilityReport,
-};
+pub use analyzer::{analyze_auto, analyze_scenario, AnalysisError, ReliabilityReport};
 pub use cache::CacheStats;
 pub use deployment::Deployment;
 pub use engine::{

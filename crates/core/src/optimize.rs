@@ -50,15 +50,14 @@
 //! point is the cheapest way to reach its reliability level within the space.
 //!
 //! ```
-//! use prob_consensus::optimize::{optimize, DeploymentSpace, NodeType, OptimizerConfig, TargetSpec};
+//! use prob_consensus::optimize::{
+//!     default_catalogue, optimize, DeploymentSpace, OptimizerConfig, TargetSpec,
+//! };
 //! use prob_consensus::query::{AnalysisSession, ProtocolSpec};
 //!
 //! // "Cheapest 3-nines Raft cluster from the default catalogue?"
 //! let space = DeploymentSpace {
-//!     instances: prob_consensus::cost::default_catalogue()
-//!         .iter()
-//!         .map(NodeType::from_instance)
-//!         .collect(),
+//!     instances: default_catalogue(),
 //!     nodes: vec![3, 5, 7, 9],
 //!     domains: None,
 //!     placements: Vec::new(),
@@ -81,7 +80,6 @@ use fault_model::posterior::TelemetryPosterior;
 use fault_model::telemetry::FleetTelemetry;
 
 use crate::analyzer::AnalysisError;
-use crate::cost::InstanceType;
 use crate::durability::PersistenceQuorumModel;
 use crate::engine::{Budget, EngineChoice};
 use crate::json::JsonValue;
@@ -129,16 +127,6 @@ impl NodeType {
         }
     }
 
-    /// Converts a catalogue entry ([`crate::cost::InstanceType`]) into an
-    /// optimizer node type (crash-only, same window probability and price).
-    pub fn from_instance(instance: &InstanceType) -> Self {
-        Self::new(
-            instance.name.clone(),
-            instance.fault_probability,
-            instance.hourly_cost,
-        )
-    }
-
     /// A node type whose fault probability comes from measured fleet telemetry:
     /// the posterior-mean annual failure rate ([`TelemetryPosterior::afr_mean`])
     /// converted to a constant hazard and integrated over `mission_hours`.
@@ -158,6 +146,17 @@ impl NodeType {
         let p = 1.0 - (-lambda * mission_hours).exp();
         Some(Self::new(name, p, hourly_cost))
     }
+}
+
+/// The default instance catalogue used by the examples and the `repro` harness: a
+/// reliable on-demand machine, a spot instance ten times cheaper but failing at
+/// 8%/year (the paper's §3.2 example), and reused, aged hardware in between.
+pub fn default_catalogue() -> Vec<NodeType> {
+    vec![
+        NodeType::new("on-demand", 0.01, 1.00),
+        NodeType::new("spot", 0.08, 0.10),
+        NodeType::new("aged-reuse", 0.04, 0.25),
+    ]
 }
 
 /// How a persistence quorum is placed across the failure domains of a
@@ -877,16 +876,12 @@ fn record_from_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::default_catalogue;
     use crate::engine::Scenario;
     use crate::query::{content_key_words, OPTIMIZER_KEY_TAG};
 
     fn catalogue_space(nodes: Vec<usize>) -> DeploymentSpace {
         DeploymentSpace {
-            instances: default_catalogue()
-                .iter()
-                .map(NodeType::from_instance)
-                .collect(),
+            instances: default_catalogue(),
             nodes,
             domains: None,
             placements: Vec::new(),
@@ -915,6 +910,14 @@ mod tests {
         // The paper's §3.2 claim: spot instances win modest targets on price.
         assert_eq!(best.instance, "spot");
         assert_eq!(best.label, report.frontier[0].label);
+        // Twelve nines is out of every three-node catalogue cluster's reach.
+        let unreachable = optimize(
+            &session,
+            &catalogue_space(vec![3]),
+            &OptimizerConfig::new(12.0),
+        )
+        .unwrap();
+        assert_eq!(unreachable.cheapest(), None);
     }
 
     #[test]
@@ -976,11 +979,10 @@ mod tests {
 
     #[test]
     fn node_type_conversions_preserve_probability_and_price() {
-        let instance = &default_catalogue()[1];
-        let node = NodeType::from_instance(instance);
+        let node = &default_catalogue()[1];
         assert_eq!(node.name, "spot");
-        assert_eq!(node.profile.fault_probability(), instance.fault_probability);
-        assert_eq!(node.hourly_cost, instance.hourly_cost);
+        assert_eq!(node.profile.fault_probability(), 0.08);
+        assert_eq!(node.hourly_cost, 0.10);
 
         // Telemetry-derived node types: one year of mission window maps the
         // posterior-mean AFR straight back to a window probability.

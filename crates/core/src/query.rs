@@ -97,8 +97,8 @@ use crate::analyzer::AnalysisError;
 use crate::cache::{CacheKey, CacheStats, SessionCache};
 use crate::deployment::Deployment;
 use crate::engine::{
-    select_engine, AnalysisEngine, AnalysisOutcome, Budget, EngineChoice, FaultEnvironment,
-    MonteCarloEngine, Scenario,
+    select_engine, AnalysisEngine, AnalysisOutcome, Budget, CountingEngine, EngineChoice,
+    FaultEnvironment, MonteCarloEngine, Scenario,
 };
 use crate::epistemic::{EpistemicDraw, EpistemicReport};
 use crate::json::JsonValue;
@@ -111,7 +111,6 @@ use crate::raft_model::RaftModel;
 use crate::report::Table;
 use crate::scratch::GroupScratch;
 use crate::simulation::{SimulationEngine, SimulationReport};
-use crate::timevarying;
 
 /// A protocol family the grid axes can instantiate at any swept cluster size.
 ///
@@ -489,8 +488,8 @@ impl Default for TimeAxis {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrajectoryKind {
     /// An aging fleet swept through sliding mission windows
-    /// ([`Query::trajectory_cell`], backed by
-    /// [`crate::timevarying::reliability_trajectory`]).
+    /// ([`Query::trajectory_cell`]), each window analysed by the counting
+    /// engine.
     Fleet,
     /// A repairable group analysed as a continuous-time Markov chain
     /// ([`Query::repairable_cell`], backed by
@@ -1693,83 +1692,71 @@ fn validation_record(
 
 /// Executes one time-domain cell against the plan's time axis.
 fn trajectory_record(spec: &TrajectorySpec, axis: &TimeAxis) -> TrajectoryRecord {
-    match spec {
+    let times = axis.sample_times().into_iter();
+    let (label, kind, points, group): (_, _, Vec<TrajectoryPoint>, _) = match spec {
         TrajectorySpec::Fleet {
             label,
             model,
             fleet,
         } => {
-            let counting = model
-                .as_counting()
-                .expect("fleet trajectory models are validated as counting at plan time");
-            let trajectory = timevarying::reliability_trajectory(
-                counting,
-                fleet,
-                axis.window_hours,
-                axis.horizon_hours,
-                axis.step_hours,
-            );
-            let points = trajectory
-                .iter()
-                .map(|p| TrajectoryPoint {
-                    at_hours: p.at_hours,
-                    probability: p.report.safe_and_live.probability(),
+            let budget = Budget::default();
+            let points = times
+                .map(|t| {
+                    // Every node t hours older, its profile over the window from then.
+                    let profiles = fleet
+                        .iter()
+                        .map(|node| {
+                            let mut aged = node.clone();
+                            aged.age_hours += t;
+                            aged.profile(axis.window_hours)
+                        })
+                        .collect();
+                    let deployment = Deployment::from_profiles(profiles);
+                    let outcome = CountingEngine.run(model.as_ref(), (&deployment).into(), &budget);
+                    TrajectoryPoint {
+                        at_hours: t,
+                        probability: outcome.report.safe_and_live.probability(),
+                    }
                 })
                 .collect();
-            let first_below = axis
-                .target_nines
-                .and_then(|target| timevarying::first_time_below_target(&trajectory, target));
-            let summary = timevarying::summarize(&trajectory, axis.target_nines.unwrap_or(0.0))
-                .expect("trajectories always include the t = 0 point");
-            TrajectoryRecord {
-                label: label.clone(),
-                kind: TrajectoryKind::Fleet,
-                points,
-                target_nines: axis.target_nines,
-                first_below_target_hours: first_below,
-                worst_probability: summary.worst_probability,
-                worst_at_hours: summary.worst_at_hours,
-                steady_state_availability: None,
-                mean_time_to_threshold_hours: None,
-                unavailability_minutes_per_year: None,
-            }
+            (label, TrajectoryKind::Fleet, points, None)
         }
         TrajectorySpec::Repairable { label, group } => {
-            let points: Vec<TrajectoryPoint> = axis
-                .sample_times()
-                .into_iter()
+            let points = times
                 .map(|t| TrajectoryPoint {
                     at_hours: t,
                     probability: group.reliability_at(t),
                 })
                 .collect();
-            let first_below = axis.target_nines.and_then(|target| {
-                points
-                    .iter()
-                    .find(|p| !Nines::from_probability(p.probability).meets(target))
-                    .map(|p| p.at_hours)
-            });
-            let worst = points
-                .iter()
-                .min_by(|a, b| {
-                    a.probability
-                        .partial_cmp(&b.probability)
-                        .expect("reliabilities are never NaN")
-                })
-                .expect("the time axis always samples t = 0");
-            TrajectoryRecord {
-                label: label.clone(),
-                kind: TrajectoryKind::Repairable,
-                target_nines: axis.target_nines,
-                first_below_target_hours: first_below,
-                worst_probability: worst.probability,
-                worst_at_hours: worst.at_hours,
-                points,
-                steady_state_availability: Some(group.steady_state_availability()),
-                mean_time_to_threshold_hours: Some(group.mean_time_to_threshold_exceeded()),
-                unavailability_minutes_per_year: Some(group.unavailability_minutes_per_year()),
-            }
+            (label, TrajectoryKind::Repairable, points, Some(group))
         }
+    };
+    let first_below = axis.target_nines.and_then(|target| {
+        points
+            .iter()
+            .find(|p| !Nines::from_probability(p.probability).meets(target))
+            .map(|p| p.at_hours)
+    });
+    let worst = *points
+        .iter()
+        .min_by(|a, b| {
+            a.probability
+                .partial_cmp(&b.probability)
+                .expect("reliabilities are never NaN")
+        })
+        .expect("the time axis always samples t = 0");
+    TrajectoryRecord {
+        label: label.clone(),
+        kind,
+        target_nines: axis.target_nines,
+        first_below_target_hours: first_below,
+        worst_probability: worst.probability,
+        worst_at_hours: worst.at_hours,
+        points,
+        steady_state_availability: group.map(RepairableGroup::steady_state_availability),
+        mean_time_to_threshold_hours: group.map(RepairableGroup::mean_time_to_threshold_exceeded),
+        unavailability_minutes_per_year: group
+            .map(RepairableGroup::unavailability_minutes_per_year),
     }
 }
 
@@ -3496,17 +3483,11 @@ mod tests {
         let times = TimeAxis::new(8_766.0, 0.1).sample_times();
         assert_eq!(times.len(), 87_661);
         assert!((times.last().unwrap() - 8_766.0).abs() < 1e-9);
-        // The fleet-trajectory sampler shares the fix.
-        use fault_model::node::Fleet;
-        let traj = crate::timevarying::reliability_trajectory(
-            &RaftModel::standard(3),
-            &Fleet::homogeneous_crash(3, 0.01),
-            0.1,
-            0.3,
-            0.1,
-        );
-        assert_eq!(traj.len(), 4);
-        assert!((traj.last().unwrap().at_hours - 0.3).abs() < 1e-12);
+        // Fleet trajectory cells walk the same sample times.
+        let record =
+            raft_fleet_trajectory(Fleet::homogeneous_crash(3, 0.01), TimeAxis::new(0.3, 0.1));
+        assert_eq!(record.points.len(), 4);
+        assert!((record.points[3].at_hours - 0.3).abs() < 1e-12);
     }
 
     #[test]
@@ -3660,54 +3641,168 @@ mod tests {
         assert!(record.mean_time_to_threshold_hours.unwrap() > 0.0);
     }
 
-    #[test]
-    fn fleet_trajectory_cell_matches_the_timevarying_helpers() {
-        use fault_model::metrics::HOURS_PER_YEAR;
+    /// `n` nodes on a wear-out Weibull curve, each 10 000 hours old.
+    fn wearout_fleet(n: usize) -> Fleet {
         use fault_model::node::NodeSpec;
-        let fleet: fault_model::node::Fleet = (0..5)
+        (0..n)
             .map(|i| {
                 NodeSpec::with_constant_crash(i, 0.0, HOURS_PER_YEAR)
-                    .with_crash_curve(std::sync::Arc::new(fault_model::curve::WeibullCurve::new(
+                    .with_crash_curve(Arc::new(fault_model::curve::WeibullCurve::new(
                         3.0, 70_000.0,
                     )))
                     .with_age(10_000.0)
             })
-            .collect();
+            .collect()
+    }
+
+    /// The trajectory of majority Raft on `fleet` along `axis`, as one query.
+    fn raft_fleet_trajectory(fleet: Fleet, axis: TimeAxis) -> TrajectoryRecord {
+        let model: Arc<dyn ProtocolModel + Send + Sync> =
+            Arc::new(RaftModel::standard(fleet.len()));
+        let report = AnalysisSession::new()
+            .run(
+                &Query::new()
+                    .time_horizon(axis)
+                    .trajectory_cell("fleet", model, fleet),
+            )
+            .expect("well-formed query");
+        report.trajectory(0).clone()
+    }
+
+    #[test]
+    fn fleet_trajectory_cell_matches_the_timevarying_helpers() {
+        let fleet = wearout_fleet(5);
         let axis = TimeAxis::new(4.0 * HOURS_PER_YEAR, HOURS_PER_YEAR)
             .with_window(HOURS_PER_YEAR / 4.0)
             .with_target_nines(3.0);
-        let model: Arc<dyn ProtocolModel + Send + Sync> = Arc::new(RaftModel::standard(5));
-        let report = AnalysisSession::new()
-            .run(&Query::new().time_horizon(axis).trajectory_cell(
-                "aging-fleet",
-                model,
-                fleet.clone(),
-            ))
-            .expect("well-formed query");
-        let record = report.trajectory(0);
+        let record = raft_fleet_trajectory(fleet.clone(), axis);
         assert_eq!(record.kind, TrajectoryKind::Fleet);
-        let reference = crate::timevarying::reliability_trajectory(
-            &RaftModel::standard(5),
-            &fleet,
-            HOURS_PER_YEAR / 4.0,
-            4.0 * HOURS_PER_YEAR,
-            HOURS_PER_YEAR,
-        );
-        assert_eq!(record.points.len(), reference.len());
-        for (point, expected) in record.points.iter().zip(&reference) {
-            assert_eq!(point.at_hours, expected.at_hours);
-            assert_eq!(
-                point.probability,
-                expected.report.safe_and_live.probability()
-            );
-        }
-        let summary = crate::timevarying::summarize(&reference, 3.0).unwrap();
-        assert_eq!(record.worst_probability, summary.worst_probability);
-        assert_eq!(
-            record.first_below_target_hours,
-            crate::timevarying::first_time_below_target(&reference, 3.0)
-        );
+        // Reference: age the fleet by hand, one counting run per yearly window.
+        let reference: Vec<TrajectoryPoint> = (0..=4)
+            .map(|i| {
+                let t = i as f64 * HOURS_PER_YEAR;
+                let profiles = fleet
+                    .iter()
+                    .map(|node| {
+                        let mut aged = node.clone();
+                        aged.age_hours += t;
+                        aged.profile(HOURS_PER_YEAR / 4.0)
+                    })
+                    .collect();
+                let report = CountingEngine
+                    .run(
+                        &RaftModel::standard(5),
+                        (&Deployment::from_profiles(profiles)).into(),
+                        &Budget::default(),
+                    )
+                    .report;
+                TrajectoryPoint {
+                    at_hours: t,
+                    probability: report.safe_and_live.probability(),
+                }
+            })
+            .collect();
+        assert_eq!(record.points, reference);
+        let worst = reference
+            .iter()
+            .map(|p| p.probability)
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(record.worst_probability, worst);
+        let first_below = reference
+            .iter()
+            .find(|p| !Nines::from_probability(p.probability).meets(3.0))
+            .map(|p| p.at_hours);
+        assert_eq!(record.first_below_target_hours, first_below);
         assert!(record.steady_state_availability.is_none());
+    }
+
+    #[test]
+    fn wearout_degrades_the_guarantee_over_time() {
+        let record = raft_fleet_trajectory(
+            wearout_fleet(5),
+            TimeAxis::new(6.0 * HOURS_PER_YEAR, HOURS_PER_YEAR).with_window(HOURS_PER_YEAR / 4.0),
+        );
+        assert_eq!(record.points.len(), 7);
+        let first = record.points[0].probability;
+        let last = record.points[6].probability;
+        assert!(last < first, "guarantee should degrade: {first} -> {last}");
+        assert_eq!(record.worst_probability, last);
+        assert_eq!(record.worst_at_hours, 6.0 * HOURS_PER_YEAR);
+    }
+
+    #[test]
+    fn first_time_below_target_detects_the_dip() {
+        // A 3-node cluster on aging hardware eventually drops below four nines.
+        let record = raft_fleet_trajectory(
+            wearout_fleet(3),
+            TimeAxis::new(8.0 * HOURS_PER_YEAR, HOURS_PER_YEAR / 2.0)
+                .with_window(HOURS_PER_YEAR)
+                .with_target_nines(4.0),
+        );
+        assert!(record.first_below_target_hours.is_some());
+    }
+
+    #[test]
+    fn rollout_windows_show_as_transient_dips() {
+        use fault_model::curve::StepCurve;
+        use fault_model::node::NodeSpec;
+        // Nodes with a baseline hazard plus a correlated rollout spike 1000h from now.
+        let fleet: Fleet = (0..3)
+            .map(|i| {
+                NodeSpec::with_constant_crash(i, 0.0, HOURS_PER_YEAR).with_crash_curve(Arc::new(
+                    StepCurve::new(1e-6).with_spike(1_000.0, 1_200.0, 5e-4),
+                ))
+            })
+            .collect();
+        let record = raft_fleet_trajectory(fleet, TimeAxis::new(2_000.0, 200.0));
+        let worst_where = |keep: &dyn Fn(f64) -> bool| {
+            record
+                .points
+                .iter()
+                .filter(|p| keep(p.at_hours))
+                .map(|p| p.probability)
+                .fold(1.0, f64::min)
+        };
+        let during = worst_where(&|t| (1_000.0..1_200.0).contains(&t));
+        let before = worst_where(&|t| t < 1_000.0);
+        assert!(
+            during < before,
+            "the rollout window dips: {during} vs {before}"
+        );
+        assert_eq!(record.worst_at_hours, 1_000.0);
+    }
+
+    #[test]
+    fn stable_fleets_hold_their_target() {
+        let record = raft_fleet_trajectory(
+            Fleet::homogeneous_crash(5, 0.01),
+            TimeAxis::new(2.0 * HOURS_PER_YEAR, HOURS_PER_YEAR / 2.0)
+                .with_window(HOURS_PER_YEAR)
+                .with_target_nines(4.0),
+        );
+        assert_eq!(record.points.len(), 5);
+        assert_eq!(record.first_below_target_hours, None);
+    }
+
+    #[test]
+    fn trajectory_starting_below_target_dips_at_the_first_sample_time() {
+        // Boundary regression: a fleet that is *already* below target must report
+        // the first sample time (t = 0), not None — None means "target held".
+        let axis = TimeAxis::new(2.0 * HOURS_PER_YEAR, HOURS_PER_YEAR).with_window(HOURS_PER_YEAR);
+        let below = raft_fleet_trajectory(
+            Fleet::homogeneous_crash(3, 0.2),
+            axis.with_target_nines(3.0),
+        );
+        let p0 = below.points[0].probability;
+        assert!(p0 < 0.999, "the fixture must start below three nines: {p0}");
+        assert_eq!(below.first_below_target_hours, Some(0.0));
+        // The same fleet against an already-met target keeps the None = held
+        // reading.
+        let held = raft_fleet_trajectory(
+            Fleet::homogeneous_crash(3, 0.2),
+            axis.with_target_nines(0.5),
+        );
+        assert_eq!(held.first_below_target_hours, None);
     }
 
     #[test]

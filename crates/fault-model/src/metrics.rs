@@ -203,6 +203,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "probability must be in [0,1]")]
+    fn from_probability_rejects_nan() {
+        let _ = Nines::from_probability(f64::NAN);
+    }
+
+    #[test]
     fn nines_of_common_values() {
         assert!((nines(0.9) - 1.0).abs() < 1e-12);
         assert!((nines(0.999) - 3.0).abs() < 1e-12);

@@ -9,7 +9,7 @@
 //!   all protocols.
 //! * [`raft`] — a Raft implementation (leader election, log replication, commitment)
 //!   with configurable persistence/election quorum sizes (Flexible-Paxos style) and
-//!   reliability-aware election priorities.
+//!   reliability-aware election priorities ([`raft::RaftConfig::reliability_aware`]).
 //! * [`pbft`] — a PBFT-style BFT implementation (pre-prepare / prepare / commit, view
 //!   changes) with configurable quorum sizes and pluggable Byzantine behaviours.
 //! * [`byzantine`] — the Byzantine strategies nodes adopt when the fault injector flips
@@ -20,8 +20,6 @@
 //!   batch-trial API ([`harness::TrialSpec`] / [`harness::run_trial`]) packages one
 //!   deterministic run as a plain value, so the analysis layer's simulation engine
 //!   can fan thousands of trials out across threads.
-//! * [`probabilistic`] — probability-native deployment helpers: reliability-aware leader
-//!   priorities and committee-restricted clusters.
 //!
 //! # Examples
 //!
@@ -44,7 +42,6 @@ pub mod byzantine;
 pub mod common;
 pub mod harness;
 pub mod pbft;
-pub mod probabilistic;
 pub mod raft;
 
 pub use byzantine::ByzantineBehavior;

@@ -13,6 +13,7 @@
 
 use consensus_sim::actor::{Actor, Context};
 use consensus_sim::time::SimTime;
+use fault_model::mode::FaultProfile;
 
 use crate::byzantine::ByzantineBehavior;
 use crate::common::{Command, LogEntry, ReplicatedLog};
@@ -87,6 +88,33 @@ impl RaftConfig {
         self.election_priority = Some(priority);
         self
     }
+
+    /// The standard configuration for a deployment with these per-node fault
+    /// profiles, with election priorities following its reliability ranking — the
+    /// executable counterpart of the paper's "choose leaders among the most
+    /// reliable nodes".
+    pub fn reliability_aware(profiles: &[FaultProfile]) -> Self {
+        Self::standard(profiles.len()).with_election_priority(election_priority(profiles))
+    }
+}
+
+/// Ranks nodes by fault probability (most reliable first, ties by index) as the
+/// per-node rank vector [`RaftConfig::with_election_priority`] expects
+/// (`priority[i]` = rank of node `i`, 0 = preferred leader).
+fn election_priority(profiles: &[FaultProfile]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..profiles.len()).collect();
+    order.sort_by(|&a, &b| {
+        profiles[a]
+            .fault_probability()
+            .partial_cmp(&profiles[b].fault_probability())
+            .expect("fault probabilities are never NaN")
+            .then(a.cmp(&b))
+    });
+    let mut priority = vec![0usize; profiles.len()];
+    for (rank, &node) in order.iter().enumerate() {
+        priority[node] = rank;
+    }
+    priority
 }
 
 /// Messages exchanged by Raft nodes. Client commands are injected as
@@ -543,6 +571,34 @@ mod tests {
 
     fn ctx_for<'a>(id: usize, n: usize, rng: &'a mut StdRng) -> Context<'a, RaftMessage> {
         Context::new(id, SimTime::ZERO, n, rng)
+    }
+
+    fn profiles() -> Vec<FaultProfile> {
+        vec![
+            FaultProfile::crash_only(0.08),
+            FaultProfile::crash_only(0.01),
+            FaultProfile::crash_only(0.04),
+            FaultProfile::crash_only(0.02),
+        ]
+    }
+
+    #[test]
+    fn priorities_follow_reliability() {
+        // Node 1 (1%) gets rank 0, node 3 (2%) rank 1, node 2 (4%) rank 2, node 0 rank 3.
+        assert_eq!(election_priority(&profiles()), vec![3, 0, 2, 1]);
+    }
+
+    #[test]
+    fn reliability_aware_config_embeds_priorities() {
+        let config = RaftConfig::reliability_aware(&profiles());
+        assert_eq!(config.election_priority, Some(vec![3, 0, 2, 1]));
+        assert_eq!(config.n, 4);
+    }
+
+    #[test]
+    fn ties_are_broken_by_index_for_determinism() {
+        let equal = vec![FaultProfile::crash_only(0.05); 3];
+        assert_eq!(election_priority(&equal), vec![0, 1, 2]);
     }
 
     #[test]

@@ -18,10 +18,9 @@
 //!    deployment at eight nines (~8 orders of magnitude beyond same-rack),
 //!    refining the deep-tail candidate with importance sampling at tier 2.
 
-use prob_consensus::cost::default_catalogue;
 use prob_consensus::optimize::{
-    optimize, DeploymentSpace, FailureDomains, NodeType, OptimizerConfig, Placement, RepairPolicy,
-    TargetSpec,
+    default_catalogue, optimize, DeploymentSpace, FailureDomains, NodeType, OptimizerConfig,
+    Placement, RepairPolicy, TargetSpec,
 };
 use prob_consensus::query::{AnalysisSession, ProtocolSpec};
 
@@ -31,10 +30,7 @@ fn main() {
     // 1. Cheapest 3-nines Raft cluster, with tier-3 time-domain scoring: the
     // frontier carries unavailability-minutes-per-year next to mission nines.
     let consensus_space = DeploymentSpace {
-        instances: default_catalogue()
-            .iter()
-            .map(NodeType::from_instance)
-            .collect(),
+        instances: default_catalogue(),
         nodes: vec![3, 5, 7, 9],
         domains: None,
         placements: Vec::new(),

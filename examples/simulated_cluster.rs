@@ -13,7 +13,7 @@ use std::sync::Arc;
 use consensus_protocols::byzantine::ByzantineBehavior;
 use consensus_protocols::harness::{PbftHarness, RaftHarness};
 use consensus_protocols::pbft::PbftConfig;
-use consensus_protocols::probabilistic::reliability_aware_raft_config;
+use consensus_protocols::raft::RaftConfig;
 use consensus_sim::fault::FaultSchedule;
 use consensus_sim::network::NetworkConfig;
 use consensus_sim::time::SimTime;
@@ -50,7 +50,7 @@ fn main() {
         prediction.cell(0).outcome.report
     );
 
-    let config = reliability_aware_raft_config(&profiles);
+    let config = RaftConfig::reliability_aware(&profiles);
     let mut harness = RaftHarness::with_config(config, NetworkConfig::lan(), 1);
     harness.submit_commands(20);
     let outcome = harness.run_for_millis(3_000);

@@ -1,15 +1,17 @@
 //! Cross-crate pipeline tests: telemetry → fault curves → deployment → analysis →
 //! cost search and repair-aware durability.
 
-use fault_model::metrics::HOURS_PER_YEAR;
+use fault_model::metrics::{Nines, HOURS_PER_YEAR};
 use fault_model::node::{Fleet, NodeSpec};
 use fault_model::telemetry::{ClassSpec, TelemetryEstimator, TelemetryGenerator};
 use prob_consensus::analyzer::analyze_auto;
-use prob_consensus::cost::{cheapest_deployment, default_catalogue, Objective};
 use prob_consensus::deployment::Deployment;
 use prob_consensus::engine::Budget;
+use prob_consensus::optimize::{
+    default_catalogue, optimize, DeploymentSpace, OptimizerConfig, TargetSpec,
+};
+use prob_consensus::query::{AnalysisSession, ProtocolSpec, Query, TimeAxis};
 use prob_consensus::raft_model::RaftModel;
-use prob_consensus::timevarying::{first_time_below_target, reliability_trajectory};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -66,14 +68,17 @@ fn fleet_curves_drive_time_varying_guarantees() {
                 .with_age(20_000.0 + 5_000.0 * i as f64)
         })
         .collect();
-    let trajectory = reliability_trajectory(
-        &RaftModel::standard(5),
-        &fleet,
-        HOURS_PER_YEAR / 4.0,
-        6.0 * HOURS_PER_YEAR,
-        HOURS_PER_YEAR / 2.0,
-    );
-    let dip = first_time_below_target(&trajectory, 4.0);
+    let axis = TimeAxis::new(6.0 * HOURS_PER_YEAR, HOURS_PER_YEAR / 2.0)
+        .with_window(HOURS_PER_YEAR / 4.0)
+        .with_target_nines(4.0);
+    let report = AnalysisSession::new()
+        .run(&Query::new().time_horizon(axis).trajectory_cell(
+            "aging-fleet",
+            Arc::new(RaftModel::standard(5)),
+            fleet,
+        ))
+        .expect("well-formed fleet trajectory");
+    let dip = report.trajectory(0).first_below_target_hours;
     assert!(
         dip.is_some(),
         "an aging fleet eventually drops below four nines"
@@ -82,15 +87,20 @@ fn fleet_curves_drive_time_varying_guarantees() {
 
 #[test]
 fn cost_search_meets_its_target() {
-    let best = cheapest_deployment(
-        &default_catalogue(),
-        11,
-        4.0,
-        Objective::Cost,
-        RaftModel::standard,
-    )
-    .expect("a feasible deployment exists for four nines");
-    assert!(best.report.safe_and_live.meets(4.0));
+    let space = DeploymentSpace {
+        instances: default_catalogue(),
+        nodes: vec![1, 3, 5, 7, 9, 11],
+        domains: None,
+        placements: Vec::new(),
+        target: TargetSpec::Protocol(ProtocolSpec::Raft),
+    };
+    let report = optimize(&AnalysisSession::new(), &space, &OptimizerConfig::new(4.0))
+        .expect("well-formed space");
+    let best = report
+        .cheapest()
+        .expect("a feasible deployment exists for four nines");
+    assert!(best.exact && best.feasible);
+    assert!(Nines::from_probability(best.probability).meets(4.0));
 }
 
 #[test]

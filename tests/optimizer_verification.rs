@@ -121,10 +121,7 @@ fn frontier_candidates_re_scored_by_independent_engines_within_three_sigma() {
     // Exact (counting) frontier from the catalogue space, re-checked by Monte
     // Carlo: the exact value must sit within 3σ of the independent estimate.
     let space = DeploymentSpace {
-        instances: prob_consensus::cost::default_catalogue()
-            .iter()
-            .map(NodeType::from_instance)
-            .collect(),
+        instances: prob_consensus::optimize::default_catalogue(),
         nodes: vec![3, 5, 7, 9],
         domains: None,
         placements: Vec::new(),

@@ -5,9 +5,9 @@ use consensus_protocols::harness::{PbftHarness, RaftHarness};
 use consensus_sim::fault::FaultSchedule;
 use consensus_sim::network::NetworkConfig;
 use consensus_sim::time::SimTime;
-use prob_consensus::analyzer::{analyze_auto, analyze_exact};
+use prob_consensus::analyzer::analyze_auto;
 use prob_consensus::deployment::Deployment;
-use prob_consensus::engine::Budget;
+use prob_consensus::engine::{AnalysisEngine, Budget, EnumerationEngine};
 use prob_consensus::pbft_model::PbftModel;
 use prob_consensus::raft_model::RaftModel;
 use proptest::prelude::*;
@@ -72,13 +72,13 @@ proptest! {
         let pbft = PbftModel::standard(n.max(4));
         if n >= 4 {
             let a = analyze_auto(&pbft, &deployment, &budget).report;
-            let b = analyze_exact(&pbft, &deployment);
+            let b = EnumerationEngine.run(&pbft, (&deployment).into(), &budget).report;
             prop_assert!((a.safe.probability() - b.safe.probability()).abs() < 1e-9);
             prop_assert!((a.live.probability() - b.live.probability()).abs() < 1e-9);
         }
         let raft = RaftModel::standard(n);
         let a = analyze_auto(&raft, &deployment, &budget).report;
-        let b = analyze_exact(&raft, &deployment);
+        let b = EnumerationEngine.run(&raft, (&deployment).into(), &budget).report;
         prop_assert!((a.safe_and_live.probability() - b.safe_and_live.probability()).abs() < 1e-9);
     }
 

@@ -161,7 +161,7 @@ fn reliability_aware_leader_selection_preserves_correctness() {
         fault_model::mode::FaultProfile::crash_only(0.02),
         fault_model::mode::FaultProfile::crash_only(0.03),
     ];
-    let config = consensus_protocols::probabilistic::reliability_aware_raft_config(&profiles);
+    let config = consensus_protocols::raft::RaftConfig::reliability_aware(&profiles);
     let mut harness = RaftHarness::with_config(config, NetworkConfig::lan(), 9);
     harness.submit_commands(10);
     let outcome = harness.run_for_millis(3_000);
