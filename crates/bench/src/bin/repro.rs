@@ -11,6 +11,7 @@
 //! cargo run -p bench --release --bin repro -- serve --tcp 127.0.0.1:7878
 //! ```
 
+use std::ffi::OsStr;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -36,13 +37,20 @@ fn run_serve(args: &[String]) -> ExitCode {
     }
 }
 
+/// What `REPRO_BENCH_BUDGET_MS` sets: the wall-clock milliseconds `repro --bench`
+/// spends per row, 500 when unset; `None` when the value is not a whole number.
+fn bench_budget_ms(value: Option<&OsStr>) -> Option<u64> {
+    value.map_or(Some(500), |v| v.to_str()?.parse().ok())
+}
+
 /// Times the analysis hot paths and writes the `BENCH_analysis.json` baseline to the
 /// current directory.
 fn run_bench_baseline() -> ExitCode {
-    let budget_ms = std::env::var("REPRO_BENCH_BUDGET_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500);
+    let Some(budget_ms) = bench_budget_ms(std::env::var_os("REPRO_BENCH_BUDGET_MS").as_deref())
+    else {
+        eprintln!("error: REPRO_BENCH_BUDGET_MS must be a whole number of milliseconds");
+        return ExitCode::FAILURE;
+    };
     let measurements = bench::analysis_benchmarks(budget_ms);
     for m in &measurements {
         println!(
@@ -50,13 +58,7 @@ fn run_bench_baseline() -> ExitCode {
             m.id, m.mean_ns, m.iters
         );
     }
-    let json = bench::benchmarks_to_json(
-        &measurements,
-        bench::rare_event_sample_efficiency(),
-        bench::divergence_smoke(),
-        bench::epistemic_interval_width(),
-        bench::optimizer_frontier_size(),
-    );
+    let json = bench::benchmarks_to_json(&measurements, bench::rare_event_sample_efficiency());
     match std::fs::write("BENCH_analysis.json", &json) {
         Ok(()) => {
             println!("\nwrote BENCH_analysis.json");
@@ -164,4 +166,16 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bench_budget_defaults_when_unset_and_rejects_non_numbers() {
+        assert_eq!(bench_budget_ms(None), Some(500));
+        assert_eq!(bench_budget_ms(Some(OsStr::new("50"))), Some(50));
+        assert_eq!(bench_budget_ms(Some(OsStr::new("5O"))), None);
+    }
 }

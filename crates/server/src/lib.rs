@@ -1451,8 +1451,8 @@ fn handle_tcp_connection(server: &Arc<Server>, stream: TcpStream) -> std::io::Re
 
 /// Runs one complete in-memory exchange against `server`: feeds `input` (one
 /// request per line) through [`serve_connection`] and returns the emitted
-/// NDJSON output. The backbone of the smoke tests and the `server-throughput`
-/// bench.
+/// NDJSON output. The backbone of the smoke tests and of the bench crate's
+/// warm-vs-cold server test.
 pub fn run_exchange(server: &Arc<Server>, input: &str) -> String {
     let outbox = Arc::new(Outbox::new(usize::MAX, None));
     serve_connection(server, input.as_bytes(), &outbox)
