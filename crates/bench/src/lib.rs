@@ -20,7 +20,7 @@ use prob_consensus::durability::{
 };
 use prob_consensus::engine::{
     AnalysisEngine, AnalysisOutcome, Budget, EngineChoice, EnumerationEngine, FaultEnvironment,
-    Scenario, SimBudget,
+    Scenario,
 };
 use prob_consensus::json::JsonValue;
 use prob_consensus::montecarlo::{monte_carlo_reliability_par_kernel, McKernel};
@@ -585,13 +585,7 @@ pub fn sim_validation(
                 .protocols([ProtocolSpec::Raft])
                 .nodes(ns.iter().copied())
                 .fault_probs([p])
-                .budget(Budget::default().with_seed(seed).with_sim(SimBudget {
-                    trials,
-                    horizon_millis: 2_500,
-                    fault_window_millis: 200,
-                    commands: 3,
-                    ..SimBudget::default()
-                }))
+                .budget(Budget::default().with_seed(seed).with_sim_trials(trials))
                 .validate_with_simulation(),
         )
         .expect("well-formed validation sweep");
@@ -949,26 +943,21 @@ pub fn partition_heal_batch() -> prob_consensus::simulation::SimulationReport {
 /// analytic prediction and is flagged as a first-class divergence finding.
 /// Returns the number of flagged cells (the tests assert ≥ 1).
 pub fn divergence_smoke() -> usize {
-    let report =
-        AnalysisSession::new()
-            .run(
-                &Query::new()
-                    .protocols([ProtocolSpec::Raft])
-                    .nodes([5])
-                    .fault_probs([0.01])
-                    .fault_environments([FaultEnvironment::Clean, FaultEnvironment::GrayPrimary])
-                    .budget(Budget::default().with_seed(DIVERGENCE_SMOKE_SEED).with_sim(
-                        SimBudget {
-                            trials: 32,
-                            horizon_millis: 2_000,
-                            fault_window_millis: 150,
-                            commands: 2,
-                            ..SimBudget::default()
-                        },
-                    ))
-                    .validate_with_simulation(),
-            )
-            .expect("well-formed divergence smoke query");
+    let report = AnalysisSession::new()
+        .run(
+            &Query::new()
+                .protocols([ProtocolSpec::Raft])
+                .nodes([5])
+                .fault_probs([0.01])
+                .fault_environments([FaultEnvironment::Clean, FaultEnvironment::GrayPrimary])
+                .budget(
+                    Budget::default()
+                        .with_seed(DIVERGENCE_SMOKE_SEED)
+                        .with_sim_trials(32),
+                )
+                .validate_with_simulation(),
+        )
+        .expect("well-formed divergence smoke query");
     report.divergent_cells().len()
 }
 

@@ -114,9 +114,9 @@ pub enum AnalysisError {
         /// Nodes the scenario covers.
         scenario_nodes: usize,
     },
-    /// The budget's sampling knobs are malformed (NaN tilt, zero ESS floor,
-    /// threshold outside `(0, 1)` — see [`Budget::validate`]); rejected when a
-    /// query is planned, instead of silently poisoning the estimators.
+    /// The budget is malformed (threshold outside `(0, 1)`, a malformed
+    /// posterior, an over-limit count — see [`Budget::validate`]); rejected when
+    /// a query is planned, instead of silently poisoning the estimators.
     InvalidBudget(crate::engine::InvalidBudget),
     /// A trajectory cell ([`crate::query::Query::trajectory_cell`]) was given a
     /// model without a counting view: sweeping a guarantee over mission windows

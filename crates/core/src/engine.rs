@@ -12,9 +12,9 @@
 //!   it runs on prepared scratch ([`crate::scratch`]): the query planner passes
 //!   the scratch its cells share, the three-argument `supports`/`run` pass a
 //!   throwaway one.
-//! * [`Budget`] — how much work (exact configurations, Monte Carlo samples,
+//! * [`Budget`] — how much work (exact counting size, Monte Carlo samples,
 //!   simulation trials) the caller is willing to spend, the sampling seed, and the
-//!   rare-event knobs (proposal tilt, ESS floor, selection threshold).
+//!   rare-event selection threshold.
 //! * [`select_engine`] — the one auto-selector, behind both the per-cell front doors
 //!   and the query planner: exact counting for independent counting
 //!   models, exhaustive enumeration for small non-counting models, importance
@@ -38,7 +38,7 @@ use crate::analyzer::ReliabilityReport;
 use crate::counting::counting_reliability;
 use crate::deployment::Deployment;
 use crate::enumeration::enumerate_reliability;
-use crate::montecarlo::{McKernel, McSampler, MonteCarloReport};
+use crate::montecarlo::{McSampler, MonteCarloReport};
 use crate::protocol::ProtocolModel;
 use crate::rare_event::RareEventReport;
 use crate::scratch::GroupScratch;
@@ -151,12 +151,13 @@ impl std::fmt::Display for EngineChoice {
 }
 
 /// How much work an [`analyze_auto`](crate::analyzer::analyze_auto) call may spend, and
-/// the seed sampling uses when it is chosen.
+/// the seed sampling uses when it is chosen. Every field is one a caller sets: the
+/// sampling knobs arrive over the wire, the threshold from the optimizer, the
+/// simulation budget from the validation sweeps. Everything else an engine needs is
+/// a constant beside its one reader (the enumeration limit, the importance-sampling
+/// ESS floor, the simulation horizon).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Budget {
-    /// Maximum number of failure configurations exhaustive enumeration may visit before
-    /// the selector falls back to sampling.
-    pub max_enumeration_configs: u64,
     /// Maximum number of nodes the O(N³) counting engine may analyze exactly before
     /// the selector falls back to sampling.
     pub max_counting_nodes: usize,
@@ -164,28 +165,13 @@ pub struct Budget {
     pub monte_carlo_samples: usize,
     /// Seed for the sampling engines (results are deterministic per seed).
     pub seed: u64,
-    /// Proposal tilt of the importance-sampling engine: every fault probability is
-    /// multiplied by this factor (floored at the target, capped below 1). `0.0` (the
-    /// default) selects the adaptive per-node proposal learned by a cross-entropy
-    /// pilot — see [`crate::rare_event::Proposal::adaptive`].
-    pub rare_event_tilt: f64,
-    /// Minimum effective sample size the importance-sampling engine must reach; if a
-    /// run's ESS falls below this floor the engine escalates once with a doubled
-    /// sample budget before reporting.
-    pub min_effective_samples: f64,
     /// Failure probabilities below this threshold route to the importance-sampling
     /// engine when no exact engine applies (see
     /// [`crate::rare_event::naive_failure_estimate`]).
     pub rare_event_threshold: f64,
-    /// Which sampling kernel the Monte Carlo engine runs: `Auto` (the default)
-    /// selects the bit-sliced packed kernel ([`crate::packed`]) whenever the model
-    /// supports counting and the zero-allocation scalar kernel otherwise; `Scalar`
-    /// and `Packed` force a kernel (for benchmarks and cross-kernel agreement
-    /// tests).
-    pub mc_kernel: McKernel,
     /// How much work the discrete-event simulation engine
-    /// ([`crate::simulation::SimulationEngine`]) spends when it runs: trial count,
-    /// virtual-time horizon, and client workload per trial.
+    /// ([`crate::simulation::SimulationEngine`]) spends when it runs, and in which
+    /// fault environment.
     pub sim: SimBudget,
     /// The second-order (epistemic) axis: when set, every planned cell
     /// additionally runs `draws` posterior parameter draws through its engine
@@ -315,23 +301,13 @@ impl std::fmt::Display for FaultEnvironment {
 
 /// The work budget of the simulation engine: one trial is a full discrete-event
 /// run of the executable protocol, so trial counts are in the hundreds where the
-/// analytic samplers draw hundreds of thousands.
+/// analytic samplers draw hundreds of thousands. Each trial's virtual-time
+/// horizon, fault window and workload are fixed in [`crate::simulation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimBudget {
     /// Number of independent simulation trials (each with its own sampled fault
     /// schedule and simulator seed). A zero budget saturates to one trial.
     pub trials: usize,
-    /// Virtual time each trial runs for, in milliseconds. Long enough by default
-    /// for several election timeouts and view changes to play out.
-    pub horizon_millis: u64,
-    /// Prefix of the horizon (milliseconds) within which sampled fault events
-    /// land. Faults arrive early — mirroring the analysis-window semantics, where
-    /// a configuration's faults are in place when its guarantees are judged — and
-    /// the rest of the horizon lets elections and view changes play out.
-    pub fault_window_millis: u64,
-    /// Client commands submitted at the start of each trial — the workload whose
-    /// commitment defines empirical liveness.
-    pub commands: usize,
     /// The adversarial environment trials run inside (gray primary, healing
     /// partition, lossy WAN — [`FaultEnvironment::Clean`] by default). Affects
     /// only the simulation side of a cell; the analytic engines have no notion of
@@ -339,47 +315,29 @@ pub struct SimBudget {
     pub environment: FaultEnvironment,
 }
 
-impl SimBudget {
-    /// Sets the fault environment.
-    pub fn with_environment(mut self, environment: FaultEnvironment) -> Self {
-        self.environment = environment;
-        self
-    }
-}
-
 impl Default for SimBudget {
-    /// 160 trials × 2.5 virtual seconds × 3 commands: enough trials to resolve
-    /// paper-scale probabilities to a few points of standard error, enough virtual
-    /// time for re-elections after injected crashes, at a cost of well under a
-    /// second of wall clock for a 5-node cluster.
+    /// 160 trials: enough to resolve paper-scale probabilities to a few points of
+    /// standard error, at a cost of well under a second of wall clock for a 5-node
+    /// cluster.
     fn default() -> Self {
         Self {
             trials: 160,
-            horizon_millis: 2_500,
-            fault_window_millis: 200,
-            commands: 3,
             environment: FaultEnvironment::Clean,
         }
     }
 }
 
 impl Default for Budget {
-    /// Defaults tuned for interactive use: up to 2^20 exact configurations (≲ 20 binary
-    /// nodes, ≲ 12 ternary nodes — the paper-scale clusters), exact counting up to
-    /// 2,000 nodes (~N³ = 8e9 DP updates, single-digit seconds), and 200k samples,
-    /// enough for a ±0.2-point 95% interval near the probabilities the paper reports.
-    /// Rare-event defaults: adaptive proposal, an ESS floor of 64 effective samples,
-    /// and a 1e-6 failure-probability threshold for preferring importance sampling.
+    /// Defaults tuned for interactive use: exact counting up to 2,000 nodes (~N³ =
+    /// 8e9 DP updates, single-digit seconds), 200k samples, enough for a ±0.2-point
+    /// 95% interval near the probabilities the paper reports, and a 1e-6
+    /// failure-probability threshold for preferring importance sampling.
     fn default() -> Self {
         Self {
-            max_enumeration_configs: 1 << 20,
             max_counting_nodes: 2_000,
             monte_carlo_samples: 200_000,
             seed: 0x5EED_CAFE,
-            rare_event_tilt: 0.0,
-            min_effective_samples: 64.0,
             rare_event_threshold: 1e-6,
-            mc_kernel: McKernel::Auto,
             sim: SimBudget::default(),
             epistemic: None,
         }
@@ -401,45 +359,9 @@ impl Budget {
         self
     }
 
-    /// A budget allowing up to `configs` exhaustively enumerated configurations.
-    pub fn with_max_enumeration_configs(mut self, configs: u64) -> Self {
-        self.max_enumeration_configs = configs;
-        self
-    }
-
     /// A budget allowing exact counting up to `nodes` nodes.
     pub fn with_max_counting_nodes(mut self, nodes: usize) -> Self {
         self.max_counting_nodes = nodes;
-        self
-    }
-
-    /// A budget pinning the importance-sampling proposal to a uniform scalar `tilt`
-    /// (≥ 1); `0.0` restores the default adaptive proposal.
-    pub fn with_rare_event_tilt(mut self, tilt: f64) -> Self {
-        assert!(
-            tilt == 0.0 || tilt >= 1.0,
-            "tilt must be 0 (adaptive) or >= 1, got {tilt}"
-        );
-        self.rare_event_tilt = tilt;
-        self
-    }
-
-    /// A budget requiring at least `ess` effective samples from importance sampling.
-    ///
-    /// An `ess` of `0.0` (no floor, escalation disabled) is accepted here for the
-    /// engine-layer entry points, but rejected by the stricter plan-time
-    /// [`Budget::validate`] the query API runs — see
-    /// [`InvalidBudget::MinEffectiveSamples`].
-    pub fn with_min_effective_samples(mut self, ess: f64) -> Self {
-        assert!(ess >= 0.0, "ESS floor must be non-negative, got {ess}");
-        self.min_effective_samples = ess;
-        self
-    }
-
-    /// A budget forcing the Monte Carlo engine onto one sampling kernel (`Auto`
-    /// restores the default packed-when-counting selection).
-    pub fn with_mc_kernel(mut self, kernel: McKernel) -> Self {
-        self.mc_kernel = kernel;
         self
     }
 
@@ -455,30 +377,6 @@ impl Budget {
     /// changes; analytic results are environment-blind by construction.
     pub fn with_fault_environment(mut self, environment: FaultEnvironment) -> Self {
         self.sim.environment = environment;
-        self
-    }
-
-    /// A budget with an explicit simulation work budget (trial count, virtual-time
-    /// horizon and per-trial workload).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the horizon is zero (a zero-length trial can observe nothing)
-    /// or when the fault window extends past the horizon (faults scheduled after
-    /// the end of a trial would silently never be applied).
-    pub fn with_sim(mut self, sim: SimBudget) -> Self {
-        assert!(
-            sim.horizon_millis > 0,
-            "simulation horizon must be positive"
-        );
-        assert!(
-            sim.fault_window_millis <= sim.horizon_millis,
-            "fault window ({}) must not exceed the horizon ({}): later faults would \
-             silently never be applied",
-            sim.fault_window_millis,
-            sim.horizon_millis
-        );
-        self.sim = sim;
         self
     }
 
@@ -525,18 +423,15 @@ impl Budget {
     /// ([`crate::query::AnalysisSession::plan`]).
     ///
     /// The builder methods assert their own argument ranges, but a `Budget` is a
-    /// plain struct — nothing stops a caller from writing `rare_event_tilt: f64::NAN`
-    /// directly, and the engines would previously accept it silently (a NaN tilt
-    /// poisons every importance weight; a zero ESS floor disables the escalation
-    /// diagnostic; a threshold outside `(0, 1)` either disables the rare-event
-    /// engine entirely or routes *every* scenario to it). Planning a query rejects
-    /// such budgets up front with
+    /// plain struct — nothing stops a caller from writing
+    /// `rare_event_threshold: f64::NAN` directly, and a threshold outside `(0, 1)`
+    /// either disables the rare-event engine entirely or routes *every* scenario to
+    /// it. Planning a query rejects such budgets up front with
     /// [`AnalysisError::InvalidBudget`](crate::analyzer::AnalysisError):
     ///
-    /// * `rare_event_tilt` must be finite and either `0` (adaptive) or `≥ 1`;
-    /// * `min_effective_samples` must be a positive finite number (zero would turn
-    ///   the ESS floor into a no-op);
     /// * `rare_event_threshold` must lie strictly inside `(0, 1)`;
+    /// * an epistemic budget needs at least one draw, finite positive Beta
+    ///   hyperparameters and a credible level strictly inside `(0, 1)`;
     /// * `monte_carlo_samples` and the posterior draw count must stay within
     ///   [`MAX_SAMPLES`](crate::query::MAX_SAMPLES) and
     ///   [`MAX_POSTERIOR_DRAWS`](crate::query::MAX_POSTERIOR_DRAWS).
@@ -553,26 +448,9 @@ impl Budget {
             self.monte_carlo_samples,
             crate::query::MAX_SAMPLES,
         )?;
-        let tilt = self.rare_event_tilt;
-        if !tilt.is_finite() || !(tilt == 0.0 || tilt >= 1.0) {
-            return Err(InvalidBudget::RareEventTilt(tilt));
-        }
-        let ess = self.min_effective_samples;
-        if !ess.is_finite() || ess <= 0.0 {
-            return Err(InvalidBudget::MinEffectiveSamples(ess));
-        }
         let threshold = self.rare_event_threshold;
         if !(threshold > 0.0 && threshold < 1.0) {
             return Err(InvalidBudget::RareEventThreshold(threshold));
-        }
-        if self.sim.horizon_millis == 0 {
-            return Err(InvalidBudget::SimHorizon);
-        }
-        if self.sim.fault_window_millis > self.sim.horizon_millis {
-            return Err(InvalidBudget::SimFaultWindow {
-                window_millis: self.sim.fault_window_millis,
-                horizon_millis: self.sim.horizon_millis,
-            });
         }
         if let Some(ep) = self.epistemic {
             if ep.draws == 0 {
@@ -600,25 +478,8 @@ impl Budget {
 /// Which [`Budget`] knob failed [`Budget::validate`], carrying the offending value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum InvalidBudget {
-    /// `rare_event_tilt` is NaN, infinite, negative, or in `(0, 1)` — a tilt must be
-    /// `0` (adaptive) or inflate fault probabilities (`≥ 1`).
-    RareEventTilt(f64),
-    /// `min_effective_samples` is NaN, infinite, zero or negative.
-    MinEffectiveSamples(f64),
     /// `rare_event_threshold` is outside the open interval `(0, 1)` (NaN included).
     RareEventThreshold(f64),
-    /// The simulation budget's virtual-time horizon is zero — a zero-length trial
-    /// delivers no messages and fires no timers, so its verdicts are vacuous.
-    SimHorizon,
-    /// The simulation budget's fault window extends past its horizon: faults
-    /// scheduled beyond the end of a trial are silently never applied, which
-    /// would bias every empirical rate (and cross-validation z-score) upward.
-    SimFaultWindow {
-        /// The configured fault window, in milliseconds.
-        window_millis: u64,
-        /// The configured horizon it exceeds, in milliseconds.
-        horizon_millis: u64,
-    },
     /// The epistemic budget asks for zero posterior draws — a second-order
     /// analysis with no draws has no posterior to summarize.
     EpistemicDraws,
@@ -649,29 +510,9 @@ pub enum InvalidBudget {
 impl std::fmt::Display for InvalidBudget {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            InvalidBudget::RareEventTilt(v) => write!(
-                f,
-                "rare_event_tilt must be 0 (adaptive) or a finite value >= 1, got {v}"
-            ),
-            InvalidBudget::MinEffectiveSamples(v) => write!(
-                f,
-                "min_effective_samples must be a positive finite number, got {v}"
-            ),
             InvalidBudget::RareEventThreshold(v) => write!(
                 f,
                 "rare_event_threshold must lie strictly inside (0, 1), got {v}"
-            ),
-            InvalidBudget::SimHorizon => {
-                write!(f, "sim.horizon_millis must be positive")
-            }
-            InvalidBudget::SimFaultWindow {
-                window_millis,
-                horizon_millis,
-            } => write!(
-                f,
-                "sim.fault_window_millis ({window_millis}) must not exceed \
-                 sim.horizon_millis ({horizon_millis}): later faults would silently \
-                 never be applied"
             ),
             InvalidBudget::EpistemicDraws => {
                 write!(f, "epistemic.draws must be positive (got 0)")
@@ -841,15 +682,12 @@ impl AnalysisEngine for EnumerationEngine {
         &self,
         _model: &dyn ProtocolModel,
         scenario: Scenario<'_>,
-        budget: &Budget,
+        _budget: &Budget,
         _scratch: &GroupScratch,
     ) -> bool {
         // Admissibility is the enumeration module's own rule, so the selector can
         // never route a deployment there that the module would reject.
-        scenario.is_independent()
-            && crate::enumeration::enumeration_supported(scenario.profiles())
-            && crate::enumeration::enumeration_config_count(scenario.profiles())
-                <= budget.max_enumeration_configs
+        scenario.is_independent() && crate::enumeration::enumeration_supported(scenario.profiles())
     }
 
     fn run_prepared(
@@ -1085,26 +923,27 @@ mod tests {
     }
 
     #[test]
-    fn oversized_budget_still_respects_enumeration_hard_caps() {
-        // A budget large enough to "afford" 2^25 configurations must not route a
-        // 25-node deployment to enumeration — the module itself caps binary
-        // enumeration at 24 nodes, so the selector has to fall back to sampling.
-        let model = RequiresNodeZero { n: 25 };
-        let deployment = Deployment::uniform_crash(25, 0.05);
-        let roomy = Budget::default().with_max_enumeration_configs(1 << 26);
-        assert_eq!(
-            selected(&model, Scenario::from(&deployment), &roomy),
-            EngineChoice::MonteCarlo
-        );
-        // The ternary cap is tighter (15 nodes): 16 mixed-mode nodes must fall back
-        // even under an unbounded budget.
-        let mixed = Deployment::uniform_mixed(16, 0.05, 0.01);
-        let model16 = RequiresNodeZero { n: 16 };
-        let huge = Budget::default().with_max_enumeration_configs(u64::MAX);
-        assert_eq!(
-            selected(&model16, Scenario::from(&mixed), &huge),
-            EngineChoice::MonteCarlo
-        );
+    fn one_enumeration_limit_covers_binary_and_ternary_deployments() {
+        // Selection only: 2^20 and 3^12 configurations are within the one limit,
+        // 2^21 and 3^13 are past it, so the selector falls back to sampling.
+        for (n, mixed, expected) in [
+            (20, false, EngineChoice::Enumeration),
+            (21, false, EngineChoice::MonteCarlo),
+            (12, true, EngineChoice::Enumeration),
+            (13, true, EngineChoice::MonteCarlo),
+        ] {
+            let model = RequiresNodeZero { n };
+            let deployment = if mixed {
+                Deployment::uniform_mixed(n, 0.05, 0.01)
+            } else {
+                Deployment::uniform_crash(n, 0.05)
+            };
+            assert_eq!(
+                selected(&model, Scenario::from(&deployment), &Budget::default()),
+                expected,
+                "N = {n}, mixed = {mixed}"
+            );
+        }
     }
 
     #[test]
@@ -1127,22 +966,6 @@ mod tests {
                 &Budget::default().with_max_counting_nodes(5_000)
             ),
             EngineChoice::Counting
-        );
-    }
-
-    #[test]
-    fn budget_shrinks_enumeration_reach() {
-        let model = RequiresNodeZero { n: 10 };
-        let deployment = Deployment::uniform_crash(10, 0.05);
-        let tight = Budget::default().with_max_enumeration_configs(512);
-        assert_eq!(
-            selected(&model, Scenario::from(&deployment), &tight),
-            EngineChoice::MonteCarlo
-        );
-        let roomy = Budget::default().with_max_enumeration_configs(1 << 10);
-        assert_eq!(
-            selected(&model, Scenario::from(&deployment), &roomy),
-            EngineChoice::Enumeration
         );
     }
 
@@ -1217,7 +1040,7 @@ mod tests {
 
     #[test]
     fn importance_sampling_outcome_carries_weighted_estimate() {
-        // 24 binary nodes put 2^24 configurations past the enumeration budget, so
+        // 24 binary nodes put 2^24 configurations past the enumeration limit, so
         // the selector has to sample — and P[loss] ≈ 6.3e-6 is pilot-invisible.
         let model = crate::durability::PersistenceQuorumModel::new(24, (0..4).collect());
         let deployment = Deployment::uniform_crash(24, 0.05);

@@ -35,12 +35,11 @@ impl RawReliability {
     }
 }
 
-/// The hard ceiling on nodes for exhaustive enumeration (3^20 ≈ 3.5e9 would already be
-/// too slow; 2^20 is fine, so the bound depends on the deployment's failure modes).
-/// Admissibility is exposed via [`enumeration_supported`] so the engine auto-selector
-/// and this module cannot drift.
-const MAX_BINARY_NODES: usize = 24;
-const MAX_TERNARY_NODES: usize = 15;
+/// The one limit on exhaustive enumeration: at most 2^20 failure configurations —
+/// 20 binary nodes or 12 ternary ones, the paper-scale clusters. Admissibility is
+/// exposed via [`enumeration_supported`] so the engine auto-selector and this module
+/// cannot drift.
+pub const MAX_ENUMERATION_CONFIGS: u64 = 1 << 20;
 
 /// The per-node failure modes enumeration considers for these profiles. Shared by
 /// [`enumerate_reliability`], [`enumeration_supported`] and
@@ -71,12 +70,7 @@ pub fn enumeration_config_count(profiles: &[fault_model::mode::FaultProfile]) ->
 /// Whether [`enumerate_reliability`] accepts these profiles without panicking — the
 /// module's own admissibility rule, for the engine auto-selector.
 pub fn enumeration_supported(profiles: &[fault_model::mode::FaultProfile]) -> bool {
-    let cap = if active_modes(profiles).len() == 3 {
-        MAX_TERNARY_NODES
-    } else {
-        MAX_BINARY_NODES
-    };
-    profiles.len() <= cap
+    enumeration_config_count(profiles) <= MAX_ENUMERATION_CONFIGS
 }
 
 /// Exhaustively enumerates failure configurations and returns the exact safety/liveness
@@ -99,13 +93,8 @@ pub fn enumerate_reliability<M: ProtocolModel + ?Sized>(
     let modes = active_modes(deployment.profiles());
     assert!(
         enumeration_supported(deployment.profiles()),
-        "{}-mode enumeration limited to {} nodes, got {n}",
-        modes.len(),
-        if modes.len() == 3 {
-            MAX_TERNARY_NODES
-        } else {
-            MAX_BINARY_NODES
-        }
+        "enumeration limited to {MAX_ENUMERATION_CONFIGS} configurations, got {}^{n}",
+        modes.len()
     );
 
     let mut p_safe = 0.0;

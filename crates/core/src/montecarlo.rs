@@ -21,8 +21,9 @@
 //!   the scalar kernel's, so the two agree statistically, not bit-for-bit.
 //!
 //! [`McKernel`] names the request (`Auto`: packed when the model supports counting,
-//! scalar otherwise; or a pinned kernel), exposed to callers through
-//! [`Budget::mc_kernel`](crate::engine::Budget).
+//! scalar otherwise; or a pinned kernel). The engines and the sweep scheduler
+//! always ask for `Auto`; a kernel is pinned only through the `kernel` argument of
+//! [`monte_carlo_reliability_par_kernel`], for benchmarks and cross-kernel tests.
 //!
 //! # One sampler, one entry
 //!
@@ -305,10 +306,11 @@ fn chunk_rng(seed: u64, index: usize) -> StdRng {
 
 /// Which sampling kernel the parallel Monte Carlo engine runs.
 ///
-/// The default (`Auto`) uses the bit-sliced packed kernel whenever the model is a
-/// [`CountingModel`] and the scalar kernel otherwise.
-/// Pinning a kernel is for benchmarks and cross-kernel agreement tests; results of
-/// the two kernels agree statistically but come from different RNG streams.
+/// The default (`Auto`, what every engine runs) uses the bit-sliced packed kernel
+/// whenever the model is a [`CountingModel`] and the scalar kernel otherwise.
+/// Pinning a kernel ([`monte_carlo_reliability_par_kernel`]) is for benchmarks and
+/// cross-kernel agreement tests; results of the two kernels agree statistically but
+/// come from different RNG streams.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum McKernel {
     /// Packed for counting models, scalar for everything else.
@@ -382,7 +384,7 @@ impl<'a> McSampler<'a, dyn ProtocolModel + 'a> {
         scratch: &'a GroupScratch,
     ) -> Self {
         let target = scratch.target(scenario);
-        let packed = packed_view(model, budget.mc_kernel)
+        let packed = packed_view(model, McKernel::Auto)
             .map(|counting| scratch.packed_kernel(|| PackedKernel::new(counting, target)));
         Self::new(
             model,

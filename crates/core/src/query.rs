@@ -1060,10 +1060,9 @@ impl Query {
     /// empirical safe-and-live frequency and the analytic-vs-empirical z-score.
     /// Cells without an executable counterpart stay analytic-only.
     ///
-    /// The trial count — like every other simulation knob (horizon, fault window,
-    /// workload) — comes from the budget's [`SimBudget`](crate::engine::SimBudget)
-    /// (`Budget::with_sim` / [`Budget::with_sim_trials`](crate::engine::Budget::with_sim_trials)),
-    /// so there is exactly one place to tune it.
+    /// The trial count comes from the budget's [`SimBudget`](crate::engine::SimBudget)
+    /// ([`Budget::with_sim_trials`](crate::engine::Budget::with_sim_trials)), so
+    /// there is exactly one place to tune it.
     pub fn validate_with_simulation(mut self) -> Self {
         self.validation = true;
         self
@@ -1127,7 +1126,7 @@ const EPISTEMIC_KEY_TAG: u64 = 2;
 /// inside the namespace: the screening tier's converted correlation model and
 /// compiled kernel are reused by the importance-sampling re-score, and the
 /// re-score's learned proposal is reused by later searches of the same space
-/// (proposals are keyed by seed and tilt inside the group). Pinned by the
+/// (proposals are keyed by seed inside the group). Pinned by the
 /// cache-aliasing regression tests in [`crate::optimize`].
 pub(crate) const OPTIMIZER_KEY_TAG: u64 = 3;
 
@@ -1235,33 +1234,25 @@ pub struct AnalysisSession {
 
 impl Default for AnalysisSession {
     fn default() -> Self {
-        Self::with_cache_capacity(Self::DEFAULT_CACHE_CAPACITY)
+        Self {
+            models: Mutex::new(HashMap::new()),
+            cache: SessionCache::new(Self::CACHE_CAPACITY),
+            pool: None,
+        }
     }
 }
 
 impl AnalysisSession {
-    /// Default bound on cached (model, scenario) scratch groups — a few thousand
+    /// Bound on cached (model, scenario) scratch groups — a few thousand
     /// compiled kernels and converted correlation models. Scratch is a pure
     /// cache: eviction never changes results, only costs recomputation, and
     /// plans in flight keep their own `Arc`s, so eviction cannot invalidate a
     /// planned query.
-    pub const DEFAULT_CACHE_CAPACITY: usize = 4_096;
+    pub const CACHE_CAPACITY: usize = 4_096;
 
     /// A session executing on the process-wide persistent rayon pool.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A session whose scratch cache is bounded to roughly `capacity` groups
-    /// (LRU eviction past the bound; see [`crate::cache`]). The default
-    /// ([`Self::DEFAULT_CACHE_CAPACITY`]) is right for almost everyone — tight
-    /// bounds exist for memory-constrained servers and for eviction tests.
-    pub fn with_cache_capacity(capacity: usize) -> Self {
-        Self {
-            models: Mutex::new(HashMap::new()),
-            cache: SessionCache::new(capacity),
-            pool: None,
-        }
     }
 
     /// A session whose plans and executions run with a pinned thread count
@@ -2251,7 +2242,7 @@ impl QueryPlan {
                 let nodes = cell.nodes as u64;
                 // The packed kernel retires ~64 scenarios per word pass; the
                 // scalar kernel walks every node per scenario.
-                match packed_view(cell.model.as_ref(), cell.budget.mc_kernel) {
+                match packed_view(cell.model.as_ref(), McKernel::Auto) {
                     Some(_) => (count * nodes / 64).max(1),
                     None => count * nodes,
                 }
@@ -2822,10 +2813,9 @@ mod tests {
         }
         assert_eq!(index, report.cells().len());
 
-        // The Monte Carlo corners: a pinned packed kernel on a model only the
-        // scalar kernel can evaluate (falls back, and says so) next to one it can
-        // compile; a ragged last chunk and a zero budget (saturates to one
-        // sample); one and two pool threads. The engine's own `run` (throwaway
+        // The Monte Carlo corners: a model only the scalar kernel can evaluate
+        // next to one the packed kernel compiles; a ragged last chunk and a zero
+        // budget (saturates to one sample); one and two pool threads. The engine's own `run` (throwaway
         // scratch), the planned cell run whole on its shared scratch, and the
         // scheduler's merged chunk items must agree bit for bit.
         let (placement, placement_deployment) = scalar_only_cell();
@@ -2833,10 +2823,7 @@ mod tests {
             .with_group(CorrelationGroup::crash_shock((0..5).collect(), 0.01));
         for threads in [1usize, 2] {
             for samples in [0usize, MC_CHUNK_SIZE + 1] {
-                let budget = Budget::default()
-                    .with_samples(samples)
-                    .with_seed(7)
-                    .with_mc_kernel(McKernel::Packed);
+                let budget = Budget::default().with_samples(samples).with_seed(7);
                 let query = Query::new()
                     .cell("placement", placement.clone(), placement_deployment.clone())
                     .cell_correlated("shocked", Arc::new(RaftModel::standard(5)), shocked.clone())
@@ -2875,21 +2862,14 @@ mod tests {
     /// once for every cell that draws them alike, whole exact and
     /// importance-sampling cells, trajectory items, the validation wave) produces
     /// a report byte-identical — JSON with wall times zeroed — to a sequential
-    /// per-cell loop over the same plan, for the auto, pinned-scalar (shares only
-    /// within a protocol's group) and pinned-packed sampling kernels (the last on
-    /// a sweep that includes a cell only the scalar kernel can evaluate), over
-    /// three protocols on one scenario and sample budgets that include a ragged
-    /// last chunk and zero, at one, two and eight pool threads.
+    /// per-cell loop over the same plan, on a sweep whose packed chunks are shared
+    /// across three protocols on one scenario and whose non-counting `durability`
+    /// and `placement` cells draw scalar chunks, over sample budgets that include
+    /// a ragged last chunk and zero, at one, two and eight pool threads.
     #[test]
     fn scheduled_execution_matches_a_sequential_per_cell_loop_byte_for_byte() {
         let (placement, placement_deployment) = scalar_only_cell();
-        for (kernel, threads) in [
-            (McKernel::Auto, 2usize),
-            (McKernel::Scalar, 1),
-            (McKernel::Packed, 1),
-            (McKernel::Packed, 2),
-            (McKernel::Auto, 8),
-        ] {
+        for threads in [1usize, 2, 8] {
             let session = AnalysisSession::with_threads(threads);
             let query = Query::new()
                 .protocols([
@@ -2912,7 +2892,6 @@ mod tests {
                     Budget::default()
                         .with_samples(MC_CHUNK_SIZE + 1)
                         .with_seed(11)
-                        .with_mc_kernel(kernel)
                         .with_sim_trials(16),
                 )
                 .validate_with_simulation()
@@ -2981,8 +2960,7 @@ mod tests {
             assert_eq!(
                 scheduled.to_json(),
                 reference.to_json(),
-                "kernel {kernel:?}, {threads} threads: scheduled sweep diverged from the \
-                 per-cell loop"
+                "{threads} threads: scheduled sweep diverged from the per-cell loop"
             );
             let placement_cell = scheduled
                 .cells()
@@ -3086,22 +3064,19 @@ mod tests {
             .protocols([ProtocolSpec::Raft])
             .nodes([3usize])
             .fault_probs([0.01]);
-        let nan_tilt = Budget {
-            rare_event_tilt: f64::NAN,
+        let nan_threshold = Budget {
+            rare_event_threshold: f64::NAN,
             ..Budget::default()
         };
         let err = session
-            .plan(&base.clone().budget(nan_tilt))
-            .expect_err("NaN tilt must be rejected");
+            .plan(&base.clone().budget(nan_threshold))
+            .expect_err("NaN threshold must be rejected");
         assert!(matches!(
             err,
-            AnalysisError::InvalidBudget(crate::engine::InvalidBudget::RareEventTilt(_))
+            AnalysisError::InvalidBudget(crate::engine::InvalidBudget::RareEventThreshold(_))
         ));
-        let zero_ess = Budget {
-            min_effective_samples: 0.0,
-            ..Budget::default()
-        };
-        assert!(session.plan(&base.clone().budget(zero_ess)).is_err());
+        let no_draws = Budget::default().with_posterior(0, 2.0, 50.0);
+        assert!(session.plan(&base.clone().budget(no_draws)).is_err());
         let bad_threshold = Budget {
             rare_event_threshold: 0.0,
             ..Budget::default()
@@ -3373,7 +3348,10 @@ mod tests {
                 },
             ])
             .budget(Budget::default().with_samples(5_000));
-        let tight = AnalysisSession::with_cache_capacity(1);
+        let tight = AnalysisSession {
+            cache: SessionCache::new(1),
+            ..AnalysisSession::new()
+        };
         let first = tight.run(&query).expect("valid query");
         let second = tight.run(&query).expect("valid query");
         let reference = AnalysisSession::new().run(&query).expect("valid query");
@@ -3582,30 +3560,6 @@ mod tests {
             .fault_probs(vec![0.01; 8])
             .posterior(MAX_CELLS / 4, 2.0, 50.0);
         assert_eq!(over(drawn), "cells (posterior draws included)");
-    }
-
-    #[test]
-    fn fault_windows_past_the_horizon_are_rejected_at_plan_time() {
-        use crate::engine::SimBudget;
-        // A fault window longer than the horizon would silently drop the late
-        // faults (the simulator never processes events past the deadline),
-        // biasing every empirical rate upward.
-        let session = AnalysisSession::new();
-        let bad = Budget {
-            sim: SimBudget {
-                horizon_millis: 1_000,
-                fault_window_millis: 5_000,
-                ..SimBudget::default()
-            },
-            ..Budget::default()
-        };
-        let query = Query::new()
-            .protocols([ProtocolSpec::Raft])
-            .nodes([3usize])
-            .fault_probs([0.01])
-            .budget(bad);
-        let err = session.plan(&query).expect_err("oversized window rejected");
-        assert!(err.to_string().contains("fault_window"), "{err}");
     }
 
     #[test]
@@ -3884,7 +3838,6 @@ mod tests {
 
     #[test]
     fn validation_mode_pairs_executable_cells_with_simulation() {
-        use crate::engine::{FaultEnvironment, SimBudget};
         let session = AnalysisSession::new();
         let model: Arc<dyn ProtocolModel + Send + Sync> =
             Arc::new(PersistenceQuorumModel::new(24, (0..4).collect()));
@@ -3897,13 +3850,7 @@ mod tests {
                 Budget::default()
                     .with_samples(20_000)
                     .with_seed(5)
-                    .with_sim(SimBudget {
-                        trials: 40,
-                        horizon_millis: 2_000,
-                        fault_window_millis: 150,
-                        commands: 2,
-                        environment: FaultEnvironment::Clean,
-                    }),
+                    .with_sim_trials(40),
             )
             .validate_with_simulation();
         let report = session.run(&query).expect("well-formed query");
@@ -3942,18 +3889,11 @@ mod tests {
 
     #[test]
     fn validation_is_deterministic_across_runs_and_thread_counts() {
-        use crate::engine::{FaultEnvironment, SimBudget};
         let query = Query::new()
             .protocols([ProtocolSpec::Raft])
             .nodes([3usize])
             .fault_probs([0.15])
-            .budget(Budget::default().with_seed(9).with_sim(SimBudget {
-                trials: 24,
-                horizon_millis: 1_500,
-                fault_window_millis: 100,
-                commands: 2,
-                environment: FaultEnvironment::Clean,
-            }))
+            .budget(Budget::default().with_seed(9).with_sim_trials(24))
             .validate_with_simulation();
         let reference = AnalysisSession::with_threads(1)
             .run(&query)
@@ -3972,7 +3912,7 @@ mod tests {
 
     #[test]
     fn gray_primary_environment_cells_are_flagged_as_divergent() {
-        use crate::engine::{FaultEnvironment, SimBudget};
+        use crate::engine::FaultEnvironment;
         // The acceptance cell of the fault-environment axis: the analytic
         // engines see a near-perfect crash-only deployment, while the executable
         // cluster's pinned leader goes gray and liveness collapses. The gap must
@@ -3983,13 +3923,7 @@ mod tests {
             .nodes([5usize])
             .fault_probs([0.01])
             .fault_environments([FaultEnvironment::Clean, FaultEnvironment::GrayPrimary])
-            .budget(Budget::default().with_seed(13).with_sim(SimBudget {
-                trials: 32,
-                horizon_millis: 2_000,
-                fault_window_millis: 150,
-                commands: 2,
-                environment: FaultEnvironment::Clean,
-            }))
+            .budget(Budget::default().with_seed(13).with_sim_trials(32))
             .validate_with_simulation();
         assert_eq!(query.cell_count(), 2);
         let report = AnalysisSession::new()
@@ -4068,7 +4002,7 @@ mod tests {
 
     #[test]
     fn environment_cells_are_bit_identical_across_thread_counts() {
-        use crate::engine::{FaultEnvironment, SimBudget};
+        use crate::engine::FaultEnvironment;
         // The determinism contract survives the adversarial environments: the
         // per-trial schedules derive from the salted chunk seed, never from
         // worker identity, so a gray-primary or partition-heal sweep serializes
@@ -4081,13 +4015,7 @@ mod tests {
                 FaultEnvironment::GrayPrimary,
                 FaultEnvironment::PartitionHeal,
             ])
-            .budget(Budget::default().with_seed(29).with_sim(SimBudget {
-                trials: 16,
-                horizon_millis: 1_500,
-                fault_window_millis: 100,
-                commands: 2,
-                environment: FaultEnvironment::Clean,
-            }))
+            .budget(Budget::default().with_seed(29).with_sim_trials(16))
             .validate_with_simulation();
         let reference = AnalysisSession::with_threads(1)
             .run(&query)
@@ -4105,27 +4033,6 @@ mod tests {
                 "environment sweep diverged at {threads} threads"
             );
         }
-    }
-
-    #[test]
-    fn zero_sim_horizon_budgets_are_rejected_at_plan_time() {
-        use crate::engine::SimBudget;
-        let session = AnalysisSession::new();
-        let bad = Budget::default().with_seed(1);
-        let bad = Budget {
-            sim: SimBudget {
-                horizon_millis: 0,
-                ..SimBudget::default()
-            },
-            ..bad
-        };
-        let query = Query::new()
-            .protocols([ProtocolSpec::Raft])
-            .nodes([3usize])
-            .fault_probs([0.01])
-            .budget(bad);
-        let err = session.plan(&query).expect_err("zero horizon rejected");
-        assert!(err.to_string().contains("horizon"));
     }
 
     #[test]

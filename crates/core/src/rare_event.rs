@@ -58,11 +58,10 @@
 //! weighted-frequency update of classic cross-entropy, whose round-one weights are
 //! themselves degenerate. Smoothed across rounds, each node's proposal moves to
 //! `p_i + r_i·(cap − p_i)`: required nodes converge up toward the cap, bystanders
-//! fall back to their target probabilities — the product-form ideal proposal. An
-//! explicit scalar tilt
-//! ([`Budget::with_rare_event_tilt`](crate::engine::Budget::with_rare_event_tilt))
-//! bypasses the pilot for small clusters and for tests that need a closed-form
-//! proposal. Deep *threshold* events at huge N (say, 1,500 of 3,000 nodes down)
+//! fall back to their target probabilities — the product-form ideal proposal. The
+//! engine always learns this proposal; the closed-form [`Proposal::uniform_tilt`]
+//! is for calling [`importance_sampling_reliability_par`] directly, as the
+//! estimator's own tests do. Deep *threshold* events at huge N (say, 1,500 of 3,000 nodes down)
 //! have no good product-form proposal at all; the estimator stays honest there —
 //! wide rule-of-three intervals, flagged by the ESS/CI diagnostics — it just loses
 //! its efficiency edge.
@@ -126,6 +125,10 @@ const SELECTOR_SEED_TAG: u64 = 0x5E1E_C702;
 
 /// Seed-derivation tag of pilot round `r` (the round index is added).
 const PILOT_SEED_TAG: u64 = 0xCE00_0000;
+
+/// The effective sample size a weighted run must reach: below it the engine
+/// escalates once with a doubled sample budget before reporting.
+pub const MIN_EFFECTIVE_SAMPLES: f64 = 64.0;
 
 /// A tilted proposal distribution over failure configurations: per-node fault
 /// profiles plus per-group shock probabilities, mirroring the structure of the
@@ -544,10 +547,9 @@ pub struct RareEventReport {
 }
 
 impl RareEventReport {
-    /// Whether the effective sample size reaches the budget's floor
-    /// ([`Budget::min_effective_samples`](crate::engine::Budget::min_effective_samples)).
-    pub fn meets_min_ess(&self, min_ess: f64) -> bool {
-        self.ess >= min_ess
+    /// Whether the effective sample size reaches [`MIN_EFFECTIVE_SAMPLES`].
+    pub fn meets_min_ess(&self) -> bool {
+        self.ess >= MIN_EFFECTIVE_SAMPLES
     }
 }
 
@@ -694,9 +696,8 @@ impl AnalysisEngine for ImportanceSamplingEngine {
             }) < budget.rare_event_threshold
     }
 
-    /// The weighted main run from the group's proposal — the pinned uniform tilt
-    /// when one is set, the adaptive pilot otherwise; learned at most once per
-    /// (seed, tilt) — with the one-shot ESS escalation.
+    /// The weighted main run from the group's adaptive proposal — learned at most
+    /// once per seed — with the one-shot ESS escalation.
     fn run_prepared(
         &self,
         model: &dyn ProtocolModel,
@@ -705,12 +706,8 @@ impl AnalysisEngine for ImportanceSamplingEngine {
         scratch: &GroupScratch,
     ) -> AnalysisOutcome {
         let target = scratch.target(scenario);
-        let proposal = scratch.proposal(budget.seed, budget.rare_event_tilt, || {
-            if budget.rare_event_tilt > 0.0 {
-                Proposal::uniform_tilt(target, budget.rare_event_tilt.max(1.0))
-            } else {
-                Proposal::adaptive(model, target, budget.seed)
-            }
+        let proposal = scratch.proposal(budget.seed, || {
+            Proposal::adaptive(model, target, budget.seed)
         });
         let mut report = importance_sampling_reliability_par(
             model,
@@ -721,7 +718,7 @@ impl AnalysisEngine for ImportanceSamplingEngine {
         );
         // One escalation: if the weights collapsed below the ESS floor, spend a
         // doubled sample budget (fresh stream) before reporting.
-        if !report.meets_min_ess(budget.min_effective_samples) {
+        if !report.meets_min_ess() {
             report = importance_sampling_reliability_par(
                 model,
                 target,
@@ -856,7 +853,7 @@ mod tests {
             1.0 - report.safe.lower
         );
         assert!(loss > 0.0, "the tilted sampler must actually see the event");
-        assert!(report.meets_min_ess(Budget::default().min_effective_samples));
+        assert!(report.meets_min_ess());
     }
 
     #[test]

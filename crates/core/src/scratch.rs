@@ -3,7 +3,7 @@
 //! A [`GroupScratch`] memoizes everything expensive that is a pure function of the
 //! cell signature: the scenario converted to the samplers' form, the compiled
 //! bit-sliced kernel, the selector-pilot estimate per seed, and the
-//! importance-sampling proposal per (seed, tilt). It knows what it holds, not how
+//! importance-sampling proposal per seed. It knows what it holds, not how
 //! to compute it — each slot is filled lazily, at most once per key, by the first
 //! engine call that needs it.
 //!
@@ -40,8 +40,9 @@ pub struct GroupScratch {
     /// Selector-pilot failure estimates keyed by budget seed (the estimate is a
     /// deterministic function of (model, scenario, seed)).
     pilots: Mutex<HashMap<u64, f64>>,
-    /// Importance-sampling proposals keyed by (seed, tilt bits).
-    proposals: Mutex<HashMap<(u64, u64), Arc<Proposal>>>,
+    /// Importance-sampling proposals keyed by budget seed (the adaptive proposal
+    /// is a deterministic function of (model, scenario, seed)).
+    proposals: Mutex<HashMap<u64, Arc<Proposal>>>,
 }
 
 impl GroupScratch {
@@ -64,23 +65,17 @@ impl GroupScratch {
         estimate
     }
 
-    /// The proposal for `(seed, tilt)`; `learn` runs outside the lock, like
+    /// The proposal for `seed`; `learn` runs outside the lock, like
     /// [`pilot_estimate`](Self::pilot_estimate)'s pilot.
-    pub(crate) fn proposal(
-        &self,
-        seed: u64,
-        tilt: f64,
-        learn: impl FnOnce() -> Proposal,
-    ) -> Arc<Proposal> {
-        let key = (seed, tilt.to_bits());
-        if let Some(proposal) = self.proposals.lock().expect(POISONED).get(&key) {
+    pub(crate) fn proposal(&self, seed: u64, learn: impl FnOnce() -> Proposal) -> Arc<Proposal> {
+        if let Some(proposal) = self.proposals.lock().expect(POISONED).get(&seed) {
             return proposal.clone();
         }
         let proposal = Arc::new(learn());
         self.proposals
             .lock()
             .expect(POISONED)
-            .entry(key)
+            .entry(seed)
             .or_insert(proposal)
             .clone()
     }

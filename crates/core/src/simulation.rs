@@ -63,7 +63,7 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
 use crate::engine::{
-    AnalysisEngine, AnalysisOutcome, Budget, EngineChoice, FaultEnvironment, Scenario, SimBudget,
+    AnalysisEngine, AnalysisOutcome, Budget, EngineChoice, FaultEnvironment, Scenario,
 };
 use crate::montecarlo::Estimate;
 use crate::protocol::{ExecutableSpec, ProtocolModel};
@@ -82,6 +82,20 @@ const SIM_SEED_SALT: u64 = 0x51D0_7EAC_E5EE_D001;
 /// still commits inside a 2 s horizon, which is precisely the insidious
 /// "slow but technically working" regime; ×100,000 pins the divergence.
 pub const GRAY_SLOW_FACTOR: f64 = 100_000.0;
+
+/// Virtual time each trial runs for, in milliseconds: long enough for several
+/// election timeouts and view changes to play out after injected faults.
+const HORIZON_MILLIS: u64 = 2_500;
+
+/// Prefix of the horizon (milliseconds) within which sampled fault events land.
+/// Faults arrive early — mirroring the analysis-window semantics, where a
+/// configuration's faults are in place when its guarantees are judged — and the
+/// rest of the horizon lets elections and view changes play out.
+const FAULT_WINDOW_MILLIS: u64 = 200;
+
+/// Client commands submitted at the start of each trial — the workload whose
+/// commitment defines empirical liveness.
+const COMMANDS: usize = 3;
 
 /// Drop probability of the asymmetric link override injected by
 /// [`FaultEnvironment::WanLossy`] (one direction of the 0→1 link; the reverse
@@ -151,11 +165,11 @@ impl std::ops::Add for TrialTally {
     }
 }
 
-/// Builds the per-trial workload for an executable configuration under a budget,
-/// specialized to the budget's fault environment: the network model it implies,
-/// and — for environments that target "the primary" — a pinned leader so the
-/// targeted node is the one that actually leads.
-fn trial_spec(spec: ExecutableSpec, sim: &SimBudget) -> TrialSpec {
+/// Builds the per-trial workload for an executable configuration, specialized to
+/// the fault environment: the network model it implies, and — for environments
+/// that target "the primary" — a pinned leader so the targeted node is the one
+/// that actually leads.
+fn trial_spec(spec: ExecutableSpec, environment: FaultEnvironment) -> TrialSpec {
     let protocol = match spec {
         ExecutableSpec::Raft {
             n,
@@ -169,10 +183,10 @@ fn trial_spec(spec: ExecutableSpec, sim: &SimBudget) -> TrialSpec {
     let base = TrialSpec {
         protocol,
         network: NetworkConfig::lan(),
-        commands: sim.commands,
-        horizon_millis: sim.horizon_millis,
+        commands: COMMANDS,
+        duration_millis: HORIZON_MILLIS,
     };
-    match sim.environment {
+    match environment {
         FaultEnvironment::Clean => base,
         FaultEnvironment::GrayPrimary | FaultEnvironment::PartitionHeal => {
             base.with_pinned_leader()
@@ -189,11 +203,10 @@ fn trial_spec(spec: ExecutableSpec, sim: &SimBudget) -> TrialSpec {
 fn apply_environment(
     environment: FaultEnvironment,
     n: usize,
-    sim: &SimBudget,
     schedule: FaultSchedule,
     rng: &mut StdRng,
 ) -> FaultSchedule {
-    let window_micros = SimTime::from_millis(sim.fault_window_millis).as_micros();
+    let window_micros = SimTime::from_millis(FAULT_WINDOW_MILLIS).as_micros();
     match environment {
         FaultEnvironment::Clean => schedule,
         FaultEnvironment::GrayPrimary => {
@@ -207,7 +220,7 @@ fn apply_environment(
             // horizon (never before the partition starts): the empirical question
             // is whether the remaining half-horizon is enough to recover.
             let at = SimTime::from_micros(rng.gen_range(0..=window_micros));
-            let heal = SimTime::from_millis(sim.horizon_millis / 2).max(at);
+            let heal = SimTime::from_millis(HORIZON_MILLIS / 2).max(at);
             let minority: Vec<usize> = (0..n / 2).collect();
             let majority: Vec<usize> = (n / 2..n).collect();
             schedule
@@ -229,11 +242,11 @@ fn apply_environment(
 /// [`SimulationEngine::run`], exposed for benches and tests that want the report
 /// without the [`AnalysisOutcome`] wrapper.
 ///
-/// Fault schedules are sampled over the first [`SimBudget::fault_window_millis`]
-/// of virtual time — mirroring the mission-window semantics of the analysis layer,
+/// Fault schedules are sampled over the first `FAULT_WINDOW_MILLIS` (200 ms) of
+/// virtual time — mirroring the mission-window semantics of the analysis layer,
 /// where a configuration's faults are in place when its liveness is judged — and
-/// each trial then runs for the full horizon, giving elections and view changes
-/// time to play out.
+/// each trial then runs for the full `HORIZON_MILLIS` (2.5 s) horizon, giving
+/// elections and view changes time to play out.
 ///
 /// # Panics
 ///
@@ -255,9 +268,9 @@ pub fn simulate_reliability(
         "model and scenario disagree on the cluster size"
     );
     let target = scenario.to_correlation_model();
-    let workload = trial_spec(spec, &budget.sim);
+    let workload = trial_spec(spec, budget.sim.environment);
     let trials = budget.sim.trials.max(1);
-    let fault_window = SimTime::from_millis(budget.sim.fault_window_millis);
+    let fault_window = SimTime::from_millis(FAULT_WINDOW_MILLIS);
     let tally = (0..trials)
         .into_par_iter()
         .map(|index| {
@@ -266,13 +279,8 @@ pub fn simulate_reliability(
                 index as u64,
             ));
             let schedule = FaultSchedule::sample_from_correlation(&target, fault_window, &mut rng);
-            let schedule = apply_environment(
-                budget.sim.environment,
-                spec.num_nodes(),
-                &budget.sim,
-                schedule,
-                &mut rng,
-            );
+            let schedule =
+                apply_environment(budget.sim.environment, spec.num_nodes(), schedule, &mut rng);
             let sim_seed: u64 = rng.gen();
             let trial = run_trial(&workload, &schedule, sim_seed);
             TrialTally {
@@ -360,13 +368,7 @@ mod tests {
     use fault_model::mode::FaultProfile;
 
     fn quick_budget(trials: usize) -> Budget {
-        Budget::default().with_seed(11).with_sim(SimBudget {
-            trials,
-            horizon_millis: 2_000,
-            fault_window_millis: 150,
-            commands: 2,
-            environment: FaultEnvironment::Clean,
-        })
+        Budget::default().with_seed(11).with_sim_trials(trials)
     }
 
     #[test]
@@ -400,7 +402,7 @@ mod tests {
         assert_eq!(report.trials, 8);
         assert_eq!(report.safe_and_live.value, 1.0);
         assert_eq!(report.total_faults_injected, 0);
-        assert_eq!(report.mean_decided_commands, 2.0);
+        assert_eq!(report.mean_decided_commands, COMMANDS as f64);
         assert!(report.mean_messages_delivered > 0.0);
     }
 
@@ -423,13 +425,7 @@ mod tests {
     fn zero_trial_budget_saturates_to_one_trial() {
         let model = RaftModel::standard(3);
         let deployment = Deployment::uniform_crash(3, 0.1);
-        let budget = Budget::default().with_seed(3).with_sim(SimBudget {
-            trials: 0,
-            horizon_millis: 1_000,
-            fault_window_millis: 100,
-            commands: 1,
-            environment: FaultEnvironment::Clean,
-        });
+        let budget = Budget::default().with_seed(3).with_sim_trials(0);
         let report = simulate_reliability(&model, Scenario::Independent(&deployment), &budget);
         assert_eq!(report.trials, 1);
         for e in [report.safe, report.live, report.safe_and_live] {

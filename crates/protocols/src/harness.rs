@@ -159,28 +159,28 @@ pub struct TrialSpec {
     /// Number of client commands submitted at the start of the trial.
     pub commands: usize,
     /// Virtual time the trial runs for, in milliseconds.
-    pub horizon_millis: u64,
+    pub duration_millis: u64,
 }
 
 impl TrialSpec {
     /// A standard-quorum Raft trial over a LAN: `commands` client commands with
-    /// `horizon_millis` of virtual time to commit them.
-    pub fn raft(n: usize, commands: usize, horizon_millis: u64) -> Self {
+    /// `duration_millis` of virtual time to commit them.
+    pub fn raft(n: usize, commands: usize, duration_millis: u64) -> Self {
         Self {
             protocol: TrialProtocol::Raft(RaftConfig::standard(n)),
             network: NetworkConfig::lan(),
             commands,
-            horizon_millis,
+            duration_millis,
         }
     }
 
     /// A standard PBFT trial over a LAN.
-    pub fn pbft(n: usize, commands: usize, horizon_millis: u64) -> Self {
+    pub fn pbft(n: usize, commands: usize, duration_millis: u64) -> Self {
         Self {
             protocol: TrialProtocol::Pbft(PbftConfig::standard(n)),
             network: NetworkConfig::lan(),
             commands,
-            horizon_millis,
+            duration_millis,
         }
     }
 
@@ -240,7 +240,7 @@ pub fn run_trial(spec: &TrialSpec, schedule: &FaultSchedule, seed: u64) -> Trial
             let mut harness = RaftHarness::with_config(config.clone(), spec.network.clone(), seed)
                 .with_faults(schedule);
             harness.submit_commands(spec.commands);
-            let outcome = harness.run_for_millis(spec.horizon_millis);
+            let outcome = harness.run_for_millis(spec.duration_millis);
             let leader_changes = outcome
                 .correct_nodes
                 .iter()
@@ -265,7 +265,7 @@ pub fn run_trial(spec: &TrialSpec, schedule: &FaultSchedule, seed: u64) -> Trial
             )
             .with_faults(schedule);
             harness.submit_commands(spec.commands);
-            let outcome = harness.run_for_millis(spec.horizon_millis);
+            let outcome = harness.run_for_millis(spec.duration_millis);
             let leader_changes = outcome
                 .correct_nodes
                 .iter()
@@ -658,7 +658,7 @@ mod tests {
             protocol: TrialProtocol::Raft(config),
             network: NetworkConfig::lan(),
             commands: 3,
-            horizon_millis: 5_000,
+            duration_millis: 5_000,
         };
         let schedule = FaultSchedule::none().crash_at(0, SimTime::from_millis(1_000));
         let displaced = run_trial(&spec, &schedule, 12);

@@ -594,16 +594,26 @@ fn correlation(value: &JsonValue) -> Result<CorrelationSpec, String> {
     }
 }
 
+/// One `fault_probs` value, which must be a probability: past the reader, it
+/// reaches the fault-profile constructors' asserts.
+fn fault_prob(p: f64) -> Result<f64, String> {
+    if PROBABILITY.contains(&p) {
+        return Ok(p);
+    }
+    let range = Problem::Range("fault_probs", p, PROBABILITY, <f64 as Wire>::NAME[0]);
+    Err(wrong("query", range))
+}
+
 fn fault_probs(value: &JsonValue) -> Result<Vec<f64>, String> {
     const EXPECTED: &str = r#"an array of numbers or {"logspace":{"lo":..,"hi":..,"count":..}}"#;
     if value.as_array().is_some() {
-        return entries("query", "fault_probs", value, Ok);
+        return entries("query", "fault_probs", value, fault_prob);
     }
     match tag(value, "fault_probs", EXPECTED)? {
         // Built while the request is read, so its length is bounded here.
         ("logspace", Some(body)) => read_object(body, "logspace", |f| {
             let lo = f.within("lo", POSITIVE)?;
-            let hi = f.within("hi", lo..=f64::MAX)?;
+            let hi = fault_prob(f.within("hi", lo..=f64::MAX)?)?;
             Ok(logspace(
                 lo,
                 hi,
@@ -1861,6 +1871,24 @@ mod tests {
             ),
             "'count' must be a non-negative integer in [1, 4096]",
         );
+    }
+
+    #[test]
+    fn fault_probs_outside_the_unit_interval_are_reader_errors() {
+        // Each of these reached the fault-profile constructor's assert inside
+        // `plan`, which answered only because the panic unwound.
+        for fault_probs in [
+            "[1.5]",
+            "[-0.5]",
+            r#"{"logspace":{"lo":0.5,"hi":4,"count":3}}"#,
+        ] {
+            rejected_then_served(
+                &bad_query(&format!(
+                    r#"{{"protocols":["raft"],"nodes":[3],"fault_probs":{fault_probs}}}"#
+                )),
+                "query: 'fault_probs' must be a probability in [0, 1]",
+            );
+        }
     }
 
     #[test]

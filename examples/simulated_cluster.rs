@@ -19,7 +19,7 @@ use consensus_sim::network::NetworkConfig;
 use consensus_sim::time::SimTime;
 use fault_model::mode::FaultProfile;
 use prob_consensus::deployment::Deployment;
-use prob_consensus::engine::{Budget, SimBudget};
+use prob_consensus::engine::Budget;
 use prob_consensus::protocol::ProtocolModel;
 use prob_consensus::query::{AnalysisSession, ProtocolSpec, Query};
 use prob_consensus::raft_model::RaftModel;
@@ -115,13 +115,7 @@ fn main() {
                 .protocols([ProtocolSpec::Raft])
                 .nodes([3usize, 5])
                 .fault_probs([0.15])
-                .budget(Budget::default().with_seed(17).with_sim(SimBudget {
-                    trials: 80,
-                    horizon_millis: 2_500,
-                    fault_window_millis: 200,
-                    commands: 3,
-                    ..SimBudget::default()
-                }))
+                .budget(Budget::default().with_seed(17).with_sim_trials(80))
                 .validate_with_simulation(),
         )
         .expect("well-formed validated sweep");

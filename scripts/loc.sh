@@ -5,7 +5,8 @@
 set -eu
 cd "$(dirname "$0")/.."
 for pair in loc_core:crates/core/src loc_server:crates/server/src loc_bench:crates/bench/src \
-    loc_quorum:crates/quorum/src; do
+    loc_quorum:crates/quorum/src loc_fault_model:crates/fault-model/src loc_sim:crates/sim/src \
+    loc_protocols:crates/protocols/src; do
     name=${pair%%:*}
     dir=${pair#*:}
     find "$dir" -name '*.rs' -exec awk '/^[[:space:]]*#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n + 0 }' {} + |

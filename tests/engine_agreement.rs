@@ -18,6 +18,7 @@ use prob_consensus::packed::PackedKernel;
 use prob_consensus::pbft_model::PbftModel;
 use prob_consensus::protocol::{CountingModel, ProtocolModel};
 use prob_consensus::raft_model::RaftModel;
+use prob_consensus::rare_event::{importance_sampling_reliability_par, Proposal};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -139,11 +140,7 @@ fn engines_agree_on_flexible_quorum_configurations() {
 /// LUT plan (mixed crash/Byzantine).
 #[test]
 fn packed_and_scalar_kernels_agree_on_the_grid() {
-    let scalar_budget = Budget::default()
-        .with_samples(60_000)
-        .with_seed(GRID_SEED)
-        .with_mc_kernel(McKernel::Scalar);
-    let packed_budget = scalar_budget.with_mc_kernel(McKernel::Packed);
+    let budget = Budget::default();
     let mut checked = 0usize;
     for n in [3usize, 5, 7, 9] {
         for p in [0.01, 0.08, 0.25] {
@@ -155,12 +152,12 @@ fn packed_and_scalar_kernels_agree_on_the_grid() {
                 (&raft as &dyn ProtocolModel, &crash),
                 (&pbft as &dyn ProtocolModel, &mixed),
             ] {
-                let scenario = Scenario::Independent(deployment);
-                let exact = CountingEngine.run(model, scenario, &scalar_budget);
-                let scalar = MonteCarloEngine.run(model, scenario, &scalar_budget);
-                let packed = MonteCarloEngine.run(model, scenario, &packed_budget);
-                let scalar_mc = scalar.monte_carlo.expect("scalar estimate");
-                let packed_mc = packed.monte_carlo.expect("packed estimate");
+                let exact = CountingEngine.run(model, Scenario::Independent(deployment), &budget);
+                let target = CorrelationModel::independent(deployment.profiles().to_vec());
+                let sample = |kernel| {
+                    monte_carlo_reliability_par_kernel(model, &target, 60_000, GRID_SEED, kernel)
+                };
+                let (scalar_mc, packed_mc) = (sample(McKernel::Scalar), sample(McKernel::Packed));
                 let context = format!("{} N={n} p={p}", model.name());
                 // The reports name the kernel that actually ran: this comparison is
                 // only meaningful if it is not scalar-vs-scalar by silent fallback.
@@ -232,15 +229,9 @@ fn packed_kernel_handles_ragged_sample_counts() {
     assert_ne!(samples % 64, 0);
     assert_ne!(samples % MC_CHUNK_SIZE, 0);
     let exact = CountingEngine.run(&model, scenario, &Budget::default());
+    let target = CorrelationModel::independent(deployment.profiles().to_vec());
     for kernel in [McKernel::Scalar, McKernel::Packed] {
-        let budget = Budget::default()
-            .with_samples(samples)
-            .with_seed(GRID_SEED)
-            .with_mc_kernel(kernel);
-        let mc = MonteCarloEngine
-            .run(&model, scenario, &budget)
-            .monte_carlo
-            .expect("estimate");
+        let mc = monte_carlo_reliability_par_kernel(&model, &target, samples, GRID_SEED, kernel);
         assert_eq!(mc.samples, samples, "{kernel:?} must draw the full budget");
         assert!(
             mc.live.contains(exact.report.live.probability()),
@@ -300,10 +291,13 @@ fn packed_kernel_is_bit_identical_across_thread_counts() {
     .with_group(CorrelationGroup::crash_shock(vec![2, 3, 4, 5], 0.02));
     let budget = Budget::default()
         .with_samples(3 * MC_CHUNK_SIZE + 21)
-        .with_seed(GRID_SEED)
-        .with_mc_kernel(McKernel::Packed);
+        .with_seed(GRID_SEED);
     let scenario = Scenario::Correlated(&failure_model);
     let reference = MonteCarloEngine.run(&model, scenario, &budget);
+    assert_eq!(
+        reference.monte_carlo.map(|mc| mc.kernel),
+        Some(McKernel::Packed)
+    );
     for threads in [1usize, 2, 3, 8] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
@@ -346,23 +340,23 @@ fn parallel_monte_carlo_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// Importance sampling is the fourth independent implementation: pinned with a
-/// uniform tilt on small deployments, it must agree with exact counting within its
-/// reported confidence intervals.
+/// Importance sampling is the fourth independent implementation: from the
+/// closed-form uniform tilt on small deployments, the weighted estimator must agree
+/// with exact counting within its reported confidence intervals.
 #[test]
 fn importance_sampling_agrees_with_exact_engines_on_small_grids() {
-    let budget = Budget::default()
-        .with_samples(60_000)
-        .with_seed(2025)
-        .with_rare_event_tilt(4.0);
+    let budget = Budget::default();
+    let tilted = |model: &dyn ProtocolModel, deployment: &Deployment| {
+        let target = CorrelationModel::independent(deployment.profiles().to_vec());
+        let proposal = Proposal::uniform_tilt(&target, 4.0);
+        importance_sampling_reliability_par(model, &target, &proposal, 60_000, 2025)
+    };
     for n in [3usize, 5] {
         for p in [0.01, 0.05] {
             let model = RaftModel::standard(n);
             let deployment = Deployment::uniform_crash(n, p);
-            let scenario = Scenario::Independent(&deployment);
-            let exact = CountingEngine.run(&model, scenario, &budget);
-            let tilted = ImportanceSamplingEngine.run(&model, scenario, &budget);
-            let report = tilted.rare_event.expect("weighted estimate attached");
+            let exact = CountingEngine.run(&model, Scenario::Independent(&deployment), &budget);
+            let report = tilted(&model, &deployment);
             for (estimate, truth, what) in [
                 (report.safe, exact.report.safe.probability(), "safe"),
                 (report.live, exact.report.live.probability(), "live"),
@@ -384,12 +378,8 @@ fn importance_sampling_agrees_with_exact_engines_on_small_grids() {
     // PBFT safety under Byzantine faults — a genuinely two-sided guarantee.
     let model = PbftModel::standard(4);
     let deployment = Deployment::uniform_byzantine(4, 0.02);
-    let scenario = Scenario::Independent(&deployment);
-    let exact = CountingEngine.run(&model, scenario, &budget);
-    let report = ImportanceSamplingEngine
-        .run(&model, scenario, &budget)
-        .rare_event
-        .expect("weighted estimate attached");
+    let exact = CountingEngine.run(&model, Scenario::Independent(&deployment), &budget);
+    let report = tilted(&model, &deployment);
     assert!(report.safe.contains(exact.report.safe.probability()));
 }
 
@@ -567,20 +557,13 @@ fn query_plan_execute_matches_per_cell_loop_bit_for_bit() {
 /// from the trial index, and the verdict tallies are integers).
 #[test]
 fn simulation_engine_is_bit_identical_across_thread_counts() {
-    use prob_consensus::engine::SimBudget;
     use prob_consensus::simulation::SimulationEngine;
     let model = RaftModel::standard(3);
     let profiles = vec![FaultProfile::crash_only(0.15); 3];
     // A correlated scenario, so the schedule sampler's shock path is exercised.
     let failure_model = CorrelationModel::independent(profiles)
         .with_group(CorrelationGroup::crash_shock((0..3).collect(), 0.1));
-    let budget = Budget::default().with_seed(GRID_SEED).with_sim(SimBudget {
-        trials: 24,
-        horizon_millis: 1_500,
-        fault_window_millis: 100,
-        commands: 2,
-        ..SimBudget::default()
-    });
+    let budget = Budget::default().with_seed(GRID_SEED).with_sim_trials(24);
     let scenario = Scenario::Correlated(&failure_model);
     let reference = SimulationEngine.run(&model, scenario, &budget);
     assert!(reference.simulation.is_some());
@@ -605,15 +588,8 @@ fn simulation_engine_is_bit_identical_across_thread_counts() {
 /// validation mode exists to surface — so this pins that it does not.)
 #[test]
 fn simulated_frequencies_agree_with_the_counting_engine() {
-    use prob_consensus::engine::SimBudget;
     use prob_consensus::simulation::SimulationEngine;
-    let budget = Budget::default().with_seed(GRID_SEED).with_sim(SimBudget {
-        trials: 60,
-        horizon_millis: 2_000,
-        fault_window_millis: 100,
-        commands: 2,
-        ..SimBudget::default()
-    });
+    let budget = Budget::default().with_seed(GRID_SEED).with_sim_trials(60);
     for n in [3usize, 5] {
         for p in [0.1, 0.25] {
             let model = RaftModel::standard(n);

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use prob_consensus::analyzer::AnalysisError;
 use prob_consensus::deployment::Deployment;
 use prob_consensus::durability::PersistenceQuorumModel;
-use prob_consensus::engine::{Budget, EngineChoice, InvalidBudget};
+use prob_consensus::engine::{Budget, EngineChoice, EpistemicBudget, InvalidBudget};
 use prob_consensus::json::JsonValue;
 use prob_consensus::protocol::ProtocolModel;
 use prob_consensus::query::{
@@ -133,18 +133,16 @@ fn budget_builders_produce_plannable_budgets() {
     // Interior builder values pass the plan-time validator.
     for budget in [
         Budget::default(),
-        Budget::default().with_rare_event_tilt(0.0),
-        Budget::default().with_rare_event_tilt(12.5),
-        Budget::default().with_min_effective_samples(1.0),
         Budget::default().with_rare_event_threshold(0.5),
         Budget::default().with_samples(0),
+        Budget::default().with_posterior(8, 2.0, 50.0),
     ] {
         assert_eq!(budget.validate(), Ok(()), "{budget:?}");
     }
-    // The builders' closed boundaries are engine-layer conveniences (threshold 0
-    // disables the rare-event engine, 1 always prefers it; ESS floor 0 disables
-    // escalation) that the stricter plan-time validator deliberately rejects —
-    // the divergence is documented on the builders.
+    // The builder's closed boundaries are engine-layer conveniences (threshold 0
+    // disables the rare-event engine, 1 always prefers it) that the stricter
+    // plan-time validator deliberately rejects — the divergence is documented on
+    // the builder.
     assert!(Budget::default()
         .with_rare_event_threshold(0.0)
         .validate()
@@ -153,40 +151,29 @@ fn budget_builders_produce_plannable_budgets() {
         .with_rare_event_threshold(1.0)
         .validate()
         .is_err());
-    assert!(Budget::default()
-        .with_min_effective_samples(0.0)
-        .validate()
-        .is_err());
 }
 
 proptest::proptest! {
-    /// Property: `validate` accepts exactly the documented region — tilt 0 or a
-    /// finite value ≥ 1, a positive finite ESS floor, a threshold strictly inside
-    /// (0, 1) — over a wide sampled space of knob values.
+    /// Property: `validate` accepts exactly the documented region — a threshold
+    /// strictly inside (0, 1), a credible level strictly inside (0, 1) — over a
+    /// wide sampled space of knob values.
     #[test]
     fn budget_validator_accepts_exactly_the_documented_region(
-        tilt in -2.0f64..50.0,
-        ess in -10.0f64..1e6,
         threshold in -0.5f64..1.5,
+        level in -0.5f64..1.5,
     ) {
         let budget = Budget {
-            rare_event_tilt: tilt,
-            min_effective_samples: ess,
             rare_event_threshold: threshold,
+            epistemic: Some(EpistemicBudget::new(8, 2.0, 50.0).with_level(level)),
             ..Budget::default()
         };
-        let expected_ok = (tilt == 0.0 || tilt >= 1.0)
-            && ess > 0.0
-            && threshold > 0.0
-            && threshold < 1.0;
+        let expected_ok = threshold > 0.0 && threshold < 1.0 && level > 0.0 && level < 1.0;
         proptest::prop_assert_eq!(budget.validate().is_ok(), expected_ok);
         // The error always names the offending knob and value.
         if let Err(invalid) = budget.validate() {
             let message = invalid.to_string();
             proptest::prop_assert!(
-                message.contains("rare_event_tilt")
-                    || message.contains("min_effective_samples")
-                    || message.contains("rare_event_threshold")
+                message.contains("rare_event_threshold") || message.contains("epistemic.level")
             );
         }
     }
@@ -196,16 +183,18 @@ proptest::proptest! {
     fn budget_validator_rejects_non_finite_knobs(which in 0usize..3, sign in 0usize..2) {
         let bad = if sign == 0 { f64::NAN } else { f64::INFINITY };
         let mut budget = Budget::default();
+        let mut epistemic = EpistemicBudget::new(8, 2.0, 50.0);
         match which {
-            0 => budget.rare_event_tilt = bad,
-            1 => budget.min_effective_samples = bad,
-            _ => budget.rare_event_threshold = bad,
+            0 => budget.rare_event_threshold = bad,
+            1 => epistemic.alpha = bad,
+            _ => epistemic.level = bad,
         }
+        budget.epistemic = Some(epistemic);
         let err = budget.validate().expect_err("non-finite knobs are invalid");
         let expected = match which {
-            0 => matches!(err, InvalidBudget::RareEventTilt(_)),
-            1 => matches!(err, InvalidBudget::MinEffectiveSamples(_)),
-            _ => matches!(err, InvalidBudget::RareEventThreshold(_)),
+            0 => matches!(err, InvalidBudget::RareEventThreshold(_)),
+            1 => matches!(err, InvalidBudget::EpistemicHyperparameters { .. }),
+            _ => matches!(err, InvalidBudget::EpistemicLevel(_)),
         };
         proptest::prop_assert!(expected, "wrong variant: {err:?}");
     }
@@ -215,7 +204,7 @@ proptest::proptest! {
 fn invalid_budget_surfaces_through_the_session_front_door() {
     let session = AnalysisSession::new();
     let budget = Budget {
-        rare_event_tilt: -3.0,
+        rare_event_threshold: -3.0,
         ..Budget::default()
     };
     let err = session
@@ -226,12 +215,12 @@ fn invalid_budget_surfaces_through_the_session_front_door() {
                 .fault_probs([0.01])
                 .budget(budget),
         )
-        .expect_err("negative tilt must not plan");
+        .expect_err("negative threshold must not plan");
     assert!(matches!(
         err,
-        AnalysisError::InvalidBudget(InvalidBudget::RareEventTilt(t)) if t == -3.0
+        AnalysisError::InvalidBudget(InvalidBudget::RareEventThreshold(t)) if t == -3.0
     ));
-    assert!(err.to_string().contains("rare_event_tilt"));
+    assert!(err.to_string().contains("rare_event_threshold"));
 }
 
 #[test]

@@ -9,7 +9,7 @@ use consensus_protocols::harness::{PbftHarness, RaftHarness};
 use consensus_sim::fault::FaultSchedule;
 use consensus_sim::network::NetworkConfig;
 use consensus_sim::time::SimTime;
-use prob_consensus::engine::{Budget, SimBudget};
+use prob_consensus::engine::Budget;
 use prob_consensus::protocol::ProtocolModel;
 use prob_consensus::query::{AnalysisSession, ProtocolSpec, Query};
 use prob_consensus::raft_model::RaftModel;
@@ -79,13 +79,7 @@ fn empirical_safe_and_live_rate_tracks_analysis() {
         .protocols([ProtocolSpec::Raft])
         .nodes([3usize, 5])
         .fault_probs([0.2])
-        .budget(Budget::default().with_seed(7).with_sim(SimBudget {
-            trials: 60,
-            horizon_millis: 2_000,
-            fault_window_millis: 100,
-            commands: 2,
-            ..SimBudget::default()
-        }))
+        .budget(Budget::default().with_seed(7).with_sim_trials(60))
         .validate_with_simulation();
     let report = AnalysisSession::new()
         .run(&query)
@@ -124,13 +118,7 @@ fn correlated_shock_validation_tracks_analysis() {
             Budget::default()
                 .with_samples(20_000)
                 .with_seed(3)
-                .with_sim(SimBudget {
-                    trials: 60,
-                    horizon_millis: 2_000,
-                    fault_window_millis: 100,
-                    commands: 2,
-                    ..SimBudget::default()
-                }),
+                .with_sim_trials(60),
         )
         .validate_with_simulation();
     let report = AnalysisSession::new()
