@@ -923,9 +923,28 @@ mod tests {
     }
 
     #[test]
-    fn one_enumeration_limit_covers_binary_and_ternary_deployments() {
-        // Selection only: 2^20 and 3^12 configurations are within the one limit,
-        // 2^21 and 3^13 are past it, so the selector falls back to sampling.
+    fn oversized_budget_still_respects_enumeration_hard_caps() {
+        // No caller-set budget field widens enumeration: even with an unbounded
+        // counting cap, 2^21 binary and 3^13 ternary configurations are past the one
+        // configuration limit, so the selector falls back to sampling.
+        let roomy = Budget::default().with_max_counting_nodes(usize::MAX);
+        let binary = Deployment::uniform_crash(21, 0.05);
+        assert_eq!(
+            selected(&RequiresNodeZero { n: 21 }, Scenario::from(&binary), &roomy),
+            EngineChoice::MonteCarlo
+        );
+        let mixed = Deployment::uniform_mixed(13, 0.05, 0.01);
+        assert_eq!(
+            selected(&RequiresNodeZero { n: 13 }, Scenario::from(&mixed), &roomy),
+            EngineChoice::MonteCarlo
+        );
+    }
+
+    #[test]
+    fn budget_shrinks_enumeration_reach() {
+        // Selection only: the configuration budget is MAX_ENUMERATION_CONFIGS, so a
+        // third failure mode shrinks enumeration's reach from 20 nodes to 12 —
+        // 2^20 and 3^12 configurations are within it, 2^21 and 3^13 past it.
         for (n, mixed, expected) in [
             (20, false, EngineChoice::Enumeration),
             (21, false, EngineChoice::MonteCarlo),
