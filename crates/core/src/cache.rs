@@ -2,9 +2,9 @@
 //!
 //! An [`AnalysisSession`](crate::query::AnalysisSession) amortizes per-cell setup —
 //! scenario conversion, packed-kernel compilation, selector pilots, learned
-//! importance-sampling proposals — by keying reusable
-//! [`GroupScratch`] off the *cell signature*: a content fingerprint
-//! of the (model, scenario) pair. Before the service layer existed, one plan at a
+//! importance-sampling proposals, exact counting results — by keying
+//! reusable [`GroupScratch`] off the cell's content: a fingerprint of the
+//! (model, scenario) pair. Before the service layer existed, one plan at a
 //! time touched that map and a plain `Mutex<HashMap>` with clear-on-cap was
 //! enough. A long-running `repro serve` process executes many plans concurrently,
 //! so the map here is a real cache:
@@ -26,15 +26,18 @@
 //!
 //! A `CacheKey` is a flat word vector, compared in full — the map never equates
 //! two keys whose contents differ, so *distinct models can never share scratch*
-//! (pinned by tests). Grid cells encode their axis coordinates (protocol spec,
-//! cluster size, fault-probability bits, fault axis, correlation variant).
-//! Explicit cells encode the model's
+//! (pinned by tests). There is one encoding, the cell's content: the model's
 //! [`cache_signature`](crate::protocol::ProtocolModel::cache_signature) (a
-//! length-prefixed content fingerprint) followed by the full scenario content:
+//! length-prefixed content fingerprint) followed by the full scenario content —
 //! every per-node profile's probability bits plus every correlation group's
-//! members, shock-probability bits and shock mode. Models without a stable
-//! signature (`cache_signature() == None`) fall back to plan-local scratch —
-//! correctness never depends on a model opting in.
+//! members, shock-probability bits and shock mode, with equal neighbouring
+//! nodes and consecutive members written as runs so a uniform grid cell's key
+//! stays a few words at any N. Grid cells, explicit cells,
+//! optimizer candidates and posterior draws (keyed by their scaled scenario) all
+//! use it, so equal content shares one entry however it was asked for: every
+//! slot is a pure function of the content (and of the seed, for the per-seed
+//! slots). Models without a stable signature (`cache_signature() == None`) fall
+//! back to plan-local scratch — correctness never depends on a model opting in.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -76,9 +79,8 @@ impl CacheStats {
 pub(crate) struct CacheKey(Box<[u64]>);
 
 impl CacheKey {
-    /// Wraps an already-encoded key. Callers are responsible for making the
-    /// encoding self-delimiting (lead with a namespace tag; length-prefix any
-    /// variable-length section that is followed by more content).
+    /// Wraps an already-encoded key. The encoding must be self-delimiting
+    /// (length-prefix every variable-length section followed by more content).
     pub(crate) fn from_words(words: Vec<u64>) -> Self {
         Self(words.into_boxed_slice())
     }
@@ -178,15 +180,6 @@ impl SessionCache {
         scratch
     }
 
-    /// Drops every resident entry (counters keep accumulating; eviction counts
-    /// do not include clears — a clear is a caller decision, not a capacity
-    /// decision).
-    pub(crate) fn clear(&self) {
-        for shard in self.shards.iter() {
-            shard.lock().unwrap().entries.clear();
-        }
-    }
-
     /// A snapshot of the counters and the current resident-entry count.
     pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
@@ -267,18 +260,6 @@ mod tests {
             !Arc::ptr_eq(&a, &a2),
             "the evicted entry must have been recomputed"
         );
-    }
-
-    #[test]
-    fn clear_empties_but_keeps_counters() {
-        let cache = SessionCache::new(8);
-        cache.get_or_insert(key(&[1]));
-        cache.get_or_insert(key(&[1]));
-        cache.clear();
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 0);
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
     }
 
     #[test]

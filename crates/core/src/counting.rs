@@ -5,28 +5,15 @@
 //! `(#crashed, #byzantine)` can be computed in O(N³) time for arbitrary heterogeneous
 //! (but independent) per-node probabilities — a Poisson-binomial generalization — which
 //! scales to the 100-node clusters of §4 where 2^N enumeration cannot go.
-
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+//!
+//! Nothing here memoizes: [`counting_reliability`] runs the DP on every call. A
+//! planned cell keeps the result in its group's scratch
+//! ([`crate::scratch::GroupScratch`]), which the session cache keys by the cell's
+//! content, so the counting engine runs the DP once per distinct cell.
 
 use crate::deployment::Deployment;
 use crate::enumeration::RawReliability;
 use crate::protocol::CountingModel;
-
-/// Memo key for [`FaultCountDistribution::cached`]: the exact per-node
-/// `(crash, byzantine)` probability bit patterns. Keying on the bits (not on any
-/// rounded or derived form) means a cache hit returns a distribution identical to
-/// what the miss path would recompute, so memoization is observationally pure.
-type ProfileKey = Vec<(u64, u64)>;
-
-/// Cap on memoized distributions. A sweep touches at most a handful of deployments
-/// per (N, p, axis) group; 128 covers every workload in the repository while
-/// bounding memory at ~128 · O(N²) floats. Crossing the cap clears the map
-/// wholesale — eviction only ever costs recomputation, never changes a result.
-const MAX_CACHED_DISTRIBUTIONS: usize = 128;
-
-static DISTRIBUTION_CACHE: OnceLock<Mutex<HashMap<ProfileKey, Arc<FaultCountDistribution>>>> =
-    OnceLock::new();
 
 /// The exact joint probability mass function of the number of crashed and Byzantine
 /// nodes in a deployment with independent, heterogeneous per-node profiles.
@@ -99,39 +86,6 @@ impl FaultCountDistribution {
         Self { n, pmf, tail }
     }
 
-    /// The distribution for `deployment`, memoized process-wide.
-    ///
-    /// Sweeps, trajectories and benches evaluate the same deployment's
-    /// distribution over and over (every counting-engine cell of a samples sweep,
-    /// every repeated bench call); the DP is a pure function of the per-node
-    /// probability bits, so a bounded memo keyed on exactly those bits returns
-    /// the identical value without the O(N²)–O(N³) recomputation. The cache is
-    /// cleared wholesale when full (128 entries) rather than tracking recency:
-    /// real workloads cycle over far fewer distinct deployments.
-    pub fn cached(deployment: &Deployment) -> Arc<Self> {
-        let key: ProfileKey = deployment
-            .profiles()
-            .iter()
-            .map(|p| {
-                (
-                    p.crash_probability().to_bits(),
-                    p.byzantine_probability().to_bits(),
-                )
-            })
-            .collect();
-        let cache = DISTRIBUTION_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        if let Some(hit) = cache.lock().unwrap().get(&key) {
-            return hit.clone();
-        }
-        // Compute outside the lock: a 100-node DP must not serialize other sweeps.
-        let dist = Arc::new(Self::from_deployment(deployment));
-        let mut cache = cache.lock().unwrap();
-        if cache.len() >= MAX_CACHED_DISTRIBUTIONS && !cache.contains_key(&key) {
-            cache.clear();
-        }
-        cache.entry(key).or_insert(dist).clone()
-    }
-
     /// Number of nodes.
     pub fn n(&self) -> usize {
         self.n
@@ -190,7 +144,7 @@ pub fn counting_reliability<M: CountingModel + ?Sized>(
         deployment.len(),
         "model and deployment disagree on the cluster size"
     );
-    let dist = FaultCountDistribution::cached(deployment);
+    let dist = FaultCountDistribution::from_deployment(deployment);
     let p_safe = dist.probability_where(|c, b| model.is_safe_counts(c, b));
     let p_live = dist.probability_where(|c, b| model.is_live_counts(c, b));
     let p_both = dist.probability_where(|c, b| model.is_safe_and_live_counts(c, b));
@@ -306,8 +260,9 @@ mod tests {
         assert!((dist.probability_at_least_faults(0) - 1.0).abs() < 1e-12);
     }
 
-    /// The crash-only O(N²) specialization and the memo cache are both pinned
-    /// bit-identical to a fresh run of the general O(N³) DP.
+    /// The crash-only O(N²) specialization and the scratch slot the counting
+    /// engine reads are both pinned bit-identical to a fresh run of the general
+    /// O(N³) DP.
     #[test]
     fn crash_only_specialization_and_cache_are_bit_identical_to_the_general_dp() {
         let d = Deployment::from_profiles(
@@ -346,16 +301,19 @@ mod tests {
                 );
             }
         }
-        let first = FaultCountDistribution::cached(&d);
-        let second = FaultCountDistribution::cached(&d);
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "the second lookup must hit the memo"
-        );
-        for c in 0..=40usize {
+        // The slot holds the engine's result, computed once: the second read
+        // must not run the DP, and both reads equal a fresh run bit for bit.
+        let model = RaftModel::standard(40);
+        let fresh = counting_reliability(&model, &d);
+        let scratch = crate::scratch::GroupScratch::default();
+        let first = scratch.counting(|| counting_reliability(&model, &d));
+        let second = scratch.counting(|| unreachable!("the slot is already filled"));
+        for raw in [first, second] {
+            assert_eq!(raw.p_safe.to_bits(), fresh.p_safe.to_bits());
+            assert_eq!(raw.p_live.to_bits(), fresh.p_live.to_bits());
             assert_eq!(
-                first.probability(c, 0).to_bits(),
-                fast.probability(c, 0).to_bits()
+                raw.p_safe_and_live.to_bits(),
+                fresh.p_safe_and_live.to_bits()
             );
         }
     }

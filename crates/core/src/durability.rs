@@ -19,7 +19,7 @@ use crate::protocol::ProtocolModel;
 /// Probability that at least `k` nodes of the deployment are faulty over the window —
 /// the "scary" number the f-threshold model reacts to.
 pub fn probability_at_least_faults(deployment: &Deployment, k: usize) -> f64 {
-    FaultCountDistribution::cached(deployment).probability_at_least_faults(k)
+    FaultCountDistribution::from_deployment(deployment).probability_at_least_faults(k)
 }
 
 /// Probability that *every* member of `quorum` is faulty over the window — i.e. the most

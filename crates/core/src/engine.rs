@@ -734,12 +734,13 @@ impl AnalysisEngine for CountingEngine {
         model: &dyn ProtocolModel,
         scenario: Scenario<'_>,
         _budget: &Budget,
-        _scratch: &GroupScratch,
+        scratch: &GroupScratch,
     ) -> AnalysisOutcome {
         let counting = model
             .as_counting()
             .expect("counting engine requires a counting model");
-        let raw = counting_reliability(counting, &independent_deployment(scenario));
+        let raw =
+            scratch.counting(|| counting_reliability(counting, &independent_deployment(scenario)));
         AnalysisOutcome::new(
             EngineChoice::Counting,
             raw.p_safe,

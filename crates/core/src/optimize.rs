@@ -11,9 +11,9 @@
 //! # Search tiers
 //!
 //! [`optimize`] refines candidates in three tiers, all sharing the session's
-//! cache scratch under a dedicated key namespace
-//! ([`crate::query::Query`] plans the cells; the planner prefixes optimizer
-//! scratch keys so they can never alias first-order or epistemic cells):
+//! cache scratch ([`crate::query::Query`] plans the cells, keyed by content
+//! like every other cell, so a candidate and a first-order cell of the same
+//! model and scenario share one scratch group):
 //!
 //! 1. **Screening.** Every candidate in the grid is planned as one cell of a
 //!    single [`Query`] with a small sample budget. Counting-model candidates
@@ -876,8 +876,6 @@ fn record_from_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Scenario;
-    use crate::query::{content_key_words, OPTIMIZER_KEY_TAG};
 
     fn catalogue_space(nodes: Vec<usize>) -> DeploymentSpace {
         DeploymentSpace {
@@ -1009,29 +1007,10 @@ mod tests {
     }
 
     #[test]
-    fn optimizer_keys_live_in_their_own_namespace() {
-        // The cache-aliasing guarantee at the key level: an optimizer cell's
-        // scratch key is the first-order content key with OPTIMIZER_KEY_TAG
-        // prefixed, so the first word always differs from first-order keys
-        // (CONTENT tag) and epistemic per-draw keys (EPISTEMIC tag) over the
-        // same model/scenario. The integration side (shared session, disjoint
-        // entries) is pinned in tests/optimizer_verification.rs.
-        let model = PersistenceQuorumModel::new(6, vec![0, 2, 4]);
-        let scenario = CorrelationModel::independent(vec![FaultProfile::crash_only(0.05); 6]);
-        let words = content_key_words(&model, Scenario::Correlated(&scenario))
-            .expect("the model has a cache signature");
-        assert_ne!(words[0], OPTIMIZER_KEY_TAG);
-        let mut optimizer_words = words.clone();
-        optimizer_words.insert(0, OPTIMIZER_KEY_TAG);
-        assert_eq!(optimizer_words[0], OPTIMIZER_KEY_TAG);
-        assert_ne!(optimizer_words, words);
-    }
-
-    #[test]
-    fn shared_session_separates_optimizer_scratch_from_first_order() {
-        // Behavioral aliasing check: scoring the same (model, scenario) as a
-        // first-order cell and as an optimizer candidate must create two
-        // distinct scratch groups in the same session cache.
+    fn shared_session_shares_optimizer_scratch_with_first_order() {
+        // Scoring the same (model, scenario) as a first-order cell and as an
+        // optimizer candidate lands on one scratch group: the cache keys both
+        // by content.
         let session = AnalysisSession::new();
         let space = DeploymentSpace {
             instances: vec![NodeType::new("spot", 0.08, 0.10)],
@@ -1051,9 +1030,8 @@ mod tests {
         optimize(&session, &space, &OptimizerConfig::new(1.0)).unwrap();
         let after = session.cache_stats().entries;
         assert_eq!(
-            after,
-            before + 1,
-            "the optimizer's scratch for the same content is a new namespaced entry"
+            after, before,
+            "the optimizer's candidate reuses the first-order cell's entry"
         );
     }
 

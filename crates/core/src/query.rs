@@ -15,9 +15,9 @@
 //!   axes cannot express.
 //! * [`AnalysisSession`] — owns the (optional, pinned) rayon pool and the cache of
 //!   per-(model, scenario) scratch ([`crate::scratch`]: the converted correlation
-//!   model, compiled packed-kernel thresholds/LUTs, selector-pilot estimates and
-//!   importance-sampling proposals), keyed by cell signature and reused across
-//!   cells, plans and queries.
+//!   model, compiled packed-kernel thresholds/LUTs, exact fault-count
+//!   distributions, selector-pilot estimates and importance-sampling proposals),
+//!   keyed by the cell's content and reused across cells, plans and queries.
 //! * [`AnalysisSession::plan`] → [`QueryPlan`] — engine selection for *all* cells up
 //!   front (validating the budget — see [`Budget::validate`] — and the cell shapes),
 //!   grouping cells that share a (model, scenario) signature so the expensive
@@ -50,8 +50,8 @@
 //! several cells draw alike, tallied per cell to exactly that cell's sampler's
 //! `chunk(i)` — and folds each cell's tallies in chunk order, which is literally
 //! what the sampler's own whole-cell run does ([`crate::montecarlo`]). Caching never
-//! changes results, because everything cached is a pure function of the cell
-//! signature: the correlation-model conversion and kernel compilation are
+//! changes results, because everything cached is a pure function of the cell's
+//! content: the correlation-model conversion, kernel compilation and count DP are
 //! value-deterministic, and the selector pilot / adaptive proposal are cached *per
 //! seed*, so a cache hit returns exactly what the per-cell call would have
 //! recomputed. Cells execute in parallel, but each cell's sampling is chunked by the
@@ -184,14 +184,6 @@ impl FaultAxis {
             FaultAxis::Mixed { byzantine } => Deployment::uniform_mixed(n, p, *byzantine),
         }
     }
-
-    fn key(&self) -> (u8, u64) {
-        match self {
-            FaultAxis::Crash => (0, 0),
-            FaultAxis::Byzantine => (1, 0),
-            FaultAxis::Mixed { byzantine } => (2, byzantine.to_bits()),
-        }
-    }
 }
 
 /// A correlation structure applied on top of the independent per-node profiles —
@@ -256,14 +248,6 @@ impl CorrelationSpec {
             CorrelationSpec::RackShock { racks, probability } => {
                 format!("rack-shock({racks},{probability})")
             }
-        }
-    }
-
-    fn key(&self) -> (u8, usize, u64) {
-        match self {
-            CorrelationSpec::Independent => (0, 0, 0),
-            CorrelationSpec::ClusterShock { probability } => (1, 0, probability.to_bits()),
-            CorrelationSpec::RackShock { racks, probability } => (2, *racks, probability.to_bits()),
         }
     }
 }
@@ -752,10 +736,6 @@ struct ExplicitCell {
     /// ([`crate::optimize`]) uses overrides to give every candidate its own
     /// salted seed and per-tier sample budget inside one scheduled plan.
     budget: Option<Budget>,
-    /// Whether this cell's scratch lives in the optimizer cache namespace
-    /// ([`OPTIMIZER_KEY_TAG`] prefixed onto the content key) instead of the
-    /// plain explicit-cell namespace.
-    optimizer: bool,
 }
 
 /// One time-domain cell: a fleet swept through mission windows, or a repairable
@@ -968,7 +948,6 @@ impl Query {
             model,
             scenario: ScenarioSpec::Independent(deployment),
             budget: None,
-            optimizer: false,
         });
         self
     }
@@ -985,16 +964,14 @@ impl Query {
             model,
             scenario: ScenarioSpec::Correlated(target),
             budget: None,
-            optimizer: false,
         });
         self
     }
 
     /// Appends one optimizer candidate cell: a correlated failure model (zero
-    /// groups for independent candidates — the engines treat them alike), a
-    /// per-candidate budget override (salted seed, tier sample count), and
-    /// scratch namespaced under [`OPTIMIZER_KEY_TAG`]. Only the optimizer
-    /// ([`crate::optimize`]) plans these.
+    /// groups for independent candidates — the engines treat them alike) and a
+    /// per-candidate budget override (salted seed, tier sample count). Only the
+    /// optimizer ([`crate::optimize`]) plans these.
     pub(crate) fn optimizer_cell(
         mut self,
         label: impl Into<String>,
@@ -1007,7 +984,6 @@ impl Query {
             model,
             scenario: ScenarioSpec::Correlated(target),
             budget: Some(budget),
-            optimizer: true,
         });
         self
     }
@@ -1105,83 +1081,34 @@ impl Query {
     }
 }
 
-/// Namespace tag of grid-cell cache keys (coordinate encoding).
-const GRID_KEY_TAG: u64 = 0;
-/// Namespace tag of explicit-cell cache keys (content encoding).
-const CONTENT_KEY_TAG: u64 = 1;
-/// Namespace tag of epistemic-draw cache keys: `[tag, alpha bits, beta bits,
-/// seed, draw index]` prefixed onto the base cell's key words. The tag keeps a
-/// second-order draw's scratch (kernel compiled for the *scaled* scenario) from
-/// ever aliasing the first-order cell's scratch, and the draw index separates
-/// sibling draws; the draw count is deliberately excluded — draw `k`'s scenario
-/// is independent of how many draws follow it, so plans with different `K`
-/// share prefixes.
-const EPISTEMIC_KEY_TAG: u64 = 2;
-/// Namespace tag of optimizer candidate cells: the tag prefixed onto the
-/// candidate's content key words (which themselves begin with
-/// [`CONTENT_KEY_TAG`]), so an optimizer candidate's scratch can never alias a
-/// first-order explicit cell of identical content, a grid cell, or an
-/// epistemic draw — the four namespaces differ in their first word. Candidates
-/// of *both* refinement tiers share one scratch group per (model, scenario)
-/// inside the namespace: the screening tier's converted correlation model and
-/// compiled kernel are reused by the importance-sampling re-score, and the
-/// re-score's learned proposal is reused by later searches of the same space
-/// (proposals are keyed by seed inside the group). Pinned by the
-/// cache-aliasing regression tests in [`crate::optimize`].
-pub(crate) const OPTIMIZER_KEY_TAG: u64 = 3;
-
-/// Structural identity of a grid cell's (model, scenario) pair — the axes build
-/// both deterministically, so the coordinates *are* the content. Fixed layout:
-/// `[tag, protocol variant, q_per, q_vc, n, p bits, axis tag, axis bits,
-/// correlation tag, correlation racks, correlation bits]` (zeroes where a
-/// variant has no such parameter).
-fn grid_key_words(
-    spec: ProtocolSpec,
-    n: usize,
-    fault_prob: f64,
-    fault_axis: (u8, u64),
-    correlation: (u8, usize, u64),
-) -> Vec<u64> {
-    let (variant, q_per, q_vc) = match spec {
-        ProtocolSpec::Raft => (0u64, 0u64, 0u64),
-        ProtocolSpec::RaftFlexible { q_per, q_vc } => (1, q_per as u64, q_vc as u64),
-        ProtocolSpec::Pbft => (2, 0, 0),
-    };
-    vec![
-        GRID_KEY_TAG,
-        variant,
-        q_per,
-        q_vc,
-        n as u64,
-        fault_prob.to_bits(),
-        fault_axis.0 as u64,
-        fault_axis.1,
-        correlation.0 as u64,
-        correlation.1 as u64,
-        correlation.2,
-    ]
-}
-
-/// Structural identity of an explicit cell's (model, scenario) pair: the model's
+/// The session-cache key of a (model, scenario) pair — grid cell, explicit cell,
+/// optimizer candidate or posterior draw alike: the model's
 /// [`cache_signature`](ProtocolModel::cache_signature) (length-prefixed) followed
 /// by the scenario's full content — every profile's probability bits plus every
 /// correlation group's members, shock-probability bits and shock mode. `None`
 /// when the model has no stable signature, in which case the cell gets
 /// plan-local scratch (always correct, never amortized).
-pub(crate) fn content_key_words(
-    model: &dyn ProtocolModel,
-    scenario: Scenario<'_>,
-) -> Option<Vec<u64>> {
+///
+/// Profiles are written as maximal runs of equal nodes and members as maximal
+/// runs of consecutive indices, each run with its length, so a grid cell's key
+/// stays a few words however many nodes it has. Every list is length-prefixed,
+/// so the words still decode to exactly one content.
+fn content_key_words(model: &dyn ProtocolModel, scenario: Scenario<'_>) -> Option<Vec<u64>> {
     let sig = model.cache_signature()?;
-    let mut words = Vec::with_capacity(4 + sig.len() + 2 * scenario.len());
-    words.push(CONTENT_KEY_TAG);
+    let mut words = Vec::with_capacity(8 + sig.len());
     words.push(sig.len() as u64);
     words.extend(sig);
     let profiles = scenario.profiles();
     words.push(profiles.len() as u64);
-    for profile in profiles {
-        words.push(profile.crash_probability().to_bits());
-        words.push(profile.byzantine_probability().to_bits());
+    let bits = |p: &fault_model::mode::FaultProfile| {
+        [
+            p.crash_probability().to_bits(),
+            p.byzantine_probability().to_bits(),
+        ]
+    };
+    for run in profiles.chunk_by(|a, b| bits(a) == bits(b)) {
+        words.push(run.len() as u64);
+        words.extend(bits(&run[0]));
     }
     // An independent deployment encodes as zero correlation groups — it *is* a
     // correlation model with no groups, and every engine treats them alike.
@@ -1192,7 +1119,10 @@ pub(crate) fn content_key_words(
     words.push(groups.len() as u64);
     for group in groups {
         words.push(group.members.len() as u64);
-        words.extend(group.members.iter().map(|&m| m as u64));
+        for run in group.members.chunk_by(|&a, &b| b == a + 1) {
+            words.push(run[0] as u64);
+            words.push(run.len() as u64);
+        }
         words.push(group.shock_probability.to_bits());
         words.push(match group.shock_mode {
             fault_model::mode::NodeState::Correct => 0,
@@ -1227,7 +1157,6 @@ pub(crate) fn content_key_words(
 /// );
 /// ```
 pub struct AnalysisSession {
-    models: Mutex<HashMap<(ProtocolSpec, usize), Arc<dyn ProtocolModel + Send + Sync>>>,
     cache: SessionCache,
     pool: Option<Arc<rayon::ThreadPool>>,
 }
@@ -1235,7 +1164,6 @@ pub struct AnalysisSession {
 impl Default for AnalysisSession {
     fn default() -> Self {
         Self {
-            models: Mutex::new(HashMap::new()),
             cache: SessionCache::new(Self::CACHE_CAPACITY),
             pool: None,
         }
@@ -1272,23 +1200,6 @@ impl AnalysisSession {
         }
     }
 
-    fn model(&self, spec: ProtocolSpec, n: usize) -> Arc<dyn ProtocolModel + Send + Sync> {
-        if let Some(model) = self.models.lock().unwrap().get(&(spec, n)) {
-            return Arc::clone(model);
-        }
-        // Build outside the lock: constructors panic on invalid (spec, n)
-        // combinations, and a long-running session (the server) must survive a
-        // rejected plan without poisoning the model cache.
-        let model = spec.build(n);
-        Arc::clone(
-            self.models
-                .lock()
-                .unwrap()
-                .entry((spec, n))
-                .or_insert(model),
-        )
-    }
-
     /// A snapshot of the scratch-cache counters (hits, misses, evictions,
     /// resident entries) — the observability surface behind the server
     /// protocol's `stats` request.
@@ -1296,67 +1207,53 @@ impl AnalysisSession {
         self.cache.stats()
     }
 
-    /// Drops all cached per-(model, scenario) scratch (converted correlation
-    /// models, compiled packed kernels, pilot estimates, learned proposals).
-    /// Purely a memory lever: subsequent plans recompute on demand with
-    /// identical results.
-    pub fn clear_scratch(&self) {
-        self.cache.clear();
-        self.models.lock().unwrap().clear();
+    /// The scratch of `model` on `scenario`: the session cache's entry under
+    /// the pair's content key, or plan-local scratch for a model without a
+    /// cache signature.
+    fn scratch(&self, model: &dyn ProtocolModel, scenario: Scenario<'_>) -> Arc<GroupScratch> {
+        match content_key_words(model, scenario) {
+            Some(words) => self.cache.get_or_insert(CacheKey::from_words(words)),
+            None => Arc::new(GroupScratch::default()),
+        }
     }
 
-    /// Expands the budget's epistemic axis into the planned draws for one cell
-    /// group: the deterministic posterior draws
-    /// ([`crate::epistemic::posterior_draws`]), each paired with its scaled
-    /// scenario and its own cached scratch group.
+    /// What every cell of `model` on `scenario` shares: its scratch and the
+    /// budget's posterior draws, each draw with its scaled scenario and that
+    /// scenario's own scratch. A draw's kernels are compiled for the *scaled*
+    /// scenario, and its content key says so, so a draw never aliases the
+    /// first-order cell (pinned by the cache-aliasing regression test below).
     ///
-    /// Draw scratch is cached under [`EPISTEMIC_KEY_TAG`] with the draw's
-    /// hyperparameters, seed and index prefixed onto the base cell's key words,
-    /// so a second-order draw can never alias the first-order cell whose kernel
-    /// was compiled for the *unscaled* scenario (pinned by the cache-aliasing
-    /// regression test below). Cells without a stable base key (models without
-    /// a cache signature) get plan-local draw scratch.
-    ///
-    /// Returns no draws for first-order budgets and for single-draw budgets:
+    /// There are no draws for first-order budgets and for single-draw budgets:
     /// one draw carries no spread to summarize, so `K = 1` degenerates to the
     /// point-estimate report bit for bit.
-    fn plan_draws(
+    fn group<'a>(
         &self,
+        model: &'a Arc<dyn ProtocolModel + Send + Sync>,
+        scenario: &'a ScenarioSpec,
         budget: &Budget,
-        scenario: &ScenarioSpec,
-        base_key: Option<&[u64]>,
-    ) -> Arc<Vec<PlannedDraw>> {
-        let Some(ep) = budget.epistemic.filter(|ep| ep.draws > 1) else {
-            return Arc::new(Vec::new());
-        };
-        Arc::new(
-            crate::epistemic::posterior_draws(&ep, budget.seed)
+    ) -> CellGroup<'a> {
+        let scratch = self.scratch(model.as_ref(), scenario.as_scenario());
+        let draws = match budget.epistemic.filter(|ep| ep.draws > 1) {
+            Some(ep) => crate::epistemic::posterior_draws(&ep, budget.seed)
                 .into_iter()
-                .enumerate()
-                .map(|(k, draw)| {
-                    let scratch = match base_key {
-                        Some(words) => {
-                            let mut key = vec![
-                                EPISTEMIC_KEY_TAG,
-                                ep.alpha.to_bits(),
-                                ep.beta.to_bits(),
-                                budget.seed,
-                                k as u64,
-                            ];
-                            key.extend_from_slice(words);
-                            self.cache.get_or_insert(CacheKey::from_words(key))
-                        }
-                        None => Arc::new(GroupScratch::default()),
-                    };
+                .map(|draw| {
+                    let scenario = scenario.scaled(draw.scale);
                     PlannedDraw {
                         p: draw.p,
                         scale: draw.scale,
-                        scenario: scenario.scaled(draw.scale),
-                        scratch,
+                        scratch: self.scratch(model.as_ref(), scenario.as_scenario()),
+                        scenario,
                     }
                 })
                 .collect(),
-        )
+            None => Vec::new(),
+        };
+        CellGroup {
+            model,
+            scenario,
+            scratch,
+            draws: Arc::new(draws),
+        }
     }
 
     /// Plans a query: validates the budget, expands the axes into cells, selects
@@ -1418,10 +1315,33 @@ impl AnalysisSession {
         } else {
             query.environments.clone()
         };
-        // A validated cell runs its paired simulation only if the simulation engine
-        // supports it: the model has an executable counterpart of the scenario's size.
-        let validation_for = |model: &dyn ProtocolModel, scenario: Scenario<'_>| {
-            query.validation && SimulationEngine.supports(model, scenario, &query.budget)
+        // The one place a cell is built, grid replicate or explicit cell. A
+        // validated cell runs its paired simulation only if the simulation
+        // engine supports it: the model has an executable counterpart of the
+        // scenario's size.
+        let planned_cell = |group: &CellGroup<'_>,
+                            budget: Budget,
+                            label: String,
+                            protocol: String,
+                            fault_prob: Option<f64>,
+                            correlation: String| {
+            let (model, scenario) = (group.model.as_ref(), group.scenario.as_scenario());
+            PlannedCell {
+                label,
+                protocol,
+                nodes: model.num_nodes(),
+                fault_prob,
+                correlation,
+                environment: budget.sim.environment,
+                validate: query.validation
+                    && SimulationEngine.supports(model, scenario, &query.budget),
+                engine: select_engine(model, scenario, &budget, &group.scratch),
+                model: group.model.clone(),
+                scenario: group.scenario.clone(),
+                budget,
+                scratch: group.scratch.clone(),
+                draws: group.draws.clone(),
+            }
         };
         let plan_cells = || -> Result<Vec<PlannedCell>, AnalysisError> {
             let mut cells = Vec::with_capacity(query.cell_count());
@@ -1430,21 +1350,20 @@ impl AnalysisSession {
                     if n == 0 {
                         return Err(AnalysisError::EmptyScenario);
                     }
-                    let model = self.model(spec, n);
+                    // One model per (spec, n) for the whole plan: scalar-kernel
+                    // draw keys compare models by identity, so the replicates
+                    // below share chunks only through one model.
+                    let model = spec.build(n);
                     for &p in &query.fault_probs {
                         let deployment = query.fault_axis.deployment(n, p);
                         for corr in &query.correlations {
                             let scenario = corr.apply(deployment.clone());
-                            let key_words =
-                                grid_key_words(spec, n, p, query.fault_axis.key(), corr.key());
-                            let scratch = self
-                                .cache
-                                .get_or_insert(CacheKey::from_words(key_words.clone()));
-                            // The epistemic draws of this coordinate, shared by
-                            // its samples/environment replicates: the draw set
-                            // depends only on (hyperparameters, seed), and the
-                            // scaled scenarios only on this scenario.
-                            let draws = self.plan_draws(&query.budget, &scenario, Some(&key_words));
+                            // The scratch and the epistemic draws of this
+                            // coordinate, shared by its samples/environment
+                            // replicates: the draw set depends only on
+                            // (hyperparameters, seed), and the scaled scenarios
+                            // only on this scenario.
+                            let group = self.group(&model, &scenario, &query.budget);
                             for &samples in &sample_axis {
                                 // The environment axis nests innermost: it only
                                 // varies the paired simulation, so cells across
@@ -1456,36 +1375,20 @@ impl AnalysisSession {
                                         .budget
                                         .with_samples(samples)
                                         .with_fault_environment(environment);
-                                    let engine = select_engine(
-                                        model.as_ref(),
-                                        scenario.as_scenario(),
-                                        &budget,
-                                        &scratch,
-                                    );
                                     let mut label =
                                         format!("{}/N={n}/p={p}/{}", spec.label(), corr.label());
                                     if environment != FaultEnvironment::Clean {
                                         label.push_str("/env=");
                                         label.push_str(environment.label());
                                     }
-                                    cells.push(PlannedCell {
-                                        label,
-                                        protocol: spec.label(),
-                                        nodes: n,
-                                        fault_prob: Some(p),
-                                        correlation: corr.label(),
-                                        environment,
-                                        validate: validation_for(
-                                            model.as_ref(),
-                                            scenario.as_scenario(),
-                                        ),
-                                        model: model.clone(),
-                                        scenario: scenario.clone(),
+                                    cells.push(planned_cell(
+                                        &group,
                                         budget,
-                                        engine,
-                                        scratch: scratch.clone(),
-                                        draws: draws.clone(),
-                                    });
+                                        label,
+                                        spec.label(),
+                                        Some(p),
+                                        corr.label(),
+                                    ));
                                 }
                             }
                         }
@@ -1503,49 +1406,22 @@ impl AnalysisSession {
                         scenario_nodes: scenario.len(),
                     });
                 }
-                // Explicit cells hit the session cache too, keyed by model
-                // content fingerprint + full scenario content — the dominant
-                // server workload is repeated single-cell requests. Models
-                // without a stable signature get plan-local scratch. Optimizer
-                // candidates prepend their namespace tag so candidate scratch
-                // never aliases a plain cell of identical content (see
-                // [`OPTIMIZER_KEY_TAG`]).
-                let budget = explicit.budget.as_ref().unwrap_or(&query.budget);
-                let key_words =
-                    content_key_words(explicit.model.as_ref(), scenario).map(|mut words| {
-                        if explicit.optimizer {
-                            words.insert(0, OPTIMIZER_KEY_TAG);
-                        }
-                        words
-                    });
-                let scratch = match key_words.clone() {
-                    Some(words) => self.cache.get_or_insert(CacheKey::from_words(words)),
-                    None => Arc::new(GroupScratch::default()),
-                };
-                let draws = self.plan_draws(budget, &explicit.scenario, key_words.as_deref());
-                let engine = select_engine(explicit.model.as_ref(), scenario, budget, &scratch);
-                let correlation = match &explicit.scenario {
-                    ScenarioSpec::Independent(_) => "independent".to_string(),
-                    ScenarioSpec::Correlated(c) if c.is_correlated() => "correlated".to_string(),
-                    ScenarioSpec::Correlated(_) => "independent".to_string(),
-                };
                 // Explicit cells keep the base budget's environment — the axis
                 // sweeps the grid; a bespoke cell pins its own budget.
-                cells.push(PlannedCell {
-                    label: explicit.label.clone(),
-                    protocol: explicit.model.name(),
-                    nodes: explicit.model.num_nodes(),
-                    fault_prob: None,
-                    correlation,
-                    environment: budget.sim.environment,
-                    validate: validation_for(explicit.model.as_ref(), scenario),
-                    model: explicit.model.clone(),
-                    scenario: explicit.scenario.clone(),
-                    budget: *budget,
-                    engine,
-                    scratch,
-                    draws,
-                });
+                let budget = explicit.budget.unwrap_or(query.budget);
+                let group = self.group(&explicit.model, &explicit.scenario, &budget);
+                let correlation = match &explicit.scenario {
+                    ScenarioSpec::Correlated(c) if c.is_correlated() => "correlated",
+                    _ => "independent",
+                };
+                cells.push(planned_cell(
+                    &group,
+                    budget,
+                    explicit.label.clone(),
+                    explicit.model.name(),
+                    None,
+                    correlation.to_string(),
+                ));
             }
             Ok(cells)
         };
@@ -1589,6 +1465,15 @@ impl AnalysisSession {
     }
 }
 
+/// The (model, scenario) pair of a grid coordinate or an explicit cell, with
+/// what all its cells share; see [`AnalysisSession::group`].
+struct CellGroup<'a> {
+    model: &'a Arc<dyn ProtocolModel + Send + Sync>,
+    scenario: &'a ScenarioSpec,
+    scratch: Arc<GroupScratch>,
+    draws: Arc<Vec<PlannedDraw>>,
+}
+
 /// One planned cell: the resolved model/scenario/budget triple, the engine the
 /// selector chose for it, and the shared group scratch.
 struct PlannedCell {
@@ -1615,7 +1500,7 @@ struct PlannedCell {
 /// One planned posterior draw: the sampled reliability parameter, the scale
 /// factor it implies relative to the posterior mean, the scaled scenario the
 /// engines actually run, and the draw's own cached scratch group (scaled
-/// scenarios compile their own kernels; see [`EPISTEMIC_KEY_TAG`]).
+/// scenarios compile their own kernels).
 struct PlannedDraw {
     p: f64,
     scale: f64,
@@ -3276,9 +3161,9 @@ mod tests {
 
     #[test]
     fn identical_explicit_cells_share_one_compiled_kernel() {
-        // The scratch-key blind spot fix: two *separate* requests for the same
-        // explicit (model, scenario) — the dominant server workload — must hit
-        // one cache entry and therefore share one compiled kernel / proposal.
+        // Two *separate* requests for the same explicit (model, scenario) — the
+        // dominant server workload — must hit one cache entry and therefore
+        // share one compiled kernel / proposal.
         let session = AnalysisSession::new();
         let model = Arc::new(RaftModel::standard(5));
         let query = Query::new()
@@ -3291,10 +3176,71 @@ mod tests {
         let first = session.run(&query).expect("valid query");
         let second = session.run(&query).expect("valid query");
         assert_eq!(first.cell(0).outcome, second.cell(0).outcome);
+        // A grid cell of the same content is keyed by content too, so it lands
+        // on the same entry.
+        let grid = Query::new()
+            .protocols([ProtocolSpec::Raft])
+            .nodes([5usize])
+            .fault_probs([0.02])
+            .budget(Budget::default().with_samples(5_000));
+        let third = session.run(&grid).expect("valid query");
+        assert_eq!(first.cell(0).outcome, third.cell(0).outcome);
         let stats = session.cache_stats();
-        assert_eq!(stats.entries, 1, "one content signature, one entry");
-        assert_eq!(stats.misses, 1, "second request must not re-insert");
-        assert!(stats.hits >= 1, "second request must hit");
+        assert_eq!(stats.entries, 1, "one content, one entry");
+        assert_eq!(stats.misses, 1, "later requests must not re-insert");
+        assert_eq!(stats.hits, 2, "later requests must hit");
+    }
+
+    #[test]
+    fn counting_cells_keep_only_their_result_in_the_group_scratch() {
+        let query = Query::new()
+            .protocols([ProtocolSpec::Raft])
+            .nodes([9usize])
+            .fault_probs([0.02]);
+        let plan = AnalysisSession::new().plan(&query).expect("valid query");
+        assert_eq!(plan.engine(0), EngineChoice::Counting);
+        let report = plan.execute();
+        // The engine filled the slot; a later read must not compute again.
+        let raw = plan.cells[0]
+            .scratch
+            .counting(|| unreachable!("the counting engine filled the slot"));
+        let outcome = &report.cell(0).outcome.report;
+        assert_eq!(raw.p_safe_and_live, outcome.safe_and_live.probability());
+        // What the slot keeps owns no heap memory, so a cached counting cell
+        // costs the same few words at 9 nodes as at 2 000 (its O(N²) count
+        // distribution is dropped once the result is read off it).
+        assert!(!std::mem::needs_drop::<crate::enumeration::RawReliability>());
+    }
+
+    #[test]
+    fn content_keys_run_length_encode_nodes_and_members() {
+        let model = RaftModel::standard(2_000);
+        let key = |profiles: Vec<FaultProfile>| {
+            let d = Deployment::from_profiles(profiles);
+            content_key_words(&model, Scenario::Independent(&d)).expect("raft has a signature")
+        };
+        let a = FaultProfile::crash_only(0.01);
+        let b = FaultProfile::crash_only(0.02);
+        let uniform = key(vec![a; 2_000]);
+        assert!(uniform.len() < 16, "a uniform cell's key is a few words");
+        // Same multiset of nodes, different runs: different content, different key.
+        let mut front = vec![a; 2_000];
+        front[0] = b;
+        let mut back = vec![a; 2_000];
+        back[1_999] = b;
+        assert_ne!(key(front), key(back));
+        assert_ne!(key(vec![a; 2_000]), key(vec![b; 2_000]));
+        // Members {0, 1, 2} and {0, 1, 3} differ in their runs.
+        let racks = |members: Vec<usize>| {
+            let c = CorrelationModel::independent(vec![a; 4]).with_group(CorrelationGroup {
+                members,
+                shock_probability: 0.001,
+                shock_mode: fault_model::mode::NodeState::Crashed,
+            });
+            content_key_words(&RaftModel::standard(4), Scenario::Correlated(&c)).unwrap()
+        };
+        assert_ne!(racks(vec![0, 1, 2]), racks(vec![0, 1, 3]));
+        assert_eq!(racks(vec![0, 1, 2]), racks(vec![0, 1, 2]));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Per-(model, scenario) prepared scratch — what every engine runs on.
 //!
 //! A [`GroupScratch`] memoizes everything expensive that is a pure function of the
-//! cell signature: the scenario converted to the samplers' form, the compiled
-//! bit-sliced kernel, the selector-pilot estimate per seed, and the
-//! importance-sampling proposal per seed. It knows what it holds, not how
-//! to compute it — each slot is filled lazily, at most once per key, by the first
-//! engine call that needs it.
+//! cell's content: the scenario converted to the samplers' form, the compiled
+//! bit-sliced kernel, the counting engine's exact result, the selector-pilot
+//! estimate per seed, and the importance-sampling proposal per seed. It knows
+//! what it holds, not how to compute it — each slot is filled lazily, at most
+//! once per key, by the first engine call that needs it.
 //!
 //! [`AnalysisEngine`](crate::engine::AnalysisEngine)'s required methods take a
 //! scratch, so there is one engine body whether the scratch is shared or not: the
@@ -20,6 +20,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use fault_model::correlation::CorrelationModel;
 
 use crate::engine::Scenario;
+use crate::enumeration::RawReliability;
 use crate::packed::PackedKernel;
 use crate::rare_event::Proposal;
 
@@ -37,6 +38,10 @@ pub struct GroupScratch {
     /// The compiled bit-sliced kernel (fixed-point thresholds + LUT), for counting
     /// models routed to the packed Monte Carlo kernel.
     packed: OnceLock<PackedKernel>,
+    /// The exact counting-engine result, for independent scenarios of counting
+    /// models. Three floats, not the O(N²) count distribution behind them: an
+    /// entry of a 2 000-node counting cell stays a few words.
+    counting: OnceLock<RawReliability>,
     /// Selector-pilot failure estimates keyed by budget seed (the estimate is a
     /// deterministic function of (model, scenario, seed)).
     pilots: Mutex<HashMap<u64, f64>>,
@@ -52,6 +57,10 @@ impl GroupScratch {
 
     pub(crate) fn packed_kernel(&self, compile: impl FnOnce() -> PackedKernel) -> &PackedKernel {
         self.packed.get_or_init(compile)
+    }
+
+    pub(crate) fn counting(&self, compute: impl FnOnce() -> RawReliability) -> RawReliability {
+        *self.counting.get_or_init(compute)
     }
 
     /// The pilot estimate for `seed`. `pilot` runs outside the lock: it is a pure

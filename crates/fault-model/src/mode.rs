@@ -80,20 +80,24 @@ impl FaultProfile {
     ///
     /// Panics if either probability is outside `[0, 1]` or their sum exceeds 1.
     pub fn new(crash: f64, byzantine: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&crash),
-            "crash probability out of range: {crash}"
-        );
-        assert!(
-            (0.0..=1.0).contains(&byzantine),
-            "byzantine probability out of range: {byzantine}"
-        );
-        assert!(
-            crash + byzantine <= 1.0 + 1e-12,
-            "crash + byzantine must not exceed 1 (got {})",
-            crash + byzantine
-        );
-        Self { crash, byzantine }
+        Self::try_new(crash, byzantine).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`FaultProfile::new`] for untrusted input: the reason instead of a panic.
+    pub fn try_new(crash: f64, byzantine: f64) -> Result<Self, String> {
+        if !(0.0..=1.0).contains(&crash) {
+            return Err(format!("crash probability out of range: {crash}"));
+        }
+        if !(0.0..=1.0).contains(&byzantine) {
+            return Err(format!("byzantine probability out of range: {byzantine}"));
+        }
+        if crash + byzantine > 1.0 + 1e-12 {
+            return Err(format!(
+                "crash + byzantine must not exceed 1 (got {})",
+                crash + byzantine
+            ));
+        }
+        Ok(Self { crash, byzantine })
     }
 
     /// A node that only ever crashes (the CFT analysis setting of §3).

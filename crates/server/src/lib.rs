@@ -58,7 +58,7 @@
 //! An `optimize` request runs the deployment optimizer
 //! ([`prob_consensus::optimize::optimize`]) against the shared session — its
 //! per-candidate scratch (pilots, IS proposals, packed kernels) lands in the
-//! same cache queries use, under the optimizer's own key namespace. The
+//! same cache queries use, keyed by content like every query cell. The
 //! `space` object takes `instances` (name, `fault_probability`, optional
 //! `byzantine_probability`, `hourly_cost`), `nodes`, an optional `domains`
 //! object (`racks`, `shock_probability`) with `placements`
@@ -565,13 +565,28 @@ fn protocol(value: &JsonValue) -> Result<ProtocolSpec, String> {
     }
 }
 
+/// Whether `spec`'s quorums fit a cluster of `n` nodes, as its model's
+/// constructor asserts.
+fn quorums_fit(spec: &ProtocolSpec, n: usize) -> Result<(), String> {
+    let ProtocolSpec::RaftFlexible { q_per, q_vc } = *spec else {
+        return Ok(());
+    };
+    for (key, q) in [("q_per", q_per), ("q_vc", q_vc)] {
+        if !(1..=n).contains(&q) {
+            let range = Problem::Range(key, q as f64, 1.0..=n as f64, <usize as Wire>::NAME[0]);
+            return Err(format!("{} for {n} nodes", wrong("raft_flexible", range)));
+        }
+    }
+    Ok(())
+}
+
 fn fault_axis(value: &JsonValue) -> Result<FaultAxis, String> {
     const EXPECTED: &str = r#""crash", "byzantine" or {"mixed":{"byzantine":p}}"#;
     match tag(value, "fault axis", EXPECTED)? {
         ("crash", None) => Ok(FaultAxis::Crash),
         ("byzantine", None) => Ok(FaultAxis::Byzantine),
         ("mixed", Some(body)) => read_object(body, "mixed faults", |f| {
-            let byzantine = f.get("byzantine")?;
+            let byzantine = f.within("byzantine", PROBABILITY)?;
             Ok(FaultAxis::Mixed { byzantine })
         }),
         other => Err(unknown_tag("fault axis", other, EXPECTED)),
@@ -724,16 +739,31 @@ pub fn parse_query(spec: &JsonValue) -> Result<ParsedQuery, String> {
                 safe_and_live: m.opt("safe_and_live")?.unwrap_or(true),
             })
         })?;
+        let protocols = q.list("protocols", protocol)?.unwrap_or_default();
+        let nodes = q.list("nodes", Ok)?.unwrap_or_default();
         let fault_probs = q.opt("fault_probs")?.map(fault_probs).transpose()?;
+        let fault_probs = fault_probs.unwrap_or_default();
+        let axis = q.opt("faults")?.map(fault_axis).transpose()?;
+        // The grid's model and profile constructors assert these.
+        if let Some(&n) = nodes.iter().min() {
+            for spec in &protocols {
+                quorums_fit(spec, n)?;
+            }
+        }
+        if let Some(FaultAxis::Mixed { byzantine }) = axis {
+            for &p in &fault_probs {
+                FaultProfile::try_new(p, byzantine).map_err(|e| format!("query: {e}"))?;
+            }
+        }
         let mut query = Query::new()
-            .protocols(q.list("protocols", protocol)?.unwrap_or_default())
-            .nodes(q.list("nodes", Ok)?.unwrap_or_default())
-            .fault_probs(fault_probs.unwrap_or_default())
+            .protocols(protocols)
+            .nodes(nodes)
+            .fault_probs(fault_probs)
             .samples_sweep(q.list("samples_sweep", Ok)?.unwrap_or_default())
             .fault_environments(q.list("environments", environment)?.unwrap_or_default())
             .budget(budget)
             .metrics(metrics.unwrap_or_default());
-        if let Some(axis) = q.opt("faults")?.map(fault_axis).transpose()? {
+        if let Some(axis) = axis {
             query = query.faults(axis);
         }
         if let Some(specs) = q.list("correlations", correlation)? {
@@ -812,12 +842,8 @@ fn space(f: &mut Fields<'_>) -> Result<DeploymentSpace, String> {
             let crash = i.within("fault_probability", PROBABILITY)?;
             let byzantine = i.opt_within("byzantine_probability", PROBABILITY)?;
             let byzantine = byzantine.unwrap_or(0.0);
-            if crash + byzantine > 1.0 {
-                return Err(format!(
-                    "instance '{name}': fault probabilities must sum to at most 1"
-                ));
-            }
-            let profile = FaultProfile::new(crash, byzantine);
+            let profile = FaultProfile::try_new(crash, byzantine)
+                .map_err(|e| format!("instance '{name}': {e}"))?;
             let cost = i.within("hourly_cost", NON_NEGATIVE)?;
             Ok(NodeType::from_profile(name, profile, cost))
         })
@@ -1928,6 +1954,20 @@ mod tests {
                 r#"{"cells":[{"label":"c","model":"pbft","deployment":{"uniform_mixed":{"n":4,"crash":0.6,"byzantine":0.6}}}]}"#,
             ),
             "must not exceed 1",
+        );
+        // Grid models and profiles are built by `plan`, past the reader, so
+        // the reader refuses what their constructors would assert.
+        rejected_then_served(
+            &bad_query(
+                r#"{"protocols":[{"raft_flexible":{"q_per":2,"q_vc":5}}],"nodes":[9,3],"fault_probs":[0.01]}"#,
+            ),
+            "raft_flexible: 'q_vc' must be a non-negative integer in [1, 3], got 5 for 3 nodes",
+        );
+        rejected_then_served(
+            &bad_query(
+                r#"{"protocols":["pbft"],"nodes":[4],"fault_probs":[0.01,0.9],"faults":{"mixed":{"byzantine":0.3}}}"#,
+            ),
+            "query: crash + byzantine must not exceed 1 (got 1.2)",
         );
     }
 

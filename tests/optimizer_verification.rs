@@ -7,10 +7,10 @@
 //!   `tests/engine_agreement.rs`.
 //! * **Thread-count bit-identity** — the frontier JSON is byte-identical at
 //!   1/2/8 threads.
-//! * **Cache aliasing** — optimizer scratch lives in its own key namespace:
-//!   warming it never perturbs first-order or epistemic results sharing the
-//!   same session, and the same content produces distinct cache entries per
-//!   namespace.
+//! * **Cache sharing** — optimizer candidates are keyed by content like every
+//!   other cell: warming the cache with a search never perturbs first-order or
+//!   epistemic results sharing the same session, and a first-order cell of a
+//!   candidate's content reuses the candidate's cache entry.
 //! * **Golden regression** — the automated search over the
 //!   `claim-durability-correlated` space reproduces the known ranking
 //!   (cross-rack ≻ same-rack) and the orders-of-magnitude gap.
@@ -215,12 +215,11 @@ fn optimizer_json_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn optimizer_scratch_never_perturbs_first_order_or_epistemic_results() {
-    // The aliasing regression, behavioral form. One candidate's (model,
-    // scenario) pair is scored three ways — first-order cell, epistemic cell,
-    // optimizer candidate — in both orders. If optimizer scratch keys collided
-    // with either namespace, the warmed pilots/proposals (learned under
-    // optimizer budgets) would leak into the other paths and shift their
-    // results; byte-equal JSON proves isolation.
+    // One candidate's (model, scenario) pair is scored three ways —
+    // first-order cell, epistemic cell, optimizer candidate — in both orders.
+    // The first-order cell shares the candidate's scratch group; its pilots and
+    // proposals are kept per seed, so what the optimizer's salted seeds warmed
+    // can never reach the other paths' results: byte-equal JSON proves it.
     let space = DeploymentSpace {
         instances: vec![NodeType::new("spot", 0.08, 0.10)],
         nodes: vec![6],
@@ -249,11 +248,12 @@ fn optimizer_scratch_never_perturbs_first_order_or_epistemic_results() {
     let cold_first = strip_wall_ns(&cold.run(&first_order).unwrap().to_json());
     let cold_epistemic = strip_wall_ns(&cold.run(&epistemic).unwrap().to_json());
 
-    // Warm: the optimizer runs first (same content, its own namespace).
+    // Warm: the optimizer runs first (same content, so the same entry).
     let warm = AnalysisSession::new();
     optimize(&warm, &space, &config).unwrap();
     let entries_after_optimize = warm.cache_stats().entries;
     let warm_first = strip_wall_ns(&warm.run(&first_order).unwrap().to_json());
+    let entries_after_first = warm.cache_stats().entries;
     let warm_epistemic = strip_wall_ns(&warm.run(&epistemic).unwrap().to_json());
 
     assert_eq!(
@@ -264,19 +264,18 @@ fn optimizer_scratch_never_perturbs_first_order_or_epistemic_results() {
         cold_epistemic, warm_epistemic,
         "optimizer scratch leaked into epistemic cells"
     );
-    // And the namespaces really are distinct entries, not a shared group: the
-    // first-order run after the optimizer added a new scratch group for the
-    // same content.
-    assert!(
-        warm.cache_stats().entries > entries_after_optimize,
-        "first-order scratch reused the optimizer's cache entry"
+    // And the first-order run after the optimizer added no scratch group: the
+    // same content is one entry.
+    assert_eq!(
+        entries_after_first, entries_after_optimize,
+        "first-order scratch must reuse the optimizer's cache entry"
     );
 }
 
 #[test]
 fn repeated_searches_reuse_the_session_cache() {
     // Same space, same seeds: the second search must be all hits (pilots,
-    // proposals and packed kernels come back from the optimizer namespace).
+    // proposals and packed kernels come back from the session cache).
     let session = AnalysisSession::new();
     durability_report(&session);
     let misses_after_first = session.cache_stats().misses;
