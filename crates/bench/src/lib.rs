@@ -20,7 +20,6 @@ use prob_consensus::durability::{
 };
 use prob_consensus::engine::{
     AnalysisEngine, AnalysisOutcome, Budget, EngineChoice, EnumerationEngine, FaultEnvironment,
-    Scenario,
 };
 use prob_consensus::json::JsonValue;
 use prob_consensus::montecarlo::{monte_carlo_reliability_par_kernel, McKernel};
@@ -461,7 +460,7 @@ pub fn claim_durability_correlated() -> (Table, CorrelatedDurability) {
     let rack = DURABILITY_N / DURABILITY_RACKS;
     let profiles = vec![FaultProfile::crash_only(DURABILITY_P); DURABILITY_N];
 
-    let independent_deployment = Deployment::from_profiles(profiles.clone());
+    let deployment = Deployment::from_profiles(profiles.clone());
     let quorum: Vec<usize> = (0..DURABILITY_QUORUM).collect();
     let packed_model: Arc<dyn prob_consensus::ProtocolModel + Send + Sync> =
         Arc::new(PersistenceQuorumModel::new(DURABILITY_N, quorum));
@@ -488,7 +487,7 @@ pub fn claim_durability_correlated() -> (Table, CorrelatedDurability) {
         .run(
             &Query::new()
                 .budget(budget)
-                .cell("independent", packed_model.clone(), independent_deployment)
+                .cell("independent", packed_model.clone(), deployment)
                 .cell_correlated("same-rack", packed_model, correlated.clone())
                 .cell_correlated("cross-rack", spread_model, correlated),
         )
@@ -759,7 +758,7 @@ pub fn monte_carlo_crosscheck(n: usize, p: f64, samples: usize, seed: u64) -> (f
         .report
         .safe_and_live
         .probability();
-    let failure_model = CorrelationModel::independent(deployment.profiles().to_vec());
+    let failure_model = CorrelationModel::from(&deployment);
     let mc =
         monte_carlo_reliability_par_kernel(&model, &failure_model, samples, seed, McKernel::Auto);
     (analytic, mc.safe_and_live.value)
@@ -864,7 +863,7 @@ pub fn rare_event_sample_efficiency() -> f64 {
         .with_seed(RARE_EVENT_SEED);
     let outcome = prob_consensus::rare_event::ImportanceSamplingEngine.run(
         &model,
-        Scenario::Independent(&deployment),
+        &CorrelationModel::from(&deployment),
         &budget,
     );
     let report = outcome.rare_event.expect("importance sampling ran");
@@ -888,7 +887,7 @@ pub fn sim_throughput_batch() -> prob_consensus::simulation::SimulationReport {
         .with_sim_trials(SIM_THROUGHPUT_TRIALS);
     prob_consensus::simulation::simulate_reliability(
         &model,
-        Scenario::Independent(&deployment),
+        &CorrelationModel::from(&deployment),
         &budget,
     )
 }
@@ -915,7 +914,7 @@ pub fn gray_primary_batch() -> prob_consensus::simulation::SimulationReport {
         .with_fault_environment(FaultEnvironment::GrayPrimary);
     prob_consensus::simulation::simulate_reliability(
         &model,
-        Scenario::Independent(&deployment),
+        &CorrelationModel::from(&deployment),
         &budget,
     )
 }
@@ -931,7 +930,7 @@ pub fn partition_heal_batch() -> prob_consensus::simulation::SimulationReport {
         .with_fault_environment(FaultEnvironment::PartitionHeal);
     prob_consensus::simulation::simulate_reliability(
         &model,
-        Scenario::Independent(&deployment),
+        &CorrelationModel::from(&deployment),
         &budget,
     )
 }
@@ -1016,7 +1015,7 @@ pub fn sweep_naive_loop() -> Vec<AnalysisOutcome> {
         .map(|&samples| {
             analyze_scenario(
                 &model,
-                Scenario::Correlated(&failure_model),
+                &failure_model,
                 &Budget::default()
                     .with_seed(SWEEP_SEED)
                     .with_samples(samples),
@@ -1070,7 +1069,7 @@ pub fn sweep_mixed_naive_loop() -> Vec<AnalysisOutcome> {
             .with_seed(SWEEP_SEED)
             .with_samples(samples);
         out.push(
-            analyze_scenario(&model, Scenario::Correlated(&failure_model), &budget)
+            analyze_scenario(&model, &failure_model, &budget)
                 .expect("well-formed mixed sweep cell"),
         );
     }
@@ -1285,14 +1284,14 @@ pub fn analysis_benchmarks(budget_ms: u64) -> Vec<BenchMeasurement> {
         analyze_auto(&m100, &d100, &budget)
     }));
 
-    let d13 = Deployment::uniform_crash(13, 0.02);
+    let s13 = CorrelationModel::from(&Deployment::uniform_crash(13, 0.02));
     let m13 = RaftModel::standard(13);
     out.push(time_one(enumeration13, budget_ms, || {
-        EnumerationEngine.run(&m13, (&d13).into(), &budget)
+        EnumerationEngine.run(&m13, &s13, &budget)
     }));
 
     let (m_mc, d_mc) = mc_speedup_workload();
-    let fm_mc = CorrelationModel::independent(d_mc.profiles().to_vec());
+    let fm_mc = CorrelationModel::from(&d_mc);
     for (id, kernel) in [
         (MC_SCALAR_PARALLEL_ID, McKernel::Scalar),
         (MC_PARALLEL_ID, McKernel::Auto),
@@ -1309,8 +1308,7 @@ pub fn analysis_benchmarks(budget_ms: u64) -> Vec<BenchMeasurement> {
     }
 
     let pbft = PbftModel::standard(7);
-    let mixed =
-        CorrelationModel::independent(Deployment::uniform_mixed(7, 0.05, 0.01).profiles().to_vec());
+    let mixed = CorrelationModel::from(&Deployment::uniform_mixed(7, 0.05, 0.01));
     for (id, kernel) in [
         (MC_MIXED_SCALAR_ID, McKernel::Scalar),
         (MC_MIXED_PACKED_ID, McKernel::Packed),
@@ -1337,14 +1335,10 @@ pub fn analysis_benchmarks(budget_ms: u64) -> Vec<BenchMeasurement> {
     let re_budget = Budget::default()
         .with_samples(RARE_EVENT_SAMPLES)
         .with_seed(RARE_EVENT_SEED);
+    let fm_re = CorrelationModel::from(&d_re);
     out.push(time_one(RARE_EVENT_IS_ID, budget_ms, || {
-        prob_consensus::rare_event::ImportanceSamplingEngine.run(
-            &m_re,
-            Scenario::Independent(&d_re),
-            &re_budget,
-        )
+        prob_consensus::rare_event::ImportanceSamplingEngine.run(&m_re, &fm_re, &re_budget)
     }));
-    let fm_re = CorrelationModel::independent(d_re.profiles().to_vec());
     out.push(time_one(RARE_EVENT_MC_ID, budget_ms, || {
         monte_carlo_reliability_par_kernel(
             &m_re,
@@ -1636,7 +1630,7 @@ mod tests {
     #[test]
     fn packed_kernel_outruns_the_scalar_kernel() {
         let (model, deployment) = mc_speedup_workload();
-        let fm = CorrelationModel::independent(deployment.profiles().to_vec());
+        let fm = CorrelationModel::from(&deployment);
         let samples = 20_000;
         let time_kernel = |kernel: McKernel| {
             super::time_one("kernel-probe", 40, || {
@@ -1662,7 +1656,7 @@ mod tests {
         let threads = rayon::current_num_threads();
         let floor = if threads >= 4 { 2.0 } else { 0.9 };
         let (model, deployment) = mc_speedup_workload();
-        let fm = CorrelationModel::independent(deployment.profiles().to_vec());
+        let fm = CorrelationModel::from(&deployment);
         let samples = 40_000;
         let scalar = || {
             monte_carlo_reliability_par_kernel(

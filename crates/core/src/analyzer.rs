@@ -4,15 +4,17 @@
 //! triple through the [`crate::engine`] auto-selector (exact counting when possible,
 //! enumeration for small non-counting models, parallel Monte Carlo otherwise) and tags
 //! the result with the engine that produced it; [`analyze_scenario`] is its fallible
-//! form over any [`Scenario`]. A caller that must pin an engine — a cross-engine
-//! agreement test, a bench — runs that engine directly through
-//! [`AnalysisEngine::run`](crate::engine::AnalysisEngine::run), e.g.
+//! form over any [`CorrelationModel`] — the one scenario type, of which an
+//! independent deployment is the case with no shock groups. A caller that must pin
+//! an engine — a cross-engine agreement test, a bench — runs that engine directly
+//! through [`AnalysisEngine::run`](crate::engine::AnalysisEngine::run), e.g.
 //! `CountingEngine.run(model, scenario, budget)`.
 
+use fault_model::correlation::CorrelationModel;
 use fault_model::metrics::Nines;
 
 use crate::deployment::Deployment;
-use crate::engine::{select_engine, AnalysisOutcome, Budget, Scenario};
+use crate::engine::{select_engine, AnalysisOutcome, Budget};
 use crate::enumeration::RawReliability;
 use crate::protocol::ProtocolModel;
 use crate::scratch::GroupScratch;
@@ -96,7 +98,7 @@ pub fn analyze_auto(
     deployment: &Deployment,
     budget: &Budget,
 ) -> AnalysisOutcome {
-    analyze_scenario(model, Scenario::Independent(deployment), budget)
+    analyze_scenario(model, &CorrelationModel::from(deployment), budget)
         .unwrap_or_else(|error| panic!("{error}"))
 }
 
@@ -178,16 +180,16 @@ impl std::fmt::Display for AnalysisError {
 
 impl std::error::Error for AnalysisError {}
 
-/// Analyzes `model` on an arbitrary [`Scenario`] (independent or correlated),
+/// Analyzes `model` on an arbitrary scenario (independent or correlated),
 /// automatically selecting the engine within `budget`.
 ///
 /// Unlike [`analyze_auto`] — whose [`Deployment`] argument is non-empty by
-/// construction — a [`Scenario`] can wrap a correlation model over zero nodes, so
+/// construction — a [`CorrelationModel`] can cover zero nodes, so
 /// this front door is fallible: an empty scenario or a model/scenario size mismatch
 /// yields a clear [`AnalysisError`] instead of a deep panic or a vacuous report.
 pub fn analyze_scenario(
     model: &dyn ProtocolModel,
-    scenario: Scenario<'_>,
+    scenario: &CorrelationModel,
     budget: &Budget,
 ) -> Result<AnalysisOutcome, AnalysisError> {
     if scenario.is_empty() {
@@ -217,7 +219,11 @@ mod tests {
     /// The exact counting engine's report, pinned (not auto-selected).
     fn counting(model: &dyn ProtocolModel, deployment: &Deployment) -> ReliabilityReport {
         CountingEngine
-            .run(model, deployment.into(), &Budget::default())
+            .run(
+                model,
+                &CorrelationModel::from(deployment),
+                &Budget::default(),
+            )
             .report
     }
 
@@ -315,7 +321,11 @@ mod tests {
         let deployment = Deployment::uniform_byzantine(5, 0.03);
         let a = counting(&model, &deployment);
         let b = EnumerationEngine
-            .run(&model, (&deployment).into(), &Budget::default())
+            .run(
+                &model,
+                &CorrelationModel::from(&deployment),
+                &Budget::default(),
+            )
             .report;
         assert!((a.safe.probability() - b.safe.probability()).abs() < 1e-12);
         assert!((a.live.probability() - b.live.probability()).abs() < 1e-12);
@@ -323,12 +333,11 @@ mod tests {
 
     #[test]
     fn empty_scenario_yields_a_clear_error() {
-        use fault_model::correlation::CorrelationModel;
         // An empty correlation model is the one way a zero-node scenario can reach
         // the analyzer (Deployment rejects zero nodes at construction).
         let empty = CorrelationModel::independent(Vec::new());
         let model = RaftModel::standard(3);
-        let err = analyze_scenario(&model, (&empty).into(), &crate::engine::Budget::default())
+        let err = analyze_scenario(&model, &empty, &crate::engine::Budget::default())
             .expect_err("empty scenario must not produce a report");
         // A 3-node model over a 0-node scenario is first and foremost empty.
         assert_eq!(err, AnalysisError::EmptyScenario);
@@ -337,11 +346,10 @@ mod tests {
 
     #[test]
     fn size_mismatch_yields_a_clear_error() {
-        use fault_model::correlation::CorrelationModel;
         use fault_model::mode::FaultProfile;
         let four = CorrelationModel::independent(vec![FaultProfile::crash_only(0.1); 4]);
         let model = RaftModel::standard(3);
-        let err = analyze_scenario(&model, (&four).into(), &crate::engine::Budget::default())
+        let err = analyze_scenario(&model, &four, &crate::engine::Budget::default())
             .expect_err("size mismatch must not produce a report");
         assert_eq!(
             err,
@@ -359,7 +367,7 @@ mod tests {
         let deployment = Deployment::uniform_crash(5, 0.02);
         let budget = crate::engine::Budget::default();
         let auto = analyze_auto(&model, &deployment, &budget);
-        let scenario = analyze_scenario(&model, (&deployment).into(), &budget)
+        let scenario = analyze_scenario(&model, &CorrelationModel::from(&deployment), &budget)
             .expect("well-formed scenario analyzes");
         assert_eq!(auto.report, scenario.report);
         assert_eq!(auto.engine, scenario.engine);

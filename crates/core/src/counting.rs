@@ -99,13 +99,6 @@ impl FaultCountDistribution {
         self.pmf[crashed][byzantine]
     }
 
-    /// `P[#crashed + #byzantine = faulty]`.
-    pub fn probability_total_faults(&self, faulty: usize) -> f64 {
-        (0..=faulty.min(self.n))
-            .map(|c| self.probability(c, faulty - c))
-            .sum()
-    }
-
     /// `P[#crashed + #byzantine >= faulty]` — an O(1) lookup into the precomputed
     /// suffix sums.
     pub fn probability_at_least_faults(&self, faulty: usize) -> f64 {
@@ -183,7 +176,6 @@ mod tests {
         for k in 0..=6 {
             let expected = quorum::metrics::binomial_pmf(6, k, 0.1);
             assert!((dist.probability(k, 0) - expected).abs() < 1e-12);
-            assert!((dist.probability_total_faults(k) - expected).abs() < 1e-12);
         }
         assert!((dist.probability_at_least_faults(0) - 1.0).abs() < 1e-12);
     }
@@ -246,8 +238,9 @@ mod tests {
         );
         let dist = FaultCountDistribution::from_deployment(&d);
         for faulty in 0..=13 {
+            let dist = &dist;
             let naive: f64 = (faulty..=dist.n())
-                .map(|k| dist.probability_total_faults(k))
+                .flat_map(|k| (0..=k).map(move |c| dist.probability(c, k - c)))
                 .sum::<f64>()
                 .min(1.0);
             let cached = dist.probability_at_least_faults(faulty);

@@ -1,16 +1,14 @@
 //! Deployments: the per-node failure probabilities the analysis runs against.
 
-use fault_model::metrics::HOURS_PER_YEAR;
+use fault_model::correlation::CorrelationModel;
 use fault_model::mode::FaultProfile;
-use fault_model::node::Fleet;
 
 /// A deployment is the set of machines a consensus group runs on, reduced to each
 /// machine's fault profile over the mission window of interest.
 ///
 /// §3 of the paper assumes "every machine u has a constant probability p_u of failing";
 /// [`Deployment::uniform_crash`] and [`Deployment::uniform_byzantine`] construct exactly
-/// that setting, while [`Deployment::from_fleet`] evaluates full fault curves over a
-/// window.
+/// that setting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Deployment {
     profiles: Vec<FaultProfile>,
@@ -39,16 +37,6 @@ impl Deployment {
     /// "mercurial cores" setting of §2(4)).
     pub fn uniform_mixed(n: usize, crash: f64, byzantine: f64) -> Self {
         Self::from_profiles(vec![FaultProfile::new(crash, byzantine); n])
-    }
-
-    /// Evaluates a fleet's fault curves over `window_hours` to build the deployment.
-    pub fn from_fleet(fleet: &Fleet, window_hours: f64) -> Self {
-        Self::from_profiles(fleet.profiles(window_hours))
-    }
-
-    /// Evaluates a fleet's fault curves over a one-year window.
-    pub fn from_fleet_annual(fleet: &Fleet) -> Self {
-        Self::from_fleet(fleet, HOURS_PER_YEAR)
     }
 
     /// Number of nodes.
@@ -80,18 +68,6 @@ impl Deployment {
         Self { profiles }
     }
 
-    /// Whether any node has a non-zero Byzantine probability.
-    pub fn has_byzantine(&self) -> bool {
-        self.profiles
-            .iter()
-            .any(|p| p.byzantine_probability() > 0.0)
-    }
-
-    /// Whether any node has a non-zero crash probability.
-    pub fn has_crash(&self) -> bool {
-        self.profiles.iter().any(|p| p.crash_probability() > 0.0)
-    }
-
     /// Indices of nodes ordered from most to least reliable (lowest fault probability
     /// first); ties broken by index.
     pub fn nodes_by_reliability(&self) -> Vec<usize> {
@@ -105,41 +81,38 @@ impl Deployment {
         });
         idx
     }
+}
 
-    /// The mean per-node fault probability.
-    pub fn mean_fault_probability(&self) -> f64 {
-        self.profiles
-            .iter()
-            .map(|p| p.fault_probability())
-            .sum::<f64>()
-            / self.profiles.len() as f64
+/// The scenario the engines run on: a deployment is the correlation model with no
+/// shock groups. The one conversion between the two.
+impl From<&Deployment> for CorrelationModel {
+    fn from(deployment: &Deployment) -> Self {
+        CorrelationModel::independent(deployment.profiles.clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fault_model::node::NodeSpec;
 
     #[test]
     fn uniform_crash_deployment() {
         let d = Deployment::uniform_crash(5, 0.02);
         assert_eq!(d.len(), 5);
-        assert!(d.has_crash() && !d.has_byzantine());
-        assert!((d.mean_fault_probability() - 0.02).abs() < 1e-12);
+        assert_eq!(d.profiles(), &[FaultProfile::crash_only(0.02); 5]);
     }
 
     #[test]
     fn uniform_byzantine_deployment() {
         let d = Deployment::uniform_byzantine(4, 0.01);
-        assert!(d.has_byzantine() && !d.has_crash());
+        assert!(d.profiles().iter().all(|p| p.crash_probability() == 0.0));
         assert_eq!(d.profile(3).byzantine_probability(), 0.01);
     }
 
     #[test]
     fn mixed_deployment_has_both_modes() {
         let d = Deployment::uniform_mixed(3, 0.04, 0.0001);
-        assert!(d.has_crash() && d.has_byzantine());
+        assert_eq!(d.profiles(), &[FaultProfile::new(0.04, 0.0001); 3]);
     }
 
     #[test]
@@ -159,16 +132,6 @@ mod tests {
             FaultProfile::crash_only(0.04),
         ]);
         assert_eq!(d.nodes_by_reliability(), vec![1, 2, 0]);
-    }
-
-    #[test]
-    fn from_fleet_uses_curve_probabilities() {
-        let mut fleet = Fleet::new();
-        fleet.push(NodeSpec::with_constant_crash(0, 0.08, HOURS_PER_YEAR));
-        fleet.push(NodeSpec::with_constant_crash(1, 0.01, HOURS_PER_YEAR));
-        let d = Deployment::from_fleet_annual(&fleet);
-        assert!((d.profile(0).crash_probability() - 0.08).abs() < 1e-9);
-        assert!((d.profile(1).crash_probability() - 0.01).abs() < 1e-9);
     }
 
     #[test]

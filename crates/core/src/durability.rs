@@ -6,9 +6,9 @@
 //! failures leads to data loss is vanishingly unlikely": in a 100-node cluster with
 //! |Q_per| = 10 and p_u = 10% there is a ~50% chance that 10 nodes fail, but only ~1 in
 //! 10 billion that the failures cover the most recently formed persistence quorum.
-//! This module quantifies both sides of that argument, plus repair-aware MTTDL.
+//! This module quantifies both sides of that argument; repair-aware MTTDL is
+//! [`fault_model::markov::RepairableGroup`]'s.
 
-use fault_model::markov::RepairableGroup;
 use fault_model::metrics::Nines;
 
 use crate::counting::FaultCountDistribution;
@@ -160,28 +160,11 @@ impl ProtocolModel for PersistenceQuorumModel {
     }
 }
 
-/// Mean time (hours) until more than `tolerated_failures` nodes of an `n`-node group are
-/// down simultaneously, with per-node failure rate `lambda` and repair rate `mu` — the
-/// consensus analogue of MTTDL the storage community computes (§2).
-pub fn consensus_mttdl(n: usize, lambda: f64, mu: f64, tolerated_failures: usize) -> f64 {
-    RepairableGroup::new(n, lambda, mu, tolerated_failures).mean_time_to_threshold_exceeded()
-}
-
-/// Long-run probability that a quorum of `n - tolerated_failures` nodes is available in a
-/// repairable group.
-pub fn steady_state_quorum_availability(
-    n: usize,
-    lambda: f64,
-    mu: f64,
-    tolerated_failures: usize,
-) -> f64 {
-    RepairableGroup::new(n, lambda, mu, tolerated_failures).steady_state_availability()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{AnalysisEngine, Budget, EnumerationEngine};
+    use fault_model::correlation::CorrelationModel;
     use fault_model::mode::FaultProfile;
 
     #[test]
@@ -233,21 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn mttdl_improves_with_repair_and_tolerance() {
-        let without_repair = consensus_mttdl(5, 1e-4, 0.0, 2);
-        let with_repair = consensus_mttdl(5, 1e-4, 1e-2, 2);
-        assert!(with_repair > 10.0 * without_repair);
-        let more_tolerant = consensus_mttdl(5, 1e-4, 1e-2, 3);
-        assert!(more_tolerant > with_repair);
-    }
-
-    #[test]
-    fn steady_state_availability_is_high_with_fast_repair() {
-        let a = steady_state_quorum_availability(5, 1e-4, 1.0, 2);
-        assert!(a > 0.999999999);
-    }
-
-    #[test]
     #[should_panic(expected = "repeated")]
     fn repeated_quorum_members_are_rejected() {
         let deployment = Deployment::uniform_crash(3, 0.1);
@@ -290,7 +258,11 @@ mod tests {
         let deployment = Deployment::uniform_crash(6, 0.2);
         let model = PersistenceQuorumModel::new(6, vec![0, 2, 4]);
         let report = EnumerationEngine
-            .run(&model, (&deployment).into(), &Budget::default())
+            .run(
+                &model,
+                &CorrelationModel::from(&deployment),
+                &Budget::default(),
+            )
             .report;
         let analytic = quorum_loss_probability(&deployment, &[0, 2, 4]);
         assert!((report.unsafety() - analytic).abs() < 1e-12);

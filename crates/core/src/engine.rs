@@ -4,8 +4,10 @@
 //! it as three disconnected entry points that every caller had to hand-select. This
 //! module unifies them behind one abstraction:
 //!
-//! * [`Scenario`] — what the analysis runs against: an independent [`Deployment`] or a
-//!   correlated [`CorrelationModel`].
+//! * [`CorrelationModel`] — what the analysis runs against: per-node fault profiles
+//!   plus common-cause shock groups. An independent deployment is the model with no
+//!   groups (`CorrelationModel::from(&deployment)`), so every engine reads one
+//!   scenario type.
 //! * [`AnalysisEngine`] — the common trait of the five engines, wrapping
 //!   [`crate::enumeration`], [`crate::counting`], [`crate::rare_event`],
 //!   [`crate::montecarlo`] and [`crate::simulation`]. An engine has one body, and
@@ -30,8 +32,6 @@
 //! module; the engine structs are public for tests, benches and tools that need to pin
 //! an engine deliberately (e.g. cross-engine agreement checks).
 
-use std::borrow::Cow;
-
 use fault_model::correlation::CorrelationModel;
 
 use crate::analyzer::ReliabilityReport;
@@ -46,78 +46,6 @@ use crate::simulation::SimulationReport;
 // Re-exported so all five engine structs are importable from the engine layer.
 pub use crate::rare_event::ImportanceSamplingEngine;
 pub use crate::simulation::SimulationEngine;
-
-/// What a reliability analysis runs against.
-///
-/// Borrowed and `Copy`, so wrapping an existing deployment or correlation model costs
-/// nothing at the call site.
-#[derive(Debug, Clone, Copy)]
-pub enum Scenario<'a> {
-    /// Independent per-node fault profiles — the §3 setting; exact engines apply.
-    Independent(&'a Deployment),
-    /// A correlated failure model — the §2(3) setting; only sampling applies.
-    Correlated(&'a CorrelationModel),
-}
-
-impl Scenario<'_> {
-    /// Number of nodes in the scenario.
-    pub fn len(&self) -> usize {
-        match self {
-            Scenario::Independent(d) => d.len(),
-            Scenario::Correlated(c) => c.len(),
-        }
-    }
-
-    /// Whether the scenario covers no nodes.
-    ///
-    /// Never true for well-formed inputs — [`Deployment`] rejects zero nodes at
-    /// construction — but a [`CorrelationModel`] over an empty profile list can reach
-    /// this layer. The analyzer front door
-    /// ([`crate::analyzer::analyze_scenario`]) rejects empty scenarios with
-    /// [`AnalysisError::EmptyScenario`](crate::analyzer::AnalysisError); the
-    /// lower-level [`select_engine`] panics with a clear message rather than
-    /// letting an engine return a vacuous report.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The per-node fault profiles, whichever form the scenario takes. Borrowed — this
-    /// is what the engines' admissibility checks consume on the hot path.
-    pub fn profiles(&self) -> &'_ [fault_model::mode::FaultProfile] {
-        match self {
-            Scenario::Independent(d) => d.profiles(),
-            Scenario::Correlated(c) => c.profiles(),
-        }
-    }
-
-    /// Whether the scenario is effectively independent (an independent deployment, or
-    /// a correlation model with no active groups) and the exact engines therefore
-    /// apply.
-    pub fn is_independent(&self) -> bool {
-        !matches!(self, Scenario::Correlated(c) if c.is_correlated())
-    }
-
-    /// The scenario as a correlation model (trivially independent when no groups
-    /// exist) — the form the Monte Carlo sampler consumes.
-    pub fn to_correlation_model(&self) -> CorrelationModel {
-        match self {
-            Scenario::Independent(d) => CorrelationModel::independent(d.profiles().to_vec()),
-            Scenario::Correlated(c) => (*c).clone(),
-        }
-    }
-}
-
-impl<'a> From<&'a Deployment> for Scenario<'a> {
-    fn from(deployment: &'a Deployment) -> Self {
-        Scenario::Independent(deployment)
-    }
-}
-
-impl<'a> From<&'a CorrelationModel> for Scenario<'a> {
-    fn from(model: &'a CorrelationModel) -> Self {
-        Scenario::Correlated(model)
-    }
-}
 
 /// Identifies one of the five analysis engines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -616,7 +544,7 @@ pub trait AnalysisEngine: Sync {
     fn supports_prepared(
         &self,
         model: &dyn ProtocolModel,
-        scenario: Scenario<'_>,
+        scenario: &CorrelationModel,
         budget: &Budget,
         scratch: &GroupScratch,
     ) -> bool;
@@ -633,14 +561,19 @@ pub trait AnalysisEngine: Sync {
     fn run_prepared(
         &self,
         model: &dyn ProtocolModel,
-        scenario: Scenario<'_>,
+        scenario: &CorrelationModel,
         budget: &Budget,
         scratch: &GroupScratch,
     ) -> AnalysisOutcome;
 
     /// [`supports_prepared`](AnalysisEngine::supports_prepared) on a throwaway
     /// scratch.
-    fn supports(&self, model: &dyn ProtocolModel, scenario: Scenario<'_>, budget: &Budget) -> bool {
+    fn supports(
+        &self,
+        model: &dyn ProtocolModel,
+        scenario: &CorrelationModel,
+        budget: &Budget,
+    ) -> bool {
         self.supports_prepared(model, scenario, budget, &GroupScratch::default())
     }
 
@@ -648,24 +581,10 @@ pub trait AnalysisEngine: Sync {
     fn run(
         &self,
         model: &dyn ProtocolModel,
-        scenario: Scenario<'_>,
+        scenario: &CorrelationModel,
         budget: &Budget,
     ) -> AnalysisOutcome {
         self.run_prepared(model, scenario, budget, &GroupScratch::default())
-    }
-}
-
-/// The scenario as the independent deployment the exact engines consume: borrowed
-/// when it already is one, converted for a correlation model with no active groups
-/// (independent in all but name).
-fn independent_deployment<'a>(scenario: Scenario<'a>) -> Cow<'a, Deployment> {
-    assert!(
-        scenario.is_independent(),
-        "exact engines require an independent scenario"
-    );
-    match scenario {
-        Scenario::Independent(deployment) => Cow::Borrowed(deployment),
-        Scenario::Correlated(c) => Cow::Owned(Deployment::from_profiles(c.profiles().to_vec())),
     }
 }
 
@@ -681,23 +600,30 @@ impl AnalysisEngine for EnumerationEngine {
     fn supports_prepared(
         &self,
         _model: &dyn ProtocolModel,
-        scenario: Scenario<'_>,
+        scenario: &CorrelationModel,
         _budget: &Budget,
         _scratch: &GroupScratch,
     ) -> bool {
         // Admissibility is the enumeration module's own rule, so the selector can
         // never route a deployment there that the module would reject.
-        scenario.is_independent() && crate::enumeration::enumeration_supported(scenario.profiles())
+        !scenario.is_correlated() && crate::enumeration::enumeration_supported(scenario.profiles())
     }
 
     fn run_prepared(
         &self,
         model: &dyn ProtocolModel,
-        scenario: Scenario<'_>,
+        scenario: &CorrelationModel,
         _budget: &Budget,
         _scratch: &GroupScratch,
     ) -> AnalysisOutcome {
-        let raw = enumerate_reliability(model, &independent_deployment(scenario));
+        assert!(
+            !scenario.is_correlated(),
+            "exact engines require an independent scenario"
+        );
+        let raw = enumerate_reliability(
+            model,
+            &Deployment::from_profiles(scenario.profiles().to_vec()),
+        );
         AnalysisOutcome::new(
             EngineChoice::Enumeration,
             raw.p_safe,
@@ -720,27 +646,35 @@ impl AnalysisEngine for CountingEngine {
     fn supports_prepared(
         &self,
         model: &dyn ProtocolModel,
-        scenario: Scenario<'_>,
+        scenario: &CorrelationModel,
         budget: &Budget,
         _scratch: &GroupScratch,
     ) -> bool {
         model.as_counting().is_some()
-            && scenario.is_independent()
+            && !scenario.is_correlated()
             && scenario.len() <= budget.max_counting_nodes
     }
 
     fn run_prepared(
         &self,
         model: &dyn ProtocolModel,
-        scenario: Scenario<'_>,
+        scenario: &CorrelationModel,
         _budget: &Budget,
         scratch: &GroupScratch,
     ) -> AnalysisOutcome {
         let counting = model
             .as_counting()
             .expect("counting engine requires a counting model");
-        let raw =
-            scratch.counting(|| counting_reliability(counting, &independent_deployment(scenario)));
+        assert!(
+            !scenario.is_correlated(),
+            "exact engines require an independent scenario"
+        );
+        let raw = scratch.counting(|| {
+            counting_reliability(
+                counting,
+                &Deployment::from_profiles(scenario.profiles().to_vec()),
+            )
+        });
         AnalysisOutcome::new(
             EngineChoice::Counting,
             raw.p_safe,
@@ -779,7 +713,7 @@ impl AnalysisEngine for MonteCarloEngine {
     fn supports_prepared(
         &self,
         _model: &dyn ProtocolModel,
-        _scenario: Scenario<'_>,
+        _scenario: &CorrelationModel,
         _budget: &Budget,
         _scratch: &GroupScratch,
     ) -> bool {
@@ -789,7 +723,7 @@ impl AnalysisEngine for MonteCarloEngine {
     fn run_prepared(
         &self,
         model: &dyn ProtocolModel,
-        scenario: Scenario<'_>,
+        scenario: &CorrelationModel,
         budget: &Budget,
         scratch: &GroupScratch,
     ) -> AnalysisOutcome {
@@ -823,7 +757,7 @@ pub static ENGINES: [&dyn AnalysisEngine; 4] = [
 /// [`crate::analyzer::analyze_scenario`].
 pub fn select_engine(
     model: &dyn ProtocolModel,
-    scenario: Scenario<'_>,
+    scenario: &CorrelationModel,
     budget: &Budget,
     scratch: &GroupScratch,
 ) -> &'static dyn AnalysisEngine {
@@ -848,7 +782,7 @@ mod tests {
     /// The auto-selector's choice for a triple, on a throwaway scratch.
     fn selected(
         model: &dyn ProtocolModel,
-        scenario: Scenario<'_>,
+        scenario: &CorrelationModel,
         budget: &Budget,
     ) -> EngineChoice {
         select_engine(model, scenario, budget, &GroupScratch::default()).choice()
@@ -882,7 +816,11 @@ mod tests {
     fn counting_model_on_independent_deployment_selects_counting() {
         let model = RaftModel::standard(5);
         let deployment = Deployment::uniform_crash(5, 0.05);
-        let choice = selected(&model, Scenario::from(&deployment), &Budget::default());
+        let choice = selected(
+            &model,
+            &CorrelationModel::from(&deployment),
+            &Budget::default(),
+        );
         assert_eq!(choice, EngineChoice::Counting);
     }
 
@@ -890,7 +828,11 @@ mod tests {
     fn non_counting_model_small_n_selects_enumeration() {
         let model = RequiresNodeZero { n: 5 };
         let deployment = Deployment::uniform_crash(5, 0.05);
-        let choice = selected(&model, Scenario::from(&deployment), &Budget::default());
+        let choice = selected(
+            &model,
+            &CorrelationModel::from(&deployment),
+            &Budget::default(),
+        );
         assert_eq!(choice, EngineChoice::Enumeration);
     }
 
@@ -898,7 +840,11 @@ mod tests {
     fn non_counting_model_large_n_selects_monte_carlo() {
         let model = RequiresNodeZero { n: 64 };
         let deployment = Deployment::uniform_crash(64, 0.05);
-        let choice = selected(&model, Scenario::from(&deployment), &Budget::default());
+        let choice = selected(
+            &model,
+            &CorrelationModel::from(&deployment),
+            &Budget::default(),
+        );
         assert_eq!(choice, EngineChoice::MonteCarlo);
     }
 
@@ -907,7 +853,7 @@ mod tests {
         let model = RaftModel::standard(5);
         let correlated = CorrelationModel::independent(vec![FaultProfile::crash_only(0.02); 5])
             .with_group(CorrelationGroup::crash_shock((0..5).collect(), 0.01));
-        let choice = selected(&model, Scenario::from(&correlated), &Budget::default());
+        let choice = selected(&model, &correlated, &Budget::default());
         assert_eq!(choice, EngineChoice::MonteCarlo);
     }
 
@@ -915,11 +861,16 @@ mod tests {
     fn groupless_correlation_model_counts_as_independent() {
         let model = RaftModel::standard(5);
         let independent = CorrelationModel::independent(vec![FaultProfile::crash_only(0.02); 5]);
-        let scenario = Scenario::from(&independent);
-        assert!(scenario.is_independent());
+        assert!(!independent.is_correlated());
         assert_eq!(
-            selected(&model, scenario, &Budget::default()),
+            selected(&model, &independent, &Budget::default()),
             EngineChoice::Counting
+        );
+        // A deployment is converted to exactly this model, so both answer alike.
+        let deployment = CorrelationModel::from(&Deployment::uniform_crash(5, 0.02));
+        assert_eq!(
+            CountingEngine.run(&model, &independent, &Budget::default()),
+            CountingEngine.run(&model, &deployment, &Budget::default())
         );
     }
 
@@ -931,12 +882,20 @@ mod tests {
         let roomy = Budget::default().with_max_counting_nodes(usize::MAX);
         let binary = Deployment::uniform_crash(21, 0.05);
         assert_eq!(
-            selected(&RequiresNodeZero { n: 21 }, Scenario::from(&binary), &roomy),
+            selected(
+                &RequiresNodeZero { n: 21 },
+                &CorrelationModel::from(&binary),
+                &roomy
+            ),
             EngineChoice::MonteCarlo
         );
         let mixed = Deployment::uniform_mixed(13, 0.05, 0.01);
         assert_eq!(
-            selected(&RequiresNodeZero { n: 13 }, Scenario::from(&mixed), &roomy),
+            selected(
+                &RequiresNodeZero { n: 13 },
+                &CorrelationModel::from(&mixed),
+                &roomy
+            ),
             EngineChoice::MonteCarlo
         );
     }
@@ -959,7 +918,11 @@ mod tests {
                 Deployment::uniform_crash(n, 0.05)
             };
             assert_eq!(
-                selected(&model, Scenario::from(&deployment), &Budget::default()),
+                selected(
+                    &model,
+                    &CorrelationModel::from(&deployment),
+                    &Budget::default()
+                ),
                 expected,
                 "N = {n}, mixed = {mixed}"
             );
@@ -974,7 +937,7 @@ mod tests {
         // the rare-event engine (not plain Monte Carlo) picks it up.
         let model = RaftModel::standard(3_000);
         let deployment = Deployment::uniform_crash(3_000, 0.01);
-        let scenario = Scenario::from(&deployment);
+        let scenario = &CorrelationModel::from(&deployment);
         assert_eq!(
             selected(&model, scenario, &Budget::default()),
             EngineChoice::ImportanceSampling
@@ -992,7 +955,7 @@ mod tests {
     #[test]
     fn ternary_deployments_cost_three_modes_per_node() {
         let deployment = Deployment::uniform_mixed(8, 0.05, 0.001);
-        let scenario = Scenario::from(&deployment);
+        let scenario = &CorrelationModel::from(&deployment);
         assert_eq!(
             crate::enumeration::enumeration_config_count(scenario.profiles()),
             3u64.pow(8)
@@ -1003,7 +966,7 @@ mod tests {
     fn counting_and_enumeration_engines_agree_via_trait() {
         let model = PbftModel::standard(5);
         let deployment = Deployment::uniform_byzantine(5, 0.03);
-        let scenario = Scenario::from(&deployment);
+        let scenario = &CorrelationModel::from(&deployment);
         let budget = Budget::default();
         let exact = EnumerationEngine.run(&model, scenario, &budget);
         let counted = CountingEngine.run(&model, scenario, &budget);
@@ -1022,7 +985,7 @@ mod tests {
         let deployment = Deployment::uniform_crash(5, 0.05);
         let outcome = MonteCarloEngine.run(
             &model,
-            Scenario::from(&deployment),
+            &CorrelationModel::from(&deployment),
             &Budget::default().with_samples(50_000).with_seed(7),
         );
         assert_eq!(outcome.engine, EngineChoice::MonteCarlo);
@@ -1031,7 +994,11 @@ mod tests {
             .monte_carlo
             .expect("sampling outcome carries its CI");
         assert_eq!(mc.samples, 50_000);
-        let exact = CountingEngine.run(&model, Scenario::from(&deployment), &Budget::default());
+        let exact = CountingEngine.run(
+            &model,
+            &CorrelationModel::from(&deployment),
+            &Budget::default(),
+        );
         assert!(mc.live.contains(exact.report.live.probability()));
     }
 
@@ -1042,18 +1009,22 @@ mod tests {
         // a 40-node placement-sensitive model, so the rare-event engine must.
         let model = crate::durability::PersistenceQuorumModel::new(40, (0..6).collect());
         let deployment = Deployment::uniform_crash(40, 0.05);
-        let choice = selected(&model, Scenario::from(&deployment), &Budget::default());
+        let choice = selected(
+            &model,
+            &CorrelationModel::from(&deployment),
+            &Budget::default(),
+        );
         assert_eq!(choice, EngineChoice::ImportanceSampling);
         // A threshold of 1 accepts any proxy value, so the preference still holds;
         // a zero threshold can never be undercut, so Monte Carlo takes over.
         let permissive = Budget::default().with_rare_event_threshold(1.0);
         let disabled = Budget::default().with_rare_event_threshold(0.0);
         assert_eq!(
-            selected(&model, Scenario::from(&deployment), &permissive),
+            selected(&model, &CorrelationModel::from(&deployment), &permissive),
             EngineChoice::ImportanceSampling
         );
         assert_eq!(
-            selected(&model, Scenario::from(&deployment), &disabled),
+            selected(&model, &CorrelationModel::from(&deployment), &disabled),
             EngineChoice::MonteCarlo
         );
     }
@@ -1105,7 +1076,7 @@ mod tests {
     fn empty_scenario_panics_with_a_clear_message_at_the_engine_layer() {
         let model = RequiresNodeZero { n: 0 };
         let empty = CorrelationModel::independent(Vec::new());
-        selected(&model, Scenario::from(&empty), &Budget::default());
+        selected(&model, &empty, &Budget::default());
     }
 
     #[test]
@@ -1118,7 +1089,7 @@ mod tests {
         );
         let outcome = CountingEngine.run(
             &RaftModel::standard(3),
-            Scenario::from(&Deployment::uniform_crash(3, 0.01)),
+            &CorrelationModel::from(&Deployment::uniform_crash(3, 0.01)),
             &Budget::default(),
         );
         assert!(outcome.to_string().ends_with("[counting]"));

@@ -170,50 +170,6 @@ fn enumerate_recursive<M: ProtocolModel + ?Sized>(
     states[node] = NodeState::Correct;
 }
 
-/// Enumerates every failure configuration (with non-zero probability mass structure
-/// ignored) and returns those for which `predicate` holds, together with their
-/// probabilities. Useful for debugging small models and for the tradeoff explorer's
-/// "which configurations hurt us" reports.
-pub fn configurations_where<M: ProtocolModel + ?Sized>(
-    model: &M,
-    deployment: &Deployment,
-    predicate: impl Fn(&M, &FailureConfig) -> bool,
-) -> Vec<(FailureConfig, f64)> {
-    let n = deployment.len();
-    assert!(n <= 16, "configuration listing limited to 16 nodes");
-    let ternary = deployment.has_crash() && deployment.has_byzantine();
-    let modes: Vec<NodeState> = if ternary {
-        vec![NodeState::Correct, NodeState::Crashed, NodeState::Byzantine]
-    } else if deployment.has_byzantine() {
-        vec![NodeState::Correct, NodeState::Byzantine]
-    } else {
-        vec![NodeState::Correct, NodeState::Crashed]
-    };
-    let mut out = Vec::new();
-    let mut indices = vec![0usize; n];
-    loop {
-        let states: Vec<NodeState> = indices.iter().map(|&i| modes[i]).collect();
-        let config = FailureConfig::new(states);
-        if predicate(model, &config) {
-            let p = config.probability(deployment);
-            out.push((config, p));
-        }
-        // Odometer increment.
-        let mut pos = 0;
-        loop {
-            if pos == n {
-                return out;
-            }
-            indices[pos] += 1;
-            if indices[pos] < modes.len() {
-                break;
-            }
-            indices[pos] = 0;
-            pos += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,18 +237,6 @@ mod tests {
         let r = enumerate_reliability(&RaftModel::standard(3), &deployment);
         assert_eq!(r.p_live, 0.0);
         assert_eq!(r.p_safe, 1.0);
-    }
-
-    #[test]
-    fn configurations_where_lists_unsafe_cases() {
-        let model = PbftModel::standard(4);
-        let deployment = Deployment::uniform_byzantine(4, 0.01);
-        let unsafe_configs = configurations_where(&model, &deployment, |m, c| !m.is_safe(c));
-        // Unsafe iff at least 2 Byzantine nodes: C(4,2)+C(4,3)+C(4,4) = 11 configurations.
-        assert_eq!(unsafe_configs.len(), 11);
-        let total: f64 = unsafe_configs.iter().map(|(_, p)| p).sum();
-        let r = enumerate_reliability(&model, &deployment);
-        assert!((total - (1.0 - r.p_safe)).abs() < 1e-12);
     }
 
     #[test]

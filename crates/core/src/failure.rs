@@ -7,7 +7,6 @@
 //! is one point of that space.
 
 use fault_model::mode::NodeState;
-use quorum::set::NodeSet;
 
 use crate::deployment::Deployment;
 
@@ -74,11 +73,6 @@ impl FailureConfig {
         self.states[node]
     }
 
-    /// Number of correct nodes.
-    pub fn num_correct(&self) -> usize {
-        self.states.iter().filter(|s| s.is_correct()).count()
-    }
-
     /// Number of crashed nodes.
     pub fn num_crashed(&self) -> usize {
         self.states
@@ -93,44 +87,6 @@ impl FailureConfig {
             .iter()
             .filter(|&&s| s == NodeState::Byzantine)
             .count()
-    }
-
-    /// Number of faulty nodes (crashed or Byzantine).
-    pub fn num_faulty(&self) -> usize {
-        self.len() - self.num_correct()
-    }
-
-    /// The set of correct nodes.
-    pub fn correct_set(&self) -> NodeSet {
-        NodeSet::from_bools(
-            &self
-                .states
-                .iter()
-                .map(|s| s.is_correct())
-                .collect::<Vec<_>>(),
-        )
-    }
-
-    /// The set of faulty nodes (crashed or Byzantine).
-    pub fn faulty_set(&self) -> NodeSet {
-        NodeSet::from_bools(
-            &self
-                .states
-                .iter()
-                .map(|s| s.is_faulty())
-                .collect::<Vec<_>>(),
-        )
-    }
-
-    /// The set of Byzantine nodes.
-    pub fn byzantine_set(&self) -> NodeSet {
-        NodeSet::from_bools(
-            &self
-                .states
-                .iter()
-                .map(|&s| s == NodeState::Byzantine)
-                .collect::<Vec<_>>(),
-        )
     }
 
     /// Probability of this exact configuration under `deployment` (independent nodes).
@@ -174,13 +130,8 @@ mod tests {
             NodeState::Byzantine,
             NodeState::Correct,
         ]);
-        assert_eq!(c.num_correct(), 2);
         assert_eq!(c.num_crashed(), 1);
         assert_eq!(c.num_byzantine(), 1);
-        assert_eq!(c.num_faulty(), 2);
-        assert_eq!(c.correct_set().to_vec(), vec![0, 3]);
-        assert_eq!(c.faulty_set().to_vec(), vec![1, 2]);
-        assert_eq!(c.byzantine_set().to_vec(), vec![2]);
         assert_eq!(format!("{c}"), "CXBC");
     }
 
@@ -190,7 +141,8 @@ mod tests {
         assert_eq!(crashed.num_crashed(), 2);
         let byz = FailureConfig::with_byzantine(5, &[0]);
         assert_eq!(byz.num_byzantine(), 1);
-        assert_eq!(FailureConfig::all_correct(4).num_faulty(), 0);
+        let healthy = FailureConfig::all_correct(4);
+        assert_eq!(healthy.num_crashed() + healthy.num_byzantine(), 0);
     }
 
     #[test]

@@ -30,8 +30,10 @@
 //!   counting models, auto-selected by the Monte Carlo engine
 //!   (see [`montecarlo::McKernel`]).
 //! * [`engine`] — the unified engine layer: the [`engine::AnalysisEngine`] trait over
-//!   the five engines, [`engine::Scenario`], [`engine::Budget`] and the auto-selector
-//!   (which picks among the four analytic engines; simulation runs only on request).
+//!   the five engines, which all run on one scenario type
+//!   ([`fault_model::correlation::CorrelationModel`]; a [`Deployment`] converts to the
+//!   model with no shock groups), [`engine::Budget`] and the auto-selector (which
+//!   picks among the four analytic engines; simulation runs only on request).
 //! * [`scratch`] — the per-(model, scenario) prepared scratch every engine runs on
 //!   ([`scratch::GroupScratch`]): shared by a sweep's cells, throwaway for a single
 //!   call.
@@ -53,7 +55,7 @@
 //!   aleatoric (sampling) intervals, and calibration diagnostics
 //!   ([`epistemic::calibrate`]) against known ground truth.
 //! * [`durability`] — data-loss analysis: probability that failures cover a persistence
-//!   quorum, and MTTDL-style Markov results.
+//!   quorum.
 //! * [`mod@optimize`] — the probability-native deployment optimizer: a three-tier
 //!   search (counting/packed screening → importance-sampling refinement →
 //!   optional time-domain scoring) over node count, fault curves, placement
@@ -110,7 +112,7 @@ pub use cache::CacheStats;
 pub use deployment::Deployment;
 pub use engine::{
     AnalysisEngine, AnalysisOutcome, Budget, EngineChoice, EpistemicBudget, FaultEnvironment,
-    InvalidBudget, Scenario, SimBudget,
+    InvalidBudget, SimBudget,
 };
 pub use epistemic::{
     calibrate, posterior_draws, CalibrationConfig, CalibrationReport, EpistemicDraw,

@@ -55,7 +55,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
-use crate::engine::{Budget, Scenario};
+use crate::engine::Budget;
 use crate::failure::FailureConfig;
 use crate::packed::{PackedDraw, PackedKernel, MAX_LANE_WORDS};
 use crate::protocol::{CountingModel, ProtocolModel};
@@ -341,7 +341,9 @@ pub(crate) fn packed_view<M: ProtocolModel + ?Sized>(
 /// The kernel a prepared sampler draws with, and what it draws from.
 enum Kernel<'a, M: ?Sized> {
     Packed(&'a PackedKernel),
-    Scalar(&'a M, &'a CorrelationModel),
+    /// The model, the scenario, and the scratch of their cell group, whose address
+    /// names the group in the sampler's [`DrawKey`].
+    Scalar(&'a M, &'a CorrelationModel, &'a GroupScratch),
 }
 
 /// What a sampler's chunks are drawn from. Samplers with equal keys draw the same
@@ -358,10 +360,10 @@ enum DrawSource<'a> {
     /// The packed kernel's draw half, compared by content: it reads only the
     /// scenario, so the kernels of different models over one scenario draw alike.
     Packed(&'a PackedDraw),
-    /// The scalar kernel's model and converted scenario, compared by identity: its
+    /// The scalar kernel's model and cell-group scratch, compared by identity: its
     /// verdict runs inside the draw loop, so only one model over one scenario (one
     /// cell group's scratch) draws — and tallies — one chunk.
-    Scalar(*const (), *const CorrelationModel),
+    Scalar(*const (), *const GroupScratch),
 }
 
 /// One prepared Monte Carlo cell: kernel decided and compiled, sample budget
@@ -374,37 +376,38 @@ pub(crate) struct McSampler<'a, M: ?Sized> {
 }
 
 impl<'a> McSampler<'a, dyn ProtocolModel + 'a> {
-    /// The sampler of a cell, over the cell group's scratch: the converted
-    /// scenario and the compiled packed kernel are taken from (or left in)
-    /// `scratch`.
+    /// The sampler of a cell, over the cell group's scratch: the compiled packed
+    /// kernel is taken from (or left in) `scratch`.
     pub(crate) fn prepare(
         model: &'a dyn ProtocolModel,
-        scenario: Scenario<'_>,
+        scenario: &'a CorrelationModel,
         budget: &Budget,
         scratch: &'a GroupScratch,
     ) -> Self {
-        let target = scratch.target(scenario);
         let packed = packed_view(model, McKernel::Auto)
-            .map(|counting| scratch.packed_kernel(|| PackedKernel::new(counting, target)));
+            .map(|counting| scratch.packed_kernel(|| PackedKernel::new(counting, scenario)));
         Self::new(
             model,
-            target,
+            scenario,
             packed,
             budget.monte_carlo_samples,
             budget.seed,
+            scratch,
         )
     }
 }
 
 impl<'a, M: ProtocolModel + ?Sized> McSampler<'a, M> {
     /// A sampler drawing with `packed` when the decision ([`packed_view`]) was the
-    /// packed kernel, with the scalar kernel otherwise.
+    /// packed kernel, with the scalar kernel otherwise; `scratch` is the cell
+    /// group's.
     fn new(
         model: &'a M,
         failure_model: &'a CorrelationModel,
         packed: Option<&'a PackedKernel>,
         samples: usize,
         seed: u64,
+        scratch: &'a GroupScratch,
     ) -> Self {
         assert_eq!(
             model.num_nodes(),
@@ -414,7 +417,7 @@ impl<'a, M: ProtocolModel + ?Sized> McSampler<'a, M> {
         Self {
             kernel: match packed {
                 Some(kernel) => Kernel::Packed(kernel),
-                None => Kernel::Scalar(model, failure_model),
+                None => Kernel::Scalar(model, failure_model, scratch),
             },
             // A zero budget saturates to one sample, so estimates are always
             // well-defined — never a division by zero.
@@ -429,8 +432,8 @@ impl<'a, M: ProtocolModel + ?Sized> McSampler<'a, M> {
             seed: self.seed,
             source: match self.kernel {
                 Kernel::Packed(kernel) => DrawSource::Packed(kernel.draw()),
-                Kernel::Scalar(model, failure_model) => {
-                    DrawSource::Scalar((model as *const M).cast(), failure_model)
+                Kernel::Scalar(model, _, scratch) => {
+                    DrawSource::Scalar((model as *const M).cast(), scratch)
                 }
             },
         }
@@ -470,7 +473,7 @@ impl<'a, M: ProtocolModel + ?Sized> McSampler<'a, M> {
                 PackedKernel::sample_chunk_shared(&kernels, &mut rng, count, MAX_LANE_WORDS)
             }
             // One scalar key is one model over one scenario: one tally serves all.
-            Kernel::Scalar(model, failure_model) => {
+            Kernel::Scalar(model, failure_model, _) => {
                 vec![sample_chunk(model, failure_model, count, &mut rng); samplers.len()]
             }
         }
@@ -526,7 +529,17 @@ pub fn monte_carlo_reliability_par_kernel<M: ProtocolModel + ?Sized>(
 ) -> MonteCarloReport {
     let compiled =
         packed_view(model, kernel).map(|counting| PackedKernel::new(counting, failure_model));
-    McSampler::new(model, failure_model, compiled.as_ref(), samples, seed).run()
+    // A lone run shares no chunk, so its group is a throwaway scratch.
+    let scratch = GroupScratch::default();
+    McSampler::new(
+        model,
+        failure_model,
+        compiled.as_ref(),
+        samples,
+        seed,
+        &scratch,
+    )
+    .run()
 }
 
 #[cfg(test)]
@@ -546,7 +559,7 @@ mod tests {
         seed: u64,
         kernel: McKernel,
     ) -> MonteCarloReport {
-        let failure_model = CorrelationModel::independent(deployment.profiles().to_vec());
+        let failure_model = CorrelationModel::from(deployment);
         monte_carlo_reliability_par_kernel(model, &failure_model, samples, seed, kernel)
     }
 

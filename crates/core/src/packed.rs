@@ -1005,7 +1005,7 @@ mod tests {
     fn mixed_mode_pbft_uses_the_lut_plan_and_matches_exact_counting() {
         let model = PbftModel::standard(7);
         let deployment = Deployment::uniform_mixed(7, 0.05, 0.02);
-        let target = CorrelationModel::independent(deployment.profiles().to_vec());
+        let target = CorrelationModel::from(&deployment);
         let kernel = PackedKernel::new(&model, &target);
         assert!(!kernel.draw.crash_only);
         assert!(matches!(kernel.plan, HitPlan::Lut { .. }));

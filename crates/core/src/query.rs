@@ -14,10 +14,12 @@
 //!   [`Metrics`], and fully explicit cells ([`Query::cell`]) for scenarios the grid
 //!   axes cannot express.
 //! * [`AnalysisSession`] — owns the (optional, pinned) rayon pool and the cache of
-//!   per-(model, scenario) scratch ([`crate::scratch`]: the converted correlation
-//!   model, compiled packed-kernel thresholds/LUTs, exact fault-count
-//!   distributions, selector-pilot estimates and importance-sampling proposals),
-//!   keyed by the cell's content and reused across cells, plans and queries.
+//!   per-(model, scenario) scratch ([`crate::scratch`]: compiled packed-kernel
+//!   thresholds/LUTs, exact counting results, selector-pilot estimates and
+//!   importance-sampling proposals), keyed by the cell's content and reused across
+//!   cells, plans and queries. Every cell's scenario is one
+//!   [`CorrelationModel`] — an independent cell is the model with no shock
+//!   groups — held in one `Arc` its replicates share.
 //! * [`AnalysisSession::plan`] → [`QueryPlan`] — engine selection for *all* cells up
 //!   front (validating the budget — see [`Budget::validate`] — and the cell shapes),
 //!   grouping cells that share a (model, scenario) signature so the expensive
@@ -51,10 +53,10 @@
 //! `chunk(i)` — and folds each cell's tallies in chunk order, which is literally
 //! what the sampler's own whole-cell run does ([`crate::montecarlo`]). Caching never
 //! changes results, because everything cached is a pure function of the cell's
-//! content: the correlation-model conversion, kernel compilation and count DP are
-//! value-deterministic, and the selector pilot / adaptive proposal are cached *per
-//! seed*, so a cache hit returns exactly what the per-cell call would have
-//! recomputed. Cells execute in parallel, but each cell's sampling is chunked by the
+//! content: kernel compilation and the count DP are value-deterministic, and the
+//! selector pilot / adaptive proposal are cached *per seed*, so a cache hit
+//! returns exactly what the per-cell call would have recomputed. Cells execute in
+//! parallel, but each cell's sampling is chunked by the
 //! thread-count-independent scheme of [`crate::montecarlo`], so reports are
 //! bit-identical at any thread count. `tests/engine_agreement.rs` pins this
 //! plan-vs-loop equivalence over a ≥100-cell grid at several thread counts.
@@ -91,6 +93,7 @@ use std::time::Instant;
 use fault_model::correlation::{CorrelationGroup, CorrelationModel};
 use fault_model::markov::RepairableGroup;
 use fault_model::metrics::{Nines, HOURS_PER_YEAR};
+use fault_model::mode::FaultProfile;
 use fault_model::node::Fleet;
 
 use crate::analyzer::AnalysisError;
@@ -98,7 +101,7 @@ use crate::cache::{CacheKey, CacheStats, SessionCache};
 use crate::deployment::Deployment;
 use crate::engine::{
     select_engine, AnalysisEngine, AnalysisOutcome, Budget, CountingEngine, EngineChoice,
-    FaultEnvironment, MonteCarloEngine, Scenario,
+    FaultEnvironment, MonteCarloEngine,
 };
 use crate::epistemic::{EpistemicDraw, EpistemicReport};
 use crate::json::JsonValue;
@@ -177,12 +180,14 @@ pub enum FaultAxis {
 }
 
 impl FaultAxis {
-    fn deployment(&self, n: usize, p: f64) -> Deployment {
-        match self {
-            FaultAxis::Crash => Deployment::uniform_crash(n, p),
-            FaultAxis::Byzantine => Deployment::uniform_byzantine(n, p),
-            FaultAxis::Mixed { byzantine } => Deployment::uniform_mixed(n, p, *byzantine),
-        }
+    /// The `n` equal node profiles of one grid coordinate.
+    fn profiles(&self, n: usize, p: f64) -> Vec<FaultProfile> {
+        let profile = match self {
+            FaultAxis::Crash => FaultProfile::crash_only(p),
+            FaultAxis::Byzantine => FaultProfile::byzantine_only(p),
+            FaultAxis::Mixed { byzantine } => FaultProfile::new(p, *byzantine),
+        };
+        vec![profile; n]
     }
 }
 
@@ -210,22 +215,21 @@ pub enum CorrelationSpec {
 }
 
 impl CorrelationSpec {
-    fn apply(&self, deployment: Deployment) -> ScenarioSpec {
+    /// The scenario of `profiles` under this correlation structure.
+    fn apply(&self, profiles: Vec<FaultProfile>) -> CorrelationModel {
+        let n = profiles.len();
+        let mut model = CorrelationModel::independent(profiles);
         match self {
-            CorrelationSpec::Independent => ScenarioSpec::Independent(deployment),
+            CorrelationSpec::Independent => {}
             CorrelationSpec::ClusterShock { probability } => {
-                let n = deployment.len();
-                ScenarioSpec::Correlated(
-                    CorrelationModel::independent(deployment.profiles().to_vec()).with_group(
-                        CorrelationGroup::crash_shock((0..n).collect(), *probability),
-                    ),
-                )
+                model = model.with_group(CorrelationGroup::crash_shock(
+                    (0..n).collect(),
+                    *probability,
+                ));
             }
             CorrelationSpec::RackShock { racks, probability } => {
-                let n = deployment.len();
                 let racks = (*racks).max(1);
                 let per_rack = n.div_ceil(racks);
-                let mut model = CorrelationModel::independent(deployment.profiles().to_vec());
                 for r in 0..racks {
                     let members: Vec<usize> = (r * per_rack..((r + 1) * per_rack).min(n)).collect();
                     if members.is_empty() {
@@ -233,9 +237,9 @@ impl CorrelationSpec {
                     }
                     model = model.with_group(CorrelationGroup::crash_shock(members, *probability));
                 }
-                ScenarioSpec::Correlated(model)
             }
         }
+        model
     }
 
     /// Short label used in cell names and report columns.
@@ -585,12 +589,6 @@ impl TrajectoryRecord {
             ),
         ])
     }
-
-    /// This one trajectory as a single compact JSON line (no trailing newline) —
-    /// the NDJSON streaming path, like [`CellRecord::to_json_line`].
-    pub fn to_json_line(&self) -> String {
-        self.to_json_value().to_compact_string()
-    }
 }
 
 /// The z-score threshold past which a validated cell is flagged as a
@@ -683,46 +681,21 @@ impl ValidationRecord {
     }
 }
 
-/// What one cell runs against: the two [`Scenario`] shapes, owned.
-#[derive(Debug, Clone)]
-enum ScenarioSpec {
-    Independent(Deployment),
-    Correlated(CorrelationModel),
-}
-
-impl ScenarioSpec {
-    fn as_scenario(&self) -> Scenario<'_> {
-        match self {
-            ScenarioSpec::Independent(d) => Scenario::Independent(d),
-            ScenarioSpec::Correlated(c) => Scenario::Correlated(c),
-        }
+/// `scenario` with every fault profile rescaled by `factor` — the per-draw
+/// transform of the epistemic mode. Crash/Byzantine structure and the `[0, 1]`
+/// clamps come from [`FaultProfile::scaled`]; the shock groups are copied
+/// untouched (the posterior models per-node telemetry, not common-cause shocks).
+fn scaled(scenario: &CorrelationModel, factor: f64) -> CorrelationModel {
+    let profiles = scenario
+        .profiles()
+        .iter()
+        .map(|p| p.scaled(factor))
+        .collect();
+    let mut model = CorrelationModel::independent(profiles);
+    for group in scenario.groups() {
+        model = model.with_group(group.clone());
     }
-
-    /// The scenario with every fault profile rescaled by `factor` — the
-    /// per-draw transform of the epistemic mode. Crash/Byzantine structure and
-    /// the `[0, 1]` clamps come from [`fault_model::mode::FaultProfile::scaled`];
-    /// correlation-group shock probabilities are deliberately untouched (the
-    /// posterior models per-node telemetry, not common-cause shocks).
-    fn scaled(&self, factor: f64) -> ScenarioSpec {
-        let scale = |profiles: &[fault_model::mode::FaultProfile]| {
-            profiles
-                .iter()
-                .map(|p| p.scaled(factor))
-                .collect::<Vec<_>>()
-        };
-        match self {
-            ScenarioSpec::Independent(d) => {
-                ScenarioSpec::Independent(Deployment::from_profiles(scale(d.profiles())))
-            }
-            ScenarioSpec::Correlated(c) => {
-                let mut model = CorrelationModel::independent(scale(c.profiles()));
-                for group in c.groups() {
-                    model = model.with_group(group.clone());
-                }
-                ScenarioSpec::Correlated(model)
-            }
-        }
-    }
+    model
 }
 
 /// One fully explicit cell (model + scenario) appended after the grid.
@@ -730,7 +703,7 @@ impl ScenarioSpec {
 struct ExplicitCell {
     label: String,
     model: Arc<dyn ProtocolModel + Send + Sync>,
-    scenario: ScenarioSpec,
+    scenario: Arc<CorrelationModel>,
     /// Per-cell budget override (validated at plan time like the base budget).
     /// `None` — the common case — inherits the query budget. The optimizer
     /// ([`crate::optimize`]) uses overrides to give every candidate its own
@@ -946,7 +919,7 @@ impl Query {
         self.explicit.push(ExplicitCell {
             label: label.into(),
             model,
-            scenario: ScenarioSpec::Independent(deployment),
+            scenario: Arc::new(CorrelationModel::from(&deployment)),
             budget: None,
         });
         self
@@ -962,7 +935,7 @@ impl Query {
         self.explicit.push(ExplicitCell {
             label: label.into(),
             model,
-            scenario: ScenarioSpec::Correlated(target),
+            scenario: Arc::new(target),
             budget: None,
         });
         self
@@ -982,7 +955,7 @@ impl Query {
         self.explicit.push(ExplicitCell {
             label: label.into(),
             model,
-            scenario: ScenarioSpec::Correlated(target),
+            scenario: Arc::new(target),
             budget: Some(budget),
         });
         self
@@ -1093,7 +1066,7 @@ impl Query {
 /// runs of consecutive indices, each run with its length, so a grid cell's key
 /// stays a few words however many nodes it has. Every list is length-prefixed,
 /// so the words still decode to exactly one content.
-fn content_key_words(model: &dyn ProtocolModel, scenario: Scenario<'_>) -> Option<Vec<u64>> {
+fn content_key_words(model: &dyn ProtocolModel, scenario: &CorrelationModel) -> Option<Vec<u64>> {
     let sig = model.cache_signature()?;
     let mut words = Vec::with_capacity(8 + sig.len());
     words.push(sig.len() as u64);
@@ -1110,12 +1083,8 @@ fn content_key_words(model: &dyn ProtocolModel, scenario: Scenario<'_>) -> Optio
         words.push(run.len() as u64);
         words.extend(bits(&run[0]));
     }
-    // An independent deployment encodes as zero correlation groups — it *is* a
-    // correlation model with no groups, and every engine treats them alike.
-    let groups: &[CorrelationGroup] = match scenario {
-        Scenario::Independent(_) => &[],
-        Scenario::Correlated(c) => c.groups(),
-    };
+    // An independent cell writes zero groups here.
+    let groups = scenario.groups();
     words.push(groups.len() as u64);
     for group in groups {
         words.push(group.members.len() as u64);
@@ -1172,7 +1141,7 @@ impl Default for AnalysisSession {
 
 impl AnalysisSession {
     /// Bound on cached (model, scenario) scratch groups — a few thousand
-    /// compiled kernels and converted correlation models. Scratch is a pure
+    /// compiled kernels and counting results. Scratch is a pure
     /// cache: eviction never changes results, only costs recomputation, and
     /// plans in flight keep their own `Arc`s, so eviction cannot invalidate a
     /// planned query.
@@ -1210,7 +1179,7 @@ impl AnalysisSession {
     /// The scratch of `model` on `scenario`: the session cache's entry under
     /// the pair's content key, or plan-local scratch for a model without a
     /// cache signature.
-    fn scratch(&self, model: &dyn ProtocolModel, scenario: Scenario<'_>) -> Arc<GroupScratch> {
+    fn scratch(&self, model: &dyn ProtocolModel, scenario: &CorrelationModel) -> Arc<GroupScratch> {
         match content_key_words(model, scenario) {
             Some(words) => self.cache.get_or_insert(CacheKey::from_words(words)),
             None => Arc::new(GroupScratch::default()),
@@ -1229,19 +1198,19 @@ impl AnalysisSession {
     fn group<'a>(
         &self,
         model: &'a Arc<dyn ProtocolModel + Send + Sync>,
-        scenario: &'a ScenarioSpec,
+        scenario: &'a Arc<CorrelationModel>,
         budget: &Budget,
     ) -> CellGroup<'a> {
-        let scratch = self.scratch(model.as_ref(), scenario.as_scenario());
+        let scratch = self.scratch(model.as_ref(), scenario);
         let draws = match budget.epistemic.filter(|ep| ep.draws > 1) {
             Some(ep) => crate::epistemic::posterior_draws(&ep, budget.seed)
                 .into_iter()
                 .map(|draw| {
-                    let scenario = scenario.scaled(draw.scale);
+                    let scenario = scaled(scenario, draw.scale);
                     PlannedDraw {
                         p: draw.p,
                         scale: draw.scale,
-                        scratch: self.scratch(model.as_ref(), scenario.as_scenario()),
+                        scratch: self.scratch(model.as_ref(), &scenario),
                         scenario,
                     }
                 })
@@ -1325,7 +1294,7 @@ impl AnalysisSession {
                             protocol: String,
                             fault_prob: Option<f64>,
                             correlation: String| {
-            let (model, scenario) = (group.model.as_ref(), group.scenario.as_scenario());
+            let (model, scenario) = (group.model.as_ref(), group.scenario.as_ref());
             PlannedCell {
                 label,
                 protocol,
@@ -1355,9 +1324,9 @@ impl AnalysisSession {
                     // below share chunks only through one model.
                     let model = spec.build(n);
                     for &p in &query.fault_probs {
-                        let deployment = query.fault_axis.deployment(n, p);
+                        let profiles = query.fault_axis.profiles(n, p);
                         for corr in &query.correlations {
-                            let scenario = corr.apply(deployment.clone());
+                            let scenario = Arc::new(corr.apply(profiles.clone()));
                             // The scratch and the epistemic draws of this
                             // coordinate, shared by its samples/environment
                             // replicates: the draw set depends only on
@@ -1396,7 +1365,7 @@ impl AnalysisSession {
                 }
             }
             for explicit in &query.explicit {
-                let scenario = explicit.scenario.as_scenario();
+                let scenario = &explicit.scenario;
                 if scenario.is_empty() {
                     return Err(AnalysisError::EmptyScenario);
                 }
@@ -1410,9 +1379,10 @@ impl AnalysisSession {
                 // sweeps the grid; a bespoke cell pins its own budget.
                 let budget = explicit.budget.unwrap_or(query.budget);
                 let group = self.group(&explicit.model, &explicit.scenario, &budget);
-                let correlation = match &explicit.scenario {
-                    ScenarioSpec::Correlated(c) if c.is_correlated() => "correlated",
-                    _ => "independent",
+                let correlation = if scenario.is_correlated() {
+                    "correlated"
+                } else {
+                    "independent"
                 };
                 cells.push(planned_cell(
                     &group,
@@ -1469,7 +1439,7 @@ impl AnalysisSession {
 /// what all its cells share; see [`AnalysisSession::group`].
 struct CellGroup<'a> {
     model: &'a Arc<dyn ProtocolModel + Send + Sync>,
-    scenario: &'a ScenarioSpec,
+    scenario: &'a Arc<CorrelationModel>,
     scratch: Arc<GroupScratch>,
     draws: Arc<Vec<PlannedDraw>>,
 }
@@ -1484,7 +1454,7 @@ struct PlannedCell {
     correlation: String,
     environment: FaultEnvironment,
     model: Arc<dyn ProtocolModel + Send + Sync>,
-    scenario: ScenarioSpec,
+    scenario: Arc<CorrelationModel>,
     budget: Budget,
     engine: &'static dyn AnalysisEngine,
     scratch: Arc<GroupScratch>,
@@ -1504,7 +1474,7 @@ struct PlannedCell {
 struct PlannedDraw {
     p: f64,
     scale: f64,
-    scenario: ScenarioSpec,
+    scenario: CorrelationModel,
     scratch: Arc<GroupScratch>,
 }
 
@@ -1533,7 +1503,7 @@ impl std::fmt::Debug for QueryPlan {
 /// (never zero for a finite trial count), so the z-score is always finite.
 fn validation_record(
     model: &dyn ProtocolModel,
-    scenario: Scenario<'_>,
+    scenario: &CorrelationModel,
     budget: &Budget,
     analytic: f64,
 ) -> ValidationRecord {
@@ -1587,8 +1557,8 @@ fn trajectory_record(spec: &TrajectorySpec, axis: &TimeAxis) -> TrajectoryRecord
                             aged.profile(axis.window_hours)
                         })
                         .collect();
-                    let deployment = Deployment::from_profiles(profiles);
-                    let outcome = CountingEngine.run(model.as_ref(), (&deployment).into(), &budget);
+                    let scenario = CorrelationModel::independent(profiles);
+                    let outcome = CountingEngine.run(model.as_ref(), &scenario, &budget);
                     TrajectoryPoint {
                         at_hours: t,
                         probability: outcome.report.safe_and_live.probability(),
@@ -1740,10 +1710,10 @@ fn outcome_bounds(outcome: &AnalysisOutcome) -> (f64, f64) {
 impl PlannedCell {
     /// This cell's engine, whole, on `scenario` — its own, or a posterior draw's
     /// scaled one — over that scenario's scratch.
-    fn run_whole(&self, scenario: &ScenarioSpec, scratch: &GroupScratch) -> ItemOutput {
+    fn run_whole(&self, scenario: &CorrelationModel, scratch: &GroupScratch) -> ItemOutput {
         ItemOutput::Outcome(Box::new(self.engine.run_prepared(
             self.model.as_ref(),
-            scenario.as_scenario(),
+            scenario,
             &self.budget,
             scratch,
         )))
@@ -1754,7 +1724,7 @@ impl PlannedCell {
     fn sampler(&self) -> McSampler<'_, dyn ProtocolModel + '_> {
         McSampler::prepare(
             self.model.as_ref(),
-            self.scenario.as_scenario(),
+            &self.scenario,
             &self.budget,
             &self.scratch,
         )
@@ -2014,7 +1984,7 @@ impl QueryPlan {
             let start = Instant::now();
             let record = validation_record(
                 cell.model.as_ref(),
-                cell.scenario.as_scenario(),
+                &cell.scenario,
                 &cell.budget,
                 outcome.report.safe_and_live.probability(),
             );
@@ -2381,14 +2351,6 @@ impl CellRecord {
         }
         JsonValue::Object(members)
     }
-
-    /// This one cell as a single compact JSON line (no trailing newline) — the
-    /// incremental writer path: a streaming server emits each completed cell as
-    /// one NDJSON line instead of buffering a whole report. Numbers keep the
-    /// module's bit-exact round-trip formatting; NaN/infinity render as `null`.
-    pub fn to_json_line(&self, metrics: Metrics) -> String {
-        self.to_json_value(metrics).to_compact_string()
-    }
 }
 
 #[derive(Clone, Copy)]
@@ -2679,12 +2641,11 @@ mod tests {
                     let model = RaftModel::standard(n);
                     let deployment = Deployment::uniform_crash(n, p);
                     let budget = Budget::default().with_samples(10_000).with_seed(7);
-                    let expected = match corr.apply(deployment) {
-                        ScenarioSpec::Independent(d) => analyze_auto(&model, &d, &budget),
-                        ScenarioSpec::Correlated(c) => {
-                            analyze_scenario(&model, Scenario::Correlated(&c), &budget)
-                                .expect("well-formed")
-                        }
+                    let scenario = corr.apply(deployment.profiles().to_vec());
+                    let expected = if scenario.is_correlated() {
+                        analyze_scenario(&model, &scenario, &budget).expect("well-formed")
+                    } else {
+                        analyze_auto(&model, &deployment, &budget)
                     };
                     assert_eq!(
                         report.cell(index).outcome,
@@ -2719,7 +2680,7 @@ mod tests {
                 let report = plan.execute();
                 for (index, kernel) in [(0, McKernel::Scalar), (1, McKernel::Packed)] {
                     let cell = &plan.cells[index];
-                    let scenario = cell.scenario.as_scenario();
+                    let scenario = cell.scenario.as_ref();
                     let direct = MonteCarloEngine.run(cell.model.as_ref(), scenario, &budget);
                     let whole = cell.engine.run_prepared(
                         cell.model.as_ref(),
@@ -2802,14 +2763,14 @@ mod tests {
                 .map(|cell| {
                     let outcome = cell.engine.run_prepared(
                         cell.model.as_ref(),
-                        cell.scenario.as_scenario(),
+                        &cell.scenario,
                         &cell.budget,
                         &cell.scratch,
                     );
                     let validation = cell.validate.then(|| {
                         validation_record(
                             cell.model.as_ref(),
-                            cell.scenario.as_scenario(),
+                            &cell.scenario,
                             &cell.budget,
                             outcome.report.safe_and_live.probability(),
                         )
@@ -2887,6 +2848,52 @@ mod tests {
             .collect();
         assert_eq!(fed.len(), 3 * (488 + 3));
         assert_eq!(fed.iter().sum::<usize>(), 2 * 3 * (123 + 245 + 489));
+    }
+
+    /// Scalar chunks are shared through the cell group's scratch: two explicit
+    /// cells of one model `Arc` whose scenarios have equal content (but are
+    /// separate values) land on one scratch, so every chunk is drawn once for
+    /// both, and each record is byte-equal to the cell planned alone.
+    #[test]
+    fn equal_scalar_cells_draw_each_chunk_once() {
+        let (model, deployment) = scalar_only_cell();
+        let budget = Budget::default()
+            .with_samples(2 * MC_CHUNK_SIZE + 1)
+            .with_seed(5);
+        let pair = Query::new()
+            .cell("placement", model.clone(), deployment.clone())
+            .cell("placement", model.clone(), deployment.clone())
+            .budget(budget);
+        let plan = AnalysisSession::new().plan(&pair).expect("valid query");
+        assert_eq!(plan.engines(), vec![EngineChoice::MonteCarlo; 2]);
+        let chunks: Vec<(usize, usize)> = plan
+            .schedule()
+            .items
+            .iter()
+            .map(|item| match item {
+                WorkItem::McChunk { chunk, members } => (*chunk, members.len()),
+                _ => panic!("only chunk items expected"),
+            })
+            .collect();
+        assert_eq!(chunks, vec![(0, 2), (1, 2), (2, 2)]);
+        let json = |report: &AnalysisReport, index: usize| {
+            report
+                .zero_wall_clock()
+                .cell(index)
+                .to_json_value(Metrics::default())
+                .to_compact_string()
+        };
+        let report = plan.execute();
+        assert_eq!(report.cell(0).kernel(), Some(McKernel::Scalar));
+        let lone = AnalysisSession::new()
+            .run(
+                &Query::new()
+                    .cell("placement", model, deployment)
+                    .budget(budget),
+            )
+            .expect("valid query");
+        assert_eq!(json(&report, 0), json(&lone, 0));
+        assert_eq!(json(&report, 1), json(&lone, 0));
     }
 
     #[test]
@@ -3216,8 +3223,8 @@ mod tests {
     fn content_keys_run_length_encode_nodes_and_members() {
         let model = RaftModel::standard(2_000);
         let key = |profiles: Vec<FaultProfile>| {
-            let d = Deployment::from_profiles(profiles);
-            content_key_words(&model, Scenario::Independent(&d)).expect("raft has a signature")
+            content_key_words(&model, &CorrelationModel::independent(profiles))
+                .expect("raft has a signature")
         };
         let a = FaultProfile::crash_only(0.01);
         let b = FaultProfile::crash_only(0.02);
@@ -3237,7 +3244,7 @@ mod tests {
                 shock_probability: 0.001,
                 shock_mode: fault_model::mode::NodeState::Crashed,
             });
-            content_key_words(&RaftModel::standard(4), Scenario::Correlated(&c)).unwrap()
+            content_key_words(&RaftModel::standard(4), &c).unwrap()
         };
         assert_ne!(racks(vec![0, 1, 2]), racks(vec![0, 1, 3]));
         assert_eq!(racks(vec![0, 1, 2]), racks(vec![0, 1, 2]));
@@ -3592,7 +3599,7 @@ mod tests {
                 let report = CountingEngine
                     .run(
                         &RaftModel::standard(5),
-                        (&Deployment::from_profiles(profiles)).into(),
+                        &CorrelationModel::independent(profiles),
                         &Budget::default(),
                     )
                     .report;

@@ -81,7 +81,7 @@ use fault_model::mode::{FaultProfile, NodeState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::engine::{AnalysisEngine, AnalysisOutcome, Budget, EngineChoice, Scenario};
+use crate::engine::{AnalysisEngine, AnalysisOutcome, Budget, EngineChoice};
 use crate::failure::FailureConfig;
 use crate::montecarlo::{chunk_seed, map_sample_chunks, Estimate};
 use crate::protocol::ProtocolModel;
@@ -683,7 +683,7 @@ impl AnalysisEngine for ImportanceSamplingEngine {
     fn supports_prepared(
         &self,
         model: &dyn ProtocolModel,
-        scenario: Scenario<'_>,
+        scenario: &CorrelationModel,
         budget: &Budget,
         scratch: &GroupScratch,
     ) -> bool {
@@ -692,7 +692,7 @@ impl AnalysisEngine for ImportanceSamplingEngine {
         budget.rare_event_threshold > 0.0
             && !scenario.is_empty()
             && scratch.pilot_estimate(budget.seed, || {
-                naive_failure_estimate(model, scratch.target(scenario), budget.seed)
+                naive_failure_estimate(model, scenario, budget.seed)
             }) < budget.rare_event_threshold
     }
 
@@ -701,17 +701,16 @@ impl AnalysisEngine for ImportanceSamplingEngine {
     fn run_prepared(
         &self,
         model: &dyn ProtocolModel,
-        scenario: Scenario<'_>,
+        scenario: &CorrelationModel,
         budget: &Budget,
         scratch: &GroupScratch,
     ) -> AnalysisOutcome {
-        let target = scratch.target(scenario);
         let proposal = scratch.proposal(budget.seed, || {
-            Proposal::adaptive(model, target, budget.seed)
+            Proposal::adaptive(model, scenario, budget.seed)
         });
         let mut report = importance_sampling_reliability_par(
             model,
-            target,
+            scenario,
             &proposal,
             budget.monte_carlo_samples,
             budget.seed,
@@ -721,7 +720,7 @@ impl AnalysisEngine for ImportanceSamplingEngine {
         if !report.meets_min_ess() {
             report = importance_sampling_reliability_par(
                 model,
-                target,
+                scenario,
                 &proposal,
                 budget.monte_carlo_samples.max(1) * 2,
                 budget.seed ^ 0x9E37_79B9_7F4A_7C15,

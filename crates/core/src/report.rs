@@ -31,11 +31,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Appends a row built from anything displayable.
-    pub fn push_display_row(&mut self, cells: &[&dyn std::fmt::Display]) {
-        self.push_row(cells.iter().map(|c| c.to_string()).collect());
-    }
-
     /// The table title.
     pub fn title(&self) -> &str {
         &self.title
@@ -129,12 +124,5 @@ mod tests {
         assert_eq!(percent(0.9997), "99.97%");
         assert_eq!(nines(0.999), "3.00 nines");
         assert_eq!(nines(1.0), "inf nines");
-    }
-
-    #[test]
-    fn display_rows_accept_mixed_types() {
-        let mut t = Table::new("Mixed", &["n", "p"]);
-        t.push_display_row(&[&3usize, &0.01f64]);
-        assert_eq!(t.rows()[0], vec!["3".to_string(), "0.01".to_string()]);
     }
 }

@@ -1,11 +1,12 @@
 //! Per-(model, scenario) prepared scratch — what every engine runs on.
 //!
 //! A [`GroupScratch`] memoizes everything expensive that is a pure function of the
-//! cell's content: the scenario converted to the samplers' form, the compiled
-//! bit-sliced kernel, the counting engine's exact result, the selector-pilot
-//! estimate per seed, and the importance-sampling proposal per seed. It knows
-//! what it holds, not how to compute it — each slot is filled lazily, at most
-//! once per key, by the first engine call that needs it.
+//! cell's content: the compiled bit-sliced kernel, the counting engine's exact
+//! result, the selector-pilot estimate per seed, and the importance-sampling
+//! proposal per seed. The scenario itself is not here: every engine reads the
+//! [`CorrelationModel`](fault_model::correlation::CorrelationModel) its caller
+//! passes. It knows what it holds, not how to compute it — each slot is filled
+//! lazily, at most once per key, by the first engine call that needs it.
 //!
 //! [`AnalysisEngine`](crate::engine::AnalysisEngine)'s required methods take a
 //! scratch, so there is one engine body whether the scratch is shared or not: the
@@ -17,9 +18,6 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use fault_model::correlation::CorrelationModel;
-
-use crate::engine::Scenario;
 use crate::enumeration::RawReliability;
 use crate::packed::PackedKernel;
 use crate::rare_event::Proposal;
@@ -32,9 +30,6 @@ const POISONED: &str = "scratch map lock poisoned";
 /// empty scratch. A scratch must only ever be used for one (model, scenario) pair.
 #[derive(Default)]
 pub struct GroupScratch {
-    /// The scenario converted to the samplers' form (one profile clone per group
-    /// instead of one per cell).
-    target: OnceLock<CorrelationModel>,
     /// The compiled bit-sliced kernel (fixed-point thresholds + LUT), for counting
     /// models routed to the packed Monte Carlo kernel.
     packed: OnceLock<PackedKernel>,
@@ -51,10 +46,6 @@ pub struct GroupScratch {
 }
 
 impl GroupScratch {
-    pub(crate) fn target(&self, scenario: Scenario<'_>) -> &CorrelationModel {
-        self.target.get_or_init(|| scenario.to_correlation_model())
-    }
-
     pub(crate) fn packed_kernel(&self, compile: impl FnOnce() -> PackedKernel) -> &PackedKernel {
         self.packed.get_or_init(compile)
     }

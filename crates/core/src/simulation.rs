@@ -35,15 +35,16 @@
 //!
 //! ```
 //! use prob_consensus::deployment::Deployment;
-//! use prob_consensus::engine::{AnalysisEngine, Budget, EngineChoice, Scenario};
+//! use fault_model::correlation::CorrelationModel;
+//! use prob_consensus::engine::{AnalysisEngine, Budget, EngineChoice};
 //! use prob_consensus::raft_model::RaftModel;
 //! use prob_consensus::simulation::SimulationEngine;
 //!
 //! let model = RaftModel::standard(3);
-//! let deployment = Deployment::uniform_crash(3, 0.2);
+//! let scenario = CorrelationModel::from(&Deployment::uniform_crash(3, 0.2));
 //! let budget = Budget::default().with_seed(7).with_sim_trials(12);
-//! assert!(SimulationEngine.supports(&model, Scenario::Independent(&deployment), &budget));
-//! let outcome = SimulationEngine.run(&model, Scenario::Independent(&deployment), &budget);
+//! assert!(SimulationEngine.supports(&model, &scenario, &budget));
+//! let outcome = SimulationEngine.run(&model, &scenario, &budget);
 //! assert_eq!(outcome.engine, EngineChoice::Simulation);
 //! let report = outcome.simulation.expect("simulation outcomes carry trial stats");
 //! assert_eq!(report.trials, 12);
@@ -58,13 +59,12 @@ use consensus_protocols::raft::RaftConfig;
 use consensus_sim::fault::FaultSchedule;
 use consensus_sim::network::{LinkQuality, NetworkConfig};
 use consensus_sim::time::SimTime;
+use fault_model::correlation::CorrelationModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
-use crate::engine::{
-    AnalysisEngine, AnalysisOutcome, Budget, EngineChoice, FaultEnvironment, Scenario,
-};
+use crate::engine::{AnalysisEngine, AnalysisOutcome, Budget, EngineChoice, FaultEnvironment};
 use crate::montecarlo::Estimate;
 use crate::protocol::{ExecutableSpec, ProtocolModel};
 use crate::scratch::GroupScratch;
@@ -256,7 +256,7 @@ fn apply_environment(
 /// validates cells at plan time).
 pub fn simulate_reliability(
     model: &dyn ProtocolModel,
-    scenario: Scenario<'_>,
+    scenario: &CorrelationModel,
     budget: &Budget,
 ) -> SimulationReport {
     let spec = model
@@ -267,7 +267,6 @@ pub fn simulate_reliability(
         scenario.len(),
         "model and scenario disagree on the cluster size"
     );
-    let target = scenario.to_correlation_model();
     let workload = trial_spec(spec, budget.sim.environment);
     let trials = budget.sim.trials.max(1);
     let fault_window = SimTime::from_millis(FAULT_WINDOW_MILLIS);
@@ -278,7 +277,7 @@ pub fn simulate_reliability(
                 budget.seed ^ SIM_SEED_SALT,
                 index as u64,
             ));
-            let schedule = FaultSchedule::sample_from_correlation(&target, fault_window, &mut rng);
+            let schedule = FaultSchedule::sample_from_correlation(scenario, fault_window, &mut rng);
             let schedule =
                 apply_environment(budget.sim.environment, spec.num_nodes(), schedule, &mut rng);
             let sim_seed: u64 = rng.gen();
@@ -328,7 +327,7 @@ impl AnalysisEngine for SimulationEngine {
     fn supports_prepared(
         &self,
         model: &dyn ProtocolModel,
-        scenario: Scenario<'_>,
+        scenario: &CorrelationModel,
         _budget: &Budget,
         _scratch: &GroupScratch,
     ) -> bool {
@@ -340,7 +339,7 @@ impl AnalysisEngine for SimulationEngine {
     fn run_prepared(
         &self,
         model: &dyn ProtocolModel,
-        scenario: Scenario<'_>,
+        scenario: &CorrelationModel,
         budget: &Budget,
         _scratch: &GroupScratch,
     ) -> AnalysisOutcome {
@@ -376,7 +375,7 @@ mod tests {
         let budget = Budget::default();
         let raft = RaftModel::standard(5);
         let deployment = Deployment::uniform_crash(5, 0.05);
-        let scenario = Scenario::Independent(&deployment);
+        let scenario = &CorrelationModel::from(&deployment);
         assert!(SimulationEngine.supports(&raft, scenario, &budget));
         let flexible = RaftModel::flexible(5, 2, 4);
         assert!(SimulationEngine.supports(&flexible, scenario, &budget));
@@ -387,15 +386,18 @@ mod tests {
         assert!(!SimulationEngine.supports(&durability, scenario, &budget));
         // A size mismatch between model and scenario is not supported either.
         let tiny = Deployment::uniform_crash(3, 0.05);
-        assert!(!SimulationEngine.supports(&raft, Scenario::Independent(&tiny), &budget));
+        assert!(!SimulationEngine.supports(&raft, &CorrelationModel::from(&tiny), &budget));
     }
 
     #[test]
     fn healthy_cluster_simulates_fully_reliable() {
         let model = RaftModel::standard(3);
         let deployment = Deployment::uniform_crash(3, 0.0);
-        let outcome =
-            SimulationEngine.run(&model, Scenario::Independent(&deployment), &quick_budget(8));
+        let outcome = SimulationEngine.run(
+            &model,
+            &CorrelationModel::from(&deployment),
+            &quick_budget(8),
+        );
         assert_eq!(outcome.engine, EngineChoice::Simulation);
         assert!(outcome.is_empirical() && !outcome.is_exact());
         let report = outcome.simulation.expect("simulation report attached");
@@ -414,7 +416,7 @@ mod tests {
         let target = CorrelationModel::independent(profiles)
             .with_group(CorrelationGroup::crash_shock((0..3).collect(), 1.0));
         let model = RaftModel::standard(3);
-        let outcome = SimulationEngine.run(&model, Scenario::Correlated(&target), &quick_budget(6));
+        let outcome = SimulationEngine.run(&model, &target, &quick_budget(6));
         let report = outcome.simulation.expect("simulation report attached");
         assert_eq!(report.total_faults_injected, 18, "3 crashes x 6 trials");
         assert_eq!(report.live.value, 0.0);
@@ -426,7 +428,7 @@ mod tests {
         let model = RaftModel::standard(3);
         let deployment = Deployment::uniform_crash(3, 0.1);
         let budget = Budget::default().with_seed(3).with_sim_trials(0);
-        let report = simulate_reliability(&model, Scenario::Independent(&deployment), &budget);
+        let report = simulate_reliability(&model, &CorrelationModel::from(&deployment), &budget);
         assert_eq!(report.trials, 1);
         for e in [report.safe, report.live, report.safe_and_live] {
             assert!(0.0 <= e.lower && e.lower <= e.value && e.value <= e.upper && e.upper <= 1.0);
@@ -437,7 +439,7 @@ mod tests {
     fn reports_are_deterministic_per_seed_and_sensitive_to_it() {
         let model = RaftModel::standard(3);
         let deployment = Deployment::uniform_crash(3, 0.3);
-        let scenario = Scenario::Independent(&deployment);
+        let scenario = &CorrelationModel::from(&deployment);
         let a = simulate_reliability(&model, scenario, &quick_budget(16));
         let b = simulate_reliability(&model, scenario, &quick_budget(16));
         assert_eq!(a, b);
@@ -454,7 +456,11 @@ mod tests {
     fn running_an_abstract_model_panics_with_a_clear_message() {
         let model = PersistenceQuorumModel::new(5, vec![0, 1]);
         let deployment = Deployment::uniform_crash(5, 0.05);
-        simulate_reliability(&model, Scenario::Independent(&deployment), &quick_budget(1));
+        simulate_reliability(
+            &model,
+            &CorrelationModel::from(&deployment),
+            &quick_budget(1),
+        );
     }
 
     #[test]
@@ -465,7 +471,7 @@ mod tests {
         // This asymmetry is the known-divergent cell of ROADMAP item 3.
         let model = RaftModel::standard(5);
         let deployment = Deployment::uniform_crash(5, 0.0);
-        let scenario = Scenario::Independent(&deployment);
+        let scenario = &CorrelationModel::from(&deployment);
         let clean = simulate_reliability(&model, scenario, &quick_budget(12));
         let gray_budget = quick_budget(12).with_fault_environment(FaultEnvironment::GrayPrimary);
         let gray = simulate_reliability(&model, scenario, &gray_budget);
@@ -488,7 +494,7 @@ mod tests {
     fn partition_heal_environment_injects_net_events_every_trial() {
         let model = PbftModel::standard(4);
         let deployment = Deployment::uniform_crash(4, 0.0);
-        let scenario = Scenario::Independent(&deployment);
+        let scenario = &CorrelationModel::from(&deployment);
         let budget = quick_budget(8).with_fault_environment(FaultEnvironment::PartitionHeal);
         let report = simulate_reliability(&model, scenario, &budget);
         assert_eq!(
@@ -502,7 +508,7 @@ mod tests {
     fn wan_lossy_environment_runs_heavy_tailed_and_overrides_a_link() {
         let model = RaftModel::standard(3);
         let deployment = Deployment::uniform_crash(3, 0.0);
-        let scenario = Scenario::Independent(&deployment);
+        let scenario = &CorrelationModel::from(&deployment);
         let budget = quick_budget(6).with_fault_environment(FaultEnvironment::WanLossy);
         let report = simulate_reliability(&model, scenario, &budget);
         assert_eq!(report.total_net_events, 6, "one link override per trial");
@@ -513,7 +519,7 @@ mod tests {
     fn environment_reports_are_deterministic_per_seed() {
         let model = RaftModel::standard(5);
         let deployment = Deployment::uniform_crash(5, 0.05);
-        let scenario = Scenario::Independent(&deployment);
+        let scenario = &CorrelationModel::from(&deployment);
         for environment in FaultEnvironment::ALL {
             let budget = quick_budget(10).with_fault_environment(environment);
             let a = simulate_reliability(&model, scenario, &budget);

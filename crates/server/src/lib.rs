@@ -3,8 +3,8 @@
 //! The paper's pitch is operational — operators ask "what reliability does this
 //! deployment give?" continuously as telemetry shifts, not once per offline run.
 //! This crate keeps one [`AnalysisSession`] (and therefore one scratch cache of
-//! converted correlation models, compiled packed kernels, selector pilots and
-//! learned IS proposals) alive across requests and exposes it over a newline-
+//! compiled packed kernels, counting results, selector pilots and learned IS
+//! proposals) alive across requests and exposes it over a newline-
 //! delimited JSON protocol on stdio or TCP.
 //!
 //! # Protocol

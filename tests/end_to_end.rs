@@ -108,10 +108,10 @@ fn markov_mttdl_and_window_analysis_tell_a_consistent_story() {
     // A 5-node group tolerating 2 simultaneous failures, lambda from a 8% AFR, repairs
     // within ~24h on average.
     let lambda = fault_model::metrics::afr_to_hourly_rate(0.08);
-    let mttdl = prob_consensus::durability::consensus_mttdl(5, lambda, 1.0 / 24.0, 2);
+    let group = fault_model::markov::RepairableGroup::new(5, lambda, 1.0 / 24.0, 2);
+    let mttdl = group.mean_time_to_threshold_exceeded();
     // With repair the mean time to losing the quorum should far exceed a decade.
     assert!(mttdl > 10.0 * HOURS_PER_YEAR, "MTTDL {mttdl} hours");
-    let availability =
-        prob_consensus::durability::steady_state_quorum_availability(5, lambda, 1.0 / 24.0, 2);
+    let availability = group.steady_state_availability();
     assert!(availability > 0.999999);
 }

@@ -11,7 +11,7 @@ use prob_consensus::deployment::Deployment;
 use prob_consensus::durability::PersistenceQuorumModel;
 use prob_consensus::engine::{
     AnalysisEngine, Budget, CountingEngine, EngineChoice, EnumerationEngine,
-    ImportanceSamplingEngine, MonteCarloEngine, Scenario,
+    ImportanceSamplingEngine, MonteCarloEngine,
 };
 use prob_consensus::montecarlo::{monte_carlo_reliability_par_kernel, McKernel, MC_CHUNK_SIZE};
 use prob_consensus::packed::PackedKernel;
@@ -48,7 +48,7 @@ fn deployment_grid(n: usize) -> Vec<Deployment> {
 
 /// Asserts all three engines agree on one model/deployment pair.
 fn assert_engines_agree(model: &dyn ProtocolModel, deployment: &Deployment, context: &str) {
-    let scenario = Scenario::Independent(deployment);
+    let scenario = &CorrelationModel::from(deployment);
     let budget = Budget::default().with_samples(60_000).with_seed(GRID_SEED);
 
     let enumerated = EnumerationEngine.run(model, scenario, &budget);
@@ -152,8 +152,8 @@ fn packed_and_scalar_kernels_agree_on_the_grid() {
                 (&raft as &dyn ProtocolModel, &crash),
                 (&pbft as &dyn ProtocolModel, &mixed),
             ] {
-                let exact = CountingEngine.run(model, Scenario::Independent(deployment), &budget);
-                let target = CorrelationModel::independent(deployment.profiles().to_vec());
+                let exact = CountingEngine.run(model, &CorrelationModel::from(deployment), &budget);
+                let target = CorrelationModel::from(deployment);
                 let sample = |kernel| {
                     monte_carlo_reliability_par_kernel(model, &target, 60_000, GRID_SEED, kernel)
                 };
@@ -224,12 +224,12 @@ fn packed_and_scalar_kernels_agree_on_the_grid() {
 fn packed_kernel_handles_ragged_sample_counts() {
     let model = RaftModel::standard(9);
     let deployment = Deployment::uniform_crash(9, 0.08);
-    let scenario = Scenario::Independent(&deployment);
+    let scenario = &CorrelationModel::from(&deployment);
     let samples = 2 * MC_CHUNK_SIZE + 99; // % 64 != 0 and % MC_CHUNK_SIZE != 0
     assert_ne!(samples % 64, 0);
     assert_ne!(samples % MC_CHUNK_SIZE, 0);
     let exact = CountingEngine.run(&model, scenario, &Budget::default());
-    let target = CorrelationModel::independent(deployment.profiles().to_vec());
+    let target = CorrelationModel::from(&deployment);
     for kernel in [McKernel::Scalar, McKernel::Packed] {
         let mc = monte_carlo_reliability_par_kernel(&model, &target, samples, GRID_SEED, kernel);
         assert_eq!(mc.samples, samples, "{kernel:?} must draw the full budget");
@@ -259,10 +259,7 @@ fn packed_kernel_is_bit_identical_across_pass_widths() {
         (&raft as &dyn CountingModel, &crash),
         (&pbft as &dyn CountingModel, &mixed),
     ] {
-        let kernel = PackedKernel::new(
-            model,
-            &CorrelationModel::independent(deployment.profiles().to_vec()),
-        );
+        let kernel = PackedKernel::new(model, &CorrelationModel::from(deployment));
         let at_width =
             |w: usize| kernel.sample_chunk(&mut StdRng::seed_from_u64(GRID_SEED), samples, w);
         let reference = at_width(1);
@@ -292,7 +289,7 @@ fn packed_kernel_is_bit_identical_across_thread_counts() {
     let budget = Budget::default()
         .with_samples(3 * MC_CHUNK_SIZE + 21)
         .with_seed(GRID_SEED);
-    let scenario = Scenario::Correlated(&failure_model);
+    let scenario = &failure_model;
     let reference = MonteCarloEngine.run(&model, scenario, &budget);
     assert_eq!(
         reference.monte_carlo.map(|mc| mc.kernel),
@@ -347,7 +344,7 @@ fn parallel_monte_carlo_is_bit_identical_across_thread_counts() {
 fn importance_sampling_agrees_with_exact_engines_on_small_grids() {
     let budget = Budget::default();
     let tilted = |model: &dyn ProtocolModel, deployment: &Deployment| {
-        let target = CorrelationModel::independent(deployment.profiles().to_vec());
+        let target = CorrelationModel::from(deployment);
         let proposal = Proposal::uniform_tilt(&target, 4.0);
         importance_sampling_reliability_par(model, &target, &proposal, 60_000, 2025)
     };
@@ -355,7 +352,7 @@ fn importance_sampling_agrees_with_exact_engines_on_small_grids() {
         for p in [0.01, 0.05] {
             let model = RaftModel::standard(n);
             let deployment = Deployment::uniform_crash(n, p);
-            let exact = CountingEngine.run(&model, Scenario::Independent(&deployment), &budget);
+            let exact = CountingEngine.run(&model, &CorrelationModel::from(&deployment), &budget);
             let report = tilted(&model, &deployment);
             for (estimate, truth, what) in [
                 (report.safe, exact.report.safe.probability(), "safe"),
@@ -378,7 +375,7 @@ fn importance_sampling_agrees_with_exact_engines_on_small_grids() {
     // PBFT safety under Byzantine faults — a genuinely two-sided guarantee.
     let model = PbftModel::standard(4);
     let deployment = Deployment::uniform_byzantine(4, 0.02);
-    let exact = CountingEngine.run(&model, Scenario::Independent(&deployment), &budget);
+    let exact = CountingEngine.run(&model, &CorrelationModel::from(&deployment), &budget);
     let report = tilted(&model, &deployment);
     assert!(report.safe.contains(exact.report.safe.probability()));
 }
@@ -391,7 +388,7 @@ fn importance_sampling_reaches_tail_probabilities_plain_sampling_cannot() {
     let deployment = Deployment::uniform_crash(60, 0.05);
     let model = PersistenceQuorumModel::new(60, (0..5).collect());
     let budget = Budget::default().with_samples(60_000).with_seed(9);
-    let scenario = Scenario::Independent(&deployment);
+    let scenario = &CorrelationModel::from(&deployment);
     let outcome = prob_consensus::analyzer::analyze_scenario(&model, scenario, &budget)
         .expect("well-formed scenario");
     assert_eq!(outcome.engine, EngineChoice::ImportanceSampling);
@@ -414,7 +411,7 @@ fn parallel_importance_sampling_is_bit_identical_across_thread_counts() {
     let model = PersistenceQuorumModel::new(30, vec![0, 7, 19, 28]);
     // Adaptive pilot plus weighted main run, straddling chunk boundaries.
     let budget = Budget::default().with_samples(3 * 4096 + 29).with_seed(77);
-    let scenario = Scenario::Independent(&deployment);
+    let scenario = &CorrelationModel::from(&deployment);
     let reference = ImportanceSamplingEngine.run(&model, scenario, &budget);
     for threads in [1usize, 2, 4, 7, 16] {
         let pool = rayon::ThreadPoolBuilder::new()
@@ -502,18 +499,10 @@ fn query_plan_execute_matches_per_cell_loop_bit_for_bit() {
                             analyze_auto(model.as_ref(), &deployment, &budget)
                         }
                         _ => {
-                            let correlated =
-                                CorrelationModel::independent(deployment.profiles().to_vec())
-                                    .with_group(CorrelationGroup::crash_shock(
-                                        (0..n).collect(),
-                                        SHOCK,
-                                    ));
-                            analyze_scenario(
-                                model.as_ref(),
-                                Scenario::Correlated(&correlated),
-                                &budget,
-                            )
-                            .expect("well-formed scenario")
+                            let correlated = CorrelationModel::from(&deployment)
+                                .with_group(CorrelationGroup::crash_shock((0..n).collect(), SHOCK));
+                            analyze_scenario(model.as_ref(), &correlated, &budget)
+                                .expect("well-formed scenario")
                         }
                     });
                 }
@@ -564,7 +553,7 @@ fn simulation_engine_is_bit_identical_across_thread_counts() {
     let failure_model = CorrelationModel::independent(profiles)
         .with_group(CorrelationGroup::crash_shock((0..3).collect(), 0.1));
     let budget = Budget::default().with_seed(GRID_SEED).with_sim_trials(24);
-    let scenario = Scenario::Correlated(&failure_model);
+    let scenario = &failure_model;
     let reference = SimulationEngine.run(&model, scenario, &budget);
     assert!(reference.simulation.is_some());
     for threads in [1usize, 2, 3, 8] {
@@ -594,7 +583,7 @@ fn simulated_frequencies_agree_with_the_counting_engine() {
         for p in [0.1, 0.25] {
             let model = RaftModel::standard(n);
             let deployment = Deployment::uniform_crash(n, p);
-            let scenario = Scenario::Independent(&deployment);
+            let scenario = &CorrelationModel::from(&deployment);
             let exact = CountingEngine
                 .run(&model, scenario, &budget)
                 .report
@@ -629,7 +618,7 @@ fn auto_selection_is_consistent_with_explicit_engines() {
     assert_eq!(auto.engine, EngineChoice::Counting);
     let explicit = CountingEngine.run(
         &model,
-        Scenario::Independent(&deployment),
+        &CorrelationModel::from(&deployment),
         &Budget::default(),
     );
     assert_eq!(auto.report, explicit.report);

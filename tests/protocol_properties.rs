@@ -5,6 +5,7 @@ use consensus_protocols::harness::{PbftHarness, RaftHarness};
 use consensus_sim::fault::FaultSchedule;
 use consensus_sim::network::NetworkConfig;
 use consensus_sim::time::SimTime;
+use fault_model::correlation::CorrelationModel;
 use prob_consensus::analyzer::analyze_auto;
 use prob_consensus::deployment::Deployment;
 use prob_consensus::engine::{AnalysisEngine, Budget, EnumerationEngine};
@@ -72,13 +73,13 @@ proptest! {
         let pbft = PbftModel::standard(n.max(4));
         if n >= 4 {
             let a = analyze_auto(&pbft, &deployment, &budget).report;
-            let b = EnumerationEngine.run(&pbft, (&deployment).into(), &budget).report;
+            let b = EnumerationEngine.run(&pbft, &CorrelationModel::from(&deployment), &budget).report;
             prop_assert!((a.safe.probability() - b.safe.probability()).abs() < 1e-9);
             prop_assert!((a.live.probability() - b.live.probability()).abs() < 1e-9);
         }
         let raft = RaftModel::standard(n);
         let a = analyze_auto(&raft, &deployment, &budget).report;
-        let b = EnumerationEngine.run(&raft, (&deployment).into(), &budget).report;
+        let b = EnumerationEngine.run(&raft, &CorrelationModel::from(&deployment), &budget).report;
         prop_assert!((a.safe_and_live.probability() - b.safe_and_live.probability()).abs() < 1e-9);
     }
 
