@@ -510,12 +510,6 @@ impl AnalysisOutcome {
             EngineChoice::Enumeration | EngineChoice::Counting
         )
     }
-
-    /// Whether the report was measured on the executable system (simulation) rather
-    /// than computed from the protocol model.
-    pub fn is_empirical(&self) -> bool {
-        self.engine == EngineChoice::Simulation
-    }
 }
 
 impl std::fmt::Display for AnalysisOutcome {

@@ -8,8 +8,6 @@
 
 use fault_model::mode::NodeState;
 
-use crate::deployment::Deployment;
-
 /// One joint assignment of a state (correct / crashed / Byzantine) to every node.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FailureConfig {
@@ -88,20 +86,6 @@ impl FailureConfig {
             .filter(|&&s| s == NodeState::Byzantine)
             .count()
     }
-
-    /// Probability of this exact configuration under `deployment` (independent nodes).
-    pub fn probability(&self, deployment: &Deployment) -> f64 {
-        assert_eq!(
-            self.len(),
-            deployment.len(),
-            "configuration and deployment sizes differ"
-        );
-        self.states
-            .iter()
-            .zip(deployment.profiles())
-            .map(|(&s, p)| p.probability_of(s))
-            .product()
-    }
 }
 
 impl std::fmt::Display for FailureConfig {
@@ -143,28 +127,5 @@ mod tests {
         assert_eq!(byz.num_byzantine(), 1);
         let healthy = FailureConfig::all_correct(4);
         assert_eq!(healthy.num_crashed() + healthy.num_byzantine(), 0);
-    }
-
-    #[test]
-    fn probability_under_uniform_deployment() {
-        let d = Deployment::uniform_crash(3, 0.01);
-        let all_up = FailureConfig::all_correct(3);
-        assert!((all_up.probability(&d) - 0.99f64.powi(3)).abs() < 1e-12);
-        let one_down = FailureConfig::with_crashed(3, &[1]);
-        assert!((one_down.probability(&d) - 0.01 * 0.99f64.powi(2)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn probability_of_byzantine_state_uses_byzantine_probability() {
-        let d = Deployment::uniform_mixed(2, 0.04, 0.01);
-        let config = FailureConfig::new(vec![NodeState::Byzantine, NodeState::Correct]);
-        assert!((config.probability(&d) - 0.01 * 0.95).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "sizes differ")]
-    fn probability_checks_sizes() {
-        let d = Deployment::uniform_crash(3, 0.01);
-        FailureConfig::all_correct(4).probability(&d);
     }
 }

@@ -85,7 +85,7 @@ use crate::engine::{Budget, EngineChoice};
 use crate::json::JsonValue;
 use crate::montecarlo::chunk_seed;
 use crate::protocol::ProtocolModel;
-use crate::query::{AnalysisSession, CellRecord, ProtocolSpec, Query};
+use crate::query::{AnalysisSession, CellRecord, ProtocolSpec, Query, MAX_NODES};
 use crate::report::Table;
 
 /// Salt XORed into the optimizer's base seed before deriving per-candidate
@@ -792,31 +792,29 @@ pub fn optimize(
         }
     }
 
-    // Tier 3 (optional): time-domain scoring of the frontier as repairable
+    // Tier 3 (optional): long-run unavailability of the frontier as repairable
     // groups — λ backed out of the window probability, μ from the MTTR.
     if let Some(policy) = &config.repair {
-        let scorable: Vec<usize> = frontier_indices
-            .iter()
-            .copied()
-            .filter(|&i| candidates[i].fault_probability < 1.0)
-            .collect();
-        if !scorable.is_empty() {
-            let mut query = Query::new();
-            for &i in &scorable {
-                let candidate = &candidates[i];
-                let lambda = -(1.0 - candidate.fault_probability).ln() / policy.mission_hours;
-                let mu = 1.0 / policy.mttr_hours;
-                let (group_n, tolerated) = space.target.repair_group(candidate.nodes);
-                query = query.repairable_cell(
-                    candidate.label.clone(),
-                    RepairableGroup::new(group_n, lambda, mu, tolerated),
-                );
+        for &i in &frontier_indices {
+            let candidate = &candidates[i];
+            if candidate.fault_probability >= 1.0 {
+                continue;
             }
-            let time_report = session.plan(&query)?.execute();
-            for (k, &i) in scorable.iter().enumerate() {
-                evaluated[i].unavailability_minutes_per_year =
-                    time_report.trajectory(k).unavailability_minutes_per_year;
+            let (group_n, tolerated) = space.target.repair_group(candidate.nodes);
+            // The same size limit a repairable cell meets: a candidate's node
+            // count is not otherwise bounded.
+            if group_n > MAX_NODES {
+                return Err(AnalysisError::OverLimit {
+                    what: "repairable n",
+                    value: group_n,
+                    limit: MAX_NODES,
+                });
             }
+            let lambda = -(1.0 - candidate.fault_probability).ln() / policy.mission_hours;
+            let mu = 1.0 / policy.mttr_hours;
+            let group = RepairableGroup::new(group_n, lambda, mu, tolerated);
+            evaluated[i].unavailability_minutes_per_year =
+                Some(group.unavailability_minutes_per_year());
         }
     }
 
@@ -1056,6 +1054,37 @@ mod tests {
             .iter()
             .filter(|r| !report.frontier.contains(r))
             .all(|r| r.unavailability_minutes_per_year.is_none()));
+    }
+
+    #[test]
+    fn repair_groups_past_the_node_limit_are_refused() {
+        // Nothing bounds a candidate's node count before tier 3, so tier 3
+        // keeps the size limit a repairable cell meets.
+        let n = MAX_NODES + 1;
+        let coin = NodeType::from_profile("coin", FaultProfile::new(0.5, 0.0), 1.0);
+        let space = DeploymentSpace {
+            instances: vec![coin],
+            nodes: vec![n],
+            domains: None,
+            placements: Vec::new(),
+            target: TargetSpec::PersistenceQuorum { quorum_size: n },
+        };
+        let config = OptimizerConfig {
+            screen_samples: 100,
+            refine_samples: 100,
+            ..OptimizerConfig::new(0.1)
+        }
+        .with_repair(RepairPolicy {
+            mttr_hours: 10.0,
+            mission_hours: fault_model::metrics::HOURS_PER_YEAR,
+        });
+        match optimize(&AnalysisSession::new(), &space, &config) {
+            Err(AnalysisError::OverLimit { what, value, limit }) => {
+                assert_eq!((what, value, limit), ("repairable n", n, MAX_NODES));
+            }
+            Err(other) => panic!("expected the size limit, got {other}"),
+            Ok(report) => panic!("expected the size limit, got {:?}", report.frontier),
+        }
     }
 
     #[test]

@@ -479,9 +479,11 @@ pub enum TrajectoryKind {
     /// ([`Query::trajectory_cell`]), each window analysed by the counting
     /// engine.
     Fleet,
-    /// A repairable group analysed as a continuous-time Markov chain
+    /// A repairable group analysed as a birth–death chain
     /// ([`Query::repairable_cell`], backed by
-    /// [`fault_model::markov::RepairableGroup`]).
+    /// [`fault_model::markov::RepairableGroup`]); each point's probability is
+    /// `1 − u` for the unreliability `u` of
+    /// [`RepairableGroup::unreliability_curve`].
     Repairable,
 }
 
@@ -531,8 +533,8 @@ pub struct TrajectoryRecord {
     /// Long-run probability that the quorum is available (repairable cells only).
     pub steady_state_availability: Option<f64>,
     /// Mean time (hours) until more than the tolerated number of nodes are down
-    /// simultaneously — the MTTDL analogue (repairable cells only; may be
-    /// infinite when the threshold is unreachable).
+    /// simultaneously — the MTTDL analogue (repairable cells only; infinite, and
+    /// `null` on the wire, only when λ = 0 or the time exceeds `f64::MAX`).
     pub mean_time_to_threshold_hours: Option<f64>,
     /// Long-run expected unavailability in minutes per year (repairable cells
     /// only).
@@ -712,7 +714,7 @@ struct ExplicitCell {
 }
 
 /// One time-domain cell: a fleet swept through mission windows, or a repairable
-/// group analysed as a Markov chain.
+/// group analysed as a birth–death chain.
 #[derive(Clone)]
 enum TrajectorySpec {
     Fleet {
@@ -990,7 +992,7 @@ impl Query {
     }
 
     /// Appends a repairable-fleet cell: a group of nodes failing at rate λ and
-    /// repaired at rate μ, analysed as a birth–death Markov chain
+    /// repaired at rate μ, analysed as a birth–death chain
     /// ([`fault_model::markov::RepairableGroup`]) — first-passage reliability
     /// `R(t)` along the time axis, steady-state quorum availability, mean time to
     /// threshold exceedance (the MTTDL analogue), and unavailability minutes per
@@ -1568,10 +1570,12 @@ fn trajectory_record(spec: &TrajectorySpec, axis: &TimeAxis) -> TrajectoryRecord
             (label, TrajectoryKind::Fleet, points, None)
         }
         TrajectorySpec::Repairable { label, group } => {
+            let unreliability = group.unreliability_curve(axis.step_hours, times.len());
             let points = times
-                .map(|t| TrajectoryPoint {
+                .zip(unreliability)
+                .map(|(t, u)| TrajectoryPoint {
                     at_hours: t,
-                    probability: group.reliability_at(t),
+                    probability: 1.0 - u,
                 })
                 .collect();
             (label, TrajectoryKind::Repairable, points, Some(group))

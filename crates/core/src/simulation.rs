@@ -399,7 +399,7 @@ mod tests {
             &quick_budget(8),
         );
         assert_eq!(outcome.engine, EngineChoice::Simulation);
-        assert!(outcome.is_empirical() && !outcome.is_exact());
+        assert!(!outcome.is_exact());
         let report = outcome.simulation.expect("simulation report attached");
         assert_eq!(report.trials, 8);
         assert_eq!(report.safe_and_live.value, 1.0);

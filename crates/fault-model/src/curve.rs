@@ -235,16 +235,6 @@ impl BathtubCurve {
             wearout,
         }
     }
-
-    /// A representative disk-like bathtub: ~5% first-year AFR dominated by infant
-    /// mortality, ~2% useful-life AFR, and wear-out kicking in after ~4 years.
-    pub fn typical_disk() -> Self {
-        Self::new(
-            WeibullCurve::new(0.5, 2.0e6),
-            ConstantCurve::from_afr(0.02),
-            WeibullCurve::new(3.0, 60_000.0),
-        )
-    }
 }
 
 impl FaultCurve for BathtubCurve {
@@ -469,7 +459,13 @@ mod tests {
 
     #[test]
     fn bathtub_has_high_infant_and_wearout_hazard() {
-        let b = BathtubCurve::typical_disk();
+        // A disk-like bathtub: infant mortality, ~2% useful-life AFR, and wear-out
+        // kicking in after ~4 years.
+        let b = BathtubCurve::new(
+            WeibullCurve::new(0.5, 2.0e6),
+            ConstantCurve::from_afr(0.02),
+            WeibullCurve::new(3.0, 60_000.0),
+        );
         let infant = b.hazard(10.0);
         let useful = b.hazard(20_000.0);
         let wearout = b.hazard(70_000.0);

@@ -16,8 +16,10 @@
 //!   curve, a hardware class, a price and a carbon intensity.
 //! * [`metrics`] — reliability metrics: nines, AFR ⇄ hazard-rate conversions, MTBF/MTTR,
 //!   availability.
-//! * [`markov`] — continuous-time Markov reliability chains in the style the storage
-//!   community uses for MTTDL/MTTF computations (§2 of the paper).
+//! * [`markov`] — repairable groups as birth–death reliability chains, in the style the
+//!   storage community uses for MTTDL/MTTF computations (§2 of the paper): first-passage
+//!   times, steady-state availability and transient unreliability from the chain's
+//!   structure.
 //! * [`correlation`] — correlated-failure models (common-cause shocks per correlation
 //!   group) and samplers producing failure configurations.
 //! * [`telemetry`] — synthetic fleet telemetry (the stand-in for Backblaze-style drive
@@ -56,7 +58,7 @@ pub use curve::{
     BathtubCurve, ConstantCurve, EmpiricalCurve, ExponentialCurve, FaultCurve, PiecewiseCurve,
     StepCurve, WeibullCurve,
 };
-pub use markov::{BirthDeathChain, MarkovChain, RepairableGroup};
+pub use markov::RepairableGroup;
 pub use metrics::{
     afr_to_hourly_rate, availability, hourly_rate_to_afr, mtbf, nines, probability_from_nines,
     Nines, HOURS_PER_YEAR,

@@ -98,11 +98,6 @@ impl Nines {
         Self { probability }
     }
 
-    /// Builds the probability that has exactly `n` nines.
-    pub fn from_nines(n: f64) -> Self {
-        Self::from_probability(probability_from_nines(n))
-    }
-
     /// The underlying probability.
     pub fn probability(&self) -> f64 {
         self.probability

@@ -144,17 +144,6 @@ impl FaultProfile {
         }
     }
 
-    /// Treats every fault as a crash, collapsing Byzantine probability into crash
-    /// probability. Used when analysing CFT protocols over mixed fleets.
-    pub fn as_crash_only(&self) -> Self {
-        Self::new(self.fault_probability(), 0.0)
-    }
-
-    /// Treats every fault as Byzantine. Used for conservative BFT analysis.
-    pub fn as_byzantine_only(&self) -> Self {
-        Self::new(0.0, self.fault_probability())
-    }
-
     /// Scales both probabilities by `factor`, clamping the sum at 1. Useful for
     /// sensitivity sweeps ("what if everything is twice as flaky?").
     pub fn scaled(&self, factor: f64) -> Self {
@@ -206,13 +195,6 @@ mod tests {
     #[should_panic(expected = "must not exceed 1")]
     fn rejects_overfull_profile() {
         FaultProfile::new(0.7, 0.5);
-    }
-
-    #[test]
-    fn collapse_to_single_mode() {
-        let p = FaultProfile::new(0.04, 0.01);
-        assert_eq!(p.as_crash_only().crash_probability(), 0.05);
-        assert_eq!(p.as_byzantine_only().byzantine_probability(), 0.05);
     }
 
     #[test]

@@ -105,12 +105,6 @@ impl NodeSpec {
         self
     }
 
-    /// Sets the hardware class.
-    pub fn with_class(mut self, class: NodeClass) -> Self {
-        self.class = class;
-        self
-    }
-
     /// Sets the hourly cost in dollars.
     pub fn with_cost(mut self, hourly_cost: f64) -> Self {
         assert!(hourly_cost >= 0.0);
@@ -129,12 +123,6 @@ impl NodeSpec {
     pub fn with_age(mut self, age_hours: f64) -> Self {
         assert!(age_hours >= 0.0);
         self.age_hours = age_hours;
-        self
-    }
-
-    /// Sets the Byzantine fault curve.
-    pub fn with_byzantine_curve(mut self, curve: Arc<dyn FaultCurve>) -> Self {
-        self.byzantine_curve = curve;
         self
     }
 
@@ -230,18 +218,6 @@ impl Fleet {
     pub fn carbon_per_hour(&self) -> f64 {
         self.nodes.iter().map(|n| n.carbon_per_hour).sum()
     }
-
-    /// Returns the ids of the `k` nodes with the lowest fault probability over the
-    /// window, most reliable first. Ties are broken by id for determinism.
-    pub fn most_reliable(&self, k: usize, window_hours: f64) -> Vec<NodeId> {
-        let mut ranked: Vec<(f64, NodeId)> = self
-            .nodes
-            .iter()
-            .map(|n| (n.profile(window_hours).fault_probability(), n.id))
-            .collect();
-        ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-        ranked.into_iter().take(k).map(|(_, id)| id).collect()
-    }
 }
 
 impl FromIterator<NodeSpec> for Fleet {
@@ -280,21 +256,12 @@ mod tests {
     }
 
     #[test]
-    fn most_reliable_orders_by_fault_probability() {
-        let mut fleet = Fleet::new();
-        fleet.push(NodeSpec::with_constant_crash(0, 0.08, HOURS_PER_YEAR).named("flaky"));
-        fleet.push(NodeSpec::with_constant_crash(1, 0.01, HOURS_PER_YEAR).named("good"));
-        fleet.push(NodeSpec::with_constant_crash(2, 0.04, HOURS_PER_YEAR).named("ok"));
-        let top = fleet.most_reliable(2, HOURS_PER_YEAR);
-        assert_eq!(top, vec![NodeId(1), NodeId(2)]);
-    }
-
-    #[test]
     fn profile_combines_crash_and_byzantine_curves() {
-        let node =
-            NodeSpec::with_constant_crash(0, 0.04, HOURS_PER_YEAR).with_byzantine_curve(Arc::new(
-                ConstantCurve::from_window_probability(0.0001, HOURS_PER_YEAR),
-            ));
+        let mut node = NodeSpec::with_constant_crash(0, 0.04, HOURS_PER_YEAR);
+        node.byzantine_curve = Arc::new(ConstantCurve::from_window_probability(
+            0.0001,
+            HOURS_PER_YEAR,
+        ));
         let profile = node.profile(HOURS_PER_YEAR);
         assert!(profile.crash_probability() > 0.039);
         assert!(profile.byzantine_probability() > 0.9e-4);

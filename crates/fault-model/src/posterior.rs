@@ -426,11 +426,6 @@ impl TelemetryPosterior {
         let (lo, hi) = self.rate.credible_interval(level);
         (1.0 - (-lo).exp(), 1.0 - (-hi).exp())
     }
-
-    /// Draws one posterior AFR sample (one uniform consumed from `rng`).
-    pub fn sample_afr<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        1.0 - (-self.rate.sample_rate(rng)).exp()
-    }
 }
 
 #[cfg(test)]

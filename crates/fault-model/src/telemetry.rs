@@ -9,12 +9,11 @@
 //!   configurable per-class annual failure rates, bathtub aging and rollout-correlated
 //!   failure bursts (the substitution documented in DESIGN.md), and
 //! * a [`TelemetryEstimator`] recovering annual failure rates (with confidence
-//!   intervals) and age-bucketed empirical fault curves from such records — the path an
-//!   operator would use with real telemetry.
+//!   intervals and Bayesian posteriors) from such records — the path an operator would
+//!   use with real telemetry.
 
 use rand::Rng;
 
-use crate::curve::EmpiricalCurve;
 use crate::metrics::HOURS_PER_YEAR;
 use crate::posterior::TelemetryPosterior;
 
@@ -120,33 +119,22 @@ impl ClassSpec {
     }
 }
 
+/// Length of each observation period, in hours (Backblaze reports quarterly).
+const OBSERVATION_HOURS: f64 = HOURS_PER_YEAR / 4.0;
+/// Number of consecutive observation periods per device: one year.
+const PERIODS: usize = 4;
+
 /// Generates synthetic fleet telemetry.
 #[derive(Debug, Clone)]
 pub struct TelemetryGenerator {
     classes: Vec<ClassSpec>,
-    /// Length of each observation period, in hours (Backblaze reports quarterly).
-    observation_hours: f64,
-    /// Number of consecutive observation periods per device.
-    periods: usize,
 }
 
 impl TelemetryGenerator {
     /// Creates a generator with quarterly observation periods over one year.
     pub fn new(classes: Vec<ClassSpec>) -> Self {
         assert!(!classes.is_empty(), "need at least one class");
-        Self {
-            classes,
-            observation_hours: HOURS_PER_YEAR / 4.0,
-            periods: 4,
-        }
-    }
-
-    /// Overrides the observation-period length and count.
-    pub fn with_periods(mut self, observation_hours: f64, periods: usize) -> Self {
-        assert!(observation_hours > 0.0 && periods > 0);
-        self.observation_hours = observation_hours;
-        self.periods = periods;
-        self
+        Self { classes }
     }
 
     /// Generates the telemetry, consuming the given RNG for reproducibility.
@@ -156,17 +144,17 @@ impl TelemetryGenerator {
         for class in &self.classes {
             // Per-period failure probability from the annual rate.
             let rate = crate::metrics::afr_to_hourly_rate(class.afr);
-            let p_period = 1.0 - (-rate * self.observation_hours).exp();
+            let p_period = 1.0 - (-rate * OBSERVATION_HOURS).exp();
             for _ in 0..class.population {
                 device_id += 1;
                 // Stagger initial ages so age-bucketed estimation sees a spread.
                 let initial_age: f64 = rng.gen::<f64>() * 3.0 * HOURS_PER_YEAR;
                 let mut alive = true;
-                for period in 0..self.periods {
+                for period in 0..PERIODS {
                     if !alive {
                         break;
                     }
-                    let age = initial_age + period as f64 * self.observation_hours;
+                    let age = initial_age + period as f64 * OBSERVATION_HOURS;
                     let mut failed = rng.gen::<f64>() < p_period;
                     // Correlated rollout burst in the second period.
                     if period == 1 && rng.gen::<f64>() < class.rollout_burst_probability {
@@ -177,7 +165,7 @@ impl TelemetryGenerator {
                         device_id,
                         class: class.name.clone(),
                         age_at_start: age,
-                        observed_hours: self.observation_hours,
+                        observed_hours: OBSERVATION_HOURS,
                         failed,
                         byzantine,
                     });
@@ -259,89 +247,11 @@ impl TelemetryEstimator {
     pub fn posterior(&self, telemetry: &FleetTelemetry) -> Option<TelemetryPosterior> {
         TelemetryPosterior::from_telemetry(telemetry)
     }
-
-    /// Estimates the fraction of failures that were Byzantine (silent corruption).
-    pub fn estimate_byzantine_fraction(&self, telemetry: &FleetTelemetry) -> f64 {
-        let failures = telemetry.records().iter().filter(|r| r.failed).count();
-        if failures == 0 {
-            return 0.0;
-        }
-        let byz = telemetry
-            .records()
-            .iter()
-            .filter(|r| r.failed && r.byzantine)
-            .count();
-        byz as f64 / failures as f64
-    }
-
-    /// Builds an age-bucketed empirical hazard curve from telemetry: failures divided by
-    /// observed hours within each `bucket_hours`-wide age bucket.
-    ///
-    /// Returns `None` when there is no telemetry.
-    pub fn fit_empirical_curve(
-        &self,
-        telemetry: &FleetTelemetry,
-        bucket_hours: f64,
-    ) -> Option<EmpiricalCurve> {
-        assert!(bucket_hours > 0.0);
-        if telemetry.is_empty() {
-            return None;
-        }
-        let max_age = telemetry
-            .records()
-            .iter()
-            .map(|r| r.age_at_start + r.observed_hours)
-            .fold(0.0f64, f64::max);
-        let buckets = (max_age / bucket_hours).ceil() as usize;
-        let mut exposure = vec![0.0f64; buckets.max(1)];
-        let mut failures = vec![0.0f64; buckets.max(1)];
-        for r in telemetry.records() {
-            let mid_age = r.age_at_start + r.observed_hours / 2.0;
-            let b = ((mid_age / bucket_hours) as usize).min(exposure.len() - 1);
-            exposure[b] += r.observed_hours;
-            if r.failed {
-                failures[b] += 1.0;
-            }
-        }
-        let overall_rate = {
-            let total_exposure: f64 = exposure.iter().sum();
-            let total_failures: f64 = failures.iter().sum();
-            if total_exposure > 0.0 {
-                total_failures / total_exposure
-            } else {
-                0.0
-            }
-        };
-        let bucketed: Vec<(f64, f64)> = exposure
-            .iter()
-            .zip(failures.iter())
-            .enumerate()
-            .map(|(i, (&e, &f))| {
-                let end = (i + 1) as f64 * bucket_hours;
-                // Fall back to the overall rate for sparsely observed buckets.
-                let rate = if e > 0.0 { f / e } else { overall_rate };
-                (end, rate)
-            })
-            .collect();
-        Some(EmpiricalCurve::from_bucketed_rates(&bucketed))
-    }
-
-    /// Fits a constant-rate curve (exponential lifetime) by maximum likelihood:
-    /// failures divided by total observed hours.
-    pub fn fit_constant_rate(&self, telemetry: &FleetTelemetry) -> Option<f64> {
-        let device_hours: f64 = telemetry.records().iter().map(|r| r.observed_hours).sum();
-        if device_hours <= 0.0 {
-            return None;
-        }
-        let failures = telemetry.records().iter().filter(|r| r.failed).count();
-        Some(failures as f64 / device_hours)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::curve::FaultCurve;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -472,7 +382,11 @@ mod tests {
             rollout_burst_probability: 0.0,
         };
         let telemetry = TelemetryGenerator::new(vec![spec]).generate(&mut StdRng::seed_from_u64(9));
-        let frac = TelemetryEstimator::new().estimate_byzantine_fraction(&telemetry);
+        // The generated failures carry the class's Byzantine share.
+        let failed = telemetry.records().iter().filter(|r| r.failed);
+        let (failures, byzantine) =
+            failed.fold((0, 0), |(f, b), r| (f + 1, b + r.byzantine as usize));
+        let frac = byzantine as f64 / failures as f64;
         assert!((frac - 0.2).abs() < 0.03, "estimated {frac}");
     }
 
@@ -495,27 +409,17 @@ mod tests {
     }
 
     #[test]
-    fn empirical_curve_fits_constant_rate_data() {
-        let telemetry = generate(0.05, 20_000, 21);
-        let estimator = TelemetryEstimator::new();
-        let curve = estimator
-            .fit_empirical_curve(&telemetry, HOURS_PER_YEAR / 2.0)
-            .unwrap();
-        let expected_rate = crate::metrics::afr_to_hourly_rate(0.05);
-        // Hazard in a well-populated bucket should be within 50% of the true rate.
-        let hazard = curve.hazard(HOURS_PER_YEAR);
-        assert!(
-            (hazard - expected_rate).abs() / expected_rate < 0.5,
-            "hazard {hazard} vs expected {expected_rate}"
-        );
-    }
-
-    #[test]
     fn constant_rate_fit_matches_afr_estimate() {
         let telemetry = generate(0.03, 20_000, 8);
-        let estimator = TelemetryEstimator::new();
-        let rate = estimator.fit_constant_rate(&telemetry).unwrap();
-        let afr = estimator.estimate_afr(&telemetry).unwrap().afr;
+        // The constant-rate maximum-likelihood fit, failures over observed hours,
+        // is the rate behind the AFR estimate.
+        let hours: f64 = telemetry.records().iter().map(|r| r.observed_hours).sum();
+        let failures = telemetry.records().iter().filter(|r| r.failed).count();
+        let rate = failures as f64 / hours;
+        let afr = TelemetryEstimator::new()
+            .estimate_afr(&telemetry)
+            .unwrap()
+            .afr;
         assert!((crate::metrics::hourly_rate_to_afr(rate) - afr).abs() < 1e-9);
     }
 }

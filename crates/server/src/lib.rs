@@ -1869,7 +1869,8 @@ mod tests {
 
     // The four requests below each aborted the process on an allocation it
     // could not make (4e9 draws, 3e9 nodes, 4e9 logspace points, a 200 000-node
-    // Markov chain): an abort is not a panic, so no `catch_unwind` sees it.
+    // repairable group's step matrix): an abort is not a panic, so no
+    // `catch_unwind` sees it.
 
     #[test]
     fn oversized_posteriors_are_an_error_event_not_an_abort() {
@@ -1925,6 +1926,36 @@ mod tests {
             ),
             "repairable n must be at most 4096",
         );
+    }
+
+    #[test]
+    fn majority_tolerance_repairable_groups_answer_finite_exact_numbers() {
+        // A 15-node group tolerating 7 failures: its mean time to an 8th
+        // concurrent failure is ~2e20 hours, and its long-run unavailability and
+        // early unreliability sit far below 1e-16.
+        let server = Arc::new(Server::new());
+        let input = r#"{"id":"r","op":"query","query":{"repairable_cells":[{"label":"r","n":15,"lambda":1e-4,"mu":0.1,"tolerated_failures":7}]}}"#;
+        let output = run_exchange(&server, &format!("{input}\n"));
+        let events = events(&output);
+        let trajectories = events_for(&events, "r", "trajectory");
+        assert_eq!(trajectories.len(), 1, "{output}");
+        let record = trajectories[0].get("trajectory").unwrap();
+        let number = |key: &str| record.get(key).and_then(|v| v.as_f64());
+        let mttf = number("mean_time_to_threshold_hours").expect("a finite MTTF");
+        // 1.974101e20 to the printed digits; the birth–death closed form.
+        let expected = 1.974_101_244_289_675_8e20;
+        assert!((mttf - expected).abs() <= 1e-9 * expected, "{mttf:e}");
+        let minutes = number("unavailability_minutes_per_year").unwrap();
+        assert!(minutes > 0.0 && minutes < 1e-12, "{minutes:e}");
+        let points: Vec<f64> = record
+            .get("points")
+            .and_then(|v| v.as_array())
+            .unwrap()
+            .iter()
+            .map(|p| p.get("probability").and_then(|v| v.as_f64()).unwrap())
+            .collect();
+        assert_eq!(points.len(), 21);
+        assert!(points.windows(2).all(|w| w[1] <= w[0]), "{points:?}");
     }
 
     #[test]

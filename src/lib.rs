@@ -4,7 +4,7 @@
 //! cross-crate integration tests (`tests/`); the functionality lives in the member
 //! crates, re-exported here for convenience:
 //!
-//! * [`fault_model`] — fault curves, failure modes, Markov reliability models, telemetry.
+//! * [`fault_model`] — fault curves, failure modes, birth–death repairable groups, telemetry.
 //! * [`quorum`] — node sets and binomial helpers.
 //! * [`consensus_sim`] — the deterministic discrete-event simulator.
 //! * [`consensus_protocols`] — executable Raft and PBFT plus harnesses.
