@@ -1929,6 +1929,25 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_repairable_rates_are_an_error_event_not_a_hang() {
+        // 200·1e306 overflows, and 1e300 over a 1e10-hour step is an infinite
+        // number of expected jumps: either would saturate the step matrix's
+        // squaring count and keep a worker busy for good.
+        rejected_then_served(
+            &bad_query(
+                r#"{"repairable_cells":[{"label":"r","n":200,"lambda":1e306,"mu":0.1,"tolerated_failures":2}]}"#,
+            ),
+            "group rates n·λ and n·μ must be finite",
+        );
+        rejected_then_served(
+            &bad_query(
+                r#"{"time_axis":{"horizon_hours":1e11,"step_hours":1e10},"repairable_cells":[{"label":"r","n":1,"lambda":1e300,"mu":0,"tolerated_failures":0}]}"#,
+            ),
+            "transitions per step overflow",
+        );
+    }
+
+    #[test]
     fn majority_tolerance_repairable_groups_answer_finite_exact_numbers() {
         // A 15-node group tolerating 7 failures: its mean time to an 8th
         // concurrent failure is ~2e20 hours, and its long-run unavailability and
