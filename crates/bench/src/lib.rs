@@ -18,9 +18,7 @@ use prob_consensus::deployment::Deployment;
 use prob_consensus::durability::{
     durability_claim, quorum_durability, DurabilityClaim, PersistenceQuorumModel,
 };
-use prob_consensus::engine::{
-    AnalysisEngine, AnalysisOutcome, Budget, EngineChoice, EnumerationEngine, FaultEnvironment,
-};
+use prob_consensus::engine::{AnalysisOutcome, Budget, EngineChoice, FaultEnvironment};
 use prob_consensus::json::JsonValue;
 use prob_consensus::montecarlo::{monte_carlo_reliability_par_kernel, McKernel};
 use prob_consensus::optimize::{
@@ -35,6 +33,7 @@ use prob_consensus::query::{
 };
 use prob_consensus::raft_model::RaftModel;
 use prob_consensus::report::{percent, Table};
+use prob_consensus::scratch::GroupScratch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -861,10 +860,11 @@ pub fn rare_event_sample_efficiency() -> f64 {
     let budget = Budget::default()
         .with_samples(RARE_EVENT_SAMPLES)
         .with_seed(RARE_EVENT_SEED);
-    let outcome = prob_consensus::rare_event::ImportanceSamplingEngine.run(
+    let outcome = EngineChoice::ImportanceSampling.run(
         &model,
         &CorrelationModel::from(&deployment),
         &budget,
+        &GroupScratch::default(),
     );
     let report = outcome.rare_event.expect("importance sampling ran");
     let p_loss = 1.0 - report.safe.value;
@@ -1287,7 +1287,7 @@ pub fn analysis_benchmarks(budget_ms: u64) -> Vec<BenchMeasurement> {
     let s13 = CorrelationModel::from(&Deployment::uniform_crash(13, 0.02));
     let m13 = RaftModel::standard(13);
     out.push(time_one(enumeration13, budget_ms, || {
-        EnumerationEngine.run(&m13, &s13, &budget)
+        EngineChoice::Enumeration.run(&m13, &s13, &budget, &GroupScratch::default())
     }));
 
     let (m_mc, d_mc) = mc_speedup_workload();
@@ -1337,7 +1337,7 @@ pub fn analysis_benchmarks(budget_ms: u64) -> Vec<BenchMeasurement> {
         .with_seed(RARE_EVENT_SEED);
     let fm_re = CorrelationModel::from(&d_re);
     out.push(time_one(RARE_EVENT_IS_ID, budget_ms, || {
-        prob_consensus::rare_event::ImportanceSamplingEngine.run(&m_re, &fm_re, &re_budget)
+        EngineChoice::ImportanceSampling.run(&m_re, &fm_re, &re_budget, &GroupScratch::default())
     }));
     out.push(time_one(RARE_EVENT_MC_ID, budget_ms, || {
         monte_carlo_reliability_par_kernel(

@@ -7,8 +7,8 @@
 //! form over any [`CorrelationModel`] — the one scenario type, of which an
 //! independent deployment is the case with no shock groups. A caller that must pin
 //! an engine — a cross-engine agreement test, a bench — runs that engine directly
-//! through [`AnalysisEngine::run`](crate::engine::AnalysisEngine::run), e.g.
-//! `CountingEngine.run(model, scenario, budget)`.
+//! through [`EngineChoice::run`](crate::engine::EngineChoice::run), e.g.
+//! `EngineChoice::Counting.run(model, scenario, budget, &GroupScratch::default())`.
 
 use fault_model::correlation::CorrelationModel;
 use fault_model::metrics::Nines;
@@ -205,24 +205,24 @@ pub fn analyze_scenario(
     // scratch — which is what makes a planned sweep bit-identical to a per-cell
     // loop. Here the scratch is a throwaway.
     let scratch = GroupScratch::default();
-    Ok(select_engine(model, scenario, budget, &scratch)
-        .run_prepared(model, scenario, budget, &scratch))
+    Ok(select_engine(model, scenario, budget, &scratch).run(model, scenario, budget, &scratch))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{AnalysisEngine, CountingEngine, EnumerationEngine};
+    use crate::engine::EngineChoice;
     use crate::pbft_model::PbftModel;
     use crate::raft_model::RaftModel;
 
     /// The exact counting engine's report, pinned (not auto-selected).
     fn counting(model: &dyn ProtocolModel, deployment: &Deployment) -> ReliabilityReport {
-        CountingEngine
+        EngineChoice::Counting
             .run(
                 model,
                 &CorrelationModel::from(deployment),
                 &Budget::default(),
+                &GroupScratch::default(),
             )
             .report
     }
@@ -320,11 +320,12 @@ mod tests {
         let model = PbftModel::standard(5);
         let deployment = Deployment::uniform_byzantine(5, 0.03);
         let a = counting(&model, &deployment);
-        let b = EnumerationEngine
+        let b = EngineChoice::Enumeration
             .run(
                 &model,
                 &CorrelationModel::from(&deployment),
                 &Budget::default(),
+                &GroupScratch::default(),
             )
             .report;
         assert!((a.safe.probability() - b.safe.probability()).abs() < 1e-12);

@@ -163,7 +163,8 @@ impl ProtocolModel for PersistenceQuorumModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{AnalysisEngine, Budget, EnumerationEngine};
+    use crate::engine::{Budget, EngineChoice};
+    use crate::scratch::GroupScratch;
     use fault_model::correlation::CorrelationModel;
     use fault_model::mode::FaultProfile;
 
@@ -257,11 +258,12 @@ mod tests {
         // closed-form quorum loss probability.
         let deployment = Deployment::uniform_crash(6, 0.2);
         let model = PersistenceQuorumModel::new(6, vec![0, 2, 4]);
-        let report = EnumerationEngine
+        let report = EngineChoice::Enumeration
             .run(
                 &model,
                 &CorrelationModel::from(&deployment),
                 &Budget::default(),
+                &GroupScratch::default(),
             )
             .report;
         let analytic = quorum_loss_probability(&deployment, &[0, 2, 4]);

@@ -8,12 +8,12 @@
 //!   plus common-cause shock groups. An independent deployment is the model with no
 //!   groups (`CorrelationModel::from(&deployment)`), so every engine reads one
 //!   scenario type.
-//! * [`AnalysisEngine`] — the common trait of the five engines, wrapping
-//!   [`crate::enumeration`], [`crate::counting`], [`crate::rare_event`],
-//!   [`crate::montecarlo`] and [`crate::simulation`]. An engine has one body, and
-//!   it runs on prepared scratch ([`crate::scratch`]): the query planner passes
-//!   the scratch its cells share, the three-argument `supports`/`run` pass a
-//!   throwaway one.
+//! * [`EngineChoice`] — the five engines, wrapping [`crate::enumeration`],
+//!   [`crate::counting`], [`crate::rare_event`], [`crate::montecarlo`] and
+//!   [`crate::simulation`]. [`EngineChoice::supports`] and [`EngineChoice::run`]
+//!   are each one `match`, and both take prepared scratch ([`crate::scratch`]):
+//!   the query planner passes the scratch its cells share, the front doors and a
+//!   caller pinning an engine pass a fresh one.
 //! * [`Budget`] — how much work (exact counting size, Monte Carlo samples,
 //!   simulation trials) the caller is willing to spend, the sampling seed, and the
 //!   rare-event selection threshold.
@@ -29,8 +29,8 @@
 //!   sampling confidence interval when one exists.
 //!
 //! Callers should reach for [`crate::analyzer::analyze_auto`], the front door over this
-//! module; the engine structs are public for tests, benches and tools that need to pin
-//! an engine deliberately (e.g. cross-engine agreement checks).
+//! module; a test, bench or tool that must pin an engine deliberately (e.g. a
+//! cross-engine agreement check) calls `EngineChoice::X.run(.., &GroupScratch::default())`.
 
 use fault_model::correlation::CorrelationModel;
 
@@ -43,9 +43,6 @@ use crate::protocol::ProtocolModel;
 use crate::rare_event::RareEventReport;
 use crate::scratch::GroupScratch;
 use crate::simulation::SimulationReport;
-// Re-exported so all five engine structs are importable from the engine layer.
-pub use crate::rare_event::ImportanceSamplingEngine;
-pub use crate::simulation::SimulationEngine;
 
 /// Identifies one of the five analysis engines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,9 +57,9 @@ pub enum EngineChoice {
     /// Parallel Monte Carlo sampling (estimate with confidence interval).
     MonteCarlo,
     /// Empirical discrete-event simulation of the executable protocol under sampled
-    /// fault schedules ([`crate::simulation::SimulationEngine`]). Never auto-selected
-    /// — it measures the *system* rather than the model, so it only runs when a
-    /// caller explicitly asks for empirical validation.
+    /// fault schedules ([`crate::simulation`]). Never auto-selected — it measures the
+    /// *system* rather than the model, so it only runs when a caller explicitly asks
+    /// for empirical validation.
     Simulation,
 }
 
@@ -97,9 +94,8 @@ pub struct Budget {
     /// engine when no exact engine applies (see
     /// [`crate::rare_event::naive_failure_estimate`]).
     pub rare_event_threshold: f64,
-    /// How much work the discrete-event simulation engine
-    /// ([`crate::simulation::SimulationEngine`]) spends when it runs, and in which
-    /// fault environment.
+    /// How much work the discrete-event simulation engine ([`crate::simulation`])
+    /// spends when it runs, and in which fault environment.
     pub sim: SimBudget,
     /// The second-order (epistemic) axis: when set, every planned cell
     /// additionally runs `draws` posterior parameter draws through its engine
@@ -503,6 +499,20 @@ impl AnalysisOutcome {
         }
     }
 
+    /// Wraps a sampling report — a whole-cell run's, or the scheduler's merged
+    /// chunks' — as the Monte Carlo engine's outcome.
+    pub(crate) fn monte_carlo(mc: MonteCarloReport) -> Self {
+        Self {
+            monte_carlo: Some(mc),
+            ..Self::new(
+                EngineChoice::MonteCarlo,
+                mc.safe.value,
+                mc.live.value,
+                mc.safe_and_live.value,
+            )
+        }
+    }
+
     /// Whether the report is exact (enumeration or counting) rather than an estimate.
     pub fn is_exact(&self) -> bool {
         matches!(
@@ -518,230 +528,100 @@ impl std::fmt::Display for AnalysisOutcome {
     }
 }
 
-/// One reliability-analysis strategy.
+/// The auto-selection preference order: exact counting first, exhaustive
+/// enumeration for small non-counting models, importance sampling for failure
+/// events too rare for plain sampling, Monte Carlo as the universal fallback.
 ///
-/// Implementations must answer, for any model/scenario/budget triple, whether they
-/// apply ([`supports_prepared`](AnalysisEngine::supports_prepared)) and produce an
-/// [`AnalysisOutcome`] when they do ([`run_prepared`](AnalysisEngine::run_prepared)).
-/// Both take the group's prepared scratch ([`GroupScratch`]) and are the engine's
-/// only body: [`supports`](AnalysisEngine::supports) and
-/// [`run`](AnalysisEngine::run) are the same calls on a throwaway scratch, so a
-/// planned cell and a direct call are bit-identical by construction. The trait is
-/// object-safe; [`select_engine`] walks [`ENGINES`] in preference order.
-pub trait AnalysisEngine: Sync {
-    /// Which engine this is.
-    fn choice(&self) -> EngineChoice;
+/// Simulation is deliberately absent: it measures the executable system instead of
+/// evaluating the model (milliseconds per trial vs. nanoseconds per sample), so it
+/// never competes with the analytic engines and runs only when explicitly requested.
+const AUTO_ORDER: [EngineChoice; 4] = [
+    EngineChoice::Counting,
+    EngineChoice::Enumeration,
+    EngineChoice::ImportanceSampling,
+    EngineChoice::MonteCarlo,
+];
 
+impl EngineChoice {
     /// Whether this engine can analyze `model` on `scenario` within `budget`.
     /// Whatever the answer costs to compute (the importance-sampling selector
     /// pilot) is kept in `scratch`.
-    fn supports_prepared(
-        &self,
+    pub fn supports(
+        self,
         model: &dyn ProtocolModel,
         scenario: &CorrelationModel,
         budget: &Budget,
         scratch: &GroupScratch,
-    ) -> bool;
+    ) -> bool {
+        match self {
+            // Admissibility is the enumeration module's own rule, so the selector
+            // can never route a deployment there that the module would reject.
+            EngineChoice::Enumeration => {
+                !scenario.is_correlated()
+                    && crate::enumeration::enumeration_supported(scenario.profiles())
+            }
+            EngineChoice::Counting => {
+                model.as_counting().is_some()
+                    && !scenario.is_correlated()
+                    && scenario.len() <= budget.max_counting_nodes
+            }
+            EngineChoice::ImportanceSampling => {
+                crate::rare_event::supports(model, scenario, budget, scratch)
+            }
+            EngineChoice::MonteCarlo => true,
+            EngineChoice::Simulation => crate::simulation::supports(model, scenario),
+        }
+    }
 
     /// Runs the analysis, reusing (and filling) the per-(model, scenario) setup in
     /// `scratch`. `scratch` must belong to this (model, scenario) pair — or be
-    /// fresh.
+    /// fresh, as `&GroupScratch::default()` is for a caller pinning an engine. A
+    /// planned cell and a direct call run this same body, so they are
+    /// bit-identical by construction.
     ///
     /// # Panics
     ///
     /// May panic if called for an unsupported triple; callers should check
-    /// [`supports_prepared`](AnalysisEngine::supports_prepared) (or use
+    /// [`supports`](EngineChoice::supports) (or use
     /// [`crate::analyzer::analyze_auto`], which does).
-    fn run_prepared(
-        &self,
+    pub fn run(
+        self,
         model: &dyn ProtocolModel,
         scenario: &CorrelationModel,
         budget: &Budget,
         scratch: &GroupScratch,
-    ) -> AnalysisOutcome;
-
-    /// [`supports_prepared`](AnalysisEngine::supports_prepared) on a throwaway
-    /// scratch.
-    fn supports(
-        &self,
-        model: &dyn ProtocolModel,
-        scenario: &CorrelationModel,
-        budget: &Budget,
-    ) -> bool {
-        self.supports_prepared(model, scenario, budget, &GroupScratch::default())
-    }
-
-    /// [`run_prepared`](AnalysisEngine::run_prepared) on a throwaway scratch.
-    fn run(
-        &self,
-        model: &dyn ProtocolModel,
-        scenario: &CorrelationModel,
-        budget: &Budget,
     ) -> AnalysisOutcome {
-        self.run_prepared(model, scenario, budget, &GroupScratch::default())
-    }
-}
-
-/// Exhaustive enumeration: exact for *any* protocol model, exponential in N.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EnumerationEngine;
-
-impl AnalysisEngine for EnumerationEngine {
-    fn choice(&self) -> EngineChoice {
-        EngineChoice::Enumeration
-    }
-
-    fn supports_prepared(
-        &self,
-        _model: &dyn ProtocolModel,
-        scenario: &CorrelationModel,
-        _budget: &Budget,
-        _scratch: &GroupScratch,
-    ) -> bool {
-        // Admissibility is the enumeration module's own rule, so the selector can
-        // never route a deployment there that the module would reject.
-        !scenario.is_correlated() && crate::enumeration::enumeration_supported(scenario.profiles())
-    }
-
-    fn run_prepared(
-        &self,
-        model: &dyn ProtocolModel,
-        scenario: &CorrelationModel,
-        _budget: &Budget,
-        _scratch: &GroupScratch,
-    ) -> AnalysisOutcome {
-        assert!(
-            !scenario.is_correlated(),
-            "exact engines require an independent scenario"
-        );
-        let raw = enumerate_reliability(
-            model,
-            &Deployment::from_profiles(scenario.profiles().to_vec()),
-        );
-        AnalysisOutcome::new(
-            EngineChoice::Enumeration,
-            raw.p_safe,
-            raw.p_live,
-            raw.p_safe_and_live,
-        )
-    }
-}
-
-/// Exact dynamic programming over fault counts: independent scenarios and counting
-/// models only, polynomial in N.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CountingEngine;
-
-impl AnalysisEngine for CountingEngine {
-    fn choice(&self) -> EngineChoice {
-        EngineChoice::Counting
-    }
-
-    fn supports_prepared(
-        &self,
-        model: &dyn ProtocolModel,
-        scenario: &CorrelationModel,
-        budget: &Budget,
-        _scratch: &GroupScratch,
-    ) -> bool {
-        model.as_counting().is_some()
-            && !scenario.is_correlated()
-            && scenario.len() <= budget.max_counting_nodes
-    }
-
-    fn run_prepared(
-        &self,
-        model: &dyn ProtocolModel,
-        scenario: &CorrelationModel,
-        _budget: &Budget,
-        scratch: &GroupScratch,
-    ) -> AnalysisOutcome {
-        let counting = model
-            .as_counting()
-            .expect("counting engine requires a counting model");
-        assert!(
-            !scenario.is_correlated(),
-            "exact engines require an independent scenario"
-        );
-        let raw = scratch.counting(|| {
-            counting_reliability(
-                counting,
-                &Deployment::from_profiles(scenario.profiles().to_vec()),
-            )
-        });
-        AnalysisOutcome::new(
-            EngineChoice::Counting,
-            raw.p_safe,
-            raw.p_live,
-            raw.p_safe_and_live,
-        )
-    }
-}
-
-/// Parallel Monte Carlo sampling: applies to every model and scenario; the only engine
-/// for correlated failures.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MonteCarloEngine;
-
-impl MonteCarloEngine {
-    /// Wraps a sampling report — a whole-cell run's, or the scheduler's merged
-    /// chunks' — as the engine's outcome.
-    pub(crate) fn outcome(mc: MonteCarloReport) -> AnalysisOutcome {
-        AnalysisOutcome {
-            monte_carlo: Some(mc),
-            ..AnalysisOutcome::new(
-                EngineChoice::MonteCarlo,
-                mc.safe.value,
-                mc.live.value,
-                mc.safe_and_live.value,
-            )
+        match self {
+            EngineChoice::Enumeration | EngineChoice::Counting => {
+                assert!(
+                    !scenario.is_correlated(),
+                    "exact engines require an independent scenario"
+                );
+                let deployment = || Deployment::from_profiles(scenario.profiles().to_vec());
+                let raw = if self == EngineChoice::Enumeration {
+                    enumerate_reliability(model, &deployment())
+                } else {
+                    let counting = model
+                        .as_counting()
+                        .expect("counting engine requires a counting model");
+                    scratch.counting(|| counting_reliability(counting, &deployment()))
+                };
+                AnalysisOutcome::new(self, raw.p_safe, raw.p_live, raw.p_safe_and_live)
+            }
+            EngineChoice::ImportanceSampling => {
+                crate::rare_event::run(model, scenario, budget, scratch)
+            }
+            EngineChoice::MonteCarlo => AnalysisOutcome::monte_carlo(
+                McSampler::prepare(model, scenario, budget, scratch).run(),
+            ),
+            EngineChoice::Simulation => crate::simulation::run(model, scenario, budget),
         }
     }
 }
 
-impl AnalysisEngine for MonteCarloEngine {
-    fn choice(&self) -> EngineChoice {
-        EngineChoice::MonteCarlo
-    }
-
-    fn supports_prepared(
-        &self,
-        _model: &dyn ProtocolModel,
-        _scenario: &CorrelationModel,
-        _budget: &Budget,
-        _scratch: &GroupScratch,
-    ) -> bool {
-        true
-    }
-
-    fn run_prepared(
-        &self,
-        model: &dyn ProtocolModel,
-        scenario: &CorrelationModel,
-        budget: &Budget,
-        scratch: &GroupScratch,
-    ) -> AnalysisOutcome {
-        Self::outcome(McSampler::prepare(model, scenario, budget, scratch).run())
-    }
-}
-
-/// The engine registry, in auto-selection preference order: exact counting first,
-/// exhaustive enumeration for small non-counting models, importance sampling for
-/// failure events too rare for plain sampling, Monte Carlo as the universal fallback.
-///
-/// The fifth engine ([`SimulationEngine`]) is deliberately absent: it measures the
-/// executable system instead of evaluating the model (milliseconds per trial vs.
-/// nanoseconds per sample), so it never competes with the analytic engines and runs
-/// only when explicitly requested.
-pub static ENGINES: [&dyn AnalysisEngine; 4] = [
-    &CountingEngine,
-    &EnumerationEngine,
-    &ImportanceSamplingEngine,
-    &MonteCarloEngine,
-];
-
-/// Picks the engine for this triple: the first of [`ENGINES`] that supports it. The
-/// one selection rule — [`crate::analyzer::analyze_auto`] calls it with a throwaway
+/// Picks the engine for this triple: the first of the auto order (counting,
+/// enumeration, importance sampling, Monte Carlo) that supports it. The one
+/// selection rule — [`crate::analyzer::analyze_auto`] calls it with a throwaway
 /// scratch, the query planner with the cell group's shared one (so a sweep pays
 /// for the importance-sampling selector pilot once per group and seed).
 ///
@@ -754,14 +634,14 @@ pub fn select_engine(
     scenario: &CorrelationModel,
     budget: &Budget,
     scratch: &GroupScratch,
-) -> &'static dyn AnalysisEngine {
+) -> EngineChoice {
     assert!(
         !scenario.is_empty(),
         "cannot analyze an empty scenario (zero nodes); see analyzer::AnalysisError"
     );
-    let mut engines = ENGINES.iter().copied();
-    engines
-        .find(|engine| engine.supports_prepared(model, scenario, budget, scratch))
+    AUTO_ORDER
+        .into_iter()
+        .find(|engine| engine.supports(model, scenario, budget, scratch))
         .expect("Monte Carlo supports every scenario")
 }
 
@@ -779,7 +659,7 @@ mod tests {
         scenario: &CorrelationModel,
         budget: &Budget,
     ) -> EngineChoice {
-        select_engine(model, scenario, budget, &GroupScratch::default()).choice()
+        select_engine(model, scenario, budget, &GroupScratch::default())
     }
 
     /// A deliberately non-counting model: live only if node 0 is correct. Placement
@@ -863,8 +743,18 @@ mod tests {
         // A deployment is converted to exactly this model, so both answer alike.
         let deployment = CorrelationModel::from(&Deployment::uniform_crash(5, 0.02));
         assert_eq!(
-            CountingEngine.run(&model, &independent, &Budget::default()),
-            CountingEngine.run(&model, &deployment, &Budget::default())
+            EngineChoice::Counting.run(
+                &model,
+                &independent,
+                &Budget::default(),
+                &GroupScratch::default()
+            ),
+            EngineChoice::Counting.run(
+                &model,
+                &deployment,
+                &Budget::default(),
+                &GroupScratch::default()
+            )
         );
     }
 
@@ -962,8 +852,10 @@ mod tests {
         let deployment = Deployment::uniform_byzantine(5, 0.03);
         let scenario = &CorrelationModel::from(&deployment);
         let budget = Budget::default();
-        let exact = EnumerationEngine.run(&model, scenario, &budget);
-        let counted = CountingEngine.run(&model, scenario, &budget);
+        let exact =
+            EngineChoice::Enumeration.run(&model, scenario, &budget, &GroupScratch::default());
+        let counted =
+            EngineChoice::Counting.run(&model, scenario, &budget, &GroupScratch::default());
         assert!(exact.is_exact() && counted.is_exact());
         assert!(
             (exact.report.safe.probability() - counted.report.safe.probability()).abs() < 1e-12
@@ -977,10 +869,11 @@ mod tests {
     fn monte_carlo_engine_reports_estimate() {
         let model = RaftModel::standard(5);
         let deployment = Deployment::uniform_crash(5, 0.05);
-        let outcome = MonteCarloEngine.run(
+        let outcome = EngineChoice::MonteCarlo.run(
             &model,
             &CorrelationModel::from(&deployment),
             &Budget::default().with_samples(50_000).with_seed(7),
+            &GroupScratch::default(),
         );
         assert_eq!(outcome.engine, EngineChoice::MonteCarlo);
         assert!(!outcome.is_exact());
@@ -988,10 +881,11 @@ mod tests {
             .monte_carlo
             .expect("sampling outcome carries its CI");
         assert_eq!(mc.samples, 50_000);
-        let exact = CountingEngine.run(
+        let exact = EngineChoice::Counting.run(
             &model,
             &CorrelationModel::from(&deployment),
             &Budget::default(),
+            &GroupScratch::default(),
         );
         assert!(mc.live.contains(exact.report.live.probability()));
     }
@@ -1081,10 +975,11 @@ mod tests {
             EngineChoice::ImportanceSampling.to_string(),
             "importance-sampling"
         );
-        let outcome = CountingEngine.run(
+        let outcome = EngineChoice::Counting.run(
             &RaftModel::standard(3),
             &CorrelationModel::from(&Deployment::uniform_crash(3, 0.01)),
             &Budget::default(),
+            &GroupScratch::default(),
         );
         assert!(outcome.to_string().ends_with("[counting]"));
     }

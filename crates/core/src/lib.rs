@@ -29,8 +29,8 @@
 //! * [`packed`] — the bit-sliced Monte Carlo kernel: 64 scenarios per pass for
 //!   counting models, auto-selected by the Monte Carlo engine
 //!   (see [`montecarlo::McKernel`]).
-//! * [`engine`] — the unified engine layer: the [`engine::AnalysisEngine`] trait over
-//!   the five engines, which all run on one scenario type
+//! * [`engine`] — the unified engine layer: [`engine::EngineChoice`] names, checks
+//!   and runs the five engines, which all run on one scenario type
 //!   ([`fault_model::correlation::CorrelationModel`]; a [`Deployment`] converts to the
 //!   model with no shock groups), [`engine::Budget`] and the auto-selector (which
 //!   picks among the four analytic engines; simulation runs only on request).
@@ -111,8 +111,8 @@ pub use analyzer::{analyze_auto, analyze_scenario, AnalysisError, ReliabilityRep
 pub use cache::CacheStats;
 pub use deployment::Deployment;
 pub use engine::{
-    AnalysisEngine, AnalysisOutcome, Budget, EngineChoice, EpistemicBudget, FaultEnvironment,
-    InvalidBudget, SimBudget,
+    AnalysisOutcome, Budget, EngineChoice, EpistemicBudget, FaultEnvironment, InvalidBudget,
+    SimBudget,
 };
 pub use epistemic::{
     calibrate, posterior_draws, CalibrationConfig, CalibrationReport, EpistemicDraw,
@@ -132,5 +132,5 @@ pub use query::{
     TrajectoryKind, TrajectoryPoint, TrajectoryRecord, ValidationRecord, DIVERGENCE_Z,
 };
 pub use raft_model::RaftModel;
-pub use rare_event::{ImportanceSamplingEngine, Proposal, RareEventReport};
-pub use simulation::{SimulationEngine, SimulationReport};
+pub use rare_event::{Proposal, RareEventReport};
+pub use simulation::SimulationReport;

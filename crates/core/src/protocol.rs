@@ -45,11 +45,11 @@ pub trait ProtocolModel: Sync {
     /// protocol exists on the discrete-event simulator (see [`ExecutableSpec`]).
     ///
     /// The time-domain simulation engine
-    /// ([`crate::simulation::SimulationEngine`]) uses this to decide whether a
-    /// model's predictions can be validated empirically: [`crate::raft_model`] and
-    /// [`crate::pbft_model`] override it; abstract models (placement-sensitive
-    /// durability, custom quorum policies) keep the `None` default and stay
-    /// analytic-only.
+    /// ([`EngineChoice::Simulation`](crate::engine::EngineChoice::Simulation)) uses
+    /// this to decide whether a model's predictions can be validated empirically:
+    /// [`crate::raft_model`] and [`crate::pbft_model`] override it; abstract models
+    /// (placement-sensitive durability, custom quorum policies) keep the `None`
+    /// default and stay analytic-only.
     fn executable(&self) -> Option<ExecutableSpec> {
         None
     }

@@ -38,7 +38,7 @@
 //!   ([`AnalysisReport::to_trajectory_table`]) and JSON paths.
 //! * **Cross-validation** — [`Query::validate_with_simulation`] pairs every
 //!   executable cell with an empirical run of the fifth engine
-//!   ([`crate::simulation::SimulationEngine`]); the cell's [`ValidationRecord`]
+//!   ([`EngineChoice::Simulation`]); the cell's [`ValidationRecord`]
 //!   reports the trial frequencies and the analytic-vs-empirical z-score.
 //!
 //! # Determinism contract
@@ -46,7 +46,7 @@
 //! Executing a planned cell is **bit-identical** to calling `analyze_auto` /
 //! [`crate::analyzer::analyze_scenario`] on the same triple, because it is the same
 //! code: the planner calls [`crate::engine::select_engine`] and the scheduler calls
-//! the selected engine's `run_prepared`, exactly as the front doors do — the only
+//! [`EngineChoice::run`] on the selected engine, exactly as the front doors do — the only
 //! difference is whose scratch they pass. Monte Carlo cells are the one
 //! decomposition: the scheduler draws their chunks itself — once per chunk that
 //! several cells draw alike, tallied per cell to exactly that cell's sampler's
@@ -99,10 +99,7 @@ use fault_model::node::Fleet;
 use crate::analyzer::AnalysisError;
 use crate::cache::{CacheKey, CacheStats, SessionCache};
 use crate::deployment::Deployment;
-use crate::engine::{
-    select_engine, AnalysisEngine, AnalysisOutcome, Budget, CountingEngine, EngineChoice,
-    FaultEnvironment, MonteCarloEngine,
-};
+use crate::engine::{select_engine, AnalysisOutcome, Budget, EngineChoice, FaultEnvironment};
 use crate::epistemic::{EpistemicDraw, EpistemicReport};
 use crate::json::JsonValue;
 use crate::montecarlo::{
@@ -113,7 +110,7 @@ use crate::protocol::ProtocolModel;
 use crate::raft_model::RaftModel;
 use crate::report::Table;
 use crate::scratch::GroupScratch;
-use crate::simulation::{SimulationEngine, SimulationReport};
+use crate::simulation::SimulationReport;
 
 /// A protocol family the grid axes can instantiate at any swept cluster size.
 ///
@@ -1305,7 +1302,12 @@ impl AnalysisSession {
                 correlation,
                 environment: budget.sim.environment,
                 validate: query.validation
-                    && SimulationEngine.supports(model, scenario, &query.budget),
+                    && EngineChoice::Simulation.supports(
+                        model,
+                        scenario,
+                        &query.budget,
+                        &group.scratch,
+                    ),
                 engine: select_engine(model, scenario, &budget, &group.scratch),
                 model: group.model.clone(),
                 scenario: group.scenario.clone(),
@@ -1458,7 +1460,7 @@ struct PlannedCell {
     model: Arc<dyn ProtocolModel + Send + Sync>,
     scenario: Arc<CorrelationModel>,
     budget: Budget,
-    engine: &'static dyn AnalysisEngine,
+    engine: EngineChoice,
     scratch: Arc<GroupScratch>,
     /// The second-order posterior draws of this cell (empty for first-order
     /// budgets), shared across the samples/environment replicates of one grid
@@ -1560,7 +1562,12 @@ fn trajectory_record(spec: &TrajectorySpec, axis: &TimeAxis) -> TrajectoryRecord
                         })
                         .collect();
                     let scenario = CorrelationModel::independent(profiles);
-                    let outcome = CountingEngine.run(model.as_ref(), &scenario, &budget);
+                    let outcome = EngineChoice::Counting.run(
+                        model.as_ref(),
+                        &scenario,
+                        &budget,
+                        &GroupScratch::default(),
+                    );
                     TrajectoryPoint {
                         at_hours: t,
                         probability: outcome.report.safe_and_live.probability(),
@@ -1617,9 +1624,9 @@ fn trajectory_record(spec: &TrajectorySpec, axis: &TimeAxis) -> TrajectoryRecord
 /// feeds, so report content never depends on which worker ran what, or in what
 /// order.
 enum WorkItem {
-    /// A whole cell through its engine's
-    /// [`run_prepared`](AnalysisEngine::run_prepared) — the exact engines and
-    /// importance sampling, whose bodies have no chunk structure to expose.
+    /// A whole cell through its engine's [`run`](EngineChoice::run) — the exact
+    /// engines and importance sampling, whose bodies have no chunk structure to
+    /// expose.
     Cell(usize),
     /// One sample chunk, drawn once for every Monte Carlo cell that draws it: the
     /// cells whose samplers share a [`DrawKey`] and give chunk `chunk` the same
@@ -1715,7 +1722,7 @@ impl PlannedCell {
     /// This cell's engine, whole, on `scenario` — its own, or a posterior draw's
     /// scaled one — over that scenario's scratch.
     fn run_whole(&self, scenario: &CorrelationModel, scratch: &GroupScratch) -> ItemOutput {
-        ItemOutput::Outcome(Box::new(self.engine.run_prepared(
+        ItemOutput::Outcome(Box::new(self.engine.run(
             self.model.as_ref(),
             scenario,
             &self.budget,
@@ -1748,12 +1755,12 @@ impl QueryPlan {
 
     /// The engine selected for cell `index` (cells are in query order).
     pub fn engine(&self, index: usize) -> EngineChoice {
-        self.cells[index].engine.choice()
+        self.cells[index].engine
     }
 
     /// The engines selected for all cells, in query order.
     pub fn engines(&self) -> Vec<EngineChoice> {
-        self.cells.iter().map(|c| c.engine.choice()).collect()
+        self.cells.iter().map(|c| c.engine).collect()
     }
 
     /// The label of cell `index`.
@@ -1935,7 +1942,7 @@ impl QueryPlan {
         // everything before it is the base cell.
         let draws_len = cell.draws.len();
         let base_len = len - draws_len;
-        let outcome = if cell.engine.choice() == EngineChoice::MonteCarlo {
+        let outcome = if cell.engine == EngineChoice::MonteCarlo {
             let mut hits = HitCounts::default();
             for item in start..start + base_len {
                 match take(item) {
@@ -1943,7 +1950,7 @@ impl QueryPlan {
                     _ => unreachable!("Monte Carlo cells decompose into chunk items"),
                 }
             }
-            MonteCarloEngine::outcome(cell.sampler().report(hits))
+            AnalysisOutcome::monte_carlo(cell.sampler().report(hits))
         } else {
             match take(start) {
                 ItemOutput::Outcome(outcome) => *outcome,
@@ -2003,7 +2010,7 @@ impl QueryPlan {
             correlation: cell.correlation.clone(),
             environment: cell.environment,
             samples_budget: cell.budget.monte_carlo_samples,
-            engine: cell.engine.choice(),
+            engine: cell.engine,
             outcome,
             validation,
             epistemic,
@@ -2028,7 +2035,7 @@ impl QueryPlan {
         let mut group_of: HashMap<DrawKey<'_>, usize> = HashMap::new();
         let mut next_slot = 0;
         for (index, cell) in self.cells.iter().enumerate() {
-            let base = if cell.engine.choice() == EngineChoice::MonteCarlo {
+            let base = if cell.engine == EngineChoice::MonteCarlo {
                 let group = *group_of
                     .entry(cell.sampler().draw_key())
                     .or_insert_with(|| {
@@ -2111,7 +2118,7 @@ impl QueryPlan {
             WorkItem::Cell(index) | WorkItem::Draw { cell: index, .. } => {
                 let cell = &self.cells[index];
                 let nodes = cell.nodes as u64;
-                match cell.engine.choice() {
+                match cell.engine {
                     // O(N²) closed form — the cheapest engine by far.
                     EngineChoice::Counting => nodes * nodes,
                     // Exponential in the cluster size (capped so the shift is sane).
@@ -2685,15 +2692,17 @@ mod tests {
                 for (index, kernel) in [(0, McKernel::Scalar), (1, McKernel::Packed)] {
                     let cell = &plan.cells[index];
                     let scenario = cell.scenario.as_ref();
-                    let direct = MonteCarloEngine.run(cell.model.as_ref(), scenario, &budget);
-                    let whole = cell.engine.run_prepared(
+                    let direct = EngineChoice::MonteCarlo.run(
                         cell.model.as_ref(),
                         scenario,
                         &budget,
-                        &cell.scratch,
+                        &GroupScratch::default(),
                     );
+                    let whole =
+                        cell.engine
+                            .run(cell.model.as_ref(), scenario, &budget, &cell.scratch);
                     let context = format!("{} at {samples} samples, {threads} threads", cell.label);
-                    assert_eq!(cell.engine.choice(), EngineChoice::MonteCarlo, "{context}");
+                    assert_eq!(cell.engine, EngineChoice::MonteCarlo, "{context}");
                     assert_eq!(whole, direct, "{context}: shared vs throwaway scratch");
                     assert_eq!(
                         report.cell(index).outcome,
@@ -2765,7 +2774,7 @@ mod tests {
                 .cells
                 .iter()
                 .map(|cell| {
-                    let outcome = cell.engine.run_prepared(
+                    let outcome = cell.engine.run(
                         cell.model.as_ref(),
                         &cell.scenario,
                         &cell.budget,
@@ -2787,7 +2796,7 @@ mod tests {
                         correlation: cell.correlation.clone(),
                         environment: cell.environment,
                         samples_budget: cell.budget.monte_carlo_samples,
-                        engine: cell.engine.choice(),
+                        engine: cell.engine,
                         outcome,
                         validation,
                         epistemic: None,
@@ -3600,11 +3609,12 @@ mod tests {
                         aged.profile(HOURS_PER_YEAR / 4.0)
                     })
                     .collect();
-                let report = CountingEngine
+                let report = EngineChoice::Counting
                     .run(
                         &RaftModel::standard(5),
                         &CorrelationModel::independent(profiles),
                         &Budget::default(),
+                        &GroupScratch::default(),
                     )
                     .report;
                 TrajectoryPoint {

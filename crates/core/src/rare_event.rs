@@ -81,7 +81,7 @@ use fault_model::mode::{FaultProfile, NodeState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::engine::{AnalysisEngine, AnalysisOutcome, Budget, EngineChoice};
+use crate::engine::{AnalysisOutcome, Budget, EngineChoice};
 use crate::failure::FailureConfig;
 use crate::montecarlo::{chunk_seed, map_sample_chunks, Estimate};
 use crate::protocol::ProtocolModel;
@@ -166,18 +166,6 @@ fn shock_with_probability(p: f64, q: f64) -> f64 {
 }
 
 impl Proposal {
-    /// The identity proposal: sampling from it is plain Monte Carlo (all weights 1).
-    pub fn identity(target: &CorrelationModel) -> Self {
-        Self {
-            profiles: target.profiles().to_vec(),
-            shocks: target
-                .groups()
-                .iter()
-                .map(|g| g.shock_probability)
-                .collect(),
-        }
-    }
-
     /// A uniform scalar tilt: every node's fault probability and every shock
     /// probability is multiplied by `tilt` (floored at the target, capped at
     /// `MAX_PROPOSAL_FAULT` (0.95)). Adequate for small clusters where most nodes are
@@ -668,73 +656,63 @@ fn majority_faulty_probability(marginals: &[f64]) -> f64 {
     pmf[majority..].iter().sum::<f64>().min(1.0)
 }
 
-/// Rare-event importance sampling: applies to every model and scenario; preferred by
-/// the auto-selector when the failure event is too rare for plain Monte Carlo
-/// (naive estimate below [`Budget::rare_event_threshold`](crate::engine::Budget))
-/// and no exact engine took the scenario first.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ImportanceSamplingEngine;
+/// Whether importance sampling is the auto-selector's choice here: it applies to
+/// every model and scenario, but is preferred only when the failure event is too
+/// rare for plain Monte Carlo (naive estimate below
+/// [`Budget::rare_event_threshold`](crate::engine::Budget)) and no exact engine took
+/// the scenario first. The selector pilot is kept in `scratch`, per seed.
+pub(crate) fn supports(
+    model: &dyn ProtocolModel,
+    scenario: &CorrelationModel,
+    budget: &Budget,
+    scratch: &GroupScratch,
+) -> bool {
+    // A zero threshold can never be undercut; bail before paying for the pilot,
+    // so disabling the engine is free.
+    budget.rare_event_threshold > 0.0
+        && !scenario.is_empty()
+        && scratch.pilot_estimate(budget.seed, || {
+            naive_failure_estimate(model, scenario, budget.seed)
+        }) < budget.rare_event_threshold
+}
 
-impl AnalysisEngine for ImportanceSamplingEngine {
-    fn choice(&self) -> EngineChoice {
-        EngineChoice::ImportanceSampling
-    }
-
-    fn supports_prepared(
-        &self,
-        model: &dyn ProtocolModel,
-        scenario: &CorrelationModel,
-        budget: &Budget,
-        scratch: &GroupScratch,
-    ) -> bool {
-        // A zero threshold can never be undercut; bail before paying for the pilot,
-        // so disabling the engine is free.
-        budget.rare_event_threshold > 0.0
-            && !scenario.is_empty()
-            && scratch.pilot_estimate(budget.seed, || {
-                naive_failure_estimate(model, scenario, budget.seed)
-            }) < budget.rare_event_threshold
-    }
-
-    /// The weighted main run from the group's adaptive proposal — learned at most
-    /// once per seed — with the one-shot ESS escalation.
-    fn run_prepared(
-        &self,
-        model: &dyn ProtocolModel,
-        scenario: &CorrelationModel,
-        budget: &Budget,
-        scratch: &GroupScratch,
-    ) -> AnalysisOutcome {
-        let proposal = scratch.proposal(budget.seed, || {
-            Proposal::adaptive(model, scenario, budget.seed)
-        });
-        let mut report = importance_sampling_reliability_par(
+/// The engine's body: the weighted main run from the group's adaptive proposal —
+/// learned at most once per seed — with the one-shot ESS escalation.
+pub(crate) fn run(
+    model: &dyn ProtocolModel,
+    scenario: &CorrelationModel,
+    budget: &Budget,
+    scratch: &GroupScratch,
+) -> AnalysisOutcome {
+    let proposal = scratch.proposal(budget.seed, || {
+        Proposal::adaptive(model, scenario, budget.seed)
+    });
+    let mut report = importance_sampling_reliability_par(
+        model,
+        scenario,
+        &proposal,
+        budget.monte_carlo_samples,
+        budget.seed,
+    );
+    // One escalation: if the weights collapsed below the ESS floor, spend a
+    // doubled sample budget (fresh stream) before reporting.
+    if !report.meets_min_ess() {
+        report = importance_sampling_reliability_par(
             model,
             scenario,
             &proposal,
-            budget.monte_carlo_samples,
-            budget.seed,
+            budget.monte_carlo_samples.max(1) * 2,
+            budget.seed ^ 0x9E37_79B9_7F4A_7C15,
         );
-        // One escalation: if the weights collapsed below the ESS floor, spend a
-        // doubled sample budget (fresh stream) before reporting.
-        if !report.meets_min_ess() {
-            report = importance_sampling_reliability_par(
-                model,
-                scenario,
-                &proposal,
-                budget.monte_carlo_samples.max(1) * 2,
-                budget.seed ^ 0x9E37_79B9_7F4A_7C15,
-            );
-        }
-        AnalysisOutcome {
-            rare_event: Some(report),
-            ..AnalysisOutcome::new(
-                EngineChoice::ImportanceSampling,
-                report.safe.value,
-                report.live.value,
-                report.safe_and_live.value,
-            )
-        }
+    }
+    AnalysisOutcome {
+        rare_event: Some(report),
+        ..AnalysisOutcome::new(
+            EngineChoice::ImportanceSampling,
+            report.safe.value,
+            report.live.value,
+            report.safe_and_live.value,
+        )
     }
 }
 
@@ -754,7 +732,7 @@ mod tests {
     #[test]
     fn identity_proposal_reduces_to_plain_monte_carlo_weights() {
         let target = crash_model(5, 0.05);
-        let proposal = Proposal::identity(&target);
+        let proposal = Proposal::uniform_tilt(&target, 1.0);
         let model = RaftModel::standard(5);
         let report = importance_sampling_reliability_par(&model, &target, &proposal, 20_000, 3);
         // All weights are 1, so the ESS equals the sample count exactly.
@@ -802,10 +780,14 @@ mod tests {
         assert!((q2.crash_probability() / q2.byzantine_probability() - 2.0).abs() < 1e-9);
         assert!(proposal.shocks()[0] <= MAX_PROPOSAL_FAULT + 1e-12);
         // Tilt below 1 is rejected; tilt 1 is the identity.
-        assert_eq!(
-            Proposal::uniform_tilt(&target, 1.0),
-            Proposal::identity(&target)
-        );
+        let identity = Proposal::uniform_tilt(&target, 1.0);
+        assert_eq!(identity.profiles(), target.profiles());
+        let shocks: Vec<f64> = target
+            .groups()
+            .iter()
+            .map(|g| g.shock_probability)
+            .collect();
+        assert_eq!(identity.shocks(), shocks.as_slice());
     }
 
     #[test]
@@ -915,7 +897,7 @@ mod tests {
     fn zero_sample_budget_saturates_to_one_sample() {
         let target = crash_model(3, 0.1);
         let model = RaftModel::standard(3);
-        let proposal = Proposal::identity(&target);
+        let proposal = Proposal::uniform_tilt(&target, 1.0);
         let report = importance_sampling_reliability_par(&model, &target, &proposal, 0, 1);
         assert_eq!(report.samples, 1);
         for e in [report.safe, report.live, report.safe_and_live] {

@@ -8,11 +8,11 @@
 //! passes. It knows what it holds, not how to compute it — each slot is filled
 //! lazily, at most once per key, by the first engine call that needs it.
 //!
-//! [`AnalysisEngine`](crate::engine::AnalysisEngine)'s required methods take a
-//! scratch, so there is one engine body whether the scratch is shared or not: the
-//! query planner hands every cell of a group the same scratch from the session
-//! cache ([`crate::cache`]), and the three-argument front doors pass a throwaway
-//! one. Every slot holds exactly what the engine would have computed on the spot,
+//! [`EngineChoice::supports`](crate::engine::EngineChoice::supports) and
+//! [`EngineChoice::run`](crate::engine::EngineChoice::run) take a scratch, so there
+//! is one engine body whether the scratch is shared or not: the query planner hands
+//! every cell of a group the same scratch from the session cache
+//! ([`crate::cache`]), and the front doors and pinned calls pass a throwaway one. Every slot holds exactly what the engine would have computed on the spot,
 //! so sharing changes cost, never results.
 
 use std::collections::HashMap;

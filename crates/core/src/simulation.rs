@@ -2,10 +2,10 @@
 //! guarantees (§3's method, closed into a loop).
 //!
 //! The four analytic engines compute what the protocol *model* implies; this fifth
-//! engine measures what the executable *system* does. [`SimulationEngine`] fans out
-//! deterministic [`consensus_sim::Simulation`] traces — one independent cluster per
-//! trial, built from the model's [`crate::protocol::ExecutableSpec`]
-//! — under fault schedules sampled from the scenario's correlation model
+//! engine, [`EngineChoice::Simulation`], measures what the executable *system* does.
+//! It fans out deterministic [`consensus_sim::Simulation`] traces — one independent
+//! cluster per trial, built from the model's [`crate::protocol::ExecutableSpec`] —
+//! under fault schedules sampled from the scenario's correlation model
 //! ([`FaultSchedule::sample_from_correlation`]), and reports the empirical
 //! safety/liveness frequencies with Wilson confidence intervals plus trace-derived
 //! statistics (messages delivered, leader elections, decided commands, injected
@@ -24,27 +24,28 @@
 //!
 //! # Selection
 //!
-//! The engine implements [`AnalysisEngine`] but is **never auto-selected**: a
-//! simulation trial costs milliseconds where an analytic sample costs nanoseconds,
-//! and its verdict is an empirical measurement, not a model evaluation. It runs when
-//! pinned explicitly, or — the intended front door — when a query requests paired
-//! cross-validation ([`crate::query::Query::validate_with_simulation`]), which
-//! reports per-cell analytic-vs-empirical agreement as z-scores.
+//! The engine is **never auto-selected**: a simulation trial costs milliseconds
+//! where an analytic sample costs nanoseconds, and its verdict is an empirical
+//! measurement, not a model evaluation. It runs when pinned explicitly, or — the
+//! intended front door — when a query requests paired cross-validation
+//! ([`crate::query::Query::validate_with_simulation`]), which reports per-cell
+//! analytic-vs-empirical agreement as z-scores.
 //!
 //! # Example
 //!
 //! ```
 //! use prob_consensus::deployment::Deployment;
 //! use fault_model::correlation::CorrelationModel;
-//! use prob_consensus::engine::{AnalysisEngine, Budget, EngineChoice};
+//! use prob_consensus::engine::{Budget, EngineChoice};
 //! use prob_consensus::raft_model::RaftModel;
-//! use prob_consensus::simulation::SimulationEngine;
+//! use prob_consensus::scratch::GroupScratch;
 //!
 //! let model = RaftModel::standard(3);
 //! let scenario = CorrelationModel::from(&Deployment::uniform_crash(3, 0.2));
 //! let budget = Budget::default().with_seed(7).with_sim_trials(12);
-//! assert!(SimulationEngine.supports(&model, &scenario, &budget));
-//! let outcome = SimulationEngine.run(&model, &scenario, &budget);
+//! let scratch = GroupScratch::default();
+//! assert!(EngineChoice::Simulation.supports(&model, &scenario, &budget, &scratch));
+//! let outcome = EngineChoice::Simulation.run(&model, &scenario, &budget, &scratch);
 //! assert_eq!(outcome.engine, EngineChoice::Simulation);
 //! let report = outcome.simulation.expect("simulation outcomes carry trial stats");
 //! assert_eq!(report.trials, 12);
@@ -64,10 +65,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
-use crate::engine::{AnalysisEngine, AnalysisOutcome, Budget, EngineChoice, FaultEnvironment};
+use crate::engine::{AnalysisOutcome, Budget, EngineChoice, FaultEnvironment};
 use crate::montecarlo::Estimate;
 use crate::protocol::{ExecutableSpec, ProtocolModel};
-use crate::scratch::GroupScratch;
 
 /// Salt XOR-ed into the budget seed before deriving per-trial RNGs, so the
 /// simulation engine and the Monte Carlo samplers draw decorrelated streams from
@@ -239,8 +239,8 @@ fn apply_environment(
 
 /// Runs `budget.sim.trials` deterministic simulation trials of `model` under fault
 /// schedules sampled from the scenario and aggregates the verdicts — the body of
-/// [`SimulationEngine::run`], exposed for benches and tests that want the report
-/// without the [`AnalysisOutcome`] wrapper.
+/// [`EngineChoice::Simulation`]'s run, exposed for benches and tests that want the
+/// report without the [`AnalysisOutcome`] wrapper.
 ///
 /// Fault schedules are sampled over the first `FAULT_WINDOW_MILLIS` (200 ms) of
 /// virtual time — mirroring the mission-window semantics of the analysis layer,
@@ -252,7 +252,7 @@ fn apply_environment(
 ///
 /// Panics if the model has no executable counterpart
 /// ([`ProtocolModel::executable`]) or disagrees with the scenario on the cluster
-/// size; callers go through [`AnalysisEngine::supports`] (or the query API, which
+/// size; callers go through [`EngineChoice::supports`] (or the query API, which
 /// validates cells at plan time).
 pub fn simulate_reliability(
     model: &dyn ProtocolModel,
@@ -314,45 +314,31 @@ pub fn simulate_reliability(
     }
 }
 
-/// The fifth engine: empirical discrete-event simulation of the executable
-/// protocol (see the module docs for semantics, determinism and when it runs).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimulationEngine;
+/// Whether the simulation engine can run `model` on `scenario`: the model has an
+/// executable counterpart of the scenario's cluster size.
+pub(crate) fn supports(model: &dyn ProtocolModel, scenario: &CorrelationModel) -> bool {
+    model
+        .executable()
+        .is_some_and(|spec| spec.num_nodes() == scenario.len())
+}
 
-impl AnalysisEngine for SimulationEngine {
-    fn choice(&self) -> EngineChoice {
-        EngineChoice::Simulation
-    }
-
-    fn supports_prepared(
-        &self,
-        model: &dyn ProtocolModel,
-        scenario: &CorrelationModel,
-        _budget: &Budget,
-        _scratch: &GroupScratch,
-    ) -> bool {
-        model
-            .executable()
-            .is_some_and(|spec| spec.num_nodes() == scenario.len())
-    }
-
-    fn run_prepared(
-        &self,
-        model: &dyn ProtocolModel,
-        scenario: &CorrelationModel,
-        budget: &Budget,
-        _scratch: &GroupScratch,
-    ) -> AnalysisOutcome {
-        let report = simulate_reliability(model, scenario, budget);
-        AnalysisOutcome {
-            simulation: Some(report),
-            ..AnalysisOutcome::new(
-                EngineChoice::Simulation,
-                report.safe.value,
-                report.live.value,
-                report.safe_and_live.value,
-            )
-        }
+/// The fifth engine's body: [`simulate_reliability`] wrapped as an
+/// [`AnalysisOutcome`] (see the module docs for semantics, determinism and when it
+/// runs).
+pub(crate) fn run(
+    model: &dyn ProtocolModel,
+    scenario: &CorrelationModel,
+    budget: &Budget,
+) -> AnalysisOutcome {
+    let report = simulate_reliability(model, scenario, budget);
+    AnalysisOutcome {
+        simulation: Some(report),
+        ..AnalysisOutcome::new(
+            EngineChoice::Simulation,
+            report.safe.value,
+            report.live.value,
+            report.safe_and_live.value,
+        )
     }
 }
 
@@ -372,28 +358,27 @@ mod tests {
 
     #[test]
     fn executable_models_are_supported_and_abstract_models_are_not() {
-        let budget = Budget::default();
         let raft = RaftModel::standard(5);
         let deployment = Deployment::uniform_crash(5, 0.05);
         let scenario = &CorrelationModel::from(&deployment);
-        assert!(SimulationEngine.supports(&raft, scenario, &budget));
+        assert!(supports(&raft, scenario));
         let flexible = RaftModel::flexible(5, 2, 4);
-        assert!(SimulationEngine.supports(&flexible, scenario, &budget));
+        assert!(supports(&flexible, scenario));
         let pbft = PbftModel::standard(5);
-        assert!(SimulationEngine.supports(&pbft, scenario, &budget));
+        assert!(supports(&pbft, scenario));
         // Placement-sensitive models have no executable counterpart.
         let durability = PersistenceQuorumModel::new(5, vec![0, 1]);
-        assert!(!SimulationEngine.supports(&durability, scenario, &budget));
+        assert!(!supports(&durability, scenario));
         // A size mismatch between model and scenario is not supported either.
         let tiny = Deployment::uniform_crash(3, 0.05);
-        assert!(!SimulationEngine.supports(&raft, &CorrelationModel::from(&tiny), &budget));
+        assert!(!supports(&raft, &CorrelationModel::from(&tiny)));
     }
 
     #[test]
     fn healthy_cluster_simulates_fully_reliable() {
         let model = RaftModel::standard(3);
         let deployment = Deployment::uniform_crash(3, 0.0);
-        let outcome = SimulationEngine.run(
+        let outcome = run(
             &model,
             &CorrelationModel::from(&deployment),
             &quick_budget(8),
@@ -416,7 +401,7 @@ mod tests {
         let target = CorrelationModel::independent(profiles)
             .with_group(CorrelationGroup::crash_shock((0..3).collect(), 1.0));
         let model = RaftModel::standard(3);
-        let outcome = SimulationEngine.run(&model, &target, &quick_budget(6));
+        let outcome = run(&model, &target, &quick_budget(6));
         let report = outcome.simulation.expect("simulation report attached");
         assert_eq!(report.total_faults_injected, 18, "3 crashes x 6 trials");
         assert_eq!(report.live.value, 0.0);

@@ -3,10 +3,7 @@
 //! A fault curve captures "the unique, time-dependent fault profile of a given server"
 //! (§2). Every curve exposes an instantaneous *hazard rate* (failures per hour at a given
 //! device age) and, derived from it, the probability of failing at least once within a
-//! mission window. The analysis layer only needs the window probability; the simulator
-//! additionally samples concrete failure times from the hazard.
-
-use rand::Rng;
+//! mission window, which is what the analysis layer reads.
 
 /// Trait implemented by all fault-curve shapes.
 ///
@@ -29,18 +26,6 @@ pub trait FaultCurve: Send + Sync + std::fmt::Debug {
         assert!(window >= 0.0, "window must be non-negative");
         1.0 - (-self.cumulative_hazard(t, t + window)).exp()
     }
-
-    /// Samples the time of the first failure after age `t`, in hours after `t`, by
-    /// inverting the cumulative hazard against an exponential draw.
-    ///
-    /// Returns `None` if no failure occurs within `horizon` hours.
-    fn sample_failure_time<R: Rng + ?Sized>(&self, t: f64, horizon: f64, rng: &mut R) -> Option<f64>
-    where
-        Self: Sized,
-    {
-        let target: f64 = -(1.0 - rng.gen::<f64>()).ln();
-        invert_cumulative_hazard(self, t, horizon, target)
-    }
 }
 
 /// Numerically integrates the hazard of `curve` over `[t0, t1]` with composite Simpson.
@@ -58,34 +43,6 @@ pub fn numeric_cumulative_hazard<C: FaultCurve + ?Sized>(curve: &C, t0: f64, t1:
         sum += if i % 2 == 1 { 4.0 } else { 2.0 } * curve.hazard(x);
     }
     (sum * h / 3.0).max(0.0)
-}
-
-/// Finds the smallest `dt <= horizon` such that the cumulative hazard over `[t, t+dt]`
-/// reaches `target`, by bisection. Returns `None` when the hazard accumulated over the
-/// full horizon stays below `target`.
-pub fn invert_cumulative_hazard<C: FaultCurve + ?Sized>(
-    curve: &C,
-    t: f64,
-    horizon: f64,
-    target: f64,
-) -> Option<f64> {
-    if target <= 0.0 {
-        return Some(0.0);
-    }
-    let total = curve.cumulative_hazard(t, t + horizon);
-    if total < target {
-        return None;
-    }
-    let (mut lo, mut hi) = (0.0f64, horizon);
-    for _ in 0..64 {
-        let mid = 0.5 * (lo + hi);
-        if curve.cumulative_hazard(t, t + mid) < target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    Some(hi)
 }
 
 /// Constant hazard rate; the memoryless model behind the paper's per-node probability
@@ -412,8 +369,6 @@ pub type DynCurve = std::sync::Arc<dyn FaultCurve>;
 mod tests {
     use super::*;
     use crate::metrics::HOURS_PER_YEAR;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn constant_curve_window_probability_round_trips() {
@@ -500,31 +455,5 @@ mod tests {
         assert!((e.hazard(500.0) - 1e-5).abs() < 1e-12);
         assert!((e.hazard(1500.0) - 2e-5).abs() < 1e-12);
         assert!((e.hazard(9000.0) - 2e-5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sampled_failure_times_match_constant_rate_statistics() {
-        let c = ConstantCurve::new(1e-3);
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut times = Vec::new();
-        let mut misses = 0usize;
-        for _ in 0..20_000 {
-            match c.sample_failure_time(0.0, 10_000.0, &mut rng) {
-                Some(t) => times.push(t),
-                None => misses += 1,
-            }
-        }
-        // P(no failure in 10k hours at 1e-3/h) = e^-10 ~= 4.5e-5, so misses should be rare.
-        assert!(misses < 20);
-        let mean = times.iter().sum::<f64>() / times.len() as f64;
-        assert!((mean - 1000.0).abs() < 50.0, "mean {mean}");
-    }
-
-    #[test]
-    fn invert_cumulative_hazard_returns_none_past_horizon() {
-        let c = ConstantCurve::new(1e-6);
-        assert!(invert_cumulative_hazard(&c, 0.0, 10.0, 1.0).is_none());
-        let hit = invert_cumulative_hazard(&c, 0.0, 2_000_000.0, 1.0).unwrap();
-        assert!((hit - 1_000_000.0).abs() < 1.0);
     }
 }

@@ -17,18 +17,6 @@ pub enum ByzantineBehavior {
     Equivocate,
 }
 
-impl ByzantineBehavior {
-    /// Whether the node still emits (possibly malicious) messages.
-    pub fn sends_messages(&self) -> bool {
-        !matches!(self, ByzantineBehavior::Silent)
-    }
-
-    /// Whether the node deviates from the protocol at all.
-    pub fn is_malicious(&self) -> bool {
-        !matches!(self, ByzantineBehavior::Honest)
-    }
-}
-
 impl std::fmt::Display for ByzantineBehavior {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -46,14 +34,6 @@ mod tests {
     #[test]
     fn default_is_honest() {
         assert_eq!(ByzantineBehavior::default(), ByzantineBehavior::Honest);
-        assert!(!ByzantineBehavior::Honest.is_malicious());
-    }
-
-    #[test]
-    fn silent_nodes_do_not_send() {
-        assert!(!ByzantineBehavior::Silent.sends_messages());
-        assert!(ByzantineBehavior::Silent.is_malicious());
-        assert!(ByzantineBehavior::Equivocate.sends_messages());
     }
 
     #[test]

@@ -598,11 +598,11 @@ fn correlation(value: &JsonValue) -> Result<CorrelationSpec, String> {
     match tag(value, "correlation", EXPECTED)? {
         ("independent", None) => Ok(CorrelationSpec::Independent),
         ("cluster_shock", Some(body)) => read_object(body, "cluster_shock", |f| {
-            let probability = f.get("probability")?;
+            let probability = f.within("probability", PROBABILITY)?;
             Ok(CorrelationSpec::ClusterShock { probability })
         }),
         ("rack_shock", Some(body)) => read_object(body, "rack_shock", |f| {
-            let (racks, probability) = (f.get("racks")?, f.get("probability")?);
+            let (racks, probability) = (f.get("racks")?, f.within("probability", PROBABILITY)?);
             Ok(CorrelationSpec::RackShock { racks, probability })
         }),
         other => Err(unknown_tag("correlation", other, EXPECTED)),
@@ -957,9 +957,9 @@ fn read_request(request: &JsonValue) -> Result<Request, String> {
 pub struct ServerStats {
     /// Query requests that ran to completion (a `done` event was emitted).
     pub queries_completed: u64,
-    /// Wall time of the most recently completed plan, in milliseconds.
+    /// Wall time of the last completed query execution or optimizer search, in ms.
     pub last_plan_wall_ms: f64,
-    /// Total wall time across all completed plans, in milliseconds.
+    /// Total wall time of all completed query executions and optimizer searches, in ms.
     pub total_plan_wall_ms: f64,
     /// Second-order cells served (cells that carried an epistemic report).
     pub epistemic_cells: u64,
@@ -2560,6 +2560,14 @@ mod tests {
             (
                 r#"{"repairable_cells":[{"label":"r","n":3,"lambda":1e-4,"mu":0.1,"tolerated_failures":3}]}"#,
                 "tolerated_failures",
+            ),
+            (
+                r#"{"protocols":["raft"],"nodes":[3],"fault_probs":[0.01],"correlations":[{"cluster_shock":{"probability":2}}]}"#,
+                "cluster_shock: 'probability' must be a probability in [0, 1], got 2",
+            ),
+            (
+                r#"{"protocols":["raft"],"nodes":[3],"fault_probs":[0.01],"correlations":[{"rack_shock":{"racks":2,"probability":-0.5}}]}"#,
+                "rack_shock: 'probability' must be a probability in [0, 1], got -0.5",
             ),
             (
                 r#"{"protocols":["raft"],"nodes":[3],"fault_probs":[0.01],"environments":["solar-flare"]}"#,

@@ -1,16 +1,15 @@
 //! Fault schedules: when nodes crash, recover, turn Byzantine, or go gray — and when
 //! the network itself partitions, heals, or degrades per link.
 //!
-//! A schedule can be written explicitly (for targeted tests), sampled from per-node fault
-//! profiles (matching the analysis window semantics of the `prob-consensus` crate), or
-//! sampled from full fault curves (hazard-rate driven failure times). Besides per-node
+//! A schedule can be written explicitly (for targeted tests) or sampled from a joint
+//! failure model (matching the analysis window semantics of the `prob-consensus`
+//! crate; see [`FaultSchedule::sample_from_correlation`]). Besides per-node
 //! fault events, a schedule carries a second lane of [`NetEvent`]s that reconfigure the
 //! network mid-run: partitions that later heal, and asymmetric per-link loss/delay
 //! overrides — the fault classes a fixed-`f` model cannot express.
 
 use fault_model::correlation::CorrelationModel;
-use fault_model::curve::FaultCurve;
-use fault_model::mode::{FaultProfile, NodeState};
+use fault_model::mode::NodeState;
 use rand::Rng;
 
 use crate::network::LinkQuality;
@@ -36,20 +35,6 @@ pub enum FaultKind {
     },
     /// Ends a gray failure: the node's timing returns to normal (factor 1.0).
     SpeedUp,
-}
-
-impl FaultKind {
-    /// Whether this event leaves the node faulty in the boolean sense used by the
-    /// analytic layer. Gray events do not: a slow node is still correct and live,
-    /// which is exactly why analytic and empirical estimates diverge under gray
-    /// failure.
-    pub fn counts_as_faulty(&self) -> Option<bool> {
-        match self {
-            FaultKind::Crash | FaultKind::TurnByzantine => Some(true),
-            FaultKind::Recover => Some(false),
-            FaultKind::SlowDown { .. } | FaultKind::SpeedUp => None,
-        }
-    }
 }
 
 /// One scheduled fault event.
@@ -239,74 +224,18 @@ impl FaultSchedule {
         self.events.is_empty() && self.net_events.is_empty()
     }
 
-    /// Nodes that are scheduled to crash (and never recover) or turn Byzantine at some
-    /// point — i.e. the failure configuration this schedule realizes by the end of the
-    /// horizon. Gray events ([`FaultKind::SlowDown`]/[`FaultKind::SpeedUp`]) never
-    /// count: a slow node is alive and correct, merely late.
-    pub fn eventually_faulty(&self, num_nodes: usize) -> Vec<usize> {
-        (0..num_nodes)
-            .filter(|&n| {
-                let mut faulty = false;
-                for e in &self.events {
-                    if e.node != n {
-                        continue;
-                    }
-                    if let Some(now_faulty) = e.kind.counts_as_faulty() {
-                        faulty = now_faulty;
-                    }
-                }
-                faulty
-            })
-            .collect()
-    }
-
-    /// Samples a schedule from per-node fault profiles over a horizon: each node crashes
-    /// (respectively turns Byzantine) with its profile's probability, at a uniformly
-    /// random time within the horizon, and never recovers. This mirrors the analysis
-    /// window semantics used by the `prob-consensus` crate, so empirical safety/liveness
-    /// rates measured under this schedule are directly comparable with the analytic
-    /// probabilities.
-    pub fn sample_from_profiles<R: Rng + ?Sized>(
-        profiles: &[FaultProfile],
-        horizon: SimTime,
-        rng: &mut R,
-    ) -> Self {
-        let mut schedule = Self::none();
-        for (node, profile) in profiles.iter().enumerate() {
-            let u: f64 = rng.gen();
-            let kind = if u < profile.byzantine_probability() {
-                Some(FaultKind::TurnByzantine)
-            } else if u < profile.fault_probability() {
-                Some(FaultKind::Crash)
-            } else {
-                None
-            };
-            if let Some(kind) = kind {
-                let at = SimTime::from_micros(rng.gen_range(0..=horizon.as_micros()));
-                schedule.add(FaultEvent {
-                    time: at,
-                    node,
-                    kind,
-                });
-            }
-        }
-        schedule
-    }
-
     /// Samples a schedule from a joint (possibly correlated) failure model over a
     /// horizon: one failure configuration is drawn from the model — independent
     /// per-node outcomes plus any common-cause correlation-group shocks — and every
     /// faulty node receives its fault (crash, or Byzantine turn) at a uniformly
     /// random time within the horizon, never recovering.
     ///
-    /// This is the correlated generalization of
-    /// [`FaultSchedule::sample_from_profiles`]: for a groupless model the two draw
-    /// from the same marginal distribution, and either way the realized
-    /// end-of-horizon configuration is distributed exactly as the analysis layer's
-    /// Monte Carlo samples, so empirical safety/liveness rates measured under these
-    /// schedules are directly comparable with analytic (and sampled) probabilities
-    /// — including under rack- or cluster-level shocks no independent sampler can
-    /// express.
+    /// An independent deployment is the model with no groups. With or without
+    /// groups, the realized end-of-horizon configuration is distributed exactly as
+    /// the analysis layer's Monte Carlo samples, so empirical safety/liveness rates
+    /// measured under these schedules are directly comparable with analytic (and
+    /// sampled) probabilities — including under rack- or cluster-level shocks no
+    /// independent sampler can express.
     pub fn sample_from_correlation<R: Rng + ?Sized>(
         model: &CorrelationModel,
         horizon: SimTime,
@@ -328,41 +257,38 @@ impl FaultSchedule {
         }
         schedule
     }
-
-    /// Samples crash times from full fault curves: node `i` crashes at the first failure
-    /// time drawn from `curves[i]` (starting from `ages[i]`), scaled so that
-    /// `hours_per_sim_second` hours of wall-clock hazard map onto one simulated second.
-    pub fn sample_from_curves<C: FaultCurve, R: Rng + ?Sized>(
-        curves: &[C],
-        ages: &[f64],
-        horizon: SimTime,
-        hours_per_sim_second: f64,
-        rng: &mut R,
-    ) -> Self {
-        assert_eq!(curves.len(), ages.len(), "need one age per curve");
-        assert!(hours_per_sim_second > 0.0);
-        let horizon_hours = horizon.as_secs_f64() * hours_per_sim_second;
-        let mut schedule = Self::none();
-        for (node, (curve, &age)) in curves.iter().zip(ages).enumerate() {
-            if let Some(dt_hours) = curve.sample_failure_time(age, horizon_hours, rng) {
-                let secs = dt_hours / hours_per_sim_second;
-                schedule.add(FaultEvent {
-                    time: SimTime::from_micros((secs * 1e6) as u64),
-                    node,
-                    kind: FaultKind::Crash,
-                });
-            }
-        }
-        schedule
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fault_model::curve::ConstantCurve;
+    use crate::actor::{Actor, Context};
+    use crate::network::NetworkConfig;
+    use crate::runtime::Simulation;
+    use fault_model::mode::FaultProfile;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// A node that does nothing, so a run applies the schedule and nothing else.
+    struct Idle;
+
+    impl Actor<()> for Idle {
+        fn on_start(&mut self, _ctx: &mut Context<()>) {}
+        fn on_message(&mut self, _from: usize, _msg: (), _ctx: &mut Context<()>) {}
+        fn on_timer(&mut self, _tag: u64, _ctx: &mut Context<()>) {}
+    }
+
+    /// The nodes the simulator leaves crashed or Byzantine once it has applied all
+    /// of `schedule`: the failure configuration the schedule realizes.
+    fn eventually_faulty(schedule: &FaultSchedule, num_nodes: usize) -> Vec<usize> {
+        let idle = (0..num_nodes).map(|_| Idle).collect();
+        let mut sim =
+            Simulation::new(idle, NetworkConfig::default(), 0).with_fault_schedule(schedule);
+        sim.run_until(SimTime::from_secs(1));
+        (0..num_nodes)
+            .filter(|&i| sim.is_crashed(i) || sim.is_byzantine(i))
+            .collect()
+    }
 
     #[test]
     fn builder_orders_events_by_time() {
@@ -431,7 +357,7 @@ mod tests {
             .recover_at(0, SimTime::from_millis(20))
             .crash_at(1, SimTime::from_millis(10))
             .byzantine_at(2, SimTime::from_millis(5));
-        assert_eq!(s.eventually_faulty(4), vec![1, 2]);
+        assert_eq!(eventually_faulty(&s, 4), vec![1, 2]);
     }
 
     #[test]
@@ -440,13 +366,13 @@ mod tests {
             .crash_at(0, SimTime::from_millis(10))
             .recover_at(0, SimTime::from_millis(20))
             .crash_at(0, SimTime::from_millis(30));
-        assert_eq!(s.eventually_faulty(2), vec![0]);
+        assert_eq!(eventually_faulty(&s, 2), vec![0]);
     }
 
     #[test]
     fn eventually_faulty_recover_without_prior_crash_is_correct() {
         let s = FaultSchedule::none().recover_at(1, SimTime::from_millis(10));
-        assert!(s.eventually_faulty(3).is_empty());
+        assert!(eventually_faulty(&s, 3).is_empty());
     }
 
     #[test]
@@ -457,32 +383,48 @@ mod tests {
             .speed_up_at(1, SimTime::from_millis(50))
             .partition_at(vec![vec![0], vec![1, 2]], SimTime::from_millis(1))
             .heal_at(SimTime::from_millis(40));
-        assert!(s.eventually_faulty(3).is_empty());
+        assert!(eventually_faulty(&s, 3).is_empty());
         // ... even interleaved with real faults the gray events change nothing.
         let s = s.crash_at(2, SimTime::from_millis(20));
-        assert_eq!(s.eventually_faulty(3), vec![2]);
+        assert_eq!(eventually_faulty(&s, 3), vec![2]);
     }
 
     #[test]
     fn profile_sampling_matches_probabilities() {
-        let profiles = vec![FaultProfile::crash_only(0.3); 4];
+        // Each node crashes with 0.2 and turns Byzantine with 0.1.
+        let model = CorrelationModel::independent(vec![FaultProfile::new(0.2, 0.1); 4]);
         let mut rng = StdRng::seed_from_u64(9);
-        let mut crashes = 0usize;
+        let (mut crashes, mut byzantine) = (0usize, 0usize);
         let trials = 5_000;
         for _ in 0..trials {
             let s =
-                FaultSchedule::sample_from_profiles(&profiles, SimTime::from_secs(10), &mut rng);
-            crashes += s.len();
+                FaultSchedule::sample_from_correlation(&model, SimTime::from_secs(10), &mut rng);
+            for e in s.events() {
+                match e.kind {
+                    FaultKind::Crash => crashes += 1,
+                    FaultKind::TurnByzantine => byzantine += 1,
+                    other => panic!("unexpected event {other:?}"),
+                }
+            }
         }
-        let rate = crashes as f64 / (trials * 4) as f64;
-        assert!((rate - 0.3).abs() < 0.02, "observed {rate}");
+        let rate = |count: usize| count as f64 / (trials * 4) as f64;
+        assert!(
+            (rate(crashes) - 0.2).abs() < 0.02,
+            "observed {}",
+            rate(crashes)
+        );
+        assert!(
+            (rate(byzantine) - 0.1).abs() < 0.02,
+            "observed {}",
+            rate(byzantine)
+        );
     }
 
     #[test]
     fn profile_sampling_distinguishes_byzantine_from_crash() {
-        let profiles = vec![FaultProfile::new(0.0, 1.0)];
+        let model = CorrelationModel::independent(vec![FaultProfile::new(0.0, 1.0)]);
         let mut rng = StdRng::seed_from_u64(2);
-        let s = FaultSchedule::sample_from_profiles(&profiles, SimTime::from_secs(1), &mut rng);
+        let s = FaultSchedule::sample_from_correlation(&model, SimTime::from_secs(1), &mut rng);
         assert_eq!(s.events()[0].kind, FaultKind::TurnByzantine);
     }
 
@@ -539,18 +481,5 @@ mod tests {
         }
         let rate = crashes as f64 / (trials * 5) as f64;
         assert!((rate - 0.25).abs() < 0.02, "observed {rate}");
-    }
-
-    #[test]
-    fn curve_sampling_produces_crashes_within_horizon() {
-        // A rate so high that failure within the horizon is essentially certain.
-        let curves = vec![ConstantCurve::new(1.0); 3];
-        let ages = vec![0.0; 3];
-        let mut rng = StdRng::seed_from_u64(3);
-        let horizon = SimTime::from_secs(100);
-        let s = FaultSchedule::sample_from_curves(&curves, &ages, horizon, 1.0, &mut rng);
-        assert_eq!(s.len(), 3);
-        assert!(s.events().iter().all(|e| e.time <= horizon));
-        assert!(s.events().iter().all(|e| e.kind == FaultKind::Crash));
     }
 }

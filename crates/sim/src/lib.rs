@@ -4,16 +4,16 @@
 //! provides the substrate on which the executable protocols (`consensus-protocols`) run
 //! so those predictions can be validated empirically: a virtual clock, a message network
 //! with configurable latency, loss and partitions, per-node deterministic randomness, and
-//! fault injection driven by the fault curves of the `fault-model` crate.
+//! fault injection driven by the failure models of the `fault-model` crate.
 //!
 //! * [`time`] — virtual time ([`time::SimTime`]), microsecond granularity.
 //! * [`actor`] — the [`actor::Actor`] trait protocols implement, and the
 //!   [`actor::Context`] handed to them for sending messages and arming timers.
 //! * [`network`] — latency / loss / partition model.
 //! * [`fault`] — fault schedules: explicit crash/recover/Byzantine events, or schedules
-//!   sampled from fault curves.
+//!   sampled from a (possibly correlated) failure model.
 //! * [`runtime`] — the event loop: [`runtime::Simulation`].
-//! * [`trace`] — counters and an event trace for debugging and statistics.
+//! * [`trace`] — execution counters for statistics.
 //!
 //! # Examples
 //!

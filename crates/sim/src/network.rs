@@ -145,19 +145,6 @@ impl NetworkConfig {
         self
     }
 
-    /// Sets the latency distribution.
-    pub fn with_delay_distribution(mut self, delay: DelayDistribution) -> Self {
-        if let DelayDistribution::Pareto { alpha, cap } = delay {
-            assert!(
-                alpha > 0.0 && alpha.is_finite(),
-                "Pareto shape must be positive and finite"
-            );
-            assert!(cap >= self.min_latency, "Pareto cap must be >= min latency");
-        }
-        self.delay = delay;
-        self
-    }
-
     /// Partitions the network into the given groups: messages are only delivered between
     /// nodes of the same group. Nodes not listed in any group are isolated.
     pub fn with_partition(mut self, groups: Vec<Vec<usize>>) -> Self {

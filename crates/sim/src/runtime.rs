@@ -10,7 +10,7 @@ use crate::actor::{Actor, Context};
 use crate::fault::{FaultKind, FaultSchedule, NetEventKind};
 use crate::network::NetworkConfig;
 use crate::time::SimTime;
-use crate::trace::{Trace, TraceEvent, TraceStats};
+use crate::trace::TraceStats;
 
 /// What a queued event does when its time comes.
 #[derive(Debug)]
@@ -45,7 +45,6 @@ pub struct Simulation<M, A> {
     net_rng: StdRng,
     node_rngs: Vec<StdRng>,
     stats: TraceStats,
-    trace: Trace,
 }
 
 impl<M: Clone, A: Actor<M>> Simulation<M, A> {
@@ -71,7 +70,6 @@ impl<M: Clone, A: Actor<M>> Simulation<M, A> {
             net_rng: StdRng::seed_from_u64(master.gen()),
             node_rngs,
             stats: TraceStats::default(),
-            trace: Trace::disabled(),
         };
         for i in 0..n {
             sim.invoke(i, |actor, ctx| actor.on_start(ctx));
@@ -108,12 +106,6 @@ impl<M: Clone, A: Actor<M>> Simulation<M, A> {
         self
     }
 
-    /// Enables event tracing with the given capacity.
-    pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace = Trace::bounded(capacity);
-        self
-    }
-
     /// Replaces the network configuration (e.g. to create or heal a partition mid-run).
     pub fn set_network(&mut self, network: NetworkConfig) {
         self.network = network;
@@ -132,11 +124,6 @@ impl<M: Clone, A: Actor<M>> Simulation<M, A> {
     /// Immutable access to a node's actor state.
     pub fn node(&self, id: usize) -> &A {
         &self.nodes[id]
-    }
-
-    /// Mutable access to a node's actor state (for test instrumentation).
-    pub fn node_mut(&mut self, id: usize) -> &mut A {
-        &mut self.nodes[id]
     }
 
     /// Whether a node is currently crashed.
@@ -173,11 +160,6 @@ impl<M: Clone, A: Actor<M>> Simulation<M, A> {
         self.stats
     }
 
-    /// The recorded event trace (empty unless tracing was enabled).
-    pub fn trace_events(&self) -> &[TraceEvent] {
-        self.trace.events()
-    }
-
     /// Injects a message from the outside world (e.g. a client) into a node, delivered
     /// after normal network latency.
     pub fn inject(&mut self, to: usize, msg: M) {
@@ -204,19 +186,12 @@ impl<M: Clone, A: Actor<M>> Simulation<M, A> {
                     self.stats.messages_to_crashed += 1;
                 } else {
                     self.stats.messages_delivered += 1;
-                    self.trace
-                        .record(TraceEvent::Delivered { at: time, from, to });
                     self.invoke(to, |actor, ctx| actor.on_message(from, msg, ctx));
                 }
             }
             Payload::Timer { node, tag } => {
                 if !self.crashed[node] {
                     self.stats.timers_fired += 1;
-                    self.trace.record(TraceEvent::TimerFired {
-                        at: time,
-                        node,
-                        tag,
-                    });
                     self.invoke(node, |actor, ctx| actor.on_timer(tag, ctx));
                 }
             }
@@ -258,17 +233,6 @@ impl<M: Clone, A: Actor<M>> Simulation<M, A> {
     }
 
     fn apply_fault(&mut self, node: usize, kind: FaultKind) {
-        self.trace.record(TraceEvent::Fault {
-            at: self.now,
-            node,
-            kind: match kind {
-                FaultKind::Crash => "crash",
-                FaultKind::Recover => "recover",
-                FaultKind::TurnByzantine => "byzantine",
-                FaultKind::SlowDown { .. } => "slow-down",
-                FaultKind::SpeedUp => "speed-up",
-            },
-        });
         match kind {
             FaultKind::Crash => {
                 if !self.crashed[node] {
@@ -316,34 +280,16 @@ impl<M: Clone, A: Actor<M>> Simulation<M, A> {
             NetEventKind::PartitionStart { groups } => {
                 self.network = std::mem::take(&mut self.network).with_partition(groups);
                 self.stats.partitions_started += 1;
-                self.trace.record(TraceEvent::Network {
-                    at: self.now,
-                    kind: "partition",
-                });
             }
             NetEventKind::PartitionHeal => {
                 self.network = std::mem::take(&mut self.network).healed();
                 self.stats.partitions_healed += 1;
-                self.trace.record(TraceEvent::Network {
-                    at: self.now,
-                    kind: "heal",
-                });
             }
             NetEventKind::LinkOverride { from, to, quality } => {
                 self.network.set_link_override(from, to, quality);
                 self.stats.link_overrides += 1;
-                self.trace.record(TraceEvent::Network {
-                    at: self.now,
-                    kind: "link-override",
-                });
             }
-            NetEventKind::ClearLinkOverrides => {
-                self.network.clear_link_overrides();
-                self.trace.record(TraceEvent::Network {
-                    at: self.now,
-                    kind: "clear-link-overrides",
-                });
-            }
+            NetEventKind::ClearLinkOverrides => self.network.clear_link_overrides(),
         }
     }
 
@@ -537,14 +483,6 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         assert!(sim.stats().messages_dropped > 0);
         assert!(sim.stats().delivery_ratio() < 0.95);
-    }
-
-    #[test]
-    fn tracing_records_events_when_enabled() {
-        let mut sim =
-            Simulation::new(cluster(3), NetworkConfig::default(), 8).with_trace_capacity(100);
-        sim.run_until(SimTime::from_secs(1));
-        assert!(!sim.trace_events().is_empty());
     }
 
     #[test]

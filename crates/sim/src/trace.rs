@@ -1,6 +1,4 @@
-//! Execution statistics and (optional) event tracing.
-
-use crate::time::SimTime;
+//! Execution statistics.
 
 /// Counters accumulated while a simulation runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,92 +44,6 @@ impl TraceStats {
     }
 }
 
-/// One recorded event (only kept when tracing is enabled).
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// A message was delivered.
-    Delivered {
-        /// Delivery time.
-        at: SimTime,
-        /// Sender.
-        from: usize,
-        /// Receiver.
-        to: usize,
-    },
-    /// A timer fired.
-    TimerFired {
-        /// Fire time.
-        at: SimTime,
-        /// Owning node.
-        node: usize,
-        /// Timer tag.
-        tag: u64,
-    },
-    /// A fault event was applied.
-    Fault {
-        /// Application time.
-        at: SimTime,
-        /// Affected node.
-        node: usize,
-        /// Description of the fault ("crash", "recover", "byzantine", "slow-down",
-        /// "speed-up").
-        kind: &'static str,
-    },
-    /// A scheduled network event was applied (whole-network, no single node).
-    Network {
-        /// Application time.
-        at: SimTime,
-        /// Description of the change ("partition", "heal", "link-override",
-        /// "clear-link-overrides").
-        kind: &'static str,
-    },
-}
-
-/// A bounded event trace.
-#[derive(Debug, Clone, Default)]
-pub struct Trace {
-    enabled: bool,
-    capacity: usize,
-    events: Vec<TraceEvent>,
-}
-
-impl Trace {
-    /// A disabled trace (the default; only counters are kept).
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
-    /// An enabled trace keeping at most `capacity` events (oldest dropped first).
-    pub fn bounded(capacity: usize) -> Self {
-        Self {
-            enabled: true,
-            capacity,
-            events: Vec::new(),
-        }
-    }
-
-    /// Whether events are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records an event if enabled.
-    pub fn record(&mut self, event: TraceEvent) {
-        if !self.enabled {
-            return;
-        }
-        if self.events.len() == self.capacity {
-            self.events.remove(0);
-        }
-        self.events.push(event);
-    }
-
-    /// The recorded events, oldest first.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,34 +58,5 @@ mod tests {
             ..Default::default()
         };
         assert!((stats.delivery_ratio() - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn disabled_trace_records_nothing() {
-        let mut t = Trace::disabled();
-        t.record(TraceEvent::TimerFired {
-            at: SimTime::ZERO,
-            node: 0,
-            tag: 1,
-        });
-        assert!(t.events().is_empty());
-        assert!(!t.is_enabled());
-    }
-
-    #[test]
-    fn bounded_trace_evicts_oldest() {
-        let mut t = Trace::bounded(2);
-        for i in 0..3 {
-            t.record(TraceEvent::TimerFired {
-                at: SimTime::from_millis(i),
-                node: 0,
-                tag: i,
-            });
-        }
-        assert_eq!(t.events().len(), 2);
-        match &t.events()[0] {
-            TraceEvent::TimerFired { tag, .. } => assert_eq!(*tag, 1),
-            other => panic!("unexpected event {other:?}"),
-        }
     }
 }

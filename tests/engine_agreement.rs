@@ -9,16 +9,14 @@ use fault_model::mode::FaultProfile;
 use prob_consensus::analyzer::analyze_auto;
 use prob_consensus::deployment::Deployment;
 use prob_consensus::durability::PersistenceQuorumModel;
-use prob_consensus::engine::{
-    AnalysisEngine, Budget, CountingEngine, EngineChoice, EnumerationEngine,
-    ImportanceSamplingEngine, MonteCarloEngine,
-};
+use prob_consensus::engine::{Budget, EngineChoice};
 use prob_consensus::montecarlo::{monte_carlo_reliability_par_kernel, McKernel, MC_CHUNK_SIZE};
 use prob_consensus::packed::PackedKernel;
 use prob_consensus::pbft_model::PbftModel;
 use prob_consensus::protocol::{CountingModel, ProtocolModel};
 use prob_consensus::raft_model::RaftModel;
 use prob_consensus::rare_event::{importance_sampling_reliability_par, Proposal};
+use prob_consensus::scratch::GroupScratch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -51,9 +49,10 @@ fn assert_engines_agree(model: &dyn ProtocolModel, deployment: &Deployment, cont
     let scenario = &CorrelationModel::from(deployment);
     let budget = Budget::default().with_samples(60_000).with_seed(GRID_SEED);
 
-    let enumerated = EnumerationEngine.run(model, scenario, &budget);
-    let counted = CountingEngine.run(model, scenario, &budget);
-    let sampled = MonteCarloEngine.run(model, scenario, &budget);
+    let enumerated =
+        EngineChoice::Enumeration.run(model, scenario, &budget, &GroupScratch::default());
+    let counted = EngineChoice::Counting.run(model, scenario, &budget, &GroupScratch::default());
+    let sampled = EngineChoice::MonteCarlo.run(model, scenario, &budget, &GroupScratch::default());
 
     // The two exact engines agree to numerical precision.
     for (a, b, what) in [
@@ -152,7 +151,12 @@ fn packed_and_scalar_kernels_agree_on_the_grid() {
                 (&raft as &dyn ProtocolModel, &crash),
                 (&pbft as &dyn ProtocolModel, &mixed),
             ] {
-                let exact = CountingEngine.run(model, &CorrelationModel::from(deployment), &budget);
+                let exact = EngineChoice::Counting.run(
+                    model,
+                    &CorrelationModel::from(deployment),
+                    &budget,
+                    &GroupScratch::default(),
+                );
                 let target = CorrelationModel::from(deployment);
                 let sample = |kernel| {
                     monte_carlo_reliability_par_kernel(model, &target, 60_000, GRID_SEED, kernel)
@@ -228,7 +232,12 @@ fn packed_kernel_handles_ragged_sample_counts() {
     let samples = 2 * MC_CHUNK_SIZE + 99; // % 64 != 0 and % MC_CHUNK_SIZE != 0
     assert_ne!(samples % 64, 0);
     assert_ne!(samples % MC_CHUNK_SIZE, 0);
-    let exact = CountingEngine.run(&model, scenario, &Budget::default());
+    let exact = EngineChoice::Counting.run(
+        &model,
+        scenario,
+        &Budget::default(),
+        &GroupScratch::default(),
+    );
     let target = CorrelationModel::from(&deployment);
     for kernel in [McKernel::Scalar, McKernel::Packed] {
         let mc = monte_carlo_reliability_par_kernel(&model, &target, samples, GRID_SEED, kernel);
@@ -290,7 +299,8 @@ fn packed_kernel_is_bit_identical_across_thread_counts() {
         .with_samples(3 * MC_CHUNK_SIZE + 21)
         .with_seed(GRID_SEED);
     let scenario = &failure_model;
-    let reference = MonteCarloEngine.run(&model, scenario, &budget);
+    let reference =
+        EngineChoice::MonteCarlo.run(&model, scenario, &budget, &GroupScratch::default());
     assert_eq!(
         reference.monte_carlo.map(|mc| mc.kernel),
         Some(McKernel::Packed)
@@ -300,7 +310,9 @@ fn packed_kernel_is_bit_identical_across_thread_counts() {
             .num_threads(threads)
             .build()
             .expect("pool builds");
-        let outcome = pool.install(|| MonteCarloEngine.run(&model, scenario, &budget));
+        let outcome = pool.install(|| {
+            EngineChoice::MonteCarlo.run(&model, scenario, &budget, &GroupScratch::default())
+        });
         assert_eq!(
             outcome.monte_carlo, reference.monte_carlo,
             "packed kernel diverged at {threads} threads"
@@ -352,7 +364,12 @@ fn importance_sampling_agrees_with_exact_engines_on_small_grids() {
         for p in [0.01, 0.05] {
             let model = RaftModel::standard(n);
             let deployment = Deployment::uniform_crash(n, p);
-            let exact = CountingEngine.run(&model, &CorrelationModel::from(&deployment), &budget);
+            let exact = EngineChoice::Counting.run(
+                &model,
+                &CorrelationModel::from(&deployment),
+                &budget,
+                &GroupScratch::default(),
+            );
             let report = tilted(&model, &deployment);
             for (estimate, truth, what) in [
                 (report.safe, exact.report.safe.probability(), "safe"),
@@ -375,7 +392,12 @@ fn importance_sampling_agrees_with_exact_engines_on_small_grids() {
     // PBFT safety under Byzantine faults — a genuinely two-sided guarantee.
     let model = PbftModel::standard(4);
     let deployment = Deployment::uniform_byzantine(4, 0.02);
-    let exact = CountingEngine.run(&model, &CorrelationModel::from(&deployment), &budget);
+    let exact = EngineChoice::Counting.run(
+        &model,
+        &CorrelationModel::from(&deployment),
+        &budget,
+        &GroupScratch::default(),
+    );
     let report = tilted(&model, &deployment);
     assert!(report.safe.contains(exact.report.safe.probability()));
 }
@@ -412,13 +434,21 @@ fn parallel_importance_sampling_is_bit_identical_across_thread_counts() {
     // Adaptive pilot plus weighted main run, straddling chunk boundaries.
     let budget = Budget::default().with_samples(3 * 4096 + 29).with_seed(77);
     let scenario = &CorrelationModel::from(&deployment);
-    let reference = ImportanceSamplingEngine.run(&model, scenario, &budget);
+    let reference =
+        EngineChoice::ImportanceSampling.run(&model, scenario, &budget, &GroupScratch::default());
     for threads in [1usize, 2, 4, 7, 16] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("pool builds");
-        let outcome = pool.install(|| ImportanceSamplingEngine.run(&model, scenario, &budget));
+        let outcome = pool.install(|| {
+            EngineChoice::ImportanceSampling.run(
+                &model,
+                scenario,
+                &budget,
+                &GroupScratch::default(),
+            )
+        });
         assert_eq!(
             outcome.rare_event, reference.rare_event,
             "weighted sampler diverged at {threads} threads"
@@ -546,7 +576,6 @@ fn query_plan_execute_matches_per_cell_loop_bit_for_bit() {
 /// from the trial index, and the verdict tallies are integers).
 #[test]
 fn simulation_engine_is_bit_identical_across_thread_counts() {
-    use prob_consensus::simulation::SimulationEngine;
     let model = RaftModel::standard(3);
     let profiles = vec![FaultProfile::crash_only(0.15); 3];
     // A correlated scenario, so the schedule sampler's shock path is exercised.
@@ -554,14 +583,17 @@ fn simulation_engine_is_bit_identical_across_thread_counts() {
         .with_group(CorrelationGroup::crash_shock((0..3).collect(), 0.1));
     let budget = Budget::default().with_seed(GRID_SEED).with_sim_trials(24);
     let scenario = &failure_model;
-    let reference = SimulationEngine.run(&model, scenario, &budget);
+    let reference =
+        EngineChoice::Simulation.run(&model, scenario, &budget, &GroupScratch::default());
     assert!(reference.simulation.is_some());
     for threads in [1usize, 2, 3, 8] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("pool builds");
-        let outcome = pool.install(|| SimulationEngine.run(&model, scenario, &budget));
+        let outcome = pool.install(|| {
+            EngineChoice::Simulation.run(&model, scenario, &budget, &GroupScratch::default())
+        });
         assert_eq!(
             outcome.simulation, reference.simulation,
             "simulation engine diverged at {threads} threads"
@@ -577,20 +609,19 @@ fn simulation_engine_is_bit_identical_across_thread_counts() {
 /// validation mode exists to surface — so this pins that it does not.)
 #[test]
 fn simulated_frequencies_agree_with_the_counting_engine() {
-    use prob_consensus::simulation::SimulationEngine;
     let budget = Budget::default().with_seed(GRID_SEED).with_sim_trials(60);
     for n in [3usize, 5] {
         for p in [0.1, 0.25] {
             let model = RaftModel::standard(n);
             let deployment = Deployment::uniform_crash(n, p);
             let scenario = &CorrelationModel::from(&deployment);
-            let exact = CountingEngine
-                .run(&model, scenario, &budget)
+            let exact = EngineChoice::Counting
+                .run(&model, scenario, &budget, &GroupScratch::default())
                 .report
                 .safe_and_live
                 .probability();
-            let simulated = SimulationEngine
-                .run(&model, scenario, &budget)
+            let simulated = EngineChoice::Simulation
+                .run(&model, scenario, &budget, &GroupScratch::default())
                 .simulation
                 .expect("simulation report attached");
             let se = (exact * (1.0 - exact) / simulated.trials as f64)
@@ -616,10 +647,11 @@ fn auto_selection_is_consistent_with_explicit_engines() {
     let deployment = Deployment::uniform_crash(9, 0.04);
     let auto = analyze_auto(&model, &deployment, &Budget::default());
     assert_eq!(auto.engine, EngineChoice::Counting);
-    let explicit = CountingEngine.run(
+    let explicit = EngineChoice::Counting.run(
         &model,
         &CorrelationModel::from(&deployment),
         &Budget::default(),
+        &GroupScratch::default(),
     );
     assert_eq!(auto.report, explicit.report);
 }

@@ -15,14 +15,13 @@
 //!   `claim-durability-correlated` space reproduces the known ranking
 //!   (cross-rack ≻ same-rack) and the orders-of-magnitude gap.
 
-use prob_consensus::engine::{
-    AnalysisEngine, Budget, EngineChoice, ImportanceSamplingEngine, MonteCarloEngine,
-};
+use prob_consensus::engine::{Budget, EngineChoice};
 use prob_consensus::optimize::{
     optimize, Candidate, DeploymentSpace, FailureDomains, NodeType, OptimizeReport,
     OptimizerConfig, Placement, TargetSpec,
 };
 use prob_consensus::query::{AnalysisSession, ProtocolSpec, Query};
+use prob_consensus::scratch::GroupScratch;
 
 /// Drops the `wall_ns` timing lines from a report's JSON so runs can be
 /// compared on results alone.
@@ -137,7 +136,12 @@ fn frontier_candidates_re_scored_by_independent_engines_within_three_sigma() {
             .find(|c| c.label == record.label)
             .expect("every frontier record maps back to a candidate");
         let budget = Budget::default().with_samples(120_000).with_seed(0xA5A5);
-        let rescored = MonteCarloEngine.run(candidate.model.as_ref(), &candidate.scenario, &budget);
+        let rescored = EngineChoice::MonteCarlo.run(
+            candidate.model.as_ref(),
+            &candidate.scenario,
+            &budget,
+            &GroupScratch::default(),
+        );
         let estimate = rescored.monte_carlo.expect("MC carries estimates");
         let sigma = estimate.safe_and_live.half_width() / 1.96;
         let z = (estimate.safe_and_live.value - record.probability) / sigma.max(1e-12);
@@ -162,8 +166,12 @@ fn frontier_candidates_re_scored_by_independent_engines_within_three_sigma() {
             .with_samples(80_000)
             .with_seed(0x0DD_5EED)
             .with_rare_event_threshold(1e-6);
-        let rescored =
-            ImportanceSamplingEngine.run(candidate.model.as_ref(), &candidate.scenario, &budget);
+        let rescored = EngineChoice::ImportanceSampling.run(
+            candidate.model.as_ref(),
+            &candidate.scenario,
+            &budget,
+            &GroupScratch::default(),
+        );
         let estimate = rescored.rare_event.expect("IS carries estimates");
         let sigma_a = ((record.ci_upper - record.ci_lower) / 2.0) / 1.96;
         let sigma_b = estimate.safe_and_live.half_width() / 1.96;

@@ -8,9 +8,10 @@ use consensus_sim::time::SimTime;
 use fault_model::correlation::CorrelationModel;
 use prob_consensus::analyzer::analyze_auto;
 use prob_consensus::deployment::Deployment;
-use prob_consensus::engine::{AnalysisEngine, Budget, EnumerationEngine};
+use prob_consensus::engine::{Budget, EngineChoice};
 use prob_consensus::pbft_model::PbftModel;
 use prob_consensus::raft_model::RaftModel;
+use prob_consensus::scratch::GroupScratch;
 use proptest::prelude::*;
 
 proptest! {
@@ -73,13 +74,13 @@ proptest! {
         let pbft = PbftModel::standard(n.max(4));
         if n >= 4 {
             let a = analyze_auto(&pbft, &deployment, &budget).report;
-            let b = EnumerationEngine.run(&pbft, &CorrelationModel::from(&deployment), &budget).report;
+            let b = EngineChoice::Enumeration.run(&pbft, &CorrelationModel::from(&deployment), &budget, &GroupScratch::default()).report;
             prop_assert!((a.safe.probability() - b.safe.probability()).abs() < 1e-9);
             prop_assert!((a.live.probability() - b.live.probability()).abs() < 1e-9);
         }
         let raft = RaftModel::standard(n);
         let a = analyze_auto(&raft, &deployment, &budget).report;
-        let b = EnumerationEngine.run(&raft, &CorrelationModel::from(&deployment), &budget).report;
+        let b = EngineChoice::Enumeration.run(&raft, &CorrelationModel::from(&deployment), &budget, &GroupScratch::default()).report;
         prop_assert!((a.safe_and_live.probability() - b.safe_and_live.probability()).abs() < 1e-9);
     }
 
