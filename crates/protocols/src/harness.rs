@@ -636,15 +636,89 @@ mod tests {
 
     #[test]
     fn run_trial_is_deterministic_per_seed() {
-        let spec = TrialSpec::raft(5, 4, 3_000);
-        let schedule = FaultSchedule::none().crash_at(1, SimTime::from_millis(200));
-        let a = run_trial(&spec, &schedule, 42);
-        let b = run_trial(&spec, &schedule, 42);
-        assert_eq!(a, b);
-        assert!(a.outcome.safe_and_live());
-        assert_eq!(a.decided_commands, 4);
-        assert!(a.stats.messages_delivered > 0);
-        assert_eq!(a.stats.crashes, 1);
+        // Every field of a trial's verdict, as a plain tuple.
+        let pinned = |t: &TrialOutcome| {
+            (
+                t.outcome.agreement,
+                t.outcome.all_committed,
+                t.outcome.committed_lengths.clone(),
+                t.outcome.correct_nodes.clone(),
+                t.leader_changes,
+                t.decided_commands,
+                t.stats,
+            )
+        };
+        let trial = |protocol: TrialProtocol, schedule: &FaultSchedule, seed: u64| {
+            let spec = TrialSpec {
+                protocol,
+                network: NetworkConfig::lan(),
+                commands: 4,
+                duration_millis: 3_000,
+            };
+            let a = run_trial(&spec, schedule, seed);
+            assert_eq!(a, run_trial(&spec, schedule, seed));
+            pinned(&a)
+        };
+        // A Raft trial with one crash and a gray node, then a minority-leader
+        // partition that heals mid-run.
+        let raft_schedule = FaultSchedule::none()
+            .crash_at(1, SimTime::from_millis(200))
+            .slow_down_at(2, 50.0, SimTime::from_millis(300))
+            .partition_at(vec![vec![0, 3], vec![1, 2, 4]], SimTime::from_millis(600))
+            .heal_at(SimTime::from_millis(1_500));
+        let raft = trial(
+            TrialProtocol::Raft(
+                RaftConfig::standard(5).with_election_priority(vec![0, 1, 2, 3, 4]),
+            ),
+            &raft_schedule,
+            42,
+        );
+        // A PBFT trial under the same kinds of event: the primary is isolated
+        // from the start, so the majority side changes view before the heal.
+        let pbft_schedule = FaultSchedule::none()
+            .partition_at(vec![vec![0], vec![1, 2, 3]], SimTime::from_millis(1))
+            .slow_down_at(2, 50.0, SimTime::from_millis(300))
+            .heal_at(SimTime::from_millis(1_500))
+            .crash_at(3, SimTime::from_millis(2_000));
+        let pbft = trial(
+            TrialProtocol::Pbft(PbftConfig::standard(4)),
+            &pbft_schedule,
+            43,
+        );
+        let stats = TraceStats {
+            messages_sent: 368,
+            messages_delivered: 274,
+            messages_partitioned: 57,
+            messages_to_crashed: 35,
+            timers_fired: 127,
+            crashes: 1,
+            slow_downs: 1,
+            partitions_started: 1,
+            partitions_healed: 1,
+            ..TraceStats::default()
+        };
+        assert_eq!(
+            raft,
+            (true, true, vec![4; 4], vec![0, 2, 3, 4], 2, 4, stats)
+        );
+        // The isolated primary never catches up after the heal, so nothing is
+        // decided at every correct node.
+        let stats = TraceStats {
+            messages_sent: 556,
+            messages_delivered: 401,
+            messages_partitioned: 146,
+            messages_to_crashed: 6,
+            timers_fired: 80,
+            crashes: 1,
+            slow_downs: 1,
+            partitions_started: 1,
+            partitions_healed: 1,
+            ..TraceStats::default()
+        };
+        assert_eq!(
+            pbft,
+            (true, false, vec![0, 8, 8], vec![0, 1, 2], 8, 0, stats)
+        );
     }
 
     #[test]
