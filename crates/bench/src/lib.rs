@@ -18,7 +18,7 @@ use prob_consensus::deployment::Deployment;
 use prob_consensus::durability::{
     durability_claim, quorum_durability, DurabilityClaim, PersistenceQuorumModel,
 };
-use prob_consensus::engine::{AnalysisOutcome, Budget, EngineChoice, FaultEnvironment};
+use prob_consensus::engine::{AnalysisOutcome, Budget, EngineChoice};
 use prob_consensus::json::JsonValue;
 use prob_consensus::montecarlo::{monte_carlo_reliability_par_kernel, McKernel};
 use prob_consensus::optimize::{
@@ -871,95 +871,6 @@ pub fn rare_event_sample_efficiency() -> f64 {
     mc_equivalent_samples(p_loss, report.safe.half_width()) / report.samples as f64
 }
 
-/// Trials per batch of the sim-throughput workload.
-pub const SIM_THROUGHPUT_TRIALS: usize = 32;
-/// Seed of the sim-throughput workload.
-pub const SIM_THROUGHPUT_SEED: u64 = 23;
-
-/// One batch of the sim-throughput workload: 5-node Raft, p_u = 5%, default
-/// horizon/workload, [`SIM_THROUGHPUT_TRIALS`] deterministic traces fanned out
-/// across the pool.
-pub fn sim_throughput_batch() -> prob_consensus::simulation::SimulationReport {
-    let model = RaftModel::standard(5);
-    let deployment = Deployment::uniform_crash(5, 0.05);
-    let budget = Budget::default()
-        .with_seed(SIM_THROUGHPUT_SEED)
-        .with_sim_trials(SIM_THROUGHPUT_TRIALS);
-    prob_consensus::simulation::simulate_reliability(
-        &model,
-        &CorrelationModel::from(&deployment),
-        &budget,
-    )
-}
-
-/// Trials per batch of the sim-faults workloads.
-pub const SIM_FAULTS_TRIALS: usize = 16;
-/// Seed of the sim-faults workloads.
-pub const SIM_FAULTS_SEED: u64 = 31;
-/// Seed of the [`divergence_smoke`] query. The gray-primary cell at this seed
-/// is a known-divergent cell: the pinned leader goes slow-but-alive, the
-/// cluster's liveness collapses empirically, and the crash/Byzantine-only
-/// analytic model keeps predicting near-perfect reliability.
-pub const DIVERGENCE_SMOKE_SEED: u64 = 13;
-
-/// One batch of the gray-failure workload: 5-node Raft, p_u = 5%, with the
-/// environment schedule slowing the initial leader by
-/// [`prob_consensus::simulation::GRAY_SLOW_FACTOR`] mid-window.
-pub fn gray_primary_batch() -> prob_consensus::simulation::SimulationReport {
-    let model = RaftModel::standard(5);
-    let deployment = Deployment::uniform_crash(5, 0.05);
-    let budget = Budget::default()
-        .with_seed(SIM_FAULTS_SEED)
-        .with_sim_trials(SIM_FAULTS_TRIALS)
-        .with_fault_environment(FaultEnvironment::GrayPrimary);
-    prob_consensus::simulation::simulate_reliability(
-        &model,
-        &CorrelationModel::from(&deployment),
-        &budget,
-    )
-}
-
-/// One batch of the healing-partition workload: 4-node PBFT, p_u = 5%, with a
-/// partition that opens mid-window and heals before the horizon in every trial.
-pub fn partition_heal_batch() -> prob_consensus::simulation::SimulationReport {
-    let model = PbftModel::standard(4);
-    let deployment = Deployment::uniform_crash(4, 0.05);
-    let budget = Budget::default()
-        .with_seed(SIM_FAULTS_SEED)
-        .with_sim_trials(SIM_FAULTS_TRIALS)
-        .with_fault_environment(FaultEnvironment::PartitionHeal);
-    prob_consensus::simulation::simulate_reliability(
-        &model,
-        &CorrelationModel::from(&deployment),
-        &budget,
-    )
-}
-
-/// The divergence smoke check: one paired analytic-vs-simulation query of a
-/// 5-node Raft cell under a clean and a gray-primary environment. The analytic
-/// model cannot see gray failures, so the gray cell's empirical liveness falls
-/// more than [`prob_consensus::query::DIVERGENCE_Z`] standard errors below the
-/// analytic prediction and is flagged as a first-class divergence finding.
-/// Returns the number of flagged cells (the tests assert ≥ 1).
-pub fn divergence_smoke() -> usize {
-    let report = AnalysisSession::new()
-        .run(
-            &Query::new()
-                .protocols([ProtocolSpec::Raft])
-                .nodes([5])
-                .fault_probs([0.01])
-                .fault_environments([FaultEnvironment::Clean, FaultEnvironment::GrayPrimary])
-                .budget(
-                    Budget::default()
-                        .with_seed(DIVERGENCE_SMOKE_SEED)
-                        .with_sim_trials(32),
-                )
-                .validate_with_simulation(),
-        )
-        .expect("well-formed divergence smoke query");
-    report.divergent_cells().len()
-}
-
 /// Cluster size of the sweep-amortization workload.
 pub const SWEEP_NODES: usize = 25;
 /// Per-node crash probability of the workload.
@@ -1550,58 +1461,6 @@ mod tests {
             table.rows()[0].len(),
             5,
             "N, analytic, empirical, trials, z"
-        );
-    }
-
-    #[test]
-    fn sim_throughput_batch_is_deterministic_and_reliable() {
-        let a = sim_throughput_batch();
-        let b = sim_throughput_batch();
-        assert_eq!(a, b, "the throughput workload must be deterministic");
-        assert_eq!(a.trials, SIM_THROUGHPUT_TRIALS);
-        // At p_u = 5% a 5-node cluster nearly always keeps its majority.
-        assert!(a.safe_and_live.value > 0.8);
-    }
-
-    #[test]
-    fn sim_faults_batches_are_deterministic_and_adversarial() {
-        let gray = gray_primary_batch();
-        assert_eq!(
-            gray,
-            gray_primary_batch(),
-            "the gray-failure workload must be deterministic"
-        );
-        assert_eq!(gray.trials, SIM_FAULTS_TRIALS);
-        // Every trial schedules one slow-down of the pinned leader; gray events
-        // never count as injected faults (the node is alive the whole window).
-        assert_eq!(gray.total_gray_events, SIM_FAULTS_TRIALS as u64);
-        // The gray primary stalls replication: safety holds but liveness
-        // collapses far below the clean workload's near-perfect rate.
-        assert!(gray.safe.value > 0.99);
-        assert!(
-            gray.live.value < 0.5,
-            "a leader slowed 100,000x should stall liveness, got {}",
-            gray.live.value
-        );
-
-        let heal = partition_heal_batch();
-        assert_eq!(
-            heal,
-            partition_heal_batch(),
-            "the healing-partition workload must be deterministic"
-        );
-        // Every trial schedules a partition and its heal (two network events).
-        assert_eq!(heal.total_net_events, 2 * SIM_FAULTS_TRIALS as u64);
-        assert!(heal.safe.value > 0.99);
-    }
-
-    #[test]
-    fn divergence_smoke_flags_the_gray_primary_cell() {
-        // The analytic model cannot see gray failures, so the gray-primary cell
-        // of the smoke query must always surface as a divergence finding.
-        assert!(
-            divergence_smoke() >= 1,
-            "the known-divergent gray-primary cell was not flagged"
         );
     }
 

@@ -125,7 +125,7 @@ pub use optimize::{
     OptimizerConfig, Placement, RepairPolicy, TargetSpec, OPTIMIZER_SALT,
 };
 pub use pbft_model::PbftModel;
-pub use protocol::{CountingModel, ExecutableSpec, ProtocolModel};
+pub use protocol::{CountingModel, ProtocolModel};
 pub use query::{
     logspace, AnalysisReport, AnalysisSession, CellRecord, CorrelationSpec, Divergence,
     DivergenceDirection, FaultAxis, Metrics, ProtocolSpec, Query, QueryPlan, StreamSink, TimeAxis,

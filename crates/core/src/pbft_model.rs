@@ -1,5 +1,8 @@
 //! Theorem 3.1: the PBFT (BFT) reliability model.
 
+use consensus_protocols::harness::TrialProtocol;
+use consensus_protocols::pbft::PbftConfig;
+
 use crate::failure::FailureConfig;
 use crate::protocol::{CountingModel, ProtocolModel};
 
@@ -112,13 +115,13 @@ impl ProtocolModel for PbftModel {
         Some(self)
     }
 
-    fn executable(&self) -> Option<crate::protocol::ExecutableSpec> {
+    fn executable(&self) -> Option<TrialProtocol> {
         // The simulator's PBFT is built for the standard N = 3f + 1 layout (its
         // view-change hand-off assumes it); non-standard quorum variants stay
         // analytic-only. PBFT needs at least 4 nodes to run.
         let standard = PbftModel::standard(self.n);
         (self.n >= 4 && *self == standard)
-            .then_some(crate::protocol::ExecutableSpec::Pbft { n: self.n })
+            .then(|| TrialProtocol::Pbft(PbftConfig::standard(self.n)))
     }
 
     fn cache_signature(&self) -> Option<Vec<u64>> {

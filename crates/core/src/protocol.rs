@@ -5,6 +5,8 @@
 //! runs ensure agreement across non-failed nodes. We consider a configuration *live* if
 //! in all runs, all non-failed nodes eventually commit all operations."
 
+use consensus_protocols::harness::TrialProtocol;
+
 use crate::failure::FailureConfig;
 
 /// The safety/liveness predicate of a consensus protocol over failure configurations.
@@ -41,16 +43,19 @@ pub trait ProtocolModel: Sync {
         None
     }
 
-    /// The executable-protocol view of this model, if an implementation of the
-    /// protocol exists on the discrete-event simulator (see [`ExecutableSpec`]).
+    /// The executable counterpart of this model, if an implementation of the
+    /// protocol exists on the discrete-event simulator: the `consensus-protocols`
+    /// configuration of a [`num_nodes`](Self::num_nodes)-node cluster at this
+    /// model's quorums.
     ///
     /// The time-domain simulation engine
     /// ([`EngineChoice::Simulation`](crate::engine::EngineChoice::Simulation)) uses
-    /// this to decide whether a model's predictions can be validated empirically:
+    /// this to decide whether a model's predictions can be validated empirically,
+    /// and runs one independent cluster per trial from it:
     /// [`crate::raft_model`] and [`crate::pbft_model`] override it; abstract models
     /// (placement-sensitive durability, custom quorum policies) keep the `None`
     /// default and stay analytic-only.
-    fn executable(&self) -> Option<ExecutableSpec> {
+    fn executable(&self) -> Option<TrialProtocol> {
         None
     }
 
@@ -84,41 +89,6 @@ pub mod signature_tags {
     pub const PBFT: u64 = 2;
     /// [`crate::durability::PersistenceQuorumModel`].
     pub const PERSISTENCE_QUORUM: u64 = 3;
-}
-
-/// A description of an executable counterpart of a protocol model: enough to build
-/// the corresponding `consensus-protocols` cluster at the model's configuration.
-///
-/// This is deliberately a plain value (not a trait object) so the simulation engine
-/// can hand it across threads and build one independent cluster per trial.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutableSpec {
-    /// Raft with explicit persistence (commit) and view-change (election) quorums —
-    /// [`RaftConfig::standard`](consensus_protocols::raft::RaftConfig) with
-    /// [`with_quorums`](consensus_protocols::raft::RaftConfig::with_quorums) applied.
-    Raft {
-        /// Cluster size.
-        n: usize,
-        /// Commit (persistence) quorum size, `|Q_per|`.
-        commit_quorum: usize,
-        /// Election (view-change) quorum size, `|Q_vc|`.
-        election_quorum: usize,
-    },
-    /// PBFT with the standard `N = 3f + 1` quorum layout
-    /// ([`PbftConfig::standard`](consensus_protocols::pbft::PbftConfig::standard)).
-    Pbft {
-        /// Cluster size.
-        n: usize,
-    },
-}
-
-impl ExecutableSpec {
-    /// Cluster size of the executable configuration.
-    pub fn num_nodes(&self) -> usize {
-        match self {
-            ExecutableSpec::Raft { n, .. } | ExecutableSpec::Pbft { n } => *n,
-        }
-    }
 }
 
 /// A protocol model whose predicates depend only on *how many* nodes crashed and how many

@@ -1003,7 +1003,7 @@ impl Query {
     }
 
     /// Requests a paired simulation run for every grid and explicit cell whose
-    /// model has an executable counterpart ([`crate::protocol::ExecutableSpec`]):
+    /// model has an executable counterpart ([`ProtocolModel::executable`]):
     /// each such cell's [`CellRecord`] carries a [`ValidationRecord`] with the
     /// empirical safe-and-live frequency and the analytic-vs-empirical z-score.
     /// Cells without an executable counterpart stay analytic-only.

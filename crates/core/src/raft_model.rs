@@ -1,5 +1,8 @@
 //! Theorem 3.2: the Raft (CFT) reliability model.
 
+use consensus_protocols::harness::TrialProtocol;
+use consensus_protocols::raft::RaftConfig;
+
 use crate::failure::FailureConfig;
 use crate::protocol::{CountingModel, ProtocolModel};
 
@@ -97,14 +100,12 @@ impl ProtocolModel for RaftModel {
         Some(self)
     }
 
-    fn executable(&self) -> Option<crate::protocol::ExecutableSpec> {
+    fn executable(&self) -> Option<TrialProtocol> {
         // Any quorum configuration is executable: the simulator's Raft takes
         // explicit commit/election quorum sizes (Flexible-Paxos style).
-        Some(crate::protocol::ExecutableSpec::Raft {
-            n: self.n,
-            commit_quorum: self.q_per,
-            election_quorum: self.q_vc,
-        })
+        Some(TrialProtocol::Raft(
+            RaftConfig::standard(self.n).with_quorums(self.q_per, self.q_vc),
+        ))
     }
 
     fn cache_signature(&self) -> Option<Vec<u64>> {

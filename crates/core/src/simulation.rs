@@ -4,8 +4,8 @@
 //! The four analytic engines compute what the protocol *model* implies; this fifth
 //! engine, [`EngineChoice::Simulation`], measures what the executable *system* does.
 //! It fans out deterministic [`consensus_sim::Simulation`] traces — one independent
-//! cluster per trial, built from the model's [`crate::protocol::ExecutableSpec`] —
-//! under fault schedules sampled from the scenario's correlation model
+//! cluster per trial, built from the model's [`ProtocolModel::executable`]
+//! counterpart — under fault schedules sampled from the scenario's correlation model
 //! ([`FaultSchedule::sample_from_correlation`]), and reports the empirical
 //! safety/liveness frequencies with Wilson confidence intervals plus trace-derived
 //! statistics (messages delivered, leader elections, decided commands, injected
@@ -55,8 +55,6 @@
 //! ```
 
 use consensus_protocols::harness::{run_trial, TrialProtocol, TrialSpec};
-use consensus_protocols::pbft::PbftConfig;
-use consensus_protocols::raft::RaftConfig;
 use consensus_sim::fault::FaultSchedule;
 use consensus_sim::network::{LinkQuality, NetworkConfig};
 use consensus_sim::time::SimTime;
@@ -67,7 +65,7 @@ use rayon::prelude::*;
 
 use crate::engine::{AnalysisOutcome, Budget, EngineChoice, FaultEnvironment};
 use crate::montecarlo::Estimate;
-use crate::protocol::{ExecutableSpec, ProtocolModel};
+use crate::protocol::ProtocolModel;
 
 /// Salt XOR-ed into the budget seed before deriving per-trial RNGs, so the
 /// simulation engine and the Monte Carlo samplers draw decorrelated streams from
@@ -169,17 +167,7 @@ impl std::ops::Add for TrialTally {
 /// the fault environment: the network model it implies, and — for environments
 /// that target "the primary" — a pinned leader so the targeted node is the one
 /// that actually leads.
-fn trial_spec(spec: ExecutableSpec, environment: FaultEnvironment) -> TrialSpec {
-    let protocol = match spec {
-        ExecutableSpec::Raft {
-            n,
-            commit_quorum,
-            election_quorum,
-        } => TrialProtocol::Raft(
-            RaftConfig::standard(n).with_quorums(commit_quorum, election_quorum),
-        ),
-        ExecutableSpec::Pbft { n } => TrialProtocol::Pbft(PbftConfig::standard(n)),
-    };
+fn trial_spec(protocol: TrialProtocol, environment: FaultEnvironment) -> TrialSpec {
     let base = TrialSpec {
         protocol,
         network: NetworkConfig::lan(),
@@ -259,15 +247,16 @@ pub fn simulate_reliability(
     scenario: &CorrelationModel,
     budget: &Budget,
 ) -> SimulationReport {
-    let spec = model
+    let protocol = model
         .executable()
         .expect("simulation requires an executable protocol model");
+    let n = model.num_nodes();
     assert_eq!(
-        spec.num_nodes(),
+        n,
         scenario.len(),
         "model and scenario disagree on the cluster size"
     );
-    let workload = trial_spec(spec, budget.sim.environment);
+    let workload = trial_spec(protocol, budget.sim.environment);
     let trials = budget.sim.trials.max(1);
     let fault_window = SimTime::from_millis(FAULT_WINDOW_MILLIS);
     let tally = (0..trials)
@@ -278,17 +267,16 @@ pub fn simulate_reliability(
                 index as u64,
             ));
             let schedule = FaultSchedule::sample_from_correlation(scenario, fault_window, &mut rng);
-            let schedule =
-                apply_environment(budget.sim.environment, spec.num_nodes(), schedule, &mut rng);
+            let schedule = apply_environment(budget.sim.environment, n, schedule, &mut rng);
             let sim_seed: u64 = rng.gen();
             let trial = run_trial(&workload, &schedule, sim_seed);
             TrialTally {
-                safe: trial.outcome.agreement as usize,
-                live: trial.outcome.all_committed as usize,
-                both: trial.outcome.safe_and_live() as usize,
-                messages_delivered: trial.outcome.messages_delivered,
+                safe: trial.agreement as usize,
+                live: trial.all_committed as usize,
+                both: trial.safe_and_live() as usize,
+                messages_delivered: trial.stats.messages_delivered,
                 leader_changes: trial.leader_changes,
-                decided_commands: trial.decided_commands as u64,
+                decided_commands: trial.decided_commands() as u64,
                 faults_injected: trial.stats.crashes + trial.stats.byzantine_turns,
                 gray_events: trial.stats.slow_downs + trial.stats.speed_ups,
                 net_events: trial.stats.partitions_started
@@ -317,9 +305,7 @@ pub fn simulate_reliability(
 /// Whether the simulation engine can run `model` on `scenario`: the model has an
 /// executable counterpart of the scenario's cluster size.
 pub(crate) fn supports(model: &dyn ProtocolModel, scenario: &CorrelationModel) -> bool {
-    model
-        .executable()
-        .is_some_and(|spec| spec.num_nodes() == scenario.len())
+    model.num_nodes() == scenario.len() && model.executable().is_some()
 }
 
 /// The fifth engine's body: [`simulate_reliability`] wrapped as an
@@ -467,6 +453,11 @@ mod tests {
             gray.live.value < clean.live.value,
             "a gray leader must cost liveness: clean {} vs gray {}",
             clean.live.value,
+            gray.live.value
+        );
+        assert!(
+            gray.live.value < 0.5,
+            "a gray leader must stall most trials, got live {}",
             gray.live.value
         );
         assert_eq!(

@@ -1,5 +1,7 @@
 //! Types shared by the executable protocols.
 
+use consensus_sim::actor::Actor;
+
 /// An opaque client command (the payload being replicated).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Command(pub u64);
@@ -19,11 +21,22 @@ pub struct LogEntry {
     pub command: Command,
 }
 
-/// A protocol node's view of what has been durably committed, used by the harness to
-/// check agreement and progress without knowing which protocol produced it.
-pub trait ReplicatedLog {
+/// What the harness needs from a protocol node to drive and judge a cluster of them
+/// without knowing which protocol it runs: how a client submits a command, what the
+/// node has durably committed, and how often leadership moved.
+pub trait ReplicatedLog: Actor<Self::Message> {
+    /// The protocol's message type.
+    type Message: Clone;
+
+    /// The message a client sends a node to submit `command`.
+    fn client_request(command: Command) -> Self::Message;
+
     /// The committed commands, in commit order.
     fn committed(&self) -> Vec<Command>;
+
+    /// Leader changes this node has seen: zero while the initial leader (Raft) or
+    /// primary (PBFT) was never displaced.
+    fn leader_changes(&self) -> u64;
 }
 
 /// Checks that every pair of committed logs agrees: one must be a prefix of the other

@@ -1,10 +1,12 @@
-//! Cluster harnesses: build a simulated cluster, drive a workload, check the outcome.
+//! The cluster harness: build a simulated cluster, drive a workload, check the outcome.
 //!
-//! The harness is what turns the executable protocols into *experiments*: it submits a
-//! batch of client commands, runs the simulation under a fault schedule, and then checks
-//! exactly the two properties the paper's probabilistic analysis quantifies — agreement
-//! among correct nodes (safety) and commitment of every submitted command at every
-//! correct node (liveness/progress).
+//! The harness is what turns the executable protocols into *experiments*: a [`Cluster`]
+//! of any protocol's nodes submits a batch of client commands, runs the simulation
+//! under a fault schedule, and then checks exactly the two properties the paper's
+//! probabilistic analysis quantifies — agreement among correct nodes (safety) and
+//! commitment of every submitted command at every correct node (liveness/progress).
+//! [`run_trial`] packages one such run as a plain value ([`TrialSpec`]) for the
+//! analysis layer's simulation engine.
 
 use consensus_sim::fault::FaultSchedule;
 use consensus_sim::network::NetworkConfig;
@@ -12,12 +14,12 @@ use consensus_sim::runtime::Simulation;
 use consensus_sim::time::SimTime;
 use consensus_sim::trace::TraceStats;
 
-use crate::byzantine::ByzantineBehavior;
 use crate::common::{all_contain, logs_agree, Command, ReplicatedLog};
-use crate::pbft::{PbftConfig, PbftMessage, PbftNode};
-use crate::raft::{RaftConfig, RaftMessage, RaftNode};
+use crate::pbft::{PbftConfig, PbftNode};
+use crate::raft::{RaftConfig, RaftNode};
 
-/// The verdict of one harness run.
+/// The verdict of one cluster run, with the trace-derived statistics the
+/// time-domain analysis layer aggregates across a batch of trials.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterOutcome {
     /// Whether the committed logs of all correct nodes are prefix-consistent.
@@ -28,8 +30,12 @@ pub struct ClusterOutcome {
     pub committed_lengths: Vec<usize>,
     /// Ids of the nodes that were still correct at the end of the run.
     pub correct_nodes: Vec<usize>,
-    /// Total messages delivered during the run (a cost proxy).
-    pub messages_delivered: u64,
+    /// The most leader changes any correct node has seen
+    /// ([`ReplicatedLog::leader_changes`]); zero means the initial leader or
+    /// primary was never displaced.
+    pub leader_changes: u64,
+    /// The simulator's counters (messages, drops, timer fires, fault events).
+    pub stats: TraceStats,
 }
 
 impl ClusterOutcome {
@@ -38,63 +44,26 @@ impl ClusterOutcome {
     pub fn safe_and_live(&self) -> bool {
         self.agreement && self.all_committed
     }
-}
 
-fn evaluate<M, A>(sim: &Simulation<M, A>, submitted: &[Command]) -> ClusterOutcome
-where
-    M: Clone,
-    A: consensus_sim::actor::Actor<M> + ReplicatedLog,
-{
-    let correct = sim.correct_nodes();
-    let logs: Vec<Vec<Command>> = correct.iter().map(|&i| sim.node(i).committed()).collect();
-    ClusterOutcome {
-        agreement: logs_agree(&logs),
-        all_committed: !logs.is_empty() && all_contain(&logs, submitted),
-        committed_lengths: logs.iter().map(Vec::len).collect(),
-        correct_nodes: correct,
-        messages_delivered: sim.stats().messages_delivered,
+    /// Commands decided at *every* correct node (the shortest committed log).
+    pub fn decided_commands(&self) -> usize {
+        self.committed_lengths.iter().min().copied().unwrap_or(0)
     }
 }
 
-/// A Raft cluster harness.
-pub struct RaftHarness {
-    sim: Simulation<RaftMessage, RaftNode>,
+/// A simulated cluster of protocol nodes and the client commands submitted to it.
+pub struct Cluster<A: ReplicatedLog> {
+    sim: Simulation<A::Message, A>,
     submitted: Vec<Command>,
-    next_command: u64,
 }
 
-impl RaftHarness {
-    /// Builds a standard Raft cluster of `n` nodes.
-    pub fn new(n: usize, network: NetworkConfig, seed: u64) -> Self {
-        Self::with_config(RaftConfig::standard(n), network, seed)
-    }
-
-    /// Builds a Raft cluster with a custom per-node configuration.
-    pub fn with_config(config: RaftConfig, network: NetworkConfig, seed: u64) -> Self {
-        let nodes = (0..config.n)
-            .map(|_| RaftNode::new(config.clone()))
-            .collect();
+impl<A: ReplicatedLog> Cluster<A> {
+    /// Builds a cluster of `nodes` (node `i` is the `i`-th item) over `network`,
+    /// seeded for determinism.
+    pub fn new(nodes: impl IntoIterator<Item = A>, network: NetworkConfig, seed: u64) -> Self {
         Self {
-            sim: Simulation::new(nodes, network, seed),
+            sim: Simulation::new(nodes.into_iter().collect(), network, seed),
             submitted: Vec::new(),
-            next_command: 0,
-        }
-    }
-
-    /// Builds a Raft cluster whose nodes adopt the given behaviour when turned Byzantine.
-    pub fn with_byzantine_plan(
-        config: RaftConfig,
-        plan: ByzantineBehavior,
-        network: NetworkConfig,
-        seed: u64,
-    ) -> Self {
-        let nodes = (0..config.n)
-            .map(|_| RaftNode::new(config.clone()).with_byzantine_plan(plan))
-            .collect();
-        Self {
-            sim: Simulation::new(nodes, network, seed),
-            submitted: Vec::new(),
-            next_command: 0,
         }
     }
 
@@ -107,11 +76,10 @@ impl RaftHarness {
     /// Submits `count` fresh commands; clients broadcast each request to every node.
     pub fn submit_commands(&mut self, count: usize) {
         for _ in 0..count {
-            self.next_command += 1;
-            let command = Command(self.next_command);
+            let command = Command(self.submitted.len() as u64 + 1);
             self.submitted.push(command);
             for node in 0..self.sim.num_nodes() {
-                self.sim.inject(node, RaftMessage::ClientRequest(command));
+                self.sim.inject(node, A::client_request(command));
             }
         }
     }
@@ -120,21 +88,27 @@ impl RaftHarness {
     pub fn run_for_millis(&mut self, millis: u64) -> ClusterOutcome {
         let deadline = self.sim.now() + SimTime::from_millis(millis);
         self.sim.run_until(deadline);
-        evaluate(&self.sim, &self.submitted)
+        let correct = self.sim.correct_nodes();
+        let nodes = || correct.iter().map(|&i| self.sim.node(i));
+        let logs: Vec<Vec<Command>> = nodes().map(A::committed).collect();
+        ClusterOutcome {
+            agreement: logs_agree(&logs),
+            all_committed: !logs.is_empty() && all_contain(&logs, &self.submitted),
+            committed_lengths: logs.iter().map(Vec::len).collect(),
+            leader_changes: nodes().map(A::leader_changes).max().unwrap_or(0),
+            stats: self.sim.stats(),
+            correct_nodes: correct,
+        }
     }
 
     /// The underlying simulation (for inspection in tests).
-    pub fn sim(&self) -> &Simulation<RaftMessage, RaftNode> {
+    pub fn sim(&self) -> &Simulation<A::Message, A> {
         &self.sim
-    }
-
-    /// The commands submitted so far.
-    pub fn submitted(&self) -> &[Command] {
-        &self.submitted
     }
 }
 
-/// Which executable protocol a batched simulation trial runs.
+/// Which executable protocol a batched simulation trial runs — also the
+/// executable counterpart an analytic protocol model hands the simulation engine.
 ///
 /// This is the unit of the batch-trial API ([`run_trial`]) that the analysis
 /// layer's simulation engine fans out in parallel: a plain value describing the
@@ -163,27 +137,6 @@ pub struct TrialSpec {
 }
 
 impl TrialSpec {
-    /// A standard-quorum Raft trial over a LAN: `commands` client commands with
-    /// `duration_millis` of virtual time to commit them.
-    pub fn raft(n: usize, commands: usize, duration_millis: u64) -> Self {
-        Self {
-            protocol: TrialProtocol::Raft(RaftConfig::standard(n)),
-            network: NetworkConfig::lan(),
-            commands,
-            duration_millis,
-        }
-    }
-
-    /// A standard PBFT trial over a LAN.
-    pub fn pbft(n: usize, commands: usize, duration_millis: u64) -> Self {
-        Self {
-            protocol: TrialProtocol::Pbft(PbftConfig::standard(n)),
-            network: NetworkConfig::lan(),
-            commands,
-            duration_millis,
-        }
-    }
-
     /// Replaces the network model.
     pub fn with_network(mut self, network: NetworkConfig) -> Self {
         self.network = network;
@@ -203,30 +156,6 @@ impl TrialSpec {
         }
         self
     }
-
-    /// Cluster size of the trial.
-    pub fn num_nodes(&self) -> usize {
-        match &self.protocol {
-            TrialProtocol::Raft(config) => config.n,
-            TrialProtocol::Pbft(config) => config.n,
-        }
-    }
-}
-
-/// The verdict of one batched trial, with the trace-derived statistics the
-/// time-domain analysis layer aggregates across a batch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrialOutcome {
-    /// The safety/liveness verdict and per-node commit state.
-    pub outcome: ClusterOutcome,
-    /// Leader elections (Raft: highest term reached; PBFT: highest view reached)
-    /// among nodes still correct at the end of the run. Zero means the initial
-    /// leader/primary was never displaced.
-    pub leader_changes: u64,
-    /// Commands decided at *every* correct node (the shortest committed log).
-    pub decided_commands: usize,
-    /// The simulator's counters (messages, drops, timer fires, fault events).
-    pub stats: TraceStats,
 }
 
 /// Runs one deterministic simulation trial: builds the cluster described by
@@ -234,133 +163,62 @@ pub struct TrialOutcome {
 /// and evaluates the outcome. Identical `(spec, schedule, seed)` triples produce
 /// identical outcomes, which is what lets a batch of trials be fanned out across
 /// threads and still be reproducible.
-pub fn run_trial(spec: &TrialSpec, schedule: &FaultSchedule, seed: u64) -> TrialOutcome {
-    match &spec.protocol {
-        TrialProtocol::Raft(config) => {
-            let mut harness = RaftHarness::with_config(config.clone(), spec.network.clone(), seed)
-                .with_faults(schedule);
-            harness.submit_commands(spec.commands);
-            let outcome = harness.run_for_millis(spec.duration_millis);
-            let leader_changes = outcome
-                .correct_nodes
-                .iter()
-                .map(|&i| harness.sim().node(i).current_term())
-                .max()
-                .unwrap_or(0)
-                .saturating_sub(1);
-            let decided_commands = outcome.committed_lengths.iter().min().copied().unwrap_or(0);
-            TrialOutcome {
-                leader_changes,
-                decided_commands,
-                stats: harness.sim().stats(),
-                outcome,
-            }
-        }
-        TrialProtocol::Pbft(config) => {
-            let mut harness = PbftHarness::with_config(
-                config.clone(),
-                ByzantineBehavior::Silent,
-                spec.network.clone(),
-                seed,
-            )
-            .with_faults(schedule);
-            harness.submit_commands(spec.commands);
-            let outcome = harness.run_for_millis(spec.duration_millis);
-            let leader_changes = outcome
-                .correct_nodes
-                .iter()
-                .map(|&i| harness.sim().node(i).view())
-                .max()
-                .unwrap_or(0);
-            let decided_commands = outcome.committed_lengths.iter().min().copied().unwrap_or(0);
-            TrialOutcome {
-                leader_changes,
-                decided_commands,
-                stats: harness.sim().stats(),
-                outcome,
-            }
-        }
-    }
-}
-
-/// A PBFT cluster harness.
-pub struct PbftHarness {
-    sim: Simulation<PbftMessage, PbftNode>,
-    submitted: Vec<Command>,
-    next_command: u64,
-}
-
-impl PbftHarness {
-    /// Builds a standard PBFT cluster of `n` nodes.
-    pub fn new(n: usize, network: NetworkConfig, seed: u64) -> Self {
-        Self::with_config(
-            PbftConfig::standard(n),
-            ByzantineBehavior::Silent,
-            network,
-            seed,
-        )
-    }
-
-    /// Builds a PBFT cluster with a custom configuration and Byzantine plan.
-    pub fn with_config(
-        config: PbftConfig,
-        plan: ByzantineBehavior,
-        network: NetworkConfig,
+pub fn run_trial(spec: &TrialSpec, schedule: &FaultSchedule, seed: u64) -> ClusterOutcome {
+    fn run<A: ReplicatedLog>(
+        nodes: impl IntoIterator<Item = A>,
+        spec: &TrialSpec,
+        schedule: &FaultSchedule,
         seed: u64,
-    ) -> Self {
-        let nodes = (0..config.n)
-            .map(|_| PbftNode::new(config.clone()).with_byzantine_plan(plan))
-            .collect();
-        Self {
-            sim: Simulation::new(nodes, network, seed),
-            submitted: Vec::new(),
-            next_command: 0,
-        }
+    ) -> ClusterOutcome {
+        let mut cluster = Cluster::new(nodes, spec.network.clone(), seed).with_faults(schedule);
+        cluster.submit_commands(spec.commands);
+        cluster.run_for_millis(spec.duration_millis)
     }
-
-    /// Installs a fault schedule.
-    pub fn with_faults(mut self, schedule: &FaultSchedule) -> Self {
-        self.sim = self.sim.with_fault_schedule(schedule);
-        self
-    }
-
-    /// Submits `count` fresh commands; clients broadcast each request to every replica.
-    pub fn submit_commands(&mut self, count: usize) {
-        for _ in 0..count {
-            self.next_command += 1;
-            let command = Command(self.next_command);
-            self.submitted.push(command);
-            for node in 0..self.sim.num_nodes() {
-                self.sim.inject(node, PbftMessage::ClientRequest(command));
-            }
-        }
-    }
-
-    /// Runs the cluster for `millis` of virtual time and evaluates the outcome.
-    pub fn run_for_millis(&mut self, millis: u64) -> ClusterOutcome {
-        let deadline = self.sim.now() + SimTime::from_millis(millis);
-        self.sim.run_until(deadline);
-        evaluate(&self.sim, &self.submitted)
-    }
-
-    /// The underlying simulation (for inspection in tests).
-    pub fn sim(&self) -> &Simulation<PbftMessage, PbftNode> {
-        &self.sim
-    }
-
-    /// The commands submitted so far.
-    pub fn submitted(&self) -> &[Command] {
-        &self.submitted
+    match &spec.protocol {
+        TrialProtocol::Raft(config) => run(
+            (0..config.n).map(|_| RaftNode::new(config.clone())),
+            spec,
+            schedule,
+            seed,
+        ),
+        TrialProtocol::Pbft(config) => run(
+            (0..config.n).map(|_| PbftNode::new(config.clone())),
+            spec,
+            schedule,
+            seed,
+        ),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::byzantine::ByzantineBehavior;
+
+    fn raft(config: RaftConfig, seed: u64) -> Cluster<RaftNode> {
+        let nodes = (0..config.n).map(|_| RaftNode::new(config.clone()));
+        Cluster::new(nodes, NetworkConfig::lan(), seed)
+    }
+
+    /// A standard 4-node PBFT cluster whose nodes adopt `plan` when turned Byzantine.
+    fn pbft(plan: ByzantineBehavior, seed: u64) -> Cluster<PbftNode> {
+        let config = PbftConfig::standard(4);
+        let nodes = (0..4).map(|_| PbftNode::new(config.clone()).with_byzantine_plan(plan));
+        Cluster::new(nodes, NetworkConfig::lan(), seed)
+    }
+
+    fn lan_trial(protocol: TrialProtocol, commands: usize, duration_millis: u64) -> TrialSpec {
+        TrialSpec {
+            protocol,
+            network: NetworkConfig::lan(),
+            commands,
+            duration_millis,
+        }
+    }
 
     #[test]
     fn healthy_raft_cluster_commits_everything() {
-        let mut h = RaftHarness::new(5, NetworkConfig::lan(), 1);
+        let mut h = raft(RaftConfig::standard(5), 1);
         h.submit_commands(20);
         let outcome = h.run_for_millis(3_000);
         assert!(outcome.agreement);
@@ -378,7 +236,7 @@ mod tests {
         let schedule = FaultSchedule::none()
             .crash_at(3, SimTime::from_millis(10))
             .crash_at(4, SimTime::from_millis(400));
-        let mut h = RaftHarness::new(5, NetworkConfig::lan(), 2).with_faults(&schedule);
+        let mut h = raft(RaftConfig::standard(5), 2).with_faults(&schedule);
         h.submit_commands(10);
         let outcome = h.run_for_millis(4_000);
         assert!(outcome.agreement);
@@ -392,7 +250,7 @@ mod tests {
             .crash_at(2, SimTime::from_millis(5))
             .crash_at(3, SimTime::from_millis(5))
             .crash_at(4, SimTime::from_millis(5));
-        let mut h = RaftHarness::new(5, NetworkConfig::lan(), 3).with_faults(&schedule);
+        let mut h = raft(RaftConfig::standard(5), 3).with_faults(&schedule);
         h.submit_commands(5);
         let outcome = h.run_for_millis(3_000);
         assert!(outcome.agreement, "crashes must never break agreement");
@@ -407,8 +265,7 @@ mod tests {
         // Let a leader emerge and replicate, then kill it mid-run.
         let schedule = FaultSchedule::none().crash_at(0, SimTime::from_millis(1_000));
         let config = RaftConfig::standard(5).with_election_priority(vec![0, 1, 2, 3, 4]);
-        let mut h =
-            RaftHarness::with_config(config, NetworkConfig::lan(), 4).with_faults(&schedule);
+        let mut h = raft(config, 4).with_faults(&schedule);
         h.submit_commands(5);
         h.run_for_millis(900);
         h.submit_commands(5);
@@ -424,7 +281,7 @@ mod tests {
 
     #[test]
     fn healthy_pbft_cluster_commits_everything() {
-        let mut h = PbftHarness::new(4, NetworkConfig::lan(), 5);
+        let mut h = pbft(ByzantineBehavior::Silent, 5);
         h.submit_commands(10);
         let outcome = h.run_for_millis(4_000);
         assert!(outcome.agreement);
@@ -438,13 +295,7 @@ mod tests {
     #[test]
     fn pbft_survives_f_silent_byzantine_nodes() {
         let schedule = FaultSchedule::none().byzantine_at(3, SimTime::from_millis(1));
-        let mut h = PbftHarness::with_config(
-            PbftConfig::standard(4),
-            ByzantineBehavior::Silent,
-            NetworkConfig::lan(),
-            6,
-        )
-        .with_faults(&schedule);
+        let mut h = pbft(ByzantineBehavior::Silent, 6).with_faults(&schedule);
         h.submit_commands(8);
         let outcome = h.run_for_millis(5_000);
         assert!(outcome.agreement);
@@ -459,7 +310,7 @@ mod tests {
     #[test]
     fn pbft_changes_view_when_the_primary_crashes() {
         let schedule = FaultSchedule::none().crash_at(0, SimTime::from_millis(1));
-        let mut h = PbftHarness::new(4, NetworkConfig::lan(), 7).with_faults(&schedule);
+        let mut h = pbft(ByzantineBehavior::Silent, 7).with_faults(&schedule);
         h.submit_commands(5);
         let outcome = h.run_for_millis(8_000);
         assert!(outcome.agreement);
@@ -483,8 +334,7 @@ mod tests {
         // re-elect — without ever marking node 0 faulty.
         let schedule = FaultSchedule::none().slow_down_at(0, 1_000.0, SimTime::from_millis(1_000));
         let config = RaftConfig::standard(5).with_election_priority(vec![0, 1, 2, 3, 4]);
-        let mut h =
-            RaftHarness::with_config(config, NetworkConfig::lan(), 21).with_faults(&schedule);
+        let mut h = raft(config, 21).with_faults(&schedule);
         h.submit_commands(5);
         h.run_for_millis(900);
         h.submit_commands(5);
@@ -516,8 +366,7 @@ mod tests {
             .partition_at(vec![vec![0, 1], vec![2, 3, 4]], SimTime::from_millis(700))
             .heal_at(SimTime::from_millis(2_500));
         let config = RaftConfig::standard(5).with_election_priority(vec![0, 1, 2, 3, 4]);
-        let mut h =
-            RaftHarness::with_config(config, NetworkConfig::lan(), 22).with_faults(&schedule);
+        let mut h = raft(config, 22).with_faults(&schedule);
         h.submit_commands(5);
         h.run_for_millis(800); // past the partition start
         h.submit_commands(5);
@@ -542,7 +391,7 @@ mod tests {
         // pre-prepares arrive long after the replicas' 300 ms progress watchdog
         // fires. The watchdog path — not crash detection — must rotate the view.
         let schedule = FaultSchedule::none().slow_down_at(0, 1_000.0, SimTime::from_millis(1));
-        let mut h = PbftHarness::new(4, NetworkConfig::lan(), 23).with_faults(&schedule);
+        let mut h = pbft(ByzantineBehavior::Silent, 23).with_faults(&schedule);
         h.submit_commands(5);
         let outcome = h.run_for_millis(8_000);
         assert!(outcome.agreement, "gray primary must never break safety");
@@ -571,7 +420,7 @@ mod tests {
         let schedule = FaultSchedule::none()
             .partition_at(vec![vec![0], vec![1, 2, 3]], SimTime::from_millis(1))
             .heal_at(SimTime::from_millis(3_000));
-        let mut h = PbftHarness::new(4, NetworkConfig::lan(), 24).with_faults(&schedule);
+        let mut h = pbft(ByzantineBehavior::Silent, 24).with_faults(&schedule);
         h.submit_commands(5);
         let outcome = h.run_for_millis(10_000);
         assert!(outcome.agreement);
@@ -589,13 +438,7 @@ mod tests {
     #[test]
     fn pbft_stays_safe_under_an_equivocating_primary() {
         let schedule = FaultSchedule::none().byzantine_at(0, SimTime::from_millis(1));
-        let mut h = PbftHarness::with_config(
-            PbftConfig::standard(4),
-            ByzantineBehavior::Equivocate,
-            NetworkConfig::lan(),
-            8,
-        )
-        .with_faults(&schedule);
+        let mut h = pbft(ByzantineBehavior::Equivocate, 8).with_faults(&schedule);
         h.submit_commands(5);
         let outcome = h.run_for_millis(10_000);
         assert!(outcome.agreement, "equivocation must not break agreement");
@@ -609,13 +452,10 @@ mod tests {
         // preferred leader Byzantine before anything commits.
         let schedule = FaultSchedule::none().byzantine_at(0, SimTime::from_millis(1));
         let config = RaftConfig::standard(3).with_election_priority(vec![0, 1, 2]);
-        let mut h = RaftHarness::with_byzantine_plan(
-            config,
-            ByzantineBehavior::Equivocate,
-            NetworkConfig::lan(),
-            9,
-        )
-        .with_faults(&schedule);
+        let nodes = (0..3).map(|_| {
+            RaftNode::new(config.clone()).with_byzantine_plan(ByzantineBehavior::Equivocate)
+        });
+        let mut h = Cluster::new(nodes, NetworkConfig::lan(), 9).with_faults(&schedule);
         h.submit_commands(3);
         let outcome = h.run_for_millis(4_000);
         // The Byzantine node is excluded from the correct set; the remaining followers
@@ -628,33 +468,28 @@ mod tests {
 
     #[test]
     fn outcome_reports_message_costs() {
-        let mut h = RaftHarness::new(3, NetworkConfig::lan(), 10);
+        let mut h = raft(RaftConfig::standard(3), 10);
         h.submit_commands(2);
         let outcome = h.run_for_millis(1_000);
-        assert!(outcome.messages_delivered > 0);
+        assert!(outcome.stats.messages_delivered > 0);
     }
 
     #[test]
     fn run_trial_is_deterministic_per_seed() {
         // Every field of a trial's verdict, as a plain tuple.
-        let pinned = |t: &TrialOutcome| {
+        let pinned = |t: &ClusterOutcome| {
             (
-                t.outcome.agreement,
-                t.outcome.all_committed,
-                t.outcome.committed_lengths.clone(),
-                t.outcome.correct_nodes.clone(),
+                t.agreement,
+                t.all_committed,
+                t.committed_lengths.clone(),
+                t.correct_nodes.clone(),
                 t.leader_changes,
-                t.decided_commands,
+                t.decided_commands(),
                 t.stats,
             )
         };
         let trial = |protocol: TrialProtocol, schedule: &FaultSchedule, seed: u64| {
-            let spec = TrialSpec {
-                protocol,
-                network: NetworkConfig::lan(),
-                commands: 4,
-                duration_millis: 3_000,
-            };
+            let spec = lan_trial(protocol, 4, 3_000);
             let a = run_trial(&spec, schedule, seed);
             assert_eq!(a, run_trial(&spec, schedule, seed));
             pinned(&a)
@@ -724,16 +559,15 @@ mod tests {
     #[test]
     fn raft_trial_counts_leader_displacements() {
         // A healthy run elects once (term 1) and never displaces: zero changes.
-        let healthy = run_trial(&TrialSpec::raft(3, 2, 2_000), &FaultSchedule::none(), 11);
+        let healthy = run_trial(
+            &lan_trial(TrialProtocol::Raft(RaftConfig::standard(3)), 2, 2_000),
+            &FaultSchedule::none(),
+            11,
+        );
         assert_eq!(healthy.leader_changes, 0);
         // Killing the preferred leader mid-run forces a re-election (term >= 2).
         let config = RaftConfig::standard(5).with_election_priority(vec![0, 1, 2, 3, 4]);
-        let spec = TrialSpec {
-            protocol: TrialProtocol::Raft(config),
-            network: NetworkConfig::lan(),
-            commands: 3,
-            duration_millis: 5_000,
-        };
+        let spec = lan_trial(TrialProtocol::Raft(config), 3, 5_000);
         let schedule = FaultSchedule::none().crash_at(0, SimTime::from_millis(1_000));
         let displaced = run_trial(&spec, &schedule, 12);
         assert!(
@@ -744,11 +578,11 @@ mod tests {
 
     #[test]
     fn pbft_trial_reports_views_and_quorum_loss() {
-        let spec = TrialSpec::pbft(4, 3, 6_000);
+        let spec = lan_trial(TrialProtocol::Pbft(PbftConfig::standard(4)), 3, 6_000);
         // Crashing the primary forces at least one view change.
         let schedule = FaultSchedule::none().crash_at(0, SimTime::from_millis(1));
         let trial = run_trial(&spec, &schedule, 13);
-        assert!(trial.outcome.agreement);
+        assert!(trial.agreement);
         assert!(
             trial.leader_changes >= 1,
             "primary crash forces a view change"
@@ -758,14 +592,8 @@ mod tests {
             .crash_at(0, SimTime::from_millis(1))
             .crash_at(1, SimTime::from_millis(1));
         let stalled = run_trial(&spec, &fatal, 14);
-        assert!(stalled.outcome.agreement);
-        assert!(!stalled.outcome.all_committed);
-        assert_eq!(stalled.decided_commands, 0);
-    }
-
-    #[test]
-    fn trial_spec_reports_cluster_size() {
-        assert_eq!(TrialSpec::raft(7, 1, 100).num_nodes(), 7);
-        assert_eq!(TrialSpec::pbft(4, 1, 100).num_nodes(), 4);
+        assert!(stalled.agreement);
+        assert!(!stalled.all_committed);
+        assert_eq!(stalled.decided_commands(), 0);
     }
 }

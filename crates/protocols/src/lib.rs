@@ -14,23 +14,27 @@
 //!   changes) with configurable quorum sizes and pluggable Byzantine behaviours.
 //! * [`byzantine`] — the Byzantine strategies nodes adopt when the fault injector flips
 //!   them (stay silent, equivocate).
-//! * [`harness`] — cluster harnesses: build a simulated cluster, drive a client
-//!   workload, then check *agreement* (no two correct nodes commit conflicting entries)
-//!   and *progress* (all submitted commands commit at all correct nodes). The
-//!   batch-trial API ([`harness::TrialSpec`] / [`harness::run_trial`]) packages one
-//!   deterministic run as a plain value, so the analysis layer's simulation engine
-//!   can fan thousands of trials out across threads.
+//! * [`harness`] — the cluster harness: a [`harness::Cluster`] of any protocol's
+//!   nodes drives a client workload, then checks *agreement* (no two correct nodes
+//!   commit conflicting entries) and *progress* (all submitted commands commit at all
+//!   correct nodes). The batch-trial API ([`harness::TrialSpec`] /
+//!   [`harness::run_trial`]) packages one deterministic run as a plain value, so the
+//!   analysis layer's simulation engine can fan thousands of trials out across
+//!   threads.
 //!
 //! # Examples
 //!
 //! ```
-//! use consensus_protocols::harness::RaftHarness;
+//! use consensus_protocols::harness::Cluster;
+//! use consensus_protocols::raft::{RaftConfig, RaftNode};
 //! use consensus_sim::network::NetworkConfig;
 //!
 //! // A healthy 5-node Raft cluster commits every submitted command.
-//! let mut harness = RaftHarness::new(5, NetworkConfig::lan(), 7);
-//! harness.submit_commands(10);
-//! let outcome = harness.run_for_millis(2_000);
+//! let config = RaftConfig::standard(5);
+//! let nodes = (0..5).map(|_| RaftNode::new(config.clone()));
+//! let mut cluster = Cluster::new(nodes, NetworkConfig::lan(), 7);
+//! cluster.submit_commands(10);
+//! let outcome = cluster.run_for_millis(2_000);
 //! assert!(outcome.agreement);
 //! assert!(outcome.all_committed);
 //! ```
@@ -46,8 +50,6 @@ pub mod raft;
 
 pub use byzantine::ByzantineBehavior;
 pub use common::{Command, LogEntry, ReplicatedLog};
-pub use harness::{
-    run_trial, ClusterOutcome, PbftHarness, RaftHarness, TrialOutcome, TrialProtocol, TrialSpec,
-};
+pub use harness::{run_trial, Cluster, ClusterOutcome, TrialProtocol, TrialSpec};
 pub use pbft::{PbftConfig, PbftMessage, PbftNode};
 pub use raft::{RaftConfig, RaftMessage, RaftNode, Role};

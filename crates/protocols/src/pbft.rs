@@ -50,29 +50,6 @@ impl PbftConfig {
             view_timeout: SimTime::from_millis(300),
         }
     }
-
-    /// Overrides the quorum sizes.
-    pub fn with_quorums(
-        mut self,
-        prepare: usize,
-        commit: usize,
-        view_change: usize,
-        trigger: usize,
-    ) -> Self {
-        for q in [prepare, commit, view_change, trigger] {
-            assert!((1..=self.n).contains(&q), "quorum sizes must be in 1..=N");
-        }
-        self.prepare_quorum = prepare;
-        self.commit_quorum = commit;
-        self.view_change_quorum = view_change;
-        self.view_change_trigger = trigger;
-        self
-    }
-
-    /// The nominal fault threshold implied by the commit quorum.
-    pub fn nominal_f(&self) -> usize {
-        self.n - self.commit_quorum
-    }
 }
 
 /// Messages exchanged by PBFT replicas.
@@ -429,6 +406,17 @@ impl PbftNode {
 }
 
 impl ReplicatedLog for PbftNode {
+    type Message = PbftMessage;
+
+    fn client_request(command: Command) -> PbftMessage {
+        PbftMessage::ClientRequest(command)
+    }
+
+    /// Views start at 0, so the view number counts the view changes.
+    fn leader_changes(&self) -> u64 {
+        self.view
+    }
+
     fn committed(&self) -> Vec<Command> {
         self.executed()
     }
@@ -521,7 +509,6 @@ mod tests {
         assert_eq!(c.commit_quorum, 5);
         assert_eq!(c.view_change_quorum, 5);
         assert_eq!(c.view_change_trigger, 3);
-        assert_eq!(c.nominal_f(), 2);
     }
 
     #[test]

@@ -462,6 +462,17 @@ impl RaftNode {
 }
 
 impl ReplicatedLog for RaftNode {
+    type Message = RaftMessage;
+
+    fn client_request(command: Command) -> RaftMessage {
+        RaftMessage::ClientRequest(command)
+    }
+
+    /// The first election reaches term 1, so every term past it is a re-election.
+    fn leader_changes(&self) -> u64 {
+        self.current_term.saturating_sub(1)
+    }
+
     fn committed(&self) -> Vec<Command> {
         self.log[..self.commit_index]
             .iter()

@@ -7,13 +7,15 @@
 //! The analysis predicts *probabilities*; this example shows the system the probabilities
 //! are about: a Raft cluster surviving a leader crash, a Raft cluster losing liveness
 //! when a majority dies, and a PBFT cluster staying safe with an equivocating primary.
+//! Each scenario builds one `Cluster` of protocol nodes, submits client commands, runs
+//! the virtual clock, and reads agreement and progress off the `ClusterOutcome`.
 
 use std::sync::Arc;
 
 use consensus_protocols::byzantine::ByzantineBehavior;
-use consensus_protocols::harness::{PbftHarness, RaftHarness};
-use consensus_protocols::pbft::PbftConfig;
-use consensus_protocols::raft::RaftConfig;
+use consensus_protocols::harness::Cluster;
+use consensus_protocols::pbft::{PbftConfig, PbftNode};
+use consensus_protocols::raft::{RaftConfig, RaftNode};
 use consensus_sim::fault::FaultSchedule;
 use consensus_sim::network::NetworkConfig;
 use consensus_sim::time::SimTime;
@@ -23,6 +25,12 @@ use prob_consensus::engine::Budget;
 use prob_consensus::protocol::ProtocolModel;
 use prob_consensus::query::{AnalysisSession, ProtocolSpec, Query};
 use prob_consensus::raft_model::RaftModel;
+
+/// A cluster of `config.n` Raft nodes sharing one configuration.
+fn raft(config: RaftConfig, seed: u64) -> Cluster<RaftNode> {
+    let nodes = (0..config.n).map(|_| RaftNode::new(config.clone()));
+    Cluster::new(nodes, NetworkConfig::lan(), seed)
+}
 
 fn main() {
     // Scenario 1: a healthy 5-node Raft cluster with a reliability-aware leader.
@@ -51,24 +59,24 @@ fn main() {
     );
 
     let config = RaftConfig::reliability_aware(&profiles);
-    let mut harness = RaftHarness::with_config(config, NetworkConfig::lan(), 1);
-    harness.submit_commands(20);
-    let outcome = harness.run_for_millis(3_000);
+    let mut cluster = raft(config, 1);
+    cluster.submit_commands(20);
+    let outcome = cluster.run_for_millis(3_000);
     println!(
         "[raft healthy]    agreement={} all_committed={} committed={:?} messages={}",
         outcome.agreement,
         outcome.all_committed,
         outcome.committed_lengths,
-        outcome.messages_delivered
+        outcome.stats.messages_delivered
     );
 
     // Scenario 2: the leader crashes mid-run; a new leader finishes the workload.
     let schedule = FaultSchedule::none().crash_at(0, SimTime::from_millis(800));
-    let mut harness = RaftHarness::new(5, NetworkConfig::lan(), 2).with_faults(&schedule);
-    harness.submit_commands(10);
-    harness.run_for_millis(700);
-    harness.submit_commands(10);
-    let outcome = harness.run_for_millis(6_000);
+    let mut cluster = raft(RaftConfig::standard(5), 2).with_faults(&schedule);
+    cluster.submit_commands(10);
+    cluster.run_for_millis(700);
+    cluster.submit_commands(10);
+    let outcome = cluster.run_for_millis(6_000);
     println!(
         "[raft leader-dies] agreement={} all_committed={} correct={:?}",
         outcome.agreement, outcome.all_committed, outcome.correct_nodes
@@ -80,26 +88,24 @@ fn main() {
         .crash_at(2, SimTime::from_millis(5))
         .crash_at(3, SimTime::from_millis(5))
         .crash_at(4, SimTime::from_millis(5));
-    let mut harness = RaftHarness::new(5, NetworkConfig::lan(), 3).with_faults(&schedule);
-    harness.submit_commands(5);
-    let outcome = harness.run_for_millis(3_000);
+    let mut cluster = raft(RaftConfig::standard(5), 3).with_faults(&schedule);
+    cluster.submit_commands(5);
+    let outcome = cluster.run_for_millis(3_000);
     println!(
         "[raft no-quorum]  agreement={} all_committed={} (expected: true / false)",
         outcome.agreement, outcome.all_committed
     );
 
     // Scenario 4: PBFT with an equivocating primary — the view change restores progress
-    // and the prepare quorum keeps agreement intact.
+    // and the prepare quorum keeps agreement intact. Every node equivocates once the
+    // fault schedule turns it Byzantine; here that is only the view-0 primary.
     let schedule = FaultSchedule::none().byzantine_at(0, SimTime::from_millis(1));
-    let mut harness = PbftHarness::with_config(
-        PbftConfig::standard(4),
-        ByzantineBehavior::Equivocate,
-        NetworkConfig::lan(),
-        4,
-    )
-    .with_faults(&schedule);
-    harness.submit_commands(5);
-    let outcome = harness.run_for_millis(10_000);
+    let config = PbftConfig::standard(4);
+    let nodes = (0..4)
+        .map(|_| PbftNode::new(config.clone()).with_byzantine_plan(ByzantineBehavior::Equivocate));
+    let mut cluster = Cluster::new(nodes, NetworkConfig::lan(), 4).with_faults(&schedule);
+    cluster.submit_commands(5);
+    let outcome = cluster.run_for_millis(10_000);
     println!(
         "[pbft equivocate] agreement={} all_committed={} correct={:?}",
         outcome.agreement, outcome.all_committed, outcome.correct_nodes

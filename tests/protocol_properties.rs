@@ -1,7 +1,9 @@
 //! Property-based integration tests: invariants of the executable protocols under
 //! randomized fault schedules, and consistency between the analysis engines.
 
-use consensus_protocols::harness::{PbftHarness, RaftHarness};
+use consensus_protocols::harness::Cluster;
+use consensus_protocols::pbft::{PbftConfig, PbftNode};
+use consensus_protocols::raft::{RaftConfig, RaftNode};
 use consensus_sim::fault::FaultSchedule;
 use consensus_sim::network::NetworkConfig;
 use consensus_sim::time::SimTime;
@@ -13,6 +15,12 @@ use prob_consensus::pbft_model::PbftModel;
 use prob_consensus::raft_model::RaftModel;
 use prob_consensus::scratch::GroupScratch;
 use proptest::prelude::*;
+
+/// A standard-configuration Raft cluster of `n` nodes.
+fn raft(n: usize, network: NetworkConfig, seed: u64) -> Cluster<RaftNode> {
+    let config = RaftConfig::standard(n);
+    Cluster::new((0..n).map(|_| RaftNode::new(config.clone())), network, seed)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -28,7 +36,7 @@ proptest! {
         for (node, &at) in crash_times.iter().enumerate() {
             schedule = schedule.crash_at(node % n, SimTime::from_millis(at));
         }
-        let mut harness = RaftHarness::new(n, NetworkConfig::lan(), seed).with_faults(&schedule);
+        let mut harness = raft(n, NetworkConfig::lan(), seed).with_faults(&schedule);
         harness.submit_commands(5);
         let outcome = harness.run_for_millis(3_000);
         prop_assert!(outcome.agreement, "crashes broke agreement: {outcome:?}");
@@ -41,7 +49,8 @@ proptest! {
         byzantine_node in 0usize..4,
     ) {
         let schedule = FaultSchedule::none().byzantine_at(byzantine_node, SimTime::from_millis(1));
-        let mut harness = PbftHarness::new(4, NetworkConfig::lan(), seed).with_faults(&schedule);
+        let nodes = (0..4).map(|_| PbftNode::new(PbftConfig::standard(4)));
+        let mut harness = Cluster::new(nodes, NetworkConfig::lan(), seed).with_faults(&schedule);
         harness.submit_commands(3);
         let outcome = harness.run_for_millis(4_000);
         prop_assert!(outcome.agreement);
@@ -51,7 +60,7 @@ proptest! {
     #[test]
     fn raft_agreement_survives_lossy_networks(seed in 0u64..1_000, drop in 0.0f64..0.3) {
         let net = NetworkConfig::lan().with_drop_probability(drop);
-        let mut harness = RaftHarness::new(3, net, seed);
+        let mut harness = raft(3, net, seed);
         harness.submit_commands(5);
         let outcome = harness.run_for_millis(2_000);
         prop_assert!(outcome.agreement);

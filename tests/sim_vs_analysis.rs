@@ -5,7 +5,9 @@
 //! mode wherever a whole sweep is checked, and through targeted harness runs for
 //! the theorem-boundary cases.
 
-use consensus_protocols::harness::{PbftHarness, RaftHarness};
+use consensus_protocols::harness::Cluster;
+use consensus_protocols::pbft::{PbftConfig, PbftNode};
+use consensus_protocols::raft::{RaftConfig, RaftNode};
 use consensus_sim::fault::FaultSchedule;
 use consensus_sim::network::NetworkConfig;
 use consensus_sim::time::SimTime;
@@ -13,6 +15,11 @@ use prob_consensus::engine::Budget;
 use prob_consensus::protocol::ProtocolModel;
 use prob_consensus::query::{AnalysisSession, ProtocolSpec, Query};
 use prob_consensus::raft_model::RaftModel;
+
+fn raft(config: RaftConfig, network: NetworkConfig, seed: u64) -> Cluster<RaftNode> {
+    let nodes = (0..config.n).map(|_| RaftNode::new(config.clone()));
+    Cluster::new(nodes, network, seed)
+}
 
 /// The analysis says a failure configuration with at most `N - Q_per` crashes is live:
 /// drive the real protocol through explicit configurations on both sides of the line.
@@ -24,8 +31,12 @@ fn raft_liveness_boundary_matches_theorem_3_2() {
         for node in 0..crashes {
             schedule = schedule.crash_at(node, SimTime::from_millis(1));
         }
-        let mut harness =
-            RaftHarness::new(5, NetworkConfig::lan(), 100 + crashes as u64).with_faults(&schedule);
+        let mut harness = raft(
+            RaftConfig::standard(5),
+            NetworkConfig::lan(),
+            100 + crashes as u64,
+        )
+        .with_faults(&schedule);
         harness.submit_commands(5);
         let outcome = harness.run_for_millis(5_000);
         assert!(
@@ -53,7 +64,8 @@ fn pbft_fault_boundary_matches_theorem_3_1() {
         for node in 0..byzantine {
             schedule = schedule.byzantine_at(node, SimTime::from_millis(1));
         }
-        let mut harness = PbftHarness::new(4, NetworkConfig::lan(), 200 + byzantine as u64)
+        let nodes = (0..4).map(|_| PbftNode::new(PbftConfig::standard(4)));
+        let mut harness = Cluster::new(nodes, NetworkConfig::lan(), 200 + byzantine as u64)
             .with_faults(&schedule);
         harness.submit_commands(4);
         let outcome = harness.run_for_millis(6_000);
@@ -149,8 +161,8 @@ fn reliability_aware_leader_selection_preserves_correctness() {
         fault_model::mode::FaultProfile::crash_only(0.02),
         fault_model::mode::FaultProfile::crash_only(0.03),
     ];
-    let config = consensus_protocols::raft::RaftConfig::reliability_aware(&profiles);
-    let mut harness = RaftHarness::with_config(config, NetworkConfig::lan(), 9);
+    let config = RaftConfig::reliability_aware(&profiles);
+    let mut harness = raft(config, NetworkConfig::lan(), 9);
     harness.submit_commands(10);
     let outcome = harness.run_for_millis(3_000);
     assert!(outcome.safe_and_live());
@@ -164,14 +176,15 @@ fn reliability_aware_leader_selection_preserves_correctness() {
 fn simulation_is_deterministic_end_to_end() {
     let run = |seed: u64| {
         let schedule = FaultSchedule::none().crash_at(0, SimTime::from_millis(500));
-        let mut harness = RaftHarness::new(5, NetworkConfig::wan(), seed).with_faults(&schedule);
+        let mut harness =
+            raft(RaftConfig::standard(5), NetworkConfig::wan(), seed).with_faults(&schedule);
         harness.submit_commands(8);
         let outcome = harness.run_for_millis(4_000);
         (
             outcome.agreement,
             outcome.all_committed,
             outcome.committed_lengths,
-            outcome.messages_delivered,
+            outcome.stats.messages_delivered,
         )
     };
     assert_eq!(run(77), run(77));
