@@ -7,7 +7,7 @@
 //! * [`fault_model`] — fault curves, failure modes, birth–death repairable groups, telemetry.
 //! * [`quorum`] — node sets and binomial helpers.
 //! * [`consensus_sim`] — the deterministic discrete-event simulator.
-//! * [`consensus_protocols`] — executable Raft and PBFT plus harnesses.
+//! * [`consensus_protocols`] — executable Raft and PBFT plus the cluster harness.
 //! * [`prob_consensus`] — the probabilistic reliability analysis and the
 //!   probability-native mechanisms (the paper's primary contribution).
 
