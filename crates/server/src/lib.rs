@@ -2472,6 +2472,78 @@ mod tests {
         assert_eq!((epistemic.draws, epistemic.level), (4, 0.8));
     }
 
+    /// A validated Raft-only query over every fault environment.
+    const VALIDATED_RAFT: &str = r#"{"protocols":["raft"],"nodes":[4],"fault_probs":[0.05],"validate":true,
+        "environments":["clean","gray-primary","partition-heal","wan-lossy"]}"#;
+
+    /// Byte gate for the wire: [`FULL_QUERY`], [`FULL_OPTIMIZE`],
+    /// [`OPTIMIZE_PROTOCOL_TARGET`] and [`VALIDATED_RAFT`], each through
+    /// [`run_exchange`] on a fresh [`Server`], must answer exactly the lines of
+    /// `tests/golden/wire.ndjson`. Every `wall_ns` and `wall_ms` is zeroed, and
+    /// each request's `cell` and `trajectory` events are sorted by index (cells
+    /// stream in completion order), with `done` kept last.
+    ///
+    /// The file is this test's own normalised output. On a mismatch the test
+    /// writes what it built to `wire.ndjson` in the system temp directory; when
+    /// a change of the wire bytes is intended, copy that file over the golden.
+    #[test]
+    fn wire_answers_match_the_golden_file() {
+        let requests = [
+            format!(r#"{{"id":"q","op":"query","query":{FULL_QUERY}}}"#),
+            format!(r#"{{"id":"o","op":"optimize",{}"#, &FULL_OPTIMIZE[1..]),
+            format!(
+                r#"{{"id":"t","op":"optimize",{}"#,
+                &OPTIMIZE_PROTOCOL_TARGET[1..]
+            ),
+            format!(r#"{{"id":"v","op":"query","query":{VALIDATED_RAFT}}}"#),
+        ];
+        let mut actual = String::new();
+        for request in requests {
+            // One request per line: the fixtures span several.
+            let line = JsonValue::parse(&request).unwrap().to_compact_string();
+            let mut events = events(&run_exchange(&Arc::new(Server::new()), &line));
+            let rank = |e: &JsonValue| {
+                let kind = e.get("event").and_then(JsonValue::as_str);
+                let index = e.get("index").and_then(JsonValue::as_f64).unwrap_or(0.0);
+                match kind {
+                    Some("cell") => (0, index as usize),
+                    Some("trajectory") => (1, index as usize),
+                    _ => (2, 0),
+                }
+            };
+            events.sort_by_key(rank);
+            for mut event in events {
+                zero_wall_ns(&mut event);
+                if let JsonValue::Object(members) = &mut event {
+                    for (key, member) in members {
+                        if key == "wall_ms" {
+                            *member = JsonValue::number(0.0);
+                        }
+                    }
+                }
+                actual.push_str(&event.to_compact_string());
+                actual.push('\n');
+            }
+        }
+        let golden = include_str!("../tests/golden/wire.ndjson");
+        if actual != golden {
+            let path = std::env::temp_dir().join("wire.ndjson");
+            std::fs::write(&path, &actual).expect("the temp directory is writable");
+            let first_diff = actual
+                .lines()
+                .zip(golden.lines())
+                .position(|(a, g)| a != g)
+                .unwrap_or_else(|| actual.lines().count().min(golden.lines().count()));
+            panic!(
+                "the wire answers diverged from the golden file at line {} (actual output in {}):\n  golden: {:?}\n  actual: {:?}",
+                first_diff + 1,
+                path.display(),
+                golden.lines().nth(first_diff),
+                actual.lines().nth(first_diff)
+            );
+        }
+    }
+
     /// Every path from the root of `value` to an object inside it, each step a
     /// member or entry index.
     fn object_paths(value: &JsonValue, path: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
