@@ -422,23 +422,20 @@ fn mc_equivalent_samples(p: f64, half_width: f64) -> f64 {
 }
 
 fn durability_cell(record: &CellRecord, exact: f64) -> DurabilityEstimate {
-    let outcome = &record.outcome;
-    let (safe, samples, ess) = if let Some(re) = outcome.rare_event {
-        (re.safe, re.samples, Some(re.ess))
-    } else if let Some(mc) = outcome.monte_carlo {
-        (mc.safe, mc.samples, None)
-    } else {
+    let (Some([safe, _, _]), Some(samples)) =
+        (record.outcome.sampled_estimates(), record.samples_drawn())
+    else {
         unreachable!("durability cells are too large for the exact engines")
     };
     let (p_loss, ci_lower, ci_upper) = (1.0 - safe.value, 1.0 - safe.upper, 1.0 - safe.lower);
     DurabilityEstimate {
         exact,
-        engine: outcome.engine,
+        engine: record.outcome.engine,
         p_loss,
         ci_lower,
         ci_upper,
         samples,
-        ess,
+        ess: record.ess(),
         mc_equivalent_samples: mc_equivalent_samples(p_loss, (ci_upper - ci_lower) / 2.0),
     }
 }
@@ -1144,25 +1141,17 @@ pub fn optimize_durability() -> (Table, OptimizeReport) {
     (report.to_table(), report)
 }
 
-/// Benchmark ids of the packed kernel at pinned pass widths — 1, 4 and 8 `u64`
-/// words (64, 256 and 512 lanes per pass) — on the [`mc_speedup_workload`], driven
-/// through `PackedKernel::sample_chunk` on the calling thread (the only place a
-/// width can be set). The width-8 row is the production configuration
-/// ([`PACKED_WIDTH_PRODUCTION_ID`]) behind the absolute `packed_samples_per_sec`
-/// baseline in `BENCH_analysis.json`.
-pub const PACKED_WIDTH_IDS: [(&str, usize); 3] = [
-    ("packed-width/w1", 1),
-    ("packed-width/w4", 4),
-    ("packed-width/w8", 8),
-];
-/// See [`PACKED_WIDTH_IDS`].
+/// Benchmark id of one `PackedKernel::sample_chunk` call on the calling thread,
+/// on the [`mc_speedup_workload`]: the row behind the absolute
+/// `packed_samples_per_sec` baseline in `BENCH_analysis.json`. The id keeps the
+/// pass width (8 `u64` words, 512 lanes per pass) it has always been recorded at.
 pub const PACKED_WIDTH_PRODUCTION_ID: &str = "packed-width/w8";
 
 /// Every row of `BENCH_analysis.json`, in the order [`analysis_benchmarks`] times
 /// them: the engines and kernels that the socket harness in `benchmarks/` cannot
 /// time in isolation. Whole requests (sweeps, the service, posteriors, the
 /// optimizer, simulation) are timed there, end to end.
-pub const BENCHMARK_IDS: [&str; 12] = [
+pub const BENCHMARK_IDS: [&str; 10] = [
     "counting/raft-9",
     "counting/raft-100",
     "enumeration/raft-13",
@@ -1170,9 +1159,7 @@ pub const BENCHMARK_IDS: [&str; 12] = [
     MC_PARALLEL_ID,
     MC_MIXED_SCALAR_ID,
     MC_MIXED_PACKED_ID,
-    PACKED_WIDTH_IDS[0].0,
-    PACKED_WIDTH_IDS[1].0,
-    PACKED_WIDTH_IDS[2].0,
+    PACKED_WIDTH_PRODUCTION_ID,
     RARE_EVENT_IS_ID,
     RARE_EVENT_MC_ID,
 ];
@@ -1229,15 +1216,13 @@ pub fn analysis_benchmarks(budget_ms: u64) -> Vec<BenchMeasurement> {
         }));
     }
 
-    // The packed kernel at pinned pass widths (same workload and seed as the
-    // parallel row; hit counts are bit-identical at every width).
+    // The packed kernel on the calling thread (same workload and seed as the
+    // parallel row).
     let packed_mc = PackedKernel::new(&m_mc, &fm_mc);
-    for (id, lane_words) in PACKED_WIDTH_IDS {
-        out.push(time_one(id, budget_ms, || {
-            let mut rng = StdRng::seed_from_u64(MC_SPEEDUP_SEED);
-            packed_mc.sample_chunk(&mut rng, MC_SPEEDUP_SAMPLES, lane_words)
-        }));
-    }
+    out.push(time_one(PACKED_WIDTH_PRODUCTION_ID, budget_ms, || {
+        let mut rng = StdRng::seed_from_u64(MC_SPEEDUP_SEED);
+        packed_mc.sample_chunk(&mut rng, MC_SPEEDUP_SAMPLES)
+    }));
 
     // The rare-event pair: tilted vs. naive sampling at the same sample count. The
     // wall-clock ratio is the *overhead* of weighting (adaptive pilot included); the
@@ -1294,7 +1279,7 @@ pub fn benchmarks_to_json(measurements: &[BenchMeasurement], rare_event_efficien
             "packed_kernel_speedup",
             figure(mean_ns(MC_SCALAR_PARALLEL_ID) / mean_ns(MC_PARALLEL_ID)),
         ),
-        // One `sample_chunk` call at the production width on the calling thread.
+        // One `sample_chunk` call on the calling thread.
         (
             "packed_samples_per_sec",
             per_sec(PACKED_WIDTH_PRODUCTION_ID),

@@ -38,7 +38,7 @@ use crate::analyzer::ReliabilityReport;
 use crate::counting::counting_reliability;
 use crate::deployment::Deployment;
 use crate::enumeration::enumerate_reliability;
-use crate::montecarlo::{McSampler, MonteCarloReport};
+use crate::montecarlo::{Estimate, McSampler, MonteCarloReport};
 use crate::protocol::ProtocolModel;
 use crate::rare_event::RareEventReport;
 use crate::scratch::GroupScratch;
@@ -510,6 +510,19 @@ impl AnalysisOutcome {
                 mc.live.value,
                 mc.safe_and_live.value,
             )
+        }
+    }
+
+    /// The `[safe, live, safe_and_live]` estimates, with their 95% intervals, of
+    /// whichever sampler ran: the Monte Carlo report, else the importance-sampling
+    /// one. `None` for the exact engines, which carry no sampling error; the
+    /// simulation's trial frequencies are not this outcome's interval.
+    pub fn sampled_estimates(&self) -> Option<[Estimate; 3]> {
+        if let Some(mc) = &self.monte_carlo {
+            Some([mc.safe, mc.live, mc.safe_and_live])
+        } else {
+            let re = self.rare_event.as_ref()?;
+            Some([re.safe, re.live, re.safe_and_live])
         }
     }
 

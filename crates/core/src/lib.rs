@@ -43,7 +43,8 @@
 //! * [`query`] — the sweep-native front door: [`query::Query`] /
 //!   [`query::AnalysisSession`] plan-and-execute whole grids, time-domain trajectory
 //!   cells ([`query::TimeAxis`], repairable fleets) and paired analytic-vs-simulation
-//!   cross-validation with z-scores, rendered to tables and JSON.
+//!   cross-validation with z-scores, rendered to tables and JSON. Its files split what a
+//!   caller builds (`spec`), what the session runs (`plan`) and what comes back (`report`).
 //! * [`cache`] — the concurrent cross-request session cache behind
 //!   [`query::AnalysisSession`]: sharded, size-bounded, LRU-evicting scratch
 //!   keyed by cell signature, with hit/miss/eviction counters

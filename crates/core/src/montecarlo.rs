@@ -57,7 +57,7 @@ use rayon::prelude::*;
 
 use crate::engine::Budget;
 use crate::failure::FailureConfig;
-use crate::packed::{PackedDraw, PackedKernel, MAX_LANE_WORDS};
+use crate::packed::{PackedDraw, PackedKernel};
 use crate::protocol::{CountingModel, ProtocolModel};
 use crate::scratch::GroupScratch;
 
@@ -468,9 +468,7 @@ impl<'a, M: ProtocolModel + ?Sized> McSampler<'a, M> {
                         Kernel::Scalar(..) => unreachable!("one draw key, one kernel kind"),
                     })
                     .collect();
-                // The widest pass is the fastest one, and the width never shows in
-                // the hits.
-                PackedKernel::sample_chunk_shared(&kernels, &mut rng, count, MAX_LANE_WORDS)
+                PackedKernel::sample_chunk_shared(&kernels, &mut rng, count)
             }
             // One scalar key is one model over one scenario: one tally serves all.
             Kernel::Scalar(model, failure_model, _) => {

@@ -840,12 +840,9 @@ fn record_from_cell(
     target_nines: f64,
 ) -> FrontierRecord {
     let probability = cell.outcome.report.safe_and_live.probability();
-    let (ci_lower, ci_upper) = if let Some(mc) = cell.outcome.monte_carlo {
-        (mc.safe_and_live.lower, mc.safe_and_live.upper)
-    } else if let Some(re) = cell.outcome.rare_event {
-        (re.safe_and_live.lower, re.safe_and_live.upper)
-    } else {
-        (probability, probability)
+    let (ci_lower, ci_upper) = match cell.outcome.sampled_estimates() {
+        Some([_, _, both]) => (both.lower, both.upper),
+        None => (probability, probability),
     };
     let ci_lower = ci_lower.clamp(0.0, 1.0);
     let ci_upper = ci_upper.clamp(0.0, 1.0);

@@ -37,10 +37,8 @@
 //!
 //! # Multi-word passes
 //!
-//! A pass processes up to [`MAX_LANE_WORDS`] 64-lane *blocks* at once (512 scenarios
-//! at that width, which every engine run uses; the width is a parameter of
-//! [`PackedKernel::sample_chunk`] only). The
-//! lexicographic compare runs over all blocks of a pass in lockstep — the
+//! A pass processes `MAX_LANE_WORDS` = 8 64-lane *blocks* at once (512 scenarios).
+//! The lexicographic compare runs over all blocks of a pass in lockstep — the
 //! threshold-bit selectors are hoisted out of the per-word loop and the per-block
 //! update is branchless (`sel = 0 − bit` turns the two threshold cases into mask
 //! arithmetic) — so the serial `eq`-mask dependency chains of independent blocks
@@ -118,12 +116,12 @@ mod simd;
 /// beyond any deployment this repository analyzes.
 const MAX_PLANES: usize = 16;
 
-/// Maximum number of 64-lane `u64` blocks a pass processes at once (512 scenarios).
-/// The pass scratch is stack-sized by this constant; [`PackedKernel::sample_chunk`]
-/// clamps its width argument to `1..=8`. Results are bit-identical at every width
-/// (see the module docs), so engine runs simply use the fastest one — this one,
-/// which is also where the AVX-512 fast path engages (one pass is one 512-bit vector).
-pub const MAX_LANE_WORDS: usize = 8;
+/// Number of 64-lane `u64` blocks a pass processes at once (512 scenarios). The
+/// pass scratch is stack-sized by this constant. Results are bit-identical at every
+/// width `sample_w` takes (see the module docs), so sampling uses the fastest one —
+/// this one, which is also where the AVX-512 fast path engages (one pass is one
+/// 512-bit vector).
+const MAX_LANE_WORDS: usize = 8;
 
 /// A probability as an inclusive-exclusive bound on the 64-bit uniform lattice:
 /// `u < t` fires with probability `t / 2⁶⁴`.
@@ -579,30 +577,14 @@ impl PackedDraw {
     }
 
     /// Draws `count` scenarios from the chunk base word `base` and tallies them
-    /// under each of `plans`, in order, up to `64 · lane_words` scenarios per pass.
-    fn sample(
-        &self,
-        base: u64,
-        count: usize,
-        lane_words: usize,
-        plans: &[&HitPlan],
-    ) -> Vec<HitCounts> {
-        match lane_words.clamp(1, MAX_LANE_WORDS) {
-            1 => self.sample_w::<1>(base, count, plans),
-            2 => self.sample_w::<2>(base, count, plans),
-            3 => self.sample_w::<3>(base, count, plans),
-            4 => self.sample_w::<4>(base, count, plans),
-            5 => self.sample_w::<5>(base, count, plans),
-            6 => self.sample_w::<6>(base, count, plans),
-            7 => self.sample_w::<7>(base, count, plans),
-            _ => {
-                #[cfg(target_arch = "x86_64")]
-                if simd::available() {
-                    return simd::sample8(self, base, count, plans);
-                }
-                self.sample_w::<8>(base, count, plans)
-            }
+    /// under each of `plans`, in order, [`MAX_LANE_WORDS`] blocks per pass: the
+    /// AVX-512 path where the host has it, else the portable one.
+    fn sample(&self, base: u64, count: usize, plans: &[&HitPlan]) -> Vec<HitCounts> {
+        #[cfg(target_arch = "x86_64")]
+        if simd::available() {
+            return simd::sample8(self, base, count, plans);
         }
+        self.sample_w::<MAX_LANE_WORDS>(base, count, plans)
     }
 
     /// The portable sampler at compile-time width `W` — the reference the SIMD path
@@ -733,10 +715,9 @@ fn apply_shock<const W: usize>(
 /// scenario's draw half and the model's hit plan. Built once per cell group
 /// (outside the parallel loop) and shared read-only by every chunk.
 ///
-/// Engine runs reach it through [`crate::montecarlo`], always at
-/// [`MAX_LANE_WORDS`]; it is public so the `packed-width` benchmarks and the
-/// cross-width bit-identity tests can drive [`sample_chunk`](Self::sample_chunk)
-/// at a pinned pass width.
+/// Engine runs reach it through [`crate::montecarlo`]; it is public so the
+/// `packed-width/w8` benchmark can time one [`sample_chunk`](Self::sample_chunk)
+/// call on the calling thread.
 #[derive(Debug, Clone)]
 pub struct PackedKernel {
     draw: PackedDraw,
@@ -765,26 +746,21 @@ impl PackedKernel {
         &self.draw
     }
 
-    /// Draws and tallies `count` scenarios, up to `64 · lane_words` per pass: each
-    /// pass runs `lane_words` 64-lane blocks in lockstep (the final pass ragged —
-    /// fewer blocks, and surplus lanes of the last block masked out of the tallies).
+    /// Draws and tallies `count` scenarios, 512 per pass: each pass runs eight
+    /// 64-lane blocks in lockstep (the final pass ragged — fewer blocks, and
+    /// surplus lanes of the last block masked out of the tallies).
     ///
     /// `rng` is the chunk RNG of the `(seed, chunk)` determinism scheme; it
     /// contributes exactly one word, from which every block's position-addressed
     /// words are derived by in-chunk block index — see the module docs for why this
-    /// makes the result independent of `lane_words`, the thread count, and the
+    /// makes the result independent of the pass width, the thread count, and the
     /// portable-vs-SIMD choice. The one-kernel case of `sample_chunk_shared`.
-    pub fn sample_chunk<R: RngCore + ?Sized>(
-        &self,
-        rng: &mut R,
-        count: usize,
-        lane_words: usize,
-    ) -> HitCounts {
-        Self::sample_chunk_shared(&[self], rng, count, lane_words)[0]
+    pub fn sample_chunk<R: RngCore + ?Sized>(&self, rng: &mut R, count: usize) -> HitCounts {
+        Self::sample_chunk_shared(&[self], rng, count)[0]
     }
 
     /// Draws `count` scenarios once and tallies them under every kernel's hit
-    /// plan: element `k` is what `kernels[k].sample_chunk(rng, count, lane_words)`
+    /// plan: element `k` is what `kernels[k].sample_chunk(rng, count)`
     /// returns from the same RNG state, bit for bit. The kernels must share one
     /// draw half (equal [`PackedDraw`]s); plans that coincide — the same kernel
     /// twice, or two models with the same predicates — are tallied once.
@@ -792,7 +768,6 @@ impl PackedKernel {
         kernels: &[&PackedKernel],
         rng: &mut R,
         count: usize,
-        lane_words: usize,
     ) -> Vec<HitCounts> {
         let draw = &kernels[0].draw;
         debug_assert!(
@@ -812,7 +787,7 @@ impl PackedKernel {
                     })
             })
             .collect();
-        let tallies = draw.sample(rng.next_u64(), count, lane_words, &plans);
+        let tallies = draw.sample(rng.next_u64(), count, &plans);
         which.into_iter().map(|plan| tallies[plan]).collect()
     }
 }
@@ -1129,6 +1104,7 @@ mod tests {
         for (models, target) in identity_workloads() {
             let kernels = kernels_of(&models, &target);
             let shared: Vec<&PackedKernel> = kernels.iter().collect();
+            let plans: Vec<&HitPlan> = kernels.iter().map(|k| &k.plan).collect();
             // Sample counts hitting the ragged-tail edges of every width W: one
             // lane, one block less a lane, a full widest pass ± one lane, and
             // counts past a whole engine chunk that are ragged at the pass level.
@@ -1141,28 +1117,26 @@ mod tests {
                 3 * MC_CHUNK_SIZE + 17,
             ] {
                 let rng = || StdRng::seed_from_u64(42);
-                let alone = |w| -> Vec<HitCounts> {
-                    kernels
-                        .iter()
-                        .map(|kernel| kernel.sample_chunk(&mut rng(), samples, w))
-                        .collect()
-                };
-                let reference = alone(1);
-                for w in 1..=MAX_LANE_WORDS {
-                    if w > 1 {
-                        assert_eq!(
-                            alone(w),
-                            reference,
-                            "divergence at W={w}, samples={samples}"
-                        );
-                    }
-                    // One draw tallied under every kernel's plan is each
-                    // kernel's own chunk.
-                    assert_eq!(
-                        PackedKernel::sample_chunk_shared(&shared, &mut rng(), samples, w),
-                        reference,
-                        "shared draw diverged at W={w}, samples={samples}"
-                    );
+                let reference: Vec<HitCounts> = kernels
+                    .iter()
+                    .map(|kernel| kernel.sample_chunk(&mut rng(), samples))
+                    .collect();
+                // One draw tallied under every kernel's plan is each kernel's
+                // own chunk.
+                assert_eq!(
+                    PackedKernel::sample_chunk_shared(&shared, &mut rng(), samples),
+                    reference,
+                    "shared draw diverged at samples={samples}"
+                );
+                // The portable sampler packs 64, 256 or 512 lanes per pass alike.
+                let base = rng().next_u64();
+                let draw = &kernels[0].draw;
+                for (w, tallies) in [
+                    (1, draw.sample_w::<1>(base, samples, &plans)),
+                    (4, draw.sample_w::<4>(base, samples, &plans)),
+                    (8, draw.sample_w::<8>(base, samples, &plans)),
+                ] {
+                    assert_eq!(tallies, reference, "divergence at W={w}, samples={samples}");
                 }
             }
         }

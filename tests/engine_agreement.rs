@@ -11,14 +11,11 @@ use prob_consensus::deployment::Deployment;
 use prob_consensus::durability::PersistenceQuorumModel;
 use prob_consensus::engine::{Budget, EngineChoice};
 use prob_consensus::montecarlo::{monte_carlo_reliability_par_kernel, McKernel, MC_CHUNK_SIZE};
-use prob_consensus::packed::PackedKernel;
 use prob_consensus::pbft_model::PbftModel;
-use prob_consensus::protocol::{CountingModel, ProtocolModel};
+use prob_consensus::protocol::ProtocolModel;
 use prob_consensus::raft_model::RaftModel;
 use prob_consensus::rare_event::{importance_sampling_reliability_par, Proposal};
 use prob_consensus::scratch::GroupScratch;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Seed of the fixed-seed sampling assertions below. Like any fixed-seed 95%
 /// confidence interval, an unlucky seed can put the exact answer just outside one
@@ -251,38 +248,6 @@ fn packed_kernel_handles_ragged_sample_counts() {
     }
 }
 
-/// Pass-width bit-identity for the packed path, on the compiled kernel (the pass
-/// width is a parameter of `PackedKernel::sample_chunk` only; engine runs always
-/// use the widest): the positional counter-based RNG keys every lane's draw on
-/// its absolute sample index, so the kernel's answer is independent of how many
-/// 64-lane words each pass packs (W = 1, 4, 8 — 64, 256, 512 lanes). Covers both
-/// the crash-only threshold plan and the mixed-mode LUT plan, with a ragged tail.
-#[test]
-fn packed_kernel_is_bit_identical_across_pass_widths() {
-    let raft = RaftModel::standard(9);
-    let crash = Deployment::uniform_crash(9, 0.08);
-    let pbft = PbftModel::standard(7);
-    let mixed = Deployment::uniform_mixed(7, 0.05, 0.01);
-    let samples = 2 * MC_CHUNK_SIZE + 99;
-    for (model, deployment) in [
-        (&raft as &dyn CountingModel, &crash),
-        (&pbft as &dyn CountingModel, &mixed),
-    ] {
-        let kernel = PackedKernel::new(model, &CorrelationModel::from(deployment));
-        let at_width =
-            |w: usize| kernel.sample_chunk(&mut StdRng::seed_from_u64(GRID_SEED), samples, w);
-        let reference = at_width(1);
-        for lane_words in [4usize, 8] {
-            assert_eq!(
-                at_width(lane_words),
-                reference,
-                "{}: W={lane_words} diverged from W=1",
-                model.name()
-            );
-        }
-    }
-}
-
 /// Thread-count bit-identity for the packed path, through the engine layer, on a
 /// correlated mixed-mode scenario with a ragged tail.
 #[test]
@@ -457,7 +422,7 @@ fn parallel_importance_sampling_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// The query-API determinism contract (see `crates/core/src/query.rs`): a planned
+/// The query-API determinism contract (see `crates/core/src/query/mod.rs`): a planned
 /// sweep must be **bit-identical** to a hand-rolled per-cell front-door loop, at
 /// every thread count. The grid is a paper-style sweep — 3 protocols × 5 cluster
 /// sizes × 4 fault probabilities × {independent, cluster-shock}, mixed crash/
