@@ -37,7 +37,7 @@
 //!
 //! # Multi-word passes
 //!
-//! A pass processes `MAX_LANE_WORDS` = 8 64-lane *blocks* at once (512 scenarios).
+//! A pass processes eight 64-lane *blocks* (`MAX_LANE_WORDS`) at once: 512 scenarios.
 //! The lexicographic compare runs over all blocks of a pass in lockstep — the
 //! threshold-bit selectors are hoisted out of the per-word loop and the per-block
 //! update is branchless (`sel = 0 − bit` turns the two threshold cases into mask
