@@ -4,7 +4,7 @@
 #[cfg(doc)]
 use fault_model::markov::RepairableGroup;
 
-use super::spec::Metrics;
+use super::Metrics;
 #[cfg(doc)]
 use super::{Query, QueryPlan, TimeAxis};
 use crate::engine::{AnalysisOutcome, EngineChoice, FaultEnvironment};
