@@ -13,10 +13,10 @@ use fault_model::curve::WeibullCurve;
 use fault_model::metrics::{Nines, HOURS_PER_YEAR};
 use fault_model::mode::FaultProfile;
 use fault_model::node::{Fleet, NodeSpec};
-use prob_consensus::analyzer::{analyze_auto, analyze_scenario};
-use prob_consensus::deployment::Deployment;
+use prob_consensus::analyzer::analyze_auto;
 use prob_consensus::durability::{
-    durability_claim, quorum_durability, DurabilityClaim, PersistenceQuorumModel,
+    durability_claim, nodes_by_reliability, quorum_durability, DurabilityClaim,
+    PersistenceQuorumModel,
 };
 use prob_consensus::engine::{AnalysisOutcome, Budget, EngineChoice};
 use prob_consensus::json::JsonValue;
@@ -126,9 +126,10 @@ pub fn claim_three_nines() -> Table {
     );
     let report = analyze_auto(
         &RaftModel::standard(3),
-        &Deployment::uniform_crash(3, 0.01),
+        &CorrelationModel::uniform(3, FaultProfile::crash_only(0.01)),
         &Budget::default(),
     )
+    .expect("well-formed Raft scenario")
     .report;
     table.push_row(vec!["Safe".into(), report.safe.as_percent()]);
     table.push_row(vec!["Live".into(), report.live.as_percent()]);
@@ -149,8 +150,12 @@ pub fn claim_three_nines() -> Table {
 pub fn claim_cheap_nodes() -> (Table, f64) {
     let catalogue = default_catalogue();
     let (on_demand, spot) = (&catalogue[0], &catalogue[1]);
-    let cluster =
-        |node: &NodeType, n: usize| Deployment::uniform_crash(n, node.profile.fault_probability());
+    let cluster = |node: &NodeType, n: usize| {
+        CorrelationModel::uniform(
+            n,
+            FaultProfile::crash_only(node.profile.fault_probability()),
+        )
+    };
     let [baseline, alternative] = raft_safe_and_live([
         (on_demand.name.as_str(), cluster(on_demand, 3)),
         (spot.name.as_str(), cluster(spot, 9)),
@@ -225,7 +230,7 @@ pub struct HeterogeneityClaim {
 
 /// Safe-and-live probability of majority-quorum Raft on each labelled deployment,
 /// evaluated as the explicit cells of one query.
-fn raft_safe_and_live<const K: usize>(cells: [(&str, Deployment); K]) -> [Nines; K] {
+fn raft_safe_and_live<const K: usize>(cells: [(&str, CorrelationModel); K]) -> [Nines; K] {
     let query = cells
         .into_iter()
         .fold(Query::new(), |query, (label, deployment)| {
@@ -245,20 +250,21 @@ fn raft_safe_and_live<const K: usize>(cells: [(&str, Deployment); K]) -> [Nines;
 /// The two safe-and-live numbers are explicit query cells; the two durabilities are
 /// closed forms over quorums picked from the reliability ranking.
 pub fn claim_heterogeneous() -> (Table, HeterogeneityClaim) {
-    let baseline = Deployment::uniform_crash(7, 0.08);
+    let baseline = vec![FaultProfile::crash_only(0.08); 7];
     // Replace the three least reliable nodes with 1% machines.
-    let upgraded = baseline.nodes_by_reliability()[4..]
-        .iter()
-        .fold(baseline.clone(), |d, &node| {
-            d.with_profile(node, FaultProfile::crash_only(0.01))
-        });
+    let mut upgraded = baseline.clone();
+    for &node in &nodes_by_reliability(&baseline)[4..] {
+        upgraded[node] = FaultProfile::crash_only(0.01);
+    }
     // A 4-node persistence quorum: the least reliable nodes, or the most reliable
     // node and the three least reliable.
-    let ranked = upgraded.nodes_by_reliability();
+    let ranked = nodes_by_reliability(&upgraded);
     let oblivious_durability = quorum_durability(&upgraded, &ranked[3..]);
     let aware_durability = quorum_durability(&upgraded, &[&ranked[..1], &ranked[4..]].concat());
-    let [baseline_safe_and_live, upgraded_safe_and_live] =
-        raft_safe_and_live([("baseline", baseline), ("upgraded", upgraded)]);
+    let [baseline_safe_and_live, upgraded_safe_and_live] = raft_safe_and_live([
+        ("baseline", CorrelationModel::independent(baseline)),
+        ("upgraded", CorrelationModel::independent(upgraded)),
+    ]);
     let analysis = HeterogeneityClaim {
         baseline_safe_and_live,
         upgraded_safe_and_live,
@@ -325,8 +331,7 @@ pub fn claim_tradeoff() -> (Table, AnalysisReport) {
 /// Experiment `claim-durability`: the §4 durability argument at N = 100, |Q_per| = 10,
 /// p_u = 10%.
 pub fn claim_durability() -> (Table, DurabilityClaim) {
-    let deployment = Deployment::uniform_crash(100, 0.10);
-    let claim = durability_claim(&deployment, 10);
+    let claim = durability_claim(&[FaultProfile::crash_only(0.10); 100], 10);
     let mut table = Table::new(
         "Claim: |Q_per| faults rarely mean data loss (N=100, |Q_per|=10, p_u=10%)",
         &["Quantity", "Probability"],
@@ -369,7 +374,7 @@ pub const DURABILITY_SEED: u64 = 2026;
 pub struct DurabilityEstimate {
     /// Closed-form data-loss probability of this cell (all cells here factorize).
     pub exact: f64,
-    /// The engine `analyze_scenario` auto-selected.
+    /// The engine the auto-selector picked.
     pub engine: EngineChoice,
     /// Estimated data-loss probability (complement of the safety estimate).
     pub p_loss: f64,
@@ -456,7 +461,7 @@ pub fn claim_durability_correlated() -> (Table, CorrelatedDurability) {
     let rack = DURABILITY_N / DURABILITY_RACKS;
     let profiles = vec![FaultProfile::crash_only(DURABILITY_P); DURABILITY_N];
 
-    let deployment = Deployment::from_profiles(profiles.clone());
+    let deployment = CorrelationModel::independent(profiles.clone());
     let quorum: Vec<usize> = (0..DURABILITY_QUORUM).collect();
     let packed_model: Arc<dyn prob_consensus::ProtocolModel + Send + Sync> =
         Arc::new(PersistenceQuorumModel::new(DURABILITY_N, quorum));
@@ -484,8 +489,8 @@ pub fn claim_durability_correlated() -> (Table, CorrelatedDurability) {
             &Query::new()
                 .budget(budget)
                 .cell("independent", packed_model.clone(), deployment)
-                .cell_correlated("same-rack", packed_model, correlated.clone())
-                .cell_correlated("cross-rack", spread_model, correlated),
+                .cell("same-rack", packed_model, correlated.clone())
+                .cell("cross-rack", spread_model, correlated),
         )
         .expect("well-formed durability cells");
     let marginal = 1.0 - (1.0 - DURABILITY_P) * (1.0 - DURABILITY_RACK_SHOCK);
@@ -679,10 +684,10 @@ pub fn native_committee() -> Table {
     const COMMITTEE: usize = 5;
     let mut profiles = vec![FaultProfile::crash_only(0.005); 5];
     profiles.extend(vec![FaultProfile::crash_only(0.08); 10]);
-    let fleet = Deployment::from_profiles(profiles);
-    let members = &fleet.nodes_by_reliability()[..COMMITTEE];
-    let committee = Deployment::from_profiles(members.iter().map(|&i| fleet.profile(i)).collect());
-    let participation = COMMITTEE as f64 / fleet.len() as f64;
+    let members = &nodes_by_reliability(&profiles)[..COMMITTEE];
+    let committee = CorrelationModel::independent(members.iter().map(|&i| profiles[i]).collect());
+    let participation = COMMITTEE as f64 / profiles.len() as f64;
+    let fleet = CorrelationModel::independent(profiles);
     let [full, committee] = raft_safe_and_live([("full fleet", fleet), ("committee", committee)]);
     let mut table = Table::new(
         "Probability-native: committee of reliable nodes vs full 15-node fleet",
@@ -748,15 +753,14 @@ pub fn fault_curves() -> Table {
 /// engine the auto-selector picks (counting, for these models). Pinning the sampling
 /// engine is deliberate here — the point is cross-engine agreement.
 pub fn monte_carlo_crosscheck(n: usize, p: f64, samples: usize, seed: u64) -> (f64, f64) {
-    let deployment = Deployment::uniform_crash(n, p);
+    let deployment = CorrelationModel::uniform(n, FaultProfile::crash_only(p));
     let model = RaftModel::standard(n);
     let analytic = analyze_auto(&model, &deployment, &Budget::default())
+        .expect("well-formed Raft scenario")
         .report
         .safe_and_live
         .probability();
-    let failure_model = CorrelationModel::from(&deployment);
-    let mc =
-        monte_carlo_reliability_par_kernel(&model, &failure_model, samples, seed, McKernel::Auto);
+    let mc = monte_carlo_reliability_par_kernel(&model, &deployment, samples, seed, McKernel::Auto);
     (analytic, mc.safe_and_live.value)
 }
 
@@ -816,8 +820,11 @@ pub const MC_SPEEDUP_SEED: u64 = 7;
 
 /// The model/deployment pair of the Monte Carlo kernel workload (9-node Raft at
 /// p_u = 8%).
-pub fn mc_speedup_workload() -> (RaftModel, Deployment) {
-    (RaftModel::standard(9), Deployment::uniform_crash(9, 0.08))
+pub fn mc_speedup_workload() -> (RaftModel, CorrelationModel) {
+    (
+        RaftModel::standard(9),
+        CorrelationModel::uniform(9, FaultProfile::crash_only(0.08)),
+    )
 }
 
 /// Benchmark id of the scalar kernel on mixed-mode 7-node PBFT (p_crash = 5%,
@@ -841,10 +848,10 @@ pub const RARE_EVENT_SEED: u64 = 17;
 /// The p ≈ 1e-8 rare-event workload: a 16-node deployment at p_u = 1% whose
 /// persistence quorum is 4 specific nodes, so P\[loss\] = 0.01⁴ = 1e-8 — one hit
 /// per hundred million plain draws.
-pub fn rare_event_workload() -> (PersistenceQuorumModel, Deployment) {
+pub fn rare_event_workload() -> (PersistenceQuorumModel, CorrelationModel) {
     (
         PersistenceQuorumModel::new(16, (0..4).collect()),
-        Deployment::uniform_crash(16, 0.01),
+        CorrelationModel::uniform(16, FaultProfile::crash_only(0.01)),
     )
 }
 
@@ -859,7 +866,7 @@ pub fn rare_event_sample_efficiency() -> f64 {
         .with_seed(RARE_EVENT_SEED);
     let outcome = EngineChoice::ImportanceSampling.run(
         &model,
-        &CorrelationModel::from(&deployment),
+        &deployment,
         &budget,
         &GroupScratch::default(),
     );
@@ -898,7 +905,7 @@ pub fn sweep_query() -> Query {
 }
 
 /// The correlated failure model of the sweep workload (what the naive loop passes
-/// to `analyze_scenario` per cell).
+/// to `analyze_auto` per cell).
 pub fn sweep_failure_model() -> CorrelationModel {
     CorrelationModel::independent(vec![FaultProfile::crash_only(SWEEP_P); SWEEP_NODES]).with_group(
         CorrelationGroup::crash_shock((0..SWEEP_NODES).collect(), SWEEP_SHOCK),
@@ -921,7 +928,7 @@ pub fn sweep_naive_loop() -> Vec<AnalysisOutcome> {
     SWEEP_SAMPLE_AXIS
         .iter()
         .map(|&samples| {
-            analyze_scenario(
+            analyze_auto(
                 &model,
                 &failure_model,
                 &Budget::default()
@@ -963,22 +970,21 @@ pub fn sweep_mixed_batch() -> AnalysisReport {
 /// order (correlation variants outer, sample budgets inner).
 pub fn sweep_mixed_naive_loop() -> Vec<AnalysisOutcome> {
     let model = RaftModel::standard(SWEEP_NODES);
-    let deployment = Deployment::uniform_crash(SWEEP_NODES, SWEEP_P);
+    let deployment = CorrelationModel::uniform(SWEEP_NODES, FaultProfile::crash_only(SWEEP_P));
     let failure_model = sweep_failure_model();
     let mut out = Vec::with_capacity(2 * SWEEP_SAMPLE_AXIS.len());
     for &samples in &SWEEP_SAMPLE_AXIS {
         let budget = Budget::default()
             .with_seed(SWEEP_SEED)
             .with_samples(samples);
-        out.push(analyze_auto(&model, &deployment, &budget));
+        out.push(analyze_auto(&model, &deployment, &budget).expect("well-formed mixed sweep cell"));
     }
     for &samples in &SWEEP_SAMPLE_AXIS {
         let budget = Budget::default()
             .with_seed(SWEEP_SEED)
             .with_samples(samples);
         out.push(
-            analyze_scenario(&model, &failure_model, &budget)
-                .expect("well-formed mixed sweep cell"),
+            analyze_auto(&model, &failure_model, &budget).expect("well-formed mixed sweep cell"),
         );
     }
     out
@@ -1171,25 +1177,24 @@ pub fn analysis_benchmarks(budget_ms: u64) -> Vec<BenchMeasurement> {
     let [counting9, counting100, enumeration13, ..] = BENCHMARK_IDS;
     let mut out = Vec::new();
 
-    let d9 = Deployment::uniform_crash(9, 0.02);
+    let d9 = CorrelationModel::uniform(9, FaultProfile::crash_only(0.02));
     let m9 = RaftModel::standard(9);
     out.push(time_one(counting9, budget_ms, || {
         analyze_auto(&m9, &d9, &budget)
     }));
-    let d100 = Deployment::uniform_crash(100, 0.02);
+    let d100 = CorrelationModel::uniform(100, FaultProfile::crash_only(0.02));
     let m100 = RaftModel::standard(100);
     out.push(time_one(counting100, budget_ms, || {
         analyze_auto(&m100, &d100, &budget)
     }));
 
-    let s13 = CorrelationModel::from(&Deployment::uniform_crash(13, 0.02));
+    let s13 = CorrelationModel::uniform(13, FaultProfile::crash_only(0.02));
     let m13 = RaftModel::standard(13);
     out.push(time_one(enumeration13, budget_ms, || {
         EngineChoice::Enumeration.run(&m13, &s13, &budget, &GroupScratch::default())
     }));
 
-    let (m_mc, d_mc) = mc_speedup_workload();
-    let fm_mc = CorrelationModel::from(&d_mc);
+    let (m_mc, fm_mc) = mc_speedup_workload();
     for (id, kernel) in [
         (MC_SCALAR_PARALLEL_ID, McKernel::Scalar),
         (MC_PARALLEL_ID, McKernel::Auto),
@@ -1206,7 +1211,7 @@ pub fn analysis_benchmarks(budget_ms: u64) -> Vec<BenchMeasurement> {
     }
 
     let pbft = PbftModel::standard(7);
-    let mixed = CorrelationModel::from(&Deployment::uniform_mixed(7, 0.05, 0.01));
+    let mixed = CorrelationModel::uniform(7, FaultProfile::new(0.05, 0.01));
     for (id, kernel) in [
         (MC_MIXED_SCALAR_ID, McKernel::Scalar),
         (MC_MIXED_PACKED_ID, McKernel::Packed),
@@ -1227,11 +1232,10 @@ pub fn analysis_benchmarks(budget_ms: u64) -> Vec<BenchMeasurement> {
     // The rare-event pair: tilted vs. naive sampling at the same sample count. The
     // wall-clock ratio is the *overhead* of weighting (adaptive pilot included); the
     // ≥100x win is in samples needed, tracked by `rare_event_sample_efficiency`.
-    let (m_re, d_re) = rare_event_workload();
+    let (m_re, fm_re) = rare_event_workload();
     let re_budget = Budget::default()
         .with_samples(RARE_EVENT_SAMPLES)
         .with_seed(RARE_EVENT_SEED);
-    let fm_re = CorrelationModel::from(&d_re);
     out.push(time_one(RARE_EVENT_IS_ID, budget_ms, || {
         EngineChoice::ImportanceSampling.run(&m_re, &fm_re, &re_budget, &GroupScratch::default())
     }));
@@ -1473,8 +1477,7 @@ mod tests {
     #[cfg(not(debug_assertions))]
     #[test]
     fn packed_kernel_outruns_the_scalar_kernel() {
-        let (model, deployment) = mc_speedup_workload();
-        let fm = CorrelationModel::from(&deployment);
+        let (model, fm) = mc_speedup_workload();
         let samples = 20_000;
         let time_kernel = |kernel: McKernel| {
             super::time_one("kernel-probe", 40, || {
@@ -1499,8 +1502,7 @@ mod tests {
     fn scalar_parallel_kernel_scales_with_the_pool() {
         let threads = rayon::current_num_threads();
         let floor = if threads >= 4 { 2.0 } else { 0.9 };
-        let (model, deployment) = mc_speedup_workload();
-        let fm = CorrelationModel::from(&deployment);
+        let (model, fm) = mc_speedup_workload();
         let samples = 40_000;
         let scalar = || {
             monte_carlo_reliability_par_kernel(

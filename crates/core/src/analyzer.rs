@@ -3,9 +3,9 @@
 //! [`analyze_auto`] is the single front door: it routes the model/scenario/budget
 //! triple through the [`crate::engine`] auto-selector (exact counting when possible,
 //! enumeration for small non-counting models, parallel Monte Carlo otherwise) and tags
-//! the result with the engine that produced it; [`analyze_scenario`] is its fallible
-//! form over any [`CorrelationModel`] — the one scenario type, of which an
-//! independent deployment is the case with no shock groups. A caller that must pin
+//! the result with the engine that produced it. The scenario is a
+//! [`CorrelationModel`] — the one scenario type, of which an independent deployment
+//! is the case with no shock groups. A caller that must pin
 //! an engine — a cross-engine agreement test, a bench — runs that engine directly
 //! through [`EngineChoice::run`](crate::engine::EngineChoice::run), e.g.
 //! `EngineChoice::Counting.run(model, scenario, budget, &GroupScratch::default())`.
@@ -13,7 +13,6 @@
 use fault_model::correlation::CorrelationModel;
 use fault_model::metrics::Nines;
 
-use crate::deployment::Deployment;
 use crate::engine::{select_engine, AnalysisOutcome, Budget};
 use crate::enumeration::RawReliability;
 use crate::protocol::ProtocolModel;
@@ -67,39 +66,6 @@ impl std::fmt::Display for ReliabilityReport {
             self.safe, self.live, self.safe_and_live
         )
     }
-}
-
-/// Analyzes `model` on an independent `deployment`, automatically selecting the right
-/// engine within `budget` — the single front door of the analysis layer.
-///
-/// Selection follows the structure of the problem: exact counting for counting models,
-/// exhaustive enumeration for small non-counting models, parallel Monte Carlo for
-/// everything else. The outcome says which engine ran and, for sampling, carries the
-/// confidence intervals.
-///
-/// ```
-/// use prob_consensus::analyzer::analyze_auto;
-/// use prob_consensus::engine::{Budget, EngineChoice};
-/// use prob_consensus::deployment::Deployment;
-/// use prob_consensus::raft_model::RaftModel;
-///
-/// let deployment = Deployment::uniform_crash(3, 0.01);
-/// let outcome = analyze_auto(&RaftModel::standard(3), &deployment, &Budget::default());
-/// assert_eq!(outcome.engine, EngineChoice::Counting);
-/// assert_eq!(outcome.report.safe_and_live.as_percent(), "99.97%");
-/// ```
-///
-/// # Panics
-///
-/// Panics if the model and the deployment disagree on the cluster size;
-/// [`analyze_scenario`] is the fallible form.
-pub fn analyze_auto(
-    model: &dyn ProtocolModel,
-    deployment: &Deployment,
-    budget: &Budget,
-) -> AnalysisOutcome {
-    analyze_scenario(model, &CorrelationModel::from(deployment), budget)
-        .unwrap_or_else(|error| panic!("{error}"))
 }
 
 /// Why an analysis request cannot be answered.
@@ -180,14 +146,35 @@ impl std::fmt::Display for AnalysisError {
 
 impl std::error::Error for AnalysisError {}
 
-/// Analyzes `model` on an arbitrary scenario (independent or correlated),
-/// automatically selecting the engine within `budget`.
+/// Analyzes `model` on `scenario` (independent or correlated), automatically
+/// selecting the right engine within `budget` — the single front door of the
+/// analysis layer.
 ///
-/// Unlike [`analyze_auto`] — whose [`Deployment`] argument is non-empty by
-/// construction — a [`CorrelationModel`] can cover zero nodes, so
-/// this front door is fallible: an empty scenario or a model/scenario size mismatch
-/// yields a clear [`AnalysisError`] instead of a deep panic or a vacuous report.
-pub fn analyze_scenario(
+/// Selection follows the structure of the problem: exact counting for counting models,
+/// exhaustive enumeration for small non-counting models, parallel Monte Carlo for
+/// everything else. The outcome says which engine ran and, for sampling, carries the
+/// confidence intervals.
+///
+/// ```
+/// use prob_consensus::analyzer::analyze_auto;
+/// use prob_consensus::engine::{Budget, EngineChoice};
+/// use prob_consensus::raft_model::RaftModel;
+/// use fault_model::correlation::CorrelationModel;
+/// use fault_model::mode::FaultProfile;
+///
+/// let scenario = CorrelationModel::uniform(3, FaultProfile::crash_only(0.01));
+/// let outcome = analyze_auto(&RaftModel::standard(3), &scenario, &Budget::default())?;
+/// assert_eq!(outcome.engine, EngineChoice::Counting);
+/// assert_eq!(outcome.report.safe_and_live.as_percent(), "99.97%");
+/// # Ok::<(), prob_consensus::AnalysisError>(())
+/// ```
+///
+/// # Errors
+///
+/// A [`CorrelationModel`] can cover zero nodes, so an empty scenario or a
+/// model/scenario size mismatch yields a clear [`AnalysisError`] instead of a deep
+/// panic or a vacuous report.
+pub fn analyze_auto(
     model: &dyn ProtocolModel,
     scenario: &CorrelationModel,
     budget: &Budget,
@@ -214,13 +201,14 @@ mod tests {
     use crate::engine::EngineChoice;
     use crate::pbft_model::PbftModel;
     use crate::raft_model::RaftModel;
+    use fault_model::mode::FaultProfile;
 
     /// The exact counting engine's report, pinned (not auto-selected).
-    fn counting(model: &dyn ProtocolModel, deployment: &Deployment) -> ReliabilityReport {
+    fn counting(model: &dyn ProtocolModel, scenario: &CorrelationModel) -> ReliabilityReport {
         EngineChoice::Counting
             .run(
                 model,
-                &CorrelationModel::from(deployment),
+                scenario,
                 &Budget::default(),
                 &GroupScratch::default(),
             )
@@ -262,7 +250,10 @@ mod tests {
             (9, 0.08, "99.97"),
         ];
         for &(n, p, paper) in expected {
-            let report = counting(&RaftModel::standard(n), &Deployment::uniform_crash(n, p));
+            let report = counting(
+                &RaftModel::standard(n),
+                &CorrelationModel::uniform(n, FaultProfile::crash_only(p)),
+            );
             assert_matches_paper_percent(
                 report.safe_and_live.probability(),
                 paper,
@@ -285,7 +276,7 @@ mod tests {
         for &(n, safe, live) in expected {
             let report = counting(
                 &PbftModel::standard(n),
-                &Deployment::uniform_byzantine(n, 0.01),
+                &CorrelationModel::uniform(n, FaultProfile::byzantine_only(0.01)),
             );
             assert_matches_paper_percent(
                 report.safe.probability(),
@@ -309,8 +300,14 @@ mod tests {
     /// as a nine node cluster with p_u = 8%".
     #[test]
     fn nine_cheap_nodes_match_three_reliable_nodes() {
-        let three = counting(&RaftModel::standard(3), &Deployment::uniform_crash(3, 0.01));
-        let nine = counting(&RaftModel::standard(9), &Deployment::uniform_crash(9, 0.08));
+        let three = counting(
+            &RaftModel::standard(3),
+            &CorrelationModel::uniform(3, FaultProfile::crash_only(0.01)),
+        );
+        let nine = counting(
+            &RaftModel::standard(9),
+            &CorrelationModel::uniform(9, FaultProfile::crash_only(0.08)),
+        );
         assert_eq!(three.safe_and_live.as_percent(), "99.97%");
         assert_eq!(nine.safe_and_live.as_percent(), "99.97%");
     }
@@ -318,12 +315,12 @@ mod tests {
     #[test]
     fn exact_and_counting_engines_agree() {
         let model = PbftModel::standard(5);
-        let deployment = Deployment::uniform_byzantine(5, 0.03);
+        let deployment = CorrelationModel::uniform(5, FaultProfile::byzantine_only(0.03));
         let a = counting(&model, &deployment);
         let b = EngineChoice::Enumeration
             .run(
                 &model,
-                &CorrelationModel::from(&deployment),
+                &deployment,
                 &Budget::default(),
                 &GroupScratch::default(),
             )
@@ -334,11 +331,9 @@ mod tests {
 
     #[test]
     fn empty_scenario_yields_a_clear_error() {
-        // An empty correlation model is the one way a zero-node scenario can reach
-        // the analyzer (Deployment rejects zero nodes at construction).
         let empty = CorrelationModel::independent(Vec::new());
         let model = RaftModel::standard(3);
-        let err = analyze_scenario(&model, &empty, &crate::engine::Budget::default())
+        let err = analyze_auto(&model, &empty, &crate::engine::Budget::default())
             .expect_err("empty scenario must not produce a report");
         // A 3-node model over a 0-node scenario is first and foremost empty.
         assert_eq!(err, AnalysisError::EmptyScenario);
@@ -347,10 +342,9 @@ mod tests {
 
     #[test]
     fn size_mismatch_yields_a_clear_error() {
-        use fault_model::mode::FaultProfile;
         let four = CorrelationModel::independent(vec![FaultProfile::crash_only(0.1); 4]);
         let model = RaftModel::standard(3);
-        let err = analyze_scenario(&model, &four, &crate::engine::Budget::default())
+        let err = analyze_auto(&model, &four, &crate::engine::Budget::default())
             .expect_err("size mismatch must not produce a report");
         assert_eq!(
             err,
@@ -360,18 +354,6 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("3 nodes"));
-    }
-
-    #[test]
-    fn analyze_scenario_agrees_with_analyze_auto_on_well_formed_input() {
-        let model = RaftModel::standard(5);
-        let deployment = Deployment::uniform_crash(5, 0.02);
-        let budget = crate::engine::Budget::default();
-        let auto = analyze_auto(&model, &deployment, &budget);
-        let scenario = analyze_scenario(&model, &CorrelationModel::from(&deployment), &budget)
-            .expect("well-formed scenario analyzes");
-        assert_eq!(auto.report, scenario.report);
-        assert_eq!(auto.engine, scenario.engine);
     }
 
     #[test]
@@ -397,7 +379,10 @@ mod tests {
 
     #[test]
     fn report_accessors() {
-        let report = counting(&RaftModel::standard(3), &Deployment::uniform_crash(3, 0.01));
+        let report = counting(
+            &RaftModel::standard(3),
+            &CorrelationModel::uniform(3, FaultProfile::crash_only(0.01)),
+        );
         assert!(report.unsafety() < 1e-12);
         assert!((report.unliveness() - 2.98e-4).abs() < 5e-6);
         assert!(report.meets(3.0));

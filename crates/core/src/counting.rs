@@ -11,12 +11,13 @@
 //! ([`crate::scratch::GroupScratch`]), which the session cache keys by the cell's
 //! content, so the counting engine runs the DP once per distinct cell.
 
-use crate::deployment::Deployment;
+use fault_model::mode::FaultProfile;
+
 use crate::enumeration::RawReliability;
 use crate::protocol::CountingModel;
 
 /// The exact joint probability mass function of the number of crashed and Byzantine
-/// nodes in a deployment with independent, heterogeneous per-node profiles.
+/// nodes among independent nodes with heterogeneous per-node profiles.
 #[derive(Debug, Clone)]
 pub struct FaultCountDistribution {
     n: usize,
@@ -30,22 +31,18 @@ pub struct FaultCountDistribution {
 }
 
 impl FaultCountDistribution {
-    /// Computes the distribution for a deployment.
-    pub fn from_deployment(deployment: &Deployment) -> Self {
-        let n = deployment.len();
+    /// Computes the distribution over independent nodes with these profiles.
+    pub fn from_profiles(profiles: &[FaultProfile]) -> Self {
+        let n = profiles.len();
         let mut pmf = vec![vec![0.0f64; n + 1]; n + 1];
         pmf[0][0] = 1.0;
-        if deployment
-            .profiles()
-            .iter()
-            .all(|p| p.byzantine_probability() == 0.0)
-        {
-            // Crash-only deployments (most of the paper's sweeps) have all their
+        if profiles.iter().all(|p| p.byzantine_probability() == 0.0) {
+            // Crash-only profiles (most of the paper's sweeps) have all their
             // mass in the `b = 0` column, so the DP collapses to a plain
             // Poisson-binomial over crashed counts: O(N²) instead of O(N³). Same
             // multiply/add sequence per surviving entry as the general loop below,
             // so the specialization is bit-identical to it.
-            for (added, profile) in deployment.profiles().iter().enumerate() {
+            for (added, profile) in profiles.iter().enumerate() {
                 let p_crash = profile.crash_probability();
                 let p_ok = profile.correct_probability();
                 for c in (0..=added).rev() {
@@ -58,7 +55,7 @@ impl FaultCountDistribution {
                 }
             }
         } else {
-            for (added, profile) in deployment.profiles().iter().enumerate() {
+            for (added, profile) in profiles.iter().enumerate() {
                 let p_crash = profile.crash_probability();
                 let p_byz = profile.byzantine_probability();
                 let p_ok = profile.correct_probability();
@@ -126,18 +123,18 @@ impl FaultCountDistribution {
     }
 }
 
-/// Computes the exact safety/liveness probabilities of a counting model under a
-/// deployment with independent (possibly heterogeneous) nodes.
+/// Computes the exact safety/liveness probabilities of a counting model over
+/// independent (possibly heterogeneous) nodes with these profiles.
 pub fn counting_reliability<M: CountingModel + ?Sized>(
     model: &M,
-    deployment: &Deployment,
+    profiles: &[FaultProfile],
 ) -> RawReliability {
     assert_eq!(
         model.num_nodes(),
-        deployment.len(),
-        "model and deployment disagree on the cluster size"
+        profiles.len(),
+        "model and profiles disagree on the cluster size"
     );
-    let dist = FaultCountDistribution::from_deployment(deployment);
+    let dist = FaultCountDistribution::from_profiles(profiles);
     let p_safe = dist.probability_where(|c, b| model.is_safe_counts(c, b));
     let p_live = dist.probability_where(|c, b| model.is_live_counts(c, b));
     let p_both = dist.probability_where(|c, b| model.is_safe_and_live_counts(c, b));
@@ -155,13 +152,12 @@ mod tests {
     use crate::enumeration::enumerate_reliability;
     use crate::pbft_model::PbftModel;
     use crate::raft_model::RaftModel;
-    use fault_model::mode::FaultProfile;
     use proptest::prelude::*;
 
     #[test]
     fn distribution_sums_to_one() {
-        let d = Deployment::uniform_mixed(9, 0.05, 0.01);
-        let dist = FaultCountDistribution::from_deployment(&d);
+        let d = vec![FaultProfile::new(0.05, 0.01); 9];
+        let dist = FaultCountDistribution::from_profiles(&d);
         let total: f64 = (0..=9)
             .flat_map(|c| (0..=(9 - c)).map(move |b| (c, b)))
             .map(|(c, b)| dist.probability(c, b))
@@ -171,8 +167,8 @@ mod tests {
 
     #[test]
     fn uniform_crash_distribution_is_binomial() {
-        let d = Deployment::uniform_crash(6, 0.1);
-        let dist = FaultCountDistribution::from_deployment(&d);
+        let d = vec![FaultProfile::crash_only(0.1); 6];
+        let dist = FaultCountDistribution::from_profiles(&d);
         for k in 0..=6 {
             let expected = quorum::metrics::binomial_pmf(6, k, 0.1);
             assert!((dist.probability(k, 0) - expected).abs() < 1e-12);
@@ -184,7 +180,7 @@ mod tests {
     fn counting_matches_enumeration_for_raft() {
         for (n, p) in [(3usize, 0.01), (5, 0.02), (7, 0.04), (9, 0.08)] {
             let model = RaftModel::standard(n);
-            let d = Deployment::uniform_crash(n, p);
+            let d = vec![FaultProfile::crash_only(p); n];
             let exact = enumerate_reliability(&model, &d);
             let fast = counting_reliability(&model, &d);
             assert!((exact.p_safe - fast.p_safe).abs() < 1e-12);
@@ -196,7 +192,7 @@ mod tests {
     #[test]
     fn counting_matches_enumeration_for_pbft_mixed_faults() {
         let model = PbftModel::standard(7);
-        let d = Deployment::uniform_mixed(7, 0.03, 0.005);
+        let d = vec![FaultProfile::new(0.03, 0.005); 7];
         let exact = enumerate_reliability(&model, &d);
         let fast = counting_reliability(&model, &d);
         assert!((exact.p_safe - fast.p_safe).abs() < 1e-12);
@@ -207,13 +203,13 @@ mod tests {
     #[test]
     fn heterogeneous_profiles_are_exact() {
         let model = RaftModel::standard(5);
-        let d = Deployment::from_profiles(vec![
+        let d = vec![
             FaultProfile::crash_only(0.01),
             FaultProfile::crash_only(0.02),
             FaultProfile::crash_only(0.08),
             FaultProfile::crash_only(0.04),
             FaultProfile::crash_only(0.005),
-        ]);
+        ];
         let exact = enumerate_reliability(&model, &d);
         let fast = counting_reliability(&model, &d);
         assert!((exact.p_safe_and_live - fast.p_safe_and_live).abs() < 1e-12);
@@ -222,7 +218,7 @@ mod tests {
     #[test]
     fn scales_to_one_hundred_nodes() {
         let model = RaftModel::standard(99);
-        let d = Deployment::uniform_crash(99, 0.1);
+        let d = vec![FaultProfile::crash_only(0.1); 99];
         let r = counting_reliability(&model, &d);
         assert!(r.p_live > 0.999999);
         assert_eq!(r.p_safe, 1.0);
@@ -230,13 +226,11 @@ mod tests {
 
     #[test]
     fn cached_tail_sums_match_a_naive_resummation() {
-        // Heterogeneous mixed-mode deployment, so no symmetry hides an indexing bug.
-        let d = Deployment::from_profiles(
-            (0..12)
-                .map(|i| FaultProfile::new(0.01 * (i + 1) as f64, 0.002 * (i % 4) as f64))
-                .collect(),
-        );
-        let dist = FaultCountDistribution::from_deployment(&d);
+        // Heterogeneous mixed-mode profiles, so no symmetry hides an indexing bug.
+        let d: Vec<FaultProfile> = (0..12)
+            .map(|i| FaultProfile::new(0.01 * (i + 1) as f64, 0.002 * (i % 4) as f64))
+            .collect();
+        let dist = FaultCountDistribution::from_profiles(&d);
         for faulty in 0..=13 {
             let dist = &dist;
             let naive: f64 = (faulty..=dist.n())
@@ -258,17 +252,15 @@ mod tests {
     /// O(N³) DP.
     #[test]
     fn crash_only_specialization_and_cache_are_bit_identical_to_the_general_dp() {
-        let d = Deployment::from_profiles(
-            (0..40)
-                .map(|i| FaultProfile::crash_only(0.002 * (i + 1) as f64))
-                .collect(),
-        );
+        let d: Vec<FaultProfile> = (0..40)
+            .map(|i| FaultProfile::crash_only(0.002 * (i + 1) as f64))
+            .collect();
         // General-path reference: force the 2-D DP by a zero-mass byzantine column
         // trick is unavailable (any nonzero p_byz changes the numbers), so replay
         // the general recurrence by hand instead.
         let mut pmf = vec![vec![0.0f64; 41]; 41];
         pmf[0][0] = 1.0;
-        for (added, profile) in d.profiles().iter().enumerate() {
+        for (added, profile) in d.iter().enumerate() {
             let p_crash = profile.crash_probability();
             let p_byz = profile.byzantine_probability();
             let p_ok = profile.correct_probability();
@@ -284,7 +276,7 @@ mod tests {
                 }
             }
         }
-        let fast = FaultCountDistribution::from_deployment(&d);
+        let fast = FaultCountDistribution::from_profiles(&d);
         for (c, row) in pmf.iter().enumerate() {
             for (b, &expected) in row.iter().enumerate().take(41 - c) {
                 assert_eq!(
@@ -319,7 +311,7 @@ mod tests {
             p_byz in 0.0..0.1f64,
         ) {
             let model = PbftModel::standard(n);
-            let d = Deployment::uniform_mixed(n, p_crash, p_byz);
+            let d = vec![FaultProfile::new(p_crash, p_byz); n];
             let exact = enumerate_reliability(&model, &d);
             let fast = counting_reliability(&model, &d);
             prop_assert!((exact.p_safe - fast.p_safe).abs() < 1e-9);

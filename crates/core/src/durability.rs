@@ -10,16 +10,16 @@
 //! [`fault_model::markov::RepairableGroup`]'s.
 
 use fault_model::metrics::Nines;
+use fault_model::mode::FaultProfile;
 
 use crate::counting::FaultCountDistribution;
-use crate::deployment::Deployment;
 use crate::failure::FailureConfig;
 use crate::protocol::ProtocolModel;
 
-/// Probability that at least `k` nodes of the deployment are faulty over the window —
-/// the "scary" number the f-threshold model reacts to.
-pub fn probability_at_least_faults(deployment: &Deployment, k: usize) -> f64 {
-    FaultCountDistribution::from_deployment(deployment).probability_at_least_faults(k)
+/// Probability that at least `k` of these independent nodes are faulty over the
+/// window — the "scary" number the f-threshold model reacts to.
+pub fn probability_at_least_faults(profiles: &[FaultProfile], k: usize) -> f64 {
+    FaultCountDistribution::from_profiles(profiles).probability_at_least_faults(k)
 }
 
 /// Probability that *every* member of `quorum` is faulty over the window — i.e. the most
@@ -28,22 +28,22 @@ pub fn probability_at_least_faults(deployment: &Deployment, k: usize) -> f64 {
 /// # Panics
 ///
 /// Panics if any member index is out of range or repeated.
-pub fn quorum_loss_probability(deployment: &Deployment, quorum: &[usize]) -> f64 {
-    let mut seen = vec![false; deployment.len()];
+pub fn quorum_loss_probability(profiles: &[FaultProfile], quorum: &[usize]) -> f64 {
+    let mut seen = vec![false; profiles.len()];
     let mut p = 1.0;
     for &m in quorum {
-        assert!(m < deployment.len(), "quorum member {m} out of range");
+        assert!(m < profiles.len(), "quorum member {m} out of range");
         assert!(!seen[m], "quorum member {m} repeated");
         seen[m] = true;
-        p *= deployment.profile(m).fault_probability();
+        p *= profiles[m].fault_probability();
     }
     p
 }
 
 /// Durability of data persisted on `quorum`: the probability that at least one member
 /// survives the window.
-pub fn quorum_durability(deployment: &Deployment, quorum: &[usize]) -> Nines {
-    Nines::from_probability(1.0 - quorum_loss_probability(deployment, quorum))
+pub fn quorum_durability(profiles: &[FaultProfile], quorum: &[usize]) -> Nines {
+    Nines::from_probability(1.0 - quorum_loss_probability(profiles, quorum))
 }
 
 /// The two sides of the paper's §4 durability argument for one deployment.
@@ -69,24 +69,38 @@ impl DurabilityClaim {
     }
 }
 
-/// Evaluates the §4 claim for a deployment: compares the probability of `quorum_size`
-/// simultaneous faults with the probability that a *specific* quorum of the
-/// `quorum_size` least reliable nodes is wiped out.
-pub fn durability_claim(deployment: &Deployment, quorum_size: usize) -> DurabilityClaim {
+/// Evaluates the §4 claim for independent nodes with these profiles: compares the
+/// probability of `quorum_size` simultaneous faults with the probability that a
+/// *specific* quorum of the `quorum_size` least reliable nodes is wiped out.
+pub fn durability_claim(profiles: &[FaultProfile], quorum_size: usize) -> DurabilityClaim {
     assert!(
-        quorum_size <= deployment.len(),
+        quorum_size <= profiles.len(),
         "quorum cannot exceed the deployment"
     );
-    let p_threshold_exceeded = probability_at_least_faults(deployment, quorum_size);
+    let p_threshold_exceeded = probability_at_least_faults(profiles, quorum_size);
     // The adversarial placement: data persisted on the least reliable nodes.
-    let ranked = deployment.nodes_by_reliability();
+    let ranked = nodes_by_reliability(profiles);
     let worst: Vec<usize> = ranked[ranked.len() - quorum_size..].to_vec();
-    let p_data_loss = quorum_loss_probability(deployment, &worst);
+    let p_data_loss = quorum_loss_probability(profiles, &worst);
     DurabilityClaim {
         p_threshold_exceeded,
         p_data_loss,
         quorum_size,
     }
+}
+
+/// Node indices ordered from most to least reliable (lowest fault probability
+/// first); ties broken by index.
+pub fn nodes_by_reliability(profiles: &[FaultProfile]) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..profiles.len()).collect();
+    idx.sort_by(|&a, &b| {
+        profiles[a]
+            .fault_probability()
+            .partial_cmp(&profiles[b].fault_probability())
+            .unwrap()
+            .then(a.cmp(&b))
+    });
+    idx
 }
 
 /// The §4 durability event as a [`ProtocolModel`]: "safe" iff at least one member of
@@ -166,12 +180,11 @@ mod tests {
     use crate::engine::{Budget, EngineChoice};
     use crate::scratch::GroupScratch;
     use fault_model::correlation::CorrelationModel;
-    use fault_model::mode::FaultProfile;
 
     #[test]
     fn paper_hundred_node_claim() {
         // N = 100, |Q_per| = 10, p_u = 10%.
-        let deployment = Deployment::uniform_crash(100, 0.10);
+        let deployment = vec![FaultProfile::crash_only(0.10); 100];
         let claim = durability_claim(&deployment, 10);
         // "there is a 50% chance that |Q_per| faults occur"
         assert!(
@@ -186,7 +199,7 @@ mod tests {
 
     #[test]
     fn quorum_loss_probability_is_product_of_members() {
-        let deployment = Deployment::uniform_crash(5, 0.1);
+        let deployment = vec![FaultProfile::crash_only(0.1); 5];
         let p = quorum_loss_probability(&deployment, &[0, 1, 2]);
         assert!((p - 1e-3).abs() < 1e-12);
         assert!((quorum_durability(&deployment, &[0, 1, 2]).probability() - 0.999).abs() < 1e-12);
@@ -194,12 +207,12 @@ mod tests {
 
     #[test]
     fn heterogeneous_quorum_durability_depends_on_members() {
-        let deployment = Deployment::from_profiles(vec![
+        let deployment = vec![
             FaultProfile::crash_only(0.01),
             FaultProfile::crash_only(0.08),
             FaultProfile::crash_only(0.08),
             FaultProfile::crash_only(0.08),
-        ]);
+        ];
         let unreliable_only = quorum_loss_probability(&deployment, &[1, 2, 3]);
         let with_reliable = quorum_loss_probability(&deployment, &[0, 2, 3]);
         assert!(with_reliable < unreliable_only / 5.0);
@@ -207,19 +220,29 @@ mod tests {
 
     #[test]
     fn durability_claim_uses_least_reliable_nodes() {
-        let deployment = Deployment::from_profiles(vec![
+        let deployment = vec![
             FaultProfile::crash_only(0.001),
             FaultProfile::crash_only(0.5),
             FaultProfile::crash_only(0.5),
-        ]);
+        ];
         let claim = durability_claim(&deployment, 2);
         assert!((claim.p_data_loss - 0.25).abs() < 1e-12);
     }
 
     #[test]
+    fn reliability_ordering() {
+        let profiles = [
+            FaultProfile::crash_only(0.08),
+            FaultProfile::crash_only(0.01),
+            FaultProfile::crash_only(0.04),
+        ];
+        assert_eq!(nodes_by_reliability(&profiles), vec![1, 2, 0]);
+    }
+
+    #[test]
     #[should_panic(expected = "repeated")]
     fn repeated_quorum_members_are_rejected() {
-        let deployment = Deployment::uniform_crash(3, 0.1);
+        let deployment = vec![FaultProfile::crash_only(0.1); 3];
         quorum_loss_probability(&deployment, &[0, 0]);
     }
 
@@ -256,17 +279,17 @@ mod tests {
     fn persistence_quorum_model_agrees_with_analytic_loss_probability() {
         // Small enough for exhaustive enumeration: the model's unsafety equals the
         // closed-form quorum loss probability.
-        let deployment = Deployment::uniform_crash(6, 0.2);
+        let scenario = CorrelationModel::uniform(6, FaultProfile::crash_only(0.2));
         let model = PersistenceQuorumModel::new(6, vec![0, 2, 4]);
         let report = EngineChoice::Enumeration
             .run(
                 &model,
-                &CorrelationModel::from(&deployment),
+                &scenario,
                 &Budget::default(),
                 &GroupScratch::default(),
             )
             .report;
-        let analytic = quorum_loss_probability(&deployment, &[0, 2, 4]);
+        let analytic = quorum_loss_probability(scenario.profiles(), &[0, 2, 4]);
         assert!((report.unsafety() - analytic).abs() < 1e-12);
     }
 

@@ -6,18 +6,19 @@
 //!
 //! * [`CorrelationModel`] — what the analysis runs against: per-node fault profiles
 //!   plus common-cause shock groups. An independent deployment is the model with no
-//!   groups (`CorrelationModel::from(&deployment)`), so every engine reads one
-//!   scenario type.
+//!   groups ([`CorrelationModel::independent`], [`CorrelationModel::uniform`]), so
+//!   every engine reads one scenario type; the exact engines read its per-node
+//!   profiles.
 //! * [`EngineChoice`] — the five engines, wrapping [`crate::enumeration`],
 //!   [`crate::counting`], [`crate::rare_event`], [`crate::montecarlo`] and
 //!   [`crate::simulation`]. [`EngineChoice::supports`] and [`EngineChoice::run`]
 //!   are each one `match`, and both take prepared scratch ([`crate::scratch`]):
-//!   the query planner passes the scratch its cells share, the front doors and a
+//!   the query planner passes the scratch its cells share, the front door and a
 //!   caller pinning an engine pass a fresh one.
 //! * [`Budget`] — how much work (exact counting size, Monte Carlo samples,
 //!   simulation trials) the caller is willing to spend, the sampling seed, and the
 //!   rare-event selection threshold.
-//! * [`select_engine`] — the one auto-selector, behind both the per-cell front doors
+//! * [`select_engine`] — the one auto-selector, behind both the per-cell front door
 //!   and the query planner: exact counting for independent counting
 //!   models, exhaustive enumeration for small non-counting models, importance
 //!   sampling when the failure event is too rare for plain sampling, parallel Monte
@@ -36,7 +37,6 @@ use fault_model::correlation::CorrelationModel;
 
 use crate::analyzer::ReliabilityReport;
 use crate::counting::counting_reliability;
-use crate::deployment::Deployment;
 use crate::enumeration::enumerate_reliability;
 use crate::montecarlo::{Estimate, McSampler, MonteCarloReport};
 use crate::protocol::ProtocolModel;
@@ -610,14 +610,13 @@ impl EngineChoice {
                     !scenario.is_correlated(),
                     "exact engines require an independent scenario"
                 );
-                let deployment = || Deployment::from_profiles(scenario.profiles().to_vec());
                 let raw = if self == EngineChoice::Enumeration {
-                    enumerate_reliability(model, &deployment())
+                    enumerate_reliability(model, scenario.profiles())
                 } else {
                     let counting = model
                         .as_counting()
                         .expect("counting engine requires a counting model");
-                    scratch.counting(|| counting_reliability(counting, &deployment()))
+                    scratch.counting(|| counting_reliability(counting, scenario.profiles()))
                 };
                 AnalysisOutcome::new(self, raw.p_safe, raw.p_live, raw.p_safe_and_live)
             }
@@ -640,8 +639,8 @@ impl EngineChoice {
 ///
 /// # Panics
 ///
-/// Panics on an empty scenario; the fallible front door is
-/// [`crate::analyzer::analyze_scenario`].
+/// Panics on an empty scenario; the front door [`crate::analyzer::analyze_auto`]
+/// refuses one with an error instead.
 pub fn select_engine(
     model: &dyn ProtocolModel,
     scenario: &CorrelationModel,
@@ -702,36 +701,24 @@ mod tests {
     #[test]
     fn counting_model_on_independent_deployment_selects_counting() {
         let model = RaftModel::standard(5);
-        let deployment = Deployment::uniform_crash(5, 0.05);
-        let choice = selected(
-            &model,
-            &CorrelationModel::from(&deployment),
-            &Budget::default(),
-        );
+        let deployment = CorrelationModel::uniform(5, FaultProfile::crash_only(0.05));
+        let choice = selected(&model, &deployment, &Budget::default());
         assert_eq!(choice, EngineChoice::Counting);
     }
 
     #[test]
     fn non_counting_model_small_n_selects_enumeration() {
         let model = RequiresNodeZero { n: 5 };
-        let deployment = Deployment::uniform_crash(5, 0.05);
-        let choice = selected(
-            &model,
-            &CorrelationModel::from(&deployment),
-            &Budget::default(),
-        );
+        let deployment = CorrelationModel::uniform(5, FaultProfile::crash_only(0.05));
+        let choice = selected(&model, &deployment, &Budget::default());
         assert_eq!(choice, EngineChoice::Enumeration);
     }
 
     #[test]
     fn non_counting_model_large_n_selects_monte_carlo() {
         let model = RequiresNodeZero { n: 64 };
-        let deployment = Deployment::uniform_crash(64, 0.05);
-        let choice = selected(
-            &model,
-            &CorrelationModel::from(&deployment),
-            &Budget::default(),
-        );
+        let deployment = CorrelationModel::uniform(64, FaultProfile::crash_only(0.05));
+        let choice = selected(&model, &deployment, &Budget::default());
         assert_eq!(choice, EngineChoice::MonteCarlo);
     }
 
@@ -753,8 +740,8 @@ mod tests {
             selected(&model, &independent, &Budget::default()),
             EngineChoice::Counting
         );
-        // A deployment is converted to exactly this model, so both answer alike.
-        let deployment = CorrelationModel::from(&Deployment::uniform_crash(5, 0.02));
+        // `uniform` builds exactly this model, so both answer alike.
+        let uniform = CorrelationModel::uniform(5, FaultProfile::crash_only(0.02));
         assert_eq!(
             EngineChoice::Counting.run(
                 &model,
@@ -764,7 +751,7 @@ mod tests {
             ),
             EngineChoice::Counting.run(
                 &model,
-                &deployment,
+                &uniform,
                 &Budget::default(),
                 &GroupScratch::default()
             )
@@ -777,22 +764,14 @@ mod tests {
         // counting cap, 2^21 binary and 3^13 ternary configurations are past the one
         // configuration limit, so the selector falls back to sampling.
         let roomy = Budget::default().with_max_counting_nodes(usize::MAX);
-        let binary = Deployment::uniform_crash(21, 0.05);
+        let binary = CorrelationModel::uniform(21, FaultProfile::crash_only(0.05));
         assert_eq!(
-            selected(
-                &RequiresNodeZero { n: 21 },
-                &CorrelationModel::from(&binary),
-                &roomy
-            ),
+            selected(&RequiresNodeZero { n: 21 }, &binary, &roomy),
             EngineChoice::MonteCarlo
         );
-        let mixed = Deployment::uniform_mixed(13, 0.05, 0.01);
+        let mixed = CorrelationModel::uniform(13, FaultProfile::new(0.05, 0.01));
         assert_eq!(
-            selected(
-                &RequiresNodeZero { n: 13 },
-                &CorrelationModel::from(&mixed),
-                &roomy
-            ),
+            selected(&RequiresNodeZero { n: 13 }, &mixed, &roomy),
             EngineChoice::MonteCarlo
         );
     }
@@ -810,16 +789,12 @@ mod tests {
         ] {
             let model = RequiresNodeZero { n };
             let deployment = if mixed {
-                Deployment::uniform_mixed(n, 0.05, 0.01)
+                CorrelationModel::uniform(n, FaultProfile::new(0.05, 0.01))
             } else {
-                Deployment::uniform_crash(n, 0.05)
+                CorrelationModel::uniform(n, FaultProfile::crash_only(0.05))
             };
             assert_eq!(
-                selected(
-                    &model,
-                    &CorrelationModel::from(&deployment),
-                    &Budget::default()
-                ),
+                selected(&model, &deployment, &Budget::default()),
                 expected,
                 "N = {n}, mixed = {mixed}"
             );
@@ -833,8 +808,7 @@ mod tests {
         // losing a 1,501-node majority at p_u = 1% is an astronomically rare event,
         // the rare-event engine (not plain Monte Carlo) picks it up.
         let model = RaftModel::standard(3_000);
-        let deployment = Deployment::uniform_crash(3_000, 0.01);
-        let scenario = &CorrelationModel::from(&deployment);
+        let scenario = &CorrelationModel::uniform(3_000, FaultProfile::crash_only(0.01));
         assert_eq!(
             selected(&model, scenario, &Budget::default()),
             EngineChoice::ImportanceSampling
@@ -851,8 +825,7 @@ mod tests {
 
     #[test]
     fn ternary_deployments_cost_three_modes_per_node() {
-        let deployment = Deployment::uniform_mixed(8, 0.05, 0.001);
-        let scenario = &CorrelationModel::from(&deployment);
+        let scenario = &CorrelationModel::uniform(8, FaultProfile::new(0.05, 0.001));
         assert_eq!(
             crate::enumeration::enumeration_config_count(scenario.profiles()),
             3u64.pow(8)
@@ -862,8 +835,7 @@ mod tests {
     #[test]
     fn counting_and_enumeration_engines_agree_via_trait() {
         let model = PbftModel::standard(5);
-        let deployment = Deployment::uniform_byzantine(5, 0.03);
-        let scenario = &CorrelationModel::from(&deployment);
+        let scenario = &CorrelationModel::uniform(5, FaultProfile::byzantine_only(0.03));
         let budget = Budget::default();
         let exact =
             EngineChoice::Enumeration.run(&model, scenario, &budget, &GroupScratch::default());
@@ -881,10 +853,10 @@ mod tests {
     #[test]
     fn monte_carlo_engine_reports_estimate() {
         let model = RaftModel::standard(5);
-        let deployment = Deployment::uniform_crash(5, 0.05);
+        let deployment = CorrelationModel::uniform(5, FaultProfile::crash_only(0.05));
         let outcome = EngineChoice::MonteCarlo.run(
             &model,
-            &CorrelationModel::from(&deployment),
+            &deployment,
             &Budget::default().with_samples(50_000).with_seed(7),
             &GroupScratch::default(),
         );
@@ -896,7 +868,7 @@ mod tests {
         assert_eq!(mc.samples, 50_000);
         let exact = EngineChoice::Counting.run(
             &model,
-            &CorrelationModel::from(&deployment),
+            &deployment,
             &Budget::default(),
             &GroupScratch::default(),
         );
@@ -909,23 +881,19 @@ mod tests {
         // below the pilot's resolution and the 1e-6 threshold. No exact engine takes
         // a 40-node placement-sensitive model, so the rare-event engine must.
         let model = crate::durability::PersistenceQuorumModel::new(40, (0..6).collect());
-        let deployment = Deployment::uniform_crash(40, 0.05);
-        let choice = selected(
-            &model,
-            &CorrelationModel::from(&deployment),
-            &Budget::default(),
-        );
+        let deployment = CorrelationModel::uniform(40, FaultProfile::crash_only(0.05));
+        let choice = selected(&model, &deployment, &Budget::default());
         assert_eq!(choice, EngineChoice::ImportanceSampling);
         // A threshold of 1 accepts any proxy value, so the preference still holds;
         // a zero threshold can never be undercut, so Monte Carlo takes over.
         let permissive = Budget::default().with_rare_event_threshold(1.0);
         let disabled = Budget::default().with_rare_event_threshold(0.0);
         assert_eq!(
-            selected(&model, &CorrelationModel::from(&deployment), &permissive),
+            selected(&model, &deployment, &permissive),
             EngineChoice::ImportanceSampling
         );
         assert_eq!(
-            selected(&model, &CorrelationModel::from(&deployment), &disabled),
+            selected(&model, &deployment, &disabled),
             EngineChoice::MonteCarlo
         );
     }
@@ -935,9 +903,10 @@ mod tests {
         // 24 binary nodes put 2^24 configurations past the enumeration limit, so
         // the selector has to sample — and P[loss] ≈ 6.3e-6 is pilot-invisible.
         let model = crate::durability::PersistenceQuorumModel::new(24, (0..4).collect());
-        let deployment = Deployment::uniform_crash(24, 0.05);
+        let deployment = CorrelationModel::uniform(24, FaultProfile::crash_only(0.05));
         let budget = Budget::default().with_samples(30_000).with_seed(13);
-        let outcome = crate::analyzer::analyze_auto(&model, &deployment, &budget);
+        let outcome = crate::analyzer::analyze_auto(&model, &deployment, &budget)
+            .expect("well-formed scenario");
         assert_eq!(outcome.engine, EngineChoice::ImportanceSampling);
         assert!(!outcome.is_exact());
         assert!(outcome.monte_carlo.is_none());
@@ -958,9 +927,10 @@ mod tests {
         // zero in `monte_carlo_samples` divided by n = 0 downstream); it now
         // saturates to one sample with finite, in-range bounds.
         let model = RequiresNodeZero { n: 64 };
-        let deployment = Deployment::uniform_crash(64, 0.05);
+        let deployment = CorrelationModel::uniform(64, FaultProfile::crash_only(0.05));
         let budget = Budget::default().with_samples(0);
-        let outcome = crate::analyzer::analyze_auto(&model, &deployment, &budget);
+        let outcome = crate::analyzer::analyze_auto(&model, &deployment, &budget)
+            .expect("well-formed scenario");
         assert_eq!(outcome.engine, EngineChoice::MonteCarlo);
         let mc = outcome
             .monte_carlo
@@ -990,7 +960,7 @@ mod tests {
         );
         let outcome = EngineChoice::Counting.run(
             &RaftModel::standard(3),
-            &CorrelationModel::from(&Deployment::uniform_crash(3, 0.01)),
+            &CorrelationModel::uniform(3, FaultProfile::crash_only(0.01)),
             &Budget::default(),
             &GroupScratch::default(),
         );

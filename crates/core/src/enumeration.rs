@@ -7,9 +7,8 @@
 //! (it works for *any* [`ProtocolModel`], including non-counting ones) but exponential,
 //! so it is intended for the paper-scale clusters (N ≲ 20).
 
-use fault_model::mode::NodeState;
+use fault_model::mode::{FaultProfile, NodeState};
 
-use crate::deployment::Deployment;
 use crate::failure::FailureConfig;
 use crate::protocol::ProtocolModel;
 
@@ -44,7 +43,7 @@ pub const MAX_ENUMERATION_CONFIGS: u64 = 1 << 20;
 /// The per-node failure modes enumeration considers for these profiles. Shared by
 /// [`enumerate_reliability`], [`enumeration_supported`] and
 /// [`enumeration_config_count`] so the three can never disagree.
-fn active_modes(profiles: &[fault_model::mode::FaultProfile]) -> Vec<NodeState> {
+fn active_modes(profiles: &[FaultProfile]) -> Vec<NodeState> {
     let crash = profiles.iter().any(|p| p.crash_probability() > 0.0);
     let byzantine = profiles.iter().any(|p| p.byzantine_probability() > 0.0);
     if crash && byzantine {
@@ -58,7 +57,7 @@ fn active_modes(profiles: &[fault_model::mode::FaultProfile]) -> Vec<NodeState> 
 
 /// Number of failure configurations [`enumerate_reliability`] would visit for these
 /// profiles, saturating at `u64::MAX`.
-pub fn enumeration_config_count(profiles: &[fault_model::mode::FaultProfile]) -> u64 {
+pub fn enumeration_config_count(profiles: &[FaultProfile]) -> u64 {
     let modes = active_modes(profiles).len() as u64;
     let mut total: u64 = 1;
     for _ in 0..profiles.len() {
@@ -69,30 +68,30 @@ pub fn enumeration_config_count(profiles: &[fault_model::mode::FaultProfile]) ->
 
 /// Whether [`enumerate_reliability`] accepts these profiles without panicking — the
 /// module's own admissibility rule, for the engine auto-selector.
-pub fn enumeration_supported(profiles: &[fault_model::mode::FaultProfile]) -> bool {
+pub fn enumeration_supported(profiles: &[FaultProfile]) -> bool {
     enumeration_config_count(profiles) <= MAX_ENUMERATION_CONFIGS
 }
 
 /// Exhaustively enumerates failure configurations and returns the exact safety/liveness
-/// probabilities of `model` under `deployment`.
+/// probabilities of `model` over independent nodes with these `profiles`.
 ///
 /// # Panics
 ///
-/// Panics if the deployment size does not match the model, or if the configuration space
+/// Panics if the number of profiles does not match the model, or if the configuration space
 /// is too large to enumerate (use [`crate::counting`] or [`crate::montecarlo`] instead).
 pub fn enumerate_reliability<M: ProtocolModel + ?Sized>(
     model: &M,
-    deployment: &Deployment,
+    profiles: &[FaultProfile],
 ) -> RawReliability {
     assert_eq!(
         model.num_nodes(),
-        deployment.len(),
-        "model and deployment disagree on the cluster size"
+        profiles.len(),
+        "model and profiles disagree on the cluster size"
     );
-    let n = deployment.len();
-    let modes = active_modes(deployment.profiles());
+    let n = profiles.len();
+    let modes = active_modes(profiles);
     assert!(
-        enumeration_supported(deployment.profiles()),
+        enumeration_supported(profiles),
         "enumeration limited to {MAX_ENUMERATION_CONFIGS} configurations, got {}^{n}",
         modes.len()
     );
@@ -103,7 +102,7 @@ pub fn enumerate_reliability<M: ProtocolModel + ?Sized>(
     let mut states = vec![NodeState::Correct; n];
     enumerate_recursive(
         model,
-        deployment,
+        profiles,
         &modes,
         &mut states,
         0,
@@ -123,7 +122,7 @@ pub fn enumerate_reliability<M: ProtocolModel + ?Sized>(
 #[allow(clippy::too_many_arguments)]
 fn enumerate_recursive<M: ProtocolModel + ?Sized>(
     model: &M,
-    deployment: &Deployment,
+    profiles: &[FaultProfile],
     modes: &[NodeState],
     states: &mut Vec<NodeState>,
     node: usize,
@@ -151,13 +150,13 @@ fn enumerate_recursive<M: ProtocolModel + ?Sized>(
         }
         return;
     }
-    let profile = deployment.profile(node);
+    let profile = profiles[node];
     for &mode in modes {
         let p = profile.probability_of(mode);
         states[node] = mode;
         enumerate_recursive(
             model,
-            deployment,
+            profiles,
             modes,
             states,
             node + 1,
@@ -179,7 +178,7 @@ mod tests {
     #[test]
     fn raft_three_nodes_one_percent_matches_paper() {
         let model = RaftModel::standard(3);
-        let deployment = Deployment::uniform_crash(3, 0.01);
+        let deployment = vec![FaultProfile::crash_only(0.01); 3];
         let r = enumerate_reliability(&model, &deployment);
         // Safety is structural; liveness = P(at most 1 crash).
         assert!((r.p_safe - 1.0).abs() < 1e-12);
@@ -193,7 +192,7 @@ mod tests {
     #[test]
     fn pbft_four_nodes_one_percent_matches_table1() {
         let model = PbftModel::standard(4);
-        let deployment = Deployment::uniform_byzantine(4, 0.01);
+        let deployment = vec![FaultProfile::byzantine_only(0.01); 4];
         let r = enumerate_reliability(&model, &deployment);
         let p_at_most_one = 0.99f64.powi(4) + 4.0 * 0.01 * 0.99f64.powi(3);
         assert!((r.p_safe - p_at_most_one).abs() < 1e-12);
@@ -203,7 +202,7 @@ mod tests {
     #[test]
     fn probabilities_are_consistent() {
         let model = PbftModel::standard(7);
-        let deployment = Deployment::uniform_byzantine(7, 0.05);
+        let deployment = vec![FaultProfile::byzantine_only(0.05); 7];
         let r = enumerate_reliability(&model, &deployment);
         assert!(r.p_safe_and_live <= r.p_safe + 1e-12);
         assert!(r.p_safe_and_live <= r.p_live + 1e-12);
@@ -214,7 +213,7 @@ mod tests {
     #[test]
     fn ternary_enumeration_handles_mixed_deployments() {
         let model = PbftModel::standard(4);
-        let deployment = Deployment::uniform_mixed(4, 0.04, 0.001);
+        let deployment = vec![FaultProfile::new(0.04, 0.001); 4];
         let r = enumerate_reliability(&model, &deployment);
         // Crashes cannot break PBFT safety, so safety only depends on Byzantine faults.
         let p_byz_at_most_1 = {
@@ -229,11 +228,11 @@ mod tests {
     #[test]
     fn heterogeneous_deployment_enumeration() {
         // Node 0 never fails; nodes 1 and 2 fail with certainty: Raft(3) loses liveness.
-        let deployment = Deployment::from_profiles(vec![
-            fault_model::mode::FaultProfile::crash_only(0.0),
-            fault_model::mode::FaultProfile::crash_only(1.0),
-            fault_model::mode::FaultProfile::crash_only(1.0),
-        ]);
+        let deployment = vec![
+            FaultProfile::crash_only(0.0),
+            FaultProfile::crash_only(1.0),
+            FaultProfile::crash_only(1.0),
+        ];
         let r = enumerate_reliability(&RaftModel::standard(3), &deployment);
         assert_eq!(r.p_live, 0.0);
         assert_eq!(r.p_safe, 1.0);
@@ -242,6 +241,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "disagree on the cluster size")]
     fn size_mismatch_panics() {
-        enumerate_reliability(&RaftModel::standard(3), &Deployment::uniform_crash(4, 0.01));
+        enumerate_reliability(
+            &RaftModel::standard(3),
+            &[FaultProfile::crash_only(0.01); 4],
+        );
     }
 }

@@ -45,10 +45,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use fault_model::mode::FaultProfile;
 use fault_model::posterior::BetaPosterior;
 
 use crate::counting::counting_reliability;
-use crate::deployment::Deployment;
 use crate::engine::EpistemicBudget;
 use crate::json::JsonValue;
 use crate::montecarlo::chunk_seed;
@@ -312,8 +312,8 @@ pub fn calibrate<M: CountingModel + ?Sized>(
         config.level
     );
     let n = model.num_nodes();
-    let truth =
-        counting_reliability(model, &Deployment::uniform_crash(n, config.true_p)).p_safe_and_live;
+    let truth = counting_reliability(model, &vec![FaultProfile::crash_only(config.true_p); n])
+        .p_safe_and_live;
     // Per trial: sorted draw reliabilities (kept so every ECE level reuses the
     // same draws instead of re-running the engines per level).
     let per_trial: Vec<Vec<f64>> = (0..config.trials)
@@ -329,7 +329,8 @@ pub fn calibrate<M: CountingModel + ?Sized>(
             let mut values: Vec<f64> = (0..config.draws)
                 .map(|_| {
                     let p = posterior.sample_p(&mut rng);
-                    counting_reliability(model, &Deployment::uniform_crash(n, p)).p_safe_and_live
+                    counting_reliability(model, &vec![FaultProfile::crash_only(p); n])
+                        .p_safe_and_live
                 })
                 .collect();
             values.sort_by(|a, b| a.partial_cmp(b).expect("reliabilities are never NaN"));

@@ -2,8 +2,9 @@
 //!
 //! This crate is the primary contribution of the reproduction: it turns the position of
 //! "Real Life Is Uncertain. Consensus Should Be Too!" (HotOS '25) into an executable
-//! analysis and design library. Given a *deployment* (per-node probabilities of crashing
-//! or turning Byzantine over a mission window, derived from fault curves) and a
+//! analysis and design library. Given a *scenario* (per-node probabilities of crashing
+//! or turning Byzantine over a mission window, derived from fault curves, plus
+//! common-cause shock groups — a [`fault_model::correlation::CorrelationModel`]) and a
 //! *protocol model* (which failure configurations keep the protocol safe and live —
 //! Theorems 3.1 and 3.2 of the paper), it computes probabilistic safety and liveness
 //! guarantees, and uses them to drive the probability-native mechanisms the paper
@@ -11,10 +12,8 @@
 //!
 //! # Layout
 //!
-//! * [`deployment`] — deployments: per-node [`fault_model::FaultProfile`]s plus helpers
-//!   to build them from fleets and fault curves.
 //! * [`failure`] — failure configurations (who crashed, who is Byzantine) and their
-//!   probabilities under a deployment.
+//!   probabilities under per-node fault profiles.
 //! * [`protocol`] — the [`protocol::ProtocolModel`] and [`protocol::CountingModel`]
 //!   traits.
 //! * [`raft_model`], [`pbft_model`] — Theorem 3.2 and Theorem 3.1 as predicates, with
@@ -31,8 +30,8 @@
 //!   (see [`montecarlo::McKernel`]).
 //! * [`engine`] — the unified engine layer: [`engine::EngineChoice`] names, checks
 //!   and runs the five engines, which all run on one scenario type
-//!   ([`fault_model::correlation::CorrelationModel`]; a [`Deployment`] converts to the
-//!   model with no shock groups), [`engine::Budget`] and the auto-selector (which
+//!   ([`fault_model::correlation::CorrelationModel`]; an independent deployment is
+//!   the model with no shock groups), [`engine::Budget`] and the auto-selector (which
 //!   picks among the four analytic engines; simulation runs only on request).
 //! * [`scratch`] — the per-(model, scenario) prepared scratch every engine runs on
 //!   ([`scratch::GroupScratch`]): shared by a sweep's cells, throwaway for a single
@@ -69,18 +68,20 @@
 //! # Quickstart
 //!
 //! ```
+//! use fault_model::correlation::CorrelationModel;
+//! use fault_model::mode::FaultProfile;
 //! use prob_consensus::analyzer::analyze_auto;
 //! use prob_consensus::engine::Budget;
-//! use prob_consensus::deployment::Deployment;
 //! use prob_consensus::raft_model::RaftModel;
 //!
-//! // Three Raft nodes, each failing with 1% probability over the mission window.
-//! let deployment = Deployment::uniform_crash(3, 0.01);
-//! let outcome = analyze_auto(&RaftModel::standard(3), &deployment, &Budget::default());
+//! // Three Raft nodes, each crashing with 1% probability over the mission window.
+//! let scenario = CorrelationModel::uniform(3, FaultProfile::crash_only(0.01));
+//! let outcome = analyze_auto(&RaftModel::standard(3), &scenario, &Budget::default())?;
 //! // The paper: "Raft ... is only 99.97% safe and live in three node deployments".
 //! assert_eq!(outcome.report.safe_and_live.as_percent(), "99.97%");
 //! // The auto-selector picked the exact counting engine for this model.
 //! assert!(outcome.is_exact());
+//! # Ok::<(), prob_consensus::AnalysisError>(())
 //! ```
 
 // Documentation is part of this crate's contract: every public item is
@@ -89,7 +90,6 @@
 pub mod analyzer;
 pub mod cache;
 pub mod counting;
-pub mod deployment;
 pub mod durability;
 pub mod engine;
 pub mod enumeration;
@@ -108,9 +108,8 @@ pub mod report;
 pub mod scratch;
 pub mod simulation;
 
-pub use analyzer::{analyze_auto, analyze_scenario, AnalysisError, ReliabilityReport};
+pub use analyzer::{analyze_auto, AnalysisError, ReliabilityReport};
 pub use cache::CacheStats;
-pub use deployment::Deployment;
 pub use engine::{
     AnalysisOutcome, Budget, EngineChoice, EpistemicBudget, FaultEnvironment, InvalidBudget,
     SimBudget,

@@ -544,22 +544,9 @@ pub fn monte_carlo_reliability_par_kernel<M: ProtocolModel + ?Sized>(
 mod tests {
     use super::*;
     use crate::counting::counting_reliability;
-    use crate::deployment::Deployment;
     use crate::raft_model::RaftModel;
     use fault_model::correlation::CorrelationGroup;
     use fault_model::mode::FaultProfile;
-
-    /// The one sampling entry on an independent deployment.
-    fn sample_independent(
-        model: &RaftModel,
-        deployment: &Deployment,
-        samples: usize,
-        seed: u64,
-        kernel: McKernel,
-    ) -> MonteCarloReport {
-        let failure_model = CorrelationModel::from(deployment);
-        monte_carlo_reliability_par_kernel(model, &failure_model, samples, seed, kernel)
-    }
 
     #[test]
     fn estimate_interval_contains_truth_for_fair_coin() {
@@ -639,9 +626,10 @@ mod tests {
     #[test]
     fn monte_carlo_agrees_with_exact_analysis() {
         let model = RaftModel::standard(5);
-        let deployment = Deployment::uniform_crash(5, 0.05);
-        let exact = counting_reliability(&model, &deployment);
-        let mc = sample_independent(&model, &deployment, 200_000, 11, McKernel::Scalar);
+        let deployment = CorrelationModel::uniform(5, FaultProfile::crash_only(0.05));
+        let exact = counting_reliability(&model, deployment.profiles());
+        let mc =
+            monte_carlo_reliability_par_kernel(&model, &deployment, 200_000, 11, McKernel::Scalar);
         assert!(
             mc.live.contains(exact.p_live),
             "exact {} not in [{}, {}]",
@@ -678,9 +666,10 @@ mod tests {
     #[test]
     fn parallel_estimate_agrees_with_exact_analysis() {
         let model = RaftModel::standard(5);
-        let deployment = Deployment::uniform_crash(5, 0.05);
-        let exact = counting_reliability(&model, &deployment);
-        let mc = sample_independent(&model, &deployment, 200_000, 11, McKernel::Auto);
+        let deployment = CorrelationModel::uniform(5, FaultProfile::crash_only(0.05));
+        let exact = counting_reliability(&model, deployment.profiles());
+        let mc =
+            monte_carlo_reliability_par_kernel(&model, &deployment, 200_000, 11, McKernel::Auto);
         assert!(
             mc.live.contains(exact.p_live),
             "exact {} not in [{}, {}]",
@@ -720,8 +709,10 @@ mod tests {
     #[test]
     fn parallel_is_deterministic_per_seed_and_sensitive_to_it() {
         let model = RaftModel::standard(5);
-        let deployment = Deployment::uniform_crash(5, 0.08);
-        let sample = |seed| sample_independent(&model, &deployment, 20_000, seed, McKernel::Auto);
+        let deployment = CorrelationModel::uniform(5, FaultProfile::crash_only(0.08));
+        let sample = |seed| {
+            monte_carlo_reliability_par_kernel(&model, &deployment, 20_000, seed, McKernel::Auto)
+        };
         let a = sample(1);
         assert_eq!(a, sample(1));
         // Two seeds can collide on the same hit count by chance; across five seeds at

@@ -1015,7 +1015,7 @@ mod tests {
             target: TargetSpec::PersistenceQuorum { quorum_size: 2 },
         };
         let candidate = &space.candidates()[0];
-        let query = Query::new().cell_correlated(
+        let query = Query::new().cell(
             "first-order",
             candidate.model.clone(),
             candidate.scenario.clone(),

@@ -796,7 +796,6 @@ impl PackedKernel {
 mod tests {
     use super::*;
     use crate::counting::counting_reliability;
-    use crate::deployment::Deployment;
     use crate::failure::FailureConfig;
     use crate::montecarlo::{
         monte_carlo_reliability_par_kernel, McKernel, MonteCarloReport, MC_CHUNK_SIZE,
@@ -956,14 +955,14 @@ mod tests {
     #[test]
     fn crash_only_raft_uses_the_threshold_plan_and_matches_exact_counting() {
         let model = RaftModel::standard(5);
-        let deployment = Deployment::uniform_crash(5, 0.05);
+        let deployment = CorrelationModel::uniform(5, FaultProfile::crash_only(0.05));
         let kernel = PackedKernel::new(&model, &crash_model(5, 0.05));
         assert!(kernel.draw.crash_only);
         assert!(matches!(kernel.plan, HitPlan::Thresholds { .. }));
         let lut = PackedKernel::new(&EvenFaults(5), &crash_model(5, 0.05));
         assert!(matches!(lut.plan, HitPlan::Lut { .. }));
         assert_eq!(lut.draw, kernel.draw);
-        let exact = counting_reliability(&model, &deployment);
+        let exact = counting_reliability(&model, deployment.profiles());
         let report = packed_par(&model, &crash_model(5, 0.05), 200_000, 11);
         assert!(
             report.live.contains(exact.p_live),
@@ -979,12 +978,11 @@ mod tests {
     #[test]
     fn mixed_mode_pbft_uses_the_lut_plan_and_matches_exact_counting() {
         let model = PbftModel::standard(7);
-        let deployment = Deployment::uniform_mixed(7, 0.05, 0.02);
-        let target = CorrelationModel::from(&deployment);
+        let target = CorrelationModel::uniform(7, FaultProfile::new(0.05, 0.02));
         let kernel = PackedKernel::new(&model, &target);
         assert!(!kernel.draw.crash_only);
         assert!(matches!(kernel.plan, HitPlan::Lut { .. }));
-        let exact = counting_reliability(&model, &deployment);
+        let exact = counting_reliability(&model, target.profiles());
         let report = packed_par(&model, &target, 200_000, 3);
         for (estimate, truth, what) in [
             (report.safe, exact.p_safe, "safe"),
@@ -1049,7 +1047,7 @@ mod tests {
         let samples = 2 * MC_CHUNK_SIZE + 77;
         let report = packed_par(&model, &target, samples, 21);
         assert_eq!(report.samples, samples);
-        let exact = counting_reliability(&model, &Deployment::uniform_crash(9, 0.08));
+        let exact = counting_reliability(&model, target.profiles());
         assert!(report.live.contains(exact.p_live));
     }
 

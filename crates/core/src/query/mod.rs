@@ -45,10 +45,10 @@
 //!
 //! # Determinism contract
 //!
-//! Executing a planned cell is **bit-identical** to calling `analyze_auto` /
-//! [`crate::analyzer::analyze_scenario`] on the same triple, because it is the same
+//! Executing a planned cell is **bit-identical** to calling
+//! [`crate::analyzer::analyze_auto`] on the same triple, because it is the same
 //! code: the planner calls [`crate::engine::select_engine`] and the scheduler calls
-//! [`EngineChoice::run`](crate::engine::EngineChoice::run) on the selected engine, exactly as the front doors do — the only
+//! [`EngineChoice::run`](crate::engine::EngineChoice::run) on the selected engine, exactly as the front door does — the only
 //! difference is whose scratch they pass. Monte Carlo cells are the one
 //! decomposition: the scheduler draws their chunks itself — once per chunk that
 //! several cells draw alike, tallied per cell to exactly that cell's sampler's
@@ -106,7 +106,6 @@ mod tests {
     use fault_model::node::Fleet;
 
     use crate::analyzer::{analyze_auto, AnalysisError};
-    use crate::deployment::Deployment;
     use crate::durability::PersistenceQuorumModel;
     use crate::engine::{Budget, EngineChoice, FaultEnvironment};
     use crate::json::JsonValue;
@@ -168,7 +167,7 @@ mod tests {
             .cell(
                 "durability",
                 model.clone(),
-                Deployment::uniform_crash(24, 0.05),
+                CorrelationModel::uniform(24, FaultProfile::crash_only(0.05)),
             )
             .budget(Budget::default().with_samples(30_000).with_seed(13));
         let plan = session.plan(&query).expect("valid query");
@@ -179,9 +178,10 @@ mod tests {
         assert!(cell.ess().expect("importance sampling ran") > 0.0);
         let expected = analyze_auto(
             model.as_ref(),
-            &Deployment::uniform_crash(24, 0.05),
+            &CorrelationModel::uniform(24, FaultProfile::crash_only(0.05)),
             &Budget::default().with_samples(30_000).with_seed(13),
-        );
+        )
+        .expect("well-formed scenario");
         assert_eq!(cell.outcome, expected);
     }
 
@@ -223,7 +223,7 @@ mod tests {
         let query = Query::new().cell(
             "mismatch",
             model.clone(),
-            Deployment::uniform_crash(4, 0.01),
+            CorrelationModel::uniform(4, FaultProfile::crash_only(0.01)),
         );
         assert_eq!(
             session.plan(&query).unwrap_err(),
@@ -233,8 +233,7 @@ mod tests {
             }
         );
         // An empty correlated scenario.
-        let query =
-            Query::new().cell_correlated("empty", model, CorrelationModel::independent(Vec::new()));
+        let query = Query::new().cell("empty", model, CorrelationModel::independent(Vec::new()));
         assert_eq!(
             session.plan(&query).unwrap_err(),
             AnalysisError::EmptyScenario
@@ -413,7 +412,7 @@ mod tests {
             .cell(
                 "explicit raft",
                 model.clone(),
-                Deployment::uniform_crash(5, 0.02),
+                CorrelationModel::uniform(5, FaultProfile::crash_only(0.02)),
             )
             .budget(Budget::default().with_samples(5_000));
         let first = session.run(&query).expect("valid query");
@@ -440,7 +439,7 @@ mod tests {
         // over the same deployment but different quorum members are different
         // content, so they must get distinct cache entries.
         let session = AnalysisSession::new();
-        let deployment = Deployment::uniform_crash(6, 0.05);
+        let deployment = CorrelationModel::uniform(6, FaultProfile::crash_only(0.05));
         let query = Query::new()
             .cell(
                 "quorum 012",
@@ -490,7 +489,7 @@ mod tests {
                         6,
                         vec![0, 1, 2],
                     )),
-                    Deployment::uniform_crash(6, 0.05),
+                    CorrelationModel::uniform(6, FaultProfile::crash_only(0.05)),
                 )
                 .budget(Budget::default().with_samples(2_000)),
         ];
@@ -945,7 +944,11 @@ mod tests {
             .protocols([ProtocolSpec::Raft])
             .nodes([3usize])
             .fault_probs([0.2])
-            .cell("abstract", model, Deployment::uniform_crash(24, 0.05))
+            .cell(
+                "abstract",
+                model,
+                CorrelationModel::uniform(24, FaultProfile::crash_only(0.05)),
+            )
             .budget(
                 Budget::default()
                     .with_samples(20_000)
@@ -1316,13 +1319,14 @@ mod tests {
         let profiles: Vec<FaultProfile> = (0..7)
             .map(|i| FaultProfile::crash_only(0.01 * (i + 1) as f64))
             .collect();
-        let deployment = Deployment::from_profiles(profiles);
+        let scenario = CorrelationModel::independent(profiles);
         let model: Arc<dyn ProtocolModel + Send + Sync> = Arc::new(RaftModel::standard(7));
         let session = AnalysisSession::new();
         let report = session
-            .run(&Query::new().cell("hetero", model.clone(), deployment.clone()))
+            .run(&Query::new().cell("hetero", model.clone(), scenario.clone()))
             .expect("valid query");
-        let expected = analyze_auto(model.as_ref(), &deployment, &Budget::default());
+        let expected =
+            analyze_auto(model.as_ref(), &scenario, &Budget::default()).expect("well-formed");
         assert_eq!(report.cell(0).outcome, expected);
     }
 }

@@ -784,8 +784,7 @@ impl QueryPlan {
     /// idle workers; each item writes the slots of the cells it feeds, and the
     /// per-cell merge folds chunk counters in chunk order — so the report is
     /// **bit-identical** to a sequential per-cell
-    /// [`analyze_auto`](crate::analyzer::analyze_auto) /
-    /// [`analyze_scenario`](crate::analyzer::analyze_scenario) loop at any thread
+    /// [`analyze_auto`](crate::analyzer::analyze_auto) loop at any thread
     /// count, including the paired validation runs (executed inline on each
     /// cell's completion, since they need the merged analytic estimates) and the
     /// trajectory records.
@@ -1127,8 +1126,7 @@ impl QueryPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyzer::{analyze_auto, analyze_scenario};
-    use crate::deployment::Deployment;
+    use crate::analyzer::analyze_auto;
     use crate::durability::PersistenceQuorumModel;
     use crate::montecarlo::MC_CHUNK_SIZE;
     use crate::query::{CorrelationSpec, ProtocolSpec};
@@ -1139,10 +1137,10 @@ mod tests {
     /// A placement-sensitive (non-counting) model whose failure is common and whose
     /// 2^30 configurations are past the enumeration budget, so it lands on Monte
     /// Carlo and only the scalar kernel can evaluate it.
-    fn scalar_only_cell() -> (Arc<dyn ProtocolModel + Send + Sync>, Deployment) {
+    fn scalar_only_cell() -> (Arc<dyn ProtocolModel + Send + Sync>, CorrelationModel) {
         (
             Arc::new(PersistenceQuorumModel::new(30, vec![0])),
-            Deployment::uniform_crash(30, 0.3),
+            CorrelationModel::uniform(30, FaultProfile::crash_only(0.3)),
         )
     }
 
@@ -1167,14 +1165,9 @@ mod tests {
                     CorrelationSpec::ClusterShock { probability: 0.01 },
                 ] {
                     let model = RaftModel::standard(n);
-                    let deployment = Deployment::uniform_crash(n, p);
                     let budget = Budget::default().with_samples(10_000).with_seed(7);
-                    let scenario = corr.apply(deployment.profiles().to_vec());
-                    let expected = if scenario.is_correlated() {
-                        analyze_scenario(&model, &scenario, &budget).expect("well-formed")
-                    } else {
-                        analyze_auto(&model, &deployment, &budget)
-                    };
+                    let scenario = corr.apply(vec![FaultProfile::crash_only(p); n]);
+                    let expected = analyze_auto(&model, &scenario, &budget).expect("well-formed");
                     assert_eq!(
                         report.cell(index).outcome,
                         expected,
@@ -1200,7 +1193,7 @@ mod tests {
                 let budget = Budget::default().with_samples(samples).with_seed(7);
                 let query = Query::new()
                     .cell("placement", placement.clone(), placement_deployment.clone())
-                    .cell_correlated("shocked", Arc::new(RaftModel::standard(5)), shocked.clone())
+                    .cell("shocked", Arc::new(RaftModel::standard(5)), shocked.clone())
                     .budget(budget);
                 let plan = AnalysisSession::with_threads(threads)
                     .plan(&query)
@@ -1274,7 +1267,7 @@ mod tests {
                 .cell(
                     "durability",
                     Arc::new(PersistenceQuorumModel::new(24, (0..4).collect())),
-                    Deployment::uniform_crash(24, 0.05),
+                    CorrelationModel::uniform(24, FaultProfile::crash_only(0.05)),
                 )
                 .cell("placement", placement.clone(), placement_deployment.clone())
                 .repairable_cell("repairable-3", RepairableGroup::new(3, 1e-3, 1e-2, 1));

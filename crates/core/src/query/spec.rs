@@ -10,7 +10,6 @@ use fault_model::mode::FaultProfile;
 use fault_model::node::Fleet;
 
 use crate::analyzer::AnalysisError;
-use crate::deployment::Deployment;
 use crate::engine::{Budget, FaultEnvironment};
 #[cfg(doc)]
 use crate::epistemic::EpistemicReport;
@@ -74,13 +73,13 @@ impl ProtocolSpec {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultAxis {
     /// Crash faults only: `p` is the crash probability
-    /// ([`Deployment::uniform_crash`]).
+    /// ([`FaultProfile::crash_only`]).
     Crash,
     /// Byzantine faults only: `p` is the Byzantine probability
-    /// ([`Deployment::uniform_byzantine`]).
+    /// ([`FaultProfile::byzantine_only`]).
     Byzantine,
     /// Mixed: `p` is the crash probability, with a fixed Byzantine probability on
-    /// top ([`Deployment::uniform_mixed`]).
+    /// top ([`FaultProfile::new`]).
     Mixed {
         /// Per-node Byzantine probability, constant across the `p` sweep.
         byzantine: f64,
@@ -571,20 +570,10 @@ impl Query {
         self
     }
 
-    /// Appends an explicit cell: any protocol model on an independent deployment.
-    /// For scenarios the grid axes cannot express (placement-sensitive models,
-    /// heterogeneous fleets).
+    /// Appends an explicit cell: any protocol model on any scenario, independent
+    /// or correlated. For scenarios the grid axes cannot express
+    /// (placement-sensitive models, heterogeneous fleets, hand-built shock groups).
     pub fn cell(
-        self,
-        label: impl Into<String>,
-        model: Arc<dyn ProtocolModel + Send + Sync>,
-        deployment: Deployment,
-    ) -> Self {
-        self.cell_correlated(label, model, CorrelationModel::from(&deployment))
-    }
-
-    /// Appends an explicit cell with a correlated failure model.
-    pub fn cell_correlated(
         mut self,
         label: impl Into<String>,
         model: Arc<dyn ProtocolModel + Send + Sync>,

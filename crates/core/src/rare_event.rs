@@ -719,7 +719,6 @@ pub(crate) fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deployment::Deployment;
     use crate::durability::PersistenceQuorumModel;
     use crate::engine::Budget;
     use crate::raft_model::RaftModel;
@@ -743,8 +742,8 @@ mod tests {
     #[test]
     fn uniform_tilt_matches_exact_counting_within_ci() {
         let model = RaftModel::standard(5);
-        let deployment = Deployment::uniform_crash(5, 0.01);
-        let exact = crate::counting::counting_reliability(&model, &deployment);
+        let deployment = CorrelationModel::uniform(5, FaultProfile::crash_only(0.01));
+        let exact = crate::counting::counting_reliability(&model, deployment.profiles());
         let target = crash_model(5, 0.01);
         let proposal = Proposal::uniform_tilt(&target, 10.0);
         let report = importance_sampling_reliability_par(&model, &target, &proposal, 60_000, 11);

@@ -12,7 +12,7 @@
 //! [`EngineChoice::run`](crate::engine::EngineChoice::run) take a scratch, so there
 //! is one engine body whether the scratch is shared or not: the query planner hands
 //! every cell of a group the same scratch from the session cache
-//! ([`crate::cache`]), and the front doors and pinned calls pass a throwaway one. Every slot holds exactly what the engine would have computed on the spot,
+//! ([`crate::cache`]), and the front door and pinned calls pass a throwaway one. Every slot holds exactly what the engine would have computed on the spot,
 //! so sharing changes cost, never results.
 
 use std::collections::HashMap;

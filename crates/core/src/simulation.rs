@@ -34,14 +34,14 @@
 //! # Example
 //!
 //! ```
-//! use prob_consensus::deployment::Deployment;
 //! use fault_model::correlation::CorrelationModel;
+//! use fault_model::mode::FaultProfile;
 //! use prob_consensus::engine::{Budget, EngineChoice};
 //! use prob_consensus::raft_model::RaftModel;
 //! use prob_consensus::scratch::GroupScratch;
 //!
 //! let model = RaftModel::standard(3);
-//! let scenario = CorrelationModel::from(&Deployment::uniform_crash(3, 0.2));
+//! let scenario = CorrelationModel::uniform(3, FaultProfile::crash_only(0.2));
 //! let budget = Budget::default().with_seed(7).with_sim_trials(12);
 //! let scratch = GroupScratch::default();
 //! assert!(EngineChoice::Simulation.supports(&model, &scenario, &budget, &scratch));
@@ -331,7 +331,6 @@ pub(crate) fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deployment::Deployment;
     use crate::durability::PersistenceQuorumModel;
     use crate::pbft_model::PbftModel;
     use crate::raft_model::RaftModel;
@@ -345,8 +344,7 @@ mod tests {
     #[test]
     fn executable_models_are_supported_and_abstract_models_are_not() {
         let raft = RaftModel::standard(5);
-        let deployment = Deployment::uniform_crash(5, 0.05);
-        let scenario = &CorrelationModel::from(&deployment);
+        let scenario = &CorrelationModel::uniform(5, FaultProfile::crash_only(0.05));
         assert!(supports(&raft, scenario));
         let flexible = RaftModel::flexible(5, 2, 4);
         assert!(supports(&flexible, scenario));
@@ -356,19 +354,15 @@ mod tests {
         let durability = PersistenceQuorumModel::new(5, vec![0, 1]);
         assert!(!supports(&durability, scenario));
         // A size mismatch between model and scenario is not supported either.
-        let tiny = Deployment::uniform_crash(3, 0.05);
-        assert!(!supports(&raft, &CorrelationModel::from(&tiny)));
+        let tiny = CorrelationModel::uniform(3, FaultProfile::crash_only(0.05));
+        assert!(!supports(&raft, &tiny));
     }
 
     #[test]
     fn healthy_cluster_simulates_fully_reliable() {
         let model = RaftModel::standard(3);
-        let deployment = Deployment::uniform_crash(3, 0.0);
-        let outcome = run(
-            &model,
-            &CorrelationModel::from(&deployment),
-            &quick_budget(8),
-        );
+        let deployment = CorrelationModel::uniform(3, FaultProfile::crash_only(0.0));
+        let outcome = run(&model, &deployment, &quick_budget(8));
         assert_eq!(outcome.engine, EngineChoice::Simulation);
         assert!(!outcome.is_exact());
         let report = outcome.simulation.expect("simulation report attached");
@@ -397,9 +391,9 @@ mod tests {
     #[test]
     fn zero_trial_budget_saturates_to_one_trial() {
         let model = RaftModel::standard(3);
-        let deployment = Deployment::uniform_crash(3, 0.1);
+        let deployment = CorrelationModel::uniform(3, FaultProfile::crash_only(0.1));
         let budget = Budget::default().with_seed(3).with_sim_trials(0);
-        let report = simulate_reliability(&model, &CorrelationModel::from(&deployment), &budget);
+        let report = simulate_reliability(&model, &deployment, &budget);
         assert_eq!(report.trials, 1);
         for e in [report.safe, report.live, report.safe_and_live] {
             assert!(0.0 <= e.lower && e.lower <= e.value && e.value <= e.upper && e.upper <= 1.0);
@@ -409,8 +403,7 @@ mod tests {
     #[test]
     fn reports_are_deterministic_per_seed_and_sensitive_to_it() {
         let model = RaftModel::standard(3);
-        let deployment = Deployment::uniform_crash(3, 0.3);
-        let scenario = &CorrelationModel::from(&deployment);
+        let scenario = &CorrelationModel::uniform(3, FaultProfile::crash_only(0.3));
         let a = simulate_reliability(&model, scenario, &quick_budget(16));
         let b = simulate_reliability(&model, scenario, &quick_budget(16));
         assert_eq!(a, b);
@@ -426,12 +419,8 @@ mod tests {
     #[should_panic(expected = "executable protocol model")]
     fn running_an_abstract_model_panics_with_a_clear_message() {
         let model = PersistenceQuorumModel::new(5, vec![0, 1]);
-        let deployment = Deployment::uniform_crash(5, 0.05);
-        simulate_reliability(
-            &model,
-            &CorrelationModel::from(&deployment),
-            &quick_budget(1),
-        );
+        let deployment = CorrelationModel::uniform(5, FaultProfile::crash_only(0.05));
+        simulate_reliability(&model, &deployment, &quick_budget(1));
     }
 
     #[test]
@@ -441,8 +430,7 @@ mod tests {
         // ever marking it faulty — empirical liveness collapses while safety holds.
         // This asymmetry is the known-divergent cell of ROADMAP item 3.
         let model = RaftModel::standard(5);
-        let deployment = Deployment::uniform_crash(5, 0.0);
-        let scenario = &CorrelationModel::from(&deployment);
+        let scenario = &CorrelationModel::uniform(5, FaultProfile::crash_only(0.0));
         let clean = simulate_reliability(&model, scenario, &quick_budget(12));
         let gray_budget = quick_budget(12).with_fault_environment(FaultEnvironment::GrayPrimary);
         let gray = simulate_reliability(&model, scenario, &gray_budget);
@@ -469,8 +457,7 @@ mod tests {
     #[test]
     fn partition_heal_environment_injects_net_events_every_trial() {
         let model = PbftModel::standard(4);
-        let deployment = Deployment::uniform_crash(4, 0.0);
-        let scenario = &CorrelationModel::from(&deployment);
+        let scenario = &CorrelationModel::uniform(4, FaultProfile::crash_only(0.0));
         let budget = quick_budget(8).with_fault_environment(FaultEnvironment::PartitionHeal);
         let report = simulate_reliability(&model, scenario, &budget);
         assert_eq!(
@@ -483,8 +470,7 @@ mod tests {
     #[test]
     fn wan_lossy_environment_runs_heavy_tailed_and_overrides_a_link() {
         let model = RaftModel::standard(3);
-        let deployment = Deployment::uniform_crash(3, 0.0);
-        let scenario = &CorrelationModel::from(&deployment);
+        let scenario = &CorrelationModel::uniform(3, FaultProfile::crash_only(0.0));
         let budget = quick_budget(6).with_fault_environment(FaultEnvironment::WanLossy);
         let report = simulate_reliability(&model, scenario, &budget);
         assert_eq!(report.total_net_events, 6, "one link override per trial");
@@ -494,8 +480,7 @@ mod tests {
     #[test]
     fn environment_reports_are_deterministic_per_seed() {
         let model = RaftModel::standard(5);
-        let deployment = Deployment::uniform_crash(5, 0.05);
-        let scenario = &CorrelationModel::from(&deployment);
+        let scenario = &CorrelationModel::uniform(5, FaultProfile::crash_only(0.05));
         for environment in FaultEnvironment::ALL {
             let budget = quick_budget(10).with_fault_environment(environment);
             let a = simulate_reliability(&model, scenario, &budget);

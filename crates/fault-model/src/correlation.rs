@@ -69,6 +69,13 @@ impl CorrelationModel {
         }
     }
 
+    /// `n` independent nodes sharing one profile and no correlation: §3's "every
+    /// machine u has a constant probability p_u of failing" (crash-only for Table 2,
+    /// Byzantine-only for Table 1, both for the mercurial cores of §2(4)).
+    pub fn uniform(n: usize, profile: FaultProfile) -> Self {
+        Self::independent(vec![profile; n])
+    }
+
     /// Adds a correlation group. Member indices must be valid for the profile list.
     pub fn with_group(mut self, group: CorrelationGroup) -> Self {
         assert!(
@@ -208,6 +215,20 @@ mod tests {
 
     fn uniform(n: usize, p: f64) -> Vec<FaultProfile> {
         vec![FaultProfile::crash_only(p); n]
+    }
+
+    #[test]
+    fn uniform_model_repeats_one_profile_without_groups() {
+        for profile in [
+            FaultProfile::crash_only(0.02),
+            FaultProfile::byzantine_only(0.01),
+            FaultProfile::new(0.04, 0.0001),
+        ] {
+            let model = CorrelationModel::uniform(5, profile);
+            assert_eq!(model.len(), 5);
+            assert_eq!(model.profiles(), &[profile; 5]);
+            assert!(!model.is_correlated());
+        }
     }
 
     #[test]

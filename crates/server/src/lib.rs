@@ -108,9 +108,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use fault_model::correlation::CorrelationModel;
 use fault_model::markov::RepairableGroup;
 use fault_model::mode::FaultProfile;
-use prob_consensus::deployment::Deployment;
 use prob_consensus::durability::PersistenceQuorumModel;
 use prob_consensus::engine::{Budget, EpistemicBudget, FaultEnvironment};
 use prob_consensus::json::JsonValue;
@@ -178,6 +178,7 @@ impl Outbox {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, OutboxState> {
+        // Never poisoned: every guard only sets flags, swaps or appends a String.
         self.state.lock().expect("outbox lock")
     }
 
@@ -220,6 +221,7 @@ impl Outbox {
             let events = {
                 let mut state = self.lock();
                 while state.buf.is_empty() && !state.closed && !state.dead {
+                    // Never poisoned, as in `Outbox::lock`.
                     state = self.ready.wait(state).expect("outbox lock");
                 }
                 if state.dead {
@@ -235,6 +237,7 @@ impl Outbox {
                 std::mem::take(&mut state.events)
             };
             {
+                // Never poisoned: every stats guard only reads or bumps plain counters.
                 let mut stats = server.stats.lock().expect("stats lock");
                 stats.wire.events += events;
                 stats.wire.writes += 1;
@@ -645,32 +648,29 @@ fn environment(label: &str) -> Result<FaultEnvironment, String> {
         .ok_or_else(|| unknown_tag("environment", (label, None), EXPECTED))
 }
 
-fn deployment(value: &JsonValue) -> Result<Deployment, String> {
+fn deployment(value: &JsonValue) -> Result<CorrelationModel, String> {
     const EXPECTED: &str = r#"{"uniform_crash"|"uniform_byzantine"|"uniform_mixed":{..}}"#;
     // Built while the request is read, so its size is bounded here.
     const NODES: RangeInclusive<f64> = 1.0..=MAX_NODES as f64;
-    match tag(value, "deployment", EXPECTED)? {
+    let (n, profile) = match tag(value, "deployment", EXPECTED)? {
         ("uniform_crash", Some(body)) => read_object(body, "uniform_crash", |f| {
             let n = f.within("n", NODES)?;
-            Ok(Deployment::uniform_crash(n, f.within("p", PROBABILITY)?))
-        }),
+            Ok((n, FaultProfile::crash_only(f.within("p", PROBABILITY)?)))
+        })?,
         ("uniform_byzantine", Some(body)) => read_object(body, "uniform_byzantine", |f| {
             let n = f.within("n", NODES)?;
-            Ok(Deployment::uniform_byzantine(
-                n,
-                f.within("p", PROBABILITY)?,
-            ))
-        }),
+            Ok((n, FaultProfile::byzantine_only(f.within("p", PROBABILITY)?)))
+        })?,
         ("uniform_mixed", Some(body)) => read_object(body, "uniform_mixed", |f| {
             let (n, crash) = (f.within("n", NODES)?, f.within("crash", PROBABILITY)?);
-            Ok(Deployment::uniform_mixed(
+            Ok((
                 n,
-                crash,
-                f.within("byzantine", PROBABILITY)?,
+                FaultProfile::new(crash, f.within("byzantine", PROBABILITY)?),
             ))
-        }),
-        other => Err(unknown_tag("deployment", other, EXPECTED)),
-    }
+        })?,
+        other => return Err(unknown_tag("deployment", other, EXPECTED)),
+    };
+    Ok(CorrelationModel::uniform(n, profile))
 }
 
 /// A cell's model: a persistence quorum over the cell's `n` nodes, or any
@@ -1052,6 +1052,7 @@ impl Server {
 
     /// A snapshot of the per-plan wall-time counters.
     pub fn stats(&self) -> ServerStats {
+        // Never poisoned: every stats guard only reads or bumps plain counters.
         *self.stats.lock().expect("stats lock")
     }
 
@@ -1165,6 +1166,7 @@ fn submit<T: Finished>(
             Ok(result) => {
                 let wall_ms = start.elapsed().as_secs_f64() * 1e3;
                 {
+                    // Never poisoned: every stats guard only reads or bumps plain counters.
                     let mut stats = server.stats.lock().expect("stats lock");
                     stats.last_plan_wall_ms = wall_ms;
                     stats.total_plan_wall_ms += wall_ms;
@@ -1385,6 +1387,8 @@ fn serve_with_writer(
         let writer = scope.spawn(|| outbox.drain(server, sink));
         let served = serve_connection(server, reader, &outbox);
         outbox.close();
+        // Cannot panic: `drain` takes only never-poisoned locks, and both sinks
+        // (stdout, a TcpStream) report failures as errors.
         (served, writer.join().expect("the writer thread panicked"))
     })
 }
@@ -1491,6 +1495,8 @@ fn handle_tcp_connection(server: &Arc<Server>, stream: TcpStream) -> std::io::Re
 /// warm-vs-cold server test.
 pub fn run_exchange(server: &Arc<Server>, input: &str) -> String {
     let outbox = Arc::new(Outbox::new(usize::MAX, None));
+    // Cannot fail: `serve_connection` errs only when its reader does, and
+    // reading a byte slice never does.
     serve_connection(server, input.as_bytes(), &outbox)
         .expect("in-memory exchange cannot fail on IO");
     outbox.take()

@@ -12,10 +12,10 @@
 
 use std::sync::Arc;
 
+use fault_model::correlation::CorrelationModel;
 use fault_model::mode::FaultProfile;
 use fault_model::telemetry::{ClassSpec, TelemetryEstimator, TelemetryGenerator};
-use prob_consensus::deployment::Deployment;
-use prob_consensus::durability::quorum_durability;
+use prob_consensus::durability::{nodes_by_reliability, quorum_durability};
 use prob_consensus::protocol::ProtocolModel;
 use prob_consensus::query::{AnalysisSession, Query};
 use prob_consensus::raft_model::RaftModel;
@@ -64,7 +64,6 @@ fn main() {
         .1;
     let mut profiles = vec![FaultProfile::crash_only(flaky); 4];
     profiles.extend(vec![FaultProfile::crash_only(reliable); 3]);
-    let deployment = Deployment::from_profiles(profiles);
 
     // 3. The probabilistic guarantee of plain Raft on this fleet. Heterogeneous
     //    deployments do not fit a uniform grid axis, so they go in as an explicit
@@ -72,7 +71,11 @@ fn main() {
     let session = AnalysisSession::new();
     let model: Arc<dyn ProtocolModel + Send + Sync> = Arc::new(RaftModel::standard(7));
     let analysis = session
-        .run(&Query::new().cell("mixed-fleet", model, deployment.clone()))
+        .run(&Query::new().cell(
+            "mixed-fleet",
+            model,
+            CorrelationModel::independent(profiles.clone()),
+        ))
         .expect("well-formed fleet cell");
     println!(
         "7-node Raft on the mixed fleet: {}  [engine: {}]\n",
@@ -82,7 +85,7 @@ fn main() {
 
     // 4a. Reliability-aware quorum placement (the §3.2 durability example): which
     //     four nodes hold the data, picked from the reliability ranking.
-    let ranked = deployment.nodes_by_reliability();
+    let ranked = nodes_by_reliability(&profiles);
     let mut durability = Table::new(
         "Durability of a 4-node persistence quorum under different placement policies",
         &["Policy", "Durability"],
@@ -97,7 +100,7 @@ fn main() {
     ] {
         durability.push_row(vec![
             label.to_string(),
-            quorum_durability(&deployment, &quorum).as_percent(),
+            quorum_durability(&profiles, &quorum).as_percent(),
         ]);
     }
     println!("{durability}");
@@ -105,11 +108,7 @@ fn main() {
     // 4b. Reliability-aware leader ranking: the most reliable node leads, where a
     //     leader chosen without regard to reliability fails at the fleet average.
     println!("Leader ranking (most reliable first): {ranked:?}");
-    let faults: Vec<f64> = deployment
-        .profiles()
-        .iter()
-        .map(|p| p.fault_probability())
-        .collect();
+    let faults: Vec<f64> = profiles.iter().map(|p| p.fault_probability()).collect();
     println!(
         "P(leader fails): oblivious {:.3} vs most-reliable {:.3}\n",
         faults.iter().sum::<f64>() / faults.len() as f64,

@@ -19,8 +19,8 @@ use consensus_protocols::raft::{RaftConfig, RaftNode};
 use consensus_sim::fault::FaultSchedule;
 use consensus_sim::network::NetworkConfig;
 use consensus_sim::time::SimTime;
+use fault_model::correlation::CorrelationModel;
 use fault_model::mode::FaultProfile;
-use prob_consensus::deployment::Deployment;
 use prob_consensus::engine::Budget;
 use prob_consensus::protocol::ProtocolModel;
 use prob_consensus::query::{AnalysisSession, ProtocolSpec, Query};
@@ -50,7 +50,7 @@ fn main() {
         .run(&Query::new().cell(
             "sim-fleet",
             model,
-            Deployment::from_profiles(profiles.clone()),
+            CorrelationModel::independent(profiles.clone()),
         ))
         .expect("well-formed fleet cell");
     println!(

@@ -1,11 +1,12 @@
 //! Cross-crate pipeline tests: telemetry → fault curves → deployment → analysis →
 //! cost search and repair-aware durability.
 
+use fault_model::correlation::CorrelationModel;
 use fault_model::metrics::{Nines, HOURS_PER_YEAR};
+use fault_model::mode::FaultProfile;
 use fault_model::node::{Fleet, NodeSpec};
 use fault_model::telemetry::{ClassSpec, TelemetryEstimator, TelemetryGenerator};
 use prob_consensus::analyzer::analyze_auto;
-use prob_consensus::deployment::Deployment;
 use prob_consensus::engine::Budget;
 use prob_consensus::optimize::{
     default_catalogue, optimize, DeploymentSpace, OptimizerConfig, TargetSpec,
@@ -39,15 +40,17 @@ fn telemetry_to_guarantee_pipeline() {
     let budget = Budget::default();
     let three_reliable = analyze_auto(
         &RaftModel::standard(3),
-        &Deployment::uniform_crash(3, reliable_afr),
+        &CorrelationModel::uniform(3, FaultProfile::crash_only(reliable_afr)),
         &budget,
     )
+    .expect("well-formed scenario")
     .report;
     let nine_spot = analyze_auto(
         &RaftModel::standard(9),
-        &Deployment::uniform_crash(9, spot_afr),
+        &CorrelationModel::uniform(9, FaultProfile::crash_only(spot_afr)),
         &budget,
     )
+    .expect("well-formed scenario")
     .report;
     // The paper's equivalence survives estimation noise to within ~half a nine.
     assert!(

@@ -7,7 +7,6 @@
 use fault_model::correlation::{CorrelationGroup, CorrelationModel};
 use fault_model::mode::FaultProfile;
 use prob_consensus::analyzer::analyze_auto;
-use prob_consensus::deployment::Deployment;
 use prob_consensus::durability::PersistenceQuorumModel;
 use prob_consensus::engine::{Budget, EngineChoice};
 use prob_consensus::montecarlo::{monte_carlo_reliability_par_kernel, McKernel, MC_CHUNK_SIZE};
@@ -25,15 +24,18 @@ const GRID_SEED: u64 = 3;
 
 /// The deployment grid: cluster sizes and fault probabilities covering the paper's
 /// tables plus heterogeneous and mixed-mode cases.
-fn deployment_grid(n: usize) -> Vec<Deployment> {
+fn deployment_grid(n: usize) -> Vec<CorrelationModel> {
     let mut grid = Vec::new();
     for p in [0.01, 0.08, 0.25] {
-        grid.push(Deployment::uniform_crash(n, p));
-        grid.push(Deployment::uniform_byzantine(n, p));
+        grid.push(CorrelationModel::uniform(n, FaultProfile::crash_only(p)));
+        grid.push(CorrelationModel::uniform(
+            n,
+            FaultProfile::byzantine_only(p),
+        ));
     }
-    grid.push(Deployment::uniform_mixed(n, 0.05, 0.01));
+    grid.push(CorrelationModel::uniform(n, FaultProfile::new(0.05, 0.01)));
     // Heterogeneous: reliability decreasing with the node index.
-    grid.push(Deployment::from_profiles(
+    grid.push(CorrelationModel::independent(
         (0..n)
             .map(|i| FaultProfile::crash_only(0.01 * (i + 1) as f64))
             .collect(),
@@ -42,8 +44,7 @@ fn deployment_grid(n: usize) -> Vec<Deployment> {
 }
 
 /// Asserts all three engines agree on one model/deployment pair.
-fn assert_engines_agree(model: &dyn ProtocolModel, deployment: &Deployment, context: &str) {
-    let scenario = &CorrelationModel::from(deployment);
+fn assert_engines_agree(model: &dyn ProtocolModel, scenario: &CorrelationModel, context: &str) {
     let budget = Budget::default().with_samples(60_000).with_seed(GRID_SEED);
 
     let enumerated =
@@ -142,21 +143,20 @@ fn packed_and_scalar_kernels_agree_on_the_grid() {
         for p in [0.01, 0.08, 0.25] {
             let raft = RaftModel::standard(n);
             let pbft = PbftModel::standard(n.max(4));
-            let crash = Deployment::uniform_crash(n, p);
-            let mixed = Deployment::uniform_mixed(pbft.num_nodes(), p, p / 4.0);
+            let crash = CorrelationModel::uniform(n, FaultProfile::crash_only(p));
+            let mixed = CorrelationModel::uniform(pbft.num_nodes(), FaultProfile::new(p, p / 4.0));
             for (model, deployment) in [
                 (&raft as &dyn ProtocolModel, &crash),
                 (&pbft as &dyn ProtocolModel, &mixed),
             ] {
                 let exact = EngineChoice::Counting.run(
                     model,
-                    &CorrelationModel::from(deployment),
+                    deployment,
                     &budget,
                     &GroupScratch::default(),
                 );
-                let target = CorrelationModel::from(deployment);
                 let sample = |kernel| {
-                    monte_carlo_reliability_par_kernel(model, &target, 60_000, GRID_SEED, kernel)
+                    monte_carlo_reliability_par_kernel(model, deployment, 60_000, GRID_SEED, kernel)
                 };
                 let (scalar_mc, packed_mc) = (sample(McKernel::Scalar), sample(McKernel::Packed));
                 let context = format!("{} N={n} p={p}", model.name());
@@ -224,8 +224,7 @@ fn packed_and_scalar_kernels_agree_on_the_grid() {
 #[test]
 fn packed_kernel_handles_ragged_sample_counts() {
     let model = RaftModel::standard(9);
-    let deployment = Deployment::uniform_crash(9, 0.08);
-    let scenario = &CorrelationModel::from(&deployment);
+    let scenario = &CorrelationModel::uniform(9, FaultProfile::crash_only(0.08));
     let samples = 2 * MC_CHUNK_SIZE + 99; // % 64 != 0 and % MC_CHUNK_SIZE != 0
     assert_ne!(samples % 64, 0);
     assert_ne!(samples % MC_CHUNK_SIZE, 0);
@@ -235,9 +234,8 @@ fn packed_kernel_handles_ragged_sample_counts() {
         &Budget::default(),
         &GroupScratch::default(),
     );
-    let target = CorrelationModel::from(&deployment);
     for kernel in [McKernel::Scalar, McKernel::Packed] {
-        let mc = monte_carlo_reliability_par_kernel(&model, &target, samples, GRID_SEED, kernel);
+        let mc = monte_carlo_reliability_par_kernel(&model, scenario, samples, GRID_SEED, kernel);
         assert_eq!(mc.samples, samples, "{kernel:?} must draw the full budget");
         assert!(
             mc.live.contains(exact.report.live.probability()),
@@ -320,21 +318,16 @@ fn parallel_monte_carlo_is_bit_identical_across_thread_counts() {
 #[test]
 fn importance_sampling_agrees_with_exact_engines_on_small_grids() {
     let budget = Budget::default();
-    let tilted = |model: &dyn ProtocolModel, deployment: &Deployment| {
-        let target = CorrelationModel::from(deployment);
-        let proposal = Proposal::uniform_tilt(&target, 4.0);
-        importance_sampling_reliability_par(model, &target, &proposal, 60_000, 2025)
+    let tilted = |model: &dyn ProtocolModel, target: &CorrelationModel| {
+        let proposal = Proposal::uniform_tilt(target, 4.0);
+        importance_sampling_reliability_par(model, target, &proposal, 60_000, 2025)
     };
     for n in [3usize, 5] {
         for p in [0.01, 0.05] {
             let model = RaftModel::standard(n);
-            let deployment = Deployment::uniform_crash(n, p);
-            let exact = EngineChoice::Counting.run(
-                &model,
-                &CorrelationModel::from(&deployment),
-                &budget,
-                &GroupScratch::default(),
-            );
+            let deployment = CorrelationModel::uniform(n, FaultProfile::crash_only(p));
+            let exact =
+                EngineChoice::Counting.run(&model, &deployment, &budget, &GroupScratch::default());
             let report = tilted(&model, &deployment);
             for (estimate, truth, what) in [
                 (report.safe, exact.report.safe.probability(), "safe"),
@@ -356,13 +349,8 @@ fn importance_sampling_agrees_with_exact_engines_on_small_grids() {
     }
     // PBFT safety under Byzantine faults — a genuinely two-sided guarantee.
     let model = PbftModel::standard(4);
-    let deployment = Deployment::uniform_byzantine(4, 0.02);
-    let exact = EngineChoice::Counting.run(
-        &model,
-        &CorrelationModel::from(&deployment),
-        &budget,
-        &GroupScratch::default(),
-    );
+    let deployment = CorrelationModel::uniform(4, FaultProfile::byzantine_only(0.02));
+    let exact = EngineChoice::Counting.run(&model, &deployment, &budget, &GroupScratch::default());
     let report = tilted(&model, &deployment);
     assert!(report.safe.contains(exact.report.safe.probability()));
 }
@@ -372,12 +360,10 @@ fn importance_sampling_agrees_with_exact_engines_on_small_grids() {
 /// Carlo would need ~1e7 samples per hit.
 #[test]
 fn importance_sampling_reaches_tail_probabilities_plain_sampling_cannot() {
-    let deployment = Deployment::uniform_crash(60, 0.05);
+    let scenario = CorrelationModel::uniform(60, FaultProfile::crash_only(0.05));
     let model = PersistenceQuorumModel::new(60, (0..5).collect());
     let budget = Budget::default().with_samples(60_000).with_seed(9);
-    let scenario = &CorrelationModel::from(&deployment);
-    let outcome = prob_consensus::analyzer::analyze_scenario(&model, scenario, &budget)
-        .expect("well-formed scenario");
+    let outcome = analyze_auto(&model, &scenario, &budget).expect("well-formed scenario");
     assert_eq!(outcome.engine, EngineChoice::ImportanceSampling);
     let report = outcome.rare_event.expect("weighted estimate attached");
     let truth = 1.0 - 0.05f64.powi(5); // P[loss] ≈ 3.1e-7
@@ -394,11 +380,10 @@ fn importance_sampling_reaches_tail_probabilities_plain_sampling_cannot() {
 
 #[test]
 fn parallel_importance_sampling_is_bit_identical_across_thread_counts() {
-    let deployment = Deployment::uniform_crash(30, 0.04);
+    let scenario = &CorrelationModel::uniform(30, FaultProfile::crash_only(0.04));
     let model = PersistenceQuorumModel::new(30, vec![0, 7, 19, 28]);
     // Adaptive pilot plus weighted main run, straddling chunk boundaries.
     let budget = Budget::default().with_samples(3 * 4096 + 29).with_seed(77);
-    let scenario = &CorrelationModel::from(&deployment);
     let reference =
         EngineChoice::ImportanceSampling.run(&model, scenario, &budget, &GroupScratch::default());
     for threads in [1usize, 2, 4, 7, 16] {
@@ -430,7 +415,6 @@ fn parallel_importance_sampling_is_bit_identical_across_thread_counts() {
 /// engines and both Monte Carlo kernels appear among the 122 cells.
 #[test]
 fn query_plan_execute_matches_per_cell_loop_bit_for_bit() {
-    use prob_consensus::analyzer::analyze_scenario;
     use prob_consensus::engine::AnalysisOutcome;
     use prob_consensus::query::{AnalysisSession, CorrelationSpec, FaultAxis, ProtocolSpec, Query};
     use std::sync::Arc;
@@ -455,10 +439,10 @@ fn query_plan_execute_matches_per_cell_loop_bit_for_bit() {
     // Monte Carlo — no counting view).
     let rare_model: Arc<dyn ProtocolModel + Send + Sync> =
         Arc::new(PersistenceQuorumModel::new(24, (0..4).collect()));
-    let rare_deployment = Deployment::uniform_crash(24, 0.05);
+    let rare_deployment = CorrelationModel::uniform(24, FaultProfile::crash_only(0.05));
     let common_model: Arc<dyn ProtocolModel + Send + Sync> =
         Arc::new(PersistenceQuorumModel::new(30, (0..2).collect()));
-    let common_deployment = Deployment::uniform_crash(30, 0.25);
+    let common_deployment = CorrelationModel::uniform(30, FaultProfile::crash_only(0.25));
 
     let query = Query::new()
         .protocols(PROTOCOLS)
@@ -480,36 +464,35 @@ fn query_plan_execute_matches_per_cell_loop_bit_for_bit() {
         "a paper-style sweep is >= 100 cells"
     );
 
-    // The reference: the same cells through the per-cell front doors, in the
+    // The reference: the same cells through the per-cell front door, in the
     // grid's axis-nesting order.
     let mut reference: Vec<AnalysisOutcome> = Vec::with_capacity(query.cell_count());
     for spec in PROTOCOLS {
         for n in NS {
             let model = spec.build(n);
             for p in PS {
-                let deployment = Deployment::uniform_mixed(n, p, BYZANTINE);
+                let deployment = CorrelationModel::uniform(n, FaultProfile::new(p, BYZANTINE));
                 for correlation in CORRELATIONS {
-                    reference.push(match correlation {
-                        CorrelationSpec::Independent => {
-                            analyze_auto(model.as_ref(), &deployment, &budget)
-                        }
-                        _ => {
-                            let correlated = CorrelationModel::from(&deployment)
-                                .with_group(CorrelationGroup::crash_shock((0..n).collect(), SHOCK));
-                            analyze_scenario(model.as_ref(), &correlated, &budget)
-                                .expect("well-formed scenario")
-                        }
-                    });
+                    let scenario = match correlation {
+                        CorrelationSpec::Independent => deployment.clone(),
+                        _ => deployment
+                            .clone()
+                            .with_group(CorrelationGroup::crash_shock((0..n).collect(), SHOCK)),
+                    };
+                    reference.push(
+                        analyze_auto(model.as_ref(), &scenario, &budget)
+                            .expect("well-formed scenario"),
+                    );
                 }
             }
         }
     }
-    reference.push(analyze_auto(rare_model.as_ref(), &rare_deployment, &budget));
-    reference.push(analyze_auto(
-        common_model.as_ref(),
-        &common_deployment,
-        &budget,
-    ));
+    for (model, scenario) in [
+        (&rare_model, &rare_deployment),
+        (&common_model, &common_deployment),
+    ] {
+        reference.push(analyze_auto(model.as_ref(), scenario, &budget).expect("well-formed"));
+    }
 
     let mut engines_seen = std::collections::HashSet::new();
     for threads in [1usize, 2, 8] {
@@ -578,8 +561,7 @@ fn simulated_frequencies_agree_with_the_counting_engine() {
     for n in [3usize, 5] {
         for p in [0.1, 0.25] {
             let model = RaftModel::standard(n);
-            let deployment = Deployment::uniform_crash(n, p);
-            let scenario = &CorrelationModel::from(&deployment);
+            let scenario = &CorrelationModel::uniform(n, FaultProfile::crash_only(p));
             let exact = EngineChoice::Counting
                 .run(&model, scenario, &budget, &GroupScratch::default())
                 .report
@@ -609,12 +591,12 @@ fn simulated_frequencies_agree_with_the_counting_engine() {
 fn auto_selection_is_consistent_with_explicit_engines() {
     // For a counting model, analyze_auto must reproduce the counting engine bit for bit.
     let model = RaftModel::standard(9);
-    let deployment = Deployment::uniform_crash(9, 0.04);
-    let auto = analyze_auto(&model, &deployment, &Budget::default());
+    let deployment = CorrelationModel::uniform(9, FaultProfile::crash_only(0.04));
+    let auto = analyze_auto(&model, &deployment, &Budget::default()).expect("well-formed");
     assert_eq!(auto.engine, EngineChoice::Counting);
     let explicit = EngineChoice::Counting.run(
         &model,
-        &CorrelationModel::from(&deployment),
+        &deployment,
         &Budget::default(),
         &GroupScratch::default(),
     );

@@ -23,15 +23,6 @@ use prob_consensus::optimize::{
 use prob_consensus::query::{AnalysisSession, ProtocolSpec, Query};
 use prob_consensus::scratch::GroupScratch;
 
-/// Drops the `wall_ns` timing lines from a report's JSON so runs can be
-/// compared on results alone.
-fn strip_wall_ns(json: &str) -> String {
-    json.lines()
-        .filter(|line| !line.trim_start().starts_with("\"wall_ns\""))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 /// The `claim-durability-correlated` space, generalized: the hand-picked
 /// same-rack vs cross-rack comparison becomes two candidates of one search.
 /// N = 100 spot nodes at p = 10% across 10 racks with 1% correlated rack
@@ -229,13 +220,13 @@ fn optimizer_scratch_never_perturbs_first_order_or_epistemic_results() {
         target: TargetSpec::PersistenceQuorum { quorum_size: 3 },
     };
     let candidate = &space.candidates()[0];
-    let first_order = Query::new().cell_correlated(
+    let first_order = Query::new().cell(
         "first-order",
         candidate.model.clone(),
         candidate.scenario.clone(),
     );
     let epistemic = Query::new()
-        .cell_correlated(
+        .cell(
             "epistemic",
             candidate.model.clone(),
             candidate.scenario.clone(),
@@ -243,19 +234,21 @@ fn optimizer_scratch_never_perturbs_first_order_or_epistemic_results() {
         .posterior(4, 2.0, 50.0);
     let config = OptimizerConfig::new(2.0);
 
-    // Cold: first-order and epistemic before any optimizer run. Timing lines
-    // are stripped — only results must match.
+    // Cold: first-order and epistemic before any optimizer run. Wall clocks
+    // are zeroed — only results must match.
     let cold = AnalysisSession::new();
-    let cold_first = strip_wall_ns(&cold.run(&first_order).unwrap().to_json());
-    let cold_epistemic = strip_wall_ns(&cold.run(&epistemic).unwrap().to_json());
+    let json =
+        |session: &AnalysisSession, query| session.run(query).unwrap().zero_wall_clock().to_json();
+    let cold_first = json(&cold, &first_order);
+    let cold_epistemic = json(&cold, &epistemic);
 
     // Warm: the optimizer runs first (same content, so the same entry).
     let warm = AnalysisSession::new();
     optimize(&warm, &space, &config).unwrap();
     let entries_after_optimize = warm.cache_stats().entries;
-    let warm_first = strip_wall_ns(&warm.run(&first_order).unwrap().to_json());
+    let warm_first = json(&warm, &first_order);
     let entries_after_first = warm.cache_stats().entries;
-    let warm_epistemic = strip_wall_ns(&warm.run(&epistemic).unwrap().to_json());
+    let warm_epistemic = json(&warm, &epistemic);
 
     assert_eq!(
         cold_first, warm_first,

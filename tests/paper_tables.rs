@@ -2,8 +2,9 @@
 //! claim in the paper (see DESIGN.md for the experiment index and EXPERIMENTS.md for the
 //! recorded paper-vs-measured values).
 
+use fault_model::correlation::CorrelationModel;
+use fault_model::mode::FaultProfile;
 use prob_consensus::analyzer::analyze_auto;
-use prob_consensus::deployment::Deployment;
 use prob_consensus::engine::{Budget, EngineChoice};
 use prob_consensus::query::{AnalysisSession, FaultAxis, ProtocolSpec, Query};
 use prob_consensus::raft_model::RaftModel;
@@ -102,9 +103,10 @@ fn raft_quorum_sizes_match_table2() {
 fn claim_three_node_raft_is_three_nines() {
     let report = analyze_auto(
         &RaftModel::standard(3),
-        &Deployment::uniform_crash(3, 0.01),
+        &CorrelationModel::uniform(3, FaultProfile::crash_only(0.01)),
         &Budget::default(),
     )
+    .expect("well-formed scenario")
     .report;
     let nines = report.safe_and_live.nines();
     assert!((3.0..4.0).contains(&nines), "got {nines} nines");
@@ -115,15 +117,17 @@ fn claim_nine_cheap_nodes_match_three_reliable_nodes() {
     let budget = Budget::default();
     let three = analyze_auto(
         &RaftModel::standard(3),
-        &Deployment::uniform_crash(3, 0.01),
+        &CorrelationModel::uniform(3, FaultProfile::crash_only(0.01)),
         &budget,
     )
+    .expect("well-formed scenario")
     .report;
     let nine = analyze_auto(
         &RaftModel::standard(9),
-        &Deployment::uniform_crash(9, 0.08),
+        &CorrelationModel::uniform(9, FaultProfile::crash_only(0.08)),
         &budget,
     )
+    .expect("well-formed scenario")
     .report;
     assert_paper_percent(three.safe_and_live.probability(), "99.97", "3 x 1%");
     assert_paper_percent(nine.safe_and_live.probability(), "99.97", "9 x 8%");

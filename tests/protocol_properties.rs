@@ -8,8 +8,8 @@ use consensus_sim::fault::FaultSchedule;
 use consensus_sim::network::NetworkConfig;
 use consensus_sim::time::SimTime;
 use fault_model::correlation::CorrelationModel;
+use fault_model::mode::FaultProfile;
 use prob_consensus::analyzer::analyze_auto;
-use prob_consensus::deployment::Deployment;
 use prob_consensus::engine::{Budget, EngineChoice};
 use prob_consensus::pbft_model::PbftModel;
 use prob_consensus::raft_model::RaftModel;
@@ -78,18 +78,18 @@ proptest! {
         p_crash in 0.0f64..0.4,
         p_byz in 0.0f64..0.2,
     ) {
-        let deployment = Deployment::uniform_mixed(n, p_crash, p_byz);
+        let deployment = CorrelationModel::uniform(n, FaultProfile::new(p_crash, p_byz));
         let budget = Budget::default();
         let pbft = PbftModel::standard(n.max(4));
         if n >= 4 {
-            let a = analyze_auto(&pbft, &deployment, &budget).report;
-            let b = EngineChoice::Enumeration.run(&pbft, &CorrelationModel::from(&deployment), &budget, &GroupScratch::default()).report;
+            let a = analyze_auto(&pbft, &deployment, &budget).expect("well-formed scenario").report;
+            let b = EngineChoice::Enumeration.run(&pbft, &deployment, &budget, &GroupScratch::default()).report;
             prop_assert!((a.safe.probability() - b.safe.probability()).abs() < 1e-9);
             prop_assert!((a.live.probability() - b.live.probability()).abs() < 1e-9);
         }
         let raft = RaftModel::standard(n);
-        let a = analyze_auto(&raft, &deployment, &budget).report;
-        let b = EngineChoice::Enumeration.run(&raft, &CorrelationModel::from(&deployment), &budget, &GroupScratch::default()).report;
+        let a = analyze_auto(&raft, &deployment, &budget).expect("well-formed scenario").report;
+        let b = EngineChoice::Enumeration.run(&raft, &deployment, &budget, &GroupScratch::default()).report;
         prop_assert!((a.safe_and_live.probability() - b.safe_and_live.probability()).abs() < 1e-9);
     }
 
@@ -103,9 +103,9 @@ proptest! {
     ) {
         let model = RaftModel::standard(n);
         let budget = Budget::default();
-        let worse = analyze_auto(&model, &Deployment::uniform_crash(n, p), &budget).report;
+        let worse = analyze_auto(&model, &CorrelationModel::uniform(n, FaultProfile::crash_only(p)), &budget).expect("well-formed scenario").report;
         let better =
-            analyze_auto(&model, &Deployment::uniform_crash(n, p * improvement), &budget).report;
+            analyze_auto(&model, &CorrelationModel::uniform(n, FaultProfile::crash_only(p * improvement)), &budget).expect("well-formed scenario").report;
         prop_assert!(
             better.safe_and_live.probability() >= worse.safe_and_live.probability() - 1e-12
         );
@@ -119,15 +119,15 @@ proptest! {
         let budget = Budget::default();
         let small = analyze_auto(
             &RaftModel::standard(small_n),
-            &Deployment::uniform_crash(small_n, p),
+            &CorrelationModel::uniform(small_n, FaultProfile::crash_only(p)),
             &budget,
-        )
+        ).expect("well-formed scenario")
         .report;
         let large = analyze_auto(
             &RaftModel::standard(large_n),
-            &Deployment::uniform_crash(large_n, p),
+            &CorrelationModel::uniform(large_n, FaultProfile::crash_only(p)),
             &budget,
-        )
+        ).expect("well-formed scenario")
         .report;
         prop_assert!(
             large.safe_and_live.probability() >= small.safe_and_live.probability() - 1e-12

@@ -4,8 +4,9 @@
 
 use std::sync::Arc;
 
+use fault_model::correlation::CorrelationModel;
+use fault_model::mode::FaultProfile;
 use prob_consensus::analyzer::AnalysisError;
-use prob_consensus::deployment::Deployment;
 use prob_consensus::durability::PersistenceQuorumModel;
 use prob_consensus::engine::{Budget, EngineChoice, EpistemicBudget, InvalidBudget};
 use prob_consensus::json::JsonValue;
@@ -30,7 +31,11 @@ fn mixed_report() -> prob_consensus::query::AnalysisReport {
                     CorrelationSpec::ClusterShock { probability: 0.02 },
                 ])
                 .budget(Budget::default().with_samples(8_000).with_seed(11))
-                .cell("rare", rare, Deployment::uniform_crash(24, 0.05)),
+                .cell(
+                    "rare",
+                    rare,
+                    CorrelationModel::uniform(24, FaultProfile::crash_only(0.05)),
+                ),
         )
         .expect("well-formed query")
 }
