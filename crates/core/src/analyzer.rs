@@ -5,9 +5,9 @@
 //! enumeration for small non-counting models, parallel Monte Carlo otherwise) and tags
 //! the result with the engine that produced it. The scenario is a
 //! [`CorrelationModel`] — the one scenario type, of which an independent deployment
-//! is the case with no shock groups. A caller that must pin
-//! an engine — a cross-engine agreement test, a bench — runs that engine directly
-//! through [`EngineChoice::run`](crate::engine::EngineChoice::run), e.g.
+//! is the case with no shock groups. A caller that must pin an engine — a
+//! cross-engine agreement test, a bench — runs that engine directly through
+//! [`EngineChoice::run`](crate::engine::EngineChoice::run), e.g.
 //! `EngineChoice::Counting.run(model, scenario, budget, &GroupScratch::default())`.
 
 use fault_model::correlation::CorrelationModel;

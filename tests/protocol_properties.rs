@@ -82,14 +82,18 @@ proptest! {
         let budget = Budget::default();
         let pbft = PbftModel::standard(n.max(4));
         if n >= 4 {
-            let a = analyze_auto(&pbft, &deployment, &budget).expect("well-formed scenario").report;
-            let b = EngineChoice::Enumeration.run(&pbft, &deployment, &budget, &GroupScratch::default()).report;
+            let a = analyze_auto(&pbft, &deployment, &budget).expect("well-formed").report;
+            let b = EngineChoice::Enumeration
+                .run(&pbft, &deployment, &budget, &GroupScratch::default())
+                .report;
             prop_assert!((a.safe.probability() - b.safe.probability()).abs() < 1e-9);
             prop_assert!((a.live.probability() - b.live.probability()).abs() < 1e-9);
         }
         let raft = RaftModel::standard(n);
-        let a = analyze_auto(&raft, &deployment, &budget).expect("well-formed scenario").report;
-        let b = EngineChoice::Enumeration.run(&raft, &deployment, &budget, &GroupScratch::default()).report;
+        let a = analyze_auto(&raft, &deployment, &budget).expect("well-formed").report;
+        let b = EngineChoice::Enumeration
+            .run(&raft, &deployment, &budget, &GroupScratch::default())
+            .report;
         prop_assert!((a.safe_and_live.probability() - b.safe_and_live.probability()).abs() < 1e-9);
     }
 
@@ -103,9 +107,11 @@ proptest! {
     ) {
         let model = RaftModel::standard(n);
         let budget = Budget::default();
-        let worse = analyze_auto(&model, &CorrelationModel::uniform(n, FaultProfile::crash_only(p)), &budget).expect("well-formed scenario").report;
-        let better =
-            analyze_auto(&model, &CorrelationModel::uniform(n, FaultProfile::crash_only(p * improvement)), &budget).expect("well-formed scenario").report;
+        let report = |p: f64| {
+            let scenario = CorrelationModel::uniform(n, FaultProfile::crash_only(p));
+            analyze_auto(&model, &scenario, &budget).expect("well-formed").report
+        };
+        let (worse, better) = (report(p), report(p * improvement));
         prop_assert!(
             better.safe_and_live.probability() >= worse.safe_and_live.probability() - 1e-12
         );
@@ -121,13 +127,15 @@ proptest! {
             &RaftModel::standard(small_n),
             &CorrelationModel::uniform(small_n, FaultProfile::crash_only(p)),
             &budget,
-        ).expect("well-formed scenario")
+        )
+        .expect("well-formed scenario")
         .report;
         let large = analyze_auto(
             &RaftModel::standard(large_n),
             &CorrelationModel::uniform(large_n, FaultProfile::crash_only(p)),
             &budget,
-        ).expect("well-formed scenario")
+        )
+        .expect("well-formed scenario")
         .report;
         prop_assert!(
             large.safe_and_live.probability() >= small.safe_and_live.probability() - 1e-12
