@@ -17,7 +17,8 @@ use crate::enumeration::RawReliability;
 use crate::protocol::CountingModel;
 
 /// The exact joint probability mass function of the number of crashed and Byzantine
-/// nodes among independent nodes with heterogeneous per-node profiles.
+/// nodes when every node fails independently under its own (possibly different)
+/// profile.
 #[derive(Debug, Clone)]
 pub struct FaultCountDistribution {
     n: usize,

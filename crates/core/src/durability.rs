@@ -97,7 +97,7 @@ pub fn nodes_by_reliability(profiles: &[FaultProfile]) -> Vec<usize> {
         profiles[a]
             .fault_probability()
             .partial_cmp(&profiles[b].fault_probability())
-            .unwrap()
+            .expect("fault probabilities are never NaN")
             .then(a.cmp(&b))
     });
     idx
