@@ -218,17 +218,29 @@ mod tests {
     }
 
     #[test]
-    fn uniform_model_repeats_one_profile_without_groups() {
-        for profile in [
-            FaultProfile::crash_only(0.02),
-            FaultProfile::byzantine_only(0.01),
-            FaultProfile::new(0.04, 0.0001),
-        ] {
-            let model = CorrelationModel::uniform(5, profile);
-            assert_eq!(model.len(), 5);
-            assert_eq!(model.profiles(), &[profile; 5]);
-            assert!(!model.is_correlated());
-        }
+    fn uniform_crash_model() {
+        let model = CorrelationModel::uniform(5, FaultProfile::crash_only(0.02));
+        assert_eq!(model.len(), 5);
+        assert_eq!(model.profiles(), &[FaultProfile::crash_only(0.02); 5]);
+        assert!(!model.is_correlated());
+    }
+
+    #[test]
+    fn uniform_byzantine_model() {
+        let model = CorrelationModel::uniform(4, FaultProfile::byzantine_only(0.01));
+        assert!(model
+            .profiles()
+            .iter()
+            .all(|p| p.crash_probability() == 0.0));
+        assert_eq!(model.profiles()[3].byzantine_probability(), 0.01);
+        assert!(!model.is_correlated());
+    }
+
+    #[test]
+    fn mixed_uniform_model_has_both_modes() {
+        let model = CorrelationModel::uniform(3, FaultProfile::new(0.04, 0.0001));
+        assert_eq!(model.profiles(), &[FaultProfile::new(0.04, 0.0001); 3]);
+        assert!(!model.is_correlated());
     }
 
     #[test]
