@@ -2,10 +2,11 @@
 //!
 //! The paper's pitch is operational — operators ask "what reliability does this
 //! deployment give?" continuously as telemetry shifts, not once per offline run.
-//! This crate keeps one [`AnalysisSession`] (and therefore one scratch cache of
-//! compiled packed kernels, counting results, selector pilots and learned IS
-//! proposals) alive across requests and exposes it over a newline-
-//! delimited JSON protocol on stdio or TCP.
+//! This crate keeps one
+//! [`AnalysisSession`](prob_consensus::query::AnalysisSession) (and therefore
+//! one scratch cache of compiled packed kernels, counting results, selector
+//! pilots and learned IS proposals) alive across requests and exposes it over a
+//! newline-delimited JSON protocol on stdio or TCP.
 //!
 //! # Protocol
 //!
@@ -78,7 +79,7 @@
 //!
 //! # Output path
 //!
-//! Producers never touch a socket. Each connection has one [`Outbox`]: an event
+//! Producers never touch a socket. Each connection has one `Outbox`: an event
 //! is rendered as one compact line and appended to its buffer under its lock,
 //! and one writer thread per TCP / stdio connection swaps the buffer out and
 //! writes whatever accumulated in a single call. The batching window is the
@@ -88,7 +89,7 @@
 //! response is small writes followed by a read, the pattern on which Nagle's
 //! algorithm waits for the peer's delayed ACK (measured: 44 ms per request).
 //! A peer that stops reading is cut off, not waited for: past
-//! [`TCP_WRITE_TIMEOUT`] without progress, or [`MAX_OUTBOX_BYTES`] queued, the
+//! `TCP_WRITE_TIMEOUT` without progress, or `MAX_OUTBOX_BYTES` queued, the
 //! connection is declared dead, its socket shut down and its further events
 //! dropped. The `stats` event's `wire` object counts events, writes and bytes
 //! handed to peers.
@@ -98,1413 +99,26 @@
 //! re-assembled by index is byte-identical to a one-shot run of the same query
 //! (modulo the measured `wall_ns` fields).
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{
-    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
-};
-use std::ops::RangeInclusive;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
-
-use fault_model::correlation::CorrelationModel;
-use fault_model::markov::RepairableGroup;
-use fault_model::mode::FaultProfile;
-use prob_consensus::durability::PersistenceQuorumModel;
-use prob_consensus::engine::{Budget, EpistemicBudget, FaultEnvironment};
-use prob_consensus::json::JsonValue;
-use prob_consensus::optimize::{
-    optimize, DeploymentSpace, FailureDomains, NodeType, OptimizeReport, OptimizerConfig,
-    Placement, RepairPolicy, TargetSpec,
-};
-use prob_consensus::protocol::ProtocolModel;
-use prob_consensus::query::{
-    logspace, AnalysisReport, AnalysisSession, CellRecord, CorrelationSpec, FaultAxis, Metrics,
-    ProtocolSpec, Query, StreamSink, TimeAxis, TrajectoryRecord, MAX_AXIS_LEN, MAX_NODES,
-};
-
-/// Upper bound on the bytes a connection may have queued for a peer that is
-/// not taking them. A peer this far behind has stopped reading; holding more
-/// for it would let one connection exhaust server memory. The check runs
-/// before an event is appended, so one event of any size passes an empty
-/// outbox.
-pub const MAX_OUTBOX_BYTES: usize = 16 << 20;
-
-/// Per-connection write timeout for TCP connections: how long one socket
-/// write may make no progress (the peer's window closed, its application not
-/// reading) before the connection is given up. Without it the writer thread of
-/// a wedged peer, and the connection thread joining it, would never end.
-pub const TCP_WRITE_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// The output side of one connection. `emit` renders each event as one
-/// compact, newline-terminated line and appends it to the buffer under the
-/// lock, so concurrent plans never interleave *within* a line and no producer
-/// ever touches the socket. A front end with a peer runs [`Outbox::drain`] on
-/// a writer thread, which swaps the buffer out and hands the peer everything
-/// that accumulated in one write; an in-memory exchange just takes the buffer.
-pub struct Outbox {
-    state: Mutex<OutboxState>,
-    /// Signalled when the buffer stops being empty, and on close.
-    ready: Condvar,
-    limit: usize,
-    /// The peer's socket, kept only to shut it down when the connection dies,
-    /// which ends both the writer's blocked write and the reader loop.
-    peer: Option<TcpStream>,
-}
-
-#[derive(Default)]
-struct OutboxState {
-    buf: String,
-    /// Events rendered into `buf`.
-    events: u64,
-    /// No further events will come; the writer drains `buf` and returns.
-    closed: bool,
-    /// The peer is gone or stopped reading. A dead peer is not a server
-    /// error: its events are dropped and the server keeps serving.
-    dead: bool,
-}
-
-impl Outbox {
-    /// An outbox that declares its peer dead once more than `limit` bytes wait
-    /// in it, shutting `peer` down when it does.
-    pub fn new(limit: usize, peer: Option<TcpStream>) -> Self {
-        Self {
-            state: Mutex::new(OutboxState::default()),
-            ready: Condvar::new(),
-            limit,
-            peer,
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, OutboxState> {
-        // Never poisoned: every guard only sets flags, swaps or appends a String.
-        self.state.lock().expect("outbox lock")
-    }
-
-    fn kill(&self, state: &mut OutboxState) {
-        state.dead = true;
-        state.buf = String::new();
-        if let Some(peer) = &self.peer {
-            let _ = peer.shutdown(Shutdown::Both);
-        }
-    }
-
-    /// Whether the peer was declared dead (write failure, write timeout, or
-    /// more than the limit queued).
-    pub fn is_dead(&self) -> bool {
-        self.lock().dead
-    }
-
-    /// No further events will be emitted: lets [`Outbox::drain`] return once
-    /// the buffer is written out.
-    pub fn close(&self) {
-        self.lock().closed = true;
-        self.ready.notify_one();
-    }
-
-    /// Takes everything emitted and not yet drained.
-    pub fn take(&self) -> String {
-        std::mem::take(&mut self.lock().buf)
-    }
-
-    /// The writer loop: waits for events, swaps the buffer out and writes it
-    /// to `sink` in one call, counting it in the server's `wire` totals first
-    /// (so a peer that has read an event finds it counted). Whatever was
-    /// emitted while the previous write was in the kernel leaves with the next
-    /// one; there is no timer and no size threshold. Returns after
-    /// [`Outbox::close`] with the buffer written out, or with the error that
-    /// killed the connection.
-    pub fn drain(&self, server: &Server, mut sink: impl Write) -> std::io::Result<()> {
-        let mut batch = String::new();
-        loop {
-            let events = {
-                let mut state = self.lock();
-                while state.buf.is_empty() && !state.closed && !state.dead {
-                    // Never poisoned, as in `Outbox::lock`.
-                    state = self.ready.wait(state).expect("outbox lock");
-                }
-                if state.dead {
-                    return Err(std::io::Error::other(format!(
-                        "peer left more than {} bytes unread",
-                        self.limit
-                    )));
-                }
-                if state.buf.is_empty() {
-                    return Ok(());
-                }
-                std::mem::swap(&mut state.buf, &mut batch);
-                std::mem::take(&mut state.events)
-            };
-            {
-                // Never poisoned: every stats guard only reads or bumps plain counters.
-                let mut stats = server.stats.lock().expect("stats lock");
-                stats.wire.events += events;
-                stats.wire.writes += 1;
-                stats.wire.bytes_out += batch.len() as u64;
-            }
-            if let Err(err) = sink.write_all(batch.as_bytes()).and_then(|()| sink.flush()) {
-                self.kill(&mut self.lock());
-                return Err(err);
-            }
-            batch.clear();
-        }
-    }
-}
-
-fn emit(outbox: &Outbox, value: &JsonValue) {
-    // Rendered before the lock is taken: plans of one connection emit from
-    // several workers at once, and the lock is held for one append.
-    let mut line = value.to_compact_string();
-    line.push('\n');
-    let mut state = outbox.lock();
-    if state.dead {
-        return;
-    }
-    if state.buf.len() > outbox.limit {
-        outbox.kill(&mut state);
-        return;
-    }
-    // The writer waits only on an empty buffer, so only the event that ends
-    // the emptiness has anyone to wake.
-    let wake = state.buf.is_empty();
-    state.buf.push_str(&line);
-    state.events += 1;
-    drop(state);
-    if wake {
-        outbox.ready.notify_one();
-    }
-}
-
-fn event(id: &JsonValue, kind: &str, rest: Vec<(&str, JsonValue)>) -> JsonValue {
-    let head = [("id", id.clone()), ("event", JsonValue::string(kind))];
-    let members = head.into_iter().chain(rest);
-    JsonValue::Object(members.map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn error_event(id: &JsonValue, message: impl Into<String>) -> JsonValue {
-    event(id, "error", vec![("message", JsonValue::string(message))])
-}
-
-/// An object of numbers, in the order given.
-fn numbers(members: &[(&str, f64)]) -> JsonValue {
-    let members = members
-        .iter()
-        .map(|&(k, v)| (k.to_string(), JsonValue::number(v)));
-    JsonValue::Object(members.collect())
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "internal error".to_string()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The wire grammar: one strict reader for every request object
-// ---------------------------------------------------------------------------
-
-/// A JSON value type a field can hold, named singular and plural in errors.
-trait Wire<'a>: Sized {
-    const NAME: [&'static str; 2];
-    fn from_json(value: &'a JsonValue) -> Option<Self>;
-}
-
-macro_rules! wire {
-    ($($t:ty: $one:literal, $many:literal, |$v:ident| $read:expr;)*) => {$(
-        impl<'a> Wire<'a> for $t {
-            const NAME: [&'static str; 2] = [$one, $many];
-            fn from_json($v: &'a JsonValue) -> Option<Self> {
-                $read
-            }
-        }
-    )*};
-}
-
-/// A whole number from 0 to `limit`.
-fn whole(value: &JsonValue, limit: f64) -> Option<f64> {
-    let f = value.as_f64()?;
-    (f >= 0.0 && f.fract() == 0.0 && f <= limit).then_some(f)
-}
-
-// Counts and sizes stop at `u32::MAX`, seeds at 2⁵³ (the largest integer a
-// JSON number holds exactly); `&JsonValue` is for fields read further on.
-wire! {
-    f64: "a number", "numbers", |v| v.as_f64();
-    usize: "a non-negative integer", "non-negative integers",
-        |v| whole(v, u32::MAX as f64).map(|f| f as usize);
-    u64: "an integer", "integers", |v| whole(v, 2f64.powi(53)).map(|f| f as u64);
-    bool: "a boolean", "booleans", |v| match v {
-        JsonValue::Bool(b) => Some(*b),
-        _ => None,
-    };
-    &'a str: "a string", "strings", |v| v.as_str();
-    &'a JsonValue: "a value", "values", |v| Some(v);
-}
-
-/// The smallest positive `f64`: as an inclusive lower bound, "above zero".
-const ABOVE_ZERO: f64 = f64::from_bits(1);
-/// The largest `f64` below one: as an inclusive upper bound, "below one".
-const BELOW_ONE: f64 = 1.0 - f64::EPSILON / 2.0;
-const PROBABILITY: RangeInclusive<f64> = 0.0..=1.0;
-const NON_NEGATIVE: RangeInclusive<f64> = 0.0..=f64::MAX;
-const POSITIVE: RangeInclusive<f64> = ABOVE_ZERO..=f64::MAX;
-
-/// What a request can get wrong in its shape; [`wrong`] words every one.
-enum Problem<'k> {
-    NotObject,
-    Missing(&'k str),
-    UnknownKey(&'k str),
-    Duplicate(&'k str),
-    /// A key and the type its value must have; `Entries` for each array entry.
-    Type(&'k str, &'static str),
-    Entries(&'k str, &'static str),
-    /// A key, its value, the range it missed and its type's name.
-    Range(&'k str, f64, RangeInclusive<f64>, &'static str),
-    /// An object that must have exactly one member, with its keys.
-    Members(Vec<&'k str>),
-    /// A tagged value with an unknown tag (and whether it was an object's
-    /// key), and what was expected instead.
-    UnknownTag(&'k str, bool, &'k str),
-    /// A value of the wrong shape, and what was expected instead.
-    Shape(&'k str),
-}
-
-/// The error text of `problem` in an object of kind `what`.
-fn wrong(what: &str, problem: Problem<'_>) -> String {
-    match problem {
-        Problem::NotObject => format!("{what} must be an object"),
-        Problem::Missing(key) => format!("{what}: missing '{key}'"),
-        Problem::UnknownKey(key) => format!("unknown {what} key '{key}'"),
-        Problem::Duplicate(key) => format!("{what}: duplicate key '{key}'"),
-        Problem::Type(key, name) => format!("{what}: '{key}' must be {name}"),
-        Problem::Entries(key, names) => format!("{what}: '{key}' entries must be {names}"),
-        Problem::Range(key, value, range, name) => {
-            // Real-valued ranges read as words; `ABOVE_ZERO`, `BELOW_ONE` and
-            // `f64::MAX` stand for open and missing ends.
-            let (lo, hi) = range.into_inner();
-            let real = name == <f64 as Wire>::NAME[0];
-            let range = match (real, lo == ABOVE_ZERO, hi) {
-                (true, false, 1.0) if lo == 0.0 => "a probability in [0, 1]".to_string(),
-                (true, true, f64::MAX) => "a positive finite number".to_string(),
-                (true, false, f64::MAX) => format!("a finite number >= {lo}"),
-                (true, true, BELOW_ONE) => "a number in (0, 1)".to_string(),
-                _ => format!("{name} in [{lo}, {hi}]"),
-            };
-            format!("{what}: '{key}' must be {range}, got {value}")
-        }
-        Problem::Members(keys) => format!("{what} must have exactly one member, got {keys:?}"),
-        Problem::UnknownTag(tag, false, expected) => {
-            format!("unknown {what} '{tag}'; expected {expected}")
-        }
-        Problem::UnknownTag(key, true, expected) => {
-            format!(
-                "{}; expected {expected}",
-                wrong(what, Problem::UnknownKey(key))
-            )
-        }
-        Problem::Shape(expected) => format!("{what} must be {expected}"),
-    }
-}
-
-/// Reads `value`, member `key` of a `what`, as type `T`.
-fn typed<'a, T: Wire<'a>>(what: &str, key: &str, value: &'a JsonValue) -> Result<T, String> {
-    T::from_json(value).ok_or_else(|| wrong(what, Problem::Type(key, T::NAME[0])))
-}
-
-/// Reads the array `value`, member `key` of a `what`: each entry as type `T`,
-/// then through `each`.
-fn entries<'a, T: Wire<'a>, U>(
-    what: &str,
-    key: &str,
-    value: &'a JsonValue,
-    mut each: impl FnMut(T) -> Result<U, String>,
-) -> Result<Vec<U>, String> {
-    let items = value.as_array();
-    let items = items.ok_or_else(|| wrong(what, Problem::Type(key, "an array")))?;
-    let entry =
-        |item| T::from_json(item).ok_or_else(|| wrong(what, Problem::Entries(key, T::NAME[1])));
-    items.iter().map(|item| each(entry(item)?)).collect()
-}
-
-/// Reads `value` as an object of kind `what` through `read`, then rejects
-/// every member `read` did not take: the keys an object accepts are exactly
-/// the keys its reader reads.
-fn read_object<'a, T>(
-    value: &'a JsonValue,
-    what: &'static str,
-    read: impl FnOnce(&mut Fields<'a>) -> Result<T, String>,
-) -> Result<T, String> {
-    let JsonValue::Object(members) = value else {
-        return Err(wrong(what, Problem::NotObject));
-    };
-    let mut fields = Fields {
-        what,
-        members,
-        taken: vec![false; members.len()],
-    };
-    let out = read(&mut fields)?;
-    let Some(i) = fields.taken.iter().position(|taken| !taken) else {
-        return Ok(out);
-    };
-    let key = &members[i].0;
-    Err(wrong(
-        what,
-        match members[..i].iter().any(|(k, _)| k == key) {
-            true => Problem::Duplicate(key),
-            false => Problem::UnknownKey(key),
-        },
-    ))
-}
-
-/// Reads a tagged value: a bare name, or a one-variant object (exactly one
-/// member, whose key is the tag and whose value is the body). The caller
-/// matches the tag and hands one it does not know back to [`unknown_tag`];
-/// `expected` is what the error text asks for instead.
-fn tag<'a>(
-    value: &'a JsonValue,
-    what: &'static str,
-    expected: &str,
-) -> Result<(&'a str, Option<&'a JsonValue>), String> {
-    match value {
-        JsonValue::String(name) => Ok((name, None)),
-        JsonValue::Object(members) => match members.as_slice() {
-            [(key, body)] => Ok((key, Some(body))),
-            _ => Err(wrong(
-                what,
-                Problem::Members(members.iter().map(|(k, _)| k.as_str()).collect()),
-            )),
-        },
-        _ => Err(wrong(what, Problem::Shape(expected))),
-    }
-}
-
-fn unknown_tag(what: &str, (tag, body): (&str, Option<&JsonValue>), expected: &str) -> String {
-    wrong(what, Problem::UnknownTag(tag, body.is_some(), expected))
-}
-
-/// The members of one object being read; see [`read_object`].
-struct Fields<'a> {
-    what: &'static str,
-    members: &'a [(String, JsonValue)],
-    taken: Vec<bool>,
-}
-
-impl<'a> Fields<'a> {
-    /// An optional field of type `T`.
-    fn opt<T: Wire<'a>>(&mut self, key: &str) -> Result<Option<T>, String> {
-        let Some(i) = self.members.iter().position(|(k, _)| k == key) else {
-            return Ok(None);
-        };
-        self.taken[i] = true;
-        typed(self.what, key, &self.members[i].1).map(Some)
-    }
-
-    /// A required field of type `T`.
-    fn get<T: Wire<'a>>(&mut self, key: &str) -> Result<T, String> {
-        self.opt(key)?
-            .ok_or_else(|| wrong(self.what, Problem::Missing(key)))
-    }
-
-    /// An optional number in `range` (integers too: `T` decides the type).
-    fn opt_within<T: Wire<'a>>(
-        &mut self,
-        key: &str,
-        range: RangeInclusive<f64>,
-    ) -> Result<Option<T>, String> {
-        let value: Option<&JsonValue> = self.opt(key)?;
-        if let Some(v) = value
-            .and_then(JsonValue::as_f64)
-            .filter(|v| !range.contains(v))
-        {
-            return Err(wrong(self.what, Problem::Range(key, v, range, T::NAME[0])));
-        }
-        value.map(|v| typed(self.what, key, v)).transpose()
-    }
-
-    /// A required number in `range`.
-    fn within<T: Wire<'a>>(&mut self, key: &str, range: RangeInclusive<f64>) -> Result<T, String> {
-        self.opt_within(key, range)?
-            .ok_or_else(|| wrong(self.what, Problem::Missing(key)))
-    }
-
-    /// An optional array, each entry read as `T` and then through `each`.
-    fn list<T: Wire<'a>, U>(
-        &mut self,
-        key: &str,
-        each: impl FnMut(T) -> Result<U, String>,
-    ) -> Result<Option<Vec<U>>, String> {
-        let what = self.what;
-        let value = self.opt(key)?;
-        value.map(|v| entries(what, key, v, each)).transpose()
-    }
-
-    /// An optional nested object, read through `read` with its key as its kind.
-    fn object<T>(
-        &mut self,
-        key: &'static str,
-        read: impl FnOnce(&mut Fields<'a>) -> Result<T, String>,
-    ) -> Result<Option<T>, String> {
-        let value = self.opt(key)?;
-        value.map(|v| read_object(v, key, read)).transpose()
-    }
-}
-
-fn protocol(value: &JsonValue) -> Result<ProtocolSpec, String> {
-    const EXPECTED: &str = r#""raft", "pbft" or {"raft_flexible":{"q_per":..,"q_vc":..}}"#;
-    match tag(value, "protocol", EXPECTED)? {
-        ("raft", None) => Ok(ProtocolSpec::Raft),
-        ("pbft", None) => Ok(ProtocolSpec::Pbft),
-        ("raft_flexible", Some(body)) => read_object(body, "raft_flexible", |f| {
-            let (q_per, q_vc) = (f.get("q_per")?, f.get("q_vc")?);
-            Ok(ProtocolSpec::RaftFlexible { q_per, q_vc })
-        }),
-        other => Err(unknown_tag("protocol", other, EXPECTED)),
-    }
-}
-
-/// Whether `spec`'s quorums fit a cluster of `n` nodes, as its model's
-/// constructor asserts.
-fn quorums_fit(spec: &ProtocolSpec, n: usize) -> Result<(), String> {
-    let ProtocolSpec::RaftFlexible { q_per, q_vc } = *spec else {
-        return Ok(());
-    };
-    for (key, q) in [("q_per", q_per), ("q_vc", q_vc)] {
-        if !(1..=n).contains(&q) {
-            let range = Problem::Range(key, q as f64, 1.0..=n as f64, <usize as Wire>::NAME[0]);
-            return Err(format!("{} for {n} nodes", wrong("raft_flexible", range)));
-        }
-    }
-    Ok(())
-}
-
-fn fault_axis(value: &JsonValue) -> Result<FaultAxis, String> {
-    const EXPECTED: &str = r#""crash", "byzantine" or {"mixed":{"byzantine":p}}"#;
-    match tag(value, "fault axis", EXPECTED)? {
-        ("crash", None) => Ok(FaultAxis::Crash),
-        ("byzantine", None) => Ok(FaultAxis::Byzantine),
-        ("mixed", Some(body)) => read_object(body, "mixed faults", |f| {
-            let byzantine = f.within("byzantine", PROBABILITY)?;
-            Ok(FaultAxis::Mixed { byzantine })
-        }),
-        other => Err(unknown_tag("fault axis", other, EXPECTED)),
-    }
-}
-
-fn correlation(value: &JsonValue) -> Result<CorrelationSpec, String> {
-    const EXPECTED: &str = r#""independent", {"cluster_shock":{..}} or {"rack_shock":{..}}"#;
-    match tag(value, "correlation", EXPECTED)? {
-        ("independent", None) => Ok(CorrelationSpec::Independent),
-        ("cluster_shock", Some(body)) => read_object(body, "cluster_shock", |f| {
-            let probability = f.within("probability", PROBABILITY)?;
-            Ok(CorrelationSpec::ClusterShock { probability })
-        }),
-        ("rack_shock", Some(body)) => read_object(body, "rack_shock", |f| {
-            let (racks, probability) = (f.get("racks")?, f.within("probability", PROBABILITY)?);
-            Ok(CorrelationSpec::RackShock { racks, probability })
-        }),
-        other => Err(unknown_tag("correlation", other, EXPECTED)),
-    }
-}
-
-/// One `fault_probs` value, which must be a probability: past the reader, it
-/// reaches the fault-profile constructors' asserts.
-fn fault_prob(p: f64) -> Result<f64, String> {
-    if PROBABILITY.contains(&p) {
-        return Ok(p);
-    }
-    let range = Problem::Range("fault_probs", p, PROBABILITY, <f64 as Wire>::NAME[0]);
-    Err(wrong("query", range))
-}
-
-fn fault_probs(value: &JsonValue) -> Result<Vec<f64>, String> {
-    const EXPECTED: &str = r#"an array of numbers or {"logspace":{"lo":..,"hi":..,"count":..}}"#;
-    if value.as_array().is_some() {
-        return entries("query", "fault_probs", value, fault_prob);
-    }
-    match tag(value, "fault_probs", EXPECTED)? {
-        // Built while the request is read, so its length is bounded here.
-        ("logspace", Some(body)) => read_object(body, "logspace", |f| {
-            let lo = f.within("lo", POSITIVE)?;
-            let hi = fault_prob(f.within("hi", lo..=f64::MAX)?)?;
-            Ok(logspace(
-                lo,
-                hi,
-                f.within("count", 1.0..=MAX_AXIS_LEN as f64)?,
-            ))
-        }),
-        other => Err(unknown_tag("fault_probs", other, EXPECTED)),
-    }
-}
-
-fn environment(label: &str) -> Result<FaultEnvironment, String> {
-    const EXPECTED: &str = "one of: clean, gray-primary, partition-heal, wan-lossy";
-    FaultEnvironment::from_label(label)
-        .ok_or_else(|| unknown_tag("environment", (label, None), EXPECTED))
-}
-
-fn deployment(value: &JsonValue) -> Result<CorrelationModel, String> {
-    const EXPECTED: &str = r#"{"uniform_crash"|"uniform_byzantine"|"uniform_mixed":{..}}"#;
-    // Built while the request is read, so its size is bounded here.
-    const NODES: RangeInclusive<f64> = 1.0..=MAX_NODES as f64;
-    let (n, profile) = match tag(value, "deployment", EXPECTED)? {
-        ("uniform_crash", Some(body)) => read_object(body, "uniform_crash", |f| {
-            let n = f.within("n", NODES)?;
-            Ok((n, FaultProfile::crash_only(f.within("p", PROBABILITY)?)))
-        })?,
-        ("uniform_byzantine", Some(body)) => read_object(body, "uniform_byzantine", |f| {
-            let n = f.within("n", NODES)?;
-            Ok((n, FaultProfile::byzantine_only(f.within("p", PROBABILITY)?)))
-        })?,
-        ("uniform_mixed", Some(body)) => read_object(body, "uniform_mixed", |f| {
-            let (n, crash) = (f.within("n", NODES)?, f.within("crash", PROBABILITY)?);
-            Ok((
-                n,
-                FaultProfile::new(crash, f.within("byzantine", PROBABILITY)?),
-            ))
-        })?,
-        other => return Err(unknown_tag("deployment", other, EXPECTED)),
-    };
-    Ok(CorrelationModel::uniform(n, profile))
-}
-
-/// A cell's model: a persistence quorum over the cell's `n` nodes, or any
-/// protocol instantiated at that size.
-fn cell_model(value: &JsonValue, n: usize) -> Result<Arc<dyn ProtocolModel + Send + Sync>, String> {
-    const EXPECTED: &str = r#"a protocol or {"persistence_quorum":{"quorum":[..]}}"#;
-    let quorum: Vec<usize> = match tag(value, "model", EXPECTED)? {
-        ("persistence_quorum", Some(body)) => read_object(body, "persistence_quorum", |f| {
-            entries("persistence_quorum", "quorum", f.get("quorum")?, Ok)
-        })?,
-        _ => return Ok(protocol(value)?.build(n)),
-    };
-    if quorum.is_empty() {
-        return Err("persistence_quorum: quorum cannot be empty".to_string());
-    }
-    let mut seen = vec![false; n];
-    for &m in &quorum {
-        if m >= n {
-            return Err(format!(
-                "persistence_quorum: member {m} out of range for {n} nodes"
-            ));
-        }
-        if std::mem::replace(&mut seen[m], true) {
-            return Err(format!("persistence_quorum: member {m} repeated"));
-        }
-    }
-    Ok(Arc::new(PersistenceQuorumModel::new(n, quorum)))
-}
-
-/// A parsed `query` request body: the [`Query`] plus the metrics selection the
-/// streaming sink needs to serialize cell records exactly as the report would.
-pub struct ParsedQuery {
-    /// The query, ready for [`AnalysisSession::plan`].
-    pub query: Query,
-    /// The report metrics selection (default: all three guarantees).
-    pub metrics: Metrics,
-}
-
-/// Parses the `query` object of a `{"op":"query"}` request into a [`Query`].
-///
-/// Unknown keys are rejected — a misspelled axis silently defaulting would be
-/// the worst possible failure mode for an operator tool. Range checks the
-/// plan repeats are left to it ([`AnalysisSession::plan`]): the time axis,
-/// the posterior, and the `MAX_*` limits of [`prob_consensus::query`].
-pub fn parse_query(spec: &JsonValue) -> Result<ParsedQuery, String> {
-    let parsed = read_object(spec, "query", |q| {
-        let defaults = Budget::default();
-        let epistemic = q.object("posterior", |p| {
-            let draws = p.get("draws")?;
-            let budget = EpistemicBudget::new(draws, p.get("alpha")?, p.get("beta")?);
-            Ok(match p.opt("level")? {
-                Some(level) => budget.with_level(level),
-                None => budget,
-            })
-        })?;
-        let budget = Budget {
-            monte_carlo_samples: q.opt("samples")?.unwrap_or(defaults.monte_carlo_samples),
-            seed: q.opt("seed")?.unwrap_or(defaults.seed),
-            epistemic,
-            ..defaults
-        };
-        let metrics = q.object("metrics", |m| {
-            Ok(Metrics {
-                safe: m.opt("safe")?.unwrap_or(true),
-                live: m.opt("live")?.unwrap_or(true),
-                safe_and_live: m.opt("safe_and_live")?.unwrap_or(true),
-            })
-        })?;
-        let protocols = q.list("protocols", protocol)?.unwrap_or_default();
-        let nodes = q.list("nodes", Ok)?.unwrap_or_default();
-        let fault_probs = q.opt("fault_probs")?.map(fault_probs).transpose()?;
-        let fault_probs = fault_probs.unwrap_or_default();
-        let axis = q.opt("faults")?.map(fault_axis).transpose()?;
-        // The grid's model and profile constructors assert these.
-        if let Some(&n) = nodes.iter().min() {
-            for spec in &protocols {
-                quorums_fit(spec, n)?;
-            }
-        }
-        if let Some(FaultAxis::Mixed { byzantine }) = axis {
-            for &p in &fault_probs {
-                FaultProfile::try_new(p, byzantine).map_err(|e| format!("query: {e}"))?;
-            }
-        }
-        let mut query = Query::new()
-            .protocols(protocols)
-            .nodes(nodes)
-            .fault_probs(fault_probs)
-            .samples_sweep(q.list("samples_sweep", Ok)?.unwrap_or_default())
-            .fault_environments(q.list("environments", environment)?.unwrap_or_default())
-            .budget(budget)
-            .metrics(metrics.unwrap_or_default());
-        if let Some(axis) = axis {
-            query = query.faults(axis);
-        }
-        if let Some(specs) = q.list("correlations", correlation)? {
-            query = query.correlations(specs);
-        }
-        if q.opt("validate")?.unwrap_or(false) {
-            query = query.validate_with_simulation();
-        }
-        let time_axis = q.object("time_axis", |t| {
-            let (horizon_hours, step_hours) = (t.get("horizon_hours")?, t.get("step_hours")?);
-            let window_hours = t.opt("window_hours")?.unwrap_or(step_hours);
-            let target_nines = t.opt("target_nines")?;
-            Ok(TimeAxis {
-                horizon_hours,
-                step_hours,
-                window_hours,
-                target_nines,
-            })
-        })?;
-        if let Some(axis) = time_axis {
-            query = query.time_horizon(axis);
-        }
-        let cells = q.list("cells", |cell| {
-            read_object(cell, "cell", |c| {
-                let label: &str = c.get("label")?;
-                let deployment = deployment(c.get("deployment")?)?;
-                let model = cell_model(c.get("model")?, deployment.len())?;
-                Ok((label.to_string(), model, deployment))
-            })
-        })?;
-        for (label, model, deployment) in cells.unwrap_or_default() {
-            query = query.cell(label, model, deployment);
-        }
-        let groups = q.list("repairable_cells", |cell| {
-            // The group's constructor asserts these; its size is the plan's.
-            read_object(cell, "repairable cell", |c| {
-                let label: &str = c.get("label")?;
-                let n: usize = c.within("n", 1.0..=u32::MAX as f64)?;
-                let lambda = c.within("lambda", POSITIVE)?;
-                let mu = c.within("mu", NON_NEGATIVE)?;
-                let tolerated = c.within("tolerated_failures", 0.0..=(n - 1) as f64)?;
-                Ok((
-                    label.to_string(),
-                    RepairableGroup::new(n, lambda, mu, tolerated),
-                ))
-            })
-        })?;
-        for (label, group) in groups.unwrap_or_default() {
-            query = query.repairable_cell(label, group);
-        }
-        Ok(ParsedQuery {
-            query,
-            metrics: metrics.unwrap_or_default(),
-        })
-    })?;
-    if parsed.query.cell_count() == 0 && parsed.query.trajectory_count() == 0 {
-        return Err("query expands to zero cells".to_string());
-    }
-    Ok(parsed)
-}
-
-/// A parsed `optimize` request body, ready for
-/// [`prob_consensus::optimize::optimize`].
-pub struct ParsedOptimize {
-    /// The deployment search space.
-    pub space: DeploymentSpace,
-    /// The search configuration (target nines, tier budgets, seeds).
-    pub config: OptimizerConfig,
-}
-
-fn space(f: &mut Fields<'_>) -> Result<DeploymentSpace, String> {
-    const TARGETS: &str = "'protocol' or 'quorum_size'";
-    let instances = f.list("instances", |instance| {
-        read_object(instance, "instance", |i| {
-            let name: &str = i.get("name")?;
-            let crash = i.within("fault_probability", PROBABILITY)?;
-            let byzantine = i.opt_within("byzantine_probability", PROBABILITY)?;
-            let byzantine = byzantine.unwrap_or(0.0);
-            let profile = FaultProfile::try_new(crash, byzantine)
-                .map_err(|e| format!("instance '{name}': {e}"))?;
-            let cost = i.within("hourly_cost", NON_NEGATIVE)?;
-            Ok(NodeType::from_profile(name, profile, cost))
-        })
-    })?;
-    let nodes = f.list("nodes", Ok)?;
-    let domains = f.object("domains", |d| {
-        let racks = d.get("racks")?;
-        let shock_probability = d.within("shock_probability", PROBABILITY)?;
-        Ok(FailureDomains {
-            racks,
-            shock_probability,
-        })
-    })?;
-    let placements = f.list("placements", |label: &str| {
-        let placement = [Placement::SameRack, Placement::CrossRack];
-        let placement = placement.into_iter().find(|p| p.label() == label);
-        placement.ok_or_else(|| {
-            unknown_tag("placement", (label, None), r#""same-rack" or "cross-rack""#)
-        })
-    })?;
-    let target = match tag(f.get("target")?, "target", TARGETS)? {
-        ("protocol", Some(body)) => TargetSpec::Protocol(protocol(body)?),
-        ("quorum_size", Some(body)) => TargetSpec::PersistenceQuorum {
-            quorum_size: typed("target", "quorum_size", body)?,
-        },
-        other => return Err(unknown_tag("target", other, TARGETS)),
-    };
-    Ok(DeploymentSpace {
-        instances: instances.unwrap_or_default(),
-        nodes: nodes.unwrap_or_default(),
-        domains,
-        placements: placements.unwrap_or_default(),
-        target,
-    })
-}
-
-fn config(f: &mut Fields<'_>) -> Result<OptimizerConfig, String> {
-    // The constructor asserts on the target, so it is checked here.
-    let base = OptimizerConfig::new(f.within("target_nines", NON_NEGATIVE)?);
-    let threshold = f.opt_within("rare_event_threshold", ABOVE_ZERO..=BELOW_ONE)?;
-    Ok(OptimizerConfig {
-        screen_samples: f.opt("screen_samples")?.unwrap_or(base.screen_samples),
-        refine_samples: f.opt("refine_samples")?.unwrap_or(base.refine_samples),
-        seed: f.opt("seed")?.unwrap_or(base.seed),
-        rare_event_threshold: threshold.unwrap_or(base.rare_event_threshold),
-        repair: f.object("repair", |r| {
-            let mttr_hours = r.within("mttr_hours", POSITIVE)?;
-            let mission_hours = r.within("mission_hours", POSITIVE)?;
-            Ok(RepairPolicy {
-                mttr_hours,
-                mission_hours,
-            })
-        })?,
-        ..base
-    })
-}
-
-/// The `space` and `config` members of an optimize request.
-fn optimize_members(f: &mut Fields<'_>) -> Result<ParsedOptimize, String> {
-    Ok(ParsedOptimize {
-        space: read_object(f.get("space")?, "space", space)?,
-        config: read_object(f.get("config")?, "config", config)?,
-    })
-}
-
-/// Parses the `space` and `config` members of an `{"op":"optimize"}` request
-/// (with or without its `id` and `op`).
-///
-/// Like [`parse_query`], unknown keys anywhere in the payload are rejected: a
-/// misspelled knob silently falling back to its default would hand an operator
-/// a confidently wrong frontier.
-pub fn parse_optimize(request: &JsonValue) -> Result<ParsedOptimize, String> {
-    read_object(request, "optimize request", |f| {
-        f.opt::<&JsonValue>("id")?;
-        f.opt::<&str>("op")?;
-        optimize_members(f)
-    })
-}
-
-/// One request line, read.
-enum Request {
-    Query(Box<ParsedQuery>),
-    Optimize(ParsedOptimize),
-    Stats,
-    Shutdown,
-}
-
-/// Reads a request: its envelope (`op`, and `id`, which is echoed back
-/// whatever it holds) and the members its op takes.
-fn read_request(request: &JsonValue) -> Result<Request, String> {
-    const OPS: &str = "one of: query, optimize, stats, shutdown";
-    read_object(request, "request", |f| {
-        f.opt::<&JsonValue>("id")?;
-        match f.get("op")? {
-            "query" => Ok(Request::Query(Box::new(parse_query(f.get("query")?)?))),
-            "optimize" => optimize_members(f).map(Request::Optimize),
-            "stats" => Ok(Request::Stats),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(unknown_tag("op", (other, None), OPS)),
-        }
-    })
-}
-
-// ---------------------------------------------------------------------------
-// The server
-// ---------------------------------------------------------------------------
-
-/// Running totals behind the protocol's `stats` request — the first
-/// observability hook for the service.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServerStats {
-    /// Query requests that ran to completion (a `done` event was emitted).
-    pub queries_completed: u64,
-    /// Wall time of the last completed query execution or optimizer search, in ms.
-    pub last_plan_wall_ms: f64,
-    /// Total wall time of all completed query executions and optimizer searches, in ms.
-    pub total_plan_wall_ms: f64,
-    /// Second-order cells served (cells that carried an epistemic report).
-    pub epistemic_cells: u64,
-    /// Posterior draws executed across all second-order cells.
-    pub posterior_draws: u64,
-    /// Deployment-optimizer searches that ran to completion.
-    pub optimizations_completed: u64,
-    /// What the writer threads handed to peers, summed over connections.
-    pub wire: WireStats,
-}
-
-/// Output-path totals: `events / writes` is how many event lines left per
-/// socket write (in-memory exchanges have no peer and count nothing here).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WireStats {
-    /// Event lines handed to peers.
-    pub events: u64,
-    /// Writes that carried them.
-    pub writes: u64,
-    /// Bytes handed to peers.
-    pub bytes_out: u64,
-}
-
-/// The service: one shared [`AnalysisSession`] (scratch cache + worker pool)
-/// serving any number of concurrent NDJSON connections and queries.
-pub struct Server {
-    session: Arc<AnalysisSession>,
-    stats: Mutex<ServerStats>,
-}
-
-impl Default for Server {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// How a handled request line affects the connection loop.
-enum Action {
-    /// Fully handled inline (stats, errors).
-    Handled,
-    /// A query was submitted; the connection tracks it for draining.
-    Spawned(rayon::TaskSet),
-    /// Drain in-flight queries, acknowledge, and close the connection.
-    Shutdown(JsonValue),
-}
-
-/// The streaming sink of one in-flight query: every completed record becomes
-/// one NDJSON event in the connection's outbox the moment it is final.
-struct NdjsonSink {
-    id: JsonValue,
-    metrics: Metrics,
-    writer: Arc<Outbox>,
-}
-
-impl StreamSink for NdjsonSink {
-    fn on_cell(&self, index: usize, record: &CellRecord) {
-        let index = ("index", JsonValue::number(index as f64));
-        let cell = ("cell", record.to_json_value(self.metrics));
-        emit(&self.writer, &event(&self.id, "cell", vec![index, cell]));
-    }
-
-    fn on_trajectory(&self, index: usize, record: &TrajectoryRecord) {
-        let index = ("index", JsonValue::number(index as f64));
-        let trajectory = ("trajectory", record.to_json_value());
-        emit(
-            &self.writer,
-            &event(&self.id, "trajectory", vec![index, trajectory]),
-        );
-    }
-}
-
-impl Server {
-    /// A server over a fresh session with the default cache capacity.
-    pub fn new() -> Self {
-        Self::with_session(Arc::new(AnalysisSession::new()))
-    }
-
-    /// A server over an existing session (shared cache across front ends).
-    pub fn with_session(session: Arc<AnalysisSession>) -> Self {
-        Self {
-            session,
-            stats: Mutex::new(ServerStats::default()),
-        }
-    }
-
-    /// The shared session behind every request.
-    pub fn session(&self) -> &Arc<AnalysisSession> {
-        &self.session
-    }
-
-    /// A snapshot of the per-plan wall-time counters.
-    pub fn stats(&self) -> ServerStats {
-        // Never poisoned: every stats guard only reads or bumps plain counters.
-        *self.stats.lock().expect("stats lock")
-    }
-
-    fn stats_event(&self, id: &JsonValue) -> JsonValue {
-        let (cache, stats) = (self.session.cache_stats(), self.stats());
-        let count = |n: u64| JsonValue::number(n as f64);
-        let members = vec![
-            (
-                "cache",
-                numbers(&[
-                    ("hits", cache.hits as f64),
-                    ("misses", cache.misses as f64),
-                    ("evictions", cache.evictions as f64),
-                    ("entries", cache.entries as f64),
-                    ("hit_rate", cache.hit_rate()),
-                ]),
-            ),
-            ("queries_completed", count(stats.queries_completed)),
-            ("epistemic_cells", count(stats.epistemic_cells)),
-            ("posterior_draws", count(stats.posterior_draws)),
-            (
-                "optimizations_completed",
-                count(stats.optimizations_completed),
-            ),
-            (
-                "plan_wall_ms",
-                numbers(&[
-                    ("last", stats.last_plan_wall_ms),
-                    ("total", stats.total_plan_wall_ms),
-                ]),
-            ),
-            (
-                "wire",
-                numbers(&[
-                    ("events", stats.wire.events as f64),
-                    ("writes", stats.wire.writes as f64),
-                    ("bytes_out", stats.wire.bytes_out as f64),
-                ]),
-            ),
-        ];
-        event(id, "stats", members)
-    }
-}
-
-/// Runs `work`, turning a panic into an error like any other.
-fn caught<T>(work: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
-    catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|payload| Err(panic_message(payload)))
-}
-
-/// A long request's result: what it adds to the stats and what it answers.
-trait Finished {
-    /// Adds this result to `stats`; its wall time is already counted.
-    fn count(&self, stats: &mut ServerStats);
-    /// The events before `done`, then the `done` event's members before
-    /// `wall_ms`.
-    fn answer(&self, id: &JsonValue) -> (Vec<JsonValue>, Vec<(&'static str, JsonValue)>);
-}
-
-impl Finished for AnalysisReport {
-    fn count(&self, stats: &mut ServerStats) {
-        stats.queries_completed += 1;
-        for e in self.cells().iter().filter_map(|c| c.epistemic.as_ref()) {
-            stats.epistemic_cells += 1;
-            stats.posterior_draws += e.draws.len() as u64;
-        }
-    }
-
-    fn answer(&self, _: &JsonValue) -> (Vec<JsonValue>, Vec<(&'static str, JsonValue)>) {
-        let cells = JsonValue::number(self.cells().len() as f64);
-        let trajectories = JsonValue::number(self.trajectories().len() as f64);
-        (
-            Vec::new(),
-            vec![("cells", cells), ("trajectories", trajectories)],
-        )
-    }
-}
-
-impl Finished for OptimizeReport {
-    fn count(&self, stats: &mut ServerStats) {
-        stats.optimizations_completed += 1;
-    }
-
-    fn answer(&self, id: &JsonValue) -> (Vec<JsonValue>, Vec<(&'static str, JsonValue)>) {
-        let report = event(id, "optimize", vec![("report", self.to_json_value())]);
-        let frontier = JsonValue::number(self.frontier.len() as f64);
-        let evaluated = JsonValue::number(self.evaluated.len() as f64);
-        (
-            vec![report],
-            vec![("frontier", frontier), ("evaluated", evaluated)],
-        )
-    }
-}
-
-/// Submits `work` as one owned task on the shared pool, so many requests'
-/// work items interleave on it (nested `for_each_task` inside is deadlock-free
-/// by the pool's caller-helps design). The task times `work` and catches its
-/// panics; a result is counted into the stats and answered with its events
-/// and `done`, a failure with one `{failure} failed: …` error.
-fn submit<T: Finished>(
-    server: &Arc<Server>,
-    writer: &Arc<Outbox>,
-    id: JsonValue,
-    failure: &'static str,
-    work: impl Fn(&Server) -> Result<T, String> + Send + Sync + 'static,
-) -> Action {
-    let server = Arc::clone(server);
-    let writer = Arc::clone(writer);
-    let task: Arc<dyn Fn(usize) + Send + Sync> = Arc::new(move |_| {
-        let start = Instant::now();
-        match caught(|| work(&server)) {
-            Ok(result) => {
-                let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                {
-                    // Never poisoned: every stats guard only reads or bumps plain counters.
-                    let mut stats = server.stats.lock().expect("stats lock");
-                    stats.last_plan_wall_ms = wall_ms;
-                    stats.total_plan_wall_ms += wall_ms;
-                    result.count(&mut stats);
-                }
-                let (events, mut done) = result.answer(&id);
-                for e in &events {
-                    emit(&writer, e);
-                }
-                done.push(("wall_ms", JsonValue::number(wall_ms)));
-                emit(&writer, &event(&id, "done", done));
-            }
-            Err(err) => emit(
-                &writer,
-                &error_event(&id, format!("{failure} failed: {err}")),
-            ),
-        }
-    });
-    Action::Spawned(rayon::submit_tasks(1, task))
-}
-
-/// Handles one request line: plans and submits queries and searches
-/// (returning the [`rayon::TaskSet`] handle so the connection can drain it),
-/// answers `stats` inline, and turns every failure into an `error` event.
-fn handle_line(server: &Arc<Server>, line: &str, writer: &Arc<Outbox>) -> Action {
-    let fail = |id: &JsonValue, message: String| {
-        emit(writer, &error_event(id, message));
-        Action::Handled
-    };
-    let request = match JsonValue::parse(line) {
-        Ok(v) => v,
-        Err(err) => return fail(&JsonValue::Null, format!("bad JSON: {err}")),
-    };
-    let id = request.get("id").cloned().unwrap_or(JsonValue::Null);
-    // Reading builds deployments and cell models, and planning builds grid
-    // models: their constructors assert, and no request may kill the
-    // connection.
-    match caught(|| read_request(&request)) {
-        Err(err) => fail(&id, err),
-        Ok(Request::Query(parsed)) => {
-            let plan = caught(|| {
-                server
-                    .session
-                    .plan(&parsed.query)
-                    .map_err(|e| e.to_string())
-            });
-            let plan = match plan {
-                Ok(plan) => plan,
-                Err(err) => return fail(&id, format!("plan failed: {err}")),
-            };
-            let sink = NdjsonSink {
-                id: id.clone(),
-                metrics: parsed.metrics,
-                writer: Arc::clone(writer),
-            };
-            submit(server, writer, id, "execution", move |_| {
-                Ok(plan.execute_streaming(&sink))
-            })
-        }
-        Ok(Request::Optimize(parsed)) => submit(server, writer, id, "optimize", move |server| {
-            optimize(server.session(), &parsed.space, &parsed.config).map_err(|e| e.to_string())
-        }),
-        Ok(Request::Stats) => {
-            emit(writer, &server.stats_event(&id));
-            Action::Handled
-        }
-        Ok(Request::Shutdown) => Action::Shutdown(id),
-    }
-}
-
-/// Upper bound on one request line, in bytes. A line longer than this is not a
-/// plausible query — it is a runaway or hostile client — and buffering it
-/// unbounded would let one connection exhaust server memory. Oversized lines
-/// produce an `error` event and a clean close (in-flight queries still drain).
-pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
-
-/// Per-connection read timeout for TCP connections. A peer that goes silent
-/// mid-session (half-open connection, wedged client) would otherwise pin its
-/// connection thread forever; after this long with no bytes, the connection
-/// gets an `error` event and a clean close.
-pub const TCP_READ_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(300);
-
-/// Pause after a failed `accept` before the next one. Accept fails when the
-/// process is out of file descriptors (`EMFILE`), and the pending connection
-/// stays queued, so retrying at once would spin until a connection closes.
-const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
-
-/// Reads one newline-terminated request line of at most
-/// [`MAX_REQUEST_LINE_BYTES`], without buffering more than that.
-///
-/// Returns `Ok(None)` on EOF, `Ok(Some(Err(())))` when the line exceeds the
-/// bound, and propagates IO errors (including read timeouts) to the caller.
-fn read_request_line(
-    reader: &mut impl BufRead,
-    buf: &mut Vec<u8>,
-) -> std::io::Result<Option<Result<(), ()>>> {
-    buf.clear();
-    loop {
-        let available = match reader.fill_buf() {
-            Ok(available) => available,
-            Err(err) if err.kind() == ErrorKind::Interrupted => continue,
-            Err(err) => return Err(err),
-        };
-        if available.is_empty() {
-            // EOF: a final unterminated line is still served if non-empty.
-            return Ok(if buf.is_empty() { None } else { Some(Ok(())) });
-        }
-        let room = MAX_REQUEST_LINE_BYTES - buf.len();
-        match available.iter().position(|&b| b == b'\n') {
-            Some(newline) => {
-                let over = newline > room;
-                buf.extend_from_slice(&available[..newline.min(room)]);
-                reader.consume(newline + 1);
-                return Ok(Some(if over { Err(()) } else { Ok(()) }));
-            }
-            None if available.len() > room => {
-                // Over the cap with no line end in sight: stop buffering — the
-                // connection is about to close, so nothing needs resyncing.
-                let consumed = available.len();
-                reader.consume(consumed);
-                return Ok(Some(Err(())));
-            }
-            None => {
-                let consumed = available.len();
-                buf.extend_from_slice(available);
-                reader.consume(consumed);
-            }
-        }
-    }
-}
-
-/// Serves one connection: reads request lines until EOF or a `shutdown`
-/// request, then drains every in-flight query before returning. Returns `true`
-/// when the connection asked the server to shut down.
-///
-/// The read side is hardened against misbehaving peers: request lines are
-/// bounded by [`MAX_REQUEST_LINE_BYTES`], and a read timeout on the underlying
-/// stream (see [`TCP_READ_TIMEOUT`]) is treated as a protocol event, not an IO
-/// failure — both emit an `error` event, drain in-flight queries, and close the
-/// connection cleanly. A connection whose outbox was declared dead stops
-/// taking requests: nobody is left to read their answers.
-///
-/// Events land in `writer`; the caller either runs [`Outbox::drain`] beside
-/// this function and calls [`Outbox::close`] after it, or takes the buffer.
-pub fn serve_connection(
-    server: &Arc<Server>,
-    mut reader: impl BufRead,
-    writer: &Arc<Outbox>,
-) -> std::io::Result<bool> {
-    let mut in_flight: Vec<rayon::TaskSet> = Vec::new();
-    let mut shutdown_id = None;
-    let mut buf = Vec::new();
-    while !writer.is_dead() {
-        let line = match read_request_line(&mut reader, &mut buf) {
-            Ok(None) => break,
-            Ok(Some(Ok(()))) => {
-                std::str::from_utf8(&buf).map_err(|_| "request line is not UTF-8".to_string())
-            }
-            Ok(Some(Err(()))) => Err(format!(
-                "request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"
-            )),
-            Err(err) if matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                Err("read timed out".to_string())
-            }
-            Err(err) => return Err(err),
-        };
-        let line = match line {
-            Ok(line) => line,
-            Err(why) => {
-                let message = format!("{why}; closing connection");
-                emit(writer, &error_event(&JsonValue::Null, message));
-                break;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        match handle_line(server, line, writer) {
-            Action::Handled => {}
-            Action::Spawned(set) => {
-                // Opportunistically shed finished handles so a long-lived
-                // connection's drain list stays proportional to in-flight work.
-                in_flight.retain(|s| !s.is_complete());
-                in_flight.push(set);
-            }
-            Action::Shutdown(id) => {
-                shutdown_id = Some(id);
-                break;
-            }
-        }
-    }
-    // Graceful drain: in-flight plans stream out completely (the submitting
-    // side helps execute them rather than just blocking).
-    for set in in_flight {
-        set.join();
-    }
-    match shutdown_id {
-        Some(id) => {
-            emit(writer, &event(&id, "shutdown", Vec::new()));
-            Ok(true)
-        }
-        None => Ok(false),
-    }
-}
-
-/// Serves one connection that has a peer: `reader` feeds
-/// [`serve_connection`] on this thread while a writer thread drains `outbox`
-/// into `sink`. Returns what the connection asked for and how its output side
-/// ended.
-fn serve_with_writer(
-    server: &Arc<Server>,
-    reader: impl BufRead,
-    sink: impl Write + Send,
-    outbox: Outbox,
-) -> (std::io::Result<bool>, std::io::Result<()>) {
-    let outbox = Arc::new(outbox);
-    std::thread::scope(|scope| {
-        let writer = scope.spawn(|| outbox.drain(server, sink));
-        let served = serve_connection(server, reader, &outbox);
-        outbox.close();
-        // Cannot panic: `drain` takes only never-poisoned locks, and both sinks
-        // (stdout, a TcpStream) report failures as errors.
-        (served, writer.join().expect("the writer thread panicked"))
-    })
-}
-
-/// `repro serve`: the stdio front end — NDJSON requests on stdin, events on
-/// stdout. Returns after EOF or a `shutdown` request, with all work drained
-/// and written; a stdout that failed or stopped being read is an error.
-pub fn serve_stdio(server: &Arc<Server>) -> std::io::Result<()> {
-    let (served, written) = serve_with_writer(
-        server,
-        std::io::stdin().lock(),
-        std::io::stdout(),
-        Outbox::new(MAX_OUTBOX_BYTES, None),
-    );
-    served?;
-    written
-}
-
-/// `repro serve --tcp ADDR`: the TCP front end. Every connection speaks the
-/// same line protocol against the same shared session; a `shutdown` request on
-/// any connection drains that connection, then stops accepting and waits for
-/// the remaining connections to finish.
-pub fn serve_tcp(server: &Arc<Server>, addr: impl ToSocketAddrs) -> std::io::Result<()> {
-    let listener = TcpListener::bind(addr)?;
-    eprintln!("repro serve: listening on {}", listener.local_addr()?);
-    serve_listener(server, listener)
-}
-
-fn serve_listener(server: &Arc<Server>, listener: TcpListener) -> std::io::Result<()> {
-    // Where a connection thread reaches this listener to wake it: accept
-    // blocks, and cannot otherwise observe a shutdown requested on an
-    // already-open connection.
-    let local = listener.local_addr()?;
-    let wake = SocketAddr::new(
-        match local.ip() {
-            IpAddr::V4(ip) if ip.is_unspecified() => Ipv4Addr::LOCALHOST.into(),
-            IpAddr::V6(ip) if ip.is_unspecified() => Ipv6Addr::LOCALHOST.into(),
-            ip => ip,
-        },
-        local.port(),
-    );
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    loop {
-        // A failed accept (typically out of file descriptors) must not end
-        // the service: log it, back off, and retry.
-        let accepted = listener.accept();
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        let stream = match accepted {
-            Ok((stream, _peer)) => stream,
-            Err(err) => {
-                eprintln!("repro serve: accept failed: {err}");
-                std::thread::sleep(ACCEPT_BACKOFF);
-                continue;
-            }
-        };
-        connections.retain(|c| !c.is_finished());
-        let server = Arc::clone(server);
-        let stop = Arc::clone(&stop);
-        connections.push(std::thread::spawn(move || {
-            match handle_tcp_connection(&server, stream) {
-                Ok(true) => {
-                    stop.store(true, Ordering::Release);
-                    if let Err(err) = TcpStream::connect(wake) {
-                        eprintln!("repro serve: cannot wake the listener to stop it: {err}");
-                    }
-                }
-                Ok(false) => {}
-                Err(err) => eprintln!("repro serve: connection setup failed: {err}"),
-            }
-        }));
-    }
-    for connection in connections {
-        let _ = connection.join();
-    }
-    Ok(())
-}
-
-/// Sets up and serves one TCP connection. Returns `true` when it asked the
-/// server to shut down; an error means the connection could not be set up.
-fn handle_tcp_connection(server: &Arc<Server>, stream: TcpStream) -> std::io::Result<bool> {
-    // Events are small writes answered by a read: with Nagle on, every write
-    // after a connection's first waits for the client's delayed ACK (~40 ms).
-    stream.set_nodelay(true)?;
-    // A silent peer must not pin this connection thread forever; the timeout
-    // surfaces in `serve_connection` as an `error` event plus a clean close.
-    stream.set_read_timeout(Some(TCP_READ_TIMEOUT))?;
-    stream.set_write_timeout(Some(TCP_WRITE_TIMEOUT))?;
-    let reader = BufReader::new(stream.try_clone()?);
-    let outbox = Outbox::new(MAX_OUTBOX_BYTES, Some(stream.try_clone()?));
-    // How the connection ended — a read error or a dead output side — is the
-    // peer's business, not a server error.
-    Ok(matches!(
-        serve_with_writer(server, reader, stream, outbox).0,
-        Ok(true)
-    ))
-}
-
-/// Runs one complete in-memory exchange against `server`: feeds `input` (one
-/// request per line) through [`serve_connection`] and returns the emitted
-/// NDJSON output. The backbone of the smoke tests and of the bench crate's
-/// warm-vs-cold server test.
-pub fn run_exchange(server: &Arc<Server>, input: &str) -> String {
-    let outbox = Arc::new(Outbox::new(usize::MAX, None));
-    // Cannot fail: `serve_connection` errs only when its reader does, and
-    // reading a byte slice never does.
-    serve_connection(server, input.as_bytes(), &outbox)
-        .expect("in-memory exchange cannot fail on IO");
-    outbox.take()
-}
+mod exchange;
+mod transport;
+mod wire;
+
+pub use exchange::{Server, ServerStats};
+pub use transport::{run_exchange, serve_stdio, serve_tcp};
+pub use wire::{parse_optimize, parse_query, ParsedOptimize, ParsedQuery};
 
 #[cfg(test)]
 mod tests {
+    use std::io::BufReader;
+    use std::sync::Arc;
+
+    use prob_consensus::json::JsonValue;
+    use prob_consensus::optimize::TargetSpec;
+    use prob_consensus::query::{AnalysisSession, ProtocolSpec};
+
     use super::*;
+    use crate::transport::{emit, serve_connection, Outbox, MAX_REQUEST_LINE_BYTES};
+    use crate::wire::read_request;
 
     /// Events of one exchange, parsed line by line.
     fn events(output: &str) -> Vec<JsonValue> {
@@ -1514,7 +128,11 @@ mod tests {
             .collect()
     }
 
-    fn events_for<'a>(events: &'a [JsonValue], id: &str, kind: &str) -> Vec<&'a JsonValue> {
+    pub(crate) fn events_for<'a>(
+        events: &'a [JsonValue],
+        id: &str,
+        kind: &str,
+    ) -> Vec<&'a JsonValue> {
         events
             .iter()
             .filter(|e| {
@@ -1542,7 +160,7 @@ mod tests {
         }
     }
 
-    const MIXED_QUERY: &str = r#"{"protocols":["raft","pbft"],"nodes":[4,7],"fault_probs":[0.01,0.05],"samples":20000,"seed":7,"cells":[{"label":"pq","model":{"persistence_quorum":{"quorum":[0,1,2]}},"deployment":{"uniform_crash":{"n":8,"p":0.02}}}],"repairable_cells":[{"label":"repairable-5","n":5,"lambda":1e-4,"mu":0.1,"tolerated_failures":2}]}"#;
+    pub(crate) const MIXED_QUERY: &str = r#"{"protocols":["raft","pbft"],"nodes":[4,7],"fault_probs":[0.01,0.05],"samples":20000,"seed":7,"cells":[{"label":"pq","model":{"persistence_quorum":{"quorum":[0,1,2]}},"deployment":{"uniform_crash":{"n":8,"p":0.02}}}],"repairable_cells":[{"label":"repairable-5","n":5,"lambda":1e-4,"mu":0.1,"tolerated_failures":2}]}"#;
 
     /// Builds the same query through the library front door.
     fn mixed_query_library() -> ParsedQuery {
@@ -1793,6 +411,39 @@ mod tests {
             })
             .collect();
         assert_eq!(timeouts.len(), 1, "{output}");
+    }
+
+    #[test]
+    fn a_non_utf8_request_line_is_one_error_event_and_the_next_line_is_served() {
+        // The bad line was read whole, so nothing needs resyncing: it draws one
+        // `error` event and the connection goes on to the next request.
+        let server = Arc::new(Server::new());
+        let outbox = Arc::new(Outbox::new(usize::MAX, None));
+        let input: &[u8] = b"\xff\xfe\n{\"id\":\"s\",\"op\":\"stats\"}\n";
+        let shutdown = serve_connection(&server, input, &outbox).expect("no IO failure");
+        assert!(!shutdown);
+        let output = outbox.take();
+        let events = events(&output);
+        assert_eq!(events.len(), 2, "{output}");
+        assert_eq!(events[0].get("id"), Some(&JsonValue::Null), "{output}");
+        assert_eq!(
+            events[0].get("event").and_then(|v| v.as_str()),
+            Some("error")
+        );
+        let message = events[0].get("message").and_then(|v| v.as_str()).unwrap();
+        assert!(message.contains("not UTF-8"), "{message}");
+        assert_eq!(events_for(&events, "s", "stats").len(), 1, "{output}");
+    }
+
+    #[test]
+    fn blank_lines_draw_nothing_and_a_final_unterminated_line_is_served() {
+        // Empty and whitespace-only lines are skipped without an event, and a
+        // last request with no `\n` before EOF is still answered.
+        let server = Arc::new(Server::new());
+        let output = run_exchange(&server, "\n   \n\t \r\n{\"id\":\"s\",\"op\":\"stats\"}");
+        let events = events(&output);
+        assert_eq!(events.len(), 1, "{output}");
+        assert_eq!(events_for(&events, "s", "stats").len(), 1, "{output}");
     }
 
     #[test]
@@ -2128,258 +779,6 @@ mod tests {
         emit(&outbox, &JsonValue::string("x".repeat(1000)));
         assert!(!outbox.is_dead());
         assert_eq!(outbox.take().len(), 1003);
-    }
-
-    /// 2 protocols x 3 node counts x 5 fault probabilities: 30 exact cells,
-    /// 31 events and about 14 KB per response.
-    const GRID_QUERY: &str = r#"{"protocols":["raft","pbft"],"nodes":[4,7,10],"fault_probs":[0.001,0.01,0.02,0.05,0.1]}"#;
-
-    /// Tests in one process share the worker pool; the test that floods it and
-    /// the test that times exchanges on it take turns.
-    static POOL_TIMING: Mutex<()> = Mutex::new(());
-
-    /// [`serve_listener`] on an ephemeral loopback port, on its own thread.
-    /// The receiver yields its result once it returns.
-    fn spawn_tcp_server(
-        server: &Arc<Server>,
-    ) -> (SocketAddr, std::sync::mpsc::Receiver<std::io::Result<()>>) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
-        let addr = listener.local_addr().unwrap();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let server = Arc::clone(server);
-        std::thread::spawn(move || {
-            let _ = tx.send(serve_listener(&server, listener));
-        });
-        (addr, rx)
-    }
-
-    /// A plain client: a read timeout so a hung server fails the test, and no
-    /// `TCP_NODELAY` (the server's output path must not depend on the peer's).
-    fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(120)))
-            .unwrap();
-        let reader = BufReader::new(stream.try_clone().unwrap());
-        (stream, reader)
-    }
-
-    /// Sends one `query` request in one write (several would wait on this
-    /// side's own Nagle timer).
-    fn send_query(client: &mut TcpStream, id: &str, query: &str) {
-        let line = format!("{{\"id\":\"{id}\",\"op\":\"query\",\"query\":{query}}}\n");
-        client.write_all(line.as_bytes()).unwrap();
-    }
-
-    /// Reads event lines up to and including the first of kind `last`.
-    fn read_until(reader: &mut impl BufRead, last: &str) -> Vec<String> {
-        let mut lines = Vec::new();
-        loop {
-            let mut line = String::new();
-            let n = reader.read_line(&mut line).expect("the server answers");
-            assert!(n > 0, "connection closed before a '{last}' event");
-            let done = line.contains(&format!("\"event\":\"{last}\""));
-            lines.push(line);
-            if done {
-                return lines;
-            }
-        }
-    }
-
-    fn shut_down(
-        mut client: TcpStream,
-        mut reader: BufReader<TcpStream>,
-        served: std::sync::mpsc::Receiver<std::io::Result<()>>,
-    ) {
-        client
-            .write_all(b"{\"id\":\"bye\",\"op\":\"shutdown\"}\n")
-            .unwrap();
-        read_until(&mut reader, "shutdown");
-        served
-            .recv_timeout(Duration::from_secs(60))
-            .expect("serve_tcp returns after a shutdown request")
-            .expect("serve_tcp returns cleanly");
-    }
-
-    #[test]
-    fn tcp_front_end_speaks_the_same_protocol() {
-        let server = Arc::new(Server::new());
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
-        let addr = listener.local_addr().unwrap();
-        let serve = {
-            let server = Arc::clone(&server);
-            std::thread::spawn(move || {
-                let (stream, _) = listener.accept().expect("client connects");
-                handle_tcp_connection(&server, stream).expect("connection serves")
-            })
-        };
-        let mut client = TcpStream::connect(addr).expect("connect");
-        client
-            .write_all(
-                b"{\"id\":\"q\",\"op\":\"query\",\"query\":{\"protocols\":[\"raft\"],\"nodes\":[5],\"fault_probs\":[0.02]}}\n{\"id\":\"bye\",\"op\":\"shutdown\"}\n",
-            )
-            .unwrap();
-        let mut lines = Vec::new();
-        for line in BufReader::new(client.try_clone().unwrap()).lines() {
-            lines.push(line.unwrap());
-        }
-        assert!(serve.join().unwrap(), "connection reported shutdown");
-        let events: Vec<JsonValue> = lines.iter().map(|l| JsonValue::parse(l).unwrap()).collect();
-        assert_eq!(events_for(&events, "q", "cell").len(), 1);
-        assert_eq!(events_for(&events, "q", "done").len(), 1);
-        assert_eq!(
-            events.last().unwrap().get("event").unwrap().as_str(),
-            Some("shutdown")
-        );
-    }
-
-    #[test]
-    fn socket_exchanges_do_not_wait_for_a_delayed_ack() {
-        let _turn = POOL_TIMING.lock().unwrap_or_else(|e| e.into_inner());
-        let server = Arc::new(Server::new());
-        let (addr, served) = spawn_tcp_server(&server);
-        let (mut client, mut reader) = connect(addr);
-        // A response is several small writes followed by a read. With Nagle on
-        // and one segment per event, each exchange took a delayed ACK: 44 ms.
-        let mut times = Vec::new();
-        let (mut lines, mut bytes) = (0, 0);
-        for i in 0..40 {
-            let start = Instant::now();
-            send_query(&mut client, &format!("q{i}"), GRID_QUERY);
-            let response = read_until(&mut reader, "done");
-            times.push(start.elapsed());
-            assert_eq!(response.len(), 31);
-            lines += response.len();
-            bytes += response.iter().map(String::len).sum::<usize>();
-        }
-        times.sort();
-        assert!(
-            times[times.len() / 2] < Duration::from_millis(10),
-            "median exchange took {:?}",
-            times[times.len() / 2]
-        );
-        // The `wire` totals count what this client has read, and show the
-        // coalescing: fewer writes than events.
-        client
-            .write_all(b"{\"id\":\"s\",\"op\":\"stats\"}\n")
-            .unwrap();
-        let stats = JsonValue::parse(&read_until(&mut reader, "stats")[0]).unwrap();
-        let wire = |key: &str| {
-            stats
-                .get("wire")
-                .unwrap()
-                .get(key)
-                .unwrap()
-                .as_f64()
-                .unwrap()
-        };
-        assert_eq!(wire("events"), lines as f64);
-        assert_eq!(wire("bytes_out"), bytes as f64);
-        assert!(wire("writes") >= 40.0 && wire("writes") < wire("events"));
-        assert_eq!(server.stats().wire.events, lines as u64 + 1);
-        shut_down(client, reader, served);
-    }
-
-    #[test]
-    fn pipelined_queries_stream_whole_lines_and_finish_with_done() {
-        let server = Arc::new(Server::new());
-        let (addr, served) = spawn_tcp_server(&server);
-        let (mut client, mut reader) = connect(addr);
-        // Eight queries in one write: their plans run concurrently and their
-        // events interleave in the one outbox.
-        let mut input = String::new();
-        for i in 0..8 {
-            let query = if i % 2 == 0 { GRID_QUERY } else { MIXED_QUERY };
-            input.push_str(&format!(
-                "{{\"id\":\"p{i}\",\"op\":\"query\",\"query\":{query}}}\n"
-            ));
-        }
-        client.write_all(input.as_bytes()).unwrap();
-        let mut finished = std::collections::BTreeMap::new();
-        let mut records = std::collections::BTreeMap::new();
-        while finished.len() < 8 {
-            let mut line = String::new();
-            assert!(reader.read_line(&mut line).unwrap() > 0, "early close");
-            let event = JsonValue::parse(&line).expect("every line parses on its own");
-            let id = event.get("id").unwrap().as_str().unwrap().to_string();
-            match event.get("event").unwrap().as_str().unwrap() {
-                kind @ ("cell" | "trajectory") => {
-                    assert!(!finished.contains_key(&id), "{kind} of {id} after its done");
-                    *records.entry((id, kind == "cell")).or_insert(0usize) += 1;
-                }
-                "done" => {
-                    let count = |key: &str| event.get(key).unwrap().as_f64().unwrap() as usize;
-                    let previous = finished.insert(id, (count("cells"), count("trajectories")));
-                    assert!(previous.is_none(), "two done events for one id");
-                }
-                other => panic!("unexpected event '{other}': {line}"),
-            }
-        }
-        for (id, (cells, trajectories)) in finished {
-            assert_eq!(
-                records.get(&(id.clone(), true)).copied().unwrap_or(0),
-                cells
-            );
-            assert_eq!(
-                records.get(&(id, false)).copied().unwrap_or(0),
-                trajectories
-            );
-        }
-        shut_down(client, reader, served);
-    }
-
-    #[test]
-    fn shutdown_wakes_the_blocked_accept() {
-        let server = Arc::new(Server::new());
-        let (addr, served) = spawn_tcp_server(&server);
-        let (idle, _idle_reader) = connect(addr);
-        let (mut client, mut reader) = connect(addr);
-        client
-            .write_all(b"{\"id\":\"bye\",\"op\":\"shutdown\"}\n")
-            .unwrap();
-        read_until(&mut reader, "shutdown");
-        // Nobody connects again: only the connection's own wake-up can get the
-        // listener out of `accept`. It then waits for the idle connection.
-        drop(idle);
-        drop(_idle_reader);
-        served
-            .recv_timeout(Duration::from_secs(60))
-            .expect("serve_tcp returns with no further incoming connection")
-            .expect("serve_tcp returns cleanly");
-    }
-
-    #[test]
-    fn a_client_that_never_reads_is_cut_off_and_wedges_nobody() {
-        let _turn = POOL_TIMING.lock().unwrap_or_else(|e| e.into_inner());
-        let server = Arc::new(Server::new());
-        let (addr, served) = spawn_tcp_server(&server);
-        // One client pipelines grid queries and reads nothing. Once the socket
-        // buffers are full its writer thread blocks, its outbox fills to the
-        // bound, and the server shuts the connection: the writes start failing.
-        let flood = std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).expect("connect");
-            let line =
-                format!("{{\"id\":\"f\",\"op\":\"query\",\"query\":{GRID_QUERY}}}\n").repeat(50);
-            for sent in 0..2_000 {
-                if stream.write_all(line.as_bytes()).is_err() {
-                    return sent * 50;
-                }
-            }
-            panic!("100 000 unread responses and the server still takes requests");
-        });
-        // Meanwhile another connection is served: `stats` inline, a query on
-        // the pool the flood is queued on.
-        let (mut client, mut reader) = connect(addr);
-        client
-            .write_all(b"{\"id\":\"s\",\"op\":\"stats\"}\n")
-            .unwrap();
-        assert_eq!(read_until(&mut reader, "stats").len(), 1);
-        send_query(&mut client, "q", GRID_QUERY);
-        assert_eq!(read_until(&mut reader, "done").len(), 31);
-        let sent = flood.join().expect("the flooding client was cut off");
-        assert!(sent > 0);
-        // The flooded connection is gone: shutdown has nothing to wait for.
-        shut_down(client, reader, served);
     }
 
     /// Query bodies a reader that skips what it does not know would answer as
