@@ -437,9 +437,9 @@ pub fn run_exchange(server: &Arc<Server>, input: &str) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use std::time::Instant;
 
+    use super::*;
     use crate::tests::{events_for, MIXED_QUERY};
 
     /// 2 protocols x 3 node counts x 5 fault probabilities: 30 exact cells,
