@@ -2,9 +2,11 @@
 //!
 //! Both Theorem 3.1 and Theorem 3.2 only look at *how many* nodes crashed and how many
 //! are Byzantine. For such [`CountingModel`]s the exact joint distribution of
-//! `(#crashed, #byzantine)` can be computed in O(N³) time for arbitrary heterogeneous
-//! (but independent) per-node probabilities — a Poisson-binomial generalization — which
-//! scales to the 100-node clusters of §4 where 2^N enumeration cannot go.
+//! `(#crashed, #byzantine)` can be computed for arbitrary heterogeneous (but
+//! independent) per-node probabilities — a Poisson-binomial generalization — in
+//! O(N²·(B+1)) time and O(N·(B+1)) space, where B is the number of nodes that can
+//! turn Byzantine: O(N²) for the crash-only sweeps, O(N³) at worst. That scales to
+//! the 100-node clusters of §4 where 2^N enumeration cannot go.
 //!
 //! Nothing here memoizes: [`counting_reliability`] runs the DP on every call. A
 //! planned cell keeps the result in its group's scratch
@@ -22,66 +24,61 @@ use crate::protocol::CountingModel;
 #[derive(Debug, Clone)]
 pub struct FaultCountDistribution {
     n: usize,
-    /// `pmf[c][b]` = P[#crashed = c, #byzantine = b].
-    pmf: Vec<Vec<f64>>,
-    /// `tail[k]` = P[#crashed + #byzantine >= k], precomputed as a suffix sum so
-    /// [`FaultCountDistribution::probability_at_least_faults`] is an O(1) lookup
-    /// instead of an O(N²) re-summation per query (quadratic per sweep for callers
-    /// like the durability analysis that query every threshold).
-    tail: Vec<f64>,
+    width: usize,
+    /// `pmf[c * width + b]` = P[#crashed = c, #byzantine = b], for `c + b <= n`.
+    pmf: Vec<f64>,
 }
 
 impl FaultCountDistribution {
     /// Computes the distribution over independent nodes with these profiles.
     pub fn from_profiles(profiles: &[FaultProfile]) -> Self {
         let n = profiles.len();
-        let mut pmf = vec![vec![0.0f64; n + 1]; n + 1];
-        pmf[0][0] = 1.0;
-        if profiles.iter().all(|p| p.byzantine_probability() == 0.0) {
-            // Crash-only profiles (most of the paper's sweeps) have all their
-            // mass in the `b = 0` column, so the DP collapses to a plain
-            // Poisson-binomial over crashed counts: O(N²) instead of O(N³). Same
-            // multiply/add sequence per surviving entry as the general loop below,
-            // so the specialization is bit-identical to it.
-            for (added, profile) in profiles.iter().enumerate() {
-                let p_crash = profile.crash_probability();
-                let p_ok = profile.correct_probability();
-                for c in (0..=added).rev() {
-                    let mass = pmf[c][0];
+        let width = Self::width(profiles);
+        let mut pmf = vec![0.0f64; (n + 1) * width];
+        pmf[0] = 1.0;
+        // The Byzantine-capable nodes added so far: no entry past that `b` has mass.
+        let mut byzantine = 0;
+        for (added, profile) in profiles.iter().enumerate() {
+            let p_crash = profile.crash_probability();
+            let p_byz = profile.byzantine_probability();
+            let p_ok = profile.correct_probability();
+            let can_turn = p_byz > 0.0;
+            // Iterate downwards so each node is only counted once.
+            for c in (0..=added).rev() {
+                for b in (0..=byzantine.min(added - c)).rev() {
+                    let at = c * width + b;
+                    let mass = pmf[at];
                     if mass == 0.0 {
                         continue;
                     }
-                    pmf[c][0] = mass * p_ok;
-                    pmf[c + 1][0] += mass * p_crash;
-                }
-            }
-        } else {
-            for (added, profile) in profiles.iter().enumerate() {
-                let p_crash = profile.crash_probability();
-                let p_byz = profile.byzantine_probability();
-                let p_ok = profile.correct_probability();
-                // Iterate downwards so each node is only counted once.
-                for c in (0..=added).rev() {
-                    for b in (0..=(added - c)).rev() {
-                        let mass = pmf[c][b];
-                        if mass == 0.0 {
-                            continue;
-                        }
-                        pmf[c][b] = mass * p_ok;
-                        pmf[c + 1][b] += mass * p_crash;
-                        pmf[c][b + 1] += mass * p_byz;
+                    pmf[at] = mass * p_ok;
+                    pmf[at + width] += mass * p_crash;
+                    // Adding `mass * 0.0` would change nothing, so a node that cannot
+                    // turn Byzantine skips the write and stays inside the row.
+                    if can_turn {
+                        pmf[at + 1] += mass * p_byz;
                     }
                 }
             }
+            byzantine += usize::from(can_turn);
         }
-        // Suffix-sum the total-fault masses once; summing from the deep tail upward
-        // keeps the small tail masses from being absorbed by the bulk.
-        let mut tail = vec![0.0f64; n + 2];
-        for k in (0..=n).rev() {
-            let total_k: f64 = (0..=k).map(|c| pmf[c][k - c]).sum();
-            tail[k] = tail[k + 1] + total_k;
-        }
-        Self { n, pmf, tail }
+        Self { n, width, pmf }
+    }
+
+    /// The row length: one more than the number of nodes that can turn Byzantine,
+    /// the most `#byzantine` can reach.
+    fn width(profiles: &[FaultProfile]) -> usize {
+        1 + profiles
+            .iter()
+            .filter(|p| p.byzantine_probability() > 0.0)
+            .count()
+    }
+
+    /// A bound on [`from_profiles`](Self::from_profiles)' entry updates — N nodes
+    /// times N crashed counts times `width` — by which the scheduler prices it.
+    pub(crate) fn steps(profiles: &[FaultProfile]) -> u64 {
+        let n = profiles.len() as u64;
+        n * n * Self::width(profiles) as u64
     }
 
     /// Number of nodes.
@@ -91,30 +88,33 @@ impl FaultCountDistribution {
 
     /// `P[#crashed = crashed, #byzantine = byzantine]`.
     pub fn probability(&self, crashed: usize, byzantine: usize) -> f64 {
-        if crashed + byzantine > self.n {
+        if crashed + byzantine > self.n || byzantine >= self.width {
             return 0.0;
         }
-        self.pmf[crashed][byzantine]
+        self.pmf[crashed * self.width + byzantine]
     }
 
-    /// `P[#crashed + #byzantine >= faulty]` — an O(1) lookup into the precomputed
-    /// suffix sums.
+    /// `P[#crashed + #byzantine >= faulty]`, summed from the deep tail upward so the
+    /// small tail masses are not absorbed by the bulk.
     pub fn probability_at_least_faults(&self, faulty: usize) -> f64 {
-        if faulty > self.n {
-            return 0.0;
+        let mut total = 0.0;
+        for k in (faulty..=self.n).rev() {
+            let total_k: f64 = (k.saturating_sub(self.width - 1)..=k)
+                .map(|c| self.pmf[c * self.width + k - c])
+                .sum();
+            total += total_k;
         }
-        self.tail[faulty].min(1.0)
+        total.min(1.0)
     }
 
     /// Sums `P[c, b]` over all count pairs where `predicate(c, b)` holds.
     pub fn probability_where(&self, predicate: impl Fn(usize, usize) -> bool) -> f64 {
         let mut total = 0.0;
         for c in 0..=self.n {
-            for b in 0..=(self.n - c) {
-                let mass = self.pmf[c][b];
-                // Zero-mass pairs cannot change the sum; skipping them drops the
-                // whole `b > 0` triangle of a crash-only distribution, which is
-                // most of the predicate calls on a 100-node scan.
+            for b in 0..self.width.min(self.n - c + 1) {
+                let mass = self.pmf[c * self.width + b];
+                // Zero-mass pairs cannot change the sum; skipping them skips the
+                // predicate calls on counts no node mix can reach.
                 if mass != 0.0 && predicate(c, b) {
                     total += mass;
                 }
@@ -136,13 +136,10 @@ pub fn counting_reliability<M: CountingModel + ?Sized>(
         "model and profiles disagree on the cluster size"
     );
     let dist = FaultCountDistribution::from_profiles(profiles);
-    let p_safe = dist.probability_where(|c, b| model.is_safe_counts(c, b));
-    let p_live = dist.probability_where(|c, b| model.is_live_counts(c, b));
-    let p_both = dist.probability_where(|c, b| model.is_safe_and_live_counts(c, b));
     RawReliability {
-        p_safe,
-        p_live,
-        p_safe_and_live: p_both,
+        p_safe: dist.probability_where(|c, b| model.is_safe_counts(c, b)),
+        p_live: dist.probability_where(|c, b| model.is_live_counts(c, b)),
+        p_safe_and_live: dist.probability_where(|c, b| model.is_safe_and_live_counts(c, b)),
     }
     .clamped()
 }
@@ -248,59 +245,73 @@ mod tests {
         assert!((dist.probability_at_least_faults(0) - 1.0).abs() < 1e-12);
     }
 
-    /// The crash-only O(N²) specialization and the scratch slot the counting
-    /// engine reads are both pinned bit-identical to a fresh run of the general
-    /// O(N³) DP.
+    /// The one DP — a single column for crash-only profiles, `b` bounded by the
+    /// Byzantine-capable nodes added so far for mixed ones — and the scratch slot
+    /// the counting engine reads are both pinned bit-identical to a hand replay of
+    /// the general recurrence over the full (N+1)² table.
     #[test]
     fn crash_only_specialization_and_cache_are_bit_identical_to_the_general_dp() {
-        let d: Vec<FaultProfile> = (0..40)
+        let crash_only: Vec<FaultProfile> = (0..40)
             .map(|i| FaultProfile::crash_only(0.002 * (i + 1) as f64))
             .collect();
-        // General-path reference: force the 2-D DP by a zero-mass byzantine column
-        // trick is unavailable (any nonzero p_byz changes the numbers), so replay
-        // the general recurrence by hand instead.
-        let mut pmf = vec![vec![0.0f64; 41]; 41];
-        pmf[0][0] = 1.0;
-        for (added, profile) in d.iter().enumerate() {
-            let p_crash = profile.crash_probability();
-            let p_byz = profile.byzantine_probability();
-            let p_ok = profile.correct_probability();
-            for c in (0..=added).rev() {
-                for b in (0..=(added - c)).rev() {
-                    let mass = pmf[c][b];
-                    if mass == 0.0 {
-                        continue;
+        // Crash-only nodes before and after a stretch where every third node can
+        // also turn Byzantine, so the `b` bound grows mid-run and then holds.
+        let mixed: Vec<FaultProfile> = (0..40)
+            .map(|i| {
+                let p_byz = if (8..32).contains(&i) && i % 3 == 0 {
+                    0.001 * (i % 7 + 1) as f64
+                } else {
+                    0.0
+                };
+                FaultProfile::new(0.003 * (i % 11 + 1) as f64, p_byz)
+            })
+            .collect();
+        for d in [crash_only, mixed] {
+            // General-path reference: any nonzero p_byz changes the numbers, so
+            // replay the general recurrence over the whole table by hand.
+            let mut pmf = vec![vec![0.0f64; 41]; 41];
+            pmf[0][0] = 1.0;
+            for (added, profile) in d.iter().enumerate() {
+                let p_crash = profile.crash_probability();
+                let p_byz = profile.byzantine_probability();
+                let p_ok = profile.correct_probability();
+                for c in (0..=added).rev() {
+                    for b in (0..=(added - c)).rev() {
+                        let mass = pmf[c][b];
+                        if mass == 0.0 {
+                            continue;
+                        }
+                        pmf[c][b] = mass * p_ok;
+                        pmf[c + 1][b] += mass * p_crash;
+                        pmf[c][b + 1] += mass * p_byz;
                     }
-                    pmf[c][b] = mass * p_ok;
-                    pmf[c + 1][b] += mass * p_crash;
-                    pmf[c][b + 1] += mass * p_byz;
                 }
             }
-        }
-        let fast = FaultCountDistribution::from_profiles(&d);
-        for (c, row) in pmf.iter().enumerate() {
-            for (b, &expected) in row.iter().enumerate().take(41 - c) {
+            let fast = FaultCountDistribution::from_profiles(&d);
+            for (c, row) in pmf.iter().enumerate() {
+                for (b, &expected) in row.iter().enumerate().take(41 - c) {
+                    assert_eq!(
+                        fast.probability(c, b).to_bits(),
+                        expected.to_bits(),
+                        "pmf[{c}][{b}] diverged from the general DP"
+                    );
+                }
+            }
+            // The slot holds the engine's result, computed once: the second read
+            // must not run the DP, and both reads equal a fresh run bit for bit.
+            let model = RaftModel::standard(40);
+            let fresh = counting_reliability(&model, &d);
+            let scratch = crate::scratch::GroupScratch::default();
+            let first = scratch.counting(|| counting_reliability(&model, &d));
+            let second = scratch.counting(|| unreachable!("the slot is already filled"));
+            for raw in [first, second] {
+                assert_eq!(raw.p_safe.to_bits(), fresh.p_safe.to_bits());
+                assert_eq!(raw.p_live.to_bits(), fresh.p_live.to_bits());
                 assert_eq!(
-                    fast.probability(c, b).to_bits(),
-                    expected.to_bits(),
-                    "pmf[{c}][{b}] diverged from the general DP"
+                    raw.p_safe_and_live.to_bits(),
+                    fresh.p_safe_and_live.to_bits()
                 );
             }
-        }
-        // The slot holds the engine's result, computed once: the second read
-        // must not run the DP, and both reads equal a fresh run bit for bit.
-        let model = RaftModel::standard(40);
-        let fresh = counting_reliability(&model, &d);
-        let scratch = crate::scratch::GroupScratch::default();
-        let first = scratch.counting(|| counting_reliability(&model, &d));
-        let second = scratch.counting(|| unreachable!("the slot is already filled"));
-        for raw in [first, second] {
-            assert_eq!(raw.p_safe.to_bits(), fresh.p_safe.to_bits());
-            assert_eq!(raw.p_live.to_bits(), fresh.p_live.to_bits());
-            assert_eq!(
-                raw.p_safe_and_live.to_bits(),
-                fresh.p_safe_and_live.to_bits()
-            );
         }
     }
 

@@ -16,12 +16,6 @@ use crate::counting::FaultCountDistribution;
 use crate::failure::FailureConfig;
 use crate::protocol::ProtocolModel;
 
-/// Probability that at least `k` of these independent nodes are faulty over the
-/// window — the "scary" number the f-threshold model reacts to.
-pub fn probability_at_least_faults(profiles: &[FaultProfile], k: usize) -> f64 {
-    FaultCountDistribution::from_profiles(profiles).probability_at_least_faults(k)
-}
-
 /// Probability that *every* member of `quorum` is faulty over the window — i.e. the most
 /// recently written persistence quorum loses all of its copies.
 ///
@@ -77,7 +71,8 @@ pub fn durability_claim(profiles: &[FaultProfile], quorum_size: usize) -> Durabi
         quorum_size <= profiles.len(),
         "quorum cannot exceed the deployment"
     );
-    let p_threshold_exceeded = probability_at_least_faults(profiles, quorum_size);
+    let p_threshold_exceeded =
+        FaultCountDistribution::from_profiles(profiles).probability_at_least_faults(quorum_size);
     // The adversarial placement: data persisted on the least reliable nodes.
     let ranked = nodes_by_reliability(profiles);
     let worst: Vec<usize> = ranked[ranked.len() - quorum_size..].to_vec();

@@ -49,7 +49,7 @@ use crate::simulation::SimulationReport;
 pub enum EngineChoice {
     /// Exhaustive enumeration of failure configurations (exact, exponential).
     Enumeration,
-    /// Dynamic programming over fault counts (exact, O(N³), counting models only).
+    /// Dynamic programming over fault counts (exact, O(N²)–O(N³), counting models only).
     Counting,
     /// Importance sampling with per-node probability tilting (weighted estimate with
     /// confidence interval and ESS diagnostic; for rare failure events).
@@ -83,8 +83,8 @@ impl std::fmt::Display for EngineChoice {
 /// ESS floor, the simulation horizon).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Budget {
-    /// Maximum number of nodes the O(N³) counting engine may analyze exactly before
-    /// the selector falls back to sampling.
+    /// Maximum number of nodes the counting engine may analyze exactly before the
+    /// selector falls back to sampling.
     pub max_counting_nodes: usize,
     /// Number of samples the sampling engines (Monte Carlo, importance sampling) draw.
     pub monte_carlo_samples: usize,
@@ -252,9 +252,9 @@ impl Default for SimBudget {
 }
 
 impl Default for Budget {
-    /// Defaults tuned for interactive use: exact counting up to 2,000 nodes (~N³ =
-    /// 8e9 DP updates, single-digit seconds), 200k samples, enough for a ±0.2-point
-    /// 95% interval near the probabilities the paper reports, and a 1e-6
+    /// Defaults tuned for interactive use: exact counting up to 2,000 nodes (ms if
+    /// crash-only, seconds if all can turn Byzantine), 200k samples, enough for a
+    /// ±0.2-point 95% interval near the probabilities the paper reports, and a 1e-6
     /// failure-probability threshold for preferring importance sampling.
     fn default() -> Self {
         Self {
@@ -524,6 +524,14 @@ impl AnalysisOutcome {
             let re = self.rare_event.as_ref()?;
             Some([re.safe, re.live, re.safe_and_live])
         }
+    }
+
+    /// The aleatoric (sampling) interval on the joint safe-and-live probability:
+    /// the sampler's, or the collapsed `(v, v)` of an exact engine.
+    pub(crate) fn joint_interval(&self) -> (f64, f64) {
+        let v = self.report.safe_and_live.probability();
+        self.sampled_estimates()
+            .map_or((v, v), |[_, _, both]| (both.lower, both.upper))
     }
 
     /// Whether the report is exact (enumeration or counting) rather than an estimate.

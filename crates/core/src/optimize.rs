@@ -840,12 +840,7 @@ fn record_from_cell(
     target_nines: f64,
 ) -> FrontierRecord {
     let probability = cell.outcome.report.safe_and_live.probability();
-    let (ci_lower, ci_upper) = match cell.outcome.sampled_estimates() {
-        Some([_, _, both]) => (both.lower, both.upper),
-        None => (probability, probability),
-    };
-    let ci_lower = ci_lower.clamp(0.0, 1.0);
-    let ci_upper = ci_upper.clamp(0.0, 1.0);
+    let (ci_lower, ci_upper) = cell.outcome.joint_interval();
     let lower_nines = Nines::from_probability(ci_lower);
     FrontierRecord {
         label: candidate.label.clone(),

@@ -18,6 +18,7 @@ use super::{
 };
 use crate::analyzer::AnalysisError;
 use crate::cache::{CacheKey, CacheStats, SessionCache};
+use crate::counting::FaultCountDistribution;
 use crate::engine::{select_engine, AnalysisOutcome, Budget, EngineChoice, FaultEnvironment};
 use crate::epistemic::{EpistemicDraw, EpistemicReport};
 use crate::montecarlo::{
@@ -700,19 +701,6 @@ struct DiscardSink;
 
 impl StreamSink for DiscardSink {}
 
-/// The aleatoric (sampling) interval an outcome puts on the joint safe-and-live
-/// probability: the interval of whichever sampler ran, and the collapsed
-/// `(v, v)` interval for exact engines (no sampling error to report).
-fn outcome_bounds(outcome: &AnalysisOutcome) -> (f64, f64) {
-    match outcome.sampled_estimates() {
-        Some([_, _, both]) => (both.lower, both.upper),
-        None => {
-            let v = outcome.report.safe_and_live.probability();
-            (v, v)
-        }
-    }
-}
-
 impl PlannedCell {
     /// This cell's engine, whole, on `scenario` — its own, or a posterior draw's
     /// scaled one — over that scenario's scratch.
@@ -959,7 +947,7 @@ impl QueryPlan {
                         ItemOutput::Outcome(outcome) => *outcome,
                         _ => unreachable!("draw items are whole-cell items"),
                     };
-                    let (lower, upper) = outcome_bounds(&outcome);
+                    let (lower, upper) = outcome.joint_interval();
                     EpistemicDraw {
                         p: draw.p,
                         scale: draw.scale,
@@ -969,7 +957,7 @@ impl QueryPlan {
                     }
                 })
                 .collect();
-            EpistemicReport::from_draws(level, records, outcome_bounds(&outcome))
+            EpistemicReport::from_draws(level, records, outcome.joint_interval())
         });
         // The paired simulation needs the merged analytic estimate, so it runs
         // here, on this cell's completion — not as a plan-wide second wave. It is
@@ -1103,8 +1091,10 @@ impl QueryPlan {
                 let cell = &self.cells[index];
                 let nodes = cell.nodes as u64;
                 match cell.engine {
-                    // O(N²) closed form — the cheapest engine by far.
-                    EngineChoice::Counting => nodes * nodes,
+                    // The count DP: N² for crash-only cells, up to N³ for mixed ones.
+                    EngineChoice::Counting => {
+                        FaultCountDistribution::steps(cell.scenario.profiles())
+                    }
                     // Exponential in the cluster size (capped so the shift is sane).
                     EngineChoice::Enumeration => 1u64 << nodes.min(40),
                     // Pilot plus tilted sampling: scalar-sampler cost shape.

@@ -81,6 +81,7 @@ use fault_model::mode::{FaultProfile, NodeState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::counting::FaultCountDistribution;
 use crate::engine::{AnalysisOutcome, Budget, EngineChoice};
 use crate::failure::FailureConfig;
 use crate::montecarlo::{chunk_seed, map_sample_chunks, Estimate};
@@ -606,11 +607,12 @@ pub fn importance_sampling_reliability_par<M: ProtocolModel + ?Sized>(
 /// `seed`) catches failure events common enough for plain Monte Carlo. When the pilot
 /// observes *zero* failures the pilot resolution (~1e-3) is not informative, so the
 /// estimate falls back to an analytic proxy: the probability that a strict majority
-/// of nodes is simultaneously faulty under the *independent marginals* (a
-/// Poisson-binomial tail, O(N²)). The proxy deliberately ignores correlation — it
-/// only decides engine preference; a correlated common-mode event that is not
-/// actually rare still yields a consistent importance-sampling estimate, just with
-/// less of an efficiency edge over plain sampling.
+/// of nodes is simultaneously faulty under the *independent marginals* (the
+/// [`FaultCountDistribution`] tail over crash-only nodes, O(N²)). The proxy
+/// deliberately ignores correlation — it only decides engine preference; a
+/// correlated common-mode event that is not actually rare still yields a consistent
+/// importance-sampling estimate, just with less of an efficiency edge over plain
+/// sampling.
 ///
 /// The estimate depends only on the model, the target and the seed, which is what
 /// lets the group scratch ([`crate::scratch`]) keep it per seed: a sweep pays for
@@ -632,28 +634,14 @@ pub fn naive_failure_estimate(
     if hits > 0 {
         return hits as f64 / SELECTOR_PILOT_SAMPLES as f64;
     }
-    let marginals = target.marginal_fault_probabilities();
-    majority_faulty_probability(&marginals)
-}
-
-/// `P[#faulty ≥ ⌈(n+1)/2⌉]` for independent per-node fault probabilities — the
-/// 1-D Poisson-binomial tail used as the selector's analytic rare-event proxy.
-fn majority_faulty_probability(marginals: &[f64]) -> f64 {
-    let n = marginals.len();
-    let mut pmf = vec![0.0f64; n + 1];
-    pmf[0] = 1.0;
-    for (added, &p) in marginals.iter().enumerate() {
-        for k in (0..=added).rev() {
-            let mass = pmf[k];
-            if mass == 0.0 {
-                continue;
-            }
-            pmf[k] = mass * (1.0 - p);
-            pmf[k + 1] += mass * p;
-        }
-    }
-    let majority = n / 2 + 1;
-    pmf[majority..].iter().sum::<f64>().min(1.0)
+    // `min`: a profile may sum to 1 + 1e-12 (its check's slack), so may a marginal.
+    let crash_only: Vec<FaultProfile> = target
+        .marginal_fault_probabilities()
+        .into_iter()
+        .map(|p| FaultProfile::crash_only(p.min(1.0)))
+        .collect();
+    FaultCountDistribution::from_profiles(&crash_only)
+        .probability_at_least_faults(crash_only.len() / 2 + 1)
 }
 
 /// Whether importance sampling is the auto-selector's choice here: it applies to
@@ -925,9 +913,14 @@ mod tests {
 
     #[test]
     fn majority_proxy_matches_binomial_on_uniform_probabilities() {
+        // The proxy's DP and threshold: P[#faulty >= n/2 + 1] over crash-only nodes.
+        let majority = |p: f64, n: usize| {
+            FaultCountDistribution::from_profiles(&vec![FaultProfile::crash_only(p); n])
+                .probability_at_least_faults(n / 2 + 1)
+        };
         // n = 3, p = 0.5: P[#faulty >= 2] = 0.5.
-        let proxy = majority_faulty_probability(&[0.5; 3]);
+        let proxy = majority(0.5, 3);
         assert!((proxy - 0.5).abs() < 1e-12, "got {proxy}");
-        assert_eq!(majority_faulty_probability(&[0.0; 5]), 0.0);
+        assert_eq!(majority(0.0, 5), 0.0);
     }
 }

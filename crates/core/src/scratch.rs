@@ -34,7 +34,7 @@ pub struct GroupScratch {
     /// models routed to the packed Monte Carlo kernel.
     packed: OnceLock<PackedKernel>,
     /// The exact counting-engine result, for independent scenarios of counting
-    /// models. Three floats, not the O(N²) count distribution behind them: an
+    /// models. Three floats, not the (N+1)×(B+1) count table behind them: an
     /// entry of a 2 000-node counting cell stays a few words.
     counting: OnceLock<RawReliability>,
     /// Selector-pilot failure estimates keyed by budget seed (the estimate is a
