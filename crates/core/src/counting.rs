@@ -29,11 +29,27 @@ pub struct FaultCountDistribution {
     pmf: Vec<f64>,
 }
 
+/// The DP's row length: one more than the number of nodes that can turn Byzantine,
+/// the most `#byzantine` can reach.
+fn width(profiles: &[FaultProfile]) -> usize {
+    1 + profiles
+        .iter()
+        .filter(|p| p.byzantine_probability() > 0.0)
+        .count()
+}
+
+/// A bound on the entry updates of the DP below — N nodes times N crashed counts
+/// times `width` — by which the scheduler prices a counting cell.
+pub(crate) fn dp_steps(profiles: &[FaultProfile]) -> u64 {
+    let n = profiles.len() as u64;
+    n * n * width(profiles) as u64
+}
+
 impl FaultCountDistribution {
     /// Computes the distribution over independent nodes with these profiles.
     pub fn from_profiles(profiles: &[FaultProfile]) -> Self {
         let n = profiles.len();
-        let width = Self::width(profiles);
+        let width = width(profiles);
         let mut pmf = vec![0.0f64; (n + 1) * width];
         pmf[0] = 1.0;
         // The Byzantine-capable nodes added so far: no entry past that `b` has mass.
@@ -63,22 +79,6 @@ impl FaultCountDistribution {
             byzantine += usize::from(can_turn);
         }
         Self { n, width, pmf }
-    }
-
-    /// The row length: one more than the number of nodes that can turn Byzantine,
-    /// the most `#byzantine` can reach.
-    fn width(profiles: &[FaultProfile]) -> usize {
-        1 + profiles
-            .iter()
-            .filter(|p| p.byzantine_probability() > 0.0)
-            .count()
-    }
-
-    /// A bound on [`from_profiles`](Self::from_profiles)' entry updates — N nodes
-    /// times N crashed counts times `width` — by which the scheduler prices it.
-    pub(crate) fn steps(profiles: &[FaultProfile]) -> u64 {
-        let n = profiles.len() as u64;
-        n * n * Self::width(profiles) as u64
     }
 
     /// Number of nodes.
@@ -136,10 +136,13 @@ pub fn counting_reliability<M: CountingModel + ?Sized>(
         "model and profiles disagree on the cluster size"
     );
     let dist = FaultCountDistribution::from_profiles(profiles);
+    let p_safe = dist.probability_where(|c, b| model.is_safe_counts(c, b));
+    let p_live = dist.probability_where(|c, b| model.is_live_counts(c, b));
+    let p_both = dist.probability_where(|c, b| model.is_safe_and_live_counts(c, b));
     RawReliability {
-        p_safe: dist.probability_where(|c, b| model.is_safe_counts(c, b)),
-        p_live: dist.probability_where(|c, b| model.is_live_counts(c, b)),
-        p_safe_and_live: dist.probability_where(|c, b| model.is_safe_and_live_counts(c, b)),
+        p_safe,
+        p_live,
+        p_safe_and_live: p_both,
     }
     .clamped()
 }

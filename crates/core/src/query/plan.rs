@@ -18,7 +18,6 @@ use super::{
 };
 use crate::analyzer::AnalysisError;
 use crate::cache::{CacheKey, CacheStats, SessionCache};
-use crate::counting::FaultCountDistribution;
 use crate::engine::{select_engine, AnalysisOutcome, Budget, EngineChoice, FaultEnvironment};
 use crate::epistemic::{EpistemicDraw, EpistemicReport};
 use crate::montecarlo::{
@@ -1092,9 +1091,7 @@ impl QueryPlan {
                 let nodes = cell.nodes as u64;
                 match cell.engine {
                     // The count DP: N² for crash-only cells, up to N³ for mixed ones.
-                    EngineChoice::Counting => {
-                        FaultCountDistribution::steps(cell.scenario.profiles())
-                    }
+                    EngineChoice::Counting => crate::counting::dp_steps(cell.scenario.profiles()),
                     // Exponential in the cluster size (capped so the shift is sane).
                     EngineChoice::Enumeration => 1u64 << nodes.min(40),
                     // Pilot plus tilted sampling: scalar-sampler cost shape.

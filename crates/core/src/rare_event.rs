@@ -909,6 +909,14 @@ mod tests {
             naive_failure_estimate(&model, &crash_model(40, 0.05), Budget::default().seed);
         // P[loss] ≈ 4e-11; the pilot sees nothing and the majority proxy takes over.
         assert!(estimate < 1e-6, "got {estimate}");
+        // A node outside the quorum whose profile sums to just over 1 (within the
+        // profile check's slack) has a marginal just over 1; the proxy still runs.
+        let mut profiles = vec![FaultProfile::crash_only(0.05); 40];
+        profiles[39] = FaultProfile::new(0.6, 0.4 + 5e-13);
+        let target = CorrelationModel::independent(profiles);
+        assert!(target.marginal_fault_probabilities()[39] > 1.0);
+        let estimate = naive_failure_estimate(&model, &target, Budget::default().seed);
+        assert!(estimate < 1e-6, "got {estimate}");
     }
 
     #[test]
